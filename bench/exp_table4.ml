@@ -20,7 +20,9 @@ let farm_detect ~seed =
       externals =
         [ ("HH",
            [ ("threshold", Almanac.Value.Num Bench_common.hh_threshold);
-             ("interval", Almanac.Value.Num 1e-3) ]) ] }
+             ("interval", Almanac.Value.Num 1e-3);
+             ("hitterAction", Almanac.Value.Action (Net.Tcam.Set_qos 1)) ])
+        ] }
   in
   let task =
     match Runtime.Seeder.deploy seeder (Tasks.Task_common.to_task_spec entry) with

@@ -56,12 +56,17 @@ type t = {
   (* Hot-query caches, refreshed on demand with the exact fold the
      uncached code used — same iteration order, same float accumulation,
      so cached results are bit-identical to recomputing.  [fl_cache]
-     (id-sorted flow list) goes stale only on membership changes;
-     [rate_cache] (sum of active rates) also on any re-rating. *)
+     (id-sorted flow list) goes stale only on membership changes; the
+     rate caches ([rate_cache], the sum of active rates, and the sampling
+     table) also on any re-rating. *)
   mutable fl_cache : active_flow list;
   mutable fl_dirty : bool;
   mutable rate_cache : float;
   mutable rate_dirty : bool;
+  (* sampling table: the flows with a positive rate in id order, and the
+     running sums of their rates accumulated in that order *)
+  mutable smp_flows : active_flow array;
+  mutable smp_cum : float array;
 }
 
 let create ?(caps = accton_as5712) ~id ~ports () =
@@ -72,7 +77,8 @@ let create ?(caps = accton_as5712) ~id ~ports () =
     flows = Hashtbl.create 32;
     last_sync = 0.;
     surge = 1.;
-    fl_cache = []; fl_dirty = false; rate_cache = 0.; rate_dirty = false }
+    fl_cache = []; fl_dirty = false; rate_cache = 0.; rate_dirty = false;
+    smp_flows = [||]; smp_cum = [||] }
 
 let id t = t.sw_id
 let caps t = t.caps
@@ -239,34 +245,49 @@ let poll_subject t ~time subj =
   | Filter.All_ports -> Array.map (fun p -> p.p_bytes) t.ports
   | _ -> [| subject_bytes t ~time subj |]
 
-let total_rate t =
+let refresh_rates t =
   if t.rate_dirty then begin
     t.rate_cache <- Hashtbl.fold (fun _ f acc -> acc +. f.rate) t.flows 0.;
+    (* adding a zero rate leaves a running sum unchanged, so the sums over
+       the positive flows alone are the ones a walk over all flows in id
+       order reaches at those flows *)
+    t.smp_flows <-
+      Array.of_list (List.filter (fun f -> f.rate > 0.) (active_flows t));
+    let acc = ref 0. in
+    t.smp_cum <-
+      Array.map
+        (fun f ->
+          acc := !acc +. f.rate;
+          !acc)
+        t.smp_flows;
     t.rate_dirty <- false
-  end;
+  end
+
+let total_rate t =
+  refresh_rates t;
   t.rate_cache
 
+(* Smallest [i] in [lo, hi) with [cum.(i) >= target], or [hi]. *)
+let rec first_reaching (cum : float array) target lo hi =
+  if lo >= hi then hi
+  else
+    let mid = (lo + hi) lsr 1 in
+    if cum.(mid) >= target then first_reaching cum target lo mid
+    else first_reaching cum target (mid + 1) hi
+
+(* A packet of the first flow, in id order, whose running rate sum reaches
+   a uniform draw below the total rate.  Rates are non-negative, so the
+   sums never decrease and a binary search finds that flow. *)
 let sample_packet t rng =
   let total = total_rate t in
   if total <= 0. then None
   else begin
     let target = Farm_sim.Rng.uniform rng 0. total in
-    let acc = ref 0. in
-    let chosen = ref None in
-    (* walk flows in id order so a seeded Rng reproduces the same packet
-       across runs (Hashtbl order varies with the hash seed) *)
-    (try
-       List.iter
-         (fun f ->
-           acc := !acc +. f.rate;
-           if !acc >= target && f.rate > 0. then begin
-             chosen := Some f;
-             raise Exit
-           end)
-         (active_flows t)
-     with Exit -> ());
-    Option.map
-      (fun (f : active_flow) ->
-        Flow.packet ~flags:f.flags ~payload:f.payload f.tuple 1000)
-      !chosen
+    let n = Array.length t.smp_cum in
+    let i = first_reaching t.smp_cum target 0 n in
+    (* the sums can fall short of a total folded in another order *)
+    if i = n then None
+    else
+      let f = t.smp_flows.(i) in
+      Some (Flow.packet ~flags:f.flags ~payload:f.payload f.tuple 1000)
   end

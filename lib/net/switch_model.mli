@@ -99,7 +99,9 @@ val poll_subject : t -> time:float -> Filter.subject -> float array
 (** {2 Sampling} *)
 
 (** Draw a packet from active flows, probability proportional to rate;
-    [None] when the switch is idle. *)
+    [None] when the switch is idle.  Rates must be non-negative.  A binary
+    search over running rate sums cached in flow-id order, so a draw
+    costs O(log flows) between re-ratings. *)
 val sample_packet : t -> Farm_sim.Rng.t -> Flow.packet option
 
 (** Total offered egress rate over all flows, bytes/s.  Cached between

@@ -126,11 +126,11 @@ let set_rate_scale t scale =
     (match Sengine.tracer (Soil.engine t.soil) with
     | None -> ()
     | Some tr ->
-        Trace.instant tr ~ts:(Soil.now t.soil) ~cat:"seed.overload"
-          ~name:"degradation" ~tid:(Soil.node_id t.soil)
-          ~args:
-            [ ("seed", Trace.I t.sid); ("depth", Trace.F (1. -. scale)) ]
-          ());
+        Trace.instant_if tr ~ts:(Soil.now t.soil)
+          ~cat:(Trace.intern tr "seed.overload")
+          ~name:(Trace.intern tr "degradation") ~tid:(Soil.node_id t.soil)
+          ~k0:(Trace.intern tr "seed") t.sid ~k1:(Trace.intern tr "depth")
+          (1. -. scale));
     (* tell the harvester, so global logic can compensate for the
        reduced fidelity *)
     match t.degraded_report with Some f -> f (1. -. scale) | None -> ()

@@ -41,9 +41,18 @@ type sub_kind =
   | Probe of { filter : Filter.t; deliver : Farm_net.Flow.packet -> unit }
   | Time of (float -> unit)
 
+(* Per-seed accounting: how many of the seed's requests wait in the
+   bounded PCIe queue (its fair share), and its drop counter
+   [soil.<node>.polls.dropped.seed<id>], registered at the first drop. *)
+type seed_acct = {
+  sa_id : int;
+  mutable sa_queued : int;
+  mutable sa_dropped : Metrics.Counter.t option;
+}
+
 type subscription = {
   sub_id : int;
-  sub_seed : int;  (* owning seed, for drop attribution and fair share *)
+  sub_owner : seed_acct;  (* for drop attribution and fair share *)
   kind : sub_kind;
   mutable period : float;
   mutable timer : Engine.timer option;
@@ -80,14 +89,14 @@ type pcie_req = {
   rq_bytes : float;
   rq_issued : float;
   rq_prio : int;  (* max of the owning seeds' priorities *)
-  rq_seeds : int list;  (* owning seeds, for fair-share shedding *)
+  rq_owners : seed_acct list;  (* owning seeds, one entry per poll *)
   rq_deliver : Engine.t -> unit;
-  rq_shed : unit -> unit;  (* drop accounting when this request is shed *)
 }
 
 type ov = {
   ov_cfg : overload_config;
-  mutable ov_queue : pcie_req list;  (* oldest first *)
+  mutable ov_queue : pcie_req array;  (* waiting in [0, ov_len), oldest first *)
+  mutable ov_len : int;
   mutable ov_busy : bool;  (* a transfer is on the bus *)
   mutable ov_seq : int;
   mutable ov_offered : int;
@@ -120,6 +129,10 @@ type tids = {
   tm_k_subs : int;
   tm_k_bytes : int;
   tm_k_polls : int;
+  tm_pressure_on : int;
+  tm_pressure_off : int;
+  tm_k_cpu : int;
+  tm_k_pcie : int;
   tm_subjects : (Filter.subject, int) Hashtbl.t;
 }
 
@@ -149,6 +162,7 @@ type t = {
   (* per-seed drop notification hooks (always available; the reaction is
      up to the seed — counting only, unless overload protection is on) *)
   drop_hooks : (int, int -> unit) Hashtbl.t;
+  accts : (int, seed_acct) Hashtbl.t;
   (* counter fault injection (Fault.Counter_freeze / Counter_glitch) *)
   mutable frozen : bool;
   mutable frozen_cache : (Filter.subject * float array) list;
@@ -156,6 +170,42 @@ type t = {
   ov : ov option;
   mutable tmemo : tids option;
 }
+
+(* Memoized interned ids for [tr]; rebuilt only if the sink changes. *)
+let tids t tr =
+  match t.tmemo with
+  | Some m when m.tm_sink == tr -> m
+  | _ ->
+      let m =
+        { tm_sink = tr;
+          tm_soil = Trace.intern tr "soil";
+          tm_pcie = Trace.intern tr "soil.pcie";
+          tm_ipc = Trace.intern tr "soil.ipc";
+          tm_asic_poll = Trace.intern tr "asic_poll";
+          tm_transfer = Trace.intern tr "transfer";
+          tm_deliver = Trace.intern tr "deliver";
+          tm_k_subject = Trace.intern tr "subject";
+          tm_k_subs = Trace.intern tr "subs";
+          tm_k_bytes = Trace.intern tr "bytes";
+          tm_k_polls = Trace.intern tr "polls";
+          tm_pressure_on = Trace.intern tr "pressure_on";
+          tm_pressure_off = Trace.intern tr "pressure_off";
+          tm_k_cpu = Trace.intern tr "cpu";
+          tm_k_pcie = Trace.intern tr "pcie";
+          tm_subjects = Hashtbl.create 8 }
+      in
+      t.tmemo <- Some m;
+      m
+
+let subject_sid m subject =
+  match Hashtbl.find_opt m.tm_subjects subject with
+  | Some id -> id
+  | None ->
+      let id =
+        Trace.intern m.tm_sink (Format.asprintf "%a" Filter.pp_subject subject)
+      in
+      Hashtbl.add m.tm_subjects subject id;
+      id
 
 (* --- pressure monitor (overload mode only) --- *)
 
@@ -175,25 +225,25 @@ let ov_pressure_tick t ov =
   let pcie_util = pcie_delta /. cfg.pressure_interval in
   let high = cpu_util > cfg.cpu_high || pcie_util > cfg.pcie_high in
   let low = cpu_util < cfg.cpu_low && pcie_util < cfg.pcie_low in
-  let flip name =
+  let flip on =
     match Engine.tracer t.engine with
     | None -> ()
     | Some tr ->
-        Trace.instant tr ~ts:(Engine.now t.engine) ~cat:"soil" ~name
-          ~tid:(Switch_model.id t.sw)
-          ~args:
-            [ ("cpu", Trace.F cpu_util); ("pcie", Trace.F pcie_util) ]
-          ()
+        let m = tids t tr in
+        Trace.instant_ff tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
+          ~name:(if on then m.tm_pressure_on else m.tm_pressure_off)
+          ~tid:(Switch_model.id t.sw) ~k0:m.tm_k_cpu cpu_util ~k1:m.tm_k_pcie
+          pcie_util
   in
   if high && not ov.ov_pressured then begin
     ov.ov_pressured <- true;
     Metrics.Gauge.set ov.ov_pressure 1.;
-    flip "pressure_on"
+    flip true
   end
   else if low && ov.ov_pressured then begin
     ov.ov_pressured <- false;
     Metrics.Gauge.set ov.ov_pressure 0.;
-    flip "pressure_off"
+    flip false
   end;
   (* every high tick backs degraded-capable seeds off multiplicatively;
      every low tick recovers them additively (no-op at full fidelity) *)
@@ -230,7 +280,8 @@ let create ?(config = default_config) engine sw =
     | None -> None
     | Some ovc ->
         Some
-          { ov_cfg = ovc; ov_queue = []; ov_busy = false; ov_seq = 0;
+          { ov_cfg = ovc; ov_queue = [||]; ov_len = 0; ov_busy = false;
+            ov_seq = 0;
             ov_offered = 0; ov_completed = 0; ov_shed_n = 0; ov_qpeak = 0;
             ov_pcie_busy = 0.; ov_last_cpu = 0.; ov_last_pcie = 0.;
             ov_pressured = false; ov_prio = Hashtbl.create 8;
@@ -246,44 +297,12 @@ let create ?(config = default_config) engine sw =
       dropped = c "polls.dropped"; pcie_bytes = c "pcie.bytes";
       asic_polls = c "asic.polls";
       latency = Metrics.Registry.histogram reg (pre ^ "delivery_latency");
-      drop_hooks = Hashtbl.create 8;
+      drop_hooks = Hashtbl.create 8; accts = Hashtbl.create 8;
       frozen = false; frozen_cache = []; glitch_budget = 0; ov;
       tmemo = None }
   in
   install_pressure_monitor t;
   t
-
-(* Memoized interned ids for [tr]; rebuilt only if the sink changes. *)
-let tids t tr =
-  match t.tmemo with
-  | Some m when m.tm_sink == tr -> m
-  | _ ->
-      let m =
-        { tm_sink = tr;
-          tm_soil = Trace.intern tr "soil";
-          tm_pcie = Trace.intern tr "soil.pcie";
-          tm_ipc = Trace.intern tr "soil.ipc";
-          tm_asic_poll = Trace.intern tr "asic_poll";
-          tm_transfer = Trace.intern tr "transfer";
-          tm_deliver = Trace.intern tr "deliver";
-          tm_k_subject = Trace.intern tr "subject";
-          tm_k_subs = Trace.intern tr "subs";
-          tm_k_bytes = Trace.intern tr "bytes";
-          tm_k_polls = Trace.intern tr "polls";
-          tm_subjects = Hashtbl.create 8 }
-      in
-      t.tmemo <- Some m;
-      m
-
-let subject_sid m subject =
-  match Hashtbl.find_opt m.tm_subjects subject with
-  | Some id -> id
-  | None ->
-      let id =
-        Trace.intern m.tm_sink (Format.asprintf "%a" Filter.pp_subject subject)
-      in
-      Hashtbl.add m.tm_subjects subject id;
-      id
 
 let node_id t = Switch_model.id t.sw
 let switch t = t.sw
@@ -339,8 +358,7 @@ let overload_stats t =
       Some
         { o_offered = ov.ov_offered; o_completed = ov.ov_completed;
           o_shed = ov.ov_shed_n;
-          o_pending =
-            List.length ov.ov_queue + (if ov.ov_busy then 1 else 0);
+          o_pending = ov.ov_len + (if ov.ov_busy then 1 else 0);
           o_queue_peak = ov.ov_qpeak }
 
 let under_pressure t =
@@ -368,7 +386,10 @@ let set_seed_priority t ~seed_id prio =
 
 let seed_priority t seed_id =
   match t.ov with
-  | Some ov -> Option.value (Hashtbl.find_opt ov.ov_prio seed_id) ~default:0
+  | Some ov -> (
+      match Hashtbl.find ov.ov_prio seed_id with
+      | p -> p
+      | exception Not_found -> 0)
   | None -> 0
 
 let on_pressure t ~seed_id f =
@@ -384,34 +405,44 @@ let remove_pressure_hook t ~seed_id =
 let set_pressure_listener t f =
   match t.ov with Some ov -> ov.ov_listener <- Some f | None -> ()
 
-(* Per-seed drop attribution + synchronous drop notifications.  [drops] is
-   a sorted (seed_id, count) list; notification runs inline (no engine
-   events), so runs without drops — and default runs, whose drop behavior
-   is unchanged — stay byte-identical. *)
-let record_seed_drops t drops =
-  let reg = Engine.metrics t.engine in
-  List.iter
-    (fun (sid, n) ->
-      let ctr =
-        Metrics.Registry.counter reg
-          (Printf.sprintf "soil.%d.polls.dropped.seed%d" (node_id t) sid)
-      in
-      Metrics.Counter.add ctr (float_of_int n);
-      match Hashtbl.find_opt t.drop_hooks sid with
-      | Some f -> f n
-      | None -> ())
-    drops
+let acct t seed_id =
+  match Hashtbl.find t.accts seed_id with
+  | a -> a
+  | exception Not_found ->
+      let a = { sa_id = seed_id; sa_queued = 0; sa_dropped = None } in
+      Hashtbl.add t.accts seed_id a;
+      a
 
-(* Group [seeds] into a sorted (seed_id, count) list. *)
-let drops_by_seed seeds =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun sid ->
-      Hashtbl.replace tbl sid
-        (1 + Option.value (Hashtbl.find_opt tbl sid) ~default:0))
-    seeds;
-  Hashtbl.fold (fun sid n acc -> (sid, n) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* Per-seed drop attribution + synchronous drop notification; runs inline
+   (no engine events), so runs without drops — and default runs, whose
+   drop behavior is unchanged — stay byte-identical. *)
+let record_seed_drop t a n =
+  let ctr =
+    match a.sa_dropped with
+    | Some c -> c
+    | None ->
+        let c =
+          Metrics.Registry.counter (Engine.metrics t.engine)
+            (Printf.sprintf "soil.%d.polls.dropped.seed%d" (node_id t) a.sa_id)
+        in
+        a.sa_dropped <- Some c;
+        c
+  in
+  Metrics.Counter.add ctr (float_of_int n);
+  match Hashtbl.find t.drop_hooks a.sa_id with
+  | f -> f n
+  | exception Not_found -> ()
+
+(* Group [owners] into a (seed, count) list sorted by seed id. *)
+let drops_by_seed owners =
+  let rec group = function
+    | [] -> []
+    | a :: rest -> (
+        match group rest with
+        | (b, n) :: tl when b.sa_id = a.sa_id -> (a, n + 1) :: tl
+        | tl -> (a, 1) :: tl)
+  in
+  group (List.stable_sort (fun a b -> Int.compare a.sa_id b.sa_id) owners)
 
 let trace_drop t ~name ~n =
   match Engine.tracer t.engine with
@@ -421,133 +452,167 @@ let trace_drop t ~name ~n =
       Trace.instant_i tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
         ~name:(Trace.intern tr name) ~tid:(node_id t) ~k:m.tm_k_polls n
 
-(* A poll (or probe sample) owned by [seeds] was dropped: count globally,
+(* A poll (or probe sample) owned by [owners] was dropped: count globally,
    attribute per seed, notify the owners. *)
-let drop_polls t ~name seeds =
-  let n = List.length seeds in
+let drop_polls t ~name owners =
+  let n = List.length owners in
   Metrics.Counter.add t.dropped (float_of_int n);
   trace_drop t ~name ~n;
-  record_seed_drops t (drops_by_seed seeds)
+  match owners with
+  | [ a ] -> record_seed_drop t a 1
+  | _ -> List.iter (fun (a, n) -> record_seed_drop t a n) (drops_by_seed owners)
 
-(* --- bounded priority queue over the PCIe bus (overload mode only) --- *)
+(* --- bounded priority queue over the PCIe bus (overload mode only) ---
 
-let queued_per_seed reqs =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun sid ->
-          Hashtbl.replace tbl sid
-            (1 + Option.value (Hashtbl.find_opt tbl sid) ~default:0))
-        r.rq_seeds)
-    reqs;
-  tbl
+   Each seed's queued-request count is kept up to date on enqueue, pump
+   and shed, so choosing a victim scans the queue without rebuilding
+   any per-seed table. *)
+
+let rec add_queued d = function
+  | [] -> ()
+  | a :: rest ->
+      a.sa_queued <- a.sa_queued + d;
+      add_queued d rest
+
+(* A request's fair-share weight: the most queued requests any of its
+   owners holds. *)
+let share r =
+  List.fold_left (fun acc a -> Int.max acc a.sa_queued) 1 r.rq_owners
 
 (* Shedding policy: lowest priority first; among those, the request whose
    owning seed holds the most queued requests (most over its fair share);
    ties shed the newest arrival, so the incoming request loses to equally
-   guilty older ones.  Pure and deterministic. *)
-let pick_victim reqs =
-  let counts = queued_per_seed reqs in
-  let share r =
-    List.fold_left
-      (fun acc sid ->
-        max acc (Option.value (Hashtbl.find_opt counts sid) ~default:1))
-      1 r.rq_seeds
-  in
-  match reqs with
-  | [] -> invalid_arg "Soil.pick_victim: empty"
-  | first :: rest ->
-      List.fold_left
-        (fun v r ->
-          if r.rq_prio < v.rq_prio then r
-          else if r.rq_prio > v.rq_prio then v
-          else
-            let sr = share r and sv = share v in
-            if sr > sv then r
-            else if sr < sv then v
-            else if r.rq_seq > v.rq_seq then r
-            else v)
-        first rest
+   guilty older ones.  Deterministic: arrival numbers are unique. *)
+let sheds_before r v =
+  r.rq_prio < v.rq_prio
+  || r.rq_prio = v.rq_prio
+     &&
+     let sr = share r and sv = share v in
+     sr > sv || (sr = sv && r.rq_seq > v.rq_seq)
+
+(* Index of the victim among the queue from [i] on and the candidate [v]
+   at index [vi]. *)
+let rec victim_index ov i vi v =
+  if i = ov.ov_len then vi
+  else
+    let r = ov.ov_queue.(i) in
+    if sheds_before r v then victim_index ov (i + 1) i r
+    else victim_index ov (i + 1) vi v
+
+(* Fills the queue's free slots, so that a served or shed request, and the
+   subscriptions and seeds its closure holds, can be collected. *)
+let no_req =
+  { rq_seq = -1; rq_bytes = 0.; rq_issued = 0.; rq_prio = 0; rq_owners = [];
+    rq_deliver = ignore }
+
+let queue_push ov req =
+  let n = ov.ov_len in
+  if n = Array.length ov.ov_queue then begin
+    let q = Array.make (Int.max 8 (2 * n)) no_req in
+    Array.blit ov.ov_queue 0 q 0 n;
+    ov.ov_queue <- q
+  end;
+  ov.ov_queue.(n) <- req;
+  ov.ov_len <- n + 1
+
+let queue_remove ov i =
+  let r = ov.ov_queue.(i) in
+  Array.blit ov.ov_queue (i + 1) ov.ov_queue i (ov.ov_len - i - 1);
+  ov.ov_len <- ov.ov_len - 1;
+  ov.ov_queue.(ov.ov_len) <- no_req;
+  add_queued (-1) r.rq_owners
+
+(* Index of the first request of the highest priority from [i] on, the
+   best so far being at [bi] with priority [bp]: highest priority first,
+   FIFO within a priority. *)
+let rec next_index ov i bi bp =
+  if i = ov.ov_len then bi
+  else
+    let p = ov.ov_queue.(i).rq_prio in
+    if p > bp then next_index ov (i + 1) i p else next_index ov (i + 1) bi bp
 
 let rec ov_pump t ov =
-  if not ov.ov_busy then
-    (* highest priority first, FIFO within a priority *)
-    match ov.ov_queue with
-    | [] -> ()
-    | first :: rest ->
-        let next =
-          List.fold_left
-            (fun best r -> if r.rq_prio > best.rq_prio then r else best)
-            first rest
-        in
-        ov.ov_queue <-
-          List.filter (fun r -> r.rq_seq <> next.rq_seq) ov.ov_queue;
-        ov.ov_busy <- true;
-        let now = Engine.now t.engine in
-        let dur = next.rq_bytes *. 8. /. effective_pcie_bps t in
-        ov.ov_pcie_busy <- ov.ov_pcie_busy +. dur;
-        (match Engine.tracer t.engine with
-        | None -> ()
-        | Some tr ->
-            (* span covers queueing + transfer, as in the default path *)
-            let m = tids t tr in
-            Trace.span_f tr ~ts:next.rq_issued
-              ~dur:(now +. dur -. next.rq_issued)
-              ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t)
-              ~k:m.tm_k_bytes next.rq_bytes);
-        Engine.schedule t.engine ~delay:dur (fun engine ->
-            Metrics.Counter.add t.pcie_bytes next.rq_bytes;
-            ov.ov_busy <- false;
-            ov.ov_completed <- ov.ov_completed + 1;
-            next.rq_deliver engine;
-            ov_pump t ov)
+  if (not ov.ov_busy) && ov.ov_len > 0 then begin
+    let i = next_index ov 1 0 ov.ov_queue.(0).rq_prio in
+    let next = ov.ov_queue.(i) in
+    queue_remove ov i;
+    ov.ov_busy <- true;
+    let now = Engine.now t.engine in
+    let dur = next.rq_bytes *. 8. /. effective_pcie_bps t in
+    ov.ov_pcie_busy <- ov.ov_pcie_busy +. dur;
+    (match Engine.tracer t.engine with
+    | None -> ()
+    | Some tr ->
+        (* span covers queueing + transfer, as in the default path *)
+        let m = tids t tr in
+        Trace.span_f tr ~ts:next.rq_issued
+          ~dur:(now +. dur -. next.rq_issued)
+          ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t)
+          ~k:m.tm_k_bytes next.rq_bytes);
+    Engine.schedule t.engine ~delay:dur (fun engine ->
+        Metrics.Counter.add t.pcie_bytes next.rq_bytes;
+        ov.ov_busy <- false;
+        ov.ov_completed <- ov.ov_completed + 1;
+        next.rq_deliver engine;
+        ov_pump t ov)
+  end
 
-let ov_enqueue t ov ~bytes ~seeds ~shed k =
+let rec owners_priority t acc = function
+  | [] -> acc
+  | a :: rest -> owners_priority t (Int.max acc (seed_priority t a.sa_id)) rest
+
+let ov_enqueue t ov ~bytes ~owners k =
   ov.ov_offered <- ov.ov_offered + 1;
   let prio =
-    List.fold_left (fun acc sid -> max acc (seed_priority t sid)) min_int
-      (if seeds = [] then [ -1 ] else seeds)
+    match owners with
+    | [] -> seed_priority t (-1)
+    | _ -> owners_priority t min_int owners
   in
   let req =
     { rq_seq = ov.ov_seq; rq_bytes = bytes;
-      rq_issued = Engine.now t.engine; rq_prio = prio; rq_seeds = seeds;
-      rq_deliver = k; rq_shed = shed }
+      rq_issued = Engine.now t.engine; rq_prio = prio; rq_owners = owners;
+      rq_deliver = k }
   in
   ov.ov_seq <- ov.ov_seq + 1;
+  add_queued 1 owners;
   let accepted =
-    if List.length ov.ov_queue < ov.ov_cfg.max_pcie_queue then begin
-      ov.ov_queue <- ov.ov_queue @ [ req ];
+    if ov.ov_len < ov.ov_cfg.max_pcie_queue then begin
+      queue_push ov req;
       true
     end
     else begin
       (* queue full: shed the least valuable request among the queue and
          the incoming one *)
-      let victim = pick_victim (req :: ov.ov_queue) in
+      (* the incoming request stands at index [ov_len] *)
+      let vi = victim_index ov 0 ov.ov_len req in
       ov.ov_shed_n <- ov.ov_shed_n + 1;
       Metrics.Counter.incr ov.ov_shed;
-      victim.rq_shed ();
-      if victim.rq_seq = req.rq_seq then false
+      if vi = ov.ov_len then begin
+        drop_polls t ~name:"poll_shed" owners;
+        add_queued (-1) owners;
+        false
+      end
       else begin
-        ov.ov_queue <-
-          List.filter (fun r -> r.rq_seq <> victim.rq_seq) ov.ov_queue
-          @ [ req ];
+        drop_polls t ~name:"poll_shed" ov.ov_queue.(vi).rq_owners;
+        queue_remove ov vi;
+        queue_push ov req;
         true
       end
     end
   in
-  let depth = List.length ov.ov_queue + if ov.ov_busy then 1 else 0 in
+  let depth = ov.ov_len + if ov.ov_busy then 1 else 0 in
   if depth > ov.ov_qpeak then ov.ov_qpeak <- depth;
   ov_pump t ov;
   accepted
 
-(* Schedule a transfer over the PCIe bus; calls [k] with the completion
-   time, or returns [false] when the poll is dropped (queue too long).
-   [seeds] owns the transfer and [shed] runs the drop accounting when the
-   overload layer sheds the request after admission. *)
-let pcie_transfer t ~bytes ~seeds ~shed k =
+(* Schedule a transfer over the PCIe bus; calls [k] at completion, or
+   returns [false] when the poll is dropped on arrival (queue too long, or
+   shed at once).  [owners] own the transfer; only the overload queue reads
+   them, so the default path may pass [].  A request the queue sheds is
+   counted as a drop of its owners' polls here. *)
+let pcie_transfer t ~bytes ~owners k =
   match t.ov with
-  | Some ov -> ov_enqueue t ov ~bytes ~seeds ~shed k
+  | Some ov -> ov_enqueue t ov ~bytes ~owners k
   | None ->
       let now = Engine.now t.engine in
       let start = Float.max now t.pcie_free_at in
@@ -634,8 +699,13 @@ let read_counters t subject =
   end
   else data
 
+let transfer t ~bytes ~seeds k =
+  let owners = List.map (acct t) seeds in
+  if not (pcie_transfer t ~bytes ~owners (fun _ -> k ())) then
+    drop_polls t ~name:"poll_dropped" owners
+
 (* Issue one ASIC poll for [subject] and deliver the result to [subs]. *)
-let sub_seeds subs = List.map (fun s -> s.sub_seed) subs
+let sub_owners subs = List.map (fun s -> s.sub_owner) subs
 
 let issue_poll t subject subs =
   let issued = Engine.now t.engine in
@@ -653,13 +723,12 @@ let issue_poll t subject subs =
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)
   let data = read_counters t subject in
-  (* the owning-seed list is only needed on the drop/shed paths (and by
-     the bounded queue under overload protection): build it there, not
-     per successful poll *)
-  let shed () = drop_polls t ~name:"poll_shed" (sub_seeds subs) in
-  let seeds = if t.ov = None then [] else sub_seeds subs in
+  (* the owner list is only needed on the drop path (and by the bounded
+     queue under overload protection): build it there, not per
+     successful poll *)
+  let owners = if t.ov = None then [] else sub_owners subs in
   let ok =
-    pcie_transfer t ~bytes ~seeds ~shed (fun _engine ->
+    pcie_transfer t ~bytes ~owners (fun _engine ->
         let records = Float.max 1. (bytes /. counter_record_bytes) in
         List.iter
           (fun sub ->
@@ -677,7 +746,9 @@ let issue_poll t subject subs =
             end)
           subs)
   in
-  if not ok then drop_polls t ~name:"poll_dropped" (sub_seeds subs)
+  if not ok then
+    drop_polls t ~name:"poll_dropped"
+      (if t.ov = None then sub_owners subs else owners)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregated polling groups                                           *)
@@ -704,8 +775,8 @@ let find_group t subject =
 
 let fresh_sub t ~seed_id ~period kind =
   let s =
-    { sub_id = t.next_sub; sub_seed = seed_id; kind; period; timer = None;
-      active = true }
+    { sub_id = t.next_sub; sub_owner = acct t seed_id; kind; period;
+      timer = None; active = true }
   in
   t.next_sub <- t.next_sub + 1;
   s
@@ -733,22 +804,21 @@ let subscribe_poll t ~seed_id ~subject ~period deliver =
 
 let subscribe_probe t ~seed_id ~filter ~period deliver =
   let sub = fresh_sub t ~seed_id ~period (Probe { filter; deliver }) in
+  let owners = [ sub.sub_owner ] in
   let tick _ =
     (* sampling mirrors one packet over the PCIe bus *)
     Metrics.Counter.incr t.requested;
     match Switch_model.sample_packet t.sw t.rng with
     | Some pkt when Filter.matches filter pkt.tuple ->
         charge_cpu t t.cfg.cpu.sample_cost;
-        let shed () = drop_polls t ~name:"poll_shed" [ seed_id ] in
         let ok =
-          pcie_transfer t ~bytes:(float_of_int pkt.size) ~seeds:[ seed_id ]
-            ~shed (fun _ ->
+          pcie_transfer t ~bytes:(float_of_int pkt.size) ~owners (fun _ ->
               if sub.active then begin
                 Metrics.Counter.incr t.completed;
                 ipc_deliver t (fun () -> deliver pkt)
               end)
         in
-        if not ok then drop_polls t ~name:"poll_dropped" [ seed_id ]
+        if not ok then drop_polls t ~name:"poll_dropped" owners
     | Some _ | None -> ()
   in
   sub.timer <- Some (Engine.every t.engine ~period tick);

@@ -104,6 +104,13 @@ val subscribe_time :
 val set_period : t -> subscription -> float -> unit
 val cancel : t -> subscription -> unit
 
+(** [transfer t ~bytes ~seeds k] moves [bytes] over the PCIe bus on
+    behalf of [seeds], the way a poll or a packet sample does, and calls
+    [k] when the transfer completes.  A transfer dropped on arrival or
+    shed by the overload queue counts as one dropped poll per entry of
+    [seeds] (see {!on_poll_drop}), like the soil's own reads. *)
+val transfer : t -> bytes:float -> seeds:int list -> (unit -> unit) -> unit
+
 (** {2 Overload protection}
 
     Everything here is inert unless {!config.overload} is set, except the

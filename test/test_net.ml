@@ -379,6 +379,96 @@ let test_switch_sampling () =
   Alcotest.(check bool) "samples weighted by rate" true
     (!hits80 > 800 && !hits80 < 980)
 
+(* Reference sampler: the linear walk [Switch_model.sample_packet] used
+   before its binary search — flows in id order, the first flow with a
+   positive rate whose running sum reaches the draw. *)
+let walk_sample sw rng =
+  let total = Switch_model.total_rate sw in
+  if total <= 0. then None
+  else begin
+    let target = Rng.uniform rng 0. total in
+    let rec walk acc = function
+      | [] -> None
+      | (f : Switch_model.active_flow) :: rest ->
+          let acc = acc +. f.rate in
+          if acc >= target && f.rate > 0. then
+            Some (Flow.packet ~flags:f.flags ~payload:f.payload f.tuple 1000)
+          else walk acc rest
+    in
+    walk 0. (Switch_model.active_flows sw)
+  end
+
+type sample_op =
+  | Add of int * float * int  (* flow id, rate, dport *)
+  | Remove of int
+  | Rule of int * Tcam.action  (* monitoring rule on a dport *)
+  | Unrule of int
+  | Surge of float
+  | Sample of int
+
+let gen_sample_ops =
+  let open QCheck2.Gen in
+  let rate =
+    oneof
+      [ return 0.; return 1e-9; map float_of_int (int_range 1 10_000);
+        float_range 0. 1e6; map (fun x -> x *. 1e12) (float_range 0. 1.) ]
+  in
+  let op =
+    frequency
+      [ (5, map3 (fun id r p -> Add (id, r, p)) (int_bound 15) rate
+              (int_range 1 4));
+        (3, map (fun id -> Remove id) (int_bound 15));
+        (1, map (fun p -> Rule (p, Tcam.Drop)) (int_range 1 4));
+        (1, map2 (fun p cap -> Rule (p, Tcam.Rate_limit cap)) (int_range 1 4)
+              (float_range 0. 5_000.));
+        (1, map (fun p -> Unrule p) (int_range 1 4));
+        (1, map (fun f -> Surge f) (oneofl [ 0.5; 1.; 2.; 3.7 ]));
+        (4, map (fun n -> Sample n) (int_range 1 8)) ]
+  in
+  pair (int_bound 1_000_000) (list_size (int_range 0 40) op)
+
+let prop_sample_matches_walk =
+  QCheck2.Test.make ~name:"sample_packet = linear walk, same rng" ~count:300
+    gen_sample_ops (fun (seed, ops) ->
+      let sw = Switch_model.create ~id:0 ~ports:2 () in
+      let rng = Rng.create seed and ref_rng = Rng.create seed in
+      let pattern p = Filter.atom (Filter.Dst_port p) in
+      let time = ref 0. in
+      List.for_all
+        (fun op ->
+          time := !time +. 0.1;
+          let time = !time in
+          match op with
+          | Add (id, rate, dport) ->
+              (* sport names the flow, so equal packets mean equal flows *)
+              Switch_model.add_flow sw ~time ~flow_id:id
+                ~tuple:(tup ~sport:(1000 + id) ~dport ()) ~rate ~egress:0 ();
+              true
+          | Remove id ->
+              Switch_model.remove_flow sw ~time ~flow_id:id;
+              true
+          | Rule (p, action) ->
+              ignore
+                (Tcam.add (Switch_model.tcam sw) Tcam.Monitoring
+                   { pattern = pattern p; action; priority = p });
+              Switch_model.apply_tcam_actions sw ~time;
+              true
+          | Unrule p ->
+              ignore
+                (Tcam.remove (Switch_model.tcam sw) Tcam.Monitoring
+                   ~pattern:(pattern p));
+              Switch_model.apply_tcam_actions sw ~time;
+              true
+          | Surge f ->
+              Switch_model.set_surge sw ~time f;
+              true
+          | Sample n ->
+              List.for_all
+                (fun _ ->
+                  Switch_model.sample_packet sw rng = walk_sample sw ref_rng)
+                (List.init n Fun.id))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Fabric & Traffic                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -703,7 +793,8 @@ let () =
           Alcotest.test_case "subject counters" `Quick
             test_switch_subject_counters;
           Alcotest.test_case "tcam reaction" `Quick test_switch_tcam_reaction;
-          Alcotest.test_case "sampling" `Quick test_switch_sampling ] );
+          Alcotest.test_case "sampling" `Quick test_switch_sampling ]
+        @ qsuite [ prop_sample_matches_walk ] );
       ( "fabric",
         [ Alcotest.test_case "flow accounting" `Quick
             test_fabric_flow_accounting;

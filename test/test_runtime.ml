@@ -1502,6 +1502,214 @@ let prop_harvester_fencing =
         [ h; hb ];
       true)
 
+(* -- bounded fair-share PCIe queue vs its reference (qcheck) ------- *)
+
+(* Reference: the queue as it was first written — a list, oldest first,
+   whose shedding victim is picked by rebuilding every seed's queued count
+   on each arrival to a full queue.  It logs what the soil makes
+   observable: transfers served, in order, and every per-seed drop
+   notification. *)
+module Ref_queue = struct
+  type req = {
+    seq : int;
+    bytes : float;
+    prio : int;
+    seeds : int list;
+    tag : int;
+  }
+
+  type t = {
+    engine : Engine.t;
+    max_queue : int;
+    prios : (int, int) Hashtbl.t;
+    mutable queue : req list;
+    mutable busy : bool;
+    mutable next_seq : int;
+    mutable offered : int;
+    mutable completed : int;
+    mutable shed : int;
+    mutable peak : int;
+    mutable dropped : int;
+    per_seed : (int, int) Hashtbl.t;
+    mutable log : string list;  (* newest first *)
+  }
+
+  let create engine ~max_queue =
+    { engine; max_queue; prios = Hashtbl.create 8; queue = []; busy = false;
+      next_seq = 0; offered = 0; completed = 0; shed = 0; peak = 0;
+      dropped = 0; per_seed = Hashtbl.create 8; log = [] }
+
+  let priority t sid = Option.value (Hashtbl.find_opt t.prios sid) ~default:0
+
+  let drop t seeds =
+    t.dropped <- t.dropped + List.length seeds;
+    let tbl = Hashtbl.create 4 in
+    List.iter
+      (fun sid ->
+        Hashtbl.replace tbl sid
+          (1 + Option.value (Hashtbl.find_opt tbl sid) ~default:0))
+      seeds;
+    Hashtbl.fold (fun sid n acc -> (sid, n) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (sid, n) ->
+           Hashtbl.replace t.per_seed sid
+             (n + Option.value (Hashtbl.find_opt t.per_seed sid) ~default:0);
+           t.log <- Printf.sprintf "drop s%d x%d" sid n :: t.log)
+
+  let queued_per_seed reqs =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun r ->
+        List.iter
+          (fun sid ->
+            Hashtbl.replace tbl sid
+              (1 + Option.value (Hashtbl.find_opt tbl sid) ~default:0))
+          r.seeds)
+      reqs;
+    tbl
+
+  let pick_victim reqs =
+    let counts = queued_per_seed reqs in
+    let share r =
+      List.fold_left
+        (fun acc sid ->
+          max acc (Option.value (Hashtbl.find_opt counts sid) ~default:1))
+        1 r.seeds
+    in
+    match reqs with
+    | [] -> invalid_arg "pick_victim: empty"
+    | first :: rest ->
+        List.fold_left
+          (fun v r ->
+            if r.prio < v.prio then r
+            else if r.prio > v.prio then v
+            else
+              let sr = share r and sv = share v in
+              if sr > sv then r
+              else if sr < sv then v
+              else if r.seq > v.seq then r
+              else v)
+          first rest
+
+  let rec pump t =
+    if not t.busy then
+      match t.queue with
+      | [] -> ()
+      | first :: rest ->
+          let next =
+            List.fold_left
+              (fun best r -> if r.prio > best.prio then r else best)
+              first rest
+          in
+          t.queue <- List.filter (fun r -> r.seq <> next.seq) t.queue;
+          t.busy <- true;
+          Engine.schedule t.engine ~delay:(next.bytes *. 8. /. 8e6) (fun _ ->
+              t.busy <- false;
+              t.completed <- t.completed + 1;
+              t.log <- Printf.sprintf "serve %d" next.tag :: t.log;
+              pump t)
+
+  let enqueue t ~bytes ~seeds ~tag =
+    t.offered <- t.offered + 1;
+    let prio =
+      List.fold_left (fun acc sid -> max acc (priority t sid)) min_int
+        (if seeds = [] then [ -1 ] else seeds)
+    in
+    let req = { seq = t.next_seq; bytes; prio; seeds; tag } in
+    t.next_seq <- t.next_seq + 1;
+    let accepted =
+      if List.length t.queue < t.max_queue then begin
+        t.queue <- t.queue @ [ req ];
+        true
+      end
+      else begin
+        let victim = pick_victim (req :: t.queue) in
+        t.shed <- t.shed + 1;
+        drop t victim.seeds;
+        if victim.seq = req.seq then false
+        else begin
+          t.queue <-
+            List.filter (fun r -> r.seq <> victim.seq) t.queue @ [ req ];
+          true
+        end
+      end
+    in
+    let depth = List.length t.queue + if t.busy then 1 else 0 in
+    if depth > t.peak then t.peak <- depth;
+    pump t;
+    (* a refused arrival is dropped again by its caller *)
+    if not accepted then drop t seeds
+end
+
+type queue_op =
+  | Arrive of float * float * int list  (* time, bytes, owning seeds *)
+  | Priority of float * int * int  (* time, seed, priority *)
+
+let gen_queue_ops =
+  let open QCheck2.Gen in
+  let seeds = list_size (int_range 0 3) (int_bound 4) in
+  let op =
+    frequency
+      [ (8,
+         map3
+           (fun t b s -> Arrive (t, b, s))
+           (float_bound_inclusive 0.03)
+           (oneofl [ 16.; 128.; 1000.; 1408. ])
+           seeds);
+        (1,
+         map3
+           (fun t s p -> Priority (t, s, p))
+           (float_bound_inclusive 0.03) (int_bound 4) (int_range (-1) 2)) ]
+  in
+  pair (int_range 0 6) (list_size (int_range 1 120) op)
+
+let prop_fair_share_queue_matches_reference =
+  QCheck2.Test.make
+    ~name:"fair-share PCIe queue = rebuild-per-arrival reference" ~count:300
+    gen_queue_ops (fun (max_queue, ops) ->
+      let config =
+        { Soil.default_config with
+          overload =
+            Some { Soil.default_overload with max_pcie_queue = max_queue } }
+      in
+      let engine, _sw, soil = make_soil ~config () in
+      let rq = Ref_queue.create engine ~max_queue in
+      let log = ref [] in
+      for sid = 0 to 4 do
+        Soil.on_poll_drop soil ~seed_id:sid (fun n ->
+            log := Printf.sprintf "drop s%d x%d" sid n :: !log)
+      done;
+      List.iteri
+        (fun tag op ->
+          match op with
+          | Arrive (time, bytes, seeds) ->
+              Engine.schedule engine ~delay:time (fun _ ->
+                  Soil.transfer soil ~bytes ~seeds (fun () ->
+                      log := Printf.sprintf "serve %d" tag :: !log);
+                  Ref_queue.enqueue rq ~bytes ~seeds ~tag)
+          | Priority (time, sid, p) ->
+              Engine.schedule engine ~delay:time (fun _ ->
+                  Soil.set_seed_priority soil ~seed_id:sid p;
+                  Hashtbl.replace rq.prios sid p))
+        ops;
+      Engine.run ~until:1. engine;
+      let stats = Option.get (Soil.overload_stats soil) in
+      let per_seed sid =
+        Option.map int_of_float
+          (Farm_sim.Metrics.Registry.value (Engine.metrics engine)
+             (Printf.sprintf "soil.0.polls.dropped.seed%d" sid))
+      in
+      !log = rq.log
+      && stats.o_offered = rq.offered
+      && stats.o_completed = rq.completed
+      && stats.o_shed = rq.shed
+      && stats.o_pending = 0
+      && stats.o_queue_peak = rq.peak
+      && (Soil.poll_stats soil).dropped = rq.dropped
+      && List.for_all
+           (fun sid -> per_seed sid = Hashtbl.find_opt rq.per_seed sid)
+           [ 0; 1; 2; 3; 4 ])
+
 let () =
   Alcotest.run "farm_runtime"
     [ ( "models",
@@ -1571,4 +1779,6 @@ let () =
             test_aimd_recovers_exactly;
           Alcotest.test_case "brownout: no migration storm" `Quick
             test_breaker_brownout_no_migration_storm ]
-        @ qsuite [ prop_harvester_fencing ] ) ]
+        @ qsuite
+            [ prop_harvester_fencing; prop_fair_share_queue_matches_reference ]
+      ) ]
