@@ -100,8 +100,9 @@ let best_of reps f =
    digests byte-identical to the sequential one and reports simulated
    events/sec of the timer-wheel engine under a full workload, plus the
    per-event allocation profile (measured domain-locally inside each
-   scenario; bytes allocated are deterministic, so they double as a
-   regression signal that does not depend on machine load). *)
+   scenario, before the digest is built; bytes allocated are
+   deterministic, so they double as a regression signal that does not
+   depend on machine load). *)
 let sim_scenario i =
   let a0 = Gc.allocated_bytes () in
   let seed = Sim.Rng.derive_seed 0x5eed ~stream:i in
@@ -111,14 +112,10 @@ let sim_scenario i =
   | Error m -> failwith (Printf.sprintf "sim smoke deploy: %s" m));
   World.background_traffic ~flows:(24 + (8 * i)) w;
   World.run ~until:1.0 w;
-  let seeder = w.World.seeder in
+  let alloc = Gc.allocated_bytes () -. a0 in
   ( Sim.Engine.dispatched w.World.engine,
-    Printf.sprintf "i=%d dispatched=%d now=%h collector=%h/%d" i
-      (Sim.Engine.dispatched w.World.engine)
-      (World.now w)
-      (Runtime.Seeder.collector_bytes seeder)
-      (Runtime.Seeder.collector_messages seeder),
-    Gc.allocated_bytes () -. a0 )
+    Runtime.Seeder.digest w.World.seeder,
+    alloc )
 
 let sim_smoke () =
   let n = 2 in
@@ -134,50 +131,61 @@ let sim_smoke () =
   let alloc = Array.fold_left (fun acc (_, _, a) -> acc +. a) 0. sequential in
   (float_of_int events /. dt, deterministic, alloc /. float_of_int events)
 
-(* Observability smoke: the same heavy-hitter world run with tracing
-   disabled (the default — a single [None] branch per emission site) and
-   with a sink attached.  The simulation digest must be identical either
-   way (tracing is passive), and the wall-clock ratio is recorded so a
+(* The heavy-hitter world of the trace and overload smokes: background
+   traffic plus one elephant at 0.3 s, so detections reach the harvester
+   inside the 1 s run and the digests cover collector traffic.  A tracer,
+   if any, is attached before deploy so the seeds wire their hooks. *)
+let hh_world ?seeder_config ?tracer () =
+  let w =
+    World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1
+      ?seeder_config ()
+  in
+  Sim.Engine.set_tracer w.World.engine tracer;
+  let task =
+    match World.deploy_catalog_task w "heavy-hitter" with
+    | Ok t -> t
+    | Error m -> failwith (Printf.sprintf "smoke deploy: %s" m)
+  in
+  World.background_traffic ~flows:32 w;
+  ignore
+    (Net.Traffic.heavy_hitter w.World.engine w.World.fabric w.World.rng
+       ~at:0.3 ~rate:2e7 ());
+  (w, task)
+
+(* Observability smoke: the heavy-hitter world run with tracing disabled
+   (the default — a single [None] branch per emission site) and with a
+   sink attached.  The simulation digest must be identical either way
+   (tracing is passive), and the wall-clock ratio is recorded so a
    regression that makes the disabled path expensive shows up in the
    report. *)
 let trace_smoke () =
   let run ~traced () =
-    let w = World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1 () in
     let tr = Sim.Trace.create () in
-    if traced then Sim.Engine.set_tracer w.World.engine (Some tr);
-    (match World.deploy_catalog_task w "heavy-hitter" with
-    | Ok _ -> ()
-    | Error m -> failwith (Printf.sprintf "trace smoke deploy: %s" m));
-    World.background_traffic ~flows:32 w;
+    let w, _ = hh_world ?tracer:(if traced then Some tr else None) () in
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
     World.run ~until:1.0 w;
     let dt = Unix.gettimeofday () -. t0 in
     let alloc = Gc.allocated_bytes () -. a0 in
-    let seeder = w.World.seeder in
-    let digest =
-      Printf.sprintf "dispatched=%d now=%h collector=%h/%d"
-        (Sim.Engine.dispatched w.World.engine)
-        (World.now w)
-        (Runtime.Seeder.collector_bytes seeder)
-        (Runtime.Seeder.collector_messages seeder)
-    in
     let events = Sim.Engine.dispatched w.World.engine in
     ( dt,
-      (digest, float_of_int events /. dt, Sim.Trace.count tr,
-       alloc /. float_of_int events) )
+      (Runtime.Seeder.digest w.World.seeder, float_of_int events /. dt,
+       Sim.Trace.count tr, alloc /. float_of_int events,
+       Runtime.Seeder.collector_messages w.World.seeder) )
   in
-  let _, (d_off, eps_off, _, alloc_off) = best_of 3 (run ~traced:false) in
-  let _, (d_on, eps_on, n_events, alloc_on) = best_of 3 (run ~traced:true) in
-  (String.equal d_off d_on, eps_off, eps_on, n_events, alloc_off, alloc_on)
+  let _, (d_off, eps_off, _, alloc_off, msgs) = best_of 3 (run ~traced:false) in
+  let _, (d_on, eps_on, n_events, alloc_on, _) = best_of 3 (run ~traced:true) in
+  (String.equal d_off d_on, eps_off, eps_on, n_events, alloc_off, alloc_on,
+   msgs)
 
 (* Overload-protection smoke: the same heavy-hitter world with the
    protection stack disabled (the default) and fully armed but unstressed.
    Disabled must reproduce the pre-overload digest byte-for-byte (the
    config is the only gate — no hidden events, draws or registrations);
    armed-but-idle must shed nothing and its wall-clock overhead is gated
-   so the shed path never creeps into the hot path. *)
-let seed_digest = "dispatched=17984 now=0x1p+0 collector=0x0p+0/0"
+   so the shed path never creeps into the hot path.  [seed_digest] is the
+   MD5 of the disabled run's [Seeder.digest]. *)
+let seed_digest = "ec80306b34c801d227a5ae42c117017d"
 
 let overload_smoke () =
   let module Seeder = Runtime.Seeder in
@@ -187,28 +195,12 @@ let overload_smoke () =
     let seeder_config =
       if overload then Seeder.overload_defaults else Seeder.default_config
     in
-    let w =
-      World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1
-        ~seeder_config ()
-    in
-    let task =
-      match World.deploy_catalog_task w "heavy-hitter" with
-      | Ok t -> t
-      | Error m -> failwith (Printf.sprintf "overload smoke deploy: %s" m)
-    in
-    World.background_traffic ~flows:32 w;
+    let w, task = hh_world ~seeder_config () in
     let t0 = Unix.gettimeofday () in
     World.run ~until:1.0 w;
     let dt = Unix.gettimeofday () -. t0 in
     let seeder = w.World.seeder in
-    let digest =
-      Printf.sprintf "dispatched=%d now=%h collector=%h/%d"
-        (Sim.Engine.dispatched w.World.engine)
-        (World.now w)
-        (Runtime.Seeder.collector_bytes seeder)
-        (Runtime.Seeder.collector_messages seeder)
-    in
-    let run_sheds =
+    let sheds =
       List.fold_left
         (fun acc soil ->
           match Soil.overload_stats soil with
@@ -217,14 +209,14 @@ let overload_smoke () =
         (Harvester.shed_count (Seeder.harvester task))
         (Seeder.soils seeder)
     in
-    let sheds = run_sheds in
     ( dt,
-      (digest, float_of_int (Sim.Engine.dispatched w.World.engine) /. dt,
-       sheds) )
+      (Digest.to_hex (Digest.string (Seeder.digest seeder)),
+       float_of_int (Sim.Engine.dispatched w.World.engine) /. dt,
+       sheds, Seeder.collector_messages seeder) )
   in
-  let _, (d_off, eps_off, _) = best_of 3 (fun () -> run ~overload:false) in
-  let _, (_, eps_on, sheds_on) = best_of 3 (fun () -> run ~overload:true) in
-  (String.equal d_off seed_digest, eps_off, eps_on, sheds_on)
+  let _, (d_off, eps_off, _, msgs) = best_of 3 (fun () -> run ~overload:false) in
+  let _, (_, eps_on, sheds_on, _) = best_of 3 (fun () -> run ~overload:true) in
+  (d_off, eps_off, eps_on, sheds_on, msgs)
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_micro.json" in
@@ -259,7 +251,8 @@ let () =
   Printf.printf "  sweep     %11s\n%!"
     (if sweep_deterministic then "deterministic" else "NONDETERMINISTIC");
 
-  let trace_inert, eps_off, eps_on, trace_events, alloc_off, alloc_on =
+  let trace_inert, eps_off, eps_on, trace_events, alloc_off, alloc_on,
+      trace_msgs =
     trace_smoke ()
   in
   let trace_overhead_pct = 100. *. ((eps_off /. eps_on) -. 1.) in
@@ -269,13 +262,16 @@ let () =
   Printf.printf
     "  traced    %11.0f events/sec (%.0f B/event, %d trace events, %+.1f%%)\n"
     eps_on alloc_on trace_events trace_overhead_pct;
-  Printf.printf "  digests   %11s\n%!"
-    (if trace_inert then "identical" else "DIVERGED");
+  Printf.printf "  digests   %11s (%d collector messages)\n%!"
+    (if trace_inert then "identical" else "DIVERGED") trace_msgs;
 
-  let ov_parity, ov_eps_off, ov_eps_on, ov_sheds = overload_smoke () in
+  let ov_digest, ov_eps_off, ov_eps_on, ov_sheds, ov_msgs = overload_smoke () in
+  let ov_parity = String.equal ov_digest seed_digest in
   let ov_overhead_pct = 100. *. ((ov_eps_off /. ov_eps_on) -. 1.) in
   Printf.printf "overload protection (heavy-hitter world, 1 s simulated):\n";
-  Printf.printf "  disabled  %11.0f events/sec (digest %s)\n" ov_eps_off
+  Printf.printf "  disabled  %11.0f events/sec (%d collector messages)\n"
+    ov_eps_off ov_msgs;
+  Printf.printf "  digest    %s (%s)\n" ov_digest
     (if ov_parity then "= seed baseline" else "DIVERGED FROM SEED");
   Printf.printf "  armed     %11.0f events/sec (%d shed, %+.1f%%)\n%!"
     ov_eps_on ov_sheds ov_overhead_pct;
@@ -361,6 +357,13 @@ let () =
   if not trace_inert then begin
     Printf.eprintf
       "FAIL: attaching a trace sink changed the simulation digest\n%!";
+    exit 1
+  end;
+  if trace_msgs = 0 || ov_msgs = 0 then begin
+    Printf.eprintf
+      "FAIL: the smoke world sent no collector traffic (trace %d, overload \
+       %d messages), so its digest gates check nothing\n%!"
+      trace_msgs ov_msgs;
     exit 1
   end;
   if not ov_parity then begin

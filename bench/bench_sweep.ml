@@ -2,7 +2,7 @@
 
    1. scheduler microbench — a pure timer workload (2000 periodic timers,
       mixed sub-ms..100 ms periods) drained by the timer-wheel engine and
-      by the seed binary-heap engine (kept verbatim below as the
+      by the seed binary-heap scheduler ([Farm_sched_ref.Heap_sched], the
       reference), reported as events/sec each plus the speedup;
    2. single-core sweep — a batch of independent heavy-hitter worlds run
       sequentially, reported as simulated events/sec plus the per-event
@@ -33,60 +33,7 @@ open Farm
 module Engine = Sim.Engine
 module Rng = Sim.Rng
 module Sweep = Sim.Sweep
-module Heap = Sim.Heap
-
-(* ------------------------------------------------------------------ *)
-(* Reference scheduler: the seed binary-heap engine, verbatim           *)
-(* ------------------------------------------------------------------ *)
-
-module Heap_engine = struct
-  type t = {
-    mutable clock : float;
-    queue : (t -> unit) Heap.t;
-    mutable dispatched : int;
-  }
-
-  type timer = {
-    mutable period : float;
-    mutable cancelled : bool;
-    callback : t -> unit;
-  }
-
-  let create () = { clock = 0.; queue = Heap.create (); dispatched = 0 }
-  let dispatched t = t.dispatched
-  let schedule t ~delay f = Heap.push t.queue ~time:(t.clock +. delay) f
-
-  let rec fire timer engine =
-    if not timer.cancelled then begin
-      timer.callback engine;
-      if not timer.cancelled then
-        schedule engine ~delay:timer.period (fire timer)
-    end
-
-  let every t ~period f =
-    let timer = { period; cancelled = false; callback = f } in
-    schedule t ~delay:period (fire timer);
-    timer
-
-  let run ~until t =
-    let continue = ref true in
-    while !continue do
-      if Heap.is_empty t.queue then continue := false
-      else
-        let time = Heap.min_time_exn t.queue in
-        if time > until then begin
-          t.clock <- until;
-          continue := false
-        end
-        else begin
-          let f = Heap.pop_min_exn t.queue in
-          t.clock <- time;
-          t.dispatched <- t.dispatched + 1;
-          f t
-        end
-    done;
-    if t.clock < until then t.clock <- until
-end
+module Heap_sched = Farm_sched_ref.Heap_sched
 
 (* ------------------------------------------------------------------ *)
 (* 1. Scheduler microbench                                             *)
@@ -107,14 +54,14 @@ let wheel_timer_bench () =
   (Engine.dispatched e, float_of_int (Engine.dispatched e) /. dt)
 
 let heap_timer_bench () =
-  let e = Heap_engine.create () in
+  let e = Heap_sched.create () in
   for i = 0 to timer_count - 1 do
-    ignore (Heap_engine.every e ~period:(timer_period i) (fun _ -> ()))
+    ignore (Heap_sched.every e ~period:(timer_period i) (fun _ -> ()))
   done;
   let t0 = Unix.gettimeofday () in
-  Heap_engine.run ~until:timer_horizon e;
+  Heap_sched.run ~until:timer_horizon e;
   let dt = Unix.gettimeofday () -. t0 in
-  (Heap_engine.dispatched e, float_of_int (Heap_engine.dispatched e) /. dt)
+  (Heap_sched.dispatched e, float_of_int (Heap_sched.dispatched e) /. dt)
 
 (* ------------------------------------------------------------------ *)
 (* 2/3. Heavy-hitter world sweep                                       *)
@@ -136,10 +83,11 @@ type scenario_result = {
 
 (* Self-contained scenario per the Sweep contract: every piece of mutable
    state is created inside the call from an index-derived seed.  Returns
-   the event count, a digest of everything downstream readers see, and
-   the scenario's own allocation profile (kept out of the digest: bytes
-   allocated are deterministic, minor-collection counts depend on the
-   per-domain heap tuning). *)
+   the event count, the canonical simulation digest, and the scenario's
+   own allocation profile (kept out of the digest: bytes allocated are
+   deterministic, minor-collection counts depend on the per-domain heap
+   tuning).  The profile is taken before the digest is built, so it
+   measures the simulation alone. *)
 let scenario i =
   let a0 = Gc.allocated_bytes () in
   let m0 = (Gc.quick_stat ()).Gc.minor_collections in
@@ -150,18 +98,10 @@ let scenario i =
   | Error m -> failwith (Printf.sprintf "scenario %d: deploy: %s" i m));
   World.background_traffic ~flows:(32 + (8 * i)) w;
   World.run ~until:sweep_horizon w;
-  let seeder = w.World.seeder in
-  let events = Engine.dispatched w.World.engine in
-  let digest =
-    Printf.sprintf "i=%d seed=%d dispatched=%d now=%h collector=%h/%d utility=%h"
-      i seed events (World.now w)
-      (Runtime.Seeder.collector_bytes seeder)
-      (Runtime.Seeder.collector_messages seeder)
-      (Runtime.Seeder.current_utility seeder)
-  in
-  { r_events = events; r_digest = digest;
-    r_alloc_bytes = Gc.allocated_bytes () -. a0;
-    r_minors = (Gc.quick_stat ()).Gc.minor_collections - m0 }
+  let r_alloc_bytes = Gc.allocated_bytes () -. a0 in
+  let r_minors = (Gc.quick_stat ()).Gc.minor_collections - m0 in
+  { r_events = Engine.dispatched w.World.engine;
+    r_digest = Runtime.Seeder.digest w.World.seeder; r_alloc_bytes; r_minors }
 
 let run_sweep ?clamp ~domains () =
   let t0 = Unix.gettimeofday () in

@@ -591,9 +591,10 @@ let trace_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Determinism self-test instead of writing files: the traced \
-             event stream must be byte-identical across two replays and \
-             across 1 vs 4 sweep domains.  Exits non-zero on divergence.")
+            "Determinism self-test instead of writing files: the \
+             simulation digest and the traced event stream must be \
+             byte-identical across two replays and across 1 vs 4 sweep \
+             domains.  Exits non-zero on divergence.")
   in
   (* One traced replica.  The sink is attached before deploy so the seed
      executors wire their handler-dispatch hooks; every event is stamped
@@ -620,9 +621,12 @@ let trace_cmd =
             ~at:(duration /. 3.) ~rate:2e7 ()
         in
         World.run ~until:duration world;
-        ( tr,
-          Sim.Trace.to_chrome_json tr,
-          Sim.Metrics.Registry.to_json (Sim.Engine.metrics world.engine) )
+        (world, tr)
+  in
+  (* what the determinism checks compare: the canonical simulation digest
+     plus the traced event stream *)
+  let digest (world, tr) =
+    Runtime.Seeder.digest world.World.seeder ^ Sim.Trace.to_chrome_json tr
   in
   let run name duration out metrics_out ring seed check =
     let entry =
@@ -633,12 +637,12 @@ let trace_cmd =
     in
     if check then begin
       (* replay determinism *)
-      let _, j1, m1 = replica entry ~ring ~seed ~duration in
-      let _, j2, m2 = replica entry ~ring ~seed ~duration in
-      let replay_ok = String.equal j1 j2 && String.equal m1 m2 in
+      let d1 = digest (replica entry ~ring ~seed ~duration) in
+      let d2 = digest (replica entry ~ring ~seed ~duration) in
+      let replay_ok = String.equal d1 d2 in
       Printf.printf "replay:  %s (%d bytes)\n"
         (if replay_ok then "byte-identical" else "DIVERGED")
-        (String.length j1);
+        (String.length d1);
       if not replay_ok then begin
         (* keep the diverging streams around for post-mortem diffing *)
         let dump path s =
@@ -646,16 +650,15 @@ let trace_cmd =
           output_string oc s;
           close_out oc
         in
-        dump (out ^ ".replay1") (j1 ^ m1);
-        dump (out ^ ".replay2") (j2 ^ m2);
+        dump (out ^ ".replay1") d1;
+        dump (out ^ ".replay2") d2;
         Printf.eprintf "diverging streams dumped to %s.replay{1,2}\n" out
       end;
       (* domain-count invariance: 4 replicas traced on 1 vs 4 domains *)
       let sweep domains =
         Sim.Sweep.run ~domains ~clamp:false 4 (fun i ->
             let seed = Sim.Rng.derive_seed seed ~stream:i in
-            let _, j, m = replica entry ~ring ~seed ~duration in
-            j ^ m)
+            digest (replica entry ~ring ~seed ~duration))
       in
       let seq = sweep 1 and par = sweep 4 in
       let domains_ok = seq = par in
@@ -665,7 +668,11 @@ let trace_cmd =
       if not (replay_ok && domains_ok) then exit 1
     end
     else begin
-      let tr, json, metrics = replica entry ~ring ~seed ~duration in
+      let world, tr = replica entry ~ring ~seed ~duration in
+      let json = Sim.Trace.to_chrome_json tr
+      and metrics =
+        Sim.Metrics.Registry.to_json (Sim.Engine.metrics world.World.engine)
+      in
       let write path s =
         let oc = open_out_bin path in
         Fun.protect

@@ -24,7 +24,6 @@ end
 
 module Sim = struct
   module Rng = Farm_sim.Rng
-  module Heap = Farm_sim.Heap
   module Engine = Farm_sim.Engine
   module Metrics = Farm_sim.Metrics
   module Trace = Farm_sim.Trace

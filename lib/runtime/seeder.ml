@@ -182,9 +182,6 @@ type t = {
   ctrl_rng : Farm_sim.Rng.t Lazy.t;
   mutable retransmissions : int;
   mutable lost_messages : int;
-  (* utility the optimizer reported for the current placement; checked
-     against a from-scratch recomputation by the chaos suite *)
-  mutable reported_utility : float;
   (* conflict-detection profiles of deployed tasks, by task id *)
   mutable profiles : (int * Conflict.profile) list;
   (* every diagnostic (lint, conflicts) of the most recent deploy *)
@@ -226,11 +223,8 @@ let soils t =
   |> List.sort (fun a b -> Int.compare (Soil.node_id a) (Soil.node_id b))
 
 let set_ctrl_faults t f = t.ctrl <- f
-let ctrl_faults t = t.ctrl
 let retransmissions t = t.retransmissions
 let lost_messages t = t.lost_messages
-
-let task_name task = task.spec.ts_name
 
 let harvester task =
   match task.harvester with
@@ -278,7 +272,6 @@ let current_utility t = Model.total_utility (instance_stub t) t.assignments
 
 let placement_instance = instance_stub
 let current_assignments t = t.assignments
-let reported_utility t = t.reported_utility
 
 let collector_bytes t = Metrics.Counter.value t.collector_bytes
 let collector_messages t = t.collector_messages
@@ -756,7 +749,6 @@ let apply_placement t (placement : Model.placement) =
       | None, _ -> ())
     (sorted_regs t);
   t.assignments <- new_assignments;
-  t.reported_utility <- placement.utility;
   (* task placement flags *)
   let tasks = Hashtbl.create 8 in
   Hashtbl.iter
@@ -974,7 +966,7 @@ let create ?(config = default_config) engine fabric =
       collector_messages = 0;
       ctrl = perfect_ctrl;
       ctrl_rng = lazy (Farm_sim.Rng.split (Engine.rng engine));
-      retransmissions = 0; lost_messages = 0; reported_utility = 0.;
+      retransmissions = 0; lost_messages = 0;
       profiles = []; last_diags = []; zombies = [];
       detection_latency =
         Metrics.Registry.histogram reg "seeder.detection_latency";
@@ -1315,7 +1307,6 @@ let undeploy t task =
     List.filter
       (fun (a : Model.assignment) -> Hashtbl.mem t.registry a.a_seed)
       t.assignments;
-  t.reported_utility <- Model.total_utility (instance_stub t) t.assignments;
   t.profiles <- List.filter (fun (id, _) -> id <> task.task_id) t.profiles;
   task.placed <- false
 
@@ -1324,15 +1315,6 @@ let undeploy t task =
 (* ------------------------------------------------------------------ *)
 
 let healing_enabled t = t.cfg.auto_heal
-
-let suspicion_level t node =
-  if not t.cfg.auto_heal then 0
-  else
-    match Hashtbl.find_opt t.last_seen node with
-    | None -> 0
-    | Some seen ->
-        let gap = (Engine.now t.engine -. seen) /. t.cfg.heartbeat_interval in
-        max 0 (int_of_float gap - 1)
 
 (* registered seeds that hold an assignment but have no running instance
    and are not mid-migration — transiently non-empty between a crash and
@@ -1386,7 +1368,6 @@ let pressured_switches t =
   |> List.sort Int.compare
 
 let pressure_events t = t.pressure_events
-let storm_reports t = t.storm_reports
 
 (* Fault.Report_storm: every seed instance on [node] blasts [reports]
    junk reports at its harvester through the regular provenance-stamped
@@ -1411,13 +1392,101 @@ let inject_report_storm t ~node ~reports =
 let detection_latency t = t.detection_latency
 let recovery_time t = t.recovery_time
 let heartbeats_sent t = t.heartbeats_sent
-let heartbeats_delivered t = t.heartbeats_delivered
 let checkpoints_shipped t = t.checkpoints_shipped
-let checkpoint_gaps t = t.checkpoint_gaps
 let checkpoint_bytes t = Metrics.Counter.value t.checkpoint_bytes
 let detections t = t.detections
 let false_detections t = t.false_detections
 let auto_recoveries t = t.auto_recoveries
 let zombies_fenced t = t.zombies_fenced
-let fenced_sends t = t.fenced_sends
 let zombie_count t = List.length t.zombies
+
+(* ------------------------------------------------------------------ *)
+(* Canonical digest                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per component, floats as [%h] and machine state in the
+   checkpoint wire form, so equal texts mean bit-identical worlds.  The
+   registry snapshot goes last: it already carries the soil poll
+   counters, the seeder's control/healing counters and histograms, and
+   every harvester's accounting. *)
+let digest t =
+  let b = Buffer.create 4096 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let state_xml ~seed ~epoch ~seq (vars, state) =
+    Checkpoint.encode
+      { Checkpoint.ck_seed = seed; ck_epoch = epoch; ck_seq = seq;
+        ck_full = true; ck_vars = vars; ck_removed = []; ck_state = state }
+  in
+  Printf.bprintf b "engine dispatched=%d now=%h\n"
+    (Engine.dispatched t.engine) (Engine.now t.engine);
+  Printf.bprintf b "utility=%h failed=[%s] down=[%s]\n" (current_utility t)
+    (ints (failed_switches t)) (ints (down_switches t));
+  Printf.bprintf b "fabric flows=%d rerouted=%d dropped=%d\n"
+    (Fabric.active_flow_count t.fabric)
+    (Fabric.rerouted_flows t.fabric)
+    (Fabric.dropped_flows t.fabric);
+  Printf.bprintf b
+    "overload ratelim=%d brkdrop=%d retrycap=%d opens=%d storm=%d \
+     press=%d@[%s] zombies=%d\n"
+    (rate_limited t) (breaker_dropped t) (retry_capped t) (breaker_opens t)
+    t.storm_reports t.pressure_events
+    (ints (pressured_switches t))
+    (zombie_count t);
+  let regs = sorted_regs t in
+  List.sort_uniq
+    (fun a b -> Int.compare a.task_id b.task_id)
+    (List.map (fun r -> r.r_task) regs)
+  |> List.iter (fun task ->
+         Printf.bprintf b "task %d %s placed=%b" task.task_id
+           task.spec.ts_name task.placed;
+         (match task.harvester with
+         | None -> ()
+         | Some h ->
+             Printf.bprintf b
+               " recv=%d stale=%d dup=%d offered=%d shed=%d prov=[%s]"
+               (Harvester.received_count h) (Harvester.stale_dropped h)
+               (Harvester.dup_dropped h) (Harvester.offered_count h)
+               (Harvester.shed_count h)
+               (String.concat ";"
+                  (List.map
+                     (fun (at, (p : Harvester.provenance)) ->
+                       Printf.sprintf "%h:%d:%d:%d" at p.p_seed p.p_epoch
+                         p.p_seq)
+                     (Harvester.accepted_provenance h))));
+         Buffer.add_char b '\n');
+  List.iter
+    (fun r ->
+      let seed = r.r_spec.seed_id in
+      Printf.bprintf b "seed %d task=%d epoch=%d migrating=%b" seed
+        r.r_task.task_id r.r_epoch r.r_migrating;
+      (match r.r_exec with
+      | None -> ()
+      | Some e ->
+          Printf.bprintf b
+            " node=%d state=%s transitions=%d degradation=%h drops=%d %s"
+            (Seed_exec.node e) (Seed_exec.state e) (Seed_exec.transitions e)
+            (Seed_exec.degradation e) (Seed_exec.poll_drops e)
+            (state_xml ~seed ~epoch:(Seed_exec.epoch e) ~seq:0
+               (Seed_exec.snapshot e)));
+      (match r.r_store with
+      | None -> ()
+      | Some st ->
+          Printf.bprintf b " store@%h %s" st.st_time
+            (state_xml ~seed ~epoch:st.st_epoch ~seq:st.st_seq
+               (st.st_vars, st.st_state)));
+      Buffer.add_char b '\n')
+    regs;
+  List.iter
+    (fun soilv ->
+      Printf.bprintf b "soil %d pcie_factor=%h" (Soil.node_id soilv)
+        (Soil.pcie_factor soilv);
+      (match Soil.overload_stats soilv with
+      | None -> ()
+      | Some st ->
+          Printf.bprintf b " offered=%d completed=%d shed=%d pending=%d peak=%d"
+            st.Soil.o_offered st.Soil.o_completed st.Soil.o_shed
+            st.Soil.o_pending st.Soil.o_queue_peak);
+      Buffer.add_char b '\n')
+    (soils t);
+  Buffer.add_string b (Metrics.Registry.to_json (Engine.metrics t.engine));
+  Buffer.contents b

@@ -214,7 +214,6 @@ val recover_switch : ?reoptimize:bool -> t -> int -> unit
 val failed_switches : t -> int list
 
 val set_ctrl_faults : t -> ctrl_faults -> unit
-val ctrl_faults : t -> ctrl_faults
 
 (** Control messages retransmitted / given up on so far. *)
 val retransmissions : t -> int
@@ -223,7 +222,6 @@ val lost_messages : t -> int
 
 (** {2 Introspection} *)
 
-val task_name : task -> string
 val harvester : task -> Harvester.t
 val is_placed : task -> bool
 
@@ -244,9 +242,6 @@ val placement_instance : t -> Farm_placement.Model.instance
 
 val current_assignments : t -> Farm_placement.Model.assignment list
 
-(** Utility reported by the optimizer for the placement in force. *)
-val reported_utility : t -> float
-
 (** Raw (unfiltered) seed specs registered for the task, sorted by seed
     id. *)
 val seed_specs : t -> task -> Farm_placement.Model.seed_spec list
@@ -263,10 +258,6 @@ val migrations : t -> int
 (** {2 Self-healing introspection} *)
 
 val healing_enabled : t -> bool
-
-(** How many heartbeat intervals of silence the detector has accumulated
-    for a switch beyond the expected gap (0 = healthy or healing off). *)
-val suspicion_level : t -> int -> int
 
 (** Seeds that hold an assignment but have no running instance and are
     not mid-migration, sorted.  Transiently non-empty between a crash and
@@ -289,12 +280,7 @@ val detection_latency : t -> Farm_sim.Metrics.Histogram.t
 val recovery_time : t -> Farm_sim.Metrics.Histogram.t
 
 val heartbeats_sent : t -> int
-val heartbeats_delivered : t -> int
 val checkpoints_shipped : t -> int
-
-(** Checkpoints discarded at the seeder because a lost delta left a gap
-    (resynced by the next full snapshot). *)
-val checkpoint_gaps : t -> int
 
 (** Control-channel bytes spent on checkpoints (the cost side of the
     checkpoint-frequency trade-off; kept separate from
@@ -313,10 +299,6 @@ val auto_recoveries : t -> int
 
 (** Demoted instances terminated (kill order or rejoin handshake). *)
 val zombies_fenced : t -> int
-
-(** Seed→seed messages dropped at the router because the sending instance
-    had been superseded (epoch fencing). *)
-val fenced_sends : t -> int
 
 (** Currently live demoted instances awaiting termination. *)
 val zombie_count : t -> int
@@ -342,17 +324,24 @@ val breaker_opens : t -> int
     the switch (protection off, or never sent to). *)
 val breaker_state : t -> int -> string option
 
-(** Soils whose pressure monitor currently asserts overload, sorted. *)
-val pressured_switches : t -> int list
-
 (** Pressure flag flips observed across all soils. *)
 val pressure_events : t -> int
-
-(** Reports injected by {!inject_report_storm} so far. *)
-val storm_reports : t -> int
 
 (** Fault hook ([Fault.Report_storm]): every seed instance on [node]
     sends [reports] junk reports through the regular provenance-stamped
     path — fencing, dedup and the bounded inbox treat them as ordinary
     traffic. *)
 val inject_report_storm : t -> node:int -> reports:int -> unit
+
+(** {2 Determinism contract} *)
+
+(** Canonical, human-readable text of everything a run can observe:
+    engine dispatch count and clock, utility, failed and down switches,
+    fabric flow counts, every task's harvester accounting and accepted
+    provenance stream, every seed's placement, state, epoch, degradation,
+    poll drops and variables plus the seeder-side checkpoint store, per-soil
+    overload accounting and PCIe factor, the control-channel overload
+    counters, and the metrics-registry snapshot.  Floats print as [%h], so
+    two runs are bit-identical iff their digests are equal.  Only reads
+    state.  Hash it with [Digest.string] when a constant is needed. *)
+val digest : t -> string

@@ -361,9 +361,6 @@ let overload_stats t =
           o_pending = ov.ov_len + (if ov.ov_busy then 1 else 0);
           o_queue_peak = ov.ov_qpeak }
 
-let under_pressure t =
-  match t.ov with Some ov -> ov.ov_pressured | None -> false
-
 let set_pcie_factor t f =
   if f <= 0. then invalid_arg "Soil.set_pcie_factor: factor must be > 0";
   t.pcie_factor <- f
@@ -377,7 +374,6 @@ let effective_pcie_bps t =
   if t.pcie_factor = 1. then caps.pcie_bps else caps.pcie_bps /. t.pcie_factor
 
 let on_poll_drop t ~seed_id f = Hashtbl.replace t.drop_hooks seed_id f
-let remove_poll_drop_hook t ~seed_id = Hashtbl.remove t.drop_hooks seed_id
 
 let set_seed_priority t ~seed_id prio =
   match t.ov with
@@ -395,11 +391,6 @@ let seed_priority t seed_id =
 let on_pressure t ~seed_id f =
   match t.ov with
   | Some ov -> Hashtbl.replace ov.ov_pressure_hooks seed_id (fun high -> f ~high)
-  | None -> ()
-
-let remove_pressure_hook t ~seed_id =
-  match t.ov with
-  | Some ov -> Hashtbl.remove ov.ov_pressure_hooks seed_id
   | None -> ()
 
 let set_pressure_listener t f =
@@ -666,8 +657,6 @@ let ipc_deliver ?issued t f =
 let set_frozen t on =
   t.frozen <- on;
   if not on then t.frozen_cache <- []
-
-let is_frozen t = t.frozen
 
 let glitch ?(polls = 1) t = t.glitch_budget <- t.glitch_budget + polls
 

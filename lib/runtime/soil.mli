@@ -132,14 +132,9 @@ type overload_stats = {
 
 val overload_stats : t -> overload_stats option
 
-(** Is the pressure flag currently asserted? *)
-val under_pressure : t -> bool
-
 (** Shedding prefers low-priority seeds (default priority 0).  No-op when
     protection is off. *)
 val set_seed_priority : t -> seed_id:int -> int -> unit
-
-val seed_priority : t -> int -> int
 
 (** [on_poll_drop t ~seed_id f] registers a synchronous callback invoked
     with the number of this seed's polls lost whenever they are dropped
@@ -147,14 +142,10 @@ val seed_priority : t -> int -> int
     per seed under [soil.<node>.polls.dropped.seed<id>]. *)
 val on_poll_drop : t -> seed_id:int -> (int -> unit) -> unit
 
-val remove_poll_drop_hook : t -> seed_id:int -> unit
-
 (** Per-seed backpressure notification: [f ~high:true] on every monitor
     tick above the high watermark, [f ~high:false] on every tick below
     the low one.  No-op when protection is off. *)
 val on_pressure : t -> seed_id:int -> (high:bool -> unit) -> unit
-
-val remove_pressure_hook : t -> seed_id:int -> unit
 
 (** The seeder's global pressure listener (one per soil). *)
 val set_pressure_listener : t -> (node:int -> high:bool -> unit) -> unit
@@ -183,7 +174,6 @@ val get_tcam_rule : t -> pattern:Filter.t -> Farm_net.Tcam.installed option
     rng, so runs stay reproducible). *)
 
 val set_frozen : t -> bool -> unit
-val is_frozen : t -> bool
 val glitch : ?polls:int -> t -> unit
 
 (** {2 Accounting} *)

@@ -8,7 +8,8 @@
    I2  dropped tasks are exactly those with no surviving candidate site;
    I3  the placement in force passes [Model.validate] and the seeder's
        [current_utility] matches an independent from-scratch recomputation;
-   I4  the same (seed, plan) pair reproduces byte-identical metrics.
+   I4  the same (seed, plan) pair reproduces a byte-identical
+       [Seeder.digest].
 
    With [auto_heal] the same plans run as *silent* crashes the control
    plane must discover through missing heartbeats, and a fifth invariant
@@ -27,7 +28,7 @@
        balances offered minus delivered at every layer (soil PCIe queue,
        harvester inbox), degraded seeds recover to full fidelity within a
        bounded interval after pressure clears, and replay stays
-       byte-identical (the digest covers the overload counters too).
+       byte-identical ([Seeder.digest] covers the overload counters too).
 
    A failing case prints its generator input and the fault plan, which is
    enough to replay it deterministically (see README "Testing").
@@ -363,133 +364,6 @@ let host_addr (n : Topology.node) =
   | Some p -> Ipaddr.of_int (Ipaddr.to_int (Ipaddr.Prefix.address p) + 10)
   | None -> invalid_arg "host_addr: not a host"
 
-let digest seeder engine fabric tasks =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "dispatched=%d\n" (Engine.dispatched engine);
-  Printf.bprintf b "collector=%.6f/%d\n"
-    (Seeder.collector_bytes seeder)
-    (Seeder.collector_messages seeder);
-  Printf.bprintf b "migrations=%d retx=%d lost=%d\n" (Seeder.migrations seeder)
-    (Seeder.retransmissions seeder)
-    (Seeder.lost_messages seeder);
-  Printf.bprintf b "utility=%.9f\n" (Seeder.current_utility seeder);
-  Printf.bprintf b "failed=[%s]\n"
-    (String.concat ","
-       (List.map string_of_int (Seeder.failed_switches seeder)));
-  Printf.bprintf b "flows=%d rerouted=%d dropped=%d\n"
-    (Fabric.active_flow_count fabric)
-    (Fabric.rerouted_flows fabric)
-    (Fabric.dropped_flows fabric);
-  List.iter
-    (fun soil ->
-      let st = Soil.poll_stats soil in
-      Printf.bprintf b "soil%d: req=%d done=%d drop=%d asic=%d pcie=%.3f\n"
-        (Soil.node_id soil) st.Soil.requested st.Soil.completed st.Soil.dropped
-        st.Soil.asic_polls st.Soil.pcie_bytes)
-    (Seeder.soils seeder);
-  List.iter
-    (fun (name, task) ->
-      let seeds =
-        Seeder.seeds seeder task
-        |> List.sort (fun a b ->
-               Int.compare (Seed_exec.seed_id a) (Seed_exec.seed_id b))
-      in
-      Printf.bprintf b "task %s placed=%b seeds=[%s]\n" name
-        (Seeder.is_placed task)
-        (String.concat ";"
-           (List.map
-              (fun e ->
-                Printf.sprintf "%d@%d:%s:%d" (Seed_exec.seed_id e)
-                  (Seed_exec.node e) (Seed_exec.state e)
-                  (Seed_exec.transitions e))
-              seeds)))
-    tasks;
-  Buffer.contents b
-
-(* healing counters join the determinism digest when auto_heal is on *)
-let healing_digest seeder tasks =
-  let hist h =
-    Printf.sprintf "%d/%.9f"
-      (Farm_sim.Metrics.Histogram.count h)
-      (Farm_sim.Metrics.Histogram.mean h)
-  in
-  let b = Buffer.create 128 in
-  Printf.bprintf b
-    "heal: hb=%d/%d ck=%d gaps=%d bytes=%.3f det=%d false=%d rec=%d \
-     zfenced=%d fsends=%d zlive=%d\n"
-    (Seeder.heartbeats_sent seeder)
-    (Seeder.heartbeats_delivered seeder)
-    (Seeder.checkpoints_shipped seeder)
-    (Seeder.checkpoint_gaps seeder)
-    (Seeder.checkpoint_bytes seeder)
-    (Seeder.detections seeder)
-    (Seeder.false_detections seeder)
-    (Seeder.auto_recoveries seeder)
-    (Seeder.zombies_fenced seeder)
-    (Seeder.fenced_sends seeder)
-    (Seeder.zombie_count seeder);
-  Printf.bprintf b "heal: dl=%s rt=%s\n"
-    (hist (Seeder.detection_latency seeder))
-    (hist (Seeder.recovery_time seeder));
-  List.iter
-    (fun (name, task) ->
-      let h = Seeder.harvester task in
-      Printf.bprintf b "heal %s: stale=%d dup=%d epochs=[%s]\n" name
-        (Harvester.stale_dropped h) (Harvester.dup_dropped h)
-        (String.concat ";"
-           (Seeder.seeds seeder task
-           |> List.sort (fun a b ->
-                  Int.compare (Seed_exec.seed_id a) (Seed_exec.seed_id b))
-           |> List.map (fun e ->
-                  Printf.sprintf "%d:%d" (Seed_exec.seed_id e)
-                    (Seed_exec.epoch e)))))
-    tasks;
-  Buffer.contents b
-
-(* overload counters join the determinism digest for the I6 sweep: shed
-   decisions, breaker trips and AIMD trajectories must all replay
-   byte-identically, not just the task-level outcomes *)
-let overload_digest seeder tasks =
-  let b = Buffer.create 128 in
-  Printf.bprintf b
-    "ov ctrl: ratelim=%d brkdrop=%d retrycap=%d opens=%d storm=%d \
-     press=%d@[%s]\n"
-    (Seeder.rate_limited seeder)
-    (Seeder.breaker_dropped seeder)
-    (Seeder.retry_capped seeder)
-    (Seeder.breaker_opens seeder)
-    (Seeder.storm_reports seeder)
-    (Seeder.pressure_events seeder)
-    (String.concat ","
-       (List.map string_of_int (Seeder.pressured_switches seeder)));
-  List.iter
-    (fun soil ->
-      match Soil.overload_stats soil with
-      | None -> ()
-      | Some st ->
-          Printf.bprintf b
-            "ov soil%d: off=%d done=%d shed=%d pend=%d peak=%d pcie=%.3f\n"
-            (Soil.node_id soil) st.Soil.o_offered st.Soil.o_completed
-            st.Soil.o_shed st.Soil.o_pending st.Soil.o_queue_peak
-            (Soil.pcie_factor soil))
-    (Seeder.soils seeder);
-  List.iter
-    (fun (name, task) ->
-      let h = Seeder.harvester task in
-      Printf.bprintf b "ov %s: off=%d shed=%d recv=%d seeds=[%s]\n" name
-        (Harvester.offered_count h) (Harvester.shed_count h)
-        (Harvester.received_count h)
-        (String.concat ";"
-           (Seeder.seeds seeder task
-           |> List.sort (fun a b ->
-                  Int.compare (Seed_exec.seed_id a) (Seed_exec.seed_id b))
-           |> List.map (fun e ->
-                  Printf.sprintf "%d:%.6f:%d" (Seed_exec.seed_id e)
-                    (Seed_exec.degradation e)
-                    (Seed_exec.poll_drops e)))))
-    tasks;
-  Buffer.contents b
-
 (* the overload sweep marks the polling templates' [ticks] trigger as
    adaptive, so AIMD degraded mode actually engages under pressure *)
 let deploy_mix ?(adaptive = false) seeder topo prng mix =
@@ -580,25 +454,16 @@ let run_case ?(config = Seeder.default_config) ?(overload = false)
   Engine.run ~until engine;
   check_invariants seeder tasks ~at:until ~what:"end of run" violations;
   checked ~at:until ~what:"end of run";
-  let d = digest seeder engine fabric tasks in
-  let d =
-    if Seeder.healing_enabled seeder then begin
-      (* the plan's horizon is 1.5 and we run past it: healing has settled *)
-      check_healed seeder tasks violations;
-      checked ~at:until ~what:"healing settled";
-      d ^ healing_digest seeder tasks
-    end
-    else d
-  in
-  let d =
-    if overload then begin
-      check_overload seeder tasks violations;
-      checked ~at:until ~what:"overload settled";
-      d ^ overload_digest seeder tasks
-    end
-    else d
-  in
-  (List.rev !violations, d, plan)
+  if Seeder.healing_enabled seeder then begin
+    (* the plan's horizon is 1.5 and we run past it: healing has settled *)
+    check_healed seeder tasks violations;
+    checked ~at:until ~what:"healing settled"
+  end;
+  if overload then begin
+    check_overload seeder tasks violations;
+    checked ~at:until ~what:"overload settled"
+  end;
+  (List.rev !violations, Seeder.digest seeder, plan)
 
 (* engine seeds for the two RNG universes of a sweep offset: derived
    streams of the root seeds rather than ad-hoc [seed + offset] sums *)
@@ -752,9 +617,9 @@ let exp_style_metrics seed =
       mean_rate = 20_000. };
   let _ = Traffic.heavy_hitter engine fabric rng ~at:1.0 ~rate:2e6 () in
   let seeder = Seeder.create engine fabric in
-  let task = deploy_hh seeder in
+  let _task = deploy_hh seeder in
   Engine.run ~until:2. engine;
-  digest seeder engine fabric [ ("hh", task) ]
+  Seeder.digest seeder
 
 let test_determinism_regression () =
   Alcotest.(check string) "identical Metrics output for identical seeds"

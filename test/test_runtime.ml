@@ -1710,6 +1710,107 @@ let prop_fair_share_queue_matches_reference =
            (fun sid -> per_seed sid = Hashtbl.find_opt rq.per_seed sid)
            [ 0; 1; 2; 3; 4 ])
 
+(* ------------------------------------------------------------------ *)
+(* Canonical digest coverage                                           *)
+(* ------------------------------------------------------------------ *)
+
+let marker_source =
+  {|
+machine Marker {
+  place any;
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  long count = 0;
+  long mark = 1;
+  state s {
+    when (ticks as stats) do { count = count + 1; }
+    when (recv long v from harvester) do { mark = v; }
+  }
+}
+|}
+
+(* Each row touches exactly one component of a settled healing world:
+   [~perturbed:false] is the neutral action, [~perturbed:true] the one
+   that must change [Seeder.digest].  Rows are built so that no other
+   component sees the difference (same counts, same %h widths), so a
+   component dropped from the digest fails its own row. *)
+let digest_rows =
+  let the_seed seeder task = List.hd (Seeder.seeds seeder task) in
+  let mark seeder task v =
+    Seed_exec.deliver (the_seed seeder task)
+      ~from:Farm_almanac.Interp.From_harvester (Value.Num v)
+  in
+  let idle_switch seeder task =
+    let home = Seed_exec.node (the_seed seeder task) in
+    List.find (fun n -> n <> home)
+      (List.map Soil.node_id (Seeder.soils seeder))
+  in
+  [ ( "registry counter",
+      fun ~perturbed (engine, _, _) ->
+        if perturbed then
+          Farm_sim.Metrics.Counter.add
+            (Farm_sim.Metrics.Registry.counter (Engine.metrics engine)
+               "seeder.collector.bytes")
+            1. );
+    ( "harvester report",
+      fun ~perturbed (_, seeder, task) ->
+        let e = the_seed seeder task in
+        Harvester.handle (Seeder.harvester task)
+          ~provenance:
+            { Harvester.p_seed = Seed_exec.seed_id e;
+              p_epoch = Seed_exec.epoch e;
+              p_seq = (if perturbed then 1_001 else 1_000) }
+          ~from_switch:(Seed_exec.node e) Value.Unit );
+    ( "seed variable",
+      fun ~perturbed (_, seeder, task) ->
+        mark seeder task (if perturbed then 4. else 2.) );
+    ( "checkpoint store",
+      (* the store keeps the shipped mark; the live seed moves on to the
+         same final value in both worlds *)
+      fun ~perturbed (engine, seeder, task) ->
+        mark seeder task (if perturbed then 8. else 2.);
+        Engine.run ~until:(Engine.now engine +. 0.05) engine;
+        mark seeder task 4. );
+    ( "fabric flow",
+      fun ~perturbed (engine, seeder, _) ->
+        if perturbed then
+          ignore
+            (Fabric.start_flow (Seeder.fabric seeder) ~time:(Engine.now engine)
+               ~tuple:
+                 { Flow.src = Farm_net.Ipaddr.of_string "10.1.1.10";
+                   dst = Farm_net.Ipaddr.of_string "10.2.1.10"; sport = 1234;
+                   dport = 80; proto = Flow.Tcp }
+               ~rate:1_000. ()) );
+    ( "failed switch",
+      fun ~perturbed (_, seeder, task) ->
+        if perturbed then Seeder.fail_switch seeder (idle_switch seeder task) );
+    ( "down switch",
+      fun ~perturbed (_, seeder, task) ->
+        if perturbed then Seeder.crash_switch seeder (idle_switch seeder task) );
+    ( "soil pcie_factor",
+      fun ~perturbed (_, seeder, _) ->
+        if perturbed then Soil.set_pcie_factor (List.hd (Seeder.soils seeder)) 2.
+    ) ]
+
+let test_digest_coverage () =
+  let digest_after ~perturbed f =
+    let engine, seeder, task = make_heal_world ~source:marker_source () in
+    Engine.run ~until:0.3 engine;
+    f ~perturbed (engine, seeder, task);
+    Seeder.digest seeder
+  in
+  List.iter
+    (fun (name, f) ->
+      let base = digest_after ~perturbed:false f in
+      Alcotest.(check string)
+        (name ^ ": equal worlds, equal digests")
+        base
+        (digest_after ~perturbed:false f);
+      Alcotest.(check bool)
+        (name ^ ": perturbed world differs")
+        true
+        (base <> digest_after ~perturbed:true f))
+    digest_rows
+
 let () =
   Alcotest.run "farm_runtime"
     [ ( "models",
@@ -1737,6 +1838,9 @@ let () =
             test_seeder_verify_on_deploy;
           Alcotest.test_case "rejects bad programs" `Quick
             test_seeder_rejects_bad_programs ] );
+      ( "digest",
+        [ Alcotest.test_case "covers every component" `Quick
+            test_digest_coverage ] );
       ( "migration",
         [ Alcotest.test_case "migration preserves state" `Quick
             test_seed_migration_preserves_state;

@@ -46,8 +46,8 @@ let test_sweep_default_domains () =
 
 (* A self-contained scenario: all state (engine, fabric, RNG) is built
    inside the call from an index-derived seed, as the Sweep contract
-   requires.  The digest captures everything downstream consumers read:
-   the dispatch counter, the clock, collector traffic and task state. *)
+   requires.  The canonical [Seeder.digest] captures everything
+   downstream consumers read. *)
 let scenario_digest i =
   let seed = Rng.derive_seed 7 ~stream:i in
   let w =
@@ -58,14 +58,7 @@ let scenario_digest i =
   | Error m -> Alcotest.failf "scenario %d: heavy-hitter deploy: %s" i m);
   Farm.World.background_traffic ~flows:(8 + (4 * i)) w;
   Farm.World.run ~until:0.3 w;
-  let seeder = w.Farm.World.seeder in
-  Printf.sprintf "i=%d seed=%d dispatched=%d now=%h collector=%h/%d utility=%h"
-    i seed
-    (Engine.dispatched w.Farm.World.engine)
-    (Farm.World.now w)
-    (Farm.Runtime.Seeder.collector_bytes seeder)
-    (Farm.Runtime.Seeder.collector_messages seeder)
-    (Farm.Runtime.Seeder.current_utility seeder)
+  Farm.Runtime.Seeder.digest w.Farm.World.seeder
 
 let test_sweep_parallel_deterministic () =
   let n = 6 in
@@ -83,9 +76,9 @@ let test_sweep_parallel_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 (* A scenario running everything at once: trace sink attached and
-   overload protection armed.  The digest covers the simulation state,
-   the full Chrome-JSON trace stream and the metrics snapshot, so any
-   domain-count dependence anywhere in that stack fails the property. *)
+   overload protection armed.  The digest covers the simulation state
+   and the full Chrome-JSON trace stream, so any domain-count dependence
+   anywhere in that stack fails the property. *)
 let armed_traced_digest base i =
   let seed = Rng.derive_seed base ~stream:i in
   let w =
@@ -99,11 +92,7 @@ let armed_traced_digest base i =
   | Error m -> Alcotest.failf "scenario %d: heavy-hitter deploy: %s" i m);
   Farm.World.background_traffic ~flows:(8 + (4 * i)) w;
   Farm.World.run ~until:0.3 w;
-  Printf.sprintf "i=%d dispatched=%d now=%h " i
-    (Engine.dispatched w.Farm.World.engine)
-    (Farm.World.now w)
-  ^ Trace.to_chrome_json tr
-  ^ Metrics.Registry.to_json (Engine.metrics w.Farm.World.engine)
+  Farm.Runtime.Seeder.digest w.Farm.World.seeder ^ Trace.to_chrome_json tr
 
 let prop_sweep_armed_traced_invariant =
   QCheck2.Test.make

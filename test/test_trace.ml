@@ -130,8 +130,8 @@ let test_registry_snapshot_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 (* A self-contained traced scenario, all state derived from [seed] (the
-   Sweep contract).  Returns the full observable surface: the Chrome
-   JSON of every traced event plus the metrics snapshot. *)
+   Sweep contract).  Returns the Chrome JSON of every traced event and
+   the canonical simulation digest. *)
 let traced_digest ?(trace = true) seed =
   let w = Farm.World.create ~seed ~spines:2 ~leaves:3 ~hosts_per_leaf:1 () in
   let tr = Trace.create () in
@@ -141,35 +141,34 @@ let traced_digest ?(trace = true) seed =
   | Error m -> Alcotest.failf "heavy-hitter deploy: %s" m);
   Farm.World.background_traffic ~flows:20 w;
   Farm.World.run ~until:0.3 w;
-  ( Trace.to_chrome_json tr,
-    Metrics.Registry.to_json (Engine.metrics w.Farm.World.engine) )
+  (Trace.to_chrome_json tr, Farm.Runtime.Seeder.digest w.Farm.World.seeder)
 
 let prop_trace_replay_identical =
   QCheck2.Test.make ~name:"traced stream byte-identical across replays"
     ~count:4
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
-      let j1, m1 = traced_digest seed in
-      let j2, m2 = traced_digest seed in
-      String.equal j1 j2 && String.equal m1 m2
+      let j1, d1 = traced_digest seed in
+      let j2, d2 = traced_digest seed in
+      String.equal (d1 ^ j1) (d2 ^ j2)
       && String.length j1 > 100 (* the trace must not be trivially empty *))
 
 let test_trace_domain_invariant () =
   let sweep domains =
     Sweep.run ~domains ~clamp:false 4 (fun i ->
-        let j, m = traced_digest (Rng.derive_seed 7 ~stream:i) in
-        j ^ m)
+        let j, d = traced_digest (Rng.derive_seed 7 ~stream:i) in
+        d ^ j)
   in
   Alcotest.(check (array string))
     "1 domain vs 4 domains" (sweep 1) (sweep 4)
 
 let test_tracing_is_inert () =
-  (* attaching a sink must not perturb the simulation: the metrics
-     snapshot (soil counters, seeder gauges, harvester accounting) is
+  (* attaching a sink must not perturb the simulation: the canonical
+     digest (registry snapshot, seed state, harvester streams) is
      identical with tracing on and off *)
-  let _, m_on = traced_digest ~trace:true 99 in
-  let _, m_off = traced_digest ~trace:false 99 in
-  Alcotest.(check string) "metrics unchanged by tracing" m_on m_off
+  let _, d_on = traced_digest ~trace:true 99 in
+  let _, d_off = traced_digest ~trace:false 99 in
+  Alcotest.(check string) "digest unchanged by tracing" d_on d_off
 
 let () =
   Alcotest.run "farm_trace"
