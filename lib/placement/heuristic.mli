@@ -6,7 +6,8 @@
        (no unnecessary migration) and switches where polling aggregation
        makes the seed cheaper; a task that cannot be fully placed is
        removed (C1).
-    3. Redistribute spare resources with one small LP per switch.
+    3. Redistribute spare resources with one small LP per switch
+       (switches with identical LPs share one solve).
     4. Compute per-seed migration benefits and
     5. apply migrations in decreasing benefit order, then redistribute
        again.
@@ -22,6 +23,10 @@ type stats = {
   placed_seeds : int;
   dropped_tasks : int;  (** tasks removed because a seed did not fit *)
   migrations : int;
+  lp_solves : int;
+      (** LPs solved: one per distinct branch (minimal allocation) and one
+          per distinct switch shape (redistribution); identical LPs within
+          a call are solved once *)
   runtime_s : float;
 }
 

@@ -22,7 +22,9 @@ type t = {
   dedup : Ipc.Dedup.t;  (* inbound control-message ids seen *)
   (* overload resilience: AIMD degraded mode over the adaptive triggers *)
   adaptive : string list;  (* poll vars whose period may be stretched *)
-  mutable rate_scale : float;  (* 1.0 = full fidelity *)
+  rate_scale : float ref;
+      (* 1.0 = full fidelity; a cell of its own so the registry's
+         degradation gauge pins only it, not the whole instance *)
   mutable poll_drops : int;  (* polls the soil dropped/shed on us *)
   mutable last_drop_backoff : float;  (* throttles drop-triggered MD *)
   mutable degraded_report : (float -> unit) option;  (* -> harvester *)
@@ -65,11 +67,11 @@ let period_of_spec spec res =
    see the exact original float. *)
 let scaled_period t (p : Analysis.poll_summary) =
   let base = period_of_spec p.ival t.res in
-  if t.rate_scale = 1. || not (List.mem p.poll_name t.adaptive) then base
-  else base /. t.rate_scale
+  if !(t.rate_scale) = 1. || not (List.mem p.poll_name t.adaptive) then base
+  else base /. !(t.rate_scale)
 
-let rate_scale t = t.rate_scale
-let degradation t = 1. -. t.rate_scale
+let rate_scale t = !(t.rate_scale)
+let degradation t = 1. -. !(t.rate_scale)
 let poll_drops t = t.poll_drops
 
 (* Subscribe one poll variable's triggers; returns the subscriptions. *)
@@ -120,8 +122,8 @@ let apply_rate_scale t =
     t.polls
 
 let set_rate_scale t scale =
-  if t.alive && scale <> t.rate_scale then begin
-    t.rate_scale <- scale;
+  if t.alive && scale <> !(t.rate_scale) then begin
+    t.rate_scale := scale;
     apply_rate_scale t;
     (match Sengine.tracer (Soil.engine t.soil) with
     | None -> ()
@@ -140,8 +142,8 @@ let set_rate_scale t scale =
 let on_pressure t ~high =
   if t.adaptive <> [] then
     set_rate_scale t
-      (if high then Overload.back_off t.rate_scale
-       else Overload.recover t.rate_scale)
+      (if high then Overload.back_off !(t.rate_scale)
+       else Overload.recover !(t.rate_scale))
 
 (* The soil dropped/shed [n] of our polls.  Always counted; with overload
    protection on, a drop burst also backs the seed off (at most once per
@@ -157,7 +159,7 @@ let on_poll_drop t n =
     let now = Soil.now t.soil in
     if now -. t.last_drop_backoff >= gap then begin
       t.last_drop_backoff <- now;
-      set_rate_scale t (Overload.back_off t.rate_scale)
+      set_rate_scale t (Overload.back_off !(t.rate_scale))
     end
   end
 
@@ -210,7 +212,7 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
   let t =
     { sid = seed_id; soil; epoch; inst = None; res = Array.copy resources;
       polls; subs = []; transitions = 0; alive = true; next_seq = 0;
-      dedup = Ipc.Dedup.create (); adaptive; rate_scale = 1.;
+      dedup = Ipc.Dedup.create (); adaptive; rate_scale = ref 1.;
       poll_drops = 0; last_drop_backoff = Float.neg_infinity;
       degraded_report = None }
   in
@@ -344,10 +346,11 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
                ( "Degraded",
                  [ ("seed", Value.Num (float_of_int seed_id));
                    ("depth", Value.Num depth) ] )));
+    let scale = t.rate_scale in
     Farm_sim.Metrics.Registry.gauge_fn
       (Sengine.metrics (Soil.engine soil))
       (Printf.sprintf "seed.%d.degradation" seed_id)
-      (fun () -> 1. -. t.rate_scale)
+      (fun () -> 1. -. !scale)
   end;
   t.subs <- List.map (fun p -> (p.Analysis.poll_name, subscribe t p)) polls;
   (match restore with

@@ -105,15 +105,6 @@ let simple_spec ~name ~source =
     ts_extra_sigs = []; ts_harvester = Harvester.collector_spec;
     ts_adaptive = [] }
 
-type task = {
-  task_id : int;
-  spec : task_spec;
-  xml : string Lazy.t;
-      (* the interchange form shipped to switches (§V-A d) *)
-  mutable harvester : Harvester.t option;
-  mutable placed : bool;
-}
-
 (* last checkpoint of a seed accumulated at the seeder (deltas merged) *)
 type store = {
   st_epoch : int;  (* stores are replaced wholesale on an epoch change *)
@@ -123,8 +114,20 @@ type store = {
   mutable st_time : float;
 }
 
+type task = {
+  task_id : int;
+  spec : task_spec;
+  program : Ast.program Lazy.t;
+      (* what a switch runs: the program compiled to the interchange XML
+         shipped to switches (§V-A d) and decompiled, once per task; its
+         seeds share this immutable AST *)
+  mutable harvester : Harvester.t option;
+  mutable placed : bool;
+  mutable regs : reg list;  (* registered seeds, in seed-id order *)
+}
+
 (* registry entry for one seed of one task *)
-type reg = {
+and reg = {
   r_spec : Model.seed_spec;
   r_task : task;
   r_machine : string;
@@ -291,26 +294,22 @@ let rec value_bytes (v : Value.t) =
   | Value.Struct (_, fs) ->
       List.fold_left (fun a (_, v) -> a +. value_bytes v) 16. fs
 
+let by_seed_id a b = Int.compare a.r_spec.seed_id b.r_spec.seed_id
+
 let sorted_regs t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.registry []
-  |> List.sort (fun a b -> Int.compare a.r_spec.seed_id b.r_spec.seed_id)
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.registry [] |> List.sort by_seed_id
 
-let regs_of_task t task =
-  List.filter (fun r -> r.r_task.task_id = task.task_id) (sorted_regs t)
+let seed_specs _t task = List.map (fun r -> r.r_spec) task.regs
+let seeds _t task = List.filter_map (fun r -> r.r_exec) task.regs
 
-let seed_specs t task = List.map (fun r -> r.r_spec) (regs_of_task t task)
-
-let seeds t task =
-  List.filter_map (fun r -> r.r_exec) (regs_of_task t task)
-
-let seed_on t task ~machine ~node =
+let seed_on _t task ~machine ~node =
   List.find_opt
     (fun r ->
       r.r_machine = machine
       && match r.r_exec with
          | Some e -> Seed_exec.node e = node
          | None -> false)
-    (regs_of_task t task)
+    task.regs
   |> fun r -> Option.bind r (fun r -> r.r_exec)
 
 (* ------------------------------------------------------------------ *)
@@ -542,7 +541,7 @@ let deliver_to_seeds t task ~machine ~node v ~from =
         | None, Some _ -> true
         | Some n, Some e -> Seed_exec.node e = n
         | _, None -> false)
-      (regs_of_task t task)
+      task.regs
   in
   List.iter (fun r -> send_to_reg t r ~from v) targets
 
@@ -667,9 +666,10 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
   if Hashtbl.mem t.down a.a_node then ()
   else begin
   let soilv = soil t a.a_node in
-  (* the switch receives the task as XML and decompiles it into a seed,
-     exactly as the soil does in the paper's implementation *)
-  let program = Farm_almanac.Machine_xml.load (Lazy.force r.r_task.xml) in
+  (* the switch runs the task as decompiled from its XML, exactly as the
+     soil does in the paper's implementation; decoding costs no simulated
+     time, so it happens once per task *)
+  let program = Lazy.force r.r_task.program in
   (* every (re)instantiation is a new epoch: harvesters fence on it, so a
      zombie of the previous instance can never outvote this one *)
   r.r_epoch <- r.r_epoch + 1;
@@ -757,9 +757,7 @@ let apply_placement t (placement : Model.placement) =
   Hashtbl.iter
     (fun _ task ->
       task.placed <-
-        List.exists
-          (fun r -> Hashtbl.mem by_seed r.r_spec.seed_id)
-          (regs_of_task t task))
+        List.exists (fun r -> Hashtbl.mem by_seed r.r_spec.seed_id) task.regs)
     tasks
 
 let reoptimize t =
@@ -1110,8 +1108,8 @@ let deploy t spec =
   in
   let task =
     { task_id = t.next_task; spec;
-      xml = lazy (Farm_almanac.Machine_xml.compile program);
-      harvester = None; placed = false }
+      program = lazy Farm_almanac.Machine_xml.(load (compile program));
+      harvester = None; placed = false; regs = [] }
   in
   t.next_task <- t.next_task + 1;
   (* analyze every machine and register its seeds *)
@@ -1178,6 +1176,7 @@ let deploy t spec =
     List.iter
       (fun r -> Hashtbl.replace t.registry r.r_spec.seed_id r)
       registered;
+    task.regs <- List.sort by_seed_id registered;
     (* harvester wiring *)
     let ctx =
       { Harvester.send_to_seed =
@@ -1188,7 +1187,7 @@ let deploy t spec =
                 | Some e when Seed_exec.node e = switch ->
                     send_to_reg t r ~from:Interp.From_harvester v
                 | Some _ | None -> ())
-              (regs_of_task t task));
+              task.regs);
         broadcast =
           (fun v ->
             List.iter
@@ -1196,7 +1195,7 @@ let deploy t spec =
                 match r.r_exec with
                 | Some _ -> send_to_reg t r ~from:Interp.From_harvester v
                 | None -> ())
-              (regs_of_task t task));
+              task.regs);
         now = (fun () -> Engine.now t.engine);
         log = (fun _ -> ()) }
     in
@@ -1214,6 +1213,7 @@ let deploy t spec =
       List.iter
         (fun r -> Hashtbl.remove t.registry r.r_spec.seed_id)
         registered;
+      task.regs <- [];
       Error
         (Printf.sprintf "task %s cannot be placed with available resources"
            spec.ts_name)
@@ -1302,7 +1302,8 @@ let undeploy t task =
     (fun r ->
       retire_exec r;
       Hashtbl.remove t.registry r.r_spec.seed_id)
-    (regs_of_task t task);
+    task.regs;
+  task.regs <- [];
   t.assignments <-
     List.filter
       (fun (a : Model.assignment) -> Hashtbl.mem t.registry a.a_seed)

@@ -263,6 +263,185 @@ let prop_heuristic_always_valid =
       let placement, _ = Heuristic.optimize inst in
       Model.validate inst placement.assignments = [])
 
+(* -- memoised heuristic vs its un-memoised reference (qcheck) ------ *)
+
+(* Instances that exercise the per-call LP memo: a few switch shapes
+   repeated over many switches, a few seed templates repeated across
+   tasks, with each task polling its own subjects or ones it shares with
+   others.  Subjects are built afresh per task, so shared ones are equal
+   but not physically equal. *)
+let memo_instance seed =
+  let rng = Rng.create seed in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let tcam = Analysis.resource_index Analysis.TcamR in
+  let shapes =
+    List.init (1 + Rng.int rng 3) (fun _ ->
+        (pick [ 1.; 2.; 4. ], pick [ 512.; 1024. ], pick [ 30.; 100.; 300. ]))
+  in
+  let nsw = 2 + Rng.int rng 23 in
+  let switches =
+    List.init nsw (fun node ->
+        let cpu, mem, bus = pick shapes in
+        mk_caps node ~cpu ~mem ~bus ())
+  in
+  let subject k =
+    match k with
+    | 0 -> Filter.All_ports
+    | k -> Filter.Port_counter (10 * k)
+  in
+  (* a template fixes a seed's shape; a task drawing it may still pick
+     its own utility caps and constant poll intervals *)
+  let cap () = pick [ 3.; 6.; 50. ] and const_ival () = pick [ 0.02; 0.1 ] in
+  let template () =
+    let branch () =
+      ( [ Lin.sub (Lin.var vcpu) (Lin.const (pick [ 0.1; 0.25 ]));
+          Lin.sub (Lin.var ram) (Lin.const 16.) ]
+        @ (if Rng.bool rng then [] else [ Lin.sub (Lin.var tcam) (Lin.const 4.) ]),
+        pick [ 5.; 10. ],
+        cap () )
+    in
+    let branches = List.init (1 + Rng.int rng 2) (fun _ -> branch ()) in
+    let polls =
+      List.init (Rng.int rng 3) (fun _ ->
+          let ival =
+            if Rng.bool rng then Analysis.Const_ival (const_ival ())
+            else Analysis.Inv_linear (Lin.var ~coeff:(pick [ 10.; 40. ]) vcpu)
+          in
+          (Rng.int rng 3, ival))
+    in
+    (branches, polls)
+  in
+  let templates = List.init (1 + Rng.int rng 2) (fun _ -> template ()) in
+  let next_id = ref 0 in
+  let seeds =
+    List.concat
+      (List.init (2 + Rng.int rng 9) (fun task ->
+           let branches, polls = pick templates in
+           let own = Rng.bool rng in
+           let branches =
+             List.map
+               (fun (constraints, coeff, c) ->
+                 { Analysis.constraints;
+                   utility =
+                     [ Lin.var ~coeff vcpu; Lin.const (if own then cap () else c) ] })
+               branches
+           in
+           (* own subjects (offset) or the shared low ones *)
+           let offset = if Rng.bool rng then 0 else 1 + task in
+           let polls =
+             List.map
+               (fun (k, ival) ->
+                 { Model.subject = subject (if k = 0 then 0 else k + offset);
+                   ival =
+                     (match ival with
+                     | Analysis.Const_ival _ when own ->
+                         Analysis.Const_ival (const_ival ())
+                     | ival -> ival) })
+               polls
+           in
+           let everywhere = Rng.int rng 3 > 0 in
+           List.init (1 + Rng.int rng 4) (fun _ ->
+               let candidates =
+                 if everywhere then List.init nsw Fun.id
+                 else
+                   List.sort_uniq Int.compare
+                     (List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng nsw))
+               in
+               let seed_id = !next_id in
+               incr next_id;
+               { Model.seed_id; task_id = task; candidates; branches; polls })))
+  in
+  mk_instance seeds switches
+
+let same_placement ((p : Model.placement), m) ((q : Model.placement), m') =
+  let bits = Int64.bits_of_float in
+  let same (a : Model.assignment) (b : Model.assignment) =
+    a.a_seed = b.a_seed && a.a_node = b.a_node && a.a_branch = b.a_branch
+    && Array.length a.a_res = Array.length b.a_res
+    && Array.for_all2 (fun x y -> bits x = bits y) a.a_res b.a_res
+  in
+  List.length p.assignments = List.length q.assignments
+  && List.for_all2 same p.assignments q.assignments
+  && bits p.utility = bits q.utility
+  && m = m'
+
+let prop_memo_matches_reference =
+  QCheck2.Test.make ~name:"memoised optimize = un-memoised reference"
+    ~count:500 ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = memo_instance seed in
+      let rng = Rng.create (seed + 1) in
+      let phases =
+        { Heuristic.redistribute = Rng.int rng 4 > 0; migrate = Rng.bool rng }
+      in
+      let ref_phases =
+        { Ref_heuristic.redistribute = phases.redistribute;
+          migrate = phases.migrate }
+      in
+      let first, stats = Heuristic.optimize ~phases inst in
+      if
+        not
+          (same_placement (first, stats.migrations)
+             (Ref_heuristic.optimize ~phases:ref_phases inst))
+      then false
+      else
+        (* incremental: the first placement is the previous one; a switch
+           may have failed and some seeds are re-decided *)
+        let prev = first.assignments in
+        let switches =
+          if Rng.bool rng then inst.switches
+          else List.filter (fun (c : Model.switch_caps) -> c.node <> 0)
+                 inst.switches
+        in
+        let inc = { inst with previous = prev; switches } in
+        let affected =
+          List.filter_map
+            (fun (s : Model.seed_spec) ->
+              if Rng.int rng 3 = 0 then Some s.seed_id else None)
+            inst.seeds
+        in
+        let p, stats = Heuristic.optimize_incremental ~phases inc ~affected in
+        same_placement (p, stats.migrations)
+          (Ref_heuristic.optimize_incremental ~phases:ref_phases inc ~affected))
+
+(* The LP-solve count of one optimize over a deploy-churn-like live set:
+   heavy-hitter resident plus the first six rolling catalog tasks, on a
+   96-switch spine-leaf fabric.  A task's seeds share their branches and
+   most switches host the same mix of seeds, so the call solves far fewer
+   LPs than there are switches: 5, where solving one per branch of each of
+   the 768 seeds and one per switch took 864.  The count is deterministic,
+   hence pinned: it moves only if the heuristic or the catalog changes. *)
+let test_lp_solves_on_live_set () =
+  let engine = Farm_sim.Engine.create ~seed:1 () in
+  let topo =
+    Farm_net.Topology.spine_leaf ~spines:8 ~leaves:88 ~hosts_per_leaf:1
+  in
+  let seeder =
+    Farm_runtime.Seeder.create engine (Farm_net.Fabric.create topo)
+  in
+  List.iter
+    (fun name ->
+      let spec =
+        Farm_tasks.Task_common.to_task_spec (Farm_tasks.Catalog.find name)
+      in
+      match Farm_runtime.Seeder.deploy seeder spec with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "deploy %s: %s" name m)
+    [ "heavy-hitter"; "heavy-hitter"; "hierarchical-heavy-hitter-inherited";
+      "hierarchical-heavy-hitter"; "new-tcp-connections"; "tcp-syn-flood";
+      "partial-tcp-flow" ];
+  let inst = Farm_runtime.Seeder.placement_instance seeder in
+  let placement, stats = Heuristic.optimize inst in
+  Alcotest.(check int) "96 switches" 96 (List.length inst.switches);
+  Alcotest.(check int) "every seed placed" (List.length inst.seeds)
+    (List.length placement.assignments);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d LP solves, far below 96 switches" stats.lp_solves)
+    true
+    (stats.lp_solves * 4 <= 96);
+  Alcotest.(check int) "pinned LP solves" 5 stats.lp_solves
+
 (* ------------------------------------------------------------------ *)
 (* MILP                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -373,8 +552,10 @@ let () =
             test_heuristic_prefers_previous_location;
           Alcotest.test_case "migrates for utility" `Quick
             test_heuristic_migrates_for_utility;
-          Alcotest.test_case "task priority" `Quick test_heuristic_task_priority ]
-        @ qsuite [ prop_heuristic_always_valid ] );
+          Alcotest.test_case "task priority" `Quick test_heuristic_task_priority;
+          Alcotest.test_case "LP solves on a 96-switch live set" `Quick
+            test_lp_solves_on_live_set ]
+        @ qsuite [ prop_heuristic_always_valid; prop_memo_matches_reference ] );
       ( "milp",
         [ Alcotest.test_case "simple optimal" `Quick test_milp_simple_optimal;
           Alcotest.test_case "beats or ties heuristic" `Slow

@@ -312,6 +312,149 @@ machine Adj {
       | _ -> Alcotest.fail "threshold unbound")
     (Seeder.seeds seeder task)
 
+(* -- per-task seed lists vs the registry (qcheck) ------------------- *)
+
+(* Each task keeps its seeds in seed-id order.  Random deploy, undeploy
+   and refused deploy sequences (a task needing more vCPU than a switch
+   has cannot be placed) must leave every task's [seed_specs], [seeds],
+   [seed_on] and broadcast order equal to the sorted registry, seen
+   through [placement_instance], filtered to the task. *)
+module Model = Farm_placement.Model
+
+type seed_list_op = Deploy of float * int | Undeploy of int
+
+let seed_list_source ~cpu ~machines =
+  String.concat "\n"
+    (List.init machines (fun i ->
+         Printf.sprintf
+           {|machine M%d {
+  place all;
+  long seq = 0;
+  state s {
+    util (res) {
+      if (res.vCPU >= %g) then { return min(10 * res.vCPU, 10); }
+    }
+    when (recv long v from harvester) do { seq = tick(); }
+  }
+}|}
+           i cpu))
+
+let prop_task_seed_lists =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (3, map2 (fun c m -> Deploy (c, m))
+                 (oneofl [ 0.2; 0.5; 1.; 64. ]) (int_range 1 2));
+          (2, map (fun i -> Undeploy i) (int_bound 3)) ])
+  in
+  let print_op = function
+    | Deploy (c, m) -> Printf.sprintf "Deploy (%g, %d)" c m
+    | Undeploy i -> Printf.sprintf "Undeploy %d" i
+  in
+  QCheck2.Test.make ~name:"per-task seed lists = registry filter" ~count:30
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 10) op)
+    (fun ops ->
+      let engine, _, _, seeder = make_world () in
+      let ticks = ref 0. in
+      let registered () =
+        (Seeder.placement_instance seeder).seeds
+      in
+      (* live tasks: (task, task id, harvester ctx) *)
+      let live = ref [] and gone = ref [] in
+      let settle () = Engine.run ~until:(Engine.now engine +. 0.02) engine in
+      let check_task (task, tid, ctx) =
+        let expected =
+          List.filter (fun (s : Model.seed_spec) -> s.task_id = tid)
+            (registered ())
+        in
+        let assigned = Seeder.current_assignments seeder in
+        let running =
+          List.filter_map
+            (fun (s : Model.seed_spec) ->
+              if List.exists (fun (a : Model.assignment) -> a.a_seed = s.seed_id)
+                   assigned
+              then Some s.seed_id
+              else None)
+            expected
+        in
+        let execs = Seeder.seeds seeder task in
+        let ids = List.map Seed_exec.seed_id in
+        let seed_on_ok =
+          List.for_all
+            (fun e ->
+              let first =
+                List.find
+                  (fun e' ->
+                    Seed_exec.machine_name e' = Seed_exec.machine_name e
+                    && Seed_exec.node e' = Seed_exec.node e)
+                  execs
+              in
+              match
+                Seeder.seed_on seeder task ~machine:(Seed_exec.machine_name e)
+                  ~node:(Seed_exec.node e)
+              with
+              | Some e' -> e' == first
+              | None -> false)
+            execs
+        in
+        (* broadcast: each seed stamps the order it received it in *)
+        ctx.Harvester.broadcast (Value.Num 1.);
+        settle ();
+        let stamp e =
+          match Seed_exec.var e "seq" with Some (Value.Num n) -> n | _ -> -1.
+        in
+        let by_arrival =
+          List.stable_sort (fun a b -> Float.compare (stamp a) (stamp b)) execs
+        in
+        Seeder.seed_specs seeder task = expected
+        && ids execs = running
+        && seed_on_ok
+        && ids by_arrival = running
+      in
+      let step op =
+        (match op with
+        | Deploy (cpu, machines) ->
+            let before = registered () in
+            let ctx = ref None in
+            let spec =
+              { (Seeder.simple_spec ~name:"lists"
+                   ~source:(seed_list_source ~cpu ~machines))
+                with
+                Seeder.ts_extra_sigs =
+                  [ ("tick", { Typecheck.args = []; ret = Typecheck.Numeric }) ];
+                ts_builtins =
+                  [ ("tick", fun _ -> ticks := !ticks +. 1.; Value.Num !ticks) ];
+                ts_harvester =
+                  { Harvester.on_start = (fun c -> ctx := Some c);
+                    on_message = (fun _ ~from_switch:_ _ -> ()) } }
+            in
+            (match (Seeder.deploy seeder spec, !ctx) with
+            | Ok task, Some c ->
+                let tid =
+                  (List.hd (List.rev (registered ()))).Model.task_id
+                in
+                live := !live @ [ (task, tid, c) ]
+            | Ok _, None -> failwith "harvester not started"
+            | Error _, _ ->
+                if registered () <> before then
+                  failwith "refused deploy left seeds registered")
+        | Undeploy i -> (
+            match List.nth_opt !live i with
+            | Some ((task, _, _) as l) ->
+                Seeder.undeploy seeder task;
+                live := List.filter (fun l' -> l' != l) !live;
+                gone := task :: !gone
+            | None -> ()));
+        settle ();
+        List.for_all check_task !live
+        && List.for_all
+             (fun task ->
+               Seeder.seed_specs seeder task = [] && Seeder.seeds seeder task = [])
+             !gone
+      in
+      List.for_all step ops)
+
 let test_seeder_collector_accounting () =
   let engine, _, fabric, seeder = make_world () in
   let spec =
@@ -484,6 +627,60 @@ machine Counting {
   Soil.reset_stats soil0;
   Engine.run ~until:1.5 engine;
   Alcotest.(check int) "origin soil idle" 0 (Soil.poll_stats soil0).asic_polls
+
+(* A destroyed seed must not stay reachable.  On an overload-enabled
+   soil a seed publishes a degradation gauge in the metrics registry; the
+   gauge reads only the seed's rate-scale cell, so once the seed is
+   destroyed and dropped, its instance (compiled program, host closures,
+   subscriptions) can be collected while the gauge keeps its value. *)
+let test_destroyed_seed_collectable () =
+  let engine = Engine.create () in
+  let soil =
+    Soil.create
+      ~config:{ Soil.default_config with overload = Some Soil.default_overload }
+      engine
+      (Switch_model.create ~id:0 ~ports:4 ())
+  in
+  let source =
+    {|
+machine Counting {
+  place all;
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  long count = 0;
+  state s {
+    when (ticks as stats) do { count = count + 1; }
+  }
+}
+|}
+  in
+  let program = Typecheck.check (Farm_almanac.Parser.program source) in
+  let polls =
+    match Farm_almanac.Analysis.polls (List.hd program.machines) with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let weak = Weak.create 1 in
+  let deploy_and_destroy () =
+    let s =
+      Seed_exec.deploy ~soil ~program ~machine:"Counting" ~adaptive:[ "ticks" ]
+        ~resources:(Array.make Farm_almanac.Analysis.n_resources 1.)
+        ~polls ~send:(fun _ _ _ -> ()) ~seed_id:7 ()
+    in
+    Engine.run ~until:0.1 engine;
+    Seed_exec.on_pressure s ~high:true;
+    Weak.set weak 0 (Some s);
+    Seed_exec.destroy s
+  in
+  (Sys.opaque_identity deploy_and_destroy) ();
+  (* let in-flight polls drain *)
+  Engine.run ~until:0.2 engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "destroyed seed collected" true
+    (Option.is_none (Weak.get weak 0));
+  Alcotest.(check (option (float 1e-12))) "gauge keeps its value"
+    (Some (1. -. Overload.back_off 1.))
+    (Farm_sim.Metrics.Registry.value (Engine.metrics engine)
+       "seed.7.degradation")
 
 let test_seed_realloc_changes_poll_rate () =
   (* a seed whose ival = 10/PCIe polls faster after more PCIe is granted *)
@@ -1837,7 +2034,8 @@ let () =
           Alcotest.test_case "verify_on_deploy gate" `Quick
             test_seeder_verify_on_deploy;
           Alcotest.test_case "rejects bad programs" `Quick
-            test_seeder_rejects_bad_programs ] );
+            test_seeder_rejects_bad_programs ]
+        @ qsuite [ prop_task_seed_lists ] );
       ( "digest",
         [ Alcotest.test_case "covers every component" `Quick
             test_digest_coverage ] );
@@ -1846,6 +2044,8 @@ let () =
             test_seed_migration_preserves_state;
           Alcotest.test_case "realloc changes poll rate" `Quick
             test_seed_realloc_changes_poll_rate;
+          Alcotest.test_case "destroyed seed is collectable" `Quick
+            test_destroyed_seed_collectable;
           Alcotest.test_case "reoptimize keeps state" `Quick
             test_reoptimize_migrates_on_arrival ] );
       ( "messaging",
