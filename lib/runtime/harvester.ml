@@ -62,8 +62,6 @@ let set_overload t cfg =
   t.ov_window_start <- t.ctx.now ();
   Hashtbl.reset t.ov_counts
 
-let overload t = t.ov
-
 let metrics_register t reg ~prefix =
   let g name f =
     Farm_sim.Metrics.Registry.gauge_fn reg (prefix ^ name)
@@ -88,8 +86,6 @@ let fence t ~seed_id ~epoch =
     Hashtbl.replace t.fences seed_id epoch;
     Hashtbl.replace t.seen seed_id (Ipc.Dedup.create ())
   end
-
-let fence_epoch t ~seed_id = Hashtbl.find_opt t.fences seed_id
 
 (* Admission control: drop stale-epoch reports, dedup (seed, epoch, seq).
    Reports from an epoch *newer* than the fence are accepted and raise the
@@ -156,8 +152,8 @@ let handle ?provenance t ~from_switch v =
   | None -> ()
   | Some tr ->
       let module Trace = Farm_sim.Trace in
-      Trace.instant0 tr ~ts:(t.ctx.now ())
-        ~cat:(Trace.intern tr "harvester")
+      Trace.instant tr ~ts:(t.ctx.now ())
+        ~cat:(Trace.label tr "harvester")
         ~name:
           (Trace.intern tr
              (if shed then "report_shed"

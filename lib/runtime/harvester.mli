@@ -53,8 +53,6 @@ val default_overload : overload_config
     seeder at deploy time when its overload protection is configured. *)
 val set_overload : t -> overload_config option -> unit
 
-val overload : t -> overload_config option
-
 (** Reports offered to [handle] in total (counted even with shedding off,
     so the balance [offered = received + stale + dup + shed] always
     holds). *)
@@ -74,9 +72,6 @@ type provenance = { p_seed : int; p_epoch : int; p_seq : int }
     seed, so a zombie instance surviving a false failure detection cannot
     corrupt task state.  Fences only move forward. *)
 val fence : t -> seed_id:int -> epoch:int -> unit
-
-(** Current fence epoch of a seed, if any reports/fences were seen. *)
-val fence_epoch : t -> seed_id:int -> int option
 
 (** Called by the runtime when a seed message arrives.  With [provenance],
     stale-epoch reports are dropped and (epoch, seq) duplicates — control

@@ -2,14 +2,6 @@ type scheme = Grpc | Shared_buffer
 
 type exec_model = Threads | Processes
 
-let scheme_to_string = function
-  | Grpc -> "gRPC"
-  | Shared_buffer -> "shared-buffer"
-
-let exec_model_to_string = function
-  | Threads -> "threads"
-  | Processes -> "processes"
-
 (* Calibration: a local gRPC round trip costs ~80 us base (HTTP/2 framing,
    protobuf, socket wakeups) and degrades linearly as more seed channels
    multiplex onto the management CPU; the shared ring buffer costs ~2 us

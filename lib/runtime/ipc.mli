@@ -11,9 +11,6 @@ type scheme = Grpc | Shared_buffer
 
 type exec_model = Threads | Processes
 
-val scheme_to_string : scheme -> string
-val exec_model_to_string : exec_model -> string
-
 (** One-way soil→seed message latency in seconds, given the number of
     seeds currently deployed on the switch. *)
 val latency : scheme -> exec_model -> seeds:int -> float

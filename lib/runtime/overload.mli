@@ -62,8 +62,6 @@ end
     returns to exactly [1.0] (full fidelity) after at most
     [(1 - floor) / ai] clear ticks. *)
 
-val aimd_md : float
-val aimd_ai : float
 val aimd_floor : float
 
 val back_off : float -> float

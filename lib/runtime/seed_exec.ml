@@ -48,7 +48,6 @@ let inst t =
   | Some i -> i
   | None -> failwith "Seed_exec: machine engine not initialized"
 
-let engine_kind t = Aengine.kind (inst t)
 let machine_name t = (Aengine.machine (inst t)).Ast.mname
 let state t = Aengine.current_state (inst t)
 let var t name = Aengine.var (inst t) name
@@ -128,11 +127,11 @@ let set_rate_scale t scale =
     (match Sengine.tracer (Soil.engine t.soil) with
     | None -> ()
     | Some tr ->
-        Trace.instant_if tr ~ts:(Soil.now t.soil)
-          ~cat:(Trace.intern tr "seed.overload")
-          ~name:(Trace.intern tr "degradation") ~tid:(Soil.node_id t.soil)
-          ~k0:(Trace.intern tr "seed") t.sid ~k1:(Trace.intern tr "depth")
-          (1. -. scale));
+        Trace.instant tr ~ts:(Soil.now t.soil)
+          ~cat:(Trace.label tr "seed.overload")
+          ~name:(Trace.intern tr "degradation") ~tid:(Soil.node_id t.soil);
+        Trace.arg_i tr (Trace.label tr "seed") t.sid;
+        Trace.arg_f tr (Trace.label tr "depth") (1. -. scale));
     (* tell the harvester, so global logic can compensate for the
        reduced fidelity *)
     match t.degraded_report with Some f -> f (1. -. scale) | None -> ()
@@ -292,11 +291,11 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
           match Sengine.tracer (Soil.engine soil) with
           | None -> ()
           | Some tr ->
-              Trace.instant_i tr ~ts:(Soil.now soil)
-                ~cat:(Trace.intern tr "seed.transit")
+              Trace.instant tr ~ts:(Soil.now soil)
+                ~cat:(Trace.label tr "seed.transit")
                 ~name:(Trace.intern tr (old_st ^ "->" ^ new_st))
-                ~tid:(Soil.node_id soil)
-                ~k:(Trace.intern tr "seed") seed_id);
+                ~tid:(Soil.node_id soil);
+              Trace.arg_i tr (Trace.label tr "seed") seed_id);
       h_log = (fun _ -> ());
       (* Wired only when a trace sink is attached at deploy time, so
          untraced runs keep the engines' [None] fast path (one branch
@@ -310,9 +309,9 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
                allocation-free hash hits after their first occurrence *)
             let tid = Soil.node_id soil in
             let sink = ref tr0 in
-            let cat = ref (Trace.intern tr0 "seed.handler") in
-            let k_seed = ref (Trace.intern tr0 "seed") in
-            let k_state = ref (Trace.intern tr0 "state") in
+            let cat = ref (Trace.label tr0 "seed.handler") in
+            let k_seed = ref (Trace.label tr0 "seed") in
+            let k_state = ref (Trace.label tr0 "state") in
             Some
               (fun trig st ->
                 match Sengine.tracer (Soil.engine soil) with
@@ -320,14 +319,14 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
                 | Some tr ->
                     if tr != !sink then begin
                       sink := tr;
-                      cat := Trace.intern tr "seed.handler";
-                      k_seed := Trace.intern tr "seed";
-                      k_state := Trace.intern tr "state"
+                      cat := Trace.label tr "seed.handler";
+                      k_seed := Trace.label tr "seed";
+                      k_state := Trace.label tr "state"
                     end;
-                    Trace.instant_is tr ~ts:(Soil.now soil) ~cat:!cat
-                      ~name:(Trace.intern tr trig) ~tid
-                      ~k0:!k_seed seed_id
-                      ~k1:!k_state (Trace.intern tr st))) }
+                    Trace.instant tr ~ts:(Soil.now soil) ~cat:!cat
+                      ~name:(Trace.intern tr trig) ~tid;
+                    Trace.arg_i tr !k_seed seed_id;
+                    Trace.arg_s tr !k_state (Trace.intern tr st))) }
   in
   let i = Aengine.create ~engine ~externals ~program ~machine host in
   t.inst <- Some i;

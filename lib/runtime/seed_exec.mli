@@ -49,9 +49,6 @@ val alloc_seq : t -> int
 (** Inbound control messages suppressed as duplicates (same [msg_id]). *)
 val duplicates_dropped : t -> int
 
-(** Which execution engine this seed runs on. *)
-val engine_kind : t -> Farm_almanac.Engine.engine
-
 val machine_name : t -> string
 val node : t -> int
 val soil : t -> Soil.t

@@ -316,19 +316,31 @@ let seed_on _t task ~machine ~node =
 (* Message routing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Control-plane trace instant, elided to one branch when no sink is
-   attached.  [tid] 0 = the seeder's own track. *)
-let trace_instant t ~name args =
+(* Control-plane trace events on the seeder's own track (tid 0).  Each
+   returns the sink the event went to, for [trace_i]/[trace_f] to append
+   args; with no sink attached every call is one branch and allocates
+   nothing. *)
+let trace_instant t name =
   match Engine.tracer t.engine with
-  | None -> ()
-  | Some tr ->
-      Trace.instant tr ~ts:(Engine.now t.engine) ~cat:"seeder" ~name ~args ()
+  | None -> None
+  | Some tr as sink ->
+      Trace.instant tr ~ts:(Engine.now t.engine) ~cat:(Trace.label tr "seeder")
+        ~name:(Trace.intern tr name) ~tid:0;
+      sink
 
-let trace_span t ~name ~dur args =
+let trace_span t name ~dur =
   match Engine.tracer t.engine with
-  | None -> ()
-  | Some tr ->
-      Trace.span tr ~ts:(Engine.now t.engine) ~dur ~cat:"seeder" ~name ~args ()
+  | None -> None
+  | Some tr as sink ->
+      Trace.span tr ~ts:(Engine.now t.engine) ~dur
+        ~cat:(Trace.label tr "seeder") ~name:(Trace.intern tr name) ~tid:0;
+      sink
+
+let trace_i sink key v =
+  match sink with Some tr -> Trace.arg_i tr (Trace.label tr key) v | None -> ()
+
+let trace_f sink key v =
+  match sink with Some tr -> Trace.arg_f tr (Trace.label tr key) v | None -> ()
 
 (* The circuit breaker guarding one switch's control channel (created on
    first use; only reachable with protection enabled). *)
@@ -401,19 +413,19 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
   let resend () =
     if tries >= t.cfg.max_retries then begin
       t.lost_messages <- t.lost_messages + 1;
-      trace_instant t ~name:"ctrl_lost" []
+      ignore (trace_instant t "ctrl_lost")
     end
     else if not (retry_slot ()) then begin
       (match t.ov with
       | Some ov -> ov.retry_capped <- ov.retry_capped + 1
       | None -> ());
       t.lost_messages <- t.lost_messages + 1;
-      trace_instant t ~name:"ctrl_retry_capped"
-        [ ("node", Trace.I (Option.value dest ~default:(-1))) ]
+      trace_i (trace_instant t "ctrl_retry_capped") "node"
+        (Option.value dest ~default:(-1))
     end
     else begin
       t.retransmissions <- t.retransmissions + 1;
-      trace_instant t ~name:"ctrl_retry" [ ("try", Trace.I (tries + 1)) ];
+      trace_i (trace_instant t "ctrl_retry") "try" (tries + 1);
       let backoff =
         (t.cfg.retry_backoff *. (2. ** float_of_int tries)) +. jitter ()
       in
@@ -436,8 +448,7 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
       let dup =
         c.dup > 0. && Farm_sim.Rng.bernoulli (Lazy.force t.ctrl_rng) c.dup
       in
-      trace_span t ~name:"ctrl_send" ~dur:(t.cfg.control_latency +. c.delay)
-        [];
+      ignore (trace_span t "ctrl_send" ~dur:(t.cfg.control_latency +. c.delay));
       Engine.schedule t.engine ~delay:(t.cfg.control_latency +. c.delay)
         (fun _ ->
           match deliver () with
@@ -468,14 +479,14 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
       if refused then begin
         ov.breaker_dropped <- ov.breaker_dropped + 1;
         t.lost_messages <- t.lost_messages + 1;
-        trace_instant t ~name:"ctrl_breaker_drop"
-          [ ("node", Trace.I (Option.value dest ~default:(-1))) ]
+        trace_i (trace_instant t "ctrl_breaker_drop") "node"
+          (Option.value dest ~default:(-1))
       end
       else begin
         let delay = Overload.Token_bucket.reserve ov.bucket ~now in
         if delay > 0. then begin
           ov.rate_limited <- ov.rate_limited + 1;
-          trace_instant t ~name:"ctrl_rate_limited" [];
+          ignore (trace_instant t "ctrl_rate_limited");
           Engine.schedule t.engine ~delay (fun _ -> transmit ())
         end
         else transmit ()
@@ -644,9 +655,9 @@ let ship_checkpoint t (r : reg) =
       Soil.charge_cpu (Seed_exec.soil exec) (2e-6 +. (bytes *. 5e-9));
       (* shipping it competes for control-channel bandwidth *)
       let extra = bytes *. 8. /. t.cfg.ctrl_bandwidth_bps in
-      trace_span t ~name:"checkpoint"
-        ~dur:(t.cfg.control_latency +. extra)
-        [ ("seed", Trace.I r.r_spec.seed_id); ("bytes", Trace.F bytes) ];
+      let ev = trace_span t "checkpoint" ~dur:(t.cfg.control_latency +. extra) in
+      trace_i ev "seed" r.r_spec.seed_id;
+      trace_f ev "bytes" bytes;
       oneshot_send t ~extra (fun () -> receive_checkpoint t r ck)
 
 let start_ck_timer t r =
@@ -689,9 +700,10 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
   r.r_exec <- Some exec;
   r.r_next_ck <- 0;
   r.r_last_shipped <- None;
-  trace_instant t ~name:"instantiate"
-    [ ("seed", Trace.I r.r_spec.seed_id); ("node", Trace.I a.a_node);
-      ("epoch", Trace.I r.r_epoch) ];
+  let ev = trace_instant t "instantiate" in
+  trace_i ev "seed" r.r_spec.seed_id;
+  trace_i ev "node" a.a_node;
+  trace_i ev "epoch" r.r_epoch;
   (match r.r_task.harvester with
   | Some h -> Harvester.fence h ~seed_id:r.r_spec.seed_id ~epoch:r.r_epoch
   | None -> ());
@@ -716,10 +728,10 @@ let apply_placement t (placement : Model.placement) =
       | Some exec, Some a when Seed_exec.node exec <> a.a_node ->
           (* migrate: snapshot, transfer state, resume at the target *)
           let snapshot = Seed_exec.snapshot exec in
-          trace_span t ~name:"migrate" ~dur:t.cfg.migration_time
-            [ ("seed", Trace.I seed_id);
-              ("from", Trace.I (Seed_exec.node exec));
-              ("to", Trace.I a.a_node) ];
+          let ev = trace_span t "migrate" ~dur:t.cfg.migration_time in
+          trace_i ev "seed" seed_id;
+          trace_i ev "from" (Seed_exec.node exec);
+          trace_i ev "to" a.a_node;
           retire_exec r;
           r.r_migrating <- true;
           t.migration_count <- t.migration_count + 1;
@@ -807,7 +819,7 @@ let heal_replace t ~affected =
 let declare_failed t node =
   let now = Engine.now t.engine in
   t.detections <- t.detections + 1;
-  trace_instant t ~name:"declare_failed" [ ("node", Trace.I node) ];
+  trace_i (trace_instant t "declare_failed") "node" node;
   (match Hashtbl.find_opt t.down node with
   | Some t0 -> Metrics.Histogram.record t.detection_latency (now -. t0)
   | None -> t.false_detections <- t.false_detections + 1);
@@ -891,7 +903,7 @@ let on_heartbeat t node =
 let beat t node =
   if not (Hashtbl.mem t.down node) then begin
     t.heartbeats_sent <- t.heartbeats_sent + 1;
-    trace_instant t ~name:"heartbeat" [ ("node", Trace.I node) ];
+    trace_i (trace_instant t "heartbeat") "node" node;
     oneshot_send t (fun () -> on_heartbeat t node)
   end
 
@@ -1375,8 +1387,9 @@ let pressure_events t = t.pressure_events
    path, so fencing, dedup and the bounded inbox all see them as ordinary
    (if antisocial) traffic. *)
 let inject_report_storm t ~node ~reports =
-  trace_instant t ~name:"report_storm"
-    [ ("node", Trace.I node); ("reports", Trace.I reports) ];
+  let ev = trace_instant t "report_storm" in
+  trace_i ev "node" node;
+  trace_i ev "reports" reports;
   List.iter
     (fun (r : reg) ->
       match r.r_exec with

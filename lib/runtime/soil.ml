@@ -178,20 +178,20 @@ let tids t tr =
   | _ ->
       let m =
         { tm_sink = tr;
-          tm_soil = Trace.intern tr "soil";
-          tm_pcie = Trace.intern tr "soil.pcie";
-          tm_ipc = Trace.intern tr "soil.ipc";
+          tm_soil = Trace.label tr "soil";
+          tm_pcie = Trace.label tr "soil.pcie";
+          tm_ipc = Trace.label tr "soil.ipc";
           tm_asic_poll = Trace.intern tr "asic_poll";
           tm_transfer = Trace.intern tr "transfer";
           tm_deliver = Trace.intern tr "deliver";
-          tm_k_subject = Trace.intern tr "subject";
-          tm_k_subs = Trace.intern tr "subs";
-          tm_k_bytes = Trace.intern tr "bytes";
-          tm_k_polls = Trace.intern tr "polls";
+          tm_k_subject = Trace.label tr "subject";
+          tm_k_subs = Trace.label tr "subs";
+          tm_k_bytes = Trace.label tr "bytes";
+          tm_k_polls = Trace.label tr "polls";
           tm_pressure_on = Trace.intern tr "pressure_on";
           tm_pressure_off = Trace.intern tr "pressure_off";
-          tm_k_cpu = Trace.intern tr "cpu";
-          tm_k_pcie = Trace.intern tr "pcie";
+          tm_k_cpu = Trace.label tr "cpu";
+          tm_k_pcie = Trace.label tr "pcie";
           tm_subjects = Hashtbl.create 8 }
       in
       t.tmemo <- Some m;
@@ -230,10 +230,11 @@ let ov_pressure_tick t ov =
     | None -> ()
     | Some tr ->
         let m = tids t tr in
-        Trace.instant_ff tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
+        Trace.instant tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
           ~name:(if on then m.tm_pressure_on else m.tm_pressure_off)
-          ~tid:(Switch_model.id t.sw) ~k0:m.tm_k_cpu cpu_util ~k1:m.tm_k_pcie
-          pcie_util
+          ~tid:(Switch_model.id t.sw);
+        Trace.arg_f tr m.tm_k_cpu cpu_util;
+        Trace.arg_f tr m.tm_k_pcie pcie_util
   in
   if high && not ov.ov_pressured then begin
     ov.ov_pressured <- true;
@@ -440,8 +441,9 @@ let trace_drop t ~name ~n =
   | None -> ()
   | Some tr ->
       let m = tids t tr in
-      Trace.instant_i tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
-        ~name:(Trace.intern tr name) ~tid:(node_id t) ~k:m.tm_k_polls n
+      Trace.instant tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
+        ~name:(Trace.intern tr name) ~tid:(node_id t);
+      Trace.arg_i tr m.tm_k_polls n
 
 (* A poll (or probe sample) owned by [owners] was dropped: count globally,
    attribute per seed, notify the owners. *)
@@ -536,10 +538,10 @@ let rec ov_pump t ov =
     | Some tr ->
         (* span covers queueing + transfer, as in the default path *)
         let m = tids t tr in
-        Trace.span_f tr ~ts:next.rq_issued
+        Trace.span tr ~ts:next.rq_issued
           ~dur:(now +. dur -. next.rq_issued)
-          ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t)
-          ~k:m.tm_k_bytes next.rq_bytes);
+          ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t);
+        Trace.arg_f tr m.tm_k_bytes next.rq_bytes);
     Engine.schedule t.engine ~delay:dur (fun engine ->
         Metrics.Counter.add t.pcie_bytes next.rq_bytes;
         ov.ov_busy <- false;
@@ -618,9 +620,9 @@ let pcie_transfer t ~bytes ~owners k =
             (* span covers queueing + transfer: starts when the poll was
                issued, ends at bus completion *)
             let m = tids t tr in
-            Trace.span_f tr ~ts:now ~dur:(completion -. now) ~cat:m.tm_pcie
-              ~name:m.tm_transfer ~tid:(Switch_model.id t.sw)
-              ~k:m.tm_k_bytes bytes);
+            Trace.span tr ~ts:now ~dur:(completion -. now) ~cat:m.tm_pcie
+              ~name:m.tm_transfer ~tid:(Switch_model.id t.sw);
+            Trace.arg_f tr m.tm_k_bytes bytes);
         Engine.schedule t.engine
           ~delay:(completion -. now)
           (fun engine ->
@@ -641,7 +643,7 @@ let ipc_deliver ?issued t f =
   | None -> ()
   | Some tr ->
       let m = tids t tr in
-      Trace.span0 tr ~ts:(Engine.now t.engine) ~dur:lat ~cat:m.tm_ipc
+      Trace.span tr ~ts:(Engine.now t.engine) ~dur:lat ~cat:m.tm_ipc
         ~name:m.tm_deliver ~tid:(Switch_model.id t.sw));
   Engine.schedule t.engine ~delay:lat (fun engine ->
       (match issued with
@@ -705,9 +707,10 @@ let issue_poll t subject subs =
   | None -> ()
   | Some tr ->
       let m = tids t tr in
-      Trace.instant_si tr ~ts:issued ~cat:m.tm_soil ~name:m.tm_asic_poll
-        ~tid:(Switch_model.id t.sw) ~k0:m.tm_k_subject
-        (subject_sid m subject) ~k1:m.tm_k_subs (List.length subs));
+      Trace.instant tr ~ts:issued ~cat:m.tm_soil ~name:m.tm_asic_poll
+        ~tid:(Switch_model.id t.sw);
+      Trace.arg_s tr m.tm_k_subject (subject_sid m subject);
+      Trace.arg_i tr m.tm_k_subs (List.length subs));
   let bytes = poll_payload t subject in
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)

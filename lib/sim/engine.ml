@@ -193,9 +193,9 @@ let set_tracer t tr =
   match tr with
   | None -> ()
   | Some tr ->
-      t.tr_cat <- Trace.intern tr "engine";
+      t.tr_cat <- Trace.label tr "engine";
       t.tr_name <- Trace.intern tr "dispatch";
-      t.tr_seq <- Trace.intern tr "seq"
+      t.tr_seq <- Trace.label tr "seq"
 let metrics t = t.metrics
 
 (* ------------------------------------------------------------------ *)
@@ -362,8 +362,6 @@ let set_period timer p =
   if p <= 0. then invalid_arg "Engine.set_period: period must be positive";
   timer.period <- p
 
-let timer_period timer = timer.period
-
 (* ------------------------------------------------------------------ *)
 (* Run loop                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -393,8 +391,9 @@ let run ?until t =
             (match t.tracer with
             | None -> ()
             | Some tr ->
-                Trace.instant_i tr ~ts:c.time ~cat:t.tr_cat ~name:t.tr_name
-                  ~tid:0 ~k:t.tr_seq c.seq);
+                Trace.instant tr ~ts:c.time ~cat:t.tr_cat ~name:t.tr_name
+                  ~tid:0;
+                Trace.arg_i tr t.tr_seq c.seq);
             c.cb t;
             if c.period > 0. then begin
               if not c.cancelled then arm t c (c.time +. c.period)

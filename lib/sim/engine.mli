@@ -40,7 +40,6 @@ val every : t -> period:float -> ?phase:float -> (t -> unit) -> timer
 
 val cancel : timer -> unit
 val set_period : timer -> float -> unit
-val timer_period : timer -> float
 
 (** Run until the event queue drains or [until] is reached (events at
     [time > until] stay queued; the clock stops at [until]). *)

@@ -58,13 +58,9 @@ val null_handlers : handlers
 val dispatch : handlers -> event -> unit
 
 val event_to_string : event -> string
-val entry_to_string : entry -> string
 
 (** One line per entry. *)
 val to_string : plan -> string
-
-(** Stable sort by time. *)
-val normalize : plan -> plan
 
 (** Schedule every entry of the plan on the engine; entries in the past are
     applied at the current time.  [on_applied] runs after each event's

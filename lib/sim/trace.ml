@@ -4,25 +4,22 @@
    one engine (no global mutable state), which is what makes the
    domain-count invariance hold by construction.
 
-   Storage is a chunked structure-of-arrays buffer: the hot path writes
-   unboxed floats and packed ints into parallel arrays and never
+   Storage is a chunked structure-of-arrays buffer with one slot layout
+   for every event: ts, a descriptor, the name id and the tid, plus
+   payload columns holding a span's duration and then one value per
+   argument.  Recording writes unboxed floats and plain ints and never
    allocates (no event record, no args list, no string formatting).
-   Chunks double from 1 KiB slots up to a 64 KiB cap and are never
-   copied, so recording N events allocates exactly the slots that hold
-   them — there is no doubling-and-blit churn for the GC to chase.
-   Strings are interned once per sink; everything textual — the Chrome
-   JSON, [Printf] decimal timestamps, escaping — happens at flush time.
-   The legacy [instant]/[span]/[counter] entry points still accept
-   arbitrary [args] lists; those events are kept as records in a lazily
-   allocated side slab, so the public [event] view and the emitted JSON
-   are unchanged. *)
+   Chunks double from 1 Ki slots up to a 64 Ki cap and are never copied;
+   a payload column is allocated the first time a chunk needs it, so the
+   common event shapes do not pay for the widest one.  Strings are
+   interned once per sink; everything textual — the Chrome JSON, [Printf]
+   decimal timestamps, escaping — happens at flush time. *)
 
 type arg = S of string | I of int | F of float
 
 type phase =
   | Span of float  (** complete span: payload is the duration, seconds *)
   | Instant
-  | Counter of float
 
 type event = {
   ts : float;  (** simulation time, seconds *)
@@ -33,76 +30,95 @@ type event = {
   args : (string * arg) list;
 }
 
-let null_event = { ts = 0.; cat = ""; name = ""; tid = 0; ph = Instant; args = [] }
+(* The descriptor packs everything about an event but its values:
 
-(* Per-slot compact encoding.  [desc] packs the shape tag, the interned
-   string ids and the track id:
+     bit 0           phase (0 instant, 1 span)
+     bits 1..6       kind of arg j in bits 1+2j .. 2+2j (none/I/F/S)
+     bits 7..19      category label
+     bits 20+13j ..  key label of arg j
 
-     bits 0..3    shape
-     bits 4..19   name id   (16 bits)
-     bits 20..29  cat id    (10 bits)
-     bits 30..39  key0 id   (10 bits)
-     bits 40..49  key1 id   (10 bits)
-     bits 50..59  tid       (10 bits)
+   Name and tid have full-width slots of their own.  Payload column 0
+   holds a span's duration; arg j sits in column [phase + j].  An [I]
+   value, or the interned id of an [S] value, is stored as the bit
+   pattern of the float, which round-trips every int. *)
+let k_none = 0
+let k_int = 1
+let k_float = 2
+let k_str = 3
+let max_args = 3
+let label_bits = 13
+let max_labels = 1 lsl label_bits
+let cat_shift = 7
 
-   Shapes fix the argument layout; anything that does not fit (or whose
-   ids overflow the field widths) falls back to [sh_gen], which stores a
-   full [event] record in the chunk's side slab. *)
-let sh_gen = 0 (* side slab holds the event verbatim *)
-let sh_i0 = 1 (* instant, no args *)
-let sh_ii = 2 (* instant, args = [k0, I a0] *)
-let sh_if = 3 (* instant, args = [k0, F pay] *)
-let sh_iff = 4 (* instant, args = [k0, F pay; k1, F pay2] *)
-let sh_iif = 5 (* instant, args = [k0, I a0; k1, F pay] *)
-let sh_iis = 6 (* instant, args = [k0, I a0; k1, S (str a1)] *)
-let sh_isi = 7 (* instant, args = [k0, S (str a0); k1, I a1] *)
-let sh_s0 = 8 (* span dur=pay, no args *)
-let sh_sf = 9 (* span dur=pay, args = [k0, F pay2] *)
-let sh_si = 10 (* span dur=pay, args = [k0, I a0] *)
-let sh_c = 11 (* counter, value = pay *)
+let[@inline] key_shift j = cat_shift + ((1 + j) * label_bits)
+let[@inline] kind_of d j = (d lsr (1 + (2 * j))) land 3
+let[@inline] label_of d shift = (d lsr shift) land (max_labels - 1)
 
-let name_bits = 16
-let small_bits = 10
-let name_max = (1 lsl name_bits) - 1
-let small_max = (1 lsl small_bits) - 1
+let arity d =
+  if kind_of d 0 = k_none then 0
+  else if kind_of d 1 = k_none then 1
+  else if kind_of d 2 = k_none then 2
+  else 3
 
-let pack ~shape ~cat ~name ~k0 ~k1 ~tid =
-  shape
-  lor (name lsl 4)
-  lor (cat lsl (4 + name_bits))
-  lor (k0 lsl (4 + name_bits + small_bits))
-  lor (k1 lsl (4 + name_bits + (2 * small_bits)))
-  lor (tid lsl (4 + name_bits + (3 * small_bits)))
+let[@inline] bits_of_int v = Int64.float_of_bits (Int64.of_int v)
+let[@inline] int_of_bits f = Int64.to_int (Int64.bits_of_float f)
 
-let desc_shape d = d land 0xF
-let desc_name d = (d lsr 4) land name_max
-let desc_cat d = (d lsr (4 + name_bits)) land small_max
-let desc_k0 d = (d lsr (4 + name_bits + small_bits)) land small_max
-let desc_k1 d = (d lsr (4 + name_bits + (2 * small_bits))) land small_max
-let desc_tid d = (d lsr (4 + name_bits + (3 * small_bits))) land small_max
-
-(* One storage chunk: parallel per-slot arrays (SoA, unboxed stores).
-   [k_objs] — the side slab for generic records — is allocated only when
-   a [sh_gen] event actually lands in the chunk. *)
+(* One storage chunk: parallel per-slot arrays.  [c_pay.(j)] stays the
+   shared empty array until an event in this chunk uses column [j]. *)
 type chunk = {
-  k_ts : float array;
-  k_pay : float array;  (* dur / counter value / float arg 0 *)
-  k_pay2 : float array;  (* float arg 1 *)
-  k_desc : int array;
-  k_a0 : int array;
-  k_a1 : int array;
-  mutable k_objs : event array;  (* [||] until a sh_gen slot is stored *)
+  c_ts : float array;
+  c_desc : int array;
+  c_name : int array;
+  c_tid : int array;
+  c_pay : float array array;
 }
 
-let chunk_make cap =
-  { k_ts = Array.make cap 0.; k_pay = Array.make cap 0.;
-    k_pay2 = Array.make cap 0.; k_desc = Array.make cap 0;
-    k_a0 = Array.make cap 0; k_a1 = Array.make cap 0; k_objs = [||] }
+let no_column : float array = [||]
 
-let chunk_cap c = Array.length c.k_ts
+let chunk_make cap =
+  { c_ts = Array.create_float cap; c_desc = Array.make cap 0;
+    c_name = Array.make cap 0; c_tid = Array.make cap 0;
+    c_pay = Array.make (1 + max_args) no_column }
+
+let chunk_cap c = Array.length c.c_ts
+
+let[@inline] column c j =
+  let col = c.c_pay.(j) in
+  if col != no_column then col
+  else begin
+    let col = Array.create_float (chunk_cap c) in
+    c.c_pay.(j) <- col;
+    col
+  end
 
 let first_chunk = 1024
 let max_chunk = 65536
+
+(* A string intern table; ids are dense and stable for its lifetime. *)
+type table = {
+  ids : (string, int) Hashtbl.t;
+  mutable strs : string array;
+  mutable n : int;
+}
+
+let table_make () = { ids = Hashtbl.create 64; strs = Array.make 64 ""; n = 0 }
+
+let table_id tb s =
+  (* [Hashtbl.find] rather than [find_opt]: a hit returns the id with no
+     [Some] box, so steady-state interning allocates nothing *)
+  match Hashtbl.find tb.ids s with
+  | id -> id
+  | exception Not_found ->
+      let id = tb.n in
+      if id = Array.length tb.strs then begin
+        let a = Array.make (2 * id) "" in
+        Array.blit tb.strs 0 a 0 id;
+        tb.strs <- a
+      end;
+      tb.strs.(id) <- s;
+      tb.n <- id + 1;
+      Hashtbl.add tb.ids s id;
+      id
 
 type t = {
   ring : int;  (* 0 = unbounded chunked buffer; >0 = flight-recorder ring *)
@@ -110,58 +126,44 @@ type t = {
   mutable n_chunks : int;
   mutable cur : chunk;  (* == chunks.(n_chunks - 1) *)
   mutable cur_off : int;  (* next free slot in [cur] (unbounded mode) *)
+  mutable last : int;  (* slot of the newest event in [cur]; -1 if none *)
   mutable len : int;  (* valid events *)
   mutable head : int;  (* ring read position (oldest event) *)
   mutable dropped : int;  (* events overwritten by the ring *)
-  (* string intern table; ids are stable for the sink's lifetime *)
-  itbl : (string, int) Hashtbl.t;
-  mutable istrs : string array;
-  mutable istr_n : int;
+  names : table;  (* event names and string values *)
+  labels : table;  (* categories and arg keys *)
 }
 
 let create ?(ring = 0) () =
   if ring < 0 then invalid_arg "Trace.create: negative ring";
   let cap = if ring > 0 then ring else first_chunk in
   let c = chunk_make cap in
-  { ring; chunks = [| c |]; n_chunks = 1; cur = c; cur_off = 0;
-    len = 0; head = 0; dropped = 0;
-    itbl = Hashtbl.create 64; istrs = Array.make 64 ""; istr_n = 0 }
+  { ring; chunks = [| c |]; n_chunks = 1; cur = c; cur_off = 0; last = -1;
+    len = 0; head = 0; dropped = 0; names = table_make ();
+    labels = table_make () }
 
 let count t = t.len
 let dropped t = t.dropped
 
 let clear t =
-  (* keep the first chunk, release the rest; drop retained generic
-     records.  The intern table survives (ids stay valid across [clear],
-     which lets callers cache them). *)
+  (* keep the first chunk, release the rest.  The intern tables survive
+     (ids stay valid across [clear], which lets callers cache them). *)
   let c0 = t.chunks.(0) in
-  if c0.k_objs != [||] then Array.fill c0.k_objs 0 (Array.length c0.k_objs) null_event;
   if t.n_chunks > 1 then t.chunks <- [| c0 |];
   t.n_chunks <- 1;
   t.cur <- c0;
   t.cur_off <- 0;
+  t.last <- -1;
   t.len <- 0;
   t.head <- 0;
   t.dropped <- 0
 
-let intern t s =
-  (* [Hashtbl.find] rather than [find_opt]: a hit returns the id with no
-     [Some] box, so steady-state interning allocates nothing *)
-  match Hashtbl.find t.itbl s with
-  | id -> id
-  | exception Not_found ->
-      let id = t.istr_n in
-      if id = Array.length t.istrs then begin
-        let a = Array.make (2 * id) "" in
-        Array.blit t.istrs 0 a 0 id;
-        t.istrs <- a
-      end;
-      t.istrs.(id) <- s;
-      t.istr_n <- id + 1;
-      Hashtbl.add t.itbl s id;
-      id
+let intern t s = table_id t.names s
 
-let istr t id = t.istrs.(id)
+let label t s =
+  if t.labels.n = max_labels && not (Hashtbl.mem t.labels.ids s) then
+    invalid_arg (Printf.sprintf "Trace.label: more than %d labels" max_labels);
+  table_id t.labels s
 
 let add_chunk t =
   let cap = min (2 * chunk_cap t.cur) max_chunk in
@@ -176,10 +178,9 @@ let add_chunk t =
   t.cur <- c;
   t.cur_off <- 0
 
-(* Claim the chunk and offset of the next event's slot, shared by every
-   emitter.  Ring mode rotates inside its single preallocated chunk;
-   unbounded mode appends, adding a fresh chunk when the current one
-   fills (no copying, ever). *)
+(* Claim the next event's slot in [t.cur].  Ring mode rotates inside its
+   single preallocated chunk; unbounded mode appends, adding a fresh
+   chunk when the current one fills (no copying, ever). *)
 let[@inline] next_slot t =
   if t.ring > 0 then
     if t.len < t.ring then begin
@@ -202,201 +203,42 @@ let[@inline] next_slot t =
     i
   end
 
-let[@inline] store t i ~ts ~pay ~pay2 ~desc ~a0 ~a1 =
-  let c = t.cur in
-  c.k_ts.(i) <- ts;
-  c.k_pay.(i) <- pay;
-  c.k_pay2.(i) <- pay2;
-  c.k_desc.(i) <- desc;
-  c.k_a0.(i) <- a0;
-  c.k_a1.(i) <- a1;
-  (* clear a possibly recycled generic slot so its record can be GC'd
-     (ring mode only — unbounded slots are always fresh) *)
-  if c.k_objs != [||] && c.k_objs.(i) != null_event then
-    c.k_objs.(i) <- null_event
+let check_label what id =
+  if id < 0 || id >= max_labels then
+    invalid_arg (Printf.sprintf "Trace: %s %d is not a label id" what id)
 
-let emit t ev =
+let[@inline] record t ~ts ~desc ~name ~tid =
   let i = next_slot t in
-  store t i ~ts:0. ~pay:0. ~pay2:0. ~desc:sh_gen ~a0:0 ~a1:0;
   let c = t.cur in
-  if c.k_objs == [||] then c.k_objs <- Array.make (chunk_cap c) null_event;
-  c.k_objs.(i) <- ev
+  c.c_ts.(i) <- ts;
+  c.c_desc.(i) <- desc;
+  c.c_name.(i) <- name;
+  c.c_tid.(i) <- tid;
+  t.last <- i
 
-(* ids fit their packed fields on any realistic sink; the check keeps the
-   encoding total rather than silently corrupting *)
-let fits_small k = k >= 0 && k <= small_max
-let fits ~cat ~name ~k0 ~k1 ~tid =
-  fits_small cat && fits_small k0 && fits_small k1 && fits_small tid
-  && name >= 0 && name <= name_max
+let instant t ~ts ~cat ~name ~tid =
+  check_label "category" cat;
+  record t ~ts ~desc:(cat lsl cat_shift) ~name ~tid
 
-let instant0 t ~ts ~cat ~name ~tid =
-  if fits ~cat ~name ~k0:0 ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:0. ~pay2:0.
-      ~desc:(pack ~shape:sh_i0 ~cat ~name ~k0:0 ~k1:0 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant; args = [] }
+let span t ~ts ~dur ~cat ~name ~tid =
+  check_label "category" cat;
+  record t ~ts ~desc:(1 lor (cat lsl cat_shift)) ~name ~tid;
+  (column t.cur 0).(t.last) <- dur
 
-let instant_i t ~ts ~cat ~name ~tid ~k v =
-  if fits ~cat ~name ~k0:k ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:0. ~pay2:0.
-      ~desc:(pack ~shape:sh_ii ~cat ~name ~k0:k ~k1:0 ~tid)
-      ~a0:v ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k, I v) ] }
+let[@inline] add_arg t key kind v =
+  let i = t.last in
+  if i < 0 then invalid_arg "Trace: argument with no event recorded";
+  check_label "key" key;
+  let c = t.cur in
+  let d = c.c_desc.(i) in
+  let j = arity d in
+  if j = max_args then invalid_arg "Trace: more than 3 arguments";
+  c.c_desc.(i) <- d lor (kind lsl (1 + (2 * j))) lor (key lsl key_shift j);
+  (column c ((d land 1) + j)).(i) <- v
 
-let instant_f t ~ts ~cat ~name ~tid ~k v =
-  if fits ~cat ~name ~k0:k ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:v ~pay2:0.
-      ~desc:(pack ~shape:sh_if ~cat ~name ~k0:k ~k1:0 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k, F v) ] }
-
-let instant_ff t ~ts ~cat ~name ~tid ~k0 v0 ~k1 v1 =
-  if fits ~cat ~name ~k0 ~k1 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:v0 ~pay2:v1
-      ~desc:(pack ~shape:sh_iff ~cat ~name ~k0 ~k1 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k0, F v0); (istr t k1, F v1) ] }
-
-let instant_if t ~ts ~cat ~name ~tid ~k0 v0 ~k1 v1 =
-  if fits ~cat ~name ~k0 ~k1 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:v1 ~pay2:0.
-      ~desc:(pack ~shape:sh_iif ~cat ~name ~k0 ~k1 ~tid)
-      ~a0:v0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k0, I v0); (istr t k1, F v1) ] }
-
-let instant_is t ~ts ~cat ~name ~tid ~k0 v0 ~k1 s1 =
-  if fits ~cat ~name ~k0 ~k1 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:0. ~pay2:0.
-      ~desc:(pack ~shape:sh_iis ~cat ~name ~k0 ~k1 ~tid)
-      ~a0:v0 ~a1:s1
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k0, I v0); (istr t k1, S (istr t s1)) ] }
-
-let instant_si t ~ts ~cat ~name ~tid ~k0 s0 ~k1 v1 =
-  if fits ~cat ~name ~k0 ~k1 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:0. ~pay2:0.
-      ~desc:(pack ~shape:sh_isi ~cat ~name ~k0 ~k1 ~tid)
-      ~a0:s0 ~a1:v1
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k0, S (istr t s0)); (istr t k1, I v1) ] }
-
-let span0 t ~ts ~dur ~cat ~name ~tid =
-  if fits ~cat ~name ~k0:0 ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:dur ~pay2:0.
-      ~desc:(pack ~shape:sh_s0 ~cat ~name ~k0:0 ~k1:0 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur;
-        args = [] }
-
-let span_f t ~ts ~dur ~cat ~name ~tid ~k v =
-  if fits ~cat ~name ~k0:k ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:dur ~pay2:v
-      ~desc:(pack ~shape:sh_sf ~cat ~name ~k0:k ~k1:0 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur;
-        args = [ (istr t k, F v) ] }
-
-let span_i t ~ts ~dur ~cat ~name ~tid ~k v =
-  if fits ~cat ~name ~k0:k ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:dur ~pay2:0.
-      ~desc:(pack ~shape:sh_si ~cat ~name ~k0:k ~k1:0 ~tid)
-      ~a0:v ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur;
-        args = [ (istr t k, I v) ] }
-
-let counter_id t ~ts ~cat ~name ~tid ~value =
-  if fits ~cat ~name ~k0:0 ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:value ~pay2:0.
-      ~desc:(pack ~shape:sh_c ~cat ~name ~k0:0 ~k1:0 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Counter value;
-        args = [] }
-
-(* Legacy record-building entry points: arbitrary [cat]/[name]/[args],
-   kept for cold paths and external callers.  They intern the strings (so
-   flush-time decoding shares one table) and store compactly when the
-   args match a fixed shape. *)
-
-let instant t ~ts ~cat ~name ?(tid = 0) ?(args = []) () =
-  let cat = intern t cat and name = intern t name in
-  match args with
-  | [] -> instant0 t ~ts ~cat ~name ~tid
-  | [ (k, I v) ] -> instant_i t ~ts ~cat ~name ~tid ~k:(intern t k) v
-  | [ (k, F v) ] -> instant_f t ~ts ~cat ~name ~tid ~k:(intern t k) v
-  | [ (k0, F v0); (k1, F v1) ] ->
-      instant_ff t ~ts ~cat ~name ~tid ~k0:(intern t k0) v0 ~k1:(intern t k1) v1
-  | [ (k0, I v0); (k1, F v1) ] ->
-      instant_if t ~ts ~cat ~name ~tid ~k0:(intern t k0) v0 ~k1:(intern t k1) v1
-  | [ (k0, I v0); (k1, S s1) ] ->
-      instant_is t ~ts ~cat ~name ~tid ~k0:(intern t k0) v0 ~k1:(intern t k1)
-        (intern t s1)
-  | [ (k0, S s0); (k1, I v1) ] ->
-      instant_si t ~ts ~cat ~name ~tid ~k0:(intern t k0) (intern t s0)
-        ~k1:(intern t k1) v1
-  | args ->
-      emit t
-        { ts; cat = istr t cat; name = istr t name; tid; ph = Instant; args }
-
-let span t ~ts ~dur ~cat ~name ?(tid = 0) ?(args = []) () =
-  let cat = intern t cat and name = intern t name in
-  match args with
-  | [] -> span0 t ~ts ~dur ~cat ~name ~tid
-  | [ (k, F v) ] -> span_f t ~ts ~dur ~cat ~name ~tid ~k:(intern t k) v
-  | [ (k, I v) ] -> span_i t ~ts ~dur ~cat ~name ~tid ~k:(intern t k) v
-  | args ->
-      emit t
-        { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur; args }
-
-let counter t ~ts ~cat ~name ~value ?(tid = 0) () =
-  counter_id t ~ts ~cat:(intern t cat) ~name:(intern t name) ~tid ~value
+let arg_i t key v = add_arg t key k_int (bits_of_int v)
+let arg_f t key v = add_arg t key k_float v
+let arg_s t key s = add_arg t key k_str (bits_of_int s)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding (flush time only)                                          *)
@@ -404,32 +246,22 @@ let counter t ~ts ~cat ~name ~value ?(tid = 0) () =
 
 (* Reconstruct the [event] record held at offset [i] of chunk [c]. *)
 let decode_at t c i =
-  let d = c.k_desc.(i) in
-  let shape = desc_shape d in
-  if shape = sh_gen then c.k_objs.(i)
-  else begin
-    let cat = istr t (desc_cat d) and name = istr t (desc_name d) in
-    let k0 () = istr t (desc_k0 d) and k1 () = istr t (desc_k1 d) in
-    let ts = c.k_ts.(i) and tid = desc_tid d in
-    let pay = c.k_pay.(i) and pay2 = c.k_pay2.(i) in
-    let a0 = c.k_a0.(i) and a1 = c.k_a1.(i) in
-    let ph, args =
-      if shape = sh_i0 then (Instant, [])
-      else if shape = sh_ii then (Instant, [ (k0 (), I a0) ])
-      else if shape = sh_if then (Instant, [ (k0 (), F pay) ])
-      else if shape = sh_iff then (Instant, [ (k0 (), F pay); (k1 (), F pay2) ])
-      else if shape = sh_iif then (Instant, [ (k0 (), I a0); (k1 (), F pay) ])
-      else if shape = sh_iis then
-        (Instant, [ (k0 (), I a0); (k1 (), S (istr t a1)) ])
-      else if shape = sh_isi then
-        (Instant, [ (k0 (), S (istr t a0)); (k1 (), I a1) ])
-      else if shape = sh_s0 then (Span pay, [])
-      else if shape = sh_sf then (Span pay, [ (k0 (), F pay2) ])
-      else if shape = sh_si then (Span pay, [ (k0 (), I a0) ])
-      else (Counter pay, [])
-    in
-    { ts; cat; name; tid; ph; args }
-  end
+  let d = c.c_desc.(i) in
+  let base = d land 1 in
+  let arg j =
+    let p = c.c_pay.(base + j).(i) in
+    let kind = kind_of d j in
+    ( t.labels.strs.(label_of d (key_shift j)),
+      if kind = k_int then I (int_of_bits p)
+      else if kind = k_float then F p
+      else S t.names.strs.(int_of_bits p) )
+  in
+  { ts = c.c_ts.(i);
+    cat = t.labels.strs.(label_of d cat_shift);
+    name = t.names.strs.(c.c_name.(i));
+    tid = c.c_tid.(i);
+    ph = (if base = 1 then Span c.c_pay.(0).(i) else Instant);
+    args = List.init (arity d) arg }
 
 let iter f t =
   if t.ring > 0 then begin
@@ -491,27 +323,19 @@ let event_to_buf b ev =
   json_escape b ev.name;
   Buffer.add_string b "\",\"cat\":\"";
   json_escape b ev.cat;
-  Buffer.add_string b "\",\"ph\":\"";
-  (match ev.ph with
-  | Span _ -> Buffer.add_char b 'X'
-  | Instant -> Buffer.add_char b 'i'
-  | Counter _ -> Buffer.add_char b 'C');
-  Buffer.add_string b "\",\"ts\":";
-  Buffer.add_string b (us ev.ts);
   (match ev.ph with
   | Span dur ->
+      Buffer.add_string b "\",\"ph\":\"X\",\"ts\":";
+      Buffer.add_string b (us ev.ts);
       Buffer.add_string b ",\"dur\":";
       Buffer.add_string b (us dur)
-  | Instant -> Buffer.add_string b ",\"s\":\"t\""
-  | Counter _ -> ());
+  | Instant ->
+      Buffer.add_string b "\",\"ph\":\"i\",\"ts\":";
+      Buffer.add_string b (us ev.ts);
+      Buffer.add_string b ",\"s\":\"t\"");
   Buffer.add_string b ",\"pid\":1,\"tid\":";
   Buffer.add_string b (string_of_int ev.tid);
-  let args =
-    match ev.ph with
-    | Counter v -> [ ("value", F v) ]
-    | Span _ | Instant -> ev.args
-  in
-  (match args with
+  (match ev.args with
   | [] -> ()
   | args ->
       Buffer.add_string b ",\"args\":{";

@@ -11,17 +11,15 @@
     counted in [dropped]).  The chaos suite dumps such a recorder on
     invariant failure for post-mortem debugging.
 
-    The sink stores events in a compact structure-of-arrays encoding:
-    recording through the [intern]-id emitters below allocates nothing,
-    and all string formatting (decimal timestamps, JSON escaping) is
-    deferred to [to_chrome_json]/[events] flush time. *)
+    Every event is stored in one compact slot layout: recording
+    allocates nothing, and all string formatting (decimal timestamps,
+    JSON escaping) is deferred to [to_chrome_json]/[events] flush time. *)
 
 type arg = S of string | I of int | F of float
 
 type phase =
   | Span of float  (** complete span; payload is the duration in seconds *)
   | Instant
-  | Counter of float
 
 type event = {
   ts : float;  (** simulation time, seconds *)
@@ -38,73 +36,40 @@ val create : ?ring:int -> unit -> t
 (** [create ()] is an unbounded append sink; [create ~ring:n ()] with
     [n > 0] keeps only the last [n] events (flight recorder). *)
 
-val emit : t -> event -> unit
+(** {1 Recording}
 
-val span :
-  t ->
-  ts:float ->
-  dur:float ->
-  cat:string ->
-  name:string ->
-  ?tid:int ->
-  ?args:(string * arg) list ->
-  unit ->
-  unit
+    Strings are interned once per sink and events then carry ids; ids
+    are stable for the sink's lifetime, surviving [clear], so emission
+    sites may cache them.  Event names and string argument values go
+    through [intern]; the few code-literal categories and argument keys
+    go through [label]. *)
+
+val intern : t -> string -> int
+(** Id of an event name or string value.  Any number of strings may be
+    interned; never allocates for a string already interned. *)
+
+val label : t -> string -> int
+(** Id of a category or argument key.  A sink holds at most 8192
+    labels; interning one more raises [Invalid_argument]. *)
+
+val instant : t -> ts:float -> cat:int -> name:int -> tid:int -> unit
+(** Instant event ("ph":"i") on track [tid] (any int). *)
+
+val span : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> unit
 (** Complete span ("ph":"X"): an operation starting at [ts] lasting
     [dur] seconds. *)
 
-val instant :
-  t ->
-  ts:float ->
-  cat:string ->
-  name:string ->
-  ?tid:int ->
-  ?args:(string * arg) list ->
-  unit ->
-  unit
+val arg_i : t -> int -> int -> unit
+(** [arg_i t key v] appends argument [key = I v] to the event recorded
+    last.  An event takes at most three arguments, kept in order;
+    appending with no event recorded since [create]/[clear], or a
+    fourth argument, raises [Invalid_argument]. *)
 
-val counter : t -> ts:float -> cat:string -> name:string -> value:float -> ?tid:int -> unit -> unit
+val arg_f : t -> int -> float -> unit
+val arg_s : t -> int -> int -> unit
+(** [arg_s t key s]: an [S] argument whose value is the interned id [s]. *)
 
-(** {1 Allocation-free fast path}
-
-    Hot emission sites intern their category / name / argument-key
-    strings once (ids are stable for the sink's lifetime, surviving
-    [clear]) and then record events without allocating: every field is
-    an unboxed float or an immediate int.  Decoding back to [event]
-    records — and all JSON formatting — happens at flush time, so the
-    emitted Chrome trace is byte-identical to the record-building
-    entry points above. *)
-
-val intern : t -> string -> int
-(** Intern a string in the sink's table, returning its id.  O(1) after
-    the first call; never allocates for a string already interned. *)
-
-val instant0 : t -> ts:float -> cat:int -> name:int -> tid:int -> unit
-
-val instant_i : t -> ts:float -> cat:int -> name:int -> tid:int -> k:int -> int -> unit
-(** One [I] argument under key [k]. *)
-
-val instant_f : t -> ts:float -> cat:int -> name:int -> tid:int -> k:int -> float -> unit
-
-val instant_ff :
-  t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> float -> k1:int -> float -> unit
-
-val instant_if :
-  t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> int -> k1:int -> float -> unit
-
-val instant_is :
-  t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> int -> k1:int -> int -> unit
-(** [I] then [S] argument; the string is passed as an interned id. *)
-
-val instant_si :
-  t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> int -> k1:int -> int -> unit
-(** [S] (interned id) then [I] argument. *)
-
-val span0 : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> unit
-
-val span_f : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> k:int -> float -> unit
-
-val span_i : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> k:int -> int -> unit
+(** {1 Reading} *)
 
 val count : t -> int
 (** Events currently held (≤ ring size for flight recorders). *)

@@ -1,8 +1,10 @@
-(* Tests for the observability layer (ISSUE 7): the Trace sink — ring
-   buffer flight-recorder semantics and Chrome trace_event encoding —
-   the named-metric Registry, and the determinism contract the tracing
-   architecture promises: traced event streams byte-identical across
-   in-process replays and across sweep domain counts, and tracing being
+(* Tests for the observability layer: the Trace sink — ring buffer
+   flight-recorder semantics, Chrome trace_event encoding, allocation-free
+   recording and a qcheck round trip of the slot encoding — golden traces
+   of two worlds that reach every emission site, the named-metric
+   Registry, and the determinism contract the tracing architecture
+   promises: traced event streams byte-identical across in-process
+   replays and across sweep domain counts, and tracing being
    observationally inert (attaching a sink must not change simulation
    outcomes). *)
 
@@ -14,10 +16,12 @@ open Farm_sim
 
 let test_trace_unbounded () =
   let t = Trace.create () in
+  let cat = Trace.label t "c" and name = Trace.intern t "e" in
+  let k = Trace.label t "i" in
   (* push past the initial capacity to exercise growth *)
   for i = 0 to 2999 do
-    Trace.instant t ~ts:(float_of_int i) ~cat:"c" ~name:"e"
-      ~args:[ ("i", Trace.I i) ] ()
+    Trace.instant t ~ts:(float_of_int i) ~cat ~name ~tid:0;
+    Trace.arg_i t k i
   done;
   Alcotest.(check int) "count" 3000 (Trace.count t);
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped t);
@@ -29,8 +33,10 @@ let test_trace_unbounded () =
 
 let test_trace_ring_overwrites_oldest () =
   let t = Trace.create ~ring:4 () in
+  let cat = Trace.label t "c" in
   for i = 1 to 10 do
-    Trace.instant t ~ts:(float_of_int i) ~cat:"c" ~name:(string_of_int i) ()
+    Trace.instant t ~ts:(float_of_int i) ~cat
+      ~name:(Trace.intern t (string_of_int i)) ~tid:0
   done;
   Alcotest.(check int) "holds ring size" 4 (Trace.count t);
   Alcotest.(check int) "overwritten counted" 6 (Trace.dropped t);
@@ -41,13 +47,13 @@ let test_trace_ring_overwrites_oldest () =
 
 let test_trace_chrome_json () =
   let t = Trace.create () in
-  Trace.span t ~ts:1.5 ~dur:0.25 ~cat:"soil.pcie" ~name:"transfer" ~tid:3
-    ~args:[ ("bytes", Trace.F 128.) ]
-    ();
-  Trace.instant t ~ts:2. ~cat:"engine" ~name:"weird \"name\"\n"
-    ~args:[ ("s", Trace.S "a\tb"); ("i", Trace.I (-7)) ]
-    ();
-  Trace.counter t ~ts:3. ~cat:"m" ~name:"depth" ~value:42. ();
+  Trace.span t ~ts:1.5 ~dur:0.25 ~cat:(Trace.label t "soil.pcie")
+    ~name:(Trace.intern t "transfer") ~tid:3;
+  Trace.arg_f t (Trace.label t "bytes") 128.;
+  Trace.instant t ~ts:2. ~cat:(Trace.label t "engine")
+    ~name:(Trace.intern t "weird \"name\"\n") ~tid:0;
+  Trace.arg_s t (Trace.label t "s") (Trace.intern t "a\tb");
+  Trace.arg_i t (Trace.label t "i") (-7);
   let j = Trace.to_chrome_json t in
   let has needle =
     let nl = String.length needle and jl = String.length j in
@@ -61,11 +67,154 @@ let test_trace_chrome_json () =
   Alcotest.(check bool) "span phase + dur" true
     (has {|"ph":"X"|} && has {|"dur":250000.000|});
   Alcotest.(check bool) "instant phase" true (has {|"ph":"i"|});
-  Alcotest.(check bool) "counter phase" true
-    (has {|"ph":"C"|} && has {|"value":42|});
+  Alcotest.(check bool) "args in order" true
+    (has {|"args":{"bytes":128}|} && has {|"args":{"s":"a\tb","i":-7}|});
   Alcotest.(check bool) "strings escaped" true
     (has {|weird \"name\"\n|} && has {|a\tb|});
   Alcotest.(check bool) "tid carried" true (has {|"tid":3|})
+
+let test_trace_recording_allocates_nothing () =
+  let t = Trace.create ~ring:256 () in
+  let cat = Trace.label t "c" and name = Trace.intern t "e" in
+  let ki = Trace.label t "i" and kf = Trace.label t "f" in
+  let ks = Trace.label t "s" and sv = Trace.intern t "v" in
+  let record i =
+    Trace.instant t ~ts:1.5 ~cat ~name ~tid:i;
+    Trace.arg_i t ki i;
+    Trace.arg_f t kf 2.5;
+    Trace.arg_s t ks sv;
+    Trace.span t ~ts:1.5 ~dur:0.5 ~cat ~name ~tid:i;
+    Trace.arg_f t kf 2.5
+  in
+  (* the first pass allocates the ring's payload columns *)
+  for i = 1 to 512 do record i done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do record i done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "no per-event allocation (%.0f words)" words)
+    true (words < 100.)
+
+(* ------------------------------------------------------------------ *)
+(* Encoding round trip                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One generated event: strings stay strings here; the test interns them
+   while recording.  The stream is replayed [reps] times with every name
+   suffixed by its position, so a case holds more distinct names than
+   any 16-bit id field and more events than the largest storage chunk. *)
+type gen_event = {
+  g_ts : float;
+  g_dur : float option;
+  g_cat : string;
+  g_name : string;
+  g_tid : int;
+  g_args : (string * Trace.arg) list;
+}
+
+let gen_stream =
+  let open QCheck2.Gen in
+  let escapes = oneofl [ "\""; "\\"; "\n"; "\t"; "\r"; "\001"; "\031"; "é" ] in
+  let str =
+    map2 (fun a b -> a ^ b) (string_size ~gen:printable (int_range 0 6)) escapes
+  in
+  let label = oneofl [ "c"; "soil.pcie"; "q\"x"; "k\n"; "seed"; "a\\b" ] in
+  let int =
+    oneof [ int; int_range (-5) 5; pure min_int; pure max_int; pure (-1) ]
+  in
+  let float =
+    oneof
+      [ float; float_range (-1e3) 1e3; pure nan; pure (-0.); pure infinity;
+        pure neg_infinity; pure Float.min_float ]
+  in
+  let arg =
+    pair label
+      (oneof
+         [ map (fun i -> Trace.I i) int; map (fun f -> Trace.F f) float;
+           map (fun s -> Trace.S s) str ])
+  in
+  let tid =
+    oneof [ int_range 0 8; int_range 1024 1_000_000; pure max_int; pure 0 ]
+  in
+  let ev =
+    map
+      (fun ((g_ts, g_dur, g_cat), (g_name, g_tid, g_args)) ->
+        { g_ts; g_dur; g_cat; g_name; g_tid; g_args })
+      (pair
+         (triple float (opt float) label)
+         (triple str tid (list_size (int_range 0 3) arg)))
+  in
+  pair (list_size (int_range 1 40) ev) (int_range 1 3000)
+
+let reps evs = 1 + (70_000 / List.length evs)
+
+(* Event [i] of the replayed stream, as [Trace.events] must return it. *)
+let nth_event evs i =
+  let g = List.nth evs (i mod List.length evs) in
+  { Trace.ts = g.g_ts; cat = g.g_cat;
+    name = Printf.sprintf "%s#%d" g.g_name i; tid = g.g_tid;
+    ph = (match g.g_dur with Some d -> Trace.Span d | None -> Trace.Instant);
+    args = g.g_args }
+
+let record t (ev : Trace.event) =
+  let cat = Trace.label t ev.cat and name = Trace.intern t ev.name in
+  (match ev.ph with
+  | Trace.Instant -> Trace.instant t ~ts:ev.ts ~cat ~name ~tid:ev.tid
+  | Trace.Span dur -> Trace.span t ~ts:ev.ts ~dur ~cat ~name ~tid:ev.tid);
+  List.iter
+    (fun (k, v) ->
+      let k = Trace.label t k in
+      match v with
+      | Trace.I i -> Trace.arg_i t k i
+      | Trace.F f -> Trace.arg_f t k f
+      | Trace.S s -> Trace.arg_s t k (Trace.intern t s))
+    ev.args
+
+(* Structural equality with floats compared bit for bit: [nan] payloads
+   and the sign of zero must survive too. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_event (a : Trace.event) (b : Trace.event) =
+  let same_arg (ka, va) (kb, vb) =
+    String.equal ka kb
+    &&
+    match (va, vb) with
+    | Trace.I x, Trace.I y -> x = y
+    | Trace.F x, Trace.F y -> same_float x y
+    | Trace.S x, Trace.S y -> String.equal x y
+    | _ -> false
+  in
+  same_float a.ts b.ts && String.equal a.cat b.cat && String.equal a.name b.name
+  && a.tid = b.tid
+  && (match (a.ph, b.ph) with
+     | Trace.Instant, Trace.Instant -> true
+     | Trace.Span x, Trace.Span y -> same_float x y
+     | _ -> false)
+  && List.length a.args = List.length b.args
+  && List.for_all2 same_arg a.args b.args
+
+let rec same_from evs got i =
+  match got with
+  | [] -> true
+  | ev :: rest -> same_event (nth_event evs i) ev && same_from evs rest (i + 1)
+
+let prop_roundtrip_unbounded =
+  QCheck2.Test.make ~name:"events round-trip through the slot encoding"
+    ~count:3 gen_stream (fun (evs, _) ->
+      let t = Trace.create () in
+      let n = List.length evs * reps evs in
+      for i = 0 to n - 1 do record t (nth_event evs i) done;
+      Trace.count t = n && Trace.dropped t = 0
+      && same_from evs (Trace.events t) 0)
+
+let prop_roundtrip_ring =
+  QCheck2.Test.make ~name:"ring keeps the last n events, counts the rest"
+    ~count:3 gen_stream (fun (evs, ring) ->
+      let t = Trace.create ~ring () in
+      let n = List.length evs * reps evs in
+      for i = 0 to n - 1 do record t (nth_event evs i) done;
+      Trace.count t = ring && Trace.dropped t = n - ring
+      && same_from evs (Trace.events t) (n - ring))
 
 (* ------------------------------------------------------------------ *)
 (* Metric registry                                                     *)
@@ -170,6 +319,133 @@ let test_tracing_is_inert () =
   let _, d_off = traced_digest ~trace:false 99 in
   Alcotest.(check string) "digest unchanged by tracing" d_on d_off
 
+(* ------------------------------------------------------------------ *)
+(* Golden traces                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module World = Farm.World
+module Seeder = Farm.Runtime.Seeder
+
+(* The bench smoke's heavy-hitter world: background traffic plus one
+   elephant at 0.3 s, traced for 1 s of simulated time. *)
+let smoke_world tr =
+  let w = World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1 () in
+  Engine.set_tracer w.World.engine (Some tr);
+  (match World.deploy_catalog_task w "heavy-hitter" with
+  | Ok _ -> ()
+  | Error m -> failwith ("heavy-hitter deploy: " ^ m));
+  World.background_traffic ~flows:32 w;
+  ignore
+    (Farm.Net.Traffic.heavy_hitter w.World.engine w.World.fabric w.World.rng
+       ~at:0.3 ~rate:2e7 ());
+  World.run ~until:1.0 w
+
+(* The same fabric with every overload layer and self-healing on, driven
+   through one of each stress: a PCIe slowdown, a lossy control plane, a
+   switch crash and reboot, two report storms, and a late deploy that
+   pushes a movable seed to another switch.  The retry cap is tightened
+   so the lossy phase also reaches it.  Every emission site in the
+   library fires. *)
+let storm_world tr =
+  let config =
+    { Seeder.overload_defaults with
+      Seeder.auto_heal = true;
+      ctrl_protection =
+        Some { Seeder.default_protection with Seeder.max_inflight_retries = 2 } }
+  in
+  let w =
+    World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1
+      ~seeder_config:config ()
+  in
+  Engine.set_tracer w.World.engine (Some tr);
+  let placed = function Ok t -> t | Error m -> failwith ("deploy: " ^ m) in
+  let hh = placed (World.deploy_catalog_task w "heavy-hitter") in
+  (* a movable seed whose utility grows with its CPU share *)
+  let greedy i k =
+    Printf.sprintf
+      "machine Greedy%d { place any; long x = 0;\n\
+      \  state s { util (res) { return %d * res.vCPU; } } }" i k
+  in
+  ignore (placed (World.deploy_source w ~name:"g0" (greedy 0 50)));
+  World.background_traffic ~flows:32 w;
+  ignore
+    (Farm.Net.Traffic.heavy_hitter w.World.engine w.World.fabric w.World.rng
+       ~at:0.3 ~rate:2e7 ());
+  let nodes =
+    List.sort_uniq compare
+      (List.map Farm.Runtime.Seed_exec.node (Seeder.seeds w.World.seeder hh))
+  in
+  let victim = List.hd nodes and stormy = List.nth nodes 2 in
+  let slow = List.nth nodes (List.length nodes - 1) in
+  Farm_runtime.Chaos.inject w.World.seeder
+    Fault.
+      [ { at = 0.1; event = Pcie_degrade { node = slow; factor = 50. } };
+        { at = 0.2; event = Ctrl_degrade { loss = 0.7; delay = 1e-3; dup = 0.1 } };
+        { at = 0.21; event = Report_storm { node = stormy; reports = 2000 } };
+        { at = 0.3; event = Switch_down victim };
+        { at = 0.5; event = Switch_up victim };
+        { at = 0.6; event = Ctrl_restore };
+        { at = 0.7; event = Pcie_restore slow };
+        { at = 0.9; event = Report_storm { node = victim; reports = 2000 } } ];
+  (* a more valuable task lands next to g0's seed and pushes it away *)
+  Engine.schedule_at w.World.engine ~time:0.15 (fun _ ->
+      ignore (placed (World.deploy_source w ~name:"g1" (greedy 1 5000))));
+  World.run ~until:1.2 w
+
+(* (cat, name) pairs in a trace; handler and transition names vary with
+   the task, so those two categories count as one pair each. *)
+let pairs tr =
+  let seen = Hashtbl.create 64 in
+  Trace.iter
+    (fun ev ->
+      let name =
+        match ev.Trace.cat with
+        | "seed.handler" | "seed.transit" -> "*"
+        | _ -> ev.Trace.name
+      in
+      Hashtbl.replace seen (ev.Trace.cat, name) ())
+    tr;
+  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
+
+(* MD5 of each world's Chrome JSON, computed on the trace encoding that
+   preceded the single slot layout: the rewrite must not move a byte. *)
+let golden =
+  [ ( "smoke heavy-hitter world", smoke_world,
+      "0aaa37951685fcd65266fc704a2f6b7a",
+      [ ("engine", "dispatch"); ("harvester", "report");
+        ("seed.handler", "*"); ("seed.transit", "*");
+        ("seeder", "ctrl_send"); ("seeder", "instantiate");
+        ("soil", "asic_poll"); ("soil.ipc", "deliver");
+        ("soil.pcie", "transfer") ] );
+    ( "overload storm world", storm_world,
+      "27ed67b8c6a1cc79cd4c4bde6949ba8a",
+      [ ("engine", "dispatch"); ("harvester", "report");
+        ("harvester", "report_dropped"); ("harvester", "report_shed");
+        ("seed.handler", "*"); ("seed.overload", "degradation");
+        ("seed.transit", "*"); ("seeder", "checkpoint");
+        ("seeder", "ctrl_breaker_drop"); ("seeder", "ctrl_lost");
+        ("seeder", "ctrl_rate_limited"); ("seeder", "ctrl_retry");
+        ("seeder", "ctrl_retry_capped"); ("seeder", "ctrl_send");
+        ("seeder", "declare_failed"); ("seeder", "heartbeat");
+        ("seeder", "instantiate"); ("seeder", "migrate");
+        ("seeder", "report_storm"); ("soil", "asic_poll");
+        ("soil", "poll_dropped"); ("soil", "poll_shed");
+        ("soil", "pressure_off"); ("soil", "pressure_on");
+        ("soil.ipc", "deliver"); ("soil.pcie", "transfer") ] ) ]
+
+let test_golden (_, world, md5, expected) () =
+  let tr = Trace.create () in
+  world tr;
+  let seen = pairs tr in
+  List.iter
+    (fun (cat, name) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s recorded" cat name)
+        true (List.mem (cat, name) seen))
+    expected;
+  Alcotest.(check string) "Chrome JSON MD5" md5
+    (Digest.to_hex (Digest.string (Trace.to_chrome_json tr)))
+
 let () =
   Alcotest.run "farm_trace"
     [ ( "sink",
@@ -177,7 +453,11 @@ let () =
           Alcotest.test_case "ring overwrites oldest" `Quick
             test_trace_ring_overwrites_oldest;
           Alcotest.test_case "chrome JSON encoding" `Quick
-            test_trace_chrome_json ] );
+            test_trace_chrome_json;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_trace_recording_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_roundtrip_unbounded;
+          QCheck_alcotest.to_alcotest prop_roundtrip_ring ] );
       ( "registry",
         [ Alcotest.test_case "register-or-get" `Quick
             test_registry_register_or_get;
@@ -186,6 +466,11 @@ let () =
             test_registry_gauge_fn_replaces;
           Alcotest.test_case "deterministic snapshot" `Quick
             test_registry_snapshot_deterministic ] );
+      ( "golden",
+        List.map
+          (fun ((name, _, _, _) as g) ->
+            Alcotest.test_case name `Quick (test_golden g))
+          golden );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest prop_trace_replay_identical;
           Alcotest.test_case "sweep domain invariance" `Slow
