@@ -211,11 +211,11 @@ let trace_smoke () =
 
 (* Overload-protection smoke: the same heavy-hitter world with the
    protection stack disabled (the default) and fully armed but unstressed.
-   Disabled must reproduce the pre-overload digest byte-for-byte (the
-   config is the only gate — no hidden events, draws or registrations);
-   armed-but-idle must shed nothing and its wall-clock overhead is gated
-   so the shed path never creeps into the hot path.  [seed_digest] is the
-   MD5 of the disabled run's [Seeder.digest]. *)
+   Disabled runs the same code at unlimited limits and must reproduce the
+   pre-overload digest byte-for-byte (no hidden events, draws or
+   registrations); armed-but-idle must shed nothing and its wall-clock
+   overhead is gated so the shed path never creeps into the hot path.
+   [seed_digest] is the MD5 of the disabled run's [Seeder.digest]. *)
 let seed_digest = "ec80306b34c801d227a5ae42c117017d"
 
 let overload_smoke () =

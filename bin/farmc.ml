@@ -405,8 +405,8 @@ let run_cmd =
             "Arm the overload-protection stack: bounded PCIe/inbox queues \
              with load shedding, AIMD degraded-mode seeds, and \
              control-channel rate limiting with per-switch circuit \
-             breakers.  Off by default (byte-identical to the unprotected \
-             runtime).")
+             breakers.  Without it the same code runs at unlimited \
+             limits: nothing is shed, delayed or refused.")
   in
   let run name duration overload =
     let entry =

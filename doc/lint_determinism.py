@@ -11,7 +11,9 @@ order-insensitive and carry an entry in ALLOWLIST below explaining why.
 Stdlib-only — CI must not install packages.
 
 Usage: lint_determinism.py [REPO_ROOT]
-Exit status: 1 if an unsanctioned site exists, 0 otherwise.
+Exit status: 1 if an unsanctioned site exists or an ALLOWLIST entry
+matches no site (a stale entry would silently sanction a future one),
+0 otherwise.
 """
 import os
 import re
@@ -109,9 +111,9 @@ def main():
               "a reason why order cannot matter.")
     stale = [e for e in ALLOWLIST if e not in matched]
     for rel, snippet, _reason in stale:
-        print(f"note: stale allowlist entry {rel!r} / {snippet!r} "
-              "matched no site (remove it?)")
-    return 1 if violations else 0
+        print(f"stale allowlist entry {rel!r} / {snippet!r} matched no "
+              "site: remove it from doc/lint_determinism.py")
+    return 1 if violations or stale else 0
 
 
 if __name__ == "__main__":

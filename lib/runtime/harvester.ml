@@ -17,12 +17,13 @@ let collector_spec =
 
 type provenance = { p_seed : int; p_epoch : int; p_seq : int }
 
-(* Bounded inbox (overload protection, off by default): at most
-   [max_reports] admitted per rolling [window], split fairly across the
-   reporting seeds; a seed over its share is shed first. *)
+(* The inbox: at most [max_reports] admitted per rolling [window], split
+   fairly across the reporting seeds; a seed over its share is shed
+   first.  Protection off is the same inbox at [unlimited] limits. *)
 type overload_config = { window : float; max_reports : int }
 
 let default_overload = { window = 0.1; max_reports = 64 }
+let unlimited = { window = infinity; max_reports = max_int }
 
 type t = {
   spec : spec;
@@ -40,11 +41,9 @@ type t = {
   mutable stale_dropped : int;
   mutable dup_dropped : int;
   mutable tracer : Farm_sim.Trace.t option;  (* wired by the seeder *)
-  (* overload protection; [n_offered] is always counted (a plain int, so
-     disabled runs stay byte-identical) *)
-  mutable ov : overload_config option;
-  mutable ov_window_start : float;
-  ov_counts : (int, int) Hashtbl.t;  (* per-seed admits this window *)
+  mutable lim : overload_config;
+  mutable window_start : float;
+  admits : (int, int) Hashtbl.t;  (* per-seed admits this window *)
   mutable n_offered : int;
   mutable n_shed : int;
 }
@@ -52,15 +51,21 @@ type t = {
 let create spec ctx =
   { spec; ctx; log = []; fences = Hashtbl.create 16; seen = Hashtbl.create 16;
     prov_log = []; n_received = 0; stale_dropped = 0; dup_dropped = 0;
-    tracer = None; ov = None; ov_window_start = 0.;
-    ov_counts = Hashtbl.create 16; n_offered = 0; n_shed = 0 }
+    tracer = None; lim = unlimited; window_start = 0.;
+    admits = Hashtbl.create 16; n_offered = 0; n_shed = 0 }
 
 let set_tracer t tr = t.tracer <- tr
 
 let set_overload t cfg =
-  t.ov <- cfg;
-  t.ov_window_start <- t.ctx.now ();
-  Hashtbl.reset t.ov_counts
+  t.lim <- Option.value cfg ~default:unlimited;
+  t.window_start <- t.ctx.now ();
+  Hashtbl.reset t.admits
+
+let window_admits t =
+  if t.lim = unlimited then []
+  else
+    Hashtbl.fold (fun seed n acc -> (seed, n) :: acc) t.admits []
+    |> List.sort compare
 
 let metrics_register t reg ~prefix =
   let g name f =
@@ -70,13 +75,11 @@ let metrics_register t reg ~prefix =
   g "received" (fun () -> t.n_received);
   g "stale_dropped" (fun () -> t.stale_dropped);
   g "dup_dropped" (fun () -> t.dup_dropped);
-  (* only an overload-enabled deployment registers its shed metrics, so
-     default runs publish exactly the pre-overload registry *)
-  match t.ov with
-  | None -> ()
-  | Some _ ->
-      g "offered" (fun () -> t.n_offered);
-      g "shed" (fun () -> t.n_shed)
+  (* an unlimited inbox never sheds and does not publish shed metrics *)
+  if t.lim <> unlimited then begin
+    g "offered" (fun () -> t.n_offered);
+    g "shed" (fun () -> t.n_shed)
+  end
 
 let start t = t.spec.on_start t.ctx
 
@@ -116,29 +119,28 @@ let admit t p =
 
 (* Fair-share inbox shedding: a fresh (non-stale, non-dup) report is shed
    when its seed has used up its slice of this window's budget.  Purely a
-   function of (sim time, admitted history) — deterministic. *)
+   function of (sim time, admitted history) — deterministic.  At
+   [unlimited] limits the window never closes and no share is ever used
+   up. *)
 let shed_check t p =
-  match t.ov with
-  | None -> false
-  | Some ov ->
-      let now = t.ctx.now () in
-      if now -. t.ov_window_start >= ov.window then begin
-        t.ov_window_start <- now;
-        Hashtbl.reset t.ov_counts
-      end;
-      let seeds = max 1 (Hashtbl.length t.fences) in
-      let share = max 1 (ov.max_reports / seeds) in
-      let used =
-        Option.value (Hashtbl.find_opt t.ov_counts p.p_seed) ~default:0
-      in
-      if used >= share then begin
-        t.n_shed <- t.n_shed + 1;
-        true
-      end
-      else begin
-        Hashtbl.replace t.ov_counts p.p_seed (used + 1);
-        false
-      end
+  let now = t.ctx.now () in
+  if now -. t.window_start >= t.lim.window then begin
+    t.window_start <- now;
+    Hashtbl.reset t.admits
+  end;
+  let seeds = max 1 (Hashtbl.length t.fences) in
+  let share = max 1 (t.lim.max_reports / seeds) in
+  let used =
+    match Hashtbl.find t.admits p.p_seed with n -> n | exception Not_found -> 0
+  in
+  if used >= share then begin
+    t.n_shed <- t.n_shed + 1;
+    true
+  end
+  else begin
+    Hashtbl.replace t.admits p.p_seed (used + 1);
+    false
+  end
 
 let handle ?provenance t ~from_switch v =
   t.n_offered <- t.n_offered + 1;

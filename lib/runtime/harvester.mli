@@ -33,7 +33,7 @@ val start : t -> unit
 val set_tracer : t -> Farm_sim.Trace.t option -> unit
 
 (** Publish this harvester's accounting (received / stale_dropped /
-    dup_dropped, plus offered / shed when overload protection is on) as
+    dup_dropped, plus offered / shed when the inbox has limits) as
     callback gauges under [prefix] in [reg]. *)
 val metrics_register :
   t -> Farm_sim.Metrics.Registry.t -> prefix:string -> unit
@@ -49,9 +49,14 @@ type overload_config = { window : float; max_reports : int }
 
 val default_overload : overload_config
 
-(** Enable ([Some]) or disable ([None]) inbox shedding.  Wired by the
-    seeder at deploy time when its overload protection is configured. *)
+(** Set the inbox limits and open a new window.  [None], as for a new
+    harvester, means unlimited: the window never closes and nothing is
+    shed.  Wired by the seeder at deploy time from [harvester_overload]. *)
 val set_overload : t -> overload_config option -> unit
+
+(** Reports admitted per seed in the current window, by seed id; [[]] at
+    unlimited limits. *)
+val window_admits : t -> (int * int) list
 
 (** Reports offered to [handle] in total (counted even with shedding off,
     so the balance [offered = received + stale + dup + shed] always

@@ -27,7 +27,7 @@ type t = {
          degradation gauge pins only it, not the whole instance *)
   mutable poll_drops : int;  (* polls the soil dropped/shed on us *)
   mutable last_drop_backoff : float;  (* throttles drop-triggered MD *)
-  mutable degraded_report : (float -> unit) option;  (* -> harvester *)
+  send : t -> Interp.target -> Value.t -> unit;  (* wired by the seeder *)
 }
 
 let seed_id t = t.sid
@@ -61,15 +61,11 @@ let period_of_spec spec res =
     10.
   else 1. /. rate
 
-(* Effective period of an adaptive trigger under the current degradation:
-   base / scale.  At full fidelity the division is skipped so default runs
-   see the exact original float. *)
+(* Effective period of a trigger: an adaptive one's base period over the
+   current rate scale (exact at full fidelity, a scale of 1). *)
 let scaled_period t (p : Analysis.poll_summary) =
   let base = period_of_spec p.ival t.res in
-  if !(t.rate_scale) = 1. || not (List.mem p.poll_name t.adaptive) then base
-  else base /. !(t.rate_scale)
-
-let rate_scale t = !(t.rate_scale)
+  if List.mem p.poll_name t.adaptive then base /. !(t.rate_scale) else base
 let degradation t = 1. -. !(t.rate_scale)
 let poll_drops t = t.poll_drops
 
@@ -134,7 +130,11 @@ let set_rate_scale t scale =
         Trace.arg_f tr (Trace.label tr "depth") (1. -. scale));
     (* tell the harvester, so global logic can compensate for the
        reduced fidelity *)
-    match t.degraded_report with Some f -> f (1. -. scale) | None -> ()
+    t.send t Interp.To_harvester
+      (Value.Struct
+         ( "Degraded",
+           [ ("seed", Value.Num (float_of_int t.sid));
+             ("depth", Value.Num (1. -. scale)) ] ))
   end
 
 (* Backpressure tick from the soil's pressure monitor. *)
@@ -144,17 +144,13 @@ let on_pressure t ~high =
       (if high then Overload.back_off !(t.rate_scale)
        else Overload.recover !(t.rate_scale))
 
-(* The soil dropped/shed [n] of our polls.  Always counted; with overload
-   protection on, a drop burst also backs the seed off (at most once per
-   pressure interval, so a shed batch is one MD step, not many). *)
+(* The soil dropped/shed [n] of our polls.  Always counted; a drop burst
+   also backs an adaptive seed off (at most once per pressure interval, so
+   a shed batch is one MD step, not many). *)
 let on_poll_drop t n =
   t.poll_drops <- t.poll_drops + n;
-  if t.adaptive <> [] && Soil.overload_enabled t.soil then begin
-    let gap =
-      match (Soil.config t.soil).overload with
-      | Some ov -> ov.pressure_interval
-      | None -> 0.05
-    in
+  if t.adaptive <> [] then begin
+    let gap = (Soil.limits t.soil).pressure_interval in
     let now = Soil.now t.soil in
     if now -. t.last_drop_backoff >= gap then begin
       t.last_drop_backoff <- now;
@@ -208,12 +204,16 @@ let value_of_installed (e : Tcam.installed) =
 let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
     ?(builtins = []) ?restore ?(epoch = 0) ?(adaptive = []) ~resources ~polls
     ~send ~seed_id () =
+  (* at unlimited soil limits no pressure tick ever comes and no interval
+     throttles a drop back-off: nothing adapts, no gauge is published *)
+  let limited = Soil.limits soil <> Soil.unlimited in
+  let adaptive = if limited then adaptive else [] in
   let t =
     { sid = seed_id; soil; epoch; inst = None; res = Array.copy resources;
       polls; subs = []; transitions = 0; alive = true; next_seq = 0;
       dedup = Ipc.Dedup.create (); adaptive; rate_scale = ref 1.;
       poll_drops = 0; last_drop_backoff = Float.neg_infinity;
-      degraded_report = None }
+      send }
   in
   let host =
     { Interp.h_now = (fun () -> Soil.now soil);
@@ -331,20 +331,9 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
   let i = Aengine.create ~engine ~externals ~program ~machine host in
   t.inst <- Some i;
   Soil.attach_seed soil seed_id;
-  (* drop notifications are always wired (per-seed attribution of the
-     previously silent queue drops); the degraded-mode machinery only
-     when the soil runs overload protection *)
   Soil.on_poll_drop soil ~seed_id (fun n -> on_poll_drop t n);
-  if Soil.overload_enabled soil then begin
-    Soil.on_pressure soil ~seed_id (fun ~high -> on_pressure t ~high);
-    t.degraded_report <-
-      Some
-        (fun depth ->
-          send t Interp.To_harvester
-            (Value.Struct
-               ( "Degraded",
-                 [ ("seed", Value.Num (float_of_int seed_id));
-                   ("depth", Value.Num depth) ] )));
+  Soil.on_pressure soil ~seed_id (fun ~high -> on_pressure t ~high);
+  if limited then begin
     let scale = t.rate_scale in
     Farm_sim.Metrics.Registry.gauge_fn
       (Sengine.metrics (Soil.engine soil))

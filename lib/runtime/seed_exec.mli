@@ -17,8 +17,8 @@ type t
     [engine] selects the execution engine: the slot-compiled [`Compiled]
     (default) or the reference interpreter [`Interp].  [adaptive] names
     the poll variables whose period the seed may stretch in degraded mode
-    (AIMD back-off under soil pressure; only effective when the soil runs
-    overload protection). *)
+    (AIMD back-off under soil pressure or poll drops); ignored at
+    [Soil.unlimited] limits, where no pressure tick ever comes. *)
 val deploy :
   soil:Soil.t ->
   program:Ast.program ->
@@ -80,11 +80,8 @@ val is_alive : t -> bool
 
 (** {2 Degraded mode (overload resilience)} *)
 
-(** Current AIMD rate scale in (0, 1]; 1.0 = full fidelity. *)
-val rate_scale : t -> float
-
-(** [1 - rate_scale], the value exported as the [seed.<id>.degradation]
-    gauge. *)
+(** [1 - s] for the current AIMD rate scale [s] in (0, 1] (1.0 = full
+    fidelity), the value exported as the [seed.<id>.degradation] gauge. *)
 val degradation : t -> float
 
 (** Polls the soil dropped or shed on this seed (drop notifications). *)

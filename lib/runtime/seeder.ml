@@ -35,6 +35,12 @@ let default_protection =
   { rate_limit = 2000.; burst = 64.; breaker_threshold = 5;
     breaker_cooldown = 50e-3; max_inflight_retries = 8; retry_jitter = 1e-3 }
 
+(* An unprotected channel is the same code at these limits: nothing is
+   delayed, refused, capped or jittered. *)
+let unlimited_protection =
+  { rate_limit = infinity; burst = infinity; breaker_threshold = max_int;
+    breaker_cooldown = 0.; max_inflight_retries = max_int; retry_jitter = 0. }
+
 type config = {
   soil_config : Soil.config;
   control_latency : float;
@@ -52,8 +58,7 @@ type config = {
   checkpoint_interval : float;
   checkpoint_full_every : int;
   ctrl_bandwidth_bps : float;
-  (* overload resilience; both [None] by default so the pre-overload
-     behavior stays byte-identical *)
+  (* overload resilience; [None] (the default) means unlimited *)
   ctrl_protection : ctrl_protection option;
   harvester_overload : Harvester.overload_config option;
 }
@@ -142,22 +147,6 @@ and reg = {
   mutable r_store : store option;  (* seeder-side accumulated checkpoint *)
 }
 
-(* live state of the control-channel protection; allocated only when
-   [config.ctrl_protection] is set, so protection-off runs carry no extra
-   engine events, rng draws or registry entries *)
-type ov = {
-  ovp : ctrl_protection;
-  bucket : Overload.Token_bucket.t;  (* global control-channel pacing *)
-  breakers : (int, Overload.Breaker.t) Hashtbl.t;  (* per destination *)
-  inflight : (int, int) Hashtbl.t;  (* per-switch retries awaiting a slot *)
-  (* base for the per-message keyed jitter streams: replays draw the same
-     jitter for the same (msg key, try) regardless of interleaving *)
-  jitter_rng : Farm_sim.Rng.t;
-  mutable rate_limited : int;  (* sends delayed by the token bucket *)
-  mutable breaker_dropped : int;  (* sends refused by an open breaker *)
-  mutable retry_capped : int;  (* retries refused by the in-flight bound *)
-}
-
 type t = {
   engine : Engine.t;
   fabric : Fabric.t;
@@ -206,8 +195,17 @@ type t = {
   mutable auto_recoveries : int;
   mutable zombies_fenced : int;
   mutable fenced_sends : int;
-  (* overload resilience *)
-  ov : ov option;
+  (* control-channel protection, at [unlimited_protection] when off *)
+  prot : ctrl_protection;
+  bucket : Overload.Token_bucket.t;  (* global control-channel pacing *)
+  breakers : (int, Overload.Breaker.t) Hashtbl.t;  (* per destination *)
+  inflight : (int, int) Hashtbl.t;  (* per-switch retries awaiting a slot *)
+  (* base for the per-message keyed jitter streams: replays draw the same
+     jitter for the same (msg key, try) regardless of interleaving *)
+  jitter_rng : Farm_sim.Rng.t;
+  mutable rate_limited : int;  (* sends delayed by the token bucket *)
+  mutable breaker_dropped : int;  (* sends refused by an open breaker *)
+  mutable retry_capped : int;  (* retries refused by the in-flight bound *)
   pressured : (int, unit) Hashtbl.t;  (* soils currently under pressure *)
   mutable pressure_events : int;  (* pressure flag flips seen *)
   mutable storm_reports : int;  (* reports injected by Report_storm faults *)
@@ -343,17 +341,20 @@ let trace_f sink key v =
   match sink with Some tr -> Trace.arg_f tr (Trace.label tr key) v | None -> ()
 
 (* The circuit breaker guarding one switch's control channel (created on
-   first use; only reachable with protection enabled). *)
-let breaker_of ov node =
-  match Hashtbl.find_opt ov.breakers node with
-  | Some b -> b
-  | None ->
+   first use). *)
+let breaker_of t node =
+  match Hashtbl.find t.breakers node with
+  | b -> b
+  | exception Not_found ->
       let b =
-        Overload.Breaker.create ~threshold:ov.ovp.breaker_threshold
-          ~cooldown:ov.ovp.breaker_cooldown
+        Overload.Breaker.create ~threshold:t.prot.breaker_threshold
+          ~cooldown:t.prot.breaker_cooldown
       in
-      Hashtbl.replace ov.breakers node b;
+      Hashtbl.replace t.breakers node b;
       b
+
+let breaker_opens t =
+  Hashtbl.fold (fun _ b acc -> acc + Overload.Breaker.opens b) t.breakers 0
 
 (* Unicast over the (possibly degraded) control plane.  [deliver] runs at
    the receiver and reports whether the recipient took the message
@@ -363,52 +364,52 @@ let breaker_of ov node =
    draws are skipped on a perfect control plane so fault-free runs are
    byte-identical to the pre-fault-injection behavior.
 
-   With [ctrl_protection] enabled, [dest] names the switch whose breaker
-   gates the send (loss / absence feed it failures, any answer from the
-   other end closes it), the global token bucket paces all unicasts, the
-   number of retries awaiting a slot per switch is bounded, and [key]
-   selects a deterministic jitter stream that decorrelates the retry
-   backoffs of concurrent messages.  Heartbeats use {!oneshot_send} and
-   are never gated. *)
+   Every send runs the control-channel protection: [dest] names the
+   switch whose breaker gates the send (loss / absence feed it failures,
+   any answer from the other end closes it), the global token bucket
+   paces all unicasts, the number of retries awaiting a slot per switch
+   is bounded, and [key] selects a deterministic jitter stream that
+   decorrelates the retry backoffs of concurrent messages.  At
+   [unlimited_protection] all of it is inert: no delay, no refusal, no
+   draw.  Heartbeats use {!oneshot_send} and are never gated. *)
 let rec control_send t ?(tries = 0) ?dest ?key deliver =
   let c = t.ctrl in
   let jitter () =
-    match (t.ov, key) with
-    | Some ov, Some k when ov.ovp.retry_jitter > 0. ->
+    match key with
+    | Some k when t.prot.retry_jitter > 0. ->
         Farm_sim.Rng.uniform
-          (Farm_sim.Rng.stream ov.jitter_rng ((k * 8) + tries))
-          0. ov.ovp.retry_jitter
+          (Farm_sim.Rng.stream t.jitter_rng ((k * 8) + tries))
+          0. t.prot.retry_jitter
     | _ -> 0.
   in
   let retry_slot () =
-    match (t.ov, dest) with
-    | Some ov, Some node ->
-        let n = Option.value (Hashtbl.find_opt ov.inflight node) ~default:0 in
-        if n >= ov.ovp.max_inflight_retries then false
+    match dest with
+    | Some node ->
+        let n = Option.value (Hashtbl.find_opt t.inflight node) ~default:0 in
+        if n >= t.prot.max_inflight_retries then false
         else begin
-          Hashtbl.replace ov.inflight node (n + 1);
+          Hashtbl.replace t.inflight node (n + 1);
           true
         end
-    | _ -> true
+    | None -> true
   in
   let retry_slot_done () =
-    match (t.ov, dest) with
-    | Some ov, Some node ->
-        let n = Option.value (Hashtbl.find_opt ov.inflight node) ~default:1 in
-        Hashtbl.replace ov.inflight node (max 0 (n - 1))
-    | _ -> ()
+    match dest with
+    | Some node ->
+        let n = Option.value (Hashtbl.find_opt t.inflight node) ~default:1 in
+        Hashtbl.replace t.inflight node (max 0 (n - 1))
+    | None -> ()
   in
   let breaker_failure () =
-    match (t.ov, dest) with
-    | Some ov, Some node ->
-        Overload.Breaker.failure (breaker_of ov node)
-          ~now:(Engine.now t.engine)
-    | _ -> ()
+    match dest with
+    | Some node ->
+        Overload.Breaker.failure (breaker_of t node) ~now:(Engine.now t.engine)
+    | None -> ()
   in
   let breaker_success () =
-    match (t.ov, dest) with
-    | Some ov, Some node -> Overload.Breaker.success (breaker_of ov node)
-    | _ -> ()
+    match dest with
+    | Some node -> Overload.Breaker.success (breaker_of t node)
+    | None -> ()
   in
   let resend () =
     if tries >= t.cfg.max_retries then begin
@@ -416,9 +417,7 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
       ignore (trace_instant t "ctrl_lost")
     end
     else if not (retry_slot ()) then begin
-      (match t.ov with
-      | Some ov -> ov.retry_capped <- ov.retry_capped + 1
-      | None -> ());
+      t.retry_capped <- t.retry_capped + 1;
       t.lost_messages <- t.lost_messages + 1;
       trace_i (trace_instant t "ctrl_retry_capped") "node"
         (Option.value dest ~default:(-1))
@@ -467,30 +466,27 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
           (fun _ -> ignore (deliver () : [ `Delivered | `Absent | `Gone ]))
     end
   in
-  match t.ov with
-  | None -> transmit ()
-  | Some ov ->
-      let now = Engine.now t.engine in
-      let refused =
-        match dest with
-        | Some node -> not (Overload.Breaker.allow (breaker_of ov node) ~now)
-        | None -> false
-      in
-      if refused then begin
-        ov.breaker_dropped <- ov.breaker_dropped + 1;
-        t.lost_messages <- t.lost_messages + 1;
-        trace_i (trace_instant t "ctrl_breaker_drop") "node"
-          (Option.value dest ~default:(-1))
-      end
-      else begin
-        let delay = Overload.Token_bucket.reserve ov.bucket ~now in
-        if delay > 0. then begin
-          ov.rate_limited <- ov.rate_limited + 1;
-          ignore (trace_instant t "ctrl_rate_limited");
-          Engine.schedule t.engine ~delay (fun _ -> transmit ())
-        end
-        else transmit ()
-      end
+  let now = Engine.now t.engine in
+  let refused =
+    match dest with
+    | Some node -> not (Overload.Breaker.allow (breaker_of t node) ~now)
+    | None -> false
+  in
+  if refused then begin
+    t.breaker_dropped <- t.breaker_dropped + 1;
+    t.lost_messages <- t.lost_messages + 1;
+    trace_i (trace_instant t "ctrl_breaker_drop") "node"
+      (Option.value dest ~default:(-1))
+  end
+  else begin
+    let delay = Overload.Token_bucket.reserve t.bucket ~now in
+    if delay > 0. then begin
+      t.rate_limited <- t.rate_limited + 1;
+      ignore (trace_instant t "ctrl_rate_limited");
+      Engine.schedule t.engine ~delay (fun _ -> transmit ())
+    end
+    else transmit ()
+  end
 
 (* Fire-and-forget transmission: heartbeats and checkpoints.  No retry —
    a retried heartbeat would defeat timeout-based detection, and a stale
@@ -951,19 +947,16 @@ let create ?(config = default_config) engine fabric =
         (Soil.create ~config:config.soil_config engine sw))
     (Fabric.switch_models fabric);
   let reg = Engine.metrics engine in
-  (* built before [ctrl_rng] is ever forced, so the enabled-mode stream
-     layout is fixed: one split for jitter, then the lazy ctrl split *)
-  let ov =
-    Option.map
-      (fun ovp ->
-        { ovp;
-          bucket =
-            Overload.Token_bucket.create ~rate:ovp.rate_limit
-              ~burst:ovp.burst;
-          breakers = Hashtbl.create 8; inflight = Hashtbl.create 8;
-          jitter_rng = Farm_sim.Rng.split (Engine.rng engine);
-          rate_limited = 0; breaker_dropped = 0; retry_capped = 0 })
-      config.ctrl_protection
+  let prot =
+    Option.value config.ctrl_protection ~default:unlimited_protection
+  in
+  let limited = prot <> unlimited_protection in
+  (* split before [ctrl_rng] is ever forced, so the stream layout of a
+     protected channel is fixed: one split for jitter, then the lazy ctrl
+     split.  An unlimited channel never draws jitter and splits nothing. *)
+  let jitter_rng =
+    if limited then Farm_sim.Rng.split (Engine.rng engine)
+    else Farm_sim.Rng.create 0
   in
   let t =
     { engine; fabric; cfg = config; soils; failed = Hashtbl.create 4;
@@ -987,23 +980,24 @@ let create ?(config = default_config) engine fabric =
       checkpoints_shipped = 0; checkpoint_gaps = 0; detections = 0;
       false_detections = 0; auto_recoveries = 0; zombies_fenced = 0;
       fenced_sends = 0;
-      ov; pressured = Hashtbl.create 8; pressure_events = 0;
+      prot;
+      bucket =
+        Overload.Token_bucket.create ~rate:prot.rate_limit ~burst:prot.burst;
+      breakers = Hashtbl.create 8; inflight = Hashtbl.create 8; jitter_rng;
+      rate_limited = 0; breaker_dropped = 0; retry_capped = 0;
+      pressured = Hashtbl.create 8; pressure_events = 0;
       storm_reports = 0 }
   in
-  (* soils running the overload monitor report their pressure flips up *)
+  (* soils report their pressure flips up (none at unlimited limits) *)
+  let on_pressure ~node ~high =
+    if high <> Hashtbl.mem t.pressured node then begin
+      if high then Hashtbl.replace t.pressured node ()
+      else Hashtbl.remove t.pressured node;
+      t.pressure_events <- t.pressure_events + 1
+    end
+  in
   Hashtbl.iter
-    (fun node soilv ->
-      if Soil.overload_enabled soilv then
-        Soil.set_pressure_listener soilv (fun ~node:_ ~high ->
-            let was = Hashtbl.mem t.pressured node in
-            if high && not was then begin
-              Hashtbl.replace t.pressured node ();
-              t.pressure_events <- t.pressure_events + 1
-            end
-            else if (not high) && was then begin
-              Hashtbl.remove t.pressured node;
-              t.pressure_events <- t.pressure_events + 1
-            end))
+    (fun _ soilv -> Soil.set_pressure_listener soilv on_pressure)
     soils;
   (* publish the plain mutable counters as callback gauges, sampled at
      snapshot time — no extra work on the hot paths that bump them *)
@@ -1021,20 +1015,16 @@ let create ?(config = default_config) engine fabric =
   g "seeder.control.lost" (fun () -> t.lost_messages);
   g "seeder.migrations" (fun () -> t.migration_count);
   g "seeder.collector.messages" (fun () -> t.collector_messages);
-  (* overload instrumentation registers only when protection is on, so
-     default runs publish exactly the pre-overload registry *)
-  (match t.ov with
-  | None -> ()
-  | Some ov ->
-      g "seeder.ctrl.rate_limited" (fun () -> ov.rate_limited);
-      g "seeder.ctrl.breaker_dropped" (fun () -> ov.breaker_dropped);
-      g "seeder.ctrl.retry_capped" (fun () -> ov.retry_capped);
-      g "seeder.ctrl.breaker_opens" (fun () ->
-          Hashtbl.fold
-            (fun _ b acc -> acc + Overload.Breaker.opens b)
-            ov.breakers 0);
-      g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured);
-      g "seeder.pressure.events" (fun () -> t.pressure_events));
+  (* an unlimited channel never limits anything and publishes no
+     protection metrics *)
+  if limited then begin
+    g "seeder.ctrl.rate_limited" (fun () -> t.rate_limited);
+    g "seeder.ctrl.breaker_dropped" (fun () -> t.breaker_dropped);
+    g "seeder.ctrl.retry_capped" (fun () -> t.retry_capped);
+    g "seeder.ctrl.breaker_opens" (fun () -> breaker_opens t);
+    g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured);
+    g "seeder.pressure.events" (fun () -> t.pressure_events)
+  end;
   if config.auto_heal then install_healing t;
   t
 
@@ -1213,9 +1203,7 @@ let deploy t spec =
     in
     let h = Harvester.create spec.ts_harvester ctx in
     Harvester.set_tracer h (Engine.tracer t.engine);
-    (match t.cfg.harvester_overload with
-    | Some _ as ho -> Harvester.set_overload h ho
-    | None -> ());
+    Harvester.set_overload h t.cfg.harvester_overload;
     Harvester.metrics_register h (Engine.metrics t.engine)
       ~prefix:(Printf.sprintf "harvester.task%d." task.task_id);
     task.harvester <- Some h;
@@ -1356,25 +1344,12 @@ let seed_epoch t seed_id =
 (* Overload resilience: introspection and fault hooks                  *)
 (* ------------------------------------------------------------------ *)
 
-let ctrl_protection_enabled t = t.ov <> None
-let rate_limited t = match t.ov with Some ov -> ov.rate_limited | None -> 0
-
-let breaker_dropped t =
-  match t.ov with Some ov -> ov.breaker_dropped | None -> 0
-
-let retry_capped t = match t.ov with Some ov -> ov.retry_capped | None -> 0
-
-let breaker_opens t =
-  match t.ov with
-  | Some ov ->
-      Hashtbl.fold (fun _ b acc -> acc + Overload.Breaker.opens b) ov.breakers
-        0
-  | None -> 0
+let rate_limited t = t.rate_limited
+let breaker_dropped t = t.breaker_dropped
+let retry_capped t = t.retry_capped
 
 let breaker_state t node =
-  Option.bind t.ov (fun ov ->
-      Option.map Overload.Breaker.state_name
-        (Hashtbl.find_opt ov.breakers node))
+  Option.map Overload.Breaker.state_name (Hashtbl.find_opt t.breakers node)
 
 let pressured_switches t =
   Hashtbl.fold (fun n () acc -> n :: acc) t.pressured []
@@ -1446,6 +1421,26 @@ let digest t =
     t.storm_reports t.pressure_events
     (ints (pressured_switches t))
     (zombie_count t);
+  (* per-switch channel protection; a closed breaker without failures
+     and no retries in flight print nothing *)
+  let nodes tbl = Hashtbl.fold (fun n _ acc -> n :: acc) tbl [] in
+  List.sort_uniq Int.compare (nodes t.breakers @ nodes t.inflight)
+  |> List.iter (fun node ->
+         let line =
+           (match
+              Option.map Overload.Breaker.state
+                (Hashtbl.find_opt t.breakers node)
+            with
+           | None | Some (Closed 0) -> ""
+           | Some (Closed n) -> Printf.sprintf " fails=%d" n
+           | Some (Open until) -> Printf.sprintf " open@%h" until
+           | Some Half_open -> " half_open")
+           ^
+           match Hashtbl.find_opt t.inflight node with
+           | None | Some 0 -> ""
+           | Some n -> Printf.sprintf " inflight=%d" n
+         in
+         if line <> "" then Printf.bprintf b "ctrl %d%s\n" node line);
   let regs = sorted_regs t in
   List.sort_uniq
     (fun a b -> Int.compare a.task_id b.task_id)
@@ -1466,7 +1461,14 @@ let digest t =
                      (fun (at, (p : Harvester.provenance)) ->
                        Printf.sprintf "%h:%d:%d:%d" at p.p_seed p.p_epoch
                          p.p_seq)
-                     (Harvester.accepted_provenance h))));
+                     (Harvester.accepted_provenance h)));
+             match Harvester.window_admits h with
+             | [] -> ()
+             | admits ->
+                 Printf.bprintf b " admits=[%s]"
+                   (String.concat ";"
+                      (List.map (fun (s, n) -> Printf.sprintf "%d:%d" s n)
+                         admits)));
          Buffer.add_char b '\n');
   List.iter
     (fun r ->

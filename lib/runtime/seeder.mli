@@ -91,11 +91,14 @@ type config = {
   ctrl_bandwidth_bps : float;
       (** control-channel bandwidth checkpoints are costed against *)
   ctrl_protection : ctrl_protection option;
-      (** [None] (default): unprotected control channel, byte-identical
-          to the pre-overload behavior *)
+      (** [None] (default): the same code at unlimited limits (an
+          infinite bucket, breaker threshold and in-flight bound
+          [max_int], no jitter) — nothing is delayed, refused or
+          jittered, and no [seeder.ctrl.*] or [seeder.pressure.*]
+          metric is registered *)
   harvester_overload : Harvester.overload_config option;
-      (** bounded fair-share harvester inboxes; [None] (default) admits
-          everything *)
+      (** bounded fair-share harvester inboxes; [None] (default) means
+          unlimited limits, which admit everything *)
 }
 
 val default_config : config
@@ -305,8 +308,6 @@ val zombie_count : t -> int
 
 (** {2 Overload resilience} *)
 
-val ctrl_protection_enabled : t -> bool
-
 (** Control sends delayed by the token bucket so far. *)
 val rate_limited : t -> int
 
@@ -320,8 +321,8 @@ val retry_capped : t -> int
 (** Total breaker trips across all switches. *)
 val breaker_opens : t -> int
 
-(** ["closed" | "open" | "half_open"], or [None] if no breaker exists for
-    the switch (protection off, or never sent to). *)
+(** ["closed" | "open" | "half_open"], or [None] if no control message
+    was ever sent to the switch. *)
 val breaker_state : t -> int -> string option
 
 (** Pressure flag flips observed across all soils. *)
@@ -341,7 +342,9 @@ val inject_report_storm : t -> node:int -> reports:int -> unit
     provenance stream, every seed's placement, state, epoch, degradation,
     poll drops and variables plus the seeder-side checkpoint store, per-soil
     overload accounting and PCIe factor, the control-channel overload
-    counters, and the metrics-registry snapshot.  Floats print as [%h], so
+    counters, every breaker that is not closed with zero failures and
+    every switch with retries in flight, harvester window admits, and the
+    metrics-registry snapshot.  Floats print as [%h], so
     two runs are bit-identical iff their digests are equal.  Only reads
     state.  Hash it with [Digest.string] when a constant is needed. *)
 val digest : t -> string

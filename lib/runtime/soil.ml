@@ -5,10 +5,9 @@ module Filter = Farm_net.Filter
 module Switch_model = Farm_net.Switch_model
 module Tcam = Farm_net.Tcam
 
-(* Overload protection (off by default).  When enabled, the implicit
-   PCIe waiting line becomes an explicit bounded priority queue with
-   deterministic shedding, and a periodic monitor publishes CPU/PCIe
-   pressure to the co-located seeds and the seeder. *)
+(* Overload limits: past [max_pcie_queue] waiting transfers the PCIe queue
+   sheds, and a monitor publishes CPU/PCIe pressure every interval.
+   Protection off is the same code at [unlimited] limits. *)
 type overload_config = {
   max_pcie_queue : int;  (* outstanding transfers before shedding *)
   cpu_high : float;  (* utilization watermarks, fraction of capacity *)
@@ -21,6 +20,11 @@ type overload_config = {
 let default_overload =
   { max_pcie_queue = 16; cpu_high = 0.8; cpu_low = 0.5; pcie_high = 0.8;
     pcie_low = 0.5; pressure_interval = 0.05 }
+
+let unlimited =
+  { max_pcie_queue = max_int; cpu_high = infinity; cpu_low = neg_infinity;
+    pcie_high = infinity; pcie_low = neg_infinity;
+    pressure_interval = infinity }
 
 type config = {
   cpu : Cpu_model.t;
@@ -41,11 +45,12 @@ type sub_kind =
   | Probe of { filter : Filter.t; deliver : Farm_net.Flow.packet -> unit }
   | Time of (float -> unit)
 
-(* Per-seed accounting: how many of the seed's requests wait in the
-   bounded PCIe queue (its fair share), and its drop counter
+(* Per-seed accounting: queue priority (default 0), requests waiting in the
+   PCIe queue (the seed's fair share), and the drop counter
    [soil.<node>.polls.dropped.seed<id>], registered at the first drop. *)
 type seed_acct = {
   sa_id : int;
+  mutable sa_prio : int;
   mutable sa_queued : int;
   mutable sa_dropped : Metrics.Counter.t option;
 }
@@ -83,7 +88,7 @@ type overload_stats = {
   o_queue_peak : int;
 }
 
-(* One queued PCIe transfer under overload protection. *)
+(* One PCIe transfer, waiting or on the bus. *)
 type pcie_req = {
   rq_seq : int;  (* arrival order (newest = largest) *)
   rq_bytes : float;
@@ -93,25 +98,10 @@ type pcie_req = {
   rq_deliver : Engine.t -> unit;
 }
 
-type ov = {
-  ov_cfg : overload_config;
-  mutable ov_queue : pcie_req array;  (* waiting in [0, ov_len), oldest first *)
-  mutable ov_len : int;
-  mutable ov_busy : bool;  (* a transfer is on the bus *)
-  mutable ov_seq : int;
-  mutable ov_offered : int;
-  mutable ov_completed : int;
-  mutable ov_shed_n : int;
-  mutable ov_qpeak : int;
-  mutable ov_pcie_busy : float;  (* accumulated bus-busy seconds *)
-  mutable ov_last_cpu : float;  (* monitor window baselines *)
-  mutable ov_last_pcie : float;
-  mutable ov_pressured : bool;
-  ov_prio : (int, int) Hashtbl.t;  (* seed_id -> priority (default 0) *)
-  ov_pressure_hooks : (int, bool -> unit) Hashtbl.t;  (* seed hooks *)
-  mutable ov_listener : (node:int -> high:bool -> unit) option;  (* seeder *)
-  ov_shed : Metrics.Counter.t;
-  ov_pressure : Metrics.Gauge.t;
+(* Bus clocks; a float-only record, so per-transfer updates do not allocate. *)
+type bus = {
+  mutable free_at : float;  (* end of the FIFO backlog *)
+  mutable busy_s : float;  (* accumulated bus-busy seconds *)
 }
 
 (* Interned trace ids for the hot emission sites, memoized per sink so
@@ -145,8 +135,22 @@ type t = {
   mutable seeds : int list;
   mutable next_sub : int;
   mutable groups : group list;
-  (* PCIe bus scheduling *)
-  mutable pcie_free_at : float;
+  lim : overload_config;  (* [config.overload], or [unlimited] *)
+  (* PCIe bus: the waiting transfers, oldest first, in [q_len] slots from
+     [q_head]; the highest priority among them and how many hold it; and
+     whether one is on the bus *)
+  mutable queue : pcie_req array;
+  mutable q_head : int;
+  mutable q_len : int;
+  mutable q_top : int;
+  mutable q_top_n : int;
+  mutable busy : bool;
+  mutable q_seq : int;
+  (* arrival-time wait cap: [config.max_poll_queue_delay] at unlimited
+     limits, where the queue is a FIFO whose backlog ends at
+     [bus.free_at]; infinite under a bounded queue, which sheds instead *)
+  wait_cap : float;
+  bus : bus;
   (* PCIe slowdown fault (Fault.Pcie_degrade): effective bandwidth is
      [caps.pcie_bps / pcie_factor] *)
   mutable pcie_factor : float;
@@ -159,15 +163,26 @@ type t = {
   asic_polls : Metrics.Counter.t;
   latency : Metrics.Histogram.t;
       (* seed-observed delivery latency: ASIC read issue -> handler *)
-  (* per-seed drop notification hooks (always available; the reaction is
-     up to the seed — counting only, unless overload protection is on) *)
+  (* per-seed drop notification hooks; the reaction is up to the seed *)
   drop_hooks : (int, int -> unit) Hashtbl.t;
   accts : (int, seed_acct) Hashtbl.t;
+  (* request-granularity queue accounting ([overload_stats]) *)
+  mutable offered : int;
+  mutable served : int;
+  mutable shed_n : int;
+  mutable q_peak : int;
+  (* pressure monitor *)
+  mutable last_cpu : float;  (* monitor window baselines *)
+  mutable last_pcie : float;
+  mutable pressured : bool;
+  pressure_hooks : (int, bool -> unit) Hashtbl.t;  (* seed hooks *)
+  mutable listener : node:int -> high:bool -> unit;  (* the seeder's *)
+  shed : Metrics.Counter.t;
+  pressure : Metrics.Gauge.t;
   (* counter fault injection (Fault.Counter_freeze / Counter_glitch) *)
   mutable frozen : bool;
   mutable frozen_cache : (Filter.subject * float array) list;
   mutable glitch_budget : int;
-  ov : ov option;
   mutable tmemo : tids option;
 }
 
@@ -207,24 +222,23 @@ let subject_sid m subject =
       Hashtbl.add m.tm_subjects subject id;
       id
 
-(* --- pressure monitor (overload mode only) --- *)
+(* --- pressure monitor (armed only under finite limits) --- *)
 
-let ov_pressure_tick t ov =
-  let cfg = ov.ov_cfg in
+let pressure_tick t =
   let cores = t.cfg.cpu.cores in
   let busy = Cpu_model.busy_seconds t.usage in
   (* a [reset_stats] between ticks rewinds the busy clock; fall back to
      the absolute value so the delta never goes negative *)
   let cpu_delta =
-    if busy >= ov.ov_last_cpu then busy -. ov.ov_last_cpu else busy
+    if busy >= t.last_cpu then busy -. t.last_cpu else busy
   in
-  ov.ov_last_cpu <- busy;
-  let cpu_util = cpu_delta /. (cfg.pressure_interval *. cores) in
-  let pcie_delta = ov.ov_pcie_busy -. ov.ov_last_pcie in
-  ov.ov_last_pcie <- ov.ov_pcie_busy;
-  let pcie_util = pcie_delta /. cfg.pressure_interval in
-  let high = cpu_util > cfg.cpu_high || pcie_util > cfg.pcie_high in
-  let low = cpu_util < cfg.cpu_low && pcie_util < cfg.pcie_low in
+  t.last_cpu <- busy;
+  let cpu_util = cpu_delta /. (t.lim.pressure_interval *. cores) in
+  let pcie_delta = t.bus.busy_s -. t.last_pcie in
+  t.last_pcie <- t.bus.busy_s;
+  let pcie_util = pcie_delta /. t.lim.pressure_interval in
+  let high = cpu_util > t.lim.cpu_high || pcie_util > t.lim.pcie_high in
+  let low = cpu_util < t.lim.cpu_low && pcie_util < t.lim.pcie_low in
   let flip on =
     match Engine.tracer t.engine with
     | None -> ()
@@ -236,73 +250,64 @@ let ov_pressure_tick t ov =
         Trace.arg_f tr m.tm_k_cpu cpu_util;
         Trace.arg_f tr m.tm_k_pcie pcie_util
   in
-  if high && not ov.ov_pressured then begin
-    ov.ov_pressured <- true;
-    Metrics.Gauge.set ov.ov_pressure 1.;
+  if high && not t.pressured then begin
+    t.pressured <- true;
+    Metrics.Gauge.set t.pressure 1.;
     flip true
   end
-  else if low && ov.ov_pressured then begin
-    ov.ov_pressured <- false;
-    Metrics.Gauge.set ov.ov_pressure 0.;
+  else if low && t.pressured then begin
+    t.pressured <- false;
+    Metrics.Gauge.set t.pressure 0.;
     flip false
   end;
   (* every high tick backs degraded-capable seeds off multiplicatively;
      every low tick recovers them additively (no-op at full fidelity) *)
   if high || low then begin
     let notify sid =
-      match Hashtbl.find_opt ov.ov_pressure_hooks sid with
+      match Hashtbl.find_opt t.pressure_hooks sid with
       | Some f -> f high
       | None -> ()
     in
     List.iter notify (List.sort_uniq Int.compare t.seeds);
-    match ov.ov_listener with
-    | Some f -> f ~node:(Switch_model.id t.sw) ~high
-    | None -> ()
+    t.listener ~node:(Switch_model.id t.sw) ~high
   end
 
-let install_pressure_monitor t =
-  match t.ov with
-  | None -> ()
-  | Some ov ->
-      ignore
-        (Engine.every t.engine ~period:ov.ov_cfg.pressure_interval (fun _ ->
-             ov_pressure_tick t ov)
-          : Engine.timer)
-
+(* At [unlimited] limits nothing is shed and no monitor runs; neither
+   registers its metrics, so the registry is that of an unprotected soil. *)
 let create ?(config = default_config) engine sw =
   let reg = Engine.metrics engine in
   let pre = Printf.sprintf "soil.%d." (Switch_model.id sw) in
   let c name = Metrics.Registry.counter reg (pre ^ name) in
-  let ov =
-    (* overload state (and its registry entries) exists only when the
-       protection is configured on, so default runs register exactly the
-       same metrics as before *)
-    match config.overload with
-    | None -> None
-    | Some ovc ->
-        Some
-          { ov_cfg = ovc; ov_queue = [||]; ov_len = 0; ov_busy = false;
-            ov_seq = 0;
-            ov_offered = 0; ov_completed = 0; ov_shed_n = 0; ov_qpeak = 0;
-            ov_pcie_busy = 0.; ov_last_cpu = 0.; ov_last_pcie = 0.;
-            ov_pressured = false; ov_prio = Hashtbl.create 8;
-            ov_pressure_hooks = Hashtbl.create 8; ov_listener = None;
-            ov_shed = c "polls.shed";
-            ov_pressure = Metrics.Registry.gauge reg (pre ^ "pressure") }
-  in
+  let lim = Option.value config.overload ~default:unlimited in
+  let limited = lim <> unlimited in
   let t =
     { engine; sw; cfg = config; usage = Cpu_model.usage ();
       rng = Farm_sim.Rng.split (Engine.rng engine); seeds = [];
-      next_sub = 0; groups = []; pcie_free_at = 0.; pcie_factor = 1.;
+      next_sub = 0; groups = []; lim; queue = [||]; q_head = 0; q_len = 0;
+      q_top = min_int; q_top_n = 0; busy = false; q_seq = 0;
+      wait_cap = (if limited then infinity else config.max_poll_queue_delay);
+      bus = { free_at = 0.; busy_s = 0. }; pcie_factor = 1.;
       requested = c "polls.requested"; completed = c "polls.completed";
       dropped = c "polls.dropped"; pcie_bytes = c "pcie.bytes";
       asic_polls = c "asic.polls";
       latency = Metrics.Registry.histogram reg (pre ^ "delivery_latency");
       drop_hooks = Hashtbl.create 8; accts = Hashtbl.create 8;
-      frozen = false; frozen_cache = []; glitch_budget = 0; ov;
-      tmemo = None }
+      offered = 0; served = 0; shed_n = 0; q_peak = 0;
+      last_cpu = 0.; last_pcie = 0.; pressured = false;
+      pressure_hooks = Hashtbl.create 8;
+      listener = (fun ~node:_ ~high:_ -> ());
+      shed =
+        (if limited then c "polls.shed" else Metrics.Counter.create ());
+      pressure =
+        (if limited then Metrics.Registry.gauge reg (pre ^ "pressure")
+         else Metrics.Gauge.create ());
+      frozen = false; frozen_cache = []; glitch_budget = 0; tmemo = None }
   in
-  install_pressure_monitor t;
+  if limited then
+    ignore
+      (Engine.every engine ~period:lim.pressure_interval (fun _ ->
+           pressure_tick t)
+        : Engine.timer);
   t
 
 let node_id t = Switch_model.id t.sw
@@ -313,6 +318,16 @@ let engine t = t.engine
 
 let attach_seed t id = t.seeds <- id :: t.seeds
 
+let acct t seed_id =
+  match Hashtbl.find t.accts seed_id with
+  | a -> a
+  | exception Not_found ->
+      let a =
+        { sa_id = seed_id; sa_prio = 0; sa_queued = 0; sa_dropped = None }
+      in
+      Hashtbl.add t.accts seed_id a;
+      a
+
 let detach_seed t id =
   (* remove one registration *)
   let rec go = function
@@ -321,11 +336,8 @@ let detach_seed t id =
   in
   t.seeds <- go t.seeds;
   Hashtbl.remove t.drop_hooks id;
-  match t.ov with
-  | Some ov ->
-      Hashtbl.remove ov.ov_pressure_hooks id;
-      Hashtbl.remove ov.ov_prio id
-  | None -> ()
+  Hashtbl.remove t.pressure_hooks id;
+  (acct t id).sa_prio <- 0
 
 let seed_count t = List.length t.seeds
 
@@ -347,20 +359,18 @@ let poll_payload t = function
       counter_record_bytes
 
 (* ------------------------------------------------------------------ *)
-(* Overload protection: hooks, drop attribution, bounded PCIe queue    *)
+(* Overload protection: hooks, drop attribution, the PCIe queue        *)
 (* ------------------------------------------------------------------ *)
 
-let overload_enabled t = t.ov <> None
+let limits t = t.lim
 
 let overload_stats t =
-  match t.ov with
-  | None -> None
-  | Some ov ->
-      Some
-        { o_offered = ov.ov_offered; o_completed = ov.ov_completed;
-          o_shed = ov.ov_shed_n;
-          o_pending = ov.ov_len + (if ov.ov_busy then 1 else 0);
-          o_queue_peak = ov.ov_qpeak }
+  if t.lim = unlimited then None
+  else
+    Some
+      { o_offered = t.offered; o_completed = t.served; o_shed = t.shed_n;
+        o_pending = t.q_len + (if t.busy then 1 else 0);
+        o_queue_peak = t.q_peak }
 
 let set_pcie_factor t f =
   if f <= 0. then invalid_arg "Soil.set_pcie_factor: factor must be > 0";
@@ -368,46 +378,23 @@ let set_pcie_factor t f =
 
 let pcie_factor t = t.pcie_factor
 
-(* Effective PCIe bandwidth; the [= 1.] fast path keeps default runs on
-   the exact original float value. *)
+(* Effective PCIe bandwidth; at the default factor 1 it returns the stored
+   value instead of boxing a fresh float on every transfer. *)
 let effective_pcie_bps t =
   let caps = Switch_model.caps t.sw in
   if t.pcie_factor = 1. then caps.pcie_bps else caps.pcie_bps /. t.pcie_factor
 
 let on_poll_drop t ~seed_id f = Hashtbl.replace t.drop_hooks seed_id f
 
-let set_seed_priority t ~seed_id prio =
-  match t.ov with
-  | Some ov -> Hashtbl.replace ov.ov_prio seed_id prio
-  | None -> ()
-
-let seed_priority t seed_id =
-  match t.ov with
-  | Some ov -> (
-      match Hashtbl.find ov.ov_prio seed_id with
-      | p -> p
-      | exception Not_found -> 0)
-  | None -> 0
+let set_seed_priority t ~seed_id prio = (acct t seed_id).sa_prio <- prio
 
 let on_pressure t ~seed_id f =
-  match t.ov with
-  | Some ov -> Hashtbl.replace ov.ov_pressure_hooks seed_id (fun high -> f ~high)
-  | None -> ()
+  Hashtbl.replace t.pressure_hooks seed_id (fun high -> f ~high)
 
-let set_pressure_listener t f =
-  match t.ov with Some ov -> ov.ov_listener <- Some f | None -> ()
-
-let acct t seed_id =
-  match Hashtbl.find t.accts seed_id with
-  | a -> a
-  | exception Not_found ->
-      let a = { sa_id = seed_id; sa_queued = 0; sa_dropped = None } in
-      Hashtbl.add t.accts seed_id a;
-      a
+let set_pressure_listener t f = t.listener <- f
 
 (* Per-seed drop attribution + synchronous drop notification; runs inline
-   (no engine events), so runs without drops — and default runs, whose
-   drop behavior is unchanged — stay byte-identical. *)
+   (no engine events), so runs without drops stay byte-identical. *)
 let record_seed_drop t a n =
   let ctr =
     match a.sa_dropped with
@@ -455,11 +442,13 @@ let drop_polls t ~name owners =
   | [ a ] -> record_seed_drop t a 1
   | _ -> List.iter (fun (a, n) -> record_seed_drop t a n) (drops_by_seed owners)
 
-(* --- bounded priority queue over the PCIe bus (overload mode only) ---
+(* --- the priority queue over the PCIe bus ---
 
-   Each seed's queued-request count is kept up to date on enqueue, pump
-   and shed, so choosing a victim scans the queue without rebuilding
-   any per-seed table. *)
+   With equal priorities the next transfer is the oldest, taken from the
+   head in O(1), so an unbounded FIFO stays linear in its traffic.  Each
+   seed's queued-request count is kept up to date on enqueue, pump and
+   shed, so choosing a victim scans the queue without rebuilding any
+   per-seed table. *)
 
 let rec add_queued d = function
   | [] -> ()
@@ -485,12 +474,12 @@ let sheds_before r v =
 
 (* Index of the victim among the queue from [i] on and the candidate [v]
    at index [vi]. *)
-let rec victim_index ov i vi v =
-  if i = ov.ov_len then vi
+let rec victim_index t i vi v =
+  if i = t.q_head + t.q_len then vi
   else
-    let r = ov.ov_queue.(i) in
-    if sheds_before r v then victim_index ov (i + 1) i r
-    else victim_index ov (i + 1) vi v
+    let r = t.queue.(i) in
+    if sheds_before r v then victim_index t (i + 1) i r
+    else victim_index t (i + 1) vi v
 
 (* Fills the queue's free slots, so that a served or shed request, and the
    subscriptions and seeds its closure holds, can be collected. *)
@@ -498,140 +487,153 @@ let no_req =
   { rq_seq = -1; rq_bytes = 0.; rq_issued = 0.; rq_prio = 0; rq_owners = [];
     rq_deliver = ignore }
 
-let queue_push ov req =
-  let n = ov.ov_len in
-  if n = Array.length ov.ov_queue then begin
-    let q = Array.make (Int.max 8 (2 * n)) no_req in
-    Array.blit ov.ov_queue 0 q 0 n;
-    ov.ov_queue <- q
+let count_top t p =
+  if p > t.q_top then begin
+    t.q_top <- p;
+    t.q_top_n <- 1
+  end
+  else if p = t.q_top then t.q_top_n <- t.q_top_n + 1
+
+(* On reaching the end of the array, move the requests to the front if
+   that frees at least half of it, else double it. *)
+let queue_push t req =
+  let cap = Array.length t.queue in
+  if t.q_head + t.q_len = cap then begin
+    let q =
+      if cap > 0 && 2 * t.q_len <= cap then t.queue
+      else Array.make (Int.max 8 (2 * cap)) no_req
+    in
+    Array.blit t.queue t.q_head q 0 t.q_len;
+    if q == t.queue then Array.fill q t.q_len (cap - t.q_len) no_req;
+    t.queue <- q;
+    t.q_head <- 0
   end;
-  ov.ov_queue.(n) <- req;
-  ov.ov_len <- n + 1
+  t.queue.(t.q_head + t.q_len) <- req;
+  t.q_len <- t.q_len + 1;
+  count_top t req.rq_prio
 
-let queue_remove ov i =
-  let r = ov.ov_queue.(i) in
-  Array.blit ov.ov_queue (i + 1) ov.ov_queue i (ov.ov_len - i - 1);
-  ov.ov_len <- ov.ov_len - 1;
-  ov.ov_queue.(ov.ov_len) <- no_req;
-  add_queued (-1) r.rq_owners
-
-(* Index of the first request of the highest priority from [i] on, the
-   best so far being at [bi] with priority [bp]: highest priority first,
-   FIFO within a priority. *)
-let rec next_index ov i bi bp =
-  if i = ov.ov_len then bi
-  else
-    let p = ov.ov_queue.(i).rq_prio in
-    if p > bp then next_index ov (i + 1) i p else next_index ov (i + 1) bi bp
-
-let rec ov_pump t ov =
-  if (not ov.ov_busy) && ov.ov_len > 0 then begin
-    let i = next_index ov 1 0 ov.ov_queue.(0).rq_prio in
-    let next = ov.ov_queue.(i) in
-    queue_remove ov i;
-    ov.ov_busy <- true;
-    let now = Engine.now t.engine in
-    let dur = next.rq_bytes *. 8. /. effective_pcie_bps t in
-    ov.ov_pcie_busy <- ov.ov_pcie_busy +. dur;
-    (match Engine.tracer t.engine with
-    | None -> ()
-    | Some tr ->
-        (* span covers queueing + transfer, as in the default path *)
-        let m = tids t tr in
-        Trace.span tr ~ts:next.rq_issued
-          ~dur:(now +. dur -. next.rq_issued)
-          ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t);
-        Trace.arg_f tr m.tm_k_bytes next.rq_bytes);
-    Engine.schedule t.engine ~delay:dur (fun engine ->
-        Metrics.Counter.add t.pcie_bytes next.rq_bytes;
-        ov.ov_busy <- false;
-        ov.ov_completed <- ov.ov_completed + 1;
-        next.rq_deliver engine;
-        ov_pump t ov)
+let queue_remove t i =
+  let r = t.queue.(i) in
+  if i = t.q_head then begin
+    t.queue.(i) <- no_req;
+    t.q_head <- i + 1
+  end
+  else begin
+    let last = t.q_head + t.q_len - 1 in
+    Array.blit t.queue (i + 1) t.queue i (last - i);
+    t.queue.(last) <- no_req
+  end;
+  t.q_len <- t.q_len - 1;
+  add_queued (-1) r.rq_owners;
+  if r.rq_prio = t.q_top then begin
+    t.q_top_n <- t.q_top_n - 1;
+    if t.q_top_n = 0 then begin
+      (* the last request of the top priority left: find the next one *)
+      t.q_top <- min_int;
+      for j = t.q_head to t.q_head + t.q_len - 1 do
+        count_top t t.queue.(j).rq_prio
+      done
+    end
   end
 
-let rec owners_priority t acc = function
-  | [] -> acc
-  | a :: rest -> owners_priority t (Int.max acc (seed_priority t a.sa_id)) rest
+(* Index of the oldest request of the highest priority, from [i] on. *)
+let rec next_index t i =
+  if t.queue.(i).rq_prio = t.q_top then i else next_index t (i + 1)
 
-let ov_enqueue t ov ~bytes ~owners k =
-  ov.ov_offered <- ov.ov_offered + 1;
-  let prio =
-    match owners with
-    | [] -> seed_priority t (-1)
-    | _ -> owners_priority t min_int owners
-  in
-  let req =
-    { rq_seq = ov.ov_seq; rq_bytes = bytes;
-      rq_issued = Engine.now t.engine; rq_prio = prio; rq_owners = owners;
-      rq_deliver = k }
-  in
-  ov.ov_seq <- ov.ov_seq + 1;
-  add_queued 1 owners;
-  let accepted =
-    if ov.ov_len < ov.ov_cfg.max_pcie_queue then begin
-      queue_push ov req;
-      true
-    end
-    else begin
-      (* queue full: shed the least valuable request among the queue and
-         the incoming one *)
-      (* the incoming request stands at index [ov_len] *)
-      let vi = victim_index ov 0 ov.ov_len req in
-      ov.ov_shed_n <- ov.ov_shed_n + 1;
-      Metrics.Counter.incr ov.ov_shed;
-      if vi = ov.ov_len then begin
-        drop_polls t ~name:"poll_shed" owners;
-        add_queued (-1) owners;
-        false
-      end
-      else begin
-        drop_polls t ~name:"poll_shed" ov.ov_queue.(vi).rq_owners;
-        queue_remove ov vi;
-        queue_push ov req;
-        true
-      end
-    end
-  in
-  let depth = ov.ov_len + if ov.ov_busy then 1 else 0 in
-  if depth > ov.ov_qpeak then ov.ov_qpeak <- depth;
-  ov_pump t ov;
-  accepted
+(* Put [next] on the idle bus.  Its duration is taken at the bandwidth in
+   force when it starts, and its completion scheduled [dur] from now, so
+   completion times are exact sums of durations. *)
+let rec serve t next =
+  t.busy <- true;
+  let now = Engine.now t.engine in
+  let dur = next.rq_bytes *. 8. /. effective_pcie_bps t in
+  t.bus.busy_s <- t.bus.busy_s +. dur;
+  (match Engine.tracer t.engine with
+  | None -> ()
+  | Some tr ->
+      (* span covers queueing + transfer: from the request's arrival to
+         bus completion *)
+      let m = tids t tr in
+      Trace.span tr ~ts:next.rq_issued
+        ~dur:(now +. dur -. next.rq_issued)
+        ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t);
+      Trace.arg_f tr m.tm_k_bytes next.rq_bytes);
+  Engine.schedule t.engine ~delay:dur (fun engine ->
+      (* account the transfer when it completes, so byte counters over
+         a window reflect achieved (not queued) throughput *)
+      Metrics.Counter.add t.pcie_bytes next.rq_bytes;
+      t.busy <- false;
+      t.served <- t.served + 1;
+      next.rq_deliver engine;
+      pump t)
+
+and pump t =
+  if (not t.busy) && t.q_len > 0 then begin
+    let i = next_index t t.q_head in
+    let next = t.queue.(i) in
+    queue_remove t i;
+    serve t next
+  end
+
+let rec owners_priority acc = function
+  | [] -> acc
+  | a :: rest -> owners_priority (Int.max acc a.sa_prio) rest
 
 (* Schedule a transfer over the PCIe bus; calls [k] at completion, or
-   returns [false] when the poll is dropped on arrival (queue too long, or
-   shed at once).  [owners] own the transfer; only the overload queue reads
-   them, so the default path may pass [].  A request the queue sheds is
-   counted as a drop of its owners' polls here. *)
+   returns [false] when the transfer is refused on arrival: it would wait
+   longer than the wait cap, or the full queue sheds it at once.  [owners]
+   own the transfer (one entry per poll) and set its priority and fair
+   share.  A request the queue sheds, on arrival or later, is counted as
+   a drop of its owners' polls here. *)
 let pcie_transfer t ~bytes ~owners k =
-  match t.ov with
-  | Some ov -> ov_enqueue t ov ~bytes ~owners k
-  | None ->
-      let now = Engine.now t.engine in
-      let start = Float.max now t.pcie_free_at in
-      if start -. now > t.cfg.max_poll_queue_delay then false
-      else begin
-        let dur = bytes *. 8. /. effective_pcie_bps t in
-        t.pcie_free_at <- start +. dur;
-        let completion = start +. dur in
-        (match Engine.tracer t.engine with
-        | None -> ()
-        | Some tr ->
-            (* span covers queueing + transfer: starts when the poll was
-               issued, ends at bus completion *)
-            let m = tids t tr in
-            Trace.span tr ~ts:now ~dur:(completion -. now) ~cat:m.tm_pcie
-              ~name:m.tm_transfer ~tid:(Switch_model.id t.sw);
-            Trace.arg_f tr m.tm_k_bytes bytes);
-        Engine.schedule t.engine
-          ~delay:(completion -. now)
-          (fun engine ->
-            (* account the transfer when it completes, so byte counters over
-               a window reflect achieved (not queued) throughput *)
-            Metrics.Counter.add t.pcie_bytes bytes;
-            k engine);
+  let now = Engine.now t.engine in
+  let start = Float.max now t.bus.free_at in
+  if start -. now > t.wait_cap then false
+  else begin
+    t.bus.free_at <- start +. (bytes *. 8. /. effective_pcie_bps t);
+    t.offered <- t.offered + 1;
+    let prio =
+      owners_priority
+        (match owners with [] -> (acct t (-1)).sa_prio | _ -> min_int)
+        owners
+    in
+    let req =
+      { rq_seq = t.q_seq; rq_bytes = bytes; rq_issued = now; rq_prio = prio;
+        rq_owners = owners; rq_deliver = k }
+    in
+    t.q_seq <- t.q_seq + 1;
+    add_queued 1 owners;
+    let accepted =
+      if t.q_len < t.lim.max_pcie_queue then begin
+        (* an idle bus has an empty queue: the arrival goes straight on *)
+        if t.busy then queue_push t req
+        else (add_queued (-1) owners; serve t req);
         true
       end
+      else begin
+        (* queue full: shed the least valuable request among the queue and
+           the incoming one, which stands at index -1 *)
+        let vi = victim_index t t.q_head (-1) req in
+        t.shed_n <- t.shed_n + 1;
+        Metrics.Counter.incr t.shed;
+        if vi < 0 then begin
+          drop_polls t ~name:"poll_shed" owners;
+          add_queued (-1) owners;
+          false
+        end
+        else begin
+          drop_polls t ~name:"poll_shed" t.queue.(vi).rq_owners;
+          queue_remove t vi;
+          queue_push t req;
+          true
+        end
+      end
+    in
+    let depth = t.q_len + if t.busy then 1 else 0 in
+    if depth > t.q_peak then t.q_peak <- depth;
+    pump t;
+    accepted
+  end
 
 let ipc_deliver ?issued t f =
   (* IPC latency depends on how many seeds are co-located (Fig. 10) *)
@@ -715,10 +717,7 @@ let issue_poll t subject subs =
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)
   let data = read_counters t subject in
-  (* the owner list is only needed on the drop path (and by the bounded
-     queue under overload protection): build it there, not per
-     successful poll *)
-  let owners = if t.ov = None then [] else sub_owners subs in
+  let owners = sub_owners subs in
   let ok =
     pcie_transfer t ~bytes ~owners (fun _engine ->
         let records = Float.max 1. (bytes /. counter_record_bytes) in
@@ -738,9 +737,7 @@ let issue_poll t subject subs =
             end)
           subs)
   in
-  if not ok then
-    drop_polls t ~name:"poll_dropped"
-      (if t.ov = None then sub_owners subs else owners)
+  if not ok then drop_polls t ~name:"poll_dropped" owners
 
 (* ------------------------------------------------------------------ *)
 (* Aggregated polling groups                                           *)

@@ -10,11 +10,11 @@
     is never disturbed), accounts management-CPU time, and models the
     soil↔seed IPC (threads/processes × gRPC/shared-buffer).
 
-    With {!config.overload} set, the soil additionally runs the
-    overload-protection layer: the PCIe waiting line becomes an explicit
-    bounded priority queue with deterministic fair-share shedding, and a
-    periodic monitor publishes CPU/PCIe pressure to the co-located seeds
-    (AIMD degraded mode) and to the seeder. *)
+    PCIe transfers wait in one priority queue (FIFO within a priority)
+    whose limits {!config.overload} sets: a bounded queue sheds by fair
+    share, and a monitor publishes CPU/PCIe pressure to the co-located
+    seeds (AIMD degraded mode) and to the seeder.  The default runs the
+    same code at {!unlimited} limits. *)
 
 module Filter := Farm_net.Filter
 
@@ -33,18 +33,22 @@ type overload_config = {
 
 val default_overload : overload_config
 
+(** Protection off: an unbounded queue, watermarks never crossed and a
+    pressure interval that never elapses. *)
+val unlimited : overload_config
+
 type config = {
   cpu : Cpu_model.t;
   scheme : Ipc.scheme;
   exec_model : Ipc.exec_model;
   aggregate_polls : bool;
   max_poll_queue_delay : float;
-      (** polls that would wait longer than this on the PCIe bus are
-          dropped (counted in [polls_dropped]); superseded by the bounded
-          queue when [overload] is set *)
+      (** at unlimited limits, transfers that would wait longer than this
+          on the PCIe bus are dropped on arrival (counted in
+          [polls_dropped]); a bounded queue sheds instead *)
   overload : overload_config option;
-      (** [None] (the default) keeps the pre-overload behavior
-          byte-identical *)
+      (** [None] (the default) means {!unlimited}: nothing is shed, no
+          pressure monitor runs and neither registers metrics *)
 }
 
 val default_config : config
@@ -107,20 +111,19 @@ val cancel : t -> subscription -> unit
 (** [transfer t ~bytes ~seeds k] moves [bytes] over the PCIe bus on
     behalf of [seeds], the way a poll or a packet sample does, and calls
     [k] when the transfer completes.  A transfer dropped on arrival or
-    shed by the overload queue counts as one dropped poll per entry of
+    shed by the bounded queue counts as one dropped poll per entry of
     [seeds] (see {!on_poll_drop}), like the soil's own reads. *)
 val transfer : t -> bytes:float -> seeds:int list -> (unit -> unit) -> unit
 
 (** {2 Overload protection}
 
-    Everything here is inert unless {!config.overload} is set, except the
-    drop-notification hooks, which also fire for the legacy
-    queue-too-long drops (per-seed attribution of previously silent
-    losses). *)
+    At {!unlimited} limits nothing is shed and the pressure hooks stay
+    silent; drop notifications fire for wait-cap drops and sheds alike. *)
 
-val overload_enabled : t -> bool
+(** The limits in force: [config.overload], or {!unlimited}. *)
+val limits : t -> overload_config
 
-(** Request-granularity shed accounting, [None] when protection is off.
+(** Request-granularity queue accounting, [None] at {!unlimited} limits.
     Offered = completed + shed + pending at every instant. *)
 type overload_stats = {
   o_offered : int;
@@ -132,8 +135,8 @@ type overload_stats = {
 
 val overload_stats : t -> overload_stats option
 
-(** Shedding prefers low-priority seeds (default priority 0).  No-op when
-    protection is off. *)
+(** The queue serves high-priority seeds first and sheds low-priority ones
+    first (default priority 0). *)
 val set_seed_priority : t -> seed_id:int -> int -> unit
 
 (** [on_poll_drop t ~seed_id f] registers a synchronous callback invoked
@@ -144,7 +147,7 @@ val on_poll_drop : t -> seed_id:int -> (int -> unit) -> unit
 
 (** Per-seed backpressure notification: [f ~high:true] on every monitor
     tick above the high watermark, [f ~high:false] on every tick below
-    the low one.  No-op when protection is off. *)
+    the low one.  Never called at {!unlimited} limits. *)
 val on_pressure : t -> seed_id:int -> (high:bool -> unit) -> unit
 
 (** The seeder's global pressure listener (one per soil). *)

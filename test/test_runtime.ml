@@ -1507,7 +1507,9 @@ machine Chat {
     | Error m -> Alcotest.failf "deploy failed: %s" m
   in
   Alcotest.(check bool) "protection armed" true
-    (Seeder.ctrl_protection_enabled seeder);
+    (Farm_sim.Metrics.Registry.find (Engine.metrics engine)
+       "seeder.ctrl.rate_limited"
+    <> None);
   Engine.schedule engine ~delay:0.2 (fun _ ->
       Seeder.set_ctrl_faults seeder { Seeder.loss = 1.0; delay = 0.; dup = 0. });
   Engine.schedule engine ~delay:0.215 (fun _ ->
@@ -1701,11 +1703,15 @@ let prop_harvester_fencing =
 
 (* -- bounded fair-share PCIe queue vs its reference (qcheck) ------- *)
 
-(* Reference: the queue as it was first written — a list, oldest first,
+(* Reference: the two queues the soil once had side by side.  A bounded
+   queue is modelled as it was first written — a list, oldest first,
    whose shedding victim is picked by rebuilding every seed's queued count
-   on each arrival to a full queue.  It logs what the soil makes
-   observable: transfers served, in order, and every per-seed drop
-   notification. *)
+   on each arrival to a full queue.  An unbounded one ([max_queue =
+   None]) is the FIFO that protection off used to run: an arrival that
+   would start more than [cap] after now is refused, and its completion
+   is scheduled at enqueue, [completion - now] ahead.  It logs what the
+   soil makes observable: transfers served, in order, every per-seed drop
+   notification, and each transfer's issue and completion time. *)
 module Ref_queue = struct
   type req = {
     seq : int;
@@ -1713,11 +1719,15 @@ module Ref_queue = struct
     prio : int;
     seeds : int list;
     tag : int;
+    issued : float;
   }
 
   type t = {
     engine : Engine.t;
-    max_queue : int;
+    max_queue : int option;
+    cap : float;
+    mutable free_at : float;
+    times : (int, float * float) Hashtbl.t;  (* tag -> issued, completed *)
     prios : (int, int) Hashtbl.t;
     mutable queue : req list;
     mutable busy : bool;
@@ -1731,8 +1741,9 @@ module Ref_queue = struct
     mutable log : string list;  (* newest first *)
   }
 
-  let create engine ~max_queue =
-    { engine; max_queue; prios = Hashtbl.create 8; queue = []; busy = false;
+  let create engine ~max_queue ~cap =
+    { engine; max_queue; cap; free_at = 0.; times = Hashtbl.create 64;
+      prios = Hashtbl.create 8; queue = []; busy = false;
       next_seq = 0; offered = 0; completed = 0; shed = 0; peak = 0;
       dropped = 0; per_seed = Hashtbl.create 8; log = [] }
 
@@ -1788,6 +1799,11 @@ module Ref_queue = struct
               else v)
           first rest
 
+  let serve t r =
+    t.completed <- t.completed + 1;
+    t.log <- Printf.sprintf "serve %d" r.tag :: t.log;
+    Hashtbl.replace t.times r.tag (r.issued, Engine.now t.engine)
+
   let rec pump t =
     if not t.busy then
       match t.queue with
@@ -1802,20 +1818,23 @@ module Ref_queue = struct
           t.busy <- true;
           Engine.schedule t.engine ~delay:(next.bytes *. 8. /. 8e6) (fun _ ->
               t.busy <- false;
-              t.completed <- t.completed + 1;
-              t.log <- Printf.sprintf "serve %d" next.tag :: t.log;
+              serve t next;
               pump t)
 
-  let enqueue t ~bytes ~seeds ~tag =
+  let enqueue_fifo t req =
+    let now = Engine.now t.engine in
+    let start = Float.max now t.free_at in
+    if start -. now > t.cap then drop t req.seeds
+    else begin
+      let completion = start +. (req.bytes *. 8. /. 8e6) in
+      t.free_at <- completion;
+      Engine.schedule t.engine ~delay:(completion -. now) (fun _ -> serve t req)
+    end
+
+  let enqueue_bounded t req max_queue =
     t.offered <- t.offered + 1;
-    let prio =
-      List.fold_left (fun acc sid -> max acc (priority t sid)) min_int
-        (if seeds = [] then [ -1 ] else seeds)
-    in
-    let req = { seq = t.next_seq; bytes; prio; seeds; tag } in
-    t.next_seq <- t.next_seq + 1;
     let accepted =
-      if List.length t.queue < t.max_queue then begin
+      if List.length t.queue < max_queue then begin
         t.queue <- t.queue @ [ req ];
         true
       end
@@ -1835,12 +1854,30 @@ module Ref_queue = struct
     if depth > t.peak then t.peak <- depth;
     pump t;
     (* a refused arrival is dropped again by its caller *)
-    if not accepted then drop t seeds
+    if not accepted then drop t req.seeds
+
+  let enqueue t ~bytes ~seeds ~tag =
+    let prio =
+      List.fold_left (fun acc sid -> max acc (priority t sid)) min_int
+        (if seeds = [] then [ -1 ] else seeds)
+    in
+    let req =
+      { seq = t.next_seq; bytes; prio; seeds; tag;
+        issued = Engine.now t.engine }
+    in
+    t.next_seq <- t.next_seq + 1;
+    match t.max_queue with
+    | None -> enqueue_fifo t req
+    | Some max_queue -> enqueue_bounded t req max_queue
 end
 
 type queue_op =
   | Arrive of float * float * int list  (* time, bytes, owning seeds *)
   | Priority of float * int * int  (* time, seed, priority *)
+
+(* A bounded queue of 0-6 transfers, or the default config (unbounded)
+   with a wait cap of 0 s to the default 1 s. *)
+type queue_cfg = Bounded of int | Default of float
 
 let gen_queue_ops =
   let open QCheck2.Gen in
@@ -1858,20 +1895,41 @@ let gen_queue_ops =
            (fun t s p -> Priority (t, s, p))
            (float_bound_inclusive 0.03) (int_bound 4) (int_range (-1) 2)) ]
   in
-  pair (int_range 0 6) (list_size (int_range 1 120) op)
+  let cfg =
+    frequency
+      [ (3, map (fun n -> Bounded n) (int_range 0 6));
+        (2, map (fun c -> Default c) (oneofl [ 0.; 0.002; 0.01; 1. ])) ]
+  in
+  pair cfg (list_size (int_range 1 120) op)
+
+(* Completion times match the reference bit for bit, except where the old
+   FIFO's [now + (completion - now)] rounds: that sum is exact only while
+   the completion is at most twice the issue time, and is within one ulp
+   otherwise. *)
+let same_completion ~issued ~expected got =
+  Float.equal got expected
+  || (expected > 2. *. issued
+     && (Float.equal got (Float.succ expected)
+        || Float.equal got (Float.pred expected)))
 
 let prop_fair_share_queue_matches_reference =
   QCheck2.Test.make
     ~name:"fair-share PCIe queue = rebuild-per-arrival reference" ~count:300
-    gen_queue_ops (fun (max_queue, ops) ->
-      let config =
-        { Soil.default_config with
-          overload =
-            Some { Soil.default_overload with max_pcie_queue = max_queue } }
+    gen_queue_ops (fun (qcfg, ops) ->
+      let config, max_queue, cap =
+        match qcfg with
+        | Bounded n ->
+            ( { Soil.default_config with
+                overload =
+                  Some { Soil.default_overload with max_pcie_queue = n } },
+              Some n, infinity )
+        | Default cap ->
+            ({ Soil.default_config with max_poll_queue_delay = cap }, None, cap)
       in
       let engine, _sw, soil = make_soil ~config () in
-      let rq = Ref_queue.create engine ~max_queue in
+      let rq = Ref_queue.create engine ~max_queue ~cap in
       let log = ref [] in
+      let times = Hashtbl.create 64 in
       for sid = 0 to 4 do
         Soil.on_poll_drop soil ~seed_id:sid (fun n ->
             log := Printf.sprintf "drop s%d x%d" sid n :: !log)
@@ -1882,39 +1940,120 @@ let prop_fair_share_queue_matches_reference =
           | Arrive (time, bytes, seeds) ->
               Engine.schedule engine ~delay:time (fun _ ->
                   Soil.transfer soil ~bytes ~seeds (fun () ->
-                      log := Printf.sprintf "serve %d" tag :: !log);
+                      log := Printf.sprintf "serve %d" tag :: !log;
+                      Hashtbl.replace times tag (Engine.now engine));
                   Ref_queue.enqueue rq ~bytes ~seeds ~tag)
+          | Priority _ when max_queue = None ->
+              (* the old FIFO ignored priorities *)
+              ()
           | Priority (time, sid, p) ->
               Engine.schedule engine ~delay:time (fun _ ->
                   Soil.set_seed_priority soil ~seed_id:sid p;
                   Hashtbl.replace rq.prios sid p))
         ops;
       Engine.run ~until:1. engine;
-      let stats = Option.get (Soil.overload_stats soil) in
       let per_seed sid =
         Option.map int_of_float
           (Farm_sim.Metrics.Registry.value (Engine.metrics engine)
              (Printf.sprintf "soil.0.polls.dropped.seed%d" sid))
       in
+      let stats_match =
+        match (Soil.overload_stats soil, max_queue) with
+        | None, None -> true
+        | Some stats, Some _ ->
+            stats.o_offered = rq.offered
+            && stats.o_completed = rq.completed
+            && stats.o_shed = rq.shed
+            && stats.o_pending = 0
+            && stats.o_queue_peak = rq.peak
+        | Some _, None | None, Some _ -> false
+      in
       !log = rq.log
-      && stats.o_offered = rq.offered
-      && stats.o_completed = rq.completed
-      && stats.o_shed = rq.shed
-      && stats.o_pending = 0
-      && stats.o_queue_peak = rq.peak
+      && stats_match
+      && Hashtbl.length times = Hashtbl.length rq.times
+      && Hashtbl.fold
+           (fun tag (issued, expected) ok ->
+             ok
+             &&
+             match Hashtbl.find_opt times tag with
+             | Some got -> same_completion ~issued ~expected got
+             | None -> false)
+           rq.times true
       && (Soil.poll_stats soil).dropped = rq.dropped
       && List.for_all
            (fun sid -> per_seed sid = Hashtbl.find_opt rq.per_seed sid)
            [ 0; 1; 2; 3; 4 ])
 
+(* Protection off is the protected code at unlimited limits, and must not
+   show.  A default world registers none of the protection metrics and
+   keeps no queue accounting (the armed world is the control); an adaptive
+   seed on a default soil that drops its polls never backs off, although
+   its first drop sees an infinite gap since the last back-off. *)
+let test_unlimited_limits_inert () =
+  let protection_metrics config =
+    let engine, seeder, _ = make_heal_world ~config () in
+    Engine.run ~until:0.2 engine;
+    let has pre suf name =
+      String.starts_with ~prefix:pre name && String.ends_with ~suffix:suf name
+    in
+    let families =
+      [ has "soil." ".polls.shed"; has "soil." ".pressure";
+        has "seeder.ctrl." ""; has "seeder.pressure." "";
+        has "harvester." ".offered"; has "harvester." ".shed";
+        has "seed." ".degradation" ]
+    in
+    let names = Farm_sim.Metrics.Registry.names (Engine.metrics engine) in
+    ( List.map (fun f -> List.exists f names) families,
+      List.filter_map Soil.overload_stats (Seeder.soils seeder) )
+  in
+  let off, off_stats = protection_metrics Seeder.default_config in
+  Alcotest.(check (list bool)) "default world: no protection metric"
+    (List.map (fun _ -> false) off) off;
+  Alcotest.(check int) "default world: no overload stats" 0
+    (List.length off_stats);
+  let on, on_stats = protection_metrics Seeder.overload_defaults in
+  Alcotest.(check (list bool)) "armed world: every protection metric"
+    (List.map (fun _ -> true) on) on;
+  Alcotest.(check bool) "armed world: overload stats" true (on_stats <> []);
+  (* 64 ports x 16 B every 0.1 ms is ten times the bus: the FIFO backlog
+     reaches its 1 s cap and polls are dropped *)
+  let engine = Engine.create () in
+  let soil = Soil.create engine (Switch_model.create ~id:0 ~ports:64 ()) in
+  let source =
+    {|
+machine Flood {
+  place all;
+  poll ticks = Poll { .ival = 0.0001, .what = port ANY };
+  state s { when (ticks as stats) do { } }
+}
+|}
+  in
+  let program = Typecheck.check (Farm_almanac.Parser.program source) in
+  let polls =
+    match Farm_almanac.Analysis.polls (List.hd program.machines) with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let s =
+    Seed_exec.deploy ~soil ~program ~machine:"Flood" ~adaptive:[ "ticks" ]
+      ~resources:(Array.make Farm_almanac.Analysis.n_resources 1.)
+      ~polls ~send:(fun _ _ _ -> ()) ~seed_id:3 ()
+  in
+  Engine.run ~until:1.5 engine;
+  Alcotest.(check bool) "polls dropped" true (Seed_exec.poll_drops s > 0);
+  Alcotest.(check (float 0.)) "no back-off" 0. (Seed_exec.degradation s);
+  Alcotest.(check (option (float 0.))) "no degradation gauge" None
+    (Farm_sim.Metrics.Registry.value (Engine.metrics engine)
+       "seed.3.degradation")
+
 (* ------------------------------------------------------------------ *)
 (* Canonical digest coverage                                           *)
 (* ------------------------------------------------------------------ *)
 
-let marker_source =
+let marker_source_at place =
   {|
 machine Marker {
-  place any;
+  place |} ^ place ^ {|;
   poll ticks = Poll { .ival = 0.01, .what = port ANY };
   long count = 0;
   long mark = 1;
@@ -1924,6 +2063,8 @@ machine Marker {
   }
 }
 |}
+
+let marker_source = marker_source_at "any"
 
 (* Each row touches exactly one component of a settled healing world:
    [~perturbed:false] is the neutral action, [~perturbed:true] the one
@@ -1988,11 +2129,86 @@ let digest_rows =
         if perturbed then Soil.set_pcie_factor (List.hd (Seeder.soils seeder)) 2.
     ) ]
 
-let test_digest_coverage () =
+(* The control-channel and inbox protection state, live in every run:
+   a marker seed on every switch, a bounded harvester inbox, and the
+   harvester's capabilities kept for the rows to send with.  Sending the
+   seeds their initial mark changes no seed state. *)
+let make_protection_world () =
+  let engine = Engine.create ~seed:29 () in
+  let fabric =
+    Fabric.create (Topology.spine_leaf ~spines:2 ~leaves:2 ~hosts_per_leaf:1)
+  in
+  let config =
+    { Seeder.default_config with
+      harvester_overload = Some Harvester.default_overload }
+  in
+  let seeder = Seeder.create ~config engine fabric in
+  let ctx = ref None in
+  let spec =
+    { (Seeder.simple_spec ~name:"marker" ~source:(marker_source_at "all")) with
+      Seeder.ts_harvester =
+        { Harvester.collector_spec with on_start = (fun c -> ctx := Some c) } }
+  in
+  let task =
+    match Seeder.deploy seeder spec with
+    | Ok t -> t
+    | Error m -> Alcotest.failf "deploy failed: %s" m
+  in
+  (engine, seeder, task, Option.get !ctx)
+
+(* Rows over [make_protection_world], built like [digest_rows]: the two
+   worlds differ only in which switch or window the protection state
+   lands on. *)
+let protection_rows =
+  let two_switches seeder =
+    match List.map Soil.node_id (Seeder.soils seeder) with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "need two switches"
+  in
+  let lossy seeder =
+    Seeder.set_ctrl_faults seeder { Seeder.loss = 1.; delay = 0.; dup = 0. }
+  in
+  [ ( "breaker failures",
+      (* every try of one message is lost: six failures on its switch *)
+      fun ~perturbed (engine, seeder, _, (ctx : Harvester.ctx)) ->
+        let a, b = two_switches seeder in
+        lossy seeder;
+        ctx.send_to_seed ~switch:(if perturbed then b else a) (Value.Num 1.);
+        Engine.run ~until:(Engine.now engine +. 0.1) engine;
+        Seeder.set_ctrl_faults seeder Seeder.perfect_ctrl );
+    ( "in-flight retry",
+      (* one lost message awaits its retry; delivered messages to both
+         switches close both breakers again *)
+      fun ~perturbed (engine, seeder, _, (ctx : Harvester.ctx)) ->
+        let a, b = two_switches seeder in
+        lossy seeder;
+        ctx.send_to_seed ~switch:(if perturbed then b else a) (Value.Num 1.);
+        Seeder.set_ctrl_faults seeder Seeder.perfect_ctrl;
+        ctx.send_to_seed ~switch:a (Value.Num 1.);
+        ctx.send_to_seed ~switch:b (Value.Num 1.);
+        Engine.run ~until:(Engine.now engine +. 0.0005) engine );
+    ( "harvester window admits",
+      (* the same report is admitted; reopening the window before or
+         after it decides whether the window holds it *)
+      fun ~perturbed (_, seeder, task, _) ->
+        let h = Seeder.harvester task in
+        let e = List.hd (Seeder.seeds seeder task) in
+        let report () =
+          Harvester.handle h
+            ~provenance:
+              { Harvester.p_seed = Seed_exec.seed_id e;
+                p_epoch = Seed_exec.epoch e; p_seq = 1_000 }
+            ~from_switch:(Seed_exec.node e) Value.Unit
+        in
+        let reopen () =
+          Harvester.set_overload h (Some Harvester.default_overload)
+        in
+        if perturbed then (reopen (); report ()) else (report (); reopen ()) ) ]
+
+let check_digest_rows make rows =
   let digest_after ~perturbed f =
-    let engine, seeder, task = make_heal_world ~source:marker_source () in
-    Engine.run ~until:0.3 engine;
-    f ~perturbed (engine, seeder, task);
+    let w, seeder = make () in
+    f ~perturbed w;
     Seeder.digest seeder
   in
   List.iter
@@ -2006,7 +2222,23 @@ let test_digest_coverage () =
         (name ^ ": perturbed world differs")
         true
         (base <> digest_after ~perturbed:true f))
-    digest_rows
+    rows
+
+let test_digest_coverage () =
+  check_digest_rows
+    (fun () ->
+      let ((engine, seeder, _) as w) =
+        make_heal_world ~source:marker_source ()
+      in
+      Engine.run ~until:0.3 engine;
+      (w, seeder))
+    digest_rows;
+  check_digest_rows
+    (fun () ->
+      let ((engine, seeder, _, _) as w) = make_protection_world () in
+      Engine.run ~until:0.3 engine;
+      (w, seeder))
+    protection_rows
 
 let () =
   Alcotest.run "farm_runtime"
@@ -2082,7 +2314,9 @@ let () =
           Alcotest.test_case "AIMD recovers exactly" `Quick
             test_aimd_recovers_exactly;
           Alcotest.test_case "brownout: no migration storm" `Quick
-            test_breaker_brownout_no_migration_storm ]
+            test_breaker_brownout_no_migration_storm;
+          Alcotest.test_case "unlimited limits are inert" `Quick
+            test_unlimited_limits_inert ]
         @ qsuite
             [ prop_harvester_fencing; prop_fair_share_queue_matches_reference ]
       ) ]
