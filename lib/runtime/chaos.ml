@@ -44,19 +44,10 @@ let handlers seeder =
                    ~time:(Engine.now engine) (switch_factor node)))
   in
   {
-    (* with the self-healing layer on, switch events are ground-truth
-       crashes the control plane must *discover* (heartbeats, detector);
-       without it they take the legacy omniscient fail/recover path *)
-    Fault.on_switch_down =
-      (fun node ->
-        if is_switch node then
-          if Seeder.healing_enabled seeder then Seeder.crash_switch seeder node
-          else Seeder.fail_switch seeder node);
-    on_switch_up =
-      (fun node ->
-        if is_switch node then
-          if Seeder.healing_enabled seeder then Seeder.revive_switch seeder node
-          else Seeder.recover_switch seeder node);
+    (* switch events are silent ground-truth crashes; the seeder's
+       detector tells the control plane (unknown nodes are ignored) *)
+    Fault.on_switch_down = Seeder.crash_switch seeder;
+    on_switch_up = Seeder.revive_switch seeder;
     on_link_down =
       (fun a b ->
         if Topology.has_link topo a b then

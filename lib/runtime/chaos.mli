@@ -5,12 +5,10 @@
     Events naming unknown switches or links are ignored, so randomly
     generated plans can be applied to any topology.
 
-    Switch events depend on the seeder's healing mode: with [auto_heal]
-    they become {e silent} ground-truth crashes/reboots
-    ([Seeder.crash_switch]/[revive_switch]) that the control plane must
-    discover through missing heartbeats; without it they take the legacy
-    omniscient [fail_switch]/[recover_switch] path, which keeps pre-healing
-    runs byte-identical. *)
+    Switch events are {e silent} ground-truth crashes/reboots
+    ([Seeder.crash_switch]/[revive_switch]); the control plane learns of
+    them from the seeder's failure detector — heartbeats and a timeout
+    with [auto_heal], a zero-latency oracle without it. *)
 
 val handlers : Seeder.t -> Farm_sim.Fault.handlers
 

@@ -159,7 +159,6 @@ type t = {
   down : (int, float) Hashtbl.t;
   last_crash : (int, float) Hashtbl.t;  (* survives revival, for metrics *)
   last_seen : (int, float) Hashtbl.t;  (* last heartbeat arrival per switch *)
-  detected : (int, unit) Hashtbl.t;  (* failed entries owed to the detector *)
   registry : (int, reg) Hashtbl.t;  (* seed_id -> reg *)
   mutable next_seed : int;
   mutable next_task : int;
@@ -808,19 +807,29 @@ let heal_replace t ~affected =
   apply_placement t placement
 
 (* The detector declared [node] dead: fence it off and migrate its seeds.
-   If the declaration is a false positive (the switch is merely
-   partitioned), its instances cannot be reached to be stopped — they are
-   demoted to zombies, sent a kill order, and fenced by epoch at the
-   harvesters until the switch rejoins. *)
+   The declaration is true if the switch is down, or crashed after its last
+   heard heartbeat and rebooted before the detector fired.  A false
+   positive (the switch is merely partitioned) leaves its instances
+   unreachable — they are demoted to zombies, sent a kill order, and
+   fenced by epoch at the harvesters until the switch rejoins. *)
 let declare_failed t node =
   let now = Engine.now t.engine in
   t.detections <- t.detections + 1;
   trace_i (trace_instant t "declare_failed") "node" node;
-  (match Hashtbl.find_opt t.down node with
+  let crashed_at =
+    match Hashtbl.find_opt t.down node with
+    | Some _ as down -> down
+    | None -> (
+        match
+          (Hashtbl.find_opt t.last_crash node, Hashtbl.find_opt t.last_seen node)
+        with
+        | Some c, Some seen when c >= seen -> Some c
+        | _ -> None)
+  in
+  (match crashed_at with
   | Some t0 -> Metrics.Histogram.record t.detection_latency (now -. t0)
   | None -> t.false_detections <- t.false_detections + 1);
   Hashtbl.replace t.failed node ();
-  Hashtbl.replace t.detected node ();
   List.iter
     (fun (r : reg) ->
       match r.r_exec with
@@ -848,9 +857,9 @@ let declare_failed t node =
       match Hashtbl.find_opt t.registry seed_id with
       | Some r when r.r_exec <> None ->
           t.auto_recoveries <- t.auto_recoveries + 1;
-          (match Hashtbl.find_opt t.down node with
-          | Some t0 -> Metrics.Histogram.record t.recovery_time (now -. t0)
-          | None -> ())
+          Option.iter
+            (fun t0 -> Metrics.Histogram.record t.recovery_time (now -. t0))
+            crashed_at
       | _ -> ())
     orphans
 
@@ -860,7 +869,6 @@ let declare_failed t node =
    handshake. *)
 let control_recover t node =
   Hashtbl.remove t.failed node;
-  Hashtbl.remove t.detected node;
   kill_zombies_on t node;
   Hashtbl.replace t.last_seen node (Engine.now t.engine);
   reoptimize t
@@ -893,8 +901,8 @@ let rejoin_orphans t node =
 let on_heartbeat t node =
   t.heartbeats_delivered <- t.heartbeats_delivered + 1;
   Hashtbl.replace t.last_seen node (Engine.now t.engine);
-  if Hashtbl.mem t.detected node then control_recover t node
-  else if not (Hashtbl.mem t.failed node) then rejoin_orphans t node
+  if Hashtbl.mem t.failed node then control_recover t node
+  else rejoin_orphans t node
 
 let beat t node =
   if not (Hashtbl.mem t.down node) then begin
@@ -961,7 +969,7 @@ let create ?(config = default_config) engine fabric =
   let t =
     { engine; fabric; cfg = config; soils; failed = Hashtbl.create 4;
       down = Hashtbl.create 4; last_crash = Hashtbl.create 4;
-      last_seen = Hashtbl.create 16; detected = Hashtbl.create 4;
+      last_seen = Hashtbl.create 16;
       registry = Hashtbl.create 64;
       next_seed = 0; next_task = 0; next_msg = 0; assignments = [];
       migration_count = 0;
@@ -1226,14 +1234,15 @@ let deploy t spec =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Failures: injected crashes and the legacy omniscient path           *)
+(* Failures: silent crashes and the detectors that find them           *)
 (* ------------------------------------------------------------------ *)
 
-(* Ground-truth crash: the switch's management plane dies silently.  Every
-   instance on it stops; the control plane is NOT informed — with
-   [auto_heal] the failure detector notices the missing heartbeats, and
-   without it the seeds stay dark until an operator calls
-   {!fail_switch}/{!recover_switch}. *)
+(* Ground-truth crash: the switch's management plane dies silently and
+   every instance on it stops.  The control plane learns of it from a
+   detector: with [auto_heal] the heartbeat detector notices the silence
+   after [detection_timeout]; without it an oracle detector declares the
+   switch failed at the crash instant (zero latency, no false
+   positives). *)
 let crash_switch t node =
   if Hashtbl.mem t.soils node && not (Hashtbl.mem t.down node) then begin
     let now = Engine.now t.engine in
@@ -1246,53 +1255,20 @@ let crash_switch t node =
         | Some _ | None -> ())
       (sorted_regs t);
     (* any zombie instances die with the switch too *)
-    kill_zombies_on t node
+    kill_zombies_on t node;
+    if not t.cfg.auto_heal then declare_failed t node
   end
 
-(* The switch's management plane boots back up.  Nothing else happens
-   here: the seeder finds out when heartbeats resume (auto_heal) or when
-   an operator calls {!recover_switch}. *)
-let revive_switch t node = Hashtbl.remove t.down node
+(* The switch's management plane boots back up.  With [auto_heal] the
+   seeder finds out when heartbeats resume; the oracle detector rejoins it
+   at once. *)
+let revive_switch t node =
+  Hashtbl.remove t.down node;
+  if (not t.cfg.auto_heal) && Hashtbl.mem t.failed node then
+    control_recover t node
 
 let down_switches t =
   Hashtbl.fold (fun n _ acc -> n :: acc) t.down [] |> List.sort Int.compare
-
-(* Fault tolerance, omniscient flavor: an operator (or a test) marks a
-   switch as failed.  Its seeds are torn down cleanly and the global
-   placement re-optimizes; with checkpointing enabled the re-placed seeds
-   resume from their last checkpoint, otherwise they restart cold. *)
-let fail_switch t node =
-  if Hashtbl.mem t.soils node && not (Hashtbl.mem t.failed node) then begin
-    Hashtbl.replace t.failed node ();
-    List.iter
-      (fun (r : reg) ->
-        match r.r_exec with
-        | Some exec when Seed_exec.node exec = node -> retire_exec r
-        | Some _ | None -> ())
-      (sorted_regs t);
-    kill_zombies_on t node;
-    (* the failed switch's assignments are gone *)
-    t.assignments <-
-      List.filter (fun (a : Model.assignment) -> a.a_node <> node)
-        t.assignments;
-    reoptimize t
-  end
-
-(* Recovery: a thin wrapper over the same rejoin path the failure detector
-   uses.  Calling it on a healthy switch is a no-op; on a crashed one it
-   models the reboot, and on a control-plane-failed one it lifts the fence
-   and re-optimizes.  [reoptimize:false] skips the re-optimization — only
-   useful to demonstrate that the chaos suite catches that bug. *)
-let recover_switch ?reoptimize:(reopt = true) t node =
-  revive_switch t node;
-  if Hashtbl.mem t.failed node then begin
-    Hashtbl.remove t.failed node;
-    Hashtbl.remove t.detected node;
-    kill_zombies_on t node;
-    if Hashtbl.mem t.soils node then
-      Hashtbl.replace t.last_seen node (Engine.now t.engine);
-    if reopt then reoptimize t
-  end
 
 let failed_switches t =
   Hashtbl.fold (fun n () acc -> n :: acc) t.failed [] |> List.sort Int.compare
@@ -1314,8 +1290,6 @@ let undeploy t task =
 (* ------------------------------------------------------------------ *)
 (* Self-healing introspection                                          *)
 (* ------------------------------------------------------------------ *)
-
-let healing_enabled t = t.cfg.auto_heal
 
 (* registered seeds that hold an assignment but have no running instance
    and are not mid-migration — transiently non-empty between a crash and

@@ -71,10 +71,10 @@ type config = {
           fast — the same checks are available offline via
           [farmc verify]. *)
   auto_heal : bool;
-      (** enable the self-healing layer: heartbeats, failure detection,
-          checkpoint shipping and automatic re-placement.  [false]
-          (default) keeps runs byte-identical to the pre-healing
-          behavior. *)
+      (** enable the self-healing layer: heartbeats, a timeout failure
+          detector and checkpoint shipping.  [false] (default) sends no
+          heartbeats or checkpoints; an oracle detector declares each
+          crash at the instant it happens (see § Failures). *)
   heartbeat_interval : float;
       (** period of per-switch heartbeats over the control channel *)
   detection_timeout : float;
@@ -176,42 +176,31 @@ val reoptimize : t -> unit
 
 (** {2 Failures}
 
-    Two failure paths exist.  {!crash_switch}/{!revive_switch} are the
-    {e ground truth}: the management plane silently dies / reboots, and the
-    control plane only learns about it through missing heartbeats (with
-    [auto_heal]) or an operator call.  {!fail_switch}/{!recover_switch}
-    are the legacy omniscient path: the control plane is told directly. *)
+    One failure path, two detectors.  {!crash_switch}/{!revive_switch} are
+    the {e ground truth}: the management plane silently dies / reboots.
+    The control plane learns of it only from a detector, which declares
+    the switch failed (its orphaned seeds are re-placed incrementally,
+    resuming from their last checkpoint when one was shipped) and rejoins
+    it when it is back (fence lifted, zombies terminated, global
+    re-optimization).  With [auto_heal] the detector watches heartbeats and
+    fires after [detection_timeout]; without it an oracle detector declares
+    the crash at the same instant and rejoins the switch at revival — zero
+    latency, no false positives. *)
 
 (** Silently crash a switch's management plane: every seed instance on it
-    stops; the seeder is {e not} informed.  With [auto_heal] the failure
-    detector notices within [detection_timeout] and auto-migrates the
-    orphans; without it they stay dark until {!recover_switch}. *)
+    stops.  Tasks pinned solely to it are dropped once it is declared
+    failed (C1).  Unknown nodes and already-crashed switches are
+    ignored. *)
 val crash_switch : t -> int -> unit
 
-(** The crashed switch's management plane boots back up.  Heartbeats
-    resume on their own; the seeder re-pushes the seeds assigned there
-    when it hears one (or when {!recover_switch} is called). *)
+(** The crashed switch's management plane boots back up.  With [auto_heal]
+    heartbeats resume on their own and the seeder rejoins the switch (or
+    re-pushes its seeds) when it hears one; the oracle detector rejoins it
+    at once.  Reviving a switch that is up is a no-op. *)
 val revive_switch : t -> int -> unit
 
 (** Ground-truth crashed switches, sorted (tests/instrumentation). *)
 val down_switches : t -> int list
-
-(** Omnisciently mark a switch as failed.  Seeds running there are torn
-    down and restarted on surviving candidate switches by a global
-    re-optimization (resuming from their last checkpoint when [auto_heal]
-    shipped one); tasks pinned solely to the failed switch are dropped
-    (C1). *)
-val fail_switch : t -> int -> unit
-
-(** Rejoin a switch: a thin wrapper over the same path the failure
-    detector's rejoin uses.  On a healthy switch it is a no-op (calling it
-    twice is safe); on a crashed one it models the reboot; on a failed one
-    it lifts the fence, terminates any zombie instances, and re-optimizes
-    the global placement — moving displaced seeds back and re-placing
-    tasks that had been dropped.  [reoptimize:false] skips the
-    re-optimization — only useful to demonstrate that the chaos suite
-    catches that bug. *)
-val recover_switch : ?reoptimize:bool -> t -> int -> unit
 
 (** Failed switches (control-plane view), sorted. *)
 val failed_switches : t -> int list
@@ -259,8 +248,6 @@ val collector_messages : t -> int
 val migrations : t -> int
 
 (** {2 Self-healing introspection} *)
-
-val healing_enabled : t -> bool
 
 (** Seeds that hold an assignment but have no running instance and are
     not mid-migration, sorted.  Transiently non-empty between a crash and

@@ -11,9 +11,11 @@
    I4  the same (seed, plan) pair reproduces a byte-identical
        [Seeder.digest].
 
-   With [auto_heal] the same plans run as *silent* crashes the control
-   plane must discover through missing heartbeats, and a fifth invariant
-   is checked once healing settles:
+   Crashes are always silent: the control plane learns of them from the
+   seeder's failure detector.  Every plan runs once with the zero-latency
+   oracle detector (no [auto_heal]) and once with [auto_heal], where the
+   control plane must discover crashes through missing heartbeats; in
+   both, a fifth invariant is checked once healing settles:
 
    I5  every orphaned seed has been automatically re-placed (or its task
        correctly dropped), live seeds run only on switches that are up,
@@ -22,7 +24,8 @@
 
    With the overload-protection layers enabled and resource-pressure
    faults (traffic surges, report storms, PCIe slowdowns) joining the
-   plans, a sixth invariant is checked at the end of the run:
+   plans, a sixth invariant is checked at the end of the run (the
+   "overload" group):
 
    I6  no queue ever grew past its bound, shed accounting exactly
        balances offered minus delivered at every layer (soil PCIe queue,
@@ -192,8 +195,12 @@ let oracle_instance seeder tasks =
   { Model.seeds; switches; alpha_poll = 1.;
     previous = Seeder.current_assignments seeder }
 
-let check_invariants seeder tasks ~at ~what violations =
-  let failed = Seeder.failed_switches seeder in
+(* [failed] overrides the control plane's view of failed switches, so a
+   test can check the invariants against a recovery that did not happen *)
+let check_invariants ?failed seeder tasks ~at ~what violations =
+  let failed =
+    match failed with Some f -> f | None -> Seeder.failed_switches seeder
+  in
   let vio fmt =
     Printf.ksprintf
       (fun s ->
@@ -454,11 +461,9 @@ let run_case ?(config = Seeder.default_config) ?(overload = false)
   Engine.run ~until engine;
   check_invariants seeder tasks ~at:until ~what:"end of run" violations;
   checked ~at:until ~what:"end of run";
-  if Seeder.healing_enabled seeder then begin
-    (* the plan's horizon is 1.5 and we run past it: healing has settled *)
-    check_healed seeder tasks violations;
-    checked ~at:until ~what:"healing settled"
-  end;
+  (* the plan's horizon is 1.5 and we run past it: healing has settled *)
+  check_healed seeder tasks violations;
+  checked ~at:until ~what:"healing settled";
   if overload then begin
     check_overload seeder tasks violations;
     checked ~at:until ~what:"overload settled"
@@ -488,9 +493,11 @@ let chaos_property ?config ?overload ?until name =
         ignore v1b;
         true))
 
+(* the oracle detector declares each crash, and rejoins each revived
+   switch, at the instant it happens *)
 let prop_chaos = chaos_property "chaos: invariants hold under random fault plans"
 
-(* the same plans, but crashes are silent and the control plane must heal
+(* the same plans, but the control plane must discover the crashes
    itself: heartbeats -> detector -> checkpoint-restore re-placement *)
 let prop_chaos_healing =
   chaos_property
@@ -531,32 +538,40 @@ let test_broken_recovery_caught () =
       [ ("pin0", pinned 0 "leaf0"); ("roam1", roamer 1) ]
   in
   Engine.run ~until:0.1 engine;
-  let collect () =
+  let collect ?failed () =
     let v = ref [] in
-    check_invariants seeder tasks ~at:(Engine.now engine) ~what:"manual" v;
+    check_invariants ?failed seeder tasks ~at:(Engine.now engine)
+      ~what:"manual" v;
     List.rev !v
   in
   Alcotest.(check (list string)) "healthy: no violations" [] (collect ());
-  Seeder.fail_switch seeder leaf0;
-  (* correct failure handling: the pinned task is dropped, no violations *)
+  Seeder.crash_switch seeder leaf0;
+  (* correct failure handling: the oracle detector declares leaf0 failed
+     and the pinned task is dropped, no violations *)
+  Alcotest.(check (list int)) "oracle declared the crash" [ leaf0 ]
+    (Seeder.failed_switches seeder);
   Alcotest.(check bool) "pinned task dropped" false
     (Seeder.is_placed (List.assoc "pin0" tasks));
   Alcotest.(check (list string)) "after failure: no violations" []
     (collect ());
-  (* broken recovery: skipping re-optimization leaves the pinned task
-     unplaced although its candidate site is live again — the suite's I2
-     must flag it *)
-  Seeder.recover_switch ~reoptimize:false seeder leaf0;
-  Alcotest.(check bool) "broken recovery caught" true (collect () <> []);
+  (* broken recovery: a rejoin of leaf0 that does not re-place leaves the
+     pinned task unplaced although its only candidate is live — the
+     suite's I2 must flag it *)
+  Alcotest.(check (list string)) "broken recovery caught"
+    [ Printf.sprintf
+        "t=%.4f after manual: task pin0: placed=false but placeable=true \
+         (failed=[])"
+        (Engine.now engine) ]
+    (collect ~failed:[] ());
   (* the correct path clears the violation and restores the task *)
-  Seeder.reoptimize seeder;
-  Alcotest.(check (list string)) "after reoptimize: no violations" []
+  Seeder.revive_switch seeder leaf0;
+  Alcotest.(check (list string)) "after revival: no violations" []
     (collect ());
   Alcotest.(check bool) "pinned task restored" true
     (Seeder.is_placed (List.assoc "pin0" tasks))
 
 (* ------------------------------------------------------------------ *)
-(* fail_switch -> recover_switch round-trip on the Fig. 4 scenario     *)
+(* crash_switch -> revive_switch round-trip on the Fig. 4 scenario     *)
 (* ------------------------------------------------------------------ *)
 
 let deploy_hh seeder =
@@ -589,12 +604,12 @@ let test_fig4_fail_recover_roundtrip () =
   let leaf =
     List.find (fun n -> n.Topology.name = "leaf1") (Topology.switches topo)
   in
-  Seeder.fail_switch seeder leaf.Topology.id;
+  Seeder.crash_switch seeder leaf.Topology.id;
   let u_down = Seeder.current_utility seeder in
   Alcotest.(check bool) "utility degrades while the switch is down" true
     (u_down < u0);
   Engine.run ~until:1.0 engine;
-  Seeder.recover_switch seeder leaf.Topology.id;
+  Seeder.revive_switch seeder leaf.Topology.id;
   Engine.run ~until:1.5 engine;
   let u1 = Seeder.current_utility seeder in
   Alcotest.(check bool)
@@ -634,7 +649,8 @@ let () =
     [ ( "chaos",
         Alcotest.test_case "broken recovery caught" `Quick
           test_broken_recovery_caught
-        :: qsuite [ prop_chaos; prop_chaos_healing; prop_chaos_overload ] );
+        :: qsuite [ prop_chaos; prop_chaos_healing ] );
+      ("overload", qsuite [ prop_chaos_overload ]);
       ( "roundtrip",
         [ Alcotest.test_case "fig4 fail/recover round-trip" `Quick
             test_fig4_fail_recover_roundtrip ] );

@@ -819,7 +819,7 @@ machine Roam {
   Engine.run ~until:1. engine;
   let seed = List.hd (Seeder.seeds seeder task) in
   let home = Seed_exec.node seed in
-  Seeder.fail_switch seeder home;
+  Seeder.crash_switch seeder home;
   Alcotest.(check (list int)) "marked failed" [ home ]
     (Seeder.failed_switches seeder);
   (* the replacement seed lives on another switch and polls again *)
@@ -857,7 +857,7 @@ machine Pinned {
     | Error m -> Alcotest.failf "deploy failed: %s" m
   in
   let node = Seed_exec.node (List.hd (Seeder.seeds seeder task)) in
-  Seeder.fail_switch seeder node;
+  Seeder.crash_switch seeder node;
   Alcotest.(check int) "task dropped with its only switch" 0
     (List.length (Seeder.seeds seeder task))
 
@@ -1164,7 +1164,7 @@ machine Adj {
   Alcotest.(check bool) "harvester dropped the duplicate copies" true
     (Harvester.dup_dropped h >= 2)
 
-(* -- recover on a healthy switch is a no-op ------------------------ *)
+(* -- reviving a healthy switch is a no-op --------------------------- *)
 
 let test_double_recovery_noop () =
   let engine = Engine.create ~seed:21 () in
@@ -1182,11 +1182,11 @@ let test_double_recovery_noop () =
   let before = Seeder.current_assignments seeder in
   let migrations = Seeder.migrations seeder in
   let epoch = Seed_exec.epoch exec in
-  (* both switches are healthy: recovery must change nothing, repeatedly *)
-  Seeder.recover_switch seeder 0;
-  Seeder.recover_switch seeder 0;
-  Seeder.recover_switch ~reoptimize:false seeder 1;
-  Seeder.recover_switch seeder 1;
+  (* both switches are healthy: revival must change nothing, repeatedly *)
+  Seeder.revive_switch seeder 0;
+  Seeder.revive_switch seeder 0;
+  Seeder.revive_switch seeder 1;
+  Seeder.revive_switch seeder 1;
   Engine.run ~until:0.4 engine;
   Alcotest.(check bool) "same instance still running" true
     (match Seeder.seeds seeder task with
@@ -1303,9 +1303,9 @@ let test_bounded_state_loss () =
   | seeds -> Alcotest.failf "expected 1 seed, got %d" (List.length seeds)
 
 let test_crash_during_recovery () =
-  (* an operator repairs the switch before the detector fires: the seed is
-     re-pushed on the next heartbeat; a second, unattended crash is then
-     healed by the detector.  Epochs increase across both recoveries. *)
+  (* the switch reboots before the detector fires: the seed is re-pushed
+     on the next heartbeat; a second crash, with no reboot, is then healed
+     by the detector.  Epochs increase across both recoveries. *)
   let engine, seeder, task = make_heal_world ~config:(heal_config ~ck:0.02 ()) () in
   Engine.run ~until:0.3 engine;
   let exec = List.hd (Seeder.seeds seeder task) in
@@ -1316,8 +1316,8 @@ let test_crash_during_recovery () =
   Alcotest.(check (list int)) "crash is silent" [] (Seeder.failed_switches seeder);
   Alcotest.(check (list int)) "seed orphaned" [ seed_id ]
     (Seeder.orphaned_seeds seeder);
-  (* operator wins the race against the detector *)
-  Seeder.recover_switch seeder home;
+  (* the reboot wins the race against the detector *)
+  Seeder.revive_switch seeder home;
   Engine.run ~until:0.4 engine;
   Alcotest.(check int) "detector never fired" 0 (Seeder.detections seeder);
   Alcotest.(check int) "rejoined on heartbeat" 1 (Seeder.auto_recoveries seeder);
@@ -1326,7 +1326,7 @@ let test_crash_during_recovery () =
       Alcotest.(check int) "restarted in place" home (Seed_exec.node e);
       Alcotest.(check int) "epoch bumped by rejoin" 1 (Seed_exec.epoch e)
   | seeds -> Alcotest.failf "expected 1 seed, got %d" (List.length seeds));
-  (* second crash: nobody calls recover; the detector must heal it *)
+  (* second crash: the switch stays down; the detector must heal it *)
   Engine.schedule engine ~delay:0. (fun _ -> Seeder.crash_switch seeder home);
   Engine.run ~until:0.8 engine;
   Alcotest.(check int) "detector healed the second crash" 1
@@ -1339,6 +1339,77 @@ let test_crash_during_recovery () =
   | seeds -> Alcotest.failf "expected 1 seed, got %d" (List.length seeds));
   Alcotest.(check (list int)) "no orphans left" []
     (Seeder.orphaned_seeds seeder)
+
+let test_reboot_before_detection_is_true () =
+  (* the home switch crashes and reboots 30 ms later, before a heartbeat
+     of the new boot reaches the seeder: the detector still fires, and it
+     declared a real crash, so it is counted with its latency — not as a
+     false positive *)
+  let engine, seeder, task = make_heal_world () in
+  Engine.run ~until:0.3 engine;
+  let home = Seed_exec.node (List.hd (Seeder.seeds seeder task)) in
+  Seeder.crash_switch seeder home;
+  Engine.schedule engine ~delay:0.03 (fun _ -> Seeder.revive_switch seeder home);
+  Engine.run ~until:0.5 engine;
+  Alcotest.(check int) "one detection" 1 (Seeder.detections seeder);
+  Alcotest.(check int) "not a false positive" 0
+    (Seeder.false_detections seeder);
+  let dl = Seeder.detection_latency seeder in
+  Alcotest.(check int) "latency recorded" 1
+    (Farm_sim.Metrics.Histogram.count dl);
+  Alcotest.(check bool) "latency within the detector's bound" true
+    (Farm_sim.Metrics.Histogram.max dl < 0.035 +. 0.01 +. 0.002);
+  Alcotest.(check int) "one seed live" 1
+    (List.length (Seeder.seeds seeder task));
+  Alcotest.(check (list int)) "no orphans left" []
+    (Seeder.orphaned_seeds seeder)
+
+(* -- checkpoint store: bounded under delta churn ------------------- *)
+
+let test_checkpoint_store_bounded () =
+  (* after the first full snapshot every checkpoint is a delta; however
+     many merge into the seeder's store, it holds one entry per machine
+     variable, exactly like the live instance *)
+  let source =
+    {|
+machine Churn {
+  place any;
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  long count = 0;
+  long parity = 0;
+  long steady = 7;
+  state s {
+    when (ticks as stats) do { count = count + 1; parity = 1 - parity; }
+  }
+}
+|}
+  in
+  let config =
+    { (heal_config ~ck:0.01 ()) with checkpoint_full_every = 1_000_000 }
+  in
+  let engine, seeder, task = make_heal_world ~config ~source () in
+  let exec = List.hd (Seeder.seeds seeder task) in
+  let seed_id = Seed_exec.seed_id exec in
+  let live_vars = List.length (fst (Seed_exec.snapshot exec)) in
+  let samples = ref 0 in
+  ignore
+    (Engine.every engine ~period:0.01 (fun _ ->
+         match Seeder.last_checkpoint seeder seed_id with
+         | None -> ()
+         | Some (_, vars, _) ->
+             incr samples;
+             let names = List.map fst vars in
+             Alcotest.(check int) "one store entry per variable" live_vars
+               (List.length vars);
+             Alcotest.(check int) "no duplicate entries" live_vars
+               (List.length (List.sort_uniq String.compare names)))
+      : Engine.timer);
+  Engine.run ~until:1. engine;
+  Alcotest.(check bool) "deltas merged for the whole run" true
+    (!samples >= 90 && Seeder.checkpoints_shipped seeder >= 90);
+  Alcotest.(check (option (float 0.))) "no gaps" (Some 0.)
+    (Farm_sim.Metrics.Registry.value (Engine.metrics engine)
+       "seeder.checkpoints.gaps")
 
 (* -- false positives: zombies are fenced, never corrupt state ------ *)
 
@@ -2077,11 +2148,12 @@ let digest_rows =
     Seed_exec.deliver (the_seed seeder task)
       ~from:Farm_almanac.Interp.From_harvester (Value.Num v)
   in
-  let idle_switch seeder task =
+  let idle_switches seeder task =
     let home = Seed_exec.node (the_seed seeder task) in
-    List.find (fun n -> n <> home)
+    List.filter (fun n -> n <> home)
       (List.map Soil.node_id (Seeder.soils seeder))
   in
+  let idle_switch seeder task = List.hd (idle_switches seeder task) in
   [ ( "registry counter",
       fun ~perturbed (engine, _, _) ->
         if perturbed then
@@ -2119,8 +2191,16 @@ let digest_rows =
                    dport = 80; proto = Flow.Tcp }
                ~rate:1_000. ()) );
     ( "failed switch",
-      fun ~perturbed (_, seeder, task) ->
-        if perturbed then Seeder.fail_switch seeder (idle_switch seeder task) );
+      (* the detector declares a crashed idle switch failed; it is revived
+         before a heartbeat can rejoin it, so only [failed] tells the two
+         idle switches apart *)
+      fun ~perturbed (engine, seeder, task) ->
+        let node =
+          List.nth (idle_switches seeder task) (if perturbed then 1 else 0)
+        in
+        Seeder.crash_switch seeder node;
+        Engine.run ~until:(Engine.now engine +. 0.06) engine;
+        Seeder.revive_switch seeder node );
     ( "down switch",
       fun ~perturbed (_, seeder, task) ->
         if perturbed then Seeder.crash_switch seeder (idle_switch seeder task) );
@@ -2133,13 +2213,14 @@ let digest_rows =
    a marker seed on every switch, a bounded harvester inbox, and the
    harvester's capabilities kept for the rows to send with.  Sending the
    seeds their initial mark changes no seed state. *)
-let make_protection_world () =
+let make_protection_world ?ctrl_protection () =
   let engine = Engine.create ~seed:29 () in
   let fabric =
     Fabric.create (Topology.spine_leaf ~spines:2 ~leaves:2 ~hosts_per_leaf:1)
   in
   let config =
     { Seeder.default_config with
+      ctrl_protection;
       harvester_overload = Some Harvester.default_overload }
   in
   let seeder = Seeder.create ~config engine fabric in
@@ -2204,6 +2285,77 @@ let protection_rows =
           Harvester.set_overload h (Some Harvester.default_overload)
         in
         if perturbed then (reopen (); report ()) else (report (); reopen ()) ) ]
+
+(* -- control retries: the per-message and per-switch bounds -------- *)
+
+(* retries bounded by [max_inflight_retries] alone: no breaker, no
+   jitter, no pacing *)
+let isolated_retries bound =
+  { Seeder.default_protection with
+    rate_limit = infinity; burst = infinity; breaker_threshold = max_int;
+    retry_jitter = 0.; max_inflight_retries = bound }
+
+let protection_world_at ~bound =
+  let ((engine, seeder, _, _) as w) =
+    make_protection_world ~ctrl_protection:(isolated_retries bound) ()
+  in
+  Engine.run ~until:0.3 engine;
+  Seeder.set_ctrl_faults seeder { Seeder.loss = 1.; delay = 0.; dup = 0. };
+  w
+
+(* the in-flight retries to [node], as [Seeder.digest] prints them *)
+let inflight_in_digest seeder node =
+  let prefix = Printf.sprintf "ctrl %d " node in
+  String.split_on_char '\n' (Seeder.digest seeder)
+  |> List.find_map (fun line ->
+         if String.starts_with ~prefix line then
+           List.find_map
+             (fun field -> Scanf.sscanf_opt field "inflight=%d%!" Fun.id)
+             (String.split_on_char ' ' line)
+         else None)
+  |> Option.value ~default:0
+
+let test_retry_cap_per_message () =
+  (* under total loss one message is retransmitted exactly [max_retries]
+     times, then counted lost once *)
+  let engine, seeder, _, (ctx : Harvester.ctx) = protection_world_at ~bound:8 in
+  let node = Soil.node_id (List.hd (Seeder.soils seeder)) in
+  ctx.send_to_seed ~switch:node (Value.Num 1.);
+  Engine.run ~until:(Engine.now engine +. 0.1) engine;
+  Alcotest.(check int) "max_retries retransmissions"
+    Seeder.default_config.max_retries
+    (Seeder.retransmissions seeder);
+  Alcotest.(check int) "lost once" 1 (Seeder.lost_messages seeder);
+  Alcotest.(check int) "never capped" 0 (Seeder.retry_capped seeder)
+
+let test_retry_inflight_bound () =
+  (* five messages to one switch at once, all lost, three retry slots:
+     two are capped at once; the other three retry to exhaustion without
+     the switch's in-flight count ever passing the bound *)
+  let bound = 3 and sends = 5 in
+  let engine, seeder, _, (ctx : Harvester.ctx) = protection_world_at ~bound in
+  let node = Soil.node_id (List.hd (Seeder.soils seeder)) in
+  for _ = 1 to sends do
+    ctx.send_to_seed ~switch:node (Value.Num 1.)
+  done;
+  Alcotest.(check int) "slots full mid-flight" bound
+    (inflight_in_digest seeder node);
+  let peak = ref 0 in
+  let probe =
+    Engine.every engine ~period:0.0001 (fun _ ->
+        peak := max !peak (inflight_in_digest seeder node))
+  in
+  Engine.run ~until:(Engine.now engine +. 0.1) engine;
+  Engine.cancel probe;
+  Alcotest.(check int) "in-flight peak is the bound" bound !peak;
+  Alcotest.(check int) "drained" 0 (inflight_in_digest seeder node);
+  Alcotest.(check int) "capped at once" (sends - bound)
+    (Seeder.retry_capped seeder);
+  Alcotest.(check int) "admitted ones retried to exhaustion"
+    (bound * Seeder.default_config.max_retries)
+    (Seeder.retransmissions seeder);
+  Alcotest.(check int) "every message lost once" sends
+    (Seeder.lost_messages seeder)
 
 let check_digest_rows make rows =
   let digest_after ~perturbed f =
@@ -2304,6 +2456,10 @@ let () =
             test_bounded_state_loss;
           Alcotest.test_case "crash during recovery" `Quick
             test_crash_during_recovery;
+          Alcotest.test_case "reboot before detection is a true detection"
+            `Quick test_reboot_before_detection_is_true;
+          Alcotest.test_case "checkpoint store bounded under delta churn"
+            `Quick test_checkpoint_store_bounded;
           Alcotest.test_case "false positive zombie fencing" `Quick
             test_false_positive_zombie_fencing ] );
       ( "overload",
@@ -2316,7 +2472,11 @@ let () =
           Alcotest.test_case "brownout: no migration storm" `Quick
             test_breaker_brownout_no_migration_storm;
           Alcotest.test_case "unlimited limits are inert" `Quick
-            test_unlimited_limits_inert ]
+            test_unlimited_limits_inert;
+          Alcotest.test_case "retries: max_retries per message" `Quick
+            test_retry_cap_per_message;
+          Alcotest.test_case "retries: in-flight bound per switch" `Quick
+            test_retry_inflight_bound ]
         @ qsuite
             [ prop_harvester_fencing; prop_fair_share_queue_matches_reference ]
       ) ]
