@@ -131,6 +131,32 @@ let sim_smoke () =
   let alloc = Array.fold_left (fun acc (_, _, a) -> acc +. a) 0. sequential in
   (float_of_int events /. dt, deterministic, alloc /. float_of_int events)
 
+(* Bytes allocated by one [Seeder.deploy] of heavy-hitter on an empty
+   8-spine/88-leaf world: parse, checks, analysis, placement and the
+   instantiation of its 96 seeds.  A minor collection before each read
+   syncs OCaml 5's counters, which makes the figure deterministic, so it
+   gates.  The seeder compiles each task machine once and every seed
+   instantiates that plan: 2.03 MB.  Compiling the machine for every
+   seed allocated 5.88 MB, so a 3 MB bound catches the return of
+   per-seed compilation. *)
+let deploy_alloc_gate = 3e6
+
+let deploy_alloc () =
+  let w = World.create ~seed:1 ~spines:8 ~leaves:88 ~hosts_per_leaf:1 () in
+  let spec =
+    Tasks.Task_common.to_task_spec (Tasks.Catalog.find "heavy-hitter")
+  in
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  let task =
+    match Runtime.Seeder.deploy w.World.seeder spec with
+    | Ok t -> t
+    | Error m -> failwith (Printf.sprintf "deploy alloc: %s" m)
+  in
+  Gc.minor ();
+  let alloc = Gc.allocated_bytes () -. a0 in
+  (List.length (Runtime.Seeder.seeds w.World.seeder task), alloc)
+
 (* The heavy-hitter world of the trace and overload smokes: background
    traffic plus one elephant at 0.3 s, so detections reach the harvester
    inside the 1 s run and the digests cover collector traffic.  A tracer,
@@ -282,6 +308,10 @@ let () =
   Printf.printf "  sweep     %11s\n%!"
     (if sweep_deterministic then "deterministic" else "NONDETERMINISTIC");
 
+  let deploy_seeds, deploy_bytes = deploy_alloc () in
+  Printf.printf "deploy (heavy-hitter on 8 spines x 88 leaves):\n";
+  Printf.printf "  %d seeds, %.0f B allocated\n%!" deploy_seeds deploy_bytes;
+
   let pairs = trace_smoke () in
   let trace_inert =
     List.for_all (fun (off, on) -> String.equal off.digest on.digest) pairs
@@ -364,6 +394,13 @@ let () =
     \  \"sim_events_per_sec\": %.1f,\n\
     \  \"sim_alloc_bytes_per_event\": %.1f,\n\
     \  \"sweep_deterministic\": %b,\n\
+    \  \"deploy\": {\n\
+    \    \"task\": \"heavy-hitter\",\n\
+    \    \"switches\": 96,\n\
+    \    \"seeds\": %d,\n\
+    \    \"alloc_bytes\": %.0f,\n\
+    \    \"gate_bytes\": %.0f\n\
+    \  },\n\
     \  \"tracing\": {\n\
     \    \"digest_parity\": %b,\n\
     \    \"pairs\": %d,\n\
@@ -395,7 +432,8 @@ let () =
     \  }\n\
      }\n"
     interp_eps compiled_eps speedup sim_eps sim_alloc_per_event
-    sweep_deterministic trace_inert
+    sweep_deterministic deploy_seeds deploy_bytes deploy_alloc_gate
+    trace_inert
     trace_pairs eps_off eps_on alloc_off alloc_on trace_events trace_bytes
     trace_overhead_pct overhead_q1 overhead_q3
     ov_parity ov_eps_off
@@ -450,6 +488,17 @@ let () =
     Printf.eprintf
       "FAIL: armed overload protection costs %.1f%% (gate: 50%%)\n%!"
       ov_overhead_pct;
+    exit 1
+  end;
+  if deploy_seeds <> 96 then begin
+    Printf.eprintf "FAIL: heavy-hitter deployed %d seeds on 96 switches\n%!"
+      deploy_seeds;
+    exit 1
+  end;
+  if deploy_bytes > deploy_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: one heavy-hitter deploy allocates %.0f B (gate: %.0f B)\n%!"
+      deploy_bytes deploy_alloc_gate;
     exit 1
   end;
   if speedup < 3.0 then begin

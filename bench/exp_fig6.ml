@@ -48,9 +48,10 @@ let deploy_n_seeds ~entry ~n =
     | Error e -> failwith e
   in
   let res = Array.make Almanac.Analysis.n_resources 100. in
+  let plan = Almanac.Engine.prepare ~engine:`Compiled ~program ~machine in
   for i = 1 to n do
     ignore
-      (Runtime.Seed_exec.deploy ~soil ~program ~machine ~externals
+      (Runtime.Seed_exec.deploy ~soil ~plan ~externals
          ~builtins:entry.Tasks.Task_common.builtins ~resources:res ~polls
          ~send:(fun _ _ _ -> ())
          ~seed_id:i ())

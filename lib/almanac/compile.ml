@@ -13,7 +13,7 @@
     - every call site gets an index into a per-instance array of
       pre-resolved closures (host builtin / Almanac function / pure
       builtin, resolved in the interpreter's precedence order by
-      {!Exec.create});
+      {!Exec.create_compiled});
     - event dispatch tables are precomputed per (state, trigger) pair,
       including the state-overrides-machine rule, so firing a trigger is
       an array index plus closure calls.
@@ -24,7 +24,7 @@
     visibility, transit initializers reading the *old* state's locals) are
     reproduced with an [absent] sentinel and per-slot presence checks —
     see DESIGN.md "Almanac execution pipeline".  Compile once per machine;
-    instantiate many times with {!Exec.create}. *)
+    instantiate many times with {!Exec.create_compiled}. *)
 
 let fail = Host.fail
 
@@ -51,7 +51,7 @@ type env = {
   mutable frame : Value.t array;
   mutable pending : string option;  (* transit target (a state name) *)
   mutable calls : (Value.t list -> Value.t) array;
-      (* per call site, resolved by Exec.create *)
+      (* per call site, resolved by Exec.create_compiled *)
 }
 
 type ecode = env -> Value.t

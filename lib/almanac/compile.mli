@@ -8,7 +8,12 @@
     tables are precomputed per (state, trigger) pair.  Observationally
     equivalent to {!Interp} on type-checked programs (see DESIGN.md,
     "Almanac execution pipeline").  Compile once per machine; instantiate
-    many times with {!Exec.create_compiled}. *)
+    many times with {!Exec.create_compiled}.  A {!t} is immutable once
+    built: every per-run value lives in the instance's {!env} (and
+    [while] fuel is allocated per execution), so instances that share a
+    [t] cannot observe each other.  The seeder relies on this: it
+    compiles each task machine once ([Engine.prepare]) and every seed,
+    migration and recovery of that machine shares the result. *)
 
 (** Sentinel marking a slot whose variable is not bound yet (the
     interpreter equivalent of a missing hashtable key).  Compared with

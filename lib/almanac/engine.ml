@@ -1,23 +1,29 @@
 (** The common interface of the two Almanac execution engines: the
     reference tree-walking interpreter ({!Interp}) and the slot-compiled
-    engine ({!Exec}).  The runtime picks one per seed
-    ([?engine] / [Seeder.config.engine], default [`Compiled]); the
-    interpreter remains selectable as the executable reference semantics
-    (see DESIGN.md, "Almanac execution pipeline"). *)
+    engine ({!Exec}).  The runtime picks one per task
+    ([Seeder.config.engine], default [`Compiled]); the interpreter remains
+    selectable as the executable reference semantics (see DESIGN.md,
+    "Almanac execution pipeline").
+
+    Creation is split in two: {!prepare} does the per-machine work once
+    (for [`Compiled], the whole compilation), and {!instantiate} builds
+    one running instance from that plan.  A plan is immutable, so every
+    seed, migration and recovery of a task's machine can share one. *)
 
 type engine = [ `Interp | `Compiled ]
 
 module type S = sig
   type t
 
-  val kind : engine
+  (** What {!prepare} leaves for {!instantiate}: the per-machine work
+      every instance shares. *)
+  type plan
 
-  val create :
-    ?externals:(string * Value.t) list ->
-    program:Ast.program ->
-    machine:string ->
-    Host.host ->
-    t
+  val kind : engine
+  val prepare : program:Ast.program -> machine:string -> plan
+
+  val instantiate :
+    ?externals:(string * Value.t) list -> plan -> Host.host -> t
 
   val machine : t -> Ast.machine
   val current_state : t -> string
@@ -36,32 +42,53 @@ module type S = sig
   val call_function : t -> string -> Value.t list -> Value.t
 end
 
-module Interp_engine : S with type t = Interp.t = struct
+(* The interpreter resolves everything per instance: its plan is the
+   program and the machine name. *)
+module Interp_engine :
+  S with type t = Interp.t and type plan = Ast.program * string = struct
   include Interp
 
+  type plan = Ast.program * string
+
   let kind = `Interp
+  let prepare ~program ~machine = (program, machine)
+
+  let instantiate ?externals (program, machine) host =
+    create ?externals ~program ~machine host
 end
 
-module Compiled_engine : S with type t = Exec.t = struct
+module Compiled_engine :
+  S with type t = Exec.t and type plan = Compile.t = struct
   include Exec
 
+  type plan = Compile.t
+
   let kind = `Compiled
+  let prepare = Compile.compile
+  let instantiate = create_compiled
 end
+
+(** A prepared machine packed with its engine: what a task shares among
+    its seeds. *)
+type plan = Plan : (module S with type plan = 'p) * 'p -> plan
 
 (** An engine instance packed with its module — what the runtime stores
     per seed. *)
 type instance = Inst : (module S with type t = 'a) * 'a -> instance
 
-let create ?(engine = `Compiled) ?externals ~program ~machine host =
+(** Do the per-machine work once.  Raises {!Host.Runtime_error} on an
+    unknown machine, unresolved inheritance or a machine without states
+    ([`Compiled]; the interpreter raises the same at {!instantiate}). *)
+let prepare ~engine ~program ~machine =
   match engine with
   | `Interp ->
-      Inst
-        ( (module Interp_engine),
-          Interp_engine.create ?externals ~program ~machine host )
+      Plan ((module Interp_engine), Interp_engine.prepare ~program ~machine)
   | `Compiled ->
-      Inst
-        ( (module Compiled_engine),
-          Compiled_engine.create ?externals ~program ~machine host )
+      Plan ((module Compiled_engine), Compiled_engine.prepare ~program ~machine)
+
+(** A fresh instance of a prepared machine on [host]. *)
+let instantiate ?externals (Plan ((module E), p)) host =
+  Inst ((module E), E.instantiate ?externals p host)
 
 let kind (Inst ((module E), _)) = E.kind
 let machine (Inst ((module E), t)) = E.machine t

@@ -5,7 +5,8 @@
 type t
 
 (** Compile and instantiate in one step (same signature as
-    [Interp.create]). *)
+    [Interp.create]), for one-off instances.  Code that creates several
+    instances of a machine compiles once and uses {!create_compiled}. *)
 val create :
   ?externals:(string * Value.t) list ->
   program:Ast.program ->
@@ -13,8 +14,11 @@ val create :
   Host.host ->
   t
 
-(** Instantiate an already-compiled machine; use this to share one
-    compilation across a fleet of seeds. *)
+(** Instantiate an already-compiled machine: fresh globals, state locals
+    and call table, then the machine's initializers (an [externals]
+    binding replaces the initializer of an [external] variable).  The
+    {!Compile.t} is only read, so any number of instances can share it;
+    [Engine.instantiate] calls this for the seeder's per-task plans. *)
 val create_compiled :
   ?externals:(string * Value.t) list -> Compile.t -> Host.host -> t
 

@@ -37,6 +37,14 @@ let seed inst id =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Model.seed: unknown seed %d" id)
 
+let seed_index inst =
+  let tbl = Hashtbl.create (List.length inst.seeds) in
+  (* the first seed of an id wins, as in [seed] *)
+  List.iter
+    (fun s -> if not (Hashtbl.mem tbl s.seed_id) then Hashtbl.add tbl s.seed_id s)
+    inst.seeds;
+  Hashtbl.find_opt tbl
+
 let caps inst node =
   match List.find_opt (fun c -> c.node = node) inst.switches with
   | Some c -> c
@@ -52,14 +60,19 @@ let tasks inst =
   Hashtbl.fold (fun t ss acc -> (t, List.rev ss) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let assignment_utility inst a =
-  let s = seed inst a.a_seed in
-  match List.nth_opt s.branches a.a_branch with
-  | Some b -> Analysis.eval_utility b a.a_res
-  | None -> 0.
-
 let total_utility inst assignments =
-  List.fold_left (fun acc a -> acc +. assignment_utility inst a) 0. assignments
+  let seed_of = seed_index inst in
+  let utility a =
+    match seed_of a.a_seed with
+    | None -> invalid_arg (Printf.sprintf "Model.seed: unknown seed %d" a.a_seed)
+    | Some s -> (
+        match List.nth_opt s.branches a.a_branch with
+        | Some b -> Analysis.eval_utility b a.a_res
+        | None -> 0.)
+  in
+  (* summed in assignment order: the float result does not depend on the
+     index *)
+  List.fold_left (fun acc a -> acc +. utility a) 0. assignments
 
 (* per-subject aggregated polling demand at [node] *)
 let poll_demand inst assignments ~node =

@@ -63,6 +63,11 @@ val validate :
   ?migrating:int list -> instance -> assignment list -> string list
 
 val seed : instance -> int -> seed_spec
+
+(** [seed_index inst] indexes the seeds by id once; the returned lookup
+    agrees with {!seed} (first seed of an id wins) and costs O(1). *)
+val seed_index : instance -> int -> seed_spec option
+
 val caps : instance -> int -> switch_caps
 
 (** Seeds grouped by task. *)

@@ -12,6 +12,7 @@ type t = {
   sid : int;
   soil : Soil.t;
   epoch : int;  (* instance epoch, carried by every report (fencing) *)
+  plan : Aengine.plan;  (* the task's prepared machine, shared *)
   mutable inst : Aengine.instance option;  (* None before wiring completes *)
   mutable res : float array;
   polls : Analysis.poll_summary list;
@@ -32,6 +33,7 @@ type t = {
 
 let seed_id t = t.sid
 let epoch t = t.epoch
+let plan t = t.plan
 
 let alloc_seq t =
   let s = t.next_seq in
@@ -201,16 +203,15 @@ let value_of_installed (e : Tcam.installed) =
         ("bytes", Value.Num e.bytes);
         ("packets", Value.Num e.packets) ] )
 
-let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
-    ?(builtins = []) ?restore ?(epoch = 0) ?(adaptive = []) ~resources ~polls
-    ~send ~seed_id () =
+let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
+    ?(epoch = 0) ?(adaptive = []) ~resources ~polls ~send ~seed_id () =
   (* at unlimited soil limits no pressure tick ever comes and no interval
      throttles a drop back-off: nothing adapts, no gauge is published *)
   let limited = Soil.limits soil <> Soil.unlimited in
   let adaptive = if limited then adaptive else [] in
   let t =
-    { sid = seed_id; soil; epoch; inst = None; res = Array.copy resources;
-      polls; subs = []; transitions = 0; alive = true; next_seq = 0;
+    { sid = seed_id; soil; epoch; plan; inst = None;
+      res = Array.copy resources; polls; subs = []; transitions = 0; alive = true; next_seq = 0;
       dedup = Ipc.Dedup.create (); adaptive; rate_scale = ref 1.;
       poll_drops = 0; last_drop_backoff = Float.neg_infinity;
       send }
@@ -328,7 +329,7 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
                     Trace.arg_i tr !k_seed seed_id;
                     Trace.arg_s tr !k_state (Trace.intern tr st))) }
   in
-  let i = Aengine.create ~engine ~externals ~program ~machine host in
+  let i = Aengine.instantiate ~externals plan host in
   t.inst <- Some i;
   Soil.attach_seed soil seed_id;
   Soil.on_poll_drop soil ~seed_id (fun n -> on_poll_drop t n);

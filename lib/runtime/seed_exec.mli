@@ -4,26 +4,25 @@
     (snapshot → transfer → restore, §V-B). *)
 
 module Value := Farm_almanac.Value
-module Ast := Farm_almanac.Ast
 module Analysis := Farm_almanac.Analysis
 
 type t
 
-(** [deploy ~soil ~program ~machine ...] instantiates the machine on the
+(** [deploy ~soil ~plan ...] instantiates the prepared machine on the
     soil's switch, subscribes its poll/probe/time triggers (periods derived
     from the allocated [resources] via the ival analysis) and enters the
     initial state.  [send] routes outgoing messages (wired by the seeder).
     [restore] resumes from a migrated snapshot instead of a fresh start.
-    [engine] selects the execution engine: the slot-compiled [`Compiled]
-    (default) or the reference interpreter [`Interp].  [adaptive] names
-    the poll variables whose period the seed may stretch in degraded mode
-    (AIMD back-off under soil pressure or poll drops); ignored at
-    [Soil.unlimited] limits, where no pressure tick ever comes. *)
+    [plan] ({!Farm_almanac.Engine.prepare}) fixes the machine and the
+    execution engine; the seeder prepares it once per task machine and
+    every seed, migration and recovery of that machine shares it.
+    [adaptive] names the poll variables whose period the seed may stretch
+    in degraded mode (AIMD back-off under soil pressure or poll drops);
+    ignored at [Soil.unlimited] limits, where no pressure tick ever
+    comes. *)
 val deploy :
   soil:Soil.t ->
-  program:Ast.program ->
-  machine:string ->
-  ?engine:Farm_almanac.Engine.engine ->
+  plan:Farm_almanac.Engine.plan ->
   ?externals:(string * Value.t) list ->
   ?builtins:(string * (Value.t list -> Value.t)) list ->
   ?restore:(string * Value.t) list * string ->
@@ -37,6 +36,9 @@ val deploy :
   t
 
 val seed_id : t -> int
+
+(** The prepared machine this instance was built from. *)
+val plan : t -> Farm_almanac.Engine.plan
 
 (** Instance epoch (default 0): bumped by the seeder on every
     (re)instantiation of the logical seed and stamped on every report so

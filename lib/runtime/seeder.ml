@@ -124,8 +124,9 @@ type task = {
   spec : task_spec;
   program : Ast.program Lazy.t;
       (* what a switch runs: the program compiled to the interchange XML
-         shipped to switches (§V-A d) and decompiled, once per task; its
-         seeds share this immutable AST *)
+         shipped to switches (§V-A d) and decompiled, once per task; the
+         plan of each of its machines is prepared from this immutable
+         AST *)
   mutable harvester : Harvester.t option;
   mutable placed : bool;
   mutable regs : reg list;  (* registered seeds, in seed-id order *)
@@ -136,6 +137,11 @@ and reg = {
   r_spec : Model.seed_spec;
   r_task : task;
   r_machine : string;
+  r_plan : Farm_almanac.Engine.plan Lazy.t;
+      (* the machine prepared from [program] once per task: one lazy per
+         machine, shared by all its registrations, so every seed,
+         migration and recovery instantiates the same plan; it dies with
+         the registrations *)
   r_polls : Analysis.poll_summary list;
   r_externals : (string * Value.t) list;
   mutable r_exec : Seed_exec.t option;
@@ -673,9 +679,9 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
   else begin
   let soilv = soil t a.a_node in
   (* the switch runs the task as decompiled from its XML, exactly as the
-     soil does in the paper's implementation; decoding costs no simulated
-     time, so it happens once per task *)
-  let program = Lazy.force r.r_task.program in
+     soil does in the paper's implementation; decoding and compiling cost
+     no simulated time, so they happen once per task machine *)
+  let plan = Lazy.force r.r_plan in
   (* every (re)instantiation is a new epoch: harvesters fence on it, so a
      zombie of the previous instance can never outvote this one *)
   r.r_epoch <- r.r_epoch + 1;
@@ -685,8 +691,7 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
     | None -> stored_checkpoint r  (* crash recovery: last checkpoint *)
   in
   let exec =
-    Seed_exec.deploy ~soil:soilv ~program ~engine:t.cfg.engine
-      ~machine:r.r_machine ~externals:r.r_externals
+    Seed_exec.deploy ~soil:soilv ~plan ~externals:r.r_externals
       ~builtins:r.r_task.spec.ts_builtins ?restore ~epoch:r.r_epoch
       ~adaptive:r.r_task.spec.ts_adaptive ~resources:a.a_res ~polls:r.r_polls
       ~send:(fun exec target v -> seed_send t r.r_task exec target v)
@@ -1152,6 +1157,11 @@ let deploy t spec =
               | Ast.Probe | Ast.Time -> [])
             polls
         in
+        let plan =
+          lazy
+            (Farm_almanac.Engine.prepare ~engine:t.cfg.engine
+               ~program:(Lazy.force task.program) ~machine:m.mname)
+        in
         let regs =
           List.map
             (fun (site : Analysis.seed_site) ->
@@ -1161,7 +1171,8 @@ let deploy t spec =
                   { Model.seed_id; task_id = task.task_id;
                     candidates = site.candidates;
                     branches = initial_state_util; polls = poll_reqs };
-                r_task = task; r_machine = m.mname; r_polls = polls;
+                r_task = task; r_machine = m.mname; r_plan = plan;
+                r_polls = polls;
                 r_externals = externals; r_exec = None;
                 r_migrating = false; r_epoch = -1; r_ck_timer = None;
                 r_next_ck = 0; r_last_shipped = None; r_store = None })

@@ -15,6 +15,27 @@ type phases = { redistribute : bool; migrate : bool }
 let all_phases = { redistribute = true; migrate = true }
 let greedy_only = { redistribute = false; migrate = false }
 
+(* Model.total_utility as it was before its seed index: one linear seed
+   lookup per assignment, summed in assignment order. *)
+let total_utility (inst : Model.instance) assignments =
+  List.fold_left
+    (fun acc (a : Model.assignment) ->
+      let s =
+        match
+          List.find_opt
+            (fun (s : Model.seed_spec) -> s.seed_id = a.a_seed)
+            inst.seeds
+        with
+        | Some s -> s
+        | None -> invalid_arg "Ref_heuristic.total_utility: unknown seed"
+      in
+      acc
+      +.
+      match List.nth_opt s.branches a.a_branch with
+      | Some b -> Analysis.eval_utility b a.a_res
+      | None -> 0.)
+    0. assignments
+
 let nres = Analysis.n_resources
 let pcie = Analysis.resource_index Analysis.Pcie
 
@@ -423,7 +444,7 @@ let optimize ?(phases = all_phases) (inst : Model.instance) =
       else assignments
     end
   in
-  let utility = Model.total_utility inst assignments in
+  let utility = total_utility inst assignments in
   ({ Model.assignments; utility }, !migrations)
 
 let optimize_incremental ?(phases = all_phases) (inst : Model.instance)

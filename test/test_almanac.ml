@@ -1134,10 +1134,8 @@ let diff_stimuli (m : Ast.machine) =
   (trigs, recvs)
 
 type diff_driver = {
-  dd_engine : Engine.engine;
+  dd_plan : Engine.plan;  (* migrations re-instantiate it *)
   dd_host : Host.host;
-  dd_program : Ast.program;
-  dd_machine : string;
   dd_externals : (string * Value.t) list;
   mutable dd_inst : Engine.instance;
   dd_log : string list ref;
@@ -1149,7 +1147,7 @@ let diff_target_str = function
   | Host.To_machine (m, None) -> m
   | Host.To_machine (m, Some d) -> Printf.sprintf "%s@%d" m d
 
-let diff_driver ~engine ~program ~machine ~externals
+let diff_driver ~plan ~externals
     ~(builtins : (string * (Value.t list -> Value.t)) list) =
   let log = ref [] in
   let transitions = ref 0 in
@@ -1177,10 +1175,8 @@ let diff_driver ~engine ~program ~machine ~externals
       h_log = (fun m -> log := ("log:" ^ m) :: !log);
       h_trace = None }
   in
-  { dd_engine = engine; dd_host = host; dd_program = program;
-    dd_machine = machine; dd_externals = externals;
-    dd_inst =
-      Engine.create ~engine ~externals ~program ~machine host;
+  { dd_plan = plan; dd_host = host; dd_externals = externals;
+    dd_inst = Engine.instantiate ~externals plan host;
     dd_log = log; dd_transitions = transitions }
 
 type diff_step =
@@ -1217,8 +1213,7 @@ let diff_apply d step =
     | D_migrate ->
         let vars, state = Engine.snapshot d.dd_inst in
         let fresh =
-          Engine.create ~engine:d.dd_engine ~externals:d.dd_externals
-            ~program:d.dd_program ~machine:d.dd_machine d.dd_host
+          Engine.instantiate ~externals:d.dd_externals d.dd_plan d.dd_host
         in
         Engine.restore fresh ~vars ~state;
         d.dd_inst <- fresh;
@@ -1253,8 +1248,11 @@ let diff_run_machine ~what ~program ~machine ~externals ~builtins =
     List.find (fun (m : Ast.machine) -> m.mname = machine) program.Ast.machines
   in
   let trigs, recvs = diff_stimuli m in
-  let di = diff_driver ~engine:`Interp ~program ~machine ~externals ~builtins in
-  let dc = diff_driver ~engine:`Compiled ~program ~machine ~externals ~builtins in
+  let driver engine =
+    diff_driver ~plan:(Engine.prepare ~engine ~program ~machine) ~externals
+      ~builtins
+  in
+  let di = driver `Interp and dc = driver `Compiled in
   Alcotest.(check string)
     (what ^ ": initial state")
     (Engine.current_state di.dd_inst)
@@ -1314,29 +1312,29 @@ let test_differential_catalog () =
   if !total_ok < 100 then
     Alcotest.failf "differential catalog only completed %d ok steps" !total_ok
 
+(* host builtins of the HH fixture (listing 2) *)
+let hh_diff_builtins =
+  [ ("getHH",
+     fun args ->
+       match args with
+       | [ Value.Stats stats; Value.Num threshold ] ->
+           let hitters = ref [] in
+           Array.iteri
+             (fun i v ->
+               if v > threshold then
+                 hitters := Value.Num (float_of_int i) :: !hitters)
+             stats;
+           Value.List (List.rev !hitters)
+       | _ -> Alcotest.fail "getHH misuse");
+    ("setHitterRules", fun _ -> Value.Unit) ]
+
 (* The HH machine exercises host builtins (getHH / setHitterRules) that
    the catalog doesn't; run it differentially too. *)
 let test_differential_hh () =
-  let program = check_hh () in
-  let builtins =
-    [ ("getHH",
-       fun args ->
-         match args with
-         | [ Value.Stats stats; Value.Num threshold ] ->
-             let hitters = ref [] in
-             Array.iteri
-               (fun i v ->
-                 if v > threshold then
-                   hitters := Value.Num (float_of_int i) :: !hitters)
-               stats;
-             Value.List (List.rev !hitters)
-         | _ -> Alcotest.fail "getHH misuse");
-      ("setHitterRules", fun _ -> Value.Unit) ]
-  in
   let ok =
-    diff_run_machine ~what:"listing2/HH" ~program ~machine:"HH"
+    diff_run_machine ~what:"listing2/HH" ~program:(check_hh ()) ~machine:"HH"
       ~externals:[ ("threshold", Value.Num 700.) ]
-      ~builtins
+      ~builtins:hh_diff_builtins
   in
   if ok < 5 then Alcotest.failf "HH differential only completed %d ok steps" ok
 
@@ -1364,29 +1362,65 @@ let diff_cases =
            program.machines)
        Farm_tasks.Catalog.all)
 
-let diff_prop_step what di dc step =
-  let ri = diff_apply di step in
-  let rc = diff_apply dc step in
-  let ctx = Printf.sprintf "%s: %s" what (diff_step_str step) in
-  if ri <> rc then
-    QCheck2.Test.fail_reportf "%s: outcomes differ (interp %s, compiled %s)"
-      ctx
-      (match ri with Ok s -> "ok " ^ s | Error e -> e)
-      (match rc with Ok s -> "ok " ^ s | Error e -> e);
+(* Fail unless the two drivers agree on state, variables, transition
+   count and effect log; [names] label them in the report. *)
+let diff_prop_agree ?(names = ("interp", "compiled")) ctx di dc =
+  let na, nb = names in
   let si, vi, ti, li = diff_observe di in
   let sc, vc, tc, lc = diff_observe dc in
   if si <> sc then
     QCheck2.Test.fail_reportf "%s: states differ (%s vs %s)" ctx si sc;
   if vi <> vc then
-    QCheck2.Test.fail_reportf "%s: variables differ\n  interp: %s\n  compiled: %s"
-      ctx (String.concat "; " vi) (String.concat "; " vc);
+    QCheck2.Test.fail_reportf "%s: variables differ\n  %s: %s\n  %s: %s" ctx
+      na (String.concat "; " vi) nb (String.concat "; " vc);
   if ti <> tc then
     QCheck2.Test.fail_reportf "%s: transition counts differ (%d vs %d)" ctx ti
       tc;
   if li <> lc then
-    QCheck2.Test.fail_reportf "%s: effect logs differ\n  interp: %s\n  compiled: %s"
-      ctx (String.concat " | " li) (String.concat " | " lc);
+    QCheck2.Test.fail_reportf "%s: effect logs differ\n  %s: %s\n  %s: %s"
+      ctx na (String.concat " | " li) nb (String.concat " | " lc)
+
+let diff_prop_step ?(names = ("interp", "compiled")) what di dc step =
+  let ri = diff_apply di step in
+  let rc = diff_apply dc step in
+  let ctx = Printf.sprintf "%s: %s" what (diff_step_str step) in
+  if ri <> rc then
+    QCheck2.Test.fail_reportf "%s: outcomes differ (%s %s, %s %s)" ctx
+      (fst names)
+      (match ri with Ok s -> "ok " ^ s | Error e -> e)
+      (snd names)
+      (match rc with Ok s -> "ok " ^ s | Error e -> e);
+  diff_prop_agree ~names ctx di dc;
   ri
+
+(* A generator of random steps over machine [m]'s stimuli: fire a
+   trigger, deliver a message, realloc or migrate (snapshot, then
+   restore on a fresh instance). *)
+let diff_random_step (m : Ast.machine) rng =
+  let trigs, recvs = diff_stimuli m in
+  let trig_arr = Array.of_list trigs and recv_arr = Array.of_list recvs in
+  let kinds =
+    Array.of_list
+      (List.concat
+         [ (if Array.length trig_arr > 0 then [ `Fire; `Fire; `Fire ] else []);
+           (if Array.length recv_arr > 0 then [ `Deliver; `Deliver ] else []);
+           [ `Realloc; `Migrate ] ])
+  in
+  fun () ->
+    let round = Farm_sim.Rng.int rng 7 in
+    match kinds.(Farm_sim.Rng.int rng (Array.length kinds)) with
+    | `Fire ->
+        let name, tt =
+          trig_arr.(Farm_sim.Rng.int rng (Array.length trig_arr))
+        in
+        D_fire (name, diff_trigger_value tt ~round)
+    | `Deliver ->
+        let ty, from =
+          recv_arr.(Farm_sim.Rng.int rng (Array.length recv_arr))
+        in
+        D_deliver (from, diff_recv_value ty ~round)
+    | `Realloc -> D_realloc
+    | `Migrate -> D_migrate
 
 let prop_differential_random =
   QCheck2.Test.make ~name:"interp vs compiled agree on random interleavings"
@@ -1400,47 +1434,20 @@ let prop_differential_random =
       let what, program, (m : Ast.machine), externals, builtins =
         List.nth cases (idx mod List.length cases)
       in
-      let trigs, recvs = diff_stimuli m in
-      let trig_arr = Array.of_list trigs and recv_arr = Array.of_list recvs in
-      let rng = Farm_sim.Rng.create (0xd1ff + seed) in
-      let kinds =
-        Array.of_list
-          (List.concat
-             [ (if Array.length trig_arr > 0 then [ `Fire; `Fire; `Fire ]
-                else []);
-               (if Array.length recv_arr > 0 then [ `Deliver; `Deliver ]
-                else []);
-               [ `Realloc; `Migrate ] ])
-      in
-      let random_step () =
-        let round = Farm_sim.Rng.int rng 7 in
-        match kinds.(Farm_sim.Rng.int rng (Array.length kinds)) with
-        | `Fire ->
-            let name, tt =
-              trig_arr.(Farm_sim.Rng.int rng (Array.length trig_arr))
-            in
-            D_fire (name, diff_trigger_value tt ~round)
-        | `Deliver ->
-            let ty, from =
-              recv_arr.(Farm_sim.Rng.int rng (Array.length recv_arr))
-            in
-            D_deliver (from, diff_recv_value ty ~round)
-        | `Realloc -> D_realloc
-        | `Migrate -> D_migrate
+      let random_step =
+        diff_random_step m (Farm_sim.Rng.create (0xd1ff + seed))
       in
       let steps = ref [] in
       for _ = 1 to len do
         steps := random_step () :: !steps
       done;
       let steps = D_start :: List.rev !steps in
-      let di =
-        diff_driver ~engine:`Interp ~program ~machine:m.mname ~externals
-          ~builtins
+      let driver engine =
+        diff_driver
+          ~plan:(Engine.prepare ~engine ~program ~machine:m.mname)
+          ~externals ~builtins
       in
-      let dc =
-        diff_driver ~engine:`Compiled ~program ~machine:m.mname ~externals
-          ~builtins
-      in
+      let di = driver `Interp and dc = driver `Compiled in
       if Engine.current_state di.dd_inst <> Engine.current_state dc.dd_inst
       then QCheck2.Test.fail_reportf "%s: initial state differs" what;
       (* stop at the first (identical) error, as in the scripted run *)
@@ -1452,6 +1459,68 @@ let prop_differential_random =
             | Error _ -> true)
       in
       go steps)
+
+(* One compiled plan serves every seed of a task machine, so nothing a
+   run does may leak into the plan.  K instances of one [Engine.prepare]d
+   plan, driven by an interleaved random schedule (each step acts on one
+   instance; migrations re-instantiate the plan), must match K instances
+   that each compiled the machine themselves, every instance compared
+   after every step.  Both sides run the same compiled code, so they must
+   agree even past a runtime error: the run does not stop there. *)
+let shared_plan_cases =
+  lazy
+    (Lazy.force diff_cases
+    @
+    let program = check_hh () in
+    [ ( "listing2/HH", program,
+        List.find (fun (m : Ast.machine) -> m.mname = "HH") program.machines,
+        [ ("threshold", Value.Num 700.) ],
+        hh_diff_builtins ) ])
+
+let shared_plan_run ~k ~seed ~len
+    (what, program, (m : Ast.machine), externals, builtins) =
+  let prepare () = Engine.prepare ~engine:`Compiled ~program ~machine:m.mname in
+  let driver plan = diff_driver ~plan ~externals ~builtins in
+  let plan = prepare () in
+  let shared = Array.init k (fun _ -> driver plan) in
+  let separate = Array.init k (fun _ -> driver (prepare ())) in
+  let rng = Farm_sim.Rng.create (0x5a4ed + seed) in
+  let random_step = diff_random_step m rng in
+  let schedule =
+    List.init k (fun i -> (i, D_start))
+    @ List.init len (fun _ ->
+          let i = Farm_sim.Rng.int rng k in
+          (i, random_step ()))
+  in
+  let names = ("separate", "shared") in
+  List.iter
+    (fun (i, step) ->
+      ignore
+        (diff_prop_step ~names
+           (Printf.sprintf "%s #%d" what i)
+           separate.(i) shared.(i) step);
+      Array.iteri
+        (fun j dj ->
+          diff_prop_agree ~names
+            (Printf.sprintf "%s #%d after a step of #%d" what j i)
+            dj shared.(j))
+        separate)
+    schedule
+
+let prop_shared_plan_no_interference =
+  QCheck2.Test.make
+    ~name:"instances of one shared plan = separately compiled instances"
+    ~count:10
+    ~print:(fun (k, seed, len) ->
+      Printf.sprintf "k=%d seed=%d len=%d" k seed len)
+    QCheck2.Gen.(
+      triple (int_range 2 4) (int_bound 1_000_000) (int_range 8 40))
+    (fun (k, seed, len) ->
+      (* every catalog and fixture machine, each under its own schedule *)
+      List.iteri
+        (fun i case -> shared_plan_run ~k ~seed:(seed + i) ~len case)
+        (Lazy.force shared_plan_cases);
+      true)
 
 let () =
   Alcotest.run "farm_almanac"
@@ -1563,4 +1632,6 @@ let () =
             test_differential_catalog;
           Alcotest.test_case "HH: interp vs compiled" `Quick
             test_differential_hh ]
-        @ qsuite [ prop_differential_random ] ) ]
+        @ qsuite
+            [ prop_differential_random; prop_shared_plan_no_interference ] )
+    ]

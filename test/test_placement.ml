@@ -405,6 +405,34 @@ let prop_memo_matches_reference =
         same_placement (p, stats.migrations)
           (Ref_heuristic.optimize_incremental ~phases:ref_phases inc ~affected))
 
+(* Model.total_utility looks seeds up in an index built once per call;
+   the linear-scan fold frozen in ref_heuristic must give the same float,
+   bit for bit, on any assignment list: seeds in random order, repeats,
+   branch indices past the last branch, random allocations. *)
+let prop_total_utility_matches_reference =
+  QCheck2.Test.make ~name:"indexed total_utility = linear-scan reference"
+    ~count:300 ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = memo_instance seed in
+      let rng = Rng.create (seed + 2) in
+      let seeds = Array.of_list inst.seeds in
+      let assignments =
+        if seeds = [||] then []
+        else
+          List.init (Rng.int rng ((2 * Array.length seeds) + 1)) (fun _ ->
+              let s = Rng.choose rng seeds in
+              { Model.a_seed = s.seed_id;
+                a_node = Rng.int rng 4;
+                a_branch = Rng.int rng (List.length s.branches + 1);
+                a_res =
+                  Array.init Analysis.n_resources (fun _ ->
+                      Rng.uniform rng 0. 100.) })
+      in
+      let bits = Int64.bits_of_float in
+      bits (Model.total_utility inst assignments)
+      = bits (Ref_heuristic.total_utility inst assignments))
+
 (* The LP-solve count of one optimize over a deploy-churn-like live set:
    heavy-hitter resident plus the first six rolling catalog tasks, on a
    96-switch spine-leaf fabric.  A task's seeds share their branches and
@@ -555,7 +583,9 @@ let () =
           Alcotest.test_case "task priority" `Quick test_heuristic_task_priority;
           Alcotest.test_case "LP solves on a 96-switch live set" `Quick
             test_lp_solves_on_live_set ]
-        @ qsuite [ prop_heuristic_always_valid; prop_memo_matches_reference ] );
+        @ qsuite
+            [ prop_heuristic_always_valid; prop_memo_matches_reference;
+              prop_total_utility_matches_reference ] );
       ( "milp",
         [ Alcotest.test_case "simple optimal" `Quick test_milp_simple_optimal;
           Alcotest.test_case "beats or ties heuristic" `Slow

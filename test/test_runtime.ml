@@ -597,8 +597,11 @@ machine Counting {
     | Error m -> Alcotest.fail m
   in
   let resources = Array.make Farm_almanac.Analysis.n_resources 1. in
+  let plan =
+    Farm_almanac.Engine.prepare ~engine:`Compiled ~program ~machine:"Counting"
+  in
   let deploy soil restore =
-    Seed_exec.deploy ~soil ~program ~machine:"Counting" ?restore ~resources
+    Seed_exec.deploy ~soil ~plan ?restore ~resources
       ~polls
       ~send:(fun _ _ _ -> ())
       ~seed_id:7 ()
@@ -662,7 +665,11 @@ machine Counting {
   let weak = Weak.create 1 in
   let deploy_and_destroy () =
     let s =
-      Seed_exec.deploy ~soil ~program ~machine:"Counting" ~adaptive:[ "ticks" ]
+      Seed_exec.deploy ~soil
+        ~plan:
+          (Farm_almanac.Engine.prepare ~engine:`Compiled ~program
+             ~machine:"Counting")
+        ~adaptive:[ "ticks" ]
         ~resources:(Array.make Farm_almanac.Analysis.n_resources 1.)
         ~polls ~send:(fun _ _ _ -> ()) ~seed_id:7 ()
     in
@@ -711,7 +718,9 @@ machine R {
   res.(Farm_almanac.Analysis.resource_index Farm_almanac.Analysis.Pcie) <- 100.;
   (* ival = 10/100 = 0.1 s *)
   let seed =
-    Seed_exec.deploy ~soil ~program ~machine:"R" ~resources:res ~polls
+    Seed_exec.deploy ~soil
+      ~plan:(Farm_almanac.Engine.prepare ~engine:`Compiled ~program ~machine:"R")
+      ~resources:res ~polls
       ~send:(fun _ _ _ -> ())
       ~seed_id:1 ()
   in
@@ -903,6 +912,113 @@ machine Counting {
       | _ -> Alcotest.fail "polls unbound")
   | seeds -> Alcotest.failf "expected 1 seed, got %d" (List.length seeds)
 
+(* The seeder prepares each task machine once: every seed of a task, a
+   live-migrated seed and a crash-recovered one hold the physically same
+   plan; a second deploy of the same source prepares its own; and once
+   its task is undeployed, nothing keeps a plan alive. *)
+let test_seeder_shares_one_plan () =
+  let engine = Engine.create ~seed:16 () in
+  let topo = Topology.spine_leaf ~spines:2 ~leaves:2 ~hosts_per_leaf:1 in
+  let seeder = Seeder.create engine (Fabric.create topo) in
+  let deploy name source =
+    match Seeder.deploy seeder (Seeder.simple_spec ~name ~source) with
+    | Ok t -> t
+    | Error m -> Alcotest.failf "deploy %s failed: %s" name m
+  in
+  let plan_of task =
+    match Seeder.seeds seeder task with
+    | s :: _ -> Seed_exec.plan s
+    | [] -> Alcotest.fail "task has no seeds"
+  in
+  let all_source =
+    {|
+machine Everywhere {
+  place all;
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  long polls = 0;
+  state s { when (ticks as stats) do { polls = polls + 1; } }
+}
+|}
+  in
+  let every = deploy "every" all_source in
+  let plan = plan_of every in
+  Alcotest.(check int) "a seed per switch" 4
+    (List.length (Seeder.seeds seeder every));
+  List.iter
+    (fun s -> Alcotest.(check bool) "seeds share the plan" true
+        (Seed_exec.plan s == plan))
+    (Seeder.seeds seeder every);
+  let again = deploy "again" all_source in
+  Alcotest.(check bool) "a second deploy prepares its own plan" false
+    (plan_of again == plan);
+  List.iter
+    (fun s -> Alcotest.(check bool) "its seeds share it" true
+        (Seed_exec.plan s == plan_of again))
+    (Seeder.seeds seeder again);
+  (* live migration: a pinned task that needs most of the roamer's switch
+     pushes the roamer to the other leaf *)
+  let roam =
+    deploy "roam"
+      {|
+machine Roam {
+  place any "leaf0", "leaf1";
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  long polls = 0;
+  state s {
+    util (res) { if (res.vCPU >= 2.5) then { return 10; } }
+    when (ticks as stats) do { polls = polls + 1; }
+  }
+}
+|}
+  in
+  let roam_plan = plan_of roam in
+  Engine.run ~until:0.5 engine;
+  let home = Seed_exec.node (List.hd (Seeder.seeds seeder roam)) in
+  let hog =
+    deploy "hog"
+       (Printf.sprintf
+          {|
+machine Hog {
+  place any "%s";
+  long x = 0;
+  state s { util (res) { if (res.vCPU >= 2.5) then { return 50; } } }
+}
+|}
+          (Topology.node topo home).name)
+  in
+  Engine.run ~until:1. engine;
+  Alcotest.(check bool) "the roamer migrated" true (Seeder.migrations seeder > 0);
+  (match Seeder.seeds seeder roam with
+  | [ s ] ->
+      Alcotest.(check bool) "moved off its first switch" true
+        (Seed_exec.node s <> home);
+      Alcotest.(check bool) "migrated seed shares the plan" true
+        (Seed_exec.plan s == roam_plan)
+  | seeds -> Alcotest.failf "expected 1 roamer, got %d" (List.length seeds));
+  (* crash recovery, onto the switch the hog leaves free *)
+  Seeder.undeploy seeder hog;
+  let before = List.hd (Seeder.seeds seeder roam) in
+  Seeder.crash_switch seeder (Seed_exec.node before);
+  (match Seeder.seeds seeder roam with
+  | [ s ] ->
+      Alcotest.(check bool) "recovered elsewhere" true (s != before);
+      Alcotest.(check bool) "recovered seed shares the plan" true
+        (Seed_exec.plan s == roam_plan)
+  | seeds -> Alcotest.failf "expected 1 roamer, got %d" (List.length seeds));
+  (* undeploy releases the plan *)
+  let weak = Weak.create 1 in
+  (Sys.opaque_identity (fun () ->
+       Weak.set weak 0 (Some (plan_of again));
+       Seeder.undeploy seeder again))
+    ();
+  Engine.run ~until:1.5 engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "undeployed task's plan collected" true
+    (Option.is_none (Weak.get weak 0));
+  (* ... while this test still holds the task handle *)
+  Alcotest.(check bool) "held task is undeployed" false
+    (Seeder.is_placed again)
+
 (* ------------------------------------------------------------------ *)
 (* Self-healing: checkpoints, idempotence, detection, recovery         *)
 (* ------------------------------------------------------------------ *)
@@ -1073,7 +1189,10 @@ let test_checkpoint_restore_engine_equivalence () =
     let sw = Switch_model.create ~id:0 ~ports:4 () in
     let soil = Soil.create engine sw in
     let exec =
-      Seed_exec.deploy ~soil ~program ~machine:"Counting" ~engine:engine_kind
+      Seed_exec.deploy ~soil
+        ~plan:
+          (Farm_almanac.Engine.prepare ~engine:engine_kind ~program
+             ~machine:"Counting")
         ?restore ~resources ~polls
         ~send:(fun _ _ _ -> ())
         ~seed_id:1 ()
@@ -2106,7 +2225,11 @@ machine Flood {
     | Error m -> Alcotest.fail m
   in
   let s =
-    Seed_exec.deploy ~soil ~program ~machine:"Flood" ~adaptive:[ "ticks" ]
+    Seed_exec.deploy ~soil
+      ~plan:
+        (Farm_almanac.Engine.prepare ~engine:`Compiled ~program
+           ~machine:"Flood")
+      ~adaptive:[ "ticks" ]
       ~resources:(Array.make Farm_almanac.Analysis.n_resources 1.)
       ~polls ~send:(fun _ _ _ -> ()) ~seed_id:3 ()
   in
@@ -2431,7 +2554,9 @@ let () =
           Alcotest.test_case "destroyed seed is collectable" `Quick
             test_destroyed_seed_collectable;
           Alcotest.test_case "reoptimize keeps state" `Quick
-            test_reoptimize_migrates_on_arrival ] );
+            test_reoptimize_migrates_on_arrival;
+          Alcotest.test_case "seeder shares one plan per task" `Quick
+            test_seeder_shares_one_plan ] );
       ( "messaging",
         [ Alcotest.test_case "inter-seed broadcast and directed" `Quick
             test_inter_seed_messaging ] );
