@@ -157,6 +157,47 @@ let deploy_alloc () =
   let alloc = Gc.allocated_bytes () -. a0 in
   (List.length (Runtime.Seeder.seeds w.World.seeder task), alloc)
 
+(* Steady-state bytes one [Switch_model.poll_subject All_ports] allocates
+   on a 16-port switch carrying 32 flows, with [rules] catch-all
+   monitoring rules that every flow matches (the duplicate [port ANY]
+   rules heavy-hitter installs on each detection).  Each flow keeps the
+   counters of the rules it matches and a poll adds to them in place, so
+   the figure must not grow with the rules: a per-flow rule scan that
+   boxes the sums allocated about 32 B more per (flow, rule) pair.  The
+   warm-up polls refresh the match lists once; a minor collection before
+   each read makes the count deterministic. *)
+let poll_alloc ~rules =
+  let module Sw = Net.Switch_model in
+  let sw = Sw.create ~id:0 ~ports:16 () in
+  for i = 0 to 31 do
+    Sw.add_flow sw ~time:0. ~flow_id:i
+      ~tuple:
+        { Net.Flow.src = Net.Ipaddr.of_string "10.1.1.4";
+          dst = Net.Ipaddr.of_string "10.2.1.4"; sport = 1000 + i;
+          dport = 80; proto = Net.Flow.Tcp }
+      ~rate:(1e4 +. float_of_int i) ~egress:(i mod 16) ()
+  done;
+  for _ = 1 to rules do
+    match
+      Sw.add_rule sw ~time:0. Net.Tcam.Monitoring
+        { pattern = Net.Filter.True; action = Net.Tcam.Count; priority = 10 }
+    with
+    | Ok _ -> ()
+    | Error `Full -> failwith "poll alloc: monitoring region full"
+  done;
+  let polls = 1_000 in
+  let clock = ref 0. in
+  let poll () =
+    clock := !clock +. 1e-3;
+    ignore (Sw.poll_subject sw ~time:!clock Net.Filter.All_ports)
+  in
+  for _ = 1 to 10 do poll () done;
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to polls do poll () done;
+  Gc.minor ();
+  (Gc.allocated_bytes () -. a0) /. float_of_int polls
+
 (* The heavy-hitter world of the trace and overload smokes: background
    traffic plus one elephant at 0.3 s, so detections reach the harvester
    inside the 1 s run and the digests cover collector traffic.  A tracer,
@@ -312,6 +353,12 @@ let () =
   Printf.printf "deploy (heavy-hitter on 8 spines x 88 leaves):\n";
   Printf.printf "  %d seeds, %.0f B allocated\n%!" deploy_seeds deploy_bytes;
 
+  let poll_bytes_0 = poll_alloc ~rules:0 in
+  let poll_bytes_64 = poll_alloc ~rules:64 in
+  Printf.printf "switch poll (all ports, 32 flows):\n";
+  Printf.printf "  %.0f B allocated with no rule, %.0f B with 64 matching rules\n%!"
+    poll_bytes_0 poll_bytes_64;
+
   let pairs = trace_smoke () in
   let trace_inert =
     List.for_all (fun (off, on) -> String.equal off.digest on.digest) pairs
@@ -401,6 +448,11 @@ let () =
     \    \"alloc_bytes\": %.0f,\n\
     \    \"gate_bytes\": %.0f\n\
     \  },\n\
+    \  \"poll\": {\n\
+    \    \"flows\": 32,\n\
+    \    \"alloc_bytes_0_rules\": %.1f,\n\
+    \    \"alloc_bytes_64_rules\": %.1f\n\
+    \  },\n\
     \  \"tracing\": {\n\
     \    \"digest_parity\": %b,\n\
     \    \"pairs\": %d,\n\
@@ -433,7 +485,7 @@ let () =
      }\n"
     interp_eps compiled_eps speedup sim_eps sim_alloc_per_event
     sweep_deterministic deploy_seeds deploy_bytes deploy_alloc_gate
-    trace_inert
+    poll_bytes_0 poll_bytes_64 trace_inert
     trace_pairs eps_off eps_on alloc_off alloc_on trace_events trace_bytes
     trace_overhead_pct overhead_q1 overhead_q3
     ov_parity ov_eps_off
@@ -499,6 +551,12 @@ let () =
     Printf.eprintf
       "FAIL: one heavy-hitter deploy allocates %.0f B (gate: %.0f B)\n%!"
       deploy_bytes deploy_alloc_gate;
+    exit 1
+  end;
+  if poll_bytes_64 > poll_bytes_0 then begin
+    Printf.eprintf
+      "FAIL: a poll allocates %.0f B with 64 matching rules, %.0f B with none\n%!"
+      poll_bytes_64 poll_bytes_0;
     exit 1
   end;
   if speedup < 3.0 then begin

@@ -32,6 +32,10 @@ type active_flow = {
   egress : int;
 }
 
+(* A flow and the counters of the TCAM rules its tuple matches, as of
+   TCAM version [t.tcam_version] *)
+type entry = { flow : active_flow; mutable hits : Tcam.counters array }
+
 type port_state = { mutable p_rate : float; mutable p_bytes : float }
 
 type subject_state = { mutable s_rate : float; mutable s_bytes : float }
@@ -48,7 +52,8 @@ type t = {
   tcam : Tcam.t;
   ports : port_state array;
   mutable subjects : subject_state Subject_map.t;
-  flows : (int, active_flow) Hashtbl.t;
+  flows : (int, entry) Hashtbl.t;
+  mutable tcam_version : int;
   mutable last_sync : float;
   (* traffic-surge fault: offered load multiplier applied on top of every
      flow's base rate; 1.0 is bit-exact with the unfaulted model *)
@@ -75,6 +80,7 @@ let create ?(caps = accton_as5712) ~id ~ports () =
     ports = Array.init (Stdlib.max 1 ports) (fun _ -> { p_rate = 0.; p_bytes = 0. });
     subjects = Subject_map.empty;
     flows = Hashtbl.create 32;
+    tcam_version = 0;
     last_sync = 0.;
     surge = 1.;
     fl_cache = []; fl_dirty = false; rate_cache = 0.; rate_dirty = false;
@@ -85,7 +91,23 @@ let caps t = t.caps
 let tcam t = t.tcam
 let port_count t = Array.length t.ports
 
-(* Integrate all rates up to [time]; counters stay exact at poll instants. *)
+(* Point every flow at the counters of the rules it matches now; a no-op
+   unless the rule set changed since the last refresh. *)
+let refresh_hits t =
+  let v = Tcam.version t.tcam in
+  if v <> t.tcam_version then begin
+    Hashtbl.iter
+      (fun _ e -> e.hits <- Tcam.matching t.tcam e.flow.tuple)
+      t.flows;
+    t.tcam_version <- v
+  end
+
+(* Integrate all rates up to [time]; counters stay exact at poll instants.
+   Each TCAM rule matched at this instant gets, flow by flow in table
+   order, the flow's bytes of the interval and its packets at 1000 B per
+   packet (at least one).  Crediting flow by flow keeps the float sums
+   those of a scan of every rule per flow; summing per-rule rates would
+   re-associate them. *)
 let sync t ~time =
   let dt = time -. t.last_sync in
   if dt > 0. then begin
@@ -93,12 +115,22 @@ let sync t ~time =
     Subject_map.iter
       (fun _ s -> s.s_bytes <- s.s_bytes +. (s.s_rate *. dt))
       t.subjects;
-    (* TCAM counters: average packet size of 1000 B converts bytes to
-       packets for rule-hit counters *)
+    refresh_hits t;
     Hashtbl.iter
-      (fun _ f ->
-        if f.rate > 0. then
-          Tcam.record t.tcam f.tuple ~bytes:(f.rate *. dt))
+      (fun _ e ->
+        let rate = e.flow.rate in
+        if rate > 0. then begin
+          let bytes = rate *. dt in
+          let q = bytes /. 1000. in
+          (* [Float.max 1. q], spelled out so that no float is boxed *)
+          let packets = if q > 1. || Float.is_nan q then q else 1. in
+          let hits = e.hits in
+          for i = 0 to Array.length hits - 1 do
+            let c = hits.(i) in
+            c.bytes <- c.bytes +. bytes;
+            c.packets <- c.packets +. packets
+          done
+        end)
       t.flows;
     t.last_sync <- time
   end
@@ -142,7 +174,8 @@ let add_flow t ~time ~flow_id ~tuple ~rate ?(flags = Flow.no_flags)
     { flow_id; tuple; base_rate = rate; rate; flags; payload; egress }
   in
   f.rate <- effective_rate t f;
-  Hashtbl.replace t.flows flow_id f;
+  Hashtbl.replace t.flows flow_id
+    { flow = f; hits = Tcam.matching t.tcam tuple };
   t.fl_dirty <- true;
   t.rate_dirty <- true;
   rate_delta t f f.rate
@@ -151,7 +184,7 @@ let remove_flow t ~time ~flow_id =
   sync t ~time;
   match Hashtbl.find_opt t.flows flow_id with
   | None -> ()
-  | Some f ->
+  | Some { flow = f; _ } ->
       rate_delta t f (-.f.rate);
       Hashtbl.remove t.flows flow_id;
       t.fl_dirty <- true;
@@ -160,16 +193,16 @@ let remove_flow t ~time ~flow_id =
 let active_flows t =
   if t.fl_dirty then begin
     t.fl_cache <-
-      Hashtbl.fold (fun _ f acc -> f :: acc) t.flows []
+      Hashtbl.fold (fun _ e acc -> e.flow :: acc) t.flows []
       |> List.sort (fun a b -> Int.compare a.flow_id b.flow_id);
     t.fl_dirty <- false
   end;
   t.fl_cache
 
-let apply_tcam_actions t ~time =
-  sync t ~time;
+(* Re-apply TCAM actions (Drop, Rate_limit) to every active flow. *)
+let apply_tcam_actions t =
   Hashtbl.iter
-    (fun _ f ->
+    (fun _ { flow = f; _ } ->
       let r = effective_rate t f in
       if r <> f.rate then begin
         rate_delta t f (r -. f.rate);
@@ -177,6 +210,28 @@ let apply_tcam_actions t ~time =
         t.rate_dirty <- true
       end)
     t.flows
+
+(* Rule changes settle the counters first, so a new rule counts traffic
+   from its install on and a removed one keeps its last interval.  Adding
+   to a full region or removing an absent pattern leaves the model
+   untouched. *)
+let add_rule t ~time region rule =
+  if Tcam.free t.tcam region <= 0 then Error `Full
+  else begin
+    sync t ~time;
+    let r = Tcam.add t.tcam region rule in
+    apply_tcam_actions t;
+    r
+  end
+
+let remove_rule t ~time region ~pattern =
+  match Tcam.find t.tcam region ~pattern with
+  | None -> 0
+  | Some _ ->
+      sync t ~time;
+      let n = Tcam.remove t.tcam region ~pattern in
+      apply_tcam_actions t;
+      n
 
 (* Traffic-surge fault: settle counters at [time], then re-rate every
    active flow under the new multiplier (flow-id order, so the float
@@ -219,7 +274,7 @@ let watch_subject t ~time subj =
     (* initialize the subject's rate from currently active flows *)
     t.subjects <- Subject_map.add subj s t.subjects;
     Hashtbl.iter
-      (fun _ f ->
+      (fun _ { flow = f; _ } ->
         let hit =
           match subj with
           | Filter.All_ports -> true
@@ -247,7 +302,7 @@ let poll_subject t ~time subj =
 
 let refresh_rates t =
   if t.rate_dirty then begin
-    t.rate_cache <- Hashtbl.fold (fun _ f acc -> acc +. f.rate) t.flows 0.;
+    t.rate_cache <- Hashtbl.fold (fun _ e acc -> acc +. e.flow.rate) t.flows 0.;
     (* adding a zero rate leaves a running sum unchanged, so the sums over
        the positive flows alone are the ones a walk over all flows in id
        order reaches at those flows *)

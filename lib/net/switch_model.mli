@@ -65,9 +65,20 @@ val active_flows : t -> active_flow list
     — repeated calls (packet sampling, surge re-rating) return the same
     list without re-folding the flow table. *)
 
-(** Re-apply TCAM actions (Drop, Rate_limit) to active flows — called after
-    a seed reaction installs/removes monitoring rules. *)
-val apply_tcam_actions : t -> time:float -> unit
+(** {2 TCAM rules} *)
+
+(** Install a rule at [time] and re-apply TCAM actions (Drop, Rate_limit)
+    to the active flows.  Counters settle at [time] first, so the rule
+    counts traffic from its install on.  [Error `Full] if the region is
+    out of entries. *)
+val add_rule :
+  t -> time:float -> Tcam.region -> Tcam.rule ->
+  (Tcam.installed, [ `Full ]) result
+
+(** Remove the region's rules whose pattern equals [pattern] at [time] and
+    re-apply TCAM actions; returns how many were removed.  Counters settle
+    at [time] first, so the removed rules keep their last interval. *)
+val remove_rule : t -> time:float -> Tcam.region -> pattern:Filter.t -> int
 
 (** Traffic-surge fault ([Fault.Traffic_surge]): multiply every flow's
     offered rate by [factor] from [time] on (counters up to [time] settle

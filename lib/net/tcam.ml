@@ -10,18 +10,23 @@ type region = Forwarding | Monitoring
 
 type rule = { pattern : Filter.t; action : action; priority : int }
 
+type counters = { mutable bytes : float; mutable packets : float }
+
 type installed = {
   id : int;
   region : region;
   rule : rule;
-  mutable bytes : float;
-  mutable packets : float;
+  counters : counters;
 }
+
+let bytes e = e.counters.bytes
+let packets e = e.counters.packets
 
 type t = {
   capacity : int;
   mon_capacity : int;
   mutable next_id : int;
+  mutable version : int;
   mutable forwarding : installed list;  (* sorted by decreasing priority *)
   mutable monitoring : installed list;
 }
@@ -31,9 +36,11 @@ let create ?(monitoring_share = 0.25) ~capacity () =
   if monitoring_share < 0. || monitoring_share > 1. then
     invalid_arg "Tcam.create: monitoring_share must be in [0, 1]";
   let mon_capacity = int_of_float (float_of_int capacity *. monitoring_share) in
-  { capacity; mon_capacity; next_id = 0; forwarding = []; monitoring = [] }
+  { capacity; mon_capacity; next_id = 0; version = 0; forwarding = [];
+    monitoring = [] }
 
 let capacity t = t.capacity
+let version t = t.version
 
 let region_capacity t = function
   | Forwarding -> t.capacity - t.mon_capacity
@@ -58,9 +65,11 @@ let add t region rule =
   if free t region <= 0 then Error `Full
   else begin
     let entry =
-      { id = t.next_id; region; rule; bytes = 0.; packets = 0. }
+      { id = t.next_id; region; rule;
+        counters = { bytes = 0.; packets = 0. } }
     in
     t.next_id <- t.next_id + 1;
+    t.version <- t.version + 1;
     (match region with
     | Forwarding -> t.forwarding <- insert_sorted entry t.forwarding
     | Monitoring -> t.monitoring <- insert_sorted entry t.monitoring);
@@ -76,6 +85,7 @@ let remove t region ~pattern =
   (match region with
   | Forwarding -> t.forwarding <- keep
   | Monitoring -> t.monitoring <- keep);
+  if gone <> [] then t.version <- t.version + 1;
   List.length gone
 
 let find t region ~pattern =
@@ -95,16 +105,13 @@ let lookup t tuple =
       | Some _ | None -> Some e)
   | None -> best t.monitoring
 
-let record t tuple ~bytes =
-  let touch e =
-    if Filter.matches e.rule.pattern tuple then begin
-      e.bytes <- e.bytes +. bytes;
-      (* packet counter estimated at ~1000 B/packet; at least one packet
-         per recorded burst *)
-      e.packets <- e.packets +. Float.max 1. (bytes /. 1000.)
-    end
+let matching t tuple =
+  let hits rules =
+    List.filter_map
+      (fun e ->
+        if Filter.matches e.rule.pattern tuple then Some e.counters else None)
+      rules
   in
-  List.iter touch t.forwarding;
-  List.iter touch t.monitoring
+  Array.of_list (hits t.forwarding @ hits t.monitoring)
 
 let rules t region = region_rules t region

@@ -18,13 +18,20 @@ type region = Forwarding | Monitoring
 
 type rule = { pattern : Filter.t; action : action; priority : int }
 
+(** A rule's hit counters.  All fields are floats, so the record is stored
+    flat: adding to a counter neither boxes a float nor runs the write
+    barrier.  The switch model's accounting is the only writer. *)
+type counters = { mutable bytes : float; mutable packets : float }
+
 type installed = private {
   id : int;
   region : region;
   rule : rule;
-  mutable bytes : float;
-  mutable packets : float;
+  counters : counters;
 }
+
+val bytes : installed -> float
+val packets : installed -> float
 
 type t
 
@@ -36,6 +43,9 @@ val capacity : t -> int
 val region_capacity : t -> region -> int
 val region_used : t -> region -> int
 val free : t -> region -> int
+
+(** Moves whenever [add] or [remove] changes the rule set. *)
+val version : t -> int
 
 (** Install a rule; [Error `Full] if the region is out of entries. *)
 val add : t -> region -> rule -> (installed, [ `Full ]) result
@@ -50,8 +60,10 @@ val find : t -> region -> pattern:Filter.t -> installed option
     ties, as the ASIC evaluates it first). *)
 val lookup : t -> Flow.five_tuple -> installed option
 
-(** Account [bytes] of traffic for the tuple on every matching rule (the
-    ASIC updates counters for all matched entries in its counter banks). *)
-val record : t -> Flow.five_tuple -> bytes:float -> unit
+(** The counters of every rule the tuple matches: the forwarding region,
+    then the monitoring region, each in priority order.  The ASIC updates
+    the counters of all matched entries, in its counter banks, for each
+    packet of the flow. *)
+val matching : t -> Flow.five_tuple -> counters array
 
 val rules : t -> region -> installed list

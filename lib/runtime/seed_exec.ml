@@ -200,8 +200,8 @@ let value_of_installed (e : Tcam.installed) =
     ( "Rule",
       [ ("pattern", Value.FilterV e.rule.pattern);
         ("act", Value.Action e.rule.action);
-        ("bytes", Value.Num e.bytes);
-        ("packets", Value.Num e.packets) ] )
+        ("bytes", Value.Num (Tcam.bytes e));
+        ("packets", Value.Num (Tcam.packets e)) ] )
 
 let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
     ?(epoch = 0) ?(adaptive = []) ~resources ~polls ~send ~seed_id () =

@@ -853,18 +853,17 @@ let cancel t sub =
 
 let add_tcam_rule t rule =
   charge_cpu t t.cfg.cpu.handler_base_cost;
-  match Tcam.add (Switch_model.tcam t.sw) Tcam.Monitoring rule with
-  | Ok _ ->
-      Switch_model.apply_tcam_actions t.sw ~time:(Engine.now t.engine);
-      Ok ()
+  match
+    Switch_model.add_rule t.sw ~time:(Engine.now t.engine) Tcam.Monitoring
+      rule
+  with
+  | Ok _ -> Ok ()
   | Error `Full -> Error `Full
 
 let remove_tcam_rule t ~pattern =
   charge_cpu t t.cfg.cpu.handler_base_cost;
-  let n = Tcam.remove (Switch_model.tcam t.sw) Tcam.Monitoring ~pattern in
-  if n > 0 then
-    Switch_model.apply_tcam_actions t.sw ~time:(Engine.now t.engine);
-  n
+  Switch_model.remove_rule t.sw ~time:(Engine.now t.engine) Tcam.Monitoring
+    ~pattern
 
 let get_tcam_rule t ~pattern =
   Tcam.find (Switch_model.tcam t.sw) Tcam.Monitoring ~pattern

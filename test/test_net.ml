@@ -179,6 +179,22 @@ let test_tcam_priority_lookup () =
       Alcotest.(check bool) "fallback rule" true (e.rule.action = Tcam.Forward 1)
   | None -> Alcotest.fail "must match catch-all"
 
+(* Reference accounting: the per-flow rule scan the switch model ran
+   before it kept each flow's matches.  [bytes] of the tuple's traffic go
+   to every rule the tuple matches, forwarding region first, each region
+   in priority order. *)
+let record t tuple ~bytes =
+  let touch (e : Tcam.installed) =
+    if Filter.matches e.rule.pattern tuple then begin
+      let c = e.counters in
+      c.bytes <- c.bytes +. bytes;
+      (* ~1000 B/packet, at least one packet per recorded burst *)
+      c.packets <- c.packets +. Float.max 1. (bytes /. 1000.)
+    end
+  in
+  List.iter touch (Tcam.rules t Tcam.Forwarding);
+  List.iter touch (Tcam.rules t Tcam.Monitoring)
+
 let test_tcam_counters_and_remove () =
   let t = Tcam.create ~capacity:10 () in
   let pat = Filter.atom (Filter.Dst_port 80) in
@@ -189,11 +205,18 @@ let test_tcam_counters_and_remove () =
     | Ok e -> e
     | Error `Full -> assert false
   in
-  Tcam.record t (tup ~dport:80 ()) ~bytes:500.;
-  Tcam.record t (tup ~dport:443 ()) ~bytes:999.;
-  check_float "bytes counted" 500. entry.bytes;
-  check_float "one packet" 1. entry.packets;
+  (match Tcam.matching t (tup ~dport:80 ()) with
+  | [| c |] -> Alcotest.(check bool) "matches the rule" true (c == entry.counters)
+  | _ -> Alcotest.fail "port-80 tuple must match the rule alone");
+  Alcotest.(check int) "no match" 0
+    (Array.length (Tcam.matching t (tup ~dport:443 ())));
+  record t (tup ~dport:80 ()) ~bytes:500.;
+  record t (tup ~dport:443 ()) ~bytes:999.;
+  check_float "bytes counted" 500. (Tcam.bytes entry);
+  check_float "one packet" 1. (Tcam.packets entry);
+  let v = Tcam.version t in
   Alcotest.(check int) "removed" 1 (Tcam.remove t Tcam.Monitoring ~pattern:pat);
+  Alcotest.(check bool) "remove bumps the version" true (Tcam.version t > v);
   Alcotest.(check int) "idempotent remove" 0
     (Tcam.remove t Tcam.Monitoring ~pattern:pat);
   Alcotest.(check int) "region empty" 0 (Tcam.region_used t Tcam.Monitoring)
@@ -333,32 +356,61 @@ let test_switch_tcam_reaction () =
   let sw = Switch_model.create ~id:0 ~ports:4 () in
   Switch_model.add_flow sw ~time:0. ~flow_id:1 ~tuple:(tup ~dport:80 ())
     ~rate:1000. ~egress:1 ();
-  (* install a drop rule (a seed's local reaction) and apply it *)
+  (* install a drop rule (a seed's local reaction) *)
   (match
-     Tcam.add (Switch_model.tcam sw) Tcam.Monitoring
+     Switch_model.add_rule sw ~time:10. Tcam.Monitoring
        { pattern = Filter.atom (Filter.Dst_port 80); action = Tcam.Drop;
          priority = 5 }
    with
   | Ok _ -> ()
   | Error `Full -> assert false);
-  Switch_model.apply_tcam_actions sw ~time:10.;
   check_float "pre-drop bytes" 10_000.
     (Switch_model.port_bytes sw ~time:10. ~port:1);
   check_float "flow quenched" 10_000.
     (Switch_model.port_bytes sw ~time:20. ~port:1);
   (* rate-limit instead of drop *)
-  ignore (Tcam.remove (Switch_model.tcam sw) Tcam.Monitoring
+  ignore (Switch_model.remove_rule sw ~time:20. Tcam.Monitoring
             ~pattern:(Filter.atom (Filter.Dst_port 80)));
   (match
-     Tcam.add (Switch_model.tcam sw) Tcam.Monitoring
+     Switch_model.add_rule sw ~time:20. Tcam.Monitoring
        { pattern = Filter.atom (Filter.Dst_port 80);
          action = Tcam.Rate_limit 100.; priority = 5 }
    with
   | Ok _ -> ()
   | Error `Full -> assert false);
-  Switch_model.apply_tcam_actions sw ~time:20.;
   check_float "rate limited" 11_000.
     (Switch_model.port_bytes sw ~time:30. ~port:1)
+
+(* A rule counts traffic from its install on, and a removed rule keeps
+   the traffic up to its removal: one 1000 B/s flow, polled at 1 s, a
+   catch-all rule installed at 1.5 s and polled at 2 s (500 B, one
+   packet), removed at 2.5 s (another 500 B and packet). *)
+let test_switch_rule_lifetime () =
+  let sw = Switch_model.create ~id:0 ~ports:2 () in
+  Switch_model.add_flow sw ~time:0. ~flow_id:1 ~tuple:(tup ()) ~rate:1000.
+    ~egress:0 ();
+  ignore (Switch_model.poll_subject sw ~time:1. Filter.All_ports);
+  let rule =
+    match
+      Switch_model.add_rule sw ~time:1.5 Tcam.Monitoring
+        { pattern = Filter.True; action = Tcam.Count; priority = 10 }
+    with
+    | Ok e -> e
+    | Error `Full -> assert false
+  in
+  ignore (Switch_model.poll_subject sw ~time:2. Filter.All_ports);
+  Alcotest.(check (float 0.)) "bytes since install" 500. (Tcam.bytes rule);
+  Alcotest.(check (float 0.)) "packets since install" 1. (Tcam.packets rule);
+  Alcotest.(check int) "removed" 1
+    (Switch_model.remove_rule sw ~time:2.5 Tcam.Monitoring
+       ~pattern:Filter.True);
+  ignore (Switch_model.poll_subject sw ~time:3. Filter.All_ports);
+  Alcotest.(check (float 0.)) "bytes up to removal" 1000. (Tcam.bytes rule);
+  Alcotest.(check (float 0.)) "packets up to removal" 2.
+    (Tcam.packets rule);
+  Alcotest.(check int) "absent pattern" 0
+    (Switch_model.remove_rule sw ~time:3.5 Tcam.Monitoring
+       ~pattern:Filter.True)
 
 let test_switch_sampling () =
   let sw = Switch_model.create ~id:0 ~ports:2 () in
@@ -406,16 +458,18 @@ type sample_op =
   | Surge of float
   | Sample of int
 
+(* Flow rates: zero, tiny, integral, and up to 1 TB/s *)
+let gen_rate =
+  let open QCheck2.Gen in
+  oneof
+    [ return 0.; return 1e-9; map float_of_int (int_range 1 10_000);
+      float_range 0. 1e6; map (fun x -> x *. 1e12) (float_range 0. 1.) ]
+
 let gen_sample_ops =
   let open QCheck2.Gen in
-  let rate =
-    oneof
-      [ return 0.; return 1e-9; map float_of_int (int_range 1 10_000);
-        float_range 0. 1e6; map (fun x -> x *. 1e12) (float_range 0. 1.) ]
-  in
   let op =
     frequency
-      [ (5, map3 (fun id r p -> Add (id, r, p)) (int_bound 15) rate
+      [ (5, map3 (fun id r p -> Add (id, r, p)) (int_bound 15) gen_rate
               (int_range 1 4));
         (3, map (fun id -> Remove id) (int_bound 15));
         (1, map (fun p -> Rule (p, Tcam.Drop)) (int_range 1 4));
@@ -449,15 +503,13 @@ let prop_sample_matches_walk =
               true
           | Rule (p, action) ->
               ignore
-                (Tcam.add (Switch_model.tcam sw) Tcam.Monitoring
+                (Switch_model.add_rule sw ~time Tcam.Monitoring
                    { pattern = pattern p; action; priority = p });
-              Switch_model.apply_tcam_actions sw ~time;
               true
           | Unrule p ->
               ignore
-                (Tcam.remove (Switch_model.tcam sw) Tcam.Monitoring
+                (Switch_model.remove_rule sw ~time Tcam.Monitoring
                    ~pattern:(pattern p));
-              Switch_model.apply_tcam_actions sw ~time;
               true
           | Surge f ->
               Switch_model.set_surge sw ~time f;
@@ -467,6 +519,225 @@ let prop_sample_matches_walk =
                 (fun _ ->
                   Switch_model.sample_packet sw rng = walk_sample sw ref_rng)
                 (List.init n Fun.id))
+        ops)
+
+(* Reference switch accounting: the model as it was before it kept each
+   flow's matching rules.  Every sync re-matches each active flow against
+   every installed rule ([record]).  Rates follow the same TCAM actions
+   and port rates the same accumulation order as [Switch_model]; rule
+   changes settle the counters first. *)
+module Ref_switch = struct
+  type flow = {
+    tuple : Flow.five_tuple;
+    base : float;
+    mutable rate : float;
+    egress : int;
+  }
+
+  type t = {
+    tcam : Tcam.t;
+    flows : (int, flow) Hashtbl.t;
+    p_rate : float array;
+    p_bytes : float array;
+    mutable last : float;
+    mutable surge : float;
+  }
+
+  let create ~capacity ~ports =
+    { tcam = Tcam.create ~capacity (); flows = Hashtbl.create 32;
+      p_rate = Array.make ports 0.; p_bytes = Array.make ports 0.;
+      last = 0.; surge = 1. }
+
+  let sync r ~time =
+    let dt = time -. r.last in
+    if dt > 0. then begin
+      Array.iteri
+        (fun i rate -> r.p_bytes.(i) <- r.p_bytes.(i) +. (rate *. dt))
+        r.p_rate;
+      Hashtbl.iter
+        (fun _ f ->
+          if f.rate > 0. then record r.tcam f.tuple ~bytes:(f.rate *. dt))
+        r.flows;
+      r.last <- time
+    end
+
+  let effective_rate r f =
+    let base = if r.surge = 1. then f.base else f.base *. r.surge in
+    match Tcam.lookup r.tcam f.tuple with
+    | Some { rule = { action = Tcam.Drop; _ }; _ } -> 0.
+    | Some { rule = { action = Tcam.Rate_limit cap; _ }; _ } ->
+        Float.min base cap
+    | Some _ | None -> base
+
+  let rate_delta r f delta =
+    r.p_rate.(f.egress) <- r.p_rate.(f.egress) +. delta
+
+  let rerate r f =
+    let rate = effective_rate r f in
+    if rate <> f.rate then begin
+      rate_delta r f (rate -. f.rate);
+      f.rate <- rate
+    end
+
+  let add_flow r ~time ~flow_id ~tuple ~rate ~egress =
+    sync r ~time;
+    let f = { tuple; base = rate; rate; egress } in
+    f.rate <- effective_rate r f;
+    Hashtbl.replace r.flows flow_id f;
+    rate_delta r f f.rate
+
+  let remove_flow r ~time ~flow_id =
+    sync r ~time;
+    match Hashtbl.find_opt r.flows flow_id with
+    | None -> ()
+    | Some f ->
+        rate_delta r f (-.f.rate);
+        Hashtbl.remove r.flows flow_id
+
+  let add_rule r ~time region rule =
+    if Tcam.free r.tcam region <= 0 then Error `Full
+    else begin
+      sync r ~time;
+      let added = Tcam.add r.tcam region rule in
+      Hashtbl.iter (fun _ f -> rerate r f) r.flows;
+      added
+    end
+
+  let remove_rule r ~time region ~pattern =
+    match Tcam.find r.tcam region ~pattern with
+    | None -> 0
+    | Some _ ->
+        sync r ~time;
+        let n = Tcam.remove r.tcam region ~pattern in
+        Hashtbl.iter (fun _ f -> rerate r f) r.flows;
+        n
+
+  let set_surge r ~time factor =
+    if factor <> r.surge then begin
+      sync r ~time;
+      r.surge <- factor;
+      Hashtbl.fold (fun id f acc -> (id, f) :: acc) r.flows []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.iter (fun (_, f) -> rerate r f)
+    end
+end
+
+type acct_op =
+  | A_flow of int * float * int * int  (* flow id, rate, dport, egress *)
+  | A_unflow of int
+  | A_rule of bool * Tcam.region * Tcam.rule
+      (* through [add_rule], or straight into the TCAM (no settling) *)
+  | A_unrule of Tcam.region * Filter.t
+  | A_surge of float
+  | A_poll
+
+let gen_acct_ops =
+  let open QCheck2.Gen in
+  let region =
+    map (fun b -> if b then Tcam.Forwarding else Tcam.Monitoring) bool
+  in
+  let pattern =
+    oneof
+      [ return Filter.True;
+        map (fun p -> Filter.atom (Filter.Dst_port p)) (int_range 1 4) ]
+  in
+  let action =
+    oneof
+      [ return Tcam.Count; return Tcam.Drop; return (Tcam.Forward 1);
+        map (fun cap -> Tcam.Rate_limit cap) (float_range 0. 5_000.) ]
+  in
+  let rule =
+    map3 (fun pattern action priority -> { Tcam.pattern; action; priority })
+      pattern action (int_range 0 3)
+  in
+  let op =
+    frequency
+      [ (5, map (fun ((id, r), (p, e)) -> A_flow (id, r, p, e))
+              (pair (pair (int_bound 11) gen_rate)
+                 (pair (int_range 1 4) (int_bound 1))));
+        (2, map (fun id -> A_unflow id) (int_bound 11));
+        (3, map3 (fun managed region rule -> A_rule (managed, region, rule))
+              bool region rule);
+        (2, map2 (fun r p -> A_unrule (r, p)) region pattern);
+        (1, map (fun f -> A_surge f) (oneofl [ 0.5; 1.; 2.; 3.7 ]));
+        (4, return A_poll) ]
+  in
+  list_size (int_range 0 60)
+    (pair (oneof [ return 0.; float_range 0. 2. ]) op)
+
+(* Random flow, rule, surge and poll sequences, with an 8-entry TCAM (two
+   monitoring entries) so both regions fill up.  After every step each
+   rule ever installed, removed ones included, holds the same bits as in
+   the reference; polls return the same port bytes.  No digest reads rule
+   counters, so this property is what pins their accounting. *)
+let prop_accounting_matches_scan =
+  QCheck2.Test.make ~name:"rule counters = per-flow rule scan, bit for bit"
+    ~count:300 gen_acct_ops (fun ops ->
+      let caps = { Switch_model.accton_as5712 with tcam_entries = 8 } in
+      let sw = Switch_model.create ~caps ~id:0 ~ports:2 () in
+      let r = Ref_switch.create ~capacity:8 ~ports:2 in
+      let bits = Int64.bits_of_float in
+      let installed = ref [] in
+      let same (a : Tcam.installed) (b : Tcam.installed) =
+        a.id = b.id
+        && bits (Tcam.bytes a) = bits (Tcam.bytes b)
+        && bits (Tcam.packets a) = bits (Tcam.packets b)
+      in
+      let ids region tcam =
+        List.map (fun (e : Tcam.installed) -> e.id) (Tcam.rules tcam region)
+      in
+      let same_rules region =
+        ids region (Switch_model.tcam sw) = ids region r.tcam
+      in
+      let time = ref 0. in
+      List.for_all
+        (fun (dt, op) ->
+          time := !time +. dt;
+          let time = !time in
+          let polls_agree =
+            match op with
+            | A_flow (id, rate, dport, egress) ->
+                let tuple = tup ~sport:(1000 + id) ~dport () in
+                Switch_model.add_flow sw ~time ~flow_id:id ~tuple ~rate
+                  ~egress ();
+                Ref_switch.add_flow r ~time ~flow_id:id ~tuple ~rate ~egress;
+                true
+            | A_unflow id ->
+                Switch_model.remove_flow sw ~time ~flow_id:id;
+                Ref_switch.remove_flow r ~time ~flow_id:id;
+                true
+            | A_rule (managed, region, rule) -> (
+                let added =
+                  if managed then
+                    ( Switch_model.add_rule sw ~time region rule,
+                      Ref_switch.add_rule r ~time region rule )
+                  else
+                    ( Tcam.add (Switch_model.tcam sw) region rule,
+                      Tcam.add r.tcam region rule )
+                in
+                match added with
+                | Ok a, Ok b ->
+                    installed := (a, b) :: !installed;
+                    true
+                | Error `Full, Error `Full -> true
+                | Ok _, Error _ | Error _, Ok _ -> false)
+            | A_unrule (region, pattern) ->
+                let n = Switch_model.remove_rule sw ~time region ~pattern in
+                n = Ref_switch.remove_rule r ~time region ~pattern
+            | A_surge f ->
+                Switch_model.set_surge sw ~time f;
+                Ref_switch.set_surge r ~time f;
+                true
+            | A_poll ->
+                let polled =
+                  Switch_model.poll_subject sw ~time Filter.All_ports
+                in
+                Ref_switch.sync r ~time;
+                Array.for_all2 (fun a b -> bits a = bits b) polled r.p_bytes
+          in
+          polls_agree
+          && same_rules Tcam.Forwarding && same_rules Tcam.Monitoring
+          && List.for_all (fun (a, b) -> same a b) !installed)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -793,8 +1064,10 @@ let () =
           Alcotest.test_case "subject counters" `Quick
             test_switch_subject_counters;
           Alcotest.test_case "tcam reaction" `Quick test_switch_tcam_reaction;
+          Alcotest.test_case "rule counts from install to removal" `Quick
+            test_switch_rule_lifetime;
           Alcotest.test_case "sampling" `Quick test_switch_sampling ]
-        @ qsuite [ prop_sample_matches_walk ] );
+        @ qsuite [ prop_sample_matches_walk; prop_accounting_matches_scan ] );
       ( "fabric",
         [ Alcotest.test_case "flow accounting" `Quick
             test_fabric_flow_accounting;
