@@ -129,9 +129,13 @@ and binop t frames op a b =
           Value.FilterV
             (Farm_net.Filter.Or (fa, Value.as_filter (eval t frames b)))
       | v -> fail "'or' on %s" (Value.to_string v))
-  | Ast.Eq -> Value.Bool (Value.equal (eval t frames a) (eval t frames b))
-  | Ast.Neq ->
-      Value.Bool (not (Value.equal (eval t frames a) (eval t frames b)))
+  | Ast.Eq | Ast.Neq ->
+      (* operands left to right, as everywhere else (OCaml evaluates
+         function arguments right to left) *)
+      let va = eval t frames a in
+      let vb = eval t frames b in
+      let eq = Value.equal va vb in
+      Value.Bool (if op = Ast.Eq then eq else not eq)
   | Ast.Le | Ast.Ge | Ast.Lt | Ast.Gt ->
       let x = Value.as_num (eval t frames a)
       and y = Value.as_num (eval t frames b) in
