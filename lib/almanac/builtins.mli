@@ -8,7 +8,35 @@ val proto_of_string : string -> Farm_net.Flow.proto
     (an [ANY] argument is a filter already and passes through). *)
 val filter_atom_value : Ast.filter_head -> Value.t -> Farm_net.Filter.t
 
-(** [table host] binds every built-in to [host] once.  Engines build this
-    table per instance so call sites resolve a built-in name to a closure a
-    single time instead of string-matching on every call. *)
+(** A list-free entry of a built-in, for the compiled engine.  Numbers
+    travel in a register array [r]: numeric arguments in [r.(0)],
+    [r.(1)], a numeric result in [r.(0)], so no float is boxed.  An entry
+    may only be used when every numeric argument evaluated to a
+    [Value.Num]; it then behaves exactly as the reference [call],
+    including its errors.  Otherwise the caller falls back to [call]. *)
+type fast =
+  | Generic  (** list convention only *)
+  | Num_of_nums of (float array -> unit)
+      (** numeric arguments -> number ([min], [max], [floor], [abs]) *)
+  | Num_of_value of (float array -> Value.t -> unit)
+      (** one value -> number ([size], [stats_size]) *)
+  | Num_of_value_num of (float array -> Value.t -> unit)
+      (** a value and a number in [r.(0)] -> number ([stat]) *)
+  | Value_of_value of (Value.t -> Value.t)  (** [is_list_empty] *)
+  | Value_of_values of (Value.t -> Value.t -> Value.t)  (** [append] *)
+  | Value_of_value_num of (float array -> Value.t -> Value.t)
+      (** a value and a number in [r.(0)] -> value ([nth]) *)
+
+(** [arity] is the argument count [fast] expects (-1 for [Generic]);
+    [call] is the reference implementation the interpreter runs. *)
+type entry = { arity : int; call : Value.t list -> Value.t; fast : fast }
+
+(** Every host-independent built-in, built once per process. *)
+val pure : (string, entry) Hashtbl.t
+
+(** The built-ins bound to a host: [now], [log] and [res]. *)
+val host_bound : (string * (Host.host -> Value.t list -> Value.t)) list
+
+(** [table host] is {!pure} plus {!host_bound} applied to [host], in the
+    list convention: the interpreter's name -> closure table. *)
 val table : Host.host -> (string, Value.t list -> Value.t) Hashtbl.t

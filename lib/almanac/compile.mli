@@ -2,18 +2,20 @@
 
     Lowers an [Ast.machine] into closure code executed by {!Exec}: every
     variable becomes an integer slot in a flat [Value.t array] (globals /
-    per-state locals / per-event frame), every expression and statement
-    compiles once into an OCaml closure, every call site gets an index
-    into a per-instance array of pre-resolved closures, and event dispatch
-    tables are precomputed per (state, trigger) pair.  Observationally
-    equivalent to {!Interp} on type-checked programs (see DESIGN.md,
-    "Almanac execution pipeline").  Compile once per machine; instantiate
-    many times with {!Exec.create_compiled}.  A {!t} is immutable once
-    built: every per-run value lives in the instance's {!env} (and
-    [while] fuel is allocated per execution), so instances that share a
-    [t] cannot observe each other.  The seeder relies on this: it
-    compiles each task machine once ([Engine.prepare]) and every seed,
-    migration and recovery of that machine shares the result. *)
+    per-state locals / per-event frame) and a slot declared
+    int/long/float keeps its number unboxed in a parallel [float array];
+    every expression and statement compiles once into an OCaml closure
+    (numbers travel in float registers, conditions as [bool]); every call
+    site is resolved here, so an instance only looks up host overrides;
+    and event dispatch tables are precomputed per (state, trigger) pair.
+    Observationally equivalent to {!Interp} on type-checked programs (see
+    DESIGN.md, "Almanac execution pipeline").  Compile once per machine;
+    instantiate many times with {!Exec.create_compiled}.  A {!t} is
+    immutable once built: every per-run value lives in the instance's
+    {!env} (and [while] fuel is allocated per execution), so instances
+    that share a [t] cannot observe each other.  The seeder relies on
+    this: it compiles each task machine once ([Engine.prepare]) and every
+    seed, migration and recovery of that machine shares the result. *)
 
 (** Sentinel marking a slot whose variable is not bound yet (the
     interpreter equivalent of a missing hashtable key).  Compared with
@@ -23,23 +25,47 @@ val absent : Value.t
 (** Mutable execution environment threaded through compiled closures.
     [locals_names] always describes the layout of [locals]; during a
     transition it still names the old state's locals while initializers
-    of the new state run. *)
+    of the new state run.  [gnums] / [lnums] / [fnums] hold the unboxed
+    numbers of the typed slots of [globals] / [locals] / [frame] (empty
+    when a level has no typed slot). *)
 type env = {
   host : Host.host;
   globals : Value.t array;
+  gnums : float array;
   mutable state : int;
   mutable locals : Value.t array;
+  mutable lnums : float array;
   mutable locals_names : string array;
   mutable frame : Value.t array;
+  mutable fnums : float array;
   mutable pending : string option;
-  mutable calls : (Value.t list -> Value.t) array;
+  calls : (Value.t list -> Value.t) array;
+      (** per call site: the host's closure for the name, else the
+          plan's entry from {!t.c_call_sites} *)
+  regs : float array;  (** numeric registers (length 2) *)
+  mutable other : Value.t;  (** a numeric code's non-number result *)
 }
 
 type ecode = env -> Value.t
 type scode = env -> unit
 
+(** An empty float array: the numbers of a level without typed slots. *)
+val no_nums : float array
+
+(** [get vals nums i] is the value of slot [i] of a level ([absent] when
+    unbound); [set vals nums i v] binds it, unboxing a number when the
+    level has a float array. *)
+val get : Value.t array -> float array -> int -> Value.t
+
+val set : Value.t array -> float array -> int -> Value.t -> unit
+
+(** [run_frame env body frame nums] runs a function body in a fresh frame
+    and returns its [return] value ([Unit] without one). *)
+val run_frame : env -> scode -> Value.t array -> float array -> Value.t
+
 type event_c = {
   ev_frame_size : int;
+  ev_nums : bool;  (** the frame has a typed slot *)
   ev_binding : int option;  (** frame slot of the trigger/recv binding *)
   ev_body : scode;
 }
@@ -49,6 +75,7 @@ type recv_c = { rc_typ : Ast.typ; rc_dest : Ast.dest; rc_ev : event_c }
 type state_c = {
   st_name : string;
   st_local_names : string array;
+  st_nums : bool;  (** some state local is typed *)
   st_local_inits : (int * ecode) array;
   st_enter : event_c array;
   st_exit : event_c array;
@@ -61,7 +88,8 @@ type func_c = {
   fn_name : string;
   fn_nparams : int;
   fn_param_slots : int array;
-  fn_frame_size : int;
+  fn_frame : Value.t array;  (** template a call copies for its frame *)
+  fn_nums : bool;
   fn_body : scode;
 }
 
@@ -124,13 +152,16 @@ type t = {
   c_n_globals : int;
   c_global_names : string array;
   c_global_slots : (string, int) Hashtbl.t;
+  c_global_nums : bool;  (** some global is typed *)
   c_global_inits : (int * string * bool * ecode) array;
   c_states : state_c array;
   c_state_ids : (string, int) Hashtbl.t;
   c_trig_ids : (string, int) Hashtbl.t;
   c_n_trigs : int;
   c_funcs : (string, func_c) Hashtbl.t;
-  c_call_specs : (string * int) array;
+  c_call_sites : (string * (Value.t list -> Value.t)) array;
+      (** per call site: the function name and the closure an instance
+          uses unless its host provides the name *)
   c_plan : plan;
 }
 
