@@ -26,6 +26,8 @@ let kind = function
   | Stats _ -> "stats"
   | Struct (n, _) -> n
 
+let of_bool b = if b then Bool true else Bool false
+
 let truthy = function
   | Bool b -> b
   | Num n -> n <> 0.

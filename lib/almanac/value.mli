@@ -15,6 +15,9 @@ type t =
   | Struct of string * (string * t) list
       (** [Resources], [Rule], [Poll], ... *)
 
+(** [Bool b], one of two shared values (allocates nothing). *)
+val of_bool : bool -> t
+
 val truthy : t -> bool
 
 (** Numeric view; raises [Type_error] otherwise. *)
