@@ -52,15 +52,29 @@ let append_fn args =
   let l, x = arg2 args in
   append l x
 
+(* The index rules of [nth], [set_nth] and [stat], shared with the
+   symbolic executor's folds over known lists and stats. *)
+
+let index v = int_of_float (Value.as_num v)
+
 let nth_in l i =
   match if i < 0 then None else List.nth_opt l i with
   | Some v -> v
   | None -> fail "nth: index %d out of bounds (size %d)" i (List.length l)
 
+let set_nth_in l i x =
+  if i < 0 || i >= List.length l then
+    fail "set_nth: index %d out of bounds (size %d)" i (List.length l)
+  else List.mapi (fun j v -> if j = i then x else v) l
+
+let check_stat i size =
+  if i < 0 || i >= size then
+    fail "stat: index %d out of bounds (size %d)" i size
+
 let nth_fn args =
   let l, i = arg2 args in
-  let l = Value.as_list l and i = int_of_float (Value.as_num i) in
-  nth_in l i
+  let l = Value.as_list l in
+  nth_in l (index i)
 
 let contains_elem_fn args =
   let l, x = arg2 args in
@@ -81,22 +95,22 @@ let index_of_fn args =
 let set_nth_fn args =
   match args with
   | [ l; i; x ] ->
-      let l = Value.as_list l and i = int_of_float (Value.as_num i) in
-      if i < 0 || i >= List.length l then
-        fail "set_nth: index %d out of bounds (size %d)" i (List.length l)
-      else Value.List (List.mapi (fun j v -> if j = i then x else v) l)
+      let l = Value.as_list l in
+      Value.List (set_nth_in l (index i) x)
   | _ -> fail "set_nth expects 3 arguments"
 
 let stat_fn args =
   let s, i = arg2 args in
-  let s = Value.as_stats s and i = int_of_float (Value.as_num i) in
-  if i >= 0 && i < Array.length s then num s.(i)
-  else fail "stat: index %d out of bounds (size %d)" i (Array.length s)
+  let s = Value.as_stats s in
+  let i = index i in
+  check_stat i (Array.length s);
+  num s.(i)
 
 let stat_fast (r : float array) s =
-  let s = Value.as_stats s and i = int_of_float r.(0) in
-  if i >= 0 && i < Array.length s then r.(0) <- s.(i)
-  else fail "stat: index %d out of bounds (size %d)" i (Array.length s)
+  let s = Value.as_stats s in
+  let i = int_of_float r.(0) in
+  check_stat i (Array.length s);
+  r.(0) <- s.(i)
 
 let stats_size_fn args =
   num (float_of_int (Array.length (Value.as_stats (arg1 args))))

@@ -8,6 +8,21 @@ val proto_of_string : string -> Farm_net.Flow.proto
     (an [ANY] argument is a filter already and passes through). *)
 val filter_atom_value : Ast.filter_head -> Value.t -> Farm_net.Filter.t
 
+(** {2 Index rules}
+
+    The index conversion and bounds checks of [nth], [set_nth] and
+    [stat], also used by the symbolic executor's folds over known lists
+    and stats.  Each raises {!Host.Runtime_error} out of bounds. *)
+
+(** A number as an index (truncated; fails on other kinds). *)
+val index : Value.t -> int
+
+val nth_in : 'a list -> int -> 'a
+val set_nth_in : 'a list -> int -> 'a -> 'a list
+
+(** [check_stat i size] fails unless [0 <= i < size]. *)
+val check_stat : int -> int -> unit
+
 (** A list-free entry of a built-in, for the compiled engine.  Numbers
     travel in a register array [r]: numeric arguments in [r.(0)],
     [r.(1)], a numeric result in [r.(0)], so no float is boxed.  An entry

@@ -457,21 +457,9 @@ let check_transit_locals vx ~(src : Ast.state_decl) ~(tgt : Ast.state_decl) :
           Option.to_list (compare_unit ~what ~pos ~gnames:gn ~lnames:tn ri rp))
       [] cfgs
 
-(* Events applicable in [st] for a key, interpreter rule: state events
-   override machine events when at least one state event matches
-   (mirrors [Interp.applicable_events]). *)
-let interp_events (m : Ast.machine) (st : Ast.state_decl) key =
-  let matches (e : Ast.event) = Interp.trigger_key e.trigger = key in
-  let se = List.filter matches st.sevents in
-  if se <> [] then se else List.filter matches m.mevents
-
 let dispatch_pos (st : Ast.state_decl) = function
   | (e : Ast.event) :: _ -> e.evloc
   | [] -> st.stloc
-
-let dest_name = function
-  | Ast.Harvester -> "harvester"
-  | Ast.Machine (m, _) -> m
 
 let check_state vx (st : Ast.state_decl) : Diagnostic.t list =
   let m = vx.vx_m in
@@ -481,19 +469,21 @@ let check_state vx (st : Ast.state_decl) : Diagnostic.t list =
   (* fixed dispatch keys *)
   List.iter
     (fun (key, pevents) ->
-      let ievents = interp_events m st key in
+      let ievents = Semantics.events_for m st key in
       add
         (check_dispatch vx
-           ~what:(Printf.sprintf "machine %s, state %s: on %s" m.mname st.sname key)
+           ~what:
+             (Printf.sprintf "machine %s, state %s: on %s" m.mname st.sname
+                (Semantics.key_name key))
            ~pos:(dispatch_pos st ievents)
            ~st ~ievents ~pevents ~binding_typ:None))
-    [ ("enter", vs.Compile.vs_enter);
-      ("exit", vs.Compile.vs_exit);
-      ("realloc", vs.Compile.vs_realloc) ];
+    [ (Semantics.Enter, vs.Compile.vs_enter);
+      (Semantics.Exit, vs.Compile.vs_exit);
+      (Semantics.Realloc, vs.Compile.vs_realloc) ];
   (* trigger variables *)
   List.iter
     (fun (name, pevents) ->
-      let ievents = interp_events m st ("var:" ^ name) in
+      let ievents = Semantics.events_for m st (Semantics.Var name) in
       let binding_typ =
         match List.assoc_opt name vx.vx_plan.Compile.v_trig_hooks with
         | Some (Ast.Poll | Ast.Probe) -> Some Ast.Tstats
@@ -510,17 +500,10 @@ let check_state vx (st : Ast.state_decl) : Diagnostic.t list =
   (* recv arms: both engines scan the same ordered arm list and take the
      first (type, source) match, so it suffices that the arm signatures
      agree in order and each arm body is equivalent *)
-  let iarms =
-    List.filter_map
-      (fun (ev : Ast.event) ->
-        match ev.trigger with
-        | Ast.On_recv (ty, _, dest) -> Some (ty, dest, ev)
-        | _ -> None)
-      (st.sevents @ m.mevents)
-  in
-  let isig = List.map (fun (ty, d, _) -> (ty, dest_name d)) iarms in
+  let iarms = Semantics.recv_arms m st in
+  let isig = List.map (fun (ty, d, _) -> (ty, Semantics.source_name d)) iarms in
   let psig =
-    List.map (fun (ty, d, _) -> (ty, dest_name d)) vs.Compile.vs_recv
+    List.map (fun (ty, d, _) -> (ty, Semantics.source_name d)) vs.Compile.vs_recv
   in
   if isig <> psig then
     add
@@ -535,7 +518,7 @@ let check_state vx (st : Ast.state_decl) : Diagnostic.t list =
           (check_dispatch vx
              ~what:
                (Printf.sprintf "machine %s, state %s: recv %s from %s" m.mname
-                  st.sname (Ast.typ_to_string ty) (dest_name d))
+                  st.sname (Ast.typ_to_string ty) (Semantics.source_name d))
              ~pos:ev.evloc ~st ~ievents:[ ev ] ~pevents:[ ve ]
              ~binding_typ:(Some ty)))
       iarms vs.Compile.vs_recv;

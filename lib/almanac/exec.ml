@@ -204,44 +204,18 @@ let prepare_trigger t name =
         fire_id t id value
   | None -> fun _ -> apply_pending t
 
-let value_matches_typ (v : Value.t) (ty : Ast.typ) =
-  match (v, ty) with
-  | Value.Num _, (Ast.Tint | Ast.Tlong | Ast.Tfloat) -> true
-  | Value.Bool _, Ast.Tbool -> true
-  | Value.Str _, Ast.Tstring -> true
-  | Value.List _, Ast.Tlist -> true
-  | Value.Packet _, Ast.Tpacket -> true
-  | Value.Action _, Ast.Taction -> true
-  | Value.FilterV _, Ast.Tfilter -> true
-  | Value.Stats _, Ast.Tstats -> true
-  | Value.Struct ("Rule", _), Ast.Trule -> true
-  | Value.Unit, Ast.Tunit -> true
-  | _ -> false
-
 let deliver t ~from value =
   let st = t.c.c_states.(t.env.Compile.state) in
-  let recv = st.st_recv in
-  let n = Array.length recv in
-  let rec go i =
-    if i >= n then false
-    else
-      let rc = recv.(i) in
-      let src_ok =
-        match (rc.Compile.rc_dest, (from : Host.source)) with
-        | Ast.Harvester, Host.From_harvester -> true
-        | Ast.Machine (m, _), Host.From_machine m' -> m = m'
-        | Ast.Harvester, Host.From_machine _
-        | Ast.Machine _, Host.From_harvester ->
-            false
-      in
-      if src_ok && value_matches_typ value rc.rc_typ then begin
-        run_event t.env rc.rc_ev value;
-        apply_pending t;
-        true
-      end
-      else go (i + 1)
-  in
-  go 0
+  match
+    Array.find_opt
+      (fun (rc : Compile.recv_c) -> Semantics.accepts rc.rc_typ rc.rc_dest from value)
+      st.st_recv
+  with
+  | Some rc ->
+      run_event t.env rc.rc_ev value;
+      apply_pending t;
+      true
+  | None -> false
 
 let realloc t =
   let st = t.c.c_states.(t.env.Compile.state) in

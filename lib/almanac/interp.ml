@@ -91,12 +91,7 @@ let rec eval t frames (e : Ast.expr) : Value.t =
       | None -> fail "unbound variable %s" v)
   | Ast.Field (b, f) -> Value.field (eval t frames b) f
   | Ast.Call (f, args) -> call t frames f args
-  | Ast.Unop (Ast.Not, a) -> (
-      match eval t frames a with
-      | Value.Bool b -> Value.Bool (not b)
-      | Value.FilterV f -> Value.FilterV (Farm_net.Filter.Not f)
-      | v -> fail "'not' applied to %s" (Value.to_string v))
-  | Ast.Unop (Ast.Neg, a) -> num (-.Value.as_num (eval t frames a))
+  | Ast.Unop (op, a) -> Semantics.unop op (eval t frames a)
   | Ast.Binop (op, a, b) -> binop t frames op a b
   | Ast.FilterAtom (head, arg) ->
       Value.FilterV (Builtins.filter_atom_value head (eval t frames arg))
@@ -105,60 +100,23 @@ let rec eval t frames (e : Ast.expr) : Value.t =
         (name, List.map (fun (f, e) -> (f, eval t frames e)) fields)
   | Ast.ListLit es -> Value.List (List.map (eval t frames) es)
 
+(* Operands run left to right; each ordering operand converts as soon as
+   it is evaluated. *)
 and binop t frames op a b =
   match op with
-  | Ast.And -> (
-      match eval t frames a with
-      | Value.Bool false -> Value.Bool false
-      | Value.Bool true -> (
-          match eval t frames b with
-          | Value.Bool _ as r -> r
-          | v -> fail "'and' on %s" (Value.to_string v))
-      | Value.FilterV fa ->
-          Value.FilterV
-            (Farm_net.Filter.And (fa, Value.as_filter (eval t frames b)))
-      | v -> fail "'and' on %s" (Value.to_string v))
-  | Ast.Or -> (
-      match eval t frames a with
-      | Value.Bool true -> Value.Bool true
-      | Value.Bool false -> (
-          match eval t frames b with
-          | Value.Bool _ as r -> r
-          | v -> fail "'or' on %s" (Value.to_string v))
-      | Value.FilterV fa ->
-          Value.FilterV
-            (Farm_net.Filter.Or (fa, Value.as_filter (eval t frames b)))
-      | v -> fail "'or' on %s" (Value.to_string v))
-  | Ast.Eq | Ast.Neq ->
-      (* operands left to right, as everywhere else (OCaml evaluates
-         function arguments right to left) *)
+  | Ast.And | Ast.Or -> (
+      let va = eval t frames a in
+      match Semantics.logic_left op va with
+      | Some r -> r
+      | None -> Semantics.logic_right op va (eval t frames b))
+  | Ast.Le | Ast.Ge | Ast.Lt | Ast.Gt ->
+      let x = Value.as_num (eval t frames a) in
+      let y = Value.as_num (eval t frames b) in
+      Value.of_bool (Semantics.order op x y)
+  | _ ->
       let va = eval t frames a in
       let vb = eval t frames b in
-      let eq = Value.equal va vb in
-      Value.Bool (if op = Ast.Eq then eq else not eq)
-  | Ast.Le | Ast.Ge | Ast.Lt | Ast.Gt ->
-      let x = Value.as_num (eval t frames a)
-      and y = Value.as_num (eval t frames b) in
-      Value.Bool
-        (match op with
-        | Ast.Le -> x <= y
-        | Ast.Ge -> x >= y
-        | Ast.Lt -> x < y
-        | Ast.Gt -> x > y
-        | _ -> assert false)
-  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
-      match (op, eval t frames a, eval t frames b) with
-      | Ast.Add, Value.Str x, Value.Str y -> Value.Str (x ^ y)
-      | op, va, vb ->
-      let x = Value.as_num va and y = Value.as_num vb in
-      num
-        (match op with
-        | Ast.Add -> x +. y
-        | Ast.Sub -> x -. y
-        | Ast.Mul -> x *. y
-        | Ast.Div ->
-            if y = 0. then fail "division by zero" else x /. y
-        | _ -> assert false))
+      Semantics.binop op va vb
 
 and call t frames fname args =
   let argv = List.map (eval t frames) args in
@@ -243,32 +201,7 @@ let find_state t name =
   | Some s -> s
   | None -> fail "machine %s has no state %s" t.m.mname name
 
-(* Trigger keys used to let state-level events override machine-level
-   ones. *)
-let trigger_key = function
-  | Ast.On_enter -> "enter"
-  | Ast.On_exit -> "exit"
-  | Ast.On_realloc -> "realloc"
-  | Ast.On_trigger_var (y, _) -> "var:" ^ y
-  | Ast.On_recv (ty, _, d) ->
-      let d =
-        match d with
-        | Ast.Harvester -> "harvester"
-        | Ast.Machine (m, _) -> m
-      in
-      Printf.sprintf "recv:%s:%s" (Ast.typ_to_string ty) d
-
-(* Events applicable in the current state for a key: state events plus
-   non-overridden machine events. *)
-let applicable_events t key =
-  let st = find_state t t.state in
-  let state_evs =
-    List.filter (fun (e : Ast.event) -> trigger_key e.trigger = key) st.sevents
-  in
-  let machine_evs =
-    List.filter (fun (e : Ast.event) -> trigger_key e.trigger = key) t.m.mevents
-  in
-  if state_evs <> [] then state_evs else machine_evs
+let current_events t key = Semantics.events_for t.m (find_state t t.state) key
 
 let run_event t (ev : Ast.event) bindings =
   let frame = Hashtbl.create 4 in
@@ -286,7 +219,7 @@ let rec apply_pending_transit t =
         (* exit events of the old state *)
         List.iter
           (fun ev -> run_event t ev [])
-          (applicable_events t "exit");
+          (current_events t Semantics.Exit);
         t.state <- target;
         (* fresh locals for the new state *)
         let st = find_state t target in
@@ -306,13 +239,13 @@ let rec apply_pending_transit t =
         t.host.h_on_transit old_state target;
         List.iter
           (fun ev -> run_event t ev [])
-          (applicable_events t "enter");
+          (current_events t Semantics.Enter);
         (* an enter handler can itself transit *)
         apply_pending_transit t
       end
 
 let dispatch t key bindings =
-  let evs = applicable_events t key in
+  let evs = current_events t key in
   List.iter (fun ev -> run_event t ev bindings) evs;
   apply_pending_transit t;
   evs <> []
@@ -398,13 +331,12 @@ let start t =
         in
         Hashtbl.replace t.locals v.vname value)
       st.slocals;
-    ignore (dispatch t "enter" [])
+    ignore (dispatch t Semantics.Enter [])
   end
 
 let fire_trigger t name value =
   (match t.host.h_trace with None -> () | Some f -> f name t.state);
-  let key = "var:" ^ name in
-  let evs = applicable_events t key in
+  let evs = current_events t (Semantics.Var name) in
   List.iter
     (fun (ev : Ast.event) ->
       let bindings =
@@ -420,44 +352,14 @@ let fire_trigger t name value =
    trigger is just a partial application. *)
 let prepare_trigger t name = fun value -> fire_trigger t name value
 
-let value_matches_typ (v : Value.t) (ty : Ast.typ) =
-  match (v, ty) with
-  | Value.Num _, (Ast.Tint | Ast.Tlong | Ast.Tfloat) -> true
-  | Value.Bool _, Ast.Tbool -> true
-  | Value.Str _, Ast.Tstring -> true
-  | Value.List _, Ast.Tlist -> true
-  | Value.Packet _, Ast.Tpacket -> true
-  | Value.Action _, Ast.Taction -> true
-  | Value.FilterV _, Ast.Tfilter -> true
-  | Value.Stats _, Ast.Tstats -> true
-  | Value.Struct ("Rule", _), Ast.Trule -> true
-  | Value.Unit, Ast.Tunit -> true
-  | _ -> false
-
 let deliver t ~from value =
-  (* find recv events whose source pattern and value type match *)
-  let st = find_state t t.state in
-  let candidates = st.sevents @ t.m.mevents in
-  let matching =
-    List.filter
-      (fun (ev : Ast.event) ->
-        match ev.trigger with
-        | Ast.On_recv (ty, _, dest) ->
-            let src_ok =
-              match (dest, from) with
-              | Ast.Harvester, From_harvester -> true
-              | Ast.Machine (m, _), From_machine m' -> m = m'
-              | Ast.Harvester, From_machine _
-              | Ast.Machine _, From_harvester ->
-                  false
-            in
-            src_ok && value_matches_typ value ty
-        | _ -> false)
-      candidates
-  in
-  match matching with
-  | [] -> false
-  | ev :: _ ->
+  match
+    List.find_opt
+      (fun (ty, dest, _) -> Semantics.accepts ty dest from value)
+      (Semantics.recv_arms t.m (find_state t t.state))
+  with
+  | None -> false
+  | Some (_, _, ev) ->
       let bindings =
         match ev.trigger with
         | Ast.On_recv (_, n, _) -> [ (n, value) ]
@@ -467,7 +369,7 @@ let deliver t ~from value =
       apply_pending_transit t;
       true
 
-let realloc t = ignore (dispatch t "realloc" [])
+let realloc t = ignore (dispatch t Semantics.Realloc [])
 
 let snapshot t =
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) in

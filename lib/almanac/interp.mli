@@ -55,11 +55,6 @@ val create :
 val machine : t -> Ast.machine
 val current_state : t -> string
 
-(** Dispatch key of an event trigger ("enter", "exit", "realloc",
-    "var:y", "recv:typ:src") — the compiler and the symbolic verifier
-    apply the same state-overrides-machine dispatch rule. *)
-val trigger_key : Ast.trigger -> string
-
 (** Value of a machine or current-state variable. *)
 val var : t -> string -> Value.t option
 

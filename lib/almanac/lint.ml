@@ -274,12 +274,7 @@ let check_util_linear ~diag mname (u : Ast.util_decl) =
    top-level unconditional [transit] across its enter handlers (state
    handlers override machine-level ones for the same trigger). *)
 let enter_transit (m : Ast.machine) (s : Ast.state_decl) =
-  let enters evs =
-    List.filter (fun (ev : Ast.event) -> ev.trigger = Ast.On_enter) evs
-  in
-  let events =
-    match enters s.sevents with [] -> enters m.mevents | evs -> evs
-  in
+  let events = Semantics.events_for m s Semantics.Enter in
   let last_unconditional acc (ev : Ast.event) =
     List.fold_left
       (fun acc (st : Ast.stmt) ->

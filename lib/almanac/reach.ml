@@ -316,28 +316,30 @@ let rec stmt_transits (s : Ast.stmt) =
 
 let body_transits body = List.concat_map stmt_transits body
 
-let events_for (m : Ast.machine) (st : Ast.state_decl) key =
-  let matches (e : Ast.event) = Interp.trigger_key e.trigger = key in
-  let se = List.filter matches st.sevents in
-  if se <> [] then se else List.filter matches m.mevents
-
-(* Every dispatch key a state can fire on, besides enter/exit. *)
-let steady_keys (m : Ast.machine) (st : Ast.state_decl) =
-  let keys = Hashtbl.create 8 in
-  let order = ref [] in
-  let add k =
-    if not (Hashtbl.mem keys k) then begin
-      Hashtbl.replace keys k ();
-      order := k :: !order
-    end
+(* Every dispatch a state can run besides enter/exit, labelled, in
+   event order: the events of each trigger key, and each recv arm that
+   is not shadowed (a message runs one arm only). *)
+let steady_dispatches (m : Ast.machine) (st : Ast.state_decl) =
+  let live = Semantics.live_recv_arms m st in
+  let dispatch (e : Ast.event) =
+    match (Semantics.trigger_key e.trigger, e.trigger) with
+    | Some (Semantics.Enter | Semantics.Exit), _ -> None
+    | Some k, _ -> Some ("on " ^ Semantics.key_name k, Semantics.events_for m st k)
+    | None, Ast.On_recv (ty, _, d) when List.exists (fun (_, _, a) -> a == e) live ->
+        Some
+          ( Printf.sprintf "on recv %s from %s" (Ast.typ_to_string ty)
+              (Semantics.source_name d),
+            [ e ] )
+    | None, _ -> None
   in
-  List.iter
-    (fun (e : Ast.event) ->
-      match e.trigger with
-      | Ast.On_enter | Ast.On_exit -> ()
-      | t -> add (Interp.trigger_key t))
-    (st.sevents @ m.mevents);
-  List.rev !order
+  List.fold_left
+    (fun acc e ->
+      match dispatch e with
+      | Some (what, _) when List.mem_assoc what acc -> acc
+      | Some d -> d :: acc
+      | None -> acc)
+    [] (st.sevents @ m.mevents)
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* The fixpoint                                                        *)
@@ -544,7 +546,7 @@ let rec flow_transit acc (src : Ast.state_decl) (post : astore) (tgt : string)
       if String.equal tgt src.sname then ()
       else begin
         (* exit events of [src] under the post store *)
-        let exit_events = events_for acc.ac_m src "exit" in
+        let exit_events = Semantics.events_for acc.ac_m src Semantics.Exit in
         let after_exit =
           if exit_events = [] then [ post ]
           else
@@ -709,7 +711,7 @@ let run_handler acc (st : Ast.state_decl) ~what (events : Ast.event list)
 let process_enter acc name =
   match (state_of acc name, Hashtbl.find_opt acc.enter_in name) with
   | Some st, Some (ambient, _) ->
-      let enter_events = events_for acc.ac_m st "enter" in
+      let enter_events = Semantics.events_for acc.ac_m st Semantics.Enter in
       if enter_events = [] then enqueue_steady acc name ambient
       else begin
         let transited = ref [] in
@@ -753,13 +755,10 @@ let process_steady acc name =
   match (state_of acc name, Hashtbl.find_opt acc.steady_in name) with
   | Some st, Some (ambient, _) ->
       List.iter
-        (fun key ->
-          let events = events_for acc.ac_m st key in
-          let posts =
-            run_handler acc st ~what:("on " ^ key) events ambient
-          in
+        (fun (what, events) ->
+          let posts = run_handler acc st ~what events ambient in
           List.iter (fun post -> enqueue_steady acc name post) posts)
-        (steady_keys acc.ac_m st)
+        (steady_dispatches acc.ac_m st)
   | _ -> ()
 
 (* Guaranteed enter-transit cycle detection over the forwarding graph. *)

@@ -660,55 +660,6 @@ let effectful_builtin = [ "log" ]
 
 let num f = Value.Num f
 
-(* Concrete binop mirroring {!Interp.binop} (no short-circuit cases:
-   And/Or over booleans fork before this is reached). *)
-let concrete_binop op (va : Value.t) (vb : Value.t) : Value.t =
-  match (op : Ast.binop) with
-  | Ast.And -> (
-      match va with
-      | Value.Bool false -> Value.Bool false
-      | Value.Bool true -> (
-          match vb with
-          | Value.Bool _ -> vb
-          | v -> fail "'and' on %s" (Value.to_string v))
-      | Value.FilterV fa ->
-          Value.FilterV (Farm_net.Filter.And (fa, Value.as_filter vb))
-      | v -> fail "'and' on %s" (Value.to_string v))
-  | Ast.Or -> (
-      match va with
-      | Value.Bool true -> Value.Bool true
-      | Value.Bool false -> (
-          match vb with
-          | Value.Bool _ -> vb
-          | v -> fail "'or' on %s" (Value.to_string v))
-      | Value.FilterV fa ->
-          Value.FilterV (Farm_net.Filter.Or (fa, Value.as_filter vb))
-      | v -> fail "'or' on %s" (Value.to_string v))
-  | Ast.Eq -> Value.Bool (Value.equal va vb)
-  | Ast.Neq -> Value.Bool (not (Value.equal va vb))
-  | Ast.Le -> Value.Bool (Value.as_num va <= Value.as_num vb)
-  | Ast.Ge -> Value.Bool (Value.as_num va >= Value.as_num vb)
-  | Ast.Lt -> Value.Bool (Value.as_num va < Value.as_num vb)
-  | Ast.Gt -> Value.Bool (Value.as_num va > Value.as_num vb)
-  | Ast.Add -> (
-      match (va, vb) with
-      | Value.Str x, Value.Str y -> Value.Str (x ^ y)
-      | _ -> num (Value.as_num va +. Value.as_num vb))
-  | Ast.Sub -> num (Value.as_num va -. Value.as_num vb)
-  | Ast.Mul -> num (Value.as_num va *. Value.as_num vb)
-  | Ast.Div ->
-      let x = Value.as_num va and y = Value.as_num vb in
-      if y = 0. then fail "division by zero" else num (x /. y)
-
-let concrete_unop op (v : Value.t) : Value.t =
-  match (op : Ast.unop) with
-  | Ast.Not -> (
-      match v with
-      | Value.Bool b -> Value.Bool (not b)
-      | Value.FilterV f -> Value.FilterV (Farm_net.Filter.Not f)
-      | v -> fail "'not' applied to %s" (Value.to_string v))
-  | Ast.Neg -> num (-.Value.as_num v)
-
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
@@ -756,7 +707,7 @@ let rec eval ctx p (e : Ast.expr) : (path * sym) list =
     | Ast.Unop (op, a) ->
         let* p, s = eval ctx p a in
         [ (match s with
-          | Con v -> catch_conc p (fun () -> Con (concrete_unop op v))
+          | Con v -> catch_conc p (fun () -> Con (Semantics.unop op v))
           | s -> (p, Sunop (op, s))) ]
     | Ast.Binop (op, a, b) -> eval_binop ctx p op a b
     | Ast.FilterAtom (head, arg) ->
@@ -794,59 +745,26 @@ and eval_field p s f : path * sym =
 
 and eval_binop ctx p op a b : (path * sym) list =
   match op with
-  | Ast.And -> (
+  | Ast.And | Ast.Or -> (
       let* p, sa = eval ctx p a in
       match sa with
-      | Con (Value.Bool false) -> [ (p, Con (Value.Bool false)) ]
-      | Con (Value.Bool true) ->
-          let* p, sb = eval ctx p b in
-          [ (match sb with
-            | Con v ->
-                catch_conc p (fun () ->
-                    match v with
-                    | Value.Bool _ -> Con v
-                    | v -> fail "'and' on %s" (Value.to_string v))
-            | sb -> (p, sb)) ]
-      | Con (Value.FilterV _) ->
-          let* p, sb = eval ctx p b in
-          [ (match (sa, sb) with
-            | Con va, Con vb ->
-                catch_conc p (fun () -> Con (concrete_binop Ast.And va vb))
-            | _ -> (p, Sbinop (Ast.And, sa, sb))) ]
-      | Con v -> [ (perr p (Printf.sprintf "'and' on %s" (Value.to_string v)), unit_s) ]
+      | Con va -> (
+          match Semantics.logic_left op va with
+          | Some r -> [ (p, Con r) ]
+          | None ->
+              let* p, sb = eval ctx p b in
+              [ (match (va, sb) with
+                | _, Con vb ->
+                    catch_conc p (fun () -> Con (Semantics.logic_right op va vb))
+                | Value.Bool _, sb -> (p, sb)
+                | _ -> (p, Sbinop (op, sa, sb))) ]
+          | exception Host.Runtime_error m -> [ (perr p m, unit_s) ])
       | sa ->
           (* symbolic boolean: fork, preserving short-circuit effects *)
+          let decided = op = Ast.Or in
           List.concat_map
             (fun (p, assumed) ->
-              if not assumed then [ (p, Con (Value.Bool false)) ]
-              else
-                let* p, sb = eval ctx p b in
-                [ (p, sb) ])
-            (fork_bool ctx p sa))
-  | Ast.Or -> (
-      let* p, sa = eval ctx p a in
-      match sa with
-      | Con (Value.Bool true) -> [ (p, Con (Value.Bool true)) ]
-      | Con (Value.Bool false) ->
-          let* p, sb = eval ctx p b in
-          [ (match sb with
-            | Con v ->
-                catch_conc p (fun () ->
-                    match v with
-                    | Value.Bool _ -> Con v
-                    | v -> fail "'or' on %s" (Value.to_string v))
-            | sb -> (p, sb)) ]
-      | Con (Value.FilterV _) ->
-          let* p, sb = eval ctx p b in
-          [ (match (sa, sb) with
-            | Con va, Con vb ->
-                catch_conc p (fun () -> Con (concrete_binop Ast.Or va vb))
-            | _ -> (p, Sbinop (Ast.Or, sa, sb))) ]
-      | Con v -> [ (perr p (Printf.sprintf "'or' on %s" (Value.to_string v)), unit_s) ]
-      | sa ->
-          List.concat_map
-            (fun (p, assumed) ->
-              if assumed then [ (p, Con (Value.Bool true)) ]
+              if assumed = decided then [ (p, Con (Value.Bool decided)) ]
               else
                 let* p, sb = eval ctx p b in
                 [ (p, sb) ])
@@ -856,7 +774,7 @@ and eval_binop ctx p op a b : (path * sym) list =
       let* p, sb = eval ctx p b in
       [ (match (sa, sb) with
         | Con va, Con vb ->
-            catch_conc p (fun () -> Con (concrete_binop op va vb))
+            catch_conc p (fun () -> Con (Semantics.binop op va vb))
         | _ -> (
             match op with
             | Ast.Eq when sym_equal sa sb -> (p, Con (Value.Bool true))
@@ -950,42 +868,23 @@ and eval_pure ctx p fname argv : (path * sym) list =
           | None -> dflt ())
       | "nth", [ l; Con i ] -> (
           match spine l with
-          | Some els -> (
-              let i = int_of_float (Value.as_num i) in
-              match List.nth_opt els i with
-              | Some v -> (p, v)
-              | None ->
-                  ( perr p
-                      (Printf.sprintf "nth: index %d out of bounds (size %d)"
-                         i (List.length els)),
-                    unit_s ))
+          | Some els -> catch_conc p (fun () -> Builtins.nth_in els (Builtins.index i))
           | None -> dflt ())
       | "nth", [ l; i ] -> (obligation l i p, Sapp (fname, argv))
       | "set_nth", [ l; Con i; x ] -> (
           match spine l with
           | Some els ->
-              let i = int_of_float (Value.as_num i) in
-              if i < 0 || i >= List.length els then
-                ( perr p
-                    (Printf.sprintf
-                       "set_nth: index %d out of bounds (size %d)" i
-                       (List.length els)),
-                  unit_s )
-              else (p, slist (List.mapi (fun j v -> if j = i then x else v) els))
+              catch_conc p (fun () ->
+                  slist (Builtins.set_nth_in els (Builtins.index i) x))
           | None -> dflt ())
       | "set_nth", [ l; i; _ ] -> (obligation l i p, Sapp (fname, argv))
       | "stat", [ Sstats a; Con i ] ->
-          let i = int_of_float (Value.as_num i) in
-          if i >= 0 && i < Array.length a then (p, a.(i))
-          else
-            ( perr p
-                (Printf.sprintf "stat: index %d out of bounds (size %d)" i
-                   (Array.length a)),
-              unit_s )
-      | "stat", [ s; i ] when i <> Con (Value.Num (-1.)) -> (
-          match i with
-          | Con _ -> dflt ()
-          | i -> (obligation s i p, Sapp (fname, argv)))
+          catch_conc p (fun () ->
+              let i = Builtins.index i in
+              Builtins.check_stat i (Array.length a);
+              a.(i))
+      | "stat", [ _; Con _ ] -> dflt ()
+      | "stat", [ s; i ] -> (obligation s i p, Sapp (fname, argv))
       | "stats_size", [ Sstats a ] ->
           (p, Con (num (float_of_int (Array.length a))))
       | "stats_sum", [ Sstats a ] ->
@@ -993,7 +892,7 @@ and eval_pure ctx p fname argv : (path * sym) list =
             Array.fold_left
               (fun acc x ->
                 match (acc, x) with
-                | Con va, Con vb -> Con (concrete_binop Ast.Add va vb)
+                | Con va, Con vb -> Con (Semantics.arith Ast.Add va vb)
                 | _ -> Sbinop (Ast.Add, acc, x))
               (Con (num 0.)) a )
       | _ -> dflt ()) ]
@@ -1383,9 +1282,9 @@ let rec eval_sym (lookup : string -> Value.t) (s : sym) : Value.t =
         | Some fn -> fn argv
         | None -> fail "eval_sym: unknown builtin %s" f)
   | Sopaque (f, i) -> fail "eval_sym: opaque call %s#%d" f i
-  | Sunop (op, a) -> concrete_unop op (eval_sym lookup a)
+  | Sunop (op, a) -> Semantics.unop op (eval_sym lookup a)
   | Sbinop (op, a, b) ->
-      concrete_binop op (eval_sym lookup a) (eval_sym lookup b)
+      Semantics.binop op (eval_sym lookup a) (eval_sym lookup b)
   | Slist l -> Value.List (List.map (eval_sym lookup) l)
   | Sstats a ->
       Value.Stats (Array.map (fun s -> Value.as_num (eval_sym lookup s)) a)

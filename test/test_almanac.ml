@@ -843,6 +843,44 @@ let test_interp_state_locals_reset () =
   | Some (Value.Num n) -> Alcotest.(check (float 0.)) "locals reset" 0. n
   | _ -> Alcotest.fail "cnt must exist in state a"
 
+(* A state's own events for a trigger replace the machine-level ones;
+   where it has none, the machine's run.  A message runs the first arm
+   that accepts it, state arms before machine arms. *)
+let test_state_overrides_machine () =
+  let src =
+    {|machine M {
+        time clock = Time { .ival = 1 };
+        long s = 0;
+        long m = 0;
+        state a {
+          when (clock) do { s = s + 1; transit b; }
+          when (recv long x from harvester) do { s = s + 10; }
+        }
+        state b { }
+        when (clock) do { m = m + 1; }
+        when (recv long y from harvester) do { m = m + 10; }
+      }|}
+  in
+  let p = Typecheck.check (Parser.program src) in
+  List.iter
+    (fun (engine, name) ->
+      let t =
+        Engine.instantiate (Engine.prepare ~engine ~program:p ~machine:"M")
+          Interp.null_host
+      in
+      Engine.start t;
+      let deliver () =
+        ignore (Engine.deliver t ~from:Host.From_harvester (Value.Num 1.))
+      in
+      deliver ();
+      Engine.fire_trigger t "clock" (Value.Num 0.);
+      Engine.fire_trigger t "clock" (Value.Num 0.);
+      deliver ();
+      let get v = Option.map Value.to_string (Engine.var t v) in
+      Alcotest.(check (option string)) (name ^ ": s") (Some "11") (get "s");
+      Alcotest.(check (option string)) (name ^ ": m") (Some "11") (get "m"))
+    [ (`Interp, "interp"); (`Compiled, "compiled") ]
+
 let test_interp_trigger_reassign_notifies () =
   let notified = ref [] in
   let src =
@@ -1602,8 +1640,45 @@ let prop_generated_differential =
     (fun ((p, externals), seed, len) ->
       gen_run ~what:"generated" ~externals ~seed ~len (gen_typecheck p))
 
-(* Shrunk findings of the property above, kept as regression programs:
-   each runs the scripted catalog schedule and five random ones. *)
+(* The symbolic verifier on the same draws: translation validation of
+   every machine raises nothing and finds no divergence (V401). *)
+let equiv_diags ~what (program : Ast.program) =
+  let ds =
+    try
+      Equiv.verify_program
+        ~host_builtins:("tick" :: Equiv.default_host_builtins) ~program ()
+    with e -> Alcotest.failf "%s: Equiv raised %s" what (Printexc.to_string e)
+  in
+  match List.filter (fun (d : Diagnostic.t) -> d.code = "V401") ds with
+  | [] -> ()
+  | bad ->
+      Alcotest.failf "%s: V401\n%s" what
+        (String.concat "\n" (List.map Diagnostic.to_string bad))
+
+let print_draw (p, _) = Pretty.program_to_string p
+
+let prop_generated_equiv =
+  QCheck2.Test.make ~name:"generated programs: Equiv raises nothing, no V401"
+    ~count:150 ~long_factor:25 ~print:print_draw Almanac_gen.program
+    (fun (p, _) ->
+      equiv_diags ~what:"generated" (gen_typecheck p);
+      true)
+
+(* Printing a draw and reading it back gives the same program. *)
+let prop_generated_roundtrip =
+  QCheck2.Test.make ~name:"generated programs: Pretty/Parser round-trip"
+    ~count:150 ~long_factor:25 ~print:print_draw Almanac_gen.program
+    (fun (p, _) ->
+      let p = gen_typecheck p in
+      let p' =
+        Typecheck.check ~extra:Almanac_gen.extra_sigs
+          (Parser.program (Pretty.program_to_string p))
+      in
+      Ast.strip_pos p = Ast.strip_pos p')
+
+(* Shrunk findings of the properties above, kept as regression programs:
+   each runs the scripted catalog schedule and five random ones under
+   both engines, and verifies without a V401. *)
 let corpus_dir = "almanac_corpus"
 
 let test_generated_corpus () =
@@ -1628,7 +1703,8 @@ let test_generated_corpus () =
         program.machines;
       for seed = 1 to 5 do
         ignore (gen_run ~what:f ~externals ~seed ~len:16 program)
-      done)
+      done;
+      equiv_diags ~what:f program)
     files
 
 (* A host builtin named like a pure built-in or an Almanac function
@@ -1809,6 +1885,8 @@ let () =
             test_interp_almanac_function;
           Alcotest.test_case "state locals reset" `Quick
             test_interp_state_locals_reset;
+          Alcotest.test_case "state events override machine events" `Quick
+            test_state_overrides_machine;
           Alcotest.test_case "trigger reassign notifies host" `Quick
             test_interp_trigger_reassign_notifies;
           Alcotest.test_case "runtime errors" `Quick
@@ -1841,5 +1919,6 @@ let () =
             test_host_overrides ]
         @ qsuite
             [ prop_differential_random; prop_shared_plan_no_interference;
-              prop_generated_differential ] )
+              prop_generated_differential; prop_generated_equiv;
+              prop_generated_roundtrip ] )
     ]

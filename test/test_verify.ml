@@ -9,6 +9,7 @@ module Parser = Farm_almanac.Parser
 module Typecheck = Farm_almanac.Typecheck
 module Compile = Farm_almanac.Compile
 module Interp = Farm_almanac.Interp
+module Semantics = Farm_almanac.Semantics
 module Symexec = Farm_almanac.Symexec
 module Equiv = Farm_almanac.Equiv
 module Reach = Farm_almanac.Reach
@@ -345,6 +346,124 @@ let test_incomplete_reach_falls_back () =
     "incomplete reach ignored" (codes (Lint.check_machine m))
     (codes (Lint.check_machine ~reach:fake m))
 
+(* Both engines deliver a message to the first arm that accepts it, so
+   the second arm (same sender, same kind of value) never runs: B is
+   unreachable, A is not. *)
+let shadowed_recv_source =
+  {|
+machine Shadowed {
+  place all;
+  state s0 {
+    when (recv long x from harvester) do { transit A; }
+    when (recv long y from harvester) do { transit B; }
+  }
+  state A { }
+  state B { }
+}
+|}
+
+let test_reach_shadowed_recv () =
+  let p = load shadowed_recv_source in
+  let m = List.hd p.machines in
+  let t = Interp.create ~program:p ~machine:"Shadowed" Interp.null_host in
+  Interp.start t;
+  ignore (Interp.deliver t ~from:Host.From_harvester (Value.Num 1.));
+  Alcotest.(check string) "interp runs the first arm" "A" (Interp.current_state t);
+  let r = Reach.analyze ~funcs:p.Ast.funcs ~machine:m () in
+  Alcotest.(check bool) "analysis complete" true r.Reach.complete;
+  Alcotest.(check (list string)) "reachable" [ "s0"; "A" ] r.Reach.reachable;
+  let unreachable =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if d.code = "L101" then Some d.Diagnostic.message else None)
+      (Lint.check_machine ~reach:r m)
+  in
+  let names state =
+    List.exists
+      (fun msg ->
+        let s = "state " ^ state ^ " " in
+        let n = String.length s in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = s || go (i + 1))
+        in
+        go 0)
+      unreachable
+  in
+  Alcotest.(check bool) "L101 for B" true (names "B");
+  Alcotest.(check bool) "no L101 for A" false (names "A")
+
+(* ------------------------------------------------------------------ *)
+(* Verifier crashes on type-correct programs                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Each handler fails at run time (a negative index, an index of
+   another kind).  The verifier used to raise out of its folds over
+   known lists and stats instead: each must be a path error with the
+   interpreter's message. *)
+let crasher_source body =
+  Printf.sprintf
+    {|
+machine Crash {
+  place all;
+  poll p = Poll { .ival = 0.001, .what = port ANY };
+  list g = [1, 2];
+  list l = [1, 2];
+  long a = 0;
+  state s0 {
+    when (p as st) do { %s }
+  }
+}
+|}
+    body
+
+let outcome_str (p : Symexec.path) =
+  match p.outcome with
+  | Symexec.Running -> "running"
+  | Symexec.Err m -> "error: " ^ m
+  | Symexec.Aviol _ -> "assert"
+  | Symexec.Unknown m -> "unknown: " ^ m
+
+let test_verify_crashers () =
+  List.iter
+    (fun body ->
+      let p = load (crasher_source body) in
+      (match verify_all p with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: verify raised %s" body (Printexc.to_string e));
+      let t = Interp.create ~program:p ~machine:"Crash" Interp.null_host in
+      Interp.start t;
+      let expected =
+        match Interp.fire_trigger t "p" (Value.Stats [| 3.; 4. |]) with
+        | () -> Alcotest.failf "%s: the handler did not fail" body
+        | exception (Host.Runtime_error m | Value.Type_error m) -> m
+      in
+      let svar n = Symexec.Svar (n, None) in
+      let spine n = Symexec.slist [ svar (n ^ "0"); svar (n ^ "1") ] in
+      let store =
+        Symexec.mk_istore
+          ~globals:[ ("p", svar "p"); ("g", spine "g"); ("l", spine "l"); ("a", svar "a") ]
+          ~locals:[]
+      in
+      let ctx =
+        Symexec.make_ctx ~funcs:(Symexec.Ifuncs []) ~hooks:[ ("p", Ast.Poll) ] ()
+      in
+      let ev = List.hd (List.hd (List.hd p.machines).Ast.states).Ast.sevents in
+      let paths =
+        Symexec.run_events ctx store
+          [ { Symexec.eu_body = ev.Ast.body;
+              eu_frame =
+                Symexec.Fnames
+                  [ ("st", Symexec.sstats [| svar "s0"; svar "s1" |]) ] } ]
+          ~binding:(svar "in")
+      in
+      Alcotest.(check (list string))
+        (body ^ ": symbolic outcome") [ "error: " ^ expected ]
+        (List.map outcome_str paths))
+    [ "a = nth(g, -1);";
+      {|a = stat(st, nth(["s", 1], 0));|};
+      "l = set_nth(l, nth([[1], 2], 0), 5);" ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: symbolic paths partition concrete executions                *)
 (* ------------------------------------------------------------------ *)
@@ -458,12 +577,8 @@ let episode ~case ~round ~warmup =
   let lnames = List.map (fun (v : Ast.var_decl) -> v.vname) st.Ast.slocals in
   if List.exists (fun n -> List.mem n gnames) lnames then true
   else begin
-    let key = "var:" ^ td.Ast.tname in
-    let matches (ev : Ast.event) = Interp.trigger_key ev.trigger = key in
     let events =
-      match List.filter matches st.Ast.sevents with
-      | [] -> List.filter matches m.Ast.mevents
-      | evs -> evs
+      Semantics.events_for m st (Semantics.Var td.Ast.tname)
     in
     if events = [] then true
     else begin
@@ -716,7 +831,11 @@ let () =
             test_reach_upgrades_lint;
           Alcotest.test_case "reach-backed L107" `Quick test_reach_livelock;
           Alcotest.test_case "incomplete reach falls back" `Quick
-            test_incomplete_reach_falls_back ] );
+            test_incomplete_reach_falls_back;
+          Alcotest.test_case "shadowed recv arm never runs" `Quick
+            test_reach_shadowed_recv;
+          Alcotest.test_case "index errors are path errors" `Quick
+            test_verify_crashers ] );
       ( "soundness",
         List.map QCheck_alcotest.to_alcotest [ prop_symbolic_soundness ]
         @ [ Alcotest.test_case "episodes fully checked" `Quick
