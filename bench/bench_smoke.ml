@@ -140,6 +140,13 @@ let sim_smoke () =
    arguments cost 15 384 B per activation; the gate is half of that. *)
 let activation_alloc_gate = 7692.
 
+(* Nodes of heavy-hitter's machine (with its stats helpers) that
+   [Compile] turns into a fused closure, reading typed frame slots and
+   literals in place.  The count is deterministic, unlike the time the
+   fused shapes save, so a change that silently drops them fails here
+   and does not only show up as wall-clock drift. *)
+let fused_gate = 15
+
 let activation_alloc fire stats =
   for _ = 1 to 100 do fire stats done;
   let n = 1_000 in
@@ -354,13 +361,15 @@ let () =
   let compiled_fire = Almanac.Exec.prepare_trigger compiled "pollStats" in
   let compiled_eps = bench_events compiled_fire stats in
 
+  let fused = (Almanac.Compile.compile ~program ~machine:"HH").c_fused in
   let speedup = compiled_eps /. interp_eps in
   let activation_bytes = activation_alloc compiled_fire stats in
   Printf.printf "almanac HH poll activation:\n";
   Printf.printf "  interp   %12.0f events/sec\n" interp_eps;
   Printf.printf "  compiled %12.0f events/sec (%.0f B allocated/activation)\n"
     compiled_eps activation_bytes;
-  Printf.printf "  speedup  %12.2fx\n%!" speedup;
+  Printf.printf "  speedup  %12.2fx\n" speedup;
+  Printf.printf "  fused    %12d nodes (gate: %d)\n%!" fused fused_gate;
 
   let sim_eps, sweep_deterministic, sim_alloc_per_event = sim_smoke () in
   Printf.printf "simulation core (heavy-hitter world, timer-wheel engine):\n";
@@ -460,6 +469,8 @@ let () =
     \  \"speedup\": %.2f,\n\
     \  \"compiled_alloc_bytes_per_activation\": %.1f,\n\
     \  \"compiled_alloc_gate_bytes\": %.0f,\n\
+    \  \"compiled_fused_nodes\": %d,\n\
+    \  \"compiled_fused_gate\": %d,\n\
     \  \"sim_events_per_sec\": %.1f,\n\
     \  \"sim_alloc_bytes_per_event\": %.1f,\n\
     \  \"sweep_deterministic\": %b,\n\
@@ -506,6 +517,7 @@ let () =
     \  }\n\
      }\n"
     interp_eps compiled_eps speedup activation_bytes activation_alloc_gate
+    fused fused_gate
     sim_eps sim_alloc_per_event
     sweep_deterministic deploy_seeds deploy_bytes deploy_alloc_gate
     poll_bytes_0 poll_bytes_64 trace_inert
@@ -586,6 +598,12 @@ let () =
     Printf.eprintf
       "FAIL: a compiled heavy-hitter activation allocates %.0f B (gate: %.0f B)\n%!"
       activation_bytes activation_alloc_gate;
+    exit 1
+  end;
+  if fused < fused_gate then begin
+    Printf.eprintf
+      "FAIL: heavy-hitter compiles %d nodes to a fused shape (gate: %d)\n%!"
+      fused fused_gate;
     exit 1
   end;
   if speedup < 3.0 then begin

@@ -163,6 +163,10 @@ type t = {
       (** per call site: the function name and the closure an instance
           uses unless its host provides the name *)
   c_plan : plan;
+  c_fused : int;
+      (** how many nodes compiled to a fused shape: a closure that reads
+          its typed frame slots and literals in place, with the general
+          code as fallback (DESIGN.md, "Almanac execution pipeline") *)
 }
 
 (** Compile machine [machine] of a type-checked, inheritance-resolved

@@ -13,6 +13,9 @@
      another (a read before the declaration in the next loop iteration);
    - every binop, [not] and negation, with [now()] and the effectful host
      builtin [tick] allowed in both operands (evaluation order shows);
+   - [v = v + k], [v OP literal] and [v OP w] on the assignable numeric
+     variables, the shapes the compiled engine fuses, where [v] may hold
+     another kind or reach an outer binding;
    - the pure builtins [size], [nth], [append], [stat], [stats_size],
      [min], [max], [is_list_empty], [floor] and [abs];
    - functions with parameters and [return], called from handlers and
@@ -128,6 +131,20 @@ let rec expr ?(strict = false) ctx ty d : Ast.expr G.t =
       let+ i = G.frequency [ (3, G.return (Ast.Int 0)); (1, sub N) ] in
       call "nth" [ l; i ]
     in
+    (* [v OP literal] and [v OP w] on the assignable numeric variables,
+       the compiled engine's fused comparison shapes; such a variable
+       may hold another kind (via [nth]) or be unbound on this path *)
+    let compare_vars =
+      match List.filter (fun v -> v.assignable) (vars_of ctx N) with
+      | [] -> []
+      | vs ->
+          let var = G.map (fun v -> Ast.Var v.name) (G.oneofl vs) in
+          [ ( 2,
+              let* op = G.oneofl [ Ast.Le; Ast.Ge; Ast.Lt; Ast.Gt ] in
+              let* a = var in
+              let+ b = G.frequency [ (1, num_lit); (1, var) ] in
+              Ast.Binop (op, a, b) ) ]
+    in
     match ty with
     | N ->
         G.frequency
@@ -175,6 +192,7 @@ let rec expr ?(strict = false) ctx ty d : Ast.expr G.t =
                 let+ b = sub t in
                 Ast.Binop (op, a, b) );
               (1, G.map (fun l -> call "is_list_empty" [ l ]) (sub L)) ]
+          @ compare_vars
           @ if strict then [] else [ (1, nth) ])
     | L ->
         G.frequency
@@ -242,6 +260,14 @@ and stmt ctx d : (Ast.stmt list * ctx) G.t =
     let+ e = expr ctx v.ty 2 in
     ([ st (Ast.Assign (v.name, e)) ], ctx)
   in
+  (* [v = v + k], the fused increment, on an assignable numeric
+     variable (the loop counters [kD] are read-only) *)
+  let increment vs =
+    let* v = G.oneofl vs in
+    let+ k = num_lit in
+    ([ st (Ast.Assign (v.name, Ast.Binop (Ast.Add, Ast.Var v.name, k))) ], ctx)
+  in
+  let numeric_assignable = List.filter (fun v -> v.ty = N) assignable in
   let if_ =
     let* c = expr ctx B 2 in
     let* th = G.int_range 1 3 >>= stmts ctx (d - 1) in
@@ -277,6 +303,7 @@ and stmt ctx d : (Ast.stmt list * ctx) G.t =
     (List.concat
        [ [ (3, decl) ];
          (if assignable <> [] then [ (4, assign ()) ] else []);
+         (if numeric_assignable <> [] then [ (2, increment numeric_assignable) ] else []);
          (if d > 0 then [ (2, if_) ] else []);
          (if d > 0 && ctx.loop < 2 then [ (1, while_) ] else []);
          (if ctx.states <> [] then [ (1, transit ()) ] else []);
