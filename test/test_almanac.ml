@@ -1709,8 +1709,9 @@ let test_generated_corpus () =
 
 (* A host builtin named like a pure built-in or an Almanac function
    takes precedence in both engines, at every call convention the
-   compiled engine has (numeric, list-free, function frame), even when it
-   returns a value of another kind than the name's signature. *)
+   compiled engine has (numeric, list-free, function frame, and the
+   fused [stats_size(bound)] and [stat(bound, typed local)]), even when
+   it returns a value of another kind than the name's signature. *)
 let override_source =
   {|
 float f(float a) {
@@ -1727,14 +1728,19 @@ machine Override {
   list d = [];
   float e = 0;
   bool g = false;
+  float h = 0;
+  float k = 0;
   state s0 {
     when (pollStats as st) do {
+      long i = 1;
       a = size(l) + 1;
       b = min(stat(st, 1), 5);
       c = f(now());
       d = append(l, floor(2.5));
       e = nth(l, 1);
       g = is_list_empty(l);
+      h = stats_size(st);
+      k = stat(st, i);
     }
   }
 }
@@ -1747,11 +1753,13 @@ let test_host_overrides () =
     [ ("none", []);
       ( "numbers",
         [ ovr "size" (fun _ -> Value.Num 40.); ovr "min" (fun _ -> Value.Num (-1.));
-          ovr "f" (fun _ -> Value.Num 9.); ovr "now" (fun _ -> Value.Num 3.) ] );
+          ovr "f" (fun _ -> Value.Num 9.); ovr "now" (fun _ -> Value.Num 3.);
+          ovr "stats_size" (fun _ -> Value.Num 7.); ovr "stat" (fun _ -> Value.Num 11.) ] );
       ( "other kinds",
         [ ovr "stat" (fun _ -> Value.Bool true); ovr "floor" (fun _ -> Value.Str "x");
           ovr "nth" (fun _ -> Value.List []); ovr "f" (fun _ -> Value.Bool false);
-          ovr "is_list_empty" (fun _ -> Value.Num 1.) ] );
+          ovr "is_list_empty" (fun _ -> Value.Num 1.);
+          ovr "stats_size" (fun _ -> Value.Str "z") ] );
       ("failing", [ ovr "size" (fun _ -> Value.Str "s") ]) ]
   in
   List.iter
