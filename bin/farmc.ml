@@ -30,25 +30,21 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* parse + type-check, accumulating positioned diagnostics *)
-let load_diags ?extra source =
-  match Almanac.Parser.program_result source with
-  | Error d -> Error [ d ]
-  | Ok parsed -> (
-      match Almanac.Typecheck.check_diags ?extra parsed with
-      | Ok p -> Ok p
-      | Error ds -> Error ds)
-
 let check_program path =
-  match load_diags (read_file path) with
-  | Ok p -> Ok p
-  | Error ds -> Error (Diagnostic.with_file path ds)
+  Result.map_error (Diagnostic.with_file path)
+    (Almanac.Frontend.load (read_file path))
 
 let or_die = function
   | Ok v -> v
   | Error ds ->
       Diagnostic.print_all stderr ds;
       exit 1
+
+let find_task name =
+  try Tasks.Catalog.find name
+  with Invalid_argument m ->
+    prerr_endline m;
+    exit 1
 
 (* ---------------- check ---------------- *)
 
@@ -68,65 +64,6 @@ let check_cmd =
 
 let ref_topo () = Net.Topology.spine_leaf ~spines:2 ~leaves:4 ~hosts_per_leaf:2
 
-(* analysis-time bindings: deployment-provided externals, falling back to
-   literal machine-variable initializers (mirrors the seeder) *)
-let analysis_bindings (m : Almanac.Ast.machine) bound : Almanac.Analysis.bindings
-    =
-  let static name =
-    List.find_map
-      (fun (v : Almanac.Ast.var_decl) ->
-        if v.vname = name then
-          match v.vinit with
-          | Some (Almanac.Ast.Int i) -> Some (Almanac.Value.Num (float_of_int i))
-          | Some (Almanac.Ast.Float f) -> Some (Almanac.Value.Num f)
-          | Some (Almanac.Ast.String s) -> Some (Almanac.Value.Str s)
-          | Some (Almanac.Ast.Bool b) -> Some (Almanac.Value.Bool b)
-          | _ -> None
-        else None)
-      m.mvars
-  in
-  fun name ->
-    match List.assoc_opt name bound with
-    | Some v -> Some v
-    | None -> static name
-
-let machine_bound externals mname =
-  Option.value (List.assoc_opt mname externals) ~default:[]
-
-(* lint one program: parse/type diagnostics, the lint pass, and the
-   per-machine resource-bound cross-check (B201) *)
-let lint_program ~file ?extra ?(externals = []) source =
-  match load_diags ?extra source with
-  | Error ds -> (Diagnostic.with_file file ds, None)
-  | Ok p ->
-      let bound_names =
-        List.map (fun (m, vs) -> (m, List.map fst vs)) externals
-      in
-      let lint = Almanac.Lint.check_program ~file ~externals:bound_names p in
-      let bounds =
-        List.concat_map
-          (fun (m : Almanac.Ast.machine) ->
-            let bindings =
-              analysis_bindings m (machine_bound externals m.mname)
-            in
-            match Almanac.Analysis.polls ~bindings m with
-            | Error _ -> []
-            | Ok polls ->
-                let state_utils =
-                  List.filter_map
-                    (fun (st : Almanac.Ast.state_decl) ->
-                      Option.bind st.sutil (fun u ->
-                          match Almanac.Analysis.utility ~bindings u with
-                          | Ok branches -> Some (st.sname, branches)
-                          | Error _ -> None))
-                    m.states
-                in
-                Almanac.Bounds.cross_check ~file ~machine:m ~polls
-                  ~state_utils ())
-          p.machines
-      in
-      (Diagnostic.sort (lint @ bounds), Some p)
-
 (* cross-task conflicts over a set of linted programs, on the reference
    fabric *)
 let conflict_diags linted =
@@ -141,7 +78,7 @@ let conflict_diags linted =
               List.filter_map
                 (fun (m : Almanac.Ast.machine) ->
                   let bindings =
-                    analysis_bindings m (machine_bound externals m.mname)
+                    Almanac.Analysis.deploy_bindings ~externals m
                   in
                   match Almanac.Analysis.summarize ~bindings ~topo m with
                   | Ok s -> Some (s, bindings)
@@ -169,7 +106,7 @@ let lint_cmd =
     let file_results =
       List.map
         (fun path ->
-          let ds, p = lint_program ~file:path (read_file path) in
+          let ds, p = Almanac.Frontend.lint ~file:path (read_file path) in
           (path, ([] : (string * (string * Almanac.Value.t) list) list), p, ds))
         files
     in
@@ -180,8 +117,8 @@ let lint_cmd =
           (fun (e : Tasks.Task_common.entry) ->
             let file = "catalog:" ^ e.name in
             let ds, p =
-              lint_program ~file ~extra:e.extra_sigs ~externals:e.externals
-                e.source
+              Almanac.Frontend.lint ~file ~extra:e.extra_sigs
+                ~externals:e.externals e.source
             in
             (file, e.externals, p, ds))
           Tasks.Catalog.all
@@ -218,27 +155,11 @@ let lint_cmd =
 (* Symbolically verify one program: per-handler translation validation
    (V401/V402), invariant + range proofs (V403/V404), and the
    reachability-backed L101/L102/L107 verdicts. *)
-let verify_program ~file ?extra ?(host_builtins = []) ?budget source =
-  match load_diags ?extra source with
-  | Error ds -> Diagnostic.with_file file ds
-  | Ok p ->
-      let host_builtins = Almanac.Equiv.default_host_builtins @ host_builtins in
-      let equiv =
-        Almanac.Equiv.verify_program ?budget ~host_builtins ~program:p ()
-      in
-      let reach =
-        Almanac.Reach.analyze_program ?budget ~host_builtins ~program:p ()
-      in
-      let reach_diags =
-        List.concat_map (fun (r : Almanac.Reach.result) -> r.diags) reach
-      in
-      let lint =
-        List.filter
-          (fun (d : Diagnostic.t) ->
-            match d.code with "L101" | "L102" | "L107" -> true | _ -> false)
-          (Almanac.Lint.check_program ~reach p)
-      in
-      Diagnostic.with_file file (Diagnostic.sort (equiv @ reach_diags @ lint))
+let verify_program ~file ?extra ?host_builtins ?budget source =
+  Diagnostic.with_file file
+    (match Almanac.Frontend.load ?extra source with
+    | Error ds -> ds
+    | Ok p -> Almanac.Frontend.verify_report ?budget ?host_builtins p)
 
 let verify_cmd =
   let files_arg = Arg.(value & pos_all file [] & info [] ~docv:"FILE.alm") in
@@ -333,11 +254,12 @@ let compile_cmd =
 let analyze_cmd =
   let run file =
     let p = or_die (check_program file) in
-    let topo = Net.Topology.spine_leaf ~spines:2 ~leaves:4 ~hosts_per_leaf:2 in
+    let topo = ref_topo () in
     List.iter
       (fun (m : Almanac.Ast.machine) ->
         Printf.printf "machine %s\n" m.mname;
-        match Almanac.Analysis.summarize ~topo m with
+        let bindings = Almanac.Analysis.deploy_bindings ~externals:[] m in
+        match Almanac.Analysis.summarize ~bindings ~topo m with
         | Error e -> Printf.printf "  analysis error: %s\n" e
         | Ok s ->
             Printf.printf "  seeds (on a 2x4 spine-leaf reference fabric): %d\n"
@@ -390,6 +312,19 @@ let tasks_cmd =
 
 (* ---------------- run ---------------- *)
 
+(* The incident [run] and [trace] replay, so detection tasks have
+   something to find: background flows, then from a third of the way in
+   a SYN flood on one host and a heavy hitter. *)
+let incident (world : World.t) ~duration =
+  World.background_traffic ~flows:50 world;
+  let victim = Net.Ipaddr.of_string "10.2.1.9" in
+  Net.Traffic.syn_flood world.engine world.fabric world.rng
+    ~at:(duration /. 3.) ~duration:(duration /. 2.) ~victim
+    ~rate_per_source:200_000. ~sources:60;
+  ignore
+    (Net.Traffic.heavy_hitter world.engine world.fabric world.rng
+       ~at:(duration /. 3.) ~rate:2e7 ())
+
 let run_cmd =
   let task_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TASK")
@@ -409,12 +344,7 @@ let run_cmd =
              limits: nothing is shed, delayed or refused.")
   in
   let run name duration overload =
-    let entry =
-      try Tasks.Catalog.find name
-      with Invalid_argument m ->
-        prerr_endline m;
-        exit 1
-    in
+    let entry = find_task name in
     let world =
       if overload then
         World.create ~seeder_config:Runtime.Seeder.overload_defaults ()
@@ -438,16 +368,7 @@ let run_cmd =
     Printf.printf "deployed %s: %d seeds on %d switches\n" name
       (List.length (Runtime.Seeder.seeds world.seeder task))
       (List.length (Net.Topology.switches world.topology));
-    World.background_traffic ~flows:50 world;
-    (* a generic anomaly so detection tasks have something to find *)
-    let victim = Net.Ipaddr.of_string "10.2.1.9" in
-    Net.Traffic.syn_flood world.engine world.fabric world.rng
-      ~at:(duration /. 3.) ~duration:(duration /. 2.) ~victim
-      ~rate_per_source:200_000. ~sources:60;
-    let _ =
-      Net.Traffic.heavy_hitter world.engine world.fabric world.rng
-        ~at:(duration /. 3.) ~rate:2e7 ()
-    in
+    incident world ~duration;
     World.run ~until:duration world;
     let h = Runtime.Seeder.harvester task in
     Printf.printf "simulated %.1fs: %d harvester message(s)\n" duration
@@ -515,12 +436,7 @@ let sweep_cmd =
           ~doc:"Domain pool size (0 = one per available core).")
   in
   let run name runs duration domains =
-    let entry =
-      try Tasks.Catalog.find name
-      with Invalid_argument m ->
-        prerr_endline m;
-        exit 1
-    in
+    let entry = find_task name in
     let domains =
       if domains <= 0 then Sim.Sweep.default_domains () else domains
     in
@@ -611,15 +527,7 @@ let trace_cmd =
         prerr_endline m;
         exit 1
     | Ok _task ->
-        World.background_traffic ~flows:50 world;
-        let victim = Net.Ipaddr.of_string "10.2.1.9" in
-        Net.Traffic.syn_flood world.engine world.fabric world.rng
-          ~at:(duration /. 3.) ~duration:(duration /. 2.) ~victim
-          ~rate_per_source:200_000. ~sources:60;
-        let _ =
-          Net.Traffic.heavy_hitter world.engine world.fabric world.rng
-            ~at:(duration /. 3.) ~rate:2e7 ()
-        in
+        incident world ~duration;
         World.run ~until:duration world;
         (world, tr)
   in
@@ -629,12 +537,7 @@ let trace_cmd =
     Runtime.Seeder.digest world.World.seeder ^ Sim.Trace.to_chrome_json tr
   in
   let run name duration out metrics_out ring seed check =
-    let entry =
-      try Tasks.Catalog.find name
-      with Invalid_argument m ->
-        prerr_endline m;
-        exit 1
-    in
+    let entry = find_task name in
     if check then begin
       (* replay determinism *)
       let d1 = digest (replica entry ~ring ~seed ~duration) in

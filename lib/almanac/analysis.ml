@@ -27,6 +27,24 @@ type bindings = string -> Value.t option
 
 let no_bindings _ = None
 
+let deploy_bindings ~externals (m : Ast.machine) : bindings =
+  let bound = Option.value (List.assoc_opt m.mname externals) ~default:[] in
+  fun name ->
+    match List.assoc_opt name bound with
+    | Some _ as v -> v
+    | None ->
+        List.find_map
+          (fun (v : Ast.var_decl) ->
+            if v.vname <> name then None
+            else
+              match v.vinit with
+              | Some (Ast.Int i) -> Some (Value.Num (float_of_int i))
+              | Some (Ast.Float f) -> Some (Value.Num f)
+              | Some (Ast.String s) -> Some (Value.Str s)
+              | Some (Ast.Bool b) -> Some (Value.Bool b)
+              | _ -> None)
+          m.mvars
+
 let ( let* ) = Result.bind
 
 let err fmt = Printf.ksprintf (fun m -> Error m) fmt

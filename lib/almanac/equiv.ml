@@ -528,11 +528,8 @@ let check_state vx (st : Ast.state_decl) : Diagnostic.t list =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let default_host_builtins =
-  [ "addTCAMRule"; "removeTCAMRule"; "getTCAMRule"; "exec" ]
-
 let verify_plan ?(budget = default_budget)
-    ?(host_builtins = default_host_builtins) ~(funcs : Ast.func_decl list)
+    ?(host_builtins = Host.default_builtins) ~(funcs : Ast.func_decl list)
     ~(machine : Ast.machine) ~(plan : Compile.plan) () : Diagnostic.t list =
   let m = machine in
   let hooks_i =

@@ -13,15 +13,11 @@
       path/unroll budget; the message names the bounding knob
       ([--max-paths]). *)
 
-(** Host-builtin names assumed served by the deployment host
-    ([addTCAMRule], [removeTCAMRule], [getTCAMRule], [exec]); extend
-    via [?host_builtins] for tasks registering extra builtins. *)
-val default_host_builtins : string list
-
 (** Validate a compile plan against the (resolved) machine AST it was
-    compiled from.  [funcs] are the program-level auxiliary functions.
-    Exposed separately so tests can corrupt a plan and prove the
-    divergence is caught. *)
+    compiled from.  [funcs] are the program-level auxiliary functions;
+    [host_builtins] defaults to {!Host.default_builtins}.  Exposed
+    separately so tests can corrupt a plan and prove the divergence is
+    caught. *)
 val verify_plan :
   ?budget:Symexec.budget ->
   ?host_builtins:string list ->

@@ -1,0 +1,53 @@
+(* Each entry point composes these pieces into the passes it runs; none
+   of them knows who calls it. *)
+
+let load ?extra source =
+  match Parser.program_result source with
+  | Error d -> Error [ d ]
+  | Ok parsed -> Typecheck.check_diags ?extra parsed
+
+(* B201: per machine, the util envelope against the subscriptions' CPU
+   floor.  Machines whose polls or utils do not analyze are left to the
+   passes that report them. *)
+let bounds ~file ~externals (p : Ast.program) =
+  List.concat_map
+    (fun (m : Ast.machine) ->
+      let bindings = Analysis.deploy_bindings ~externals m in
+      match Analysis.polls ~bindings m with
+      | Error _ -> []
+      | Ok polls ->
+          let state_utils =
+            List.filter_map
+              (fun (st : Ast.state_decl) ->
+                Option.bind st.sutil (fun u ->
+                    match Analysis.utility ~bindings u with
+                    | Ok branches -> Some (st.sname, branches)
+                    | Error _ -> None))
+              m.states
+          in
+          Bounds.cross_check ~file ~machine:m ~polls ~state_utils ())
+    p.machines
+
+let lint ~file ?extra ?(externals = []) source =
+  match load ?extra source with
+  | Error ds -> (Diagnostic.with_file file ds, None)
+  | Ok p ->
+      let bound_names =
+        List.map (fun (m, vs) -> (m, List.map fst vs)) externals
+      in
+      let lint = Lint.check_program ~file ~externals:bound_names p in
+      (Diagnostic.sort (lint @ bounds ~file ~externals p), Some p)
+
+let verify ?budget ?(host_builtins = []) program =
+  let host_builtins = Host.default_builtins @ host_builtins in
+  let equiv = Equiv.verify_program ?budget ~host_builtins ~program () in
+  let reach = Reach.analyze_program ?budget ~host_builtins ~program () in
+  (equiv @ List.concat_map (fun (r : Reach.result) -> r.diags) reach, reach)
+
+let verify_report ?budget ?host_builtins program =
+  let ds, reach = verify ?budget ?host_builtins program in
+  let reach_backed (d : Diagnostic.t) =
+    match d.code with "L101" | "L102" | "L107" -> true | _ -> false
+  in
+  Diagnostic.sort
+    (ds @ List.filter reach_backed (Lint.check_program ~reach program))

@@ -1,0 +1,43 @@
+(** The static front end: one definition of each step the seeder's
+    deploy, [farmc] and the tests run before they act on an Almanac
+    program.  DESIGN.md § Static verification tables which entry point
+    runs which step. *)
+
+(** Parse and type-check a source string.  A parse error is the single
+    [P0xx] diagnostic; type errors are one per failing function or
+    machine. *)
+val load :
+  ?extra:(string * Typecheck.func_sig) list ->
+  string ->
+  (Ast.program, Diagnostic.t list) result
+
+(** [farmc lint] on one program: load errors, or the lint pass plus the
+    per-machine resource-bound cross-check ([B201]), sorted and stamped
+    with [file].  [externals] are the deployment bindings per machine.
+    The program is returned when it loaded, for cross-task conflict
+    checks. *)
+val lint :
+  file:string ->
+  ?extra:(string * Typecheck.func_sig) list ->
+  ?externals:(string * (string * Value.t) list) list ->
+  string ->
+  Diagnostic.t list * Ast.program option
+
+(** Symbolic verification of a type-checked program: translation
+    validation ({!Equiv}, [V401]/[V402]) and reachability ({!Reach},
+    [V403]/[V404]), assuming {!Host.default_builtins} plus
+    [host_builtins].  Returns the diagnostics and the reachability
+    results that upgrade the lint verdicts. *)
+val verify :
+  ?budget:Symexec.budget ->
+  ?host_builtins:string list ->
+  Ast.program ->
+  Diagnostic.t list * Reach.result list
+
+(** [farmc verify] on one program: {!verify}'s diagnostics plus the
+    reachability-backed lint verdicts ([L101]/[L102]/[L107]), sorted. *)
+val verify_report :
+  ?budget:Symexec.budget ->
+  ?host_builtins:string list ->
+  Ast.program ->
+  Diagnostic.t list

@@ -788,11 +788,8 @@ let find_livelock acc : string list option =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let default_host_builtins =
-  [ "addTCAMRule"; "removeTCAMRule"; "getTCAMRule"; "exec" ]
-
 let analyze ?(budget = default_budget)
-    ?(host_builtins = default_host_builtins) ~(funcs : Ast.func_decl list)
+    ?(host_builtins = Host.default_builtins) ~(funcs : Ast.func_decl list)
     ~(machine : Ast.machine) () : result =
   let m = machine in
   let hooks =

@@ -26,8 +26,6 @@ type result = {
           claims (unreachable / dead / livelock) must then be withheld *)
 }
 
-val default_host_builtins : string list
-
 (** Analyze one (resolved) machine; [funcs] are the program-level
     auxiliary functions. *)
 val analyze :

@@ -51,6 +51,7 @@ module Almanac = struct
   module Diagnostic = Farm_almanac.Diagnostic
   module Lint = Farm_almanac.Lint
   module Bounds = Farm_almanac.Bounds
+  module Frontend = Farm_almanac.Frontend
   module Value = Farm_almanac.Value
   module Analysis = Farm_almanac.Analysis
   module Host = Farm_almanac.Host

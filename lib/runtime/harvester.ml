@@ -56,8 +56,8 @@ let create spec ctx =
 
 let set_tracer t tr = t.tracer <- tr
 
-let set_overload t cfg =
-  t.lim <- Option.value cfg ~default:unlimited;
+let set_overload t lim =
+  t.lim <- lim;
   t.window_start <- t.ctx.now ();
   Hashtbl.reset t.admits
 

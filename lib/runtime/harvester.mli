@@ -49,10 +49,13 @@ type overload_config = { window : float; max_reports : int }
 
 val default_overload : overload_config
 
-(** Set the inbox limits and open a new window.  [None], as for a new
-    harvester, means unlimited: the window never closes and nothing is
-    shed.  Wired by the seeder at deploy time from [harvester_overload]. *)
-val set_overload : t -> overload_config option -> unit
+(** Protection off, as for a new harvester: the window never closes and
+    nothing is shed. *)
+val unlimited : overload_config
+
+(** Set the inbox limits and open a new window.  Wired by the seeder at
+    deploy time from [harvester_overload]. *)
+val set_overload : t -> overload_config -> unit
 
 (** Reports admitted per seed in the current window, by seed id; [[]] at
     unlimited limits. *)

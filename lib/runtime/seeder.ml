@@ -3,13 +3,11 @@ module Metrics = Farm_sim.Metrics
 module Trace = Farm_sim.Trace
 module Value = Farm_almanac.Value
 module Ast = Farm_almanac.Ast
-module Parser = Farm_almanac.Parser
 module Typecheck = Farm_almanac.Typecheck
 module Analysis = Farm_almanac.Analysis
 module Interp = Farm_almanac.Interp
 module Lint = Farm_almanac.Lint
-module Equiv = Farm_almanac.Equiv
-module Reach = Farm_almanac.Reach
+module Frontend = Farm_almanac.Frontend
 module Diagnostic = Farm_almanac.Diagnostic
 module Model = Farm_placement.Model
 module Heuristic = Farm_placement.Heuristic
@@ -58,9 +56,9 @@ type config = {
   checkpoint_interval : float;
   checkpoint_full_every : int;
   ctrl_bandwidth_bps : float;
-  (* overload resilience; [None] (the default) means unlimited *)
-  ctrl_protection : ctrl_protection option;
-  harvester_overload : Harvester.overload_config option;
+  (* overload resilience; unlimited by default *)
+  ctrl_protection : ctrl_protection;
+  harvester_overload : Harvester.overload_config;
 }
 
 let default_config =
@@ -79,16 +77,16 @@ let default_config =
     checkpoint_interval = 50e-3;
     checkpoint_full_every = 4;
     ctrl_bandwidth_bps = 1e9;
-    ctrl_protection = None;
-    harvester_overload = None }
+    ctrl_protection = unlimited_protection;
+    harvester_overload = Harvester.unlimited }
 
 (* every overload-protection layer switched on at its default settings *)
 let overload_defaults =
   { default_config with
     soil_config =
       { Soil.default_config with overload = Some Soil.default_overload };
-    ctrl_protection = Some default_protection;
-    harvester_overload = Some Harvester.default_overload }
+    ctrl_protection = default_protection;
+    harvester_overload = Harvester.default_overload }
 
 type ctrl_faults = { loss : float; delay : float; dup : float }
 
@@ -960,9 +958,7 @@ let create ?(config = default_config) engine fabric =
         (Soil.create ~config:config.soil_config engine sw))
     (Fabric.switch_models fabric);
   let reg = Engine.metrics engine in
-  let prot =
-    Option.value config.ctrl_protection ~default:unlimited_protection
-  in
+  let prot = config.ctrl_protection in
   let limited = prot <> unlimited_protection in
   (* split before [ctrl_rng] is ever forced, so the stream layout of a
      protected channel is fixed: one split for jitter, then the lazy ctrl
@@ -1047,67 +1043,33 @@ let create ?(config = default_config) engine fabric =
 
 let ( let* ) = Result.bind
 
-let analysis_bindings (m : Ast.machine) externals : Analysis.bindings =
-  let static name =
-    List.find_map
-      (fun (v : Ast.var_decl) ->
-        if v.vname = name then
-          match v.vinit with
-          | Some (Ast.Int i) -> Some (Value.Num (float_of_int i))
-          | Some (Ast.Float f) -> Some (Value.Num f)
-          | Some (Ast.String s) -> Some (Value.Str s)
-          | Some (Ast.Bool b) -> Some (Value.Bool b)
-          | _ -> None
-        else None)
-      m.mvars
-  in
-  fun name ->
-    match List.assoc_opt name externals with
-    | Some v -> Some v
-    | None -> static name
-
 let last_deploy_diagnostics t = Diagnostic.sort t.last_diags
 
 let deploy t spec =
   t.last_diags <- [];
   let record ds = t.last_diags <- t.last_diags @ ds in
-  let parse () =
-    match Parser.program_result spec.ts_source with
-    | Ok p -> Ok p
-    | Error d ->
-        record [ d ];
-        Error ("syntax error: " ^ Diagnostic.to_string d)
-  in
-  let* parsed = parse () in
   let* program =
-    match Typecheck.check_diags ~extra:spec.ts_extra_sigs parsed with
+    match Frontend.load ~extra:spec.ts_extra_sigs spec.ts_source with
     | Ok p -> Ok p
     | Error ds ->
         record ds;
+        let d = List.hd ds in
         Error
-          (match ds with
-          | d :: _ -> d.Diagnostic.message
-          | [] -> "type error")
+          (if d.Diagnostic.code.[0] = 'P' then
+             "syntax error: " ^ Diagnostic.to_string d
+           else d.Diagnostic.message)
   in
   (* deploy-time verification: lint the resolved program, refusing on
      error-severity diagnostics; warnings are recorded and deployment
-     proceeds *)
+     proceeds.  The optional symbolic verifier's reachability results
+     upgrade the lint verdicts. *)
+  let verify_diags, reach =
+    if t.cfg.verify_on_deploy then
+      Frontend.verify ~host_builtins:(List.map fst spec.ts_builtins) program
+    else ([], [])
+  in
   let bound_externals =
     List.map (fun (m, vs) -> (m, List.map fst vs)) spec.ts_externals
-  in
-  (* symbolic verification (optional): translation validation of the
-     compiled plan against the reference semantics plus invariant/range
-     proofs; its reachability results also upgrade the lint verdicts *)
-  let verify_diags, reach =
-    if not t.cfg.verify_on_deploy then ([], [])
-    else
-      let host_builtins =
-        Equiv.default_host_builtins @ List.map fst spec.ts_builtins
-      in
-      let equiv = Equiv.verify_program ~host_builtins ~program () in
-      let reach = Reach.analyze_program ~host_builtins ~program () in
-      ( equiv @ List.concat_map (fun (r : Reach.result) -> r.diags) reach,
-        reach )
   in
   let lint_diags =
     Lint.check_program ~externals:bound_externals ~reach program
@@ -1138,7 +1100,9 @@ let deploy t spec =
             (List.assoc_opt m.mname spec.ts_externals)
             ~default:[]
         in
-        let bindings = analysis_bindings m externals in
+        let bindings =
+          Analysis.deploy_bindings ~externals:spec.ts_externals m
+        in
         let* summary = Analysis.summarize ~bindings ~topo m in
         let polls = summary.poll_vars in
         let initial_state_util =

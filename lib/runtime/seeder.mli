@@ -40,6 +40,10 @@ type ctrl_protection = {
 
 val default_protection : ctrl_protection
 
+(** Protection off: the same code at limits that never delay, refuse,
+    cap or jitter anything. *)
+val unlimited_protection : ctrl_protection
+
 type config = {
   soil_config : Soil.config;
   control_latency : float;
@@ -90,15 +94,14 @@ type config = {
           lost deltas leave the seeder's copy stale until the next full *)
   ctrl_bandwidth_bps : float;
       (** control-channel bandwidth checkpoints are costed against *)
-  ctrl_protection : ctrl_protection option;
-      (** [None] (default): the same code at unlimited limits (an
-          infinite bucket, breaker threshold and in-flight bound
-          [max_int], no jitter) — nothing is delayed, refused or
-          jittered, and no [seeder.ctrl.*] or [seeder.pressure.*]
-          metric is registered *)
-  harvester_overload : Harvester.overload_config option;
-      (** bounded fair-share harvester inboxes; [None] (default) means
-          unlimited limits, which admit everything *)
+  ctrl_protection : ctrl_protection;
+      (** {!unlimited_protection} (default): an infinite bucket, breaker
+          threshold and in-flight bound [max_int], no jitter — nothing
+          is delayed, refused or jittered, and no [seeder.ctrl.*] or
+          [seeder.pressure.*] metric is registered *)
+  harvester_overload : Harvester.overload_config;
+      (** bounded fair-share harvester inboxes; {!Harvester.unlimited}
+          (default) admits everything *)
 }
 
 val default_config : config

@@ -1,6 +1,6 @@
-module Parser = Farm_almanac.Parser
-module Typecheck = Farm_almanac.Typecheck
+module Frontend = Farm_almanac.Frontend
 module Analysis = Farm_almanac.Analysis
+module Diagnostic = Farm_almanac.Diagnostic
 
 let all : Task_common.entry list =
   [ Hh.hh;
@@ -44,36 +44,15 @@ let table1_loc (e : Task_common.entry) =
 
 let compile_one topo (e : Task_common.entry) =
   let ( let* ) = Result.bind in
-  let* parsed =
-    match Parser.program e.source with
-    | p -> Ok p
-    | exception Parser.Error m -> Error ("parse: " ^ m)
+  let* program =
+    Result.map_error
+      (fun ds -> String.concat "; " (List.map Diagnostic.to_string ds))
+      (Frontend.load ~extra:e.extra_sigs e.source)
   in
-  let* program = Typecheck.check_result ~extra:e.extra_sigs parsed in
   List.fold_left
     (fun acc (m : Farm_almanac.Ast.machine) ->
       let* () = acc in
-      let externals =
-        Option.value (List.assoc_opt m.mname e.externals) ~default:[]
-      in
-      let bindings name =
-        match List.assoc_opt name externals with
-        | Some v -> Some v
-        | None ->
-            List.find_map
-              (fun (v : Farm_almanac.Ast.var_decl) ->
-                if v.vname <> name then None
-                else
-                  match v.vinit with
-                  | Some (Farm_almanac.Ast.Int i) ->
-                      Some (Farm_almanac.Value.Num (float_of_int i))
-                  | Some (Farm_almanac.Ast.Float f) ->
-                      Some (Farm_almanac.Value.Num f)
-                  | Some (Farm_almanac.Ast.String s) ->
-                      Some (Farm_almanac.Value.Str s)
-                  | _ -> None)
-              m.mvars
-      in
+      let bindings = Analysis.deploy_bindings ~externals:e.externals m in
       let* _summary = Analysis.summarize ~bindings ~topo m in
       Ok ())
     (Ok ()) program.machines

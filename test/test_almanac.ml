@@ -1646,7 +1646,7 @@ let equiv_diags ~what (program : Ast.program) =
   let ds =
     try
       Equiv.verify_program
-        ~host_builtins:("tick" :: Equiv.default_host_builtins) ~program ()
+        ~host_builtins:("tick" :: Host.default_builtins) ~program ()
     with e -> Alcotest.failf "%s: Equiv raised %s" what (Printexc.to_string e)
   in
   match List.filter (fun (d : Diagnostic.t) -> d.code = "V401") ds with

@@ -5,7 +5,7 @@
 
 module Ast = Farm_almanac.Ast
 module Parser = Farm_almanac.Parser
-module Typecheck = Farm_almanac.Typecheck
+module Frontend = Farm_almanac.Frontend
 module Analysis = Farm_almanac.Analysis
 module Lint = Farm_almanac.Lint
 module Bounds = Farm_almanac.Bounds
@@ -29,71 +29,6 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let codes ds = List.map (fun (d : Diagnostic.t) -> d.code) ds
-
-(* ------------------------------------------------------------------ *)
-(* The farmc lint pipeline: parse -> typecheck -> lint -> bounds       *)
-(* ------------------------------------------------------------------ *)
-
-let load_diags ?extra source =
-  match Parser.program_result source with
-  | Error d -> Error [ d ]
-  | Ok parsed -> (
-      match Typecheck.check_diags ?extra parsed with
-      | Ok p -> Ok p
-      | Error ds -> Error ds)
-
-let analysis_bindings (m : Ast.machine) bound : Analysis.bindings =
-  let static name =
-    List.find_map
-      (fun (v : Ast.var_decl) ->
-        if v.vname = name then
-          match v.vinit with
-          | Some (Ast.Int i) -> Some (Farm_almanac.Value.Num (float_of_int i))
-          | Some (Ast.Float f) -> Some (Farm_almanac.Value.Num f)
-          | Some (Ast.String s) -> Some (Farm_almanac.Value.Str s)
-          | Some (Ast.Bool b) -> Some (Farm_almanac.Value.Bool b)
-          | _ -> None
-        else None)
-      m.mvars
-  in
-  fun name ->
-    match List.assoc_opt name bound with
-    | Some v -> Some v
-    | None -> static name
-
-let machine_bound externals mname =
-  Option.value (List.assoc_opt mname externals) ~default:[]
-
-let lint_all ~file ?extra ?(externals = []) source =
-  match load_diags ?extra source with
-  | Error ds -> (Diagnostic.with_file file ds, None)
-  | Ok p ->
-      let bound_names =
-        List.map (fun (m, vs) -> (m, List.map fst vs)) externals
-      in
-      let lint = Lint.check_program ~file ~externals:bound_names p in
-      let bounds =
-        List.concat_map
-          (fun (m : Ast.machine) ->
-            let bindings =
-              analysis_bindings m (machine_bound externals m.mname)
-            in
-            match Analysis.polls ~bindings m with
-            | Error _ -> []
-            | Ok polls ->
-                let state_utils =
-                  List.filter_map
-                    (fun (st : Ast.state_decl) ->
-                      Option.bind st.sutil (fun u ->
-                          match Analysis.utility ~bindings u with
-                          | Ok branches -> Some (st.sname, branches)
-                          | Error _ -> None))
-                    m.states
-                in
-                Bounds.cross_check ~file ~machine:m ~polls ~state_utils ())
-          p.machines
-      in
-      (Diagnostic.sort (lint @ bounds), Some p)
 
 (* ------------------------------------------------------------------ *)
 (* Fixture corpus                                                      *)
@@ -121,7 +56,7 @@ let test_fixtures () =
   List.iter
     (fun (name, expected) ->
       let path = Filename.concat "lint_fixtures" name in
-      let ds, _ = lint_all ~file:path (read_file path) in
+      let ds, _ = Frontend.lint ~file:path (read_file path) in
       Alcotest.(check (list string)) name expected (codes ds);
       List.iter
         (fun (d : Diagnostic.t) ->
@@ -145,7 +80,7 @@ let test_clean_catalog () =
   List.iter
     (fun (e : Task_common.entry) ->
       let ds, _ =
-        lint_all ~file:("catalog:" ^ e.name) ~extra:e.extra_sigs
+        Frontend.lint ~file:("catalog:" ^ e.name) ~extra:e.extra_sigs
           ~externals:e.externals e.source
       in
       if ds <> [] then
@@ -164,7 +99,7 @@ let test_clean_examples () =
   List.iter
     (fun f ->
       let path = Filename.concat dir f in
-      let ds, _ = lint_all ~file:path (read_file path) in
+      let ds, _ = Frontend.lint ~file:path (read_file path) in
       if ds <> [] then
         Alcotest.failf "example %s not clean:\n%s" f
           (String.concat "\n" (List.map Diagnostic.to_string ds)))
@@ -242,7 +177,7 @@ machine Watcher {
 
 let profile_of ~task source =
   let p =
-    match load_diags source with
+    match Frontend.load source with
     | Ok p -> p
     | Error ds ->
         Alcotest.failf "profile_of %s: %s" task
@@ -407,7 +342,7 @@ let test_bounds_vs_simulation () =
   let duration = 10. in
   Engine.run ~until:duration engine;
   let machine, polls =
-    match load_diags bounds_probe_source with
+    match Frontend.load bounds_probe_source with
     | Error _ -> Alcotest.fail "bounds probe does not typecheck"
     | Ok p -> (
         let m = List.hd p.machines in

@@ -1686,9 +1686,8 @@ machine Chat {
     { Seeder.overload_defaults with
       Seeder.auto_heal = true;
       ctrl_protection =
-        Some
-          { Seeder.default_protection with
-            Seeder.breaker_threshold = 3; max_inflight_retries = 1 } }
+        { Seeder.default_protection with
+          Seeder.breaker_threshold = 3; max_inflight_retries = 1 } }
   in
   let seeder = Seeder.create ~config engine fabric in
   let task =
@@ -1770,8 +1769,7 @@ let prop_harvester_fencing =
       (* same op stream against a bounded inbox: seeds compete for a
          5-report budget, so plenty of fresh reports get shed *)
       let hb = mk () in
-      Harvester.set_overload hb
-        (Some { Harvester.window = 1.0; max_reports = 5 });
+      Harvester.set_overload hb { Harvester.window = 1.0; max_reports = 5 };
       (* reference model: per-seed fence + per-instance seen set (reset
          whenever the fence rises, like the runtime's dedup) *)
       let fences = Hashtbl.create 4 in
@@ -2336,7 +2334,8 @@ let digest_rows =
    a marker seed on every switch, a bounded harvester inbox, and the
    harvester's capabilities kept for the rows to send with.  Sending the
    seeds their initial mark changes no seed state. *)
-let make_protection_world ?ctrl_protection () =
+let make_protection_world ?(ctrl_protection = Seeder.unlimited_protection) ()
+    =
   let engine = Engine.create ~seed:29 () in
   let fabric =
     Fabric.create (Topology.spine_leaf ~spines:2 ~leaves:2 ~hosts_per_leaf:1)
@@ -2344,7 +2343,7 @@ let make_protection_world ?ctrl_protection () =
   let config =
     { Seeder.default_config with
       ctrl_protection;
-      harvester_overload = Some Harvester.default_overload }
+      harvester_overload = Harvester.default_overload }
   in
   let seeder = Seeder.create ~config engine fabric in
   let ctx = ref None in
@@ -2405,7 +2404,7 @@ let protection_rows =
             ~from_switch:(Seed_exec.node e) Value.Unit
         in
         let reopen () =
-          Harvester.set_overload h (Some Harvester.default_overload)
+          Harvester.set_overload h Harvester.default_overload
         in
         if perturbed then (reopen (); report ()) else (report (); reopen ()) ) ]
 

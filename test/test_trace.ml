@@ -351,7 +351,7 @@ let storm_world tr =
     { Seeder.overload_defaults with
       Seeder.auto_heal = true;
       ctrl_protection =
-        Some { Seeder.default_protection with Seeder.max_inflight_retries = 2 } }
+        { Seeder.default_protection with Seeder.max_inflight_retries = 2 } }
   in
   let w =
     World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1

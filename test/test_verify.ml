@@ -5,8 +5,7 @@
    qcheck symbolic-vs-concrete soundness property. *)
 
 module Ast = Farm_almanac.Ast
-module Parser = Farm_almanac.Parser
-module Typecheck = Farm_almanac.Typecheck
+module Frontend = Farm_almanac.Frontend
 module Compile = Farm_almanac.Compile
 module Interp = Farm_almanac.Interp
 module Semantics = Farm_almanac.Semantics
@@ -25,34 +24,15 @@ let show ds = String.concat "\n" (List.map Diagnostic.to_string ds)
 let codes ds = List.map (fun (d : Diagnostic.t) -> d.code) ds
 
 let load ?extra source =
-  match Parser.program_result source with
-  | Error d -> Alcotest.failf "parse error: %s" (Diagnostic.to_string d)
-  | Ok parsed -> (
-      match Typecheck.check_diags ?extra parsed with
-      | Ok p -> p
-      | Error ds -> Alcotest.failf "typecheck failed:\n%s" (show ds))
+  match Frontend.load ?extra source with
+  | Ok p -> p
+  | Error ds -> Alcotest.failf "load failed:\n%s" (show ds)
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-(* the full farmc-verify pipeline over one type-checked program *)
-let verify_all ?budget ?(host_builtins = []) (p : Ast.program) =
-  let host_builtins = Equiv.default_host_builtins @ host_builtins in
-  let equiv = Equiv.verify_program ?budget ~host_builtins ~program:p () in
-  let reach = Reach.analyze_program ?budget ~host_builtins ~program:p () in
-  let reach_diags =
-    List.concat_map (fun (r : Reach.result) -> r.diags) reach
-  in
-  let lint =
-    List.filter
-      (fun (d : Diagnostic.t) ->
-        match d.code with "L101" | "L102" | "L107" -> true | _ -> false)
-      (Lint.check_program ~reach p)
-  in
-  Diagnostic.sort (equiv @ reach_diags @ lint)
 
 (* ------------------------------------------------------------------ *)
 (* Catalog + examples verify clean                                     *)
@@ -63,7 +43,9 @@ let test_catalog_clean () =
   List.iter
     (fun (e : Task_common.entry) ->
       let p = load ~extra:e.extra_sigs e.source in
-      let ds = verify_all ~host_builtins:(List.map fst e.builtins) p in
+      let ds =
+        Frontend.verify_report ~host_builtins:(List.map fst e.builtins) p
+      in
       if ds <> [] then
         Alcotest.failf "catalog task %s not verify-clean:\n%s" e.name
           (show ds))
@@ -81,7 +63,7 @@ let test_examples_clean () =
   List.iter
     (fun f ->
       let p = load (read_file f) in
-      let ds = verify_all p in
+      let ds = Frontend.verify_report p in
       if ds <> [] then
         Alcotest.failf "example %s not verify-clean:\n%s" f (show ds))
     files
@@ -427,7 +409,7 @@ let test_verify_crashers () =
   List.iter
     (fun body ->
       let p = load (crasher_source body) in
-      (match verify_all p with
+      (match Frontend.verify_report p with
       | _ -> ()
       | exception e ->
           Alcotest.failf "%s: verify raised %s" body (Printexc.to_string e));
@@ -530,7 +512,7 @@ let episode ~case ~round ~warmup =
   let stubs =
     List.map
       (fun n -> (n, fun (_ : Value.t list) -> Value.Unit))
-      Equiv.default_host_builtins
+      Host.default_builtins
     @ [ ("self_switch", fun _ -> Value.Num 0.) ]
     @ e.builtins
   in
