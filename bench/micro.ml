@@ -36,7 +36,7 @@ let interp_test =
   let source = (Tasks.Catalog.find "heavy-hitter").source in
   let program = Almanac.Typecheck.check (Almanac.Parser.program source) in
   let t =
-    Almanac.Interp.create ~program ~machine:"HH" Almanac.Interp.null_host
+    Almanac.Interp.create ~program ~machine:"HH" Almanac.Host.null_host
   in
   Almanac.Interp.start t;
   let stats = Almanac.Value.Stats (Array.make 16 100.) in

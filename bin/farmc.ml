@@ -103,10 +103,11 @@ let lint_cmd =
       & info [ "json" ] ~doc:"Emit diagnostics as a JSON array on stdout")
   in
   let run files catalog json =
+    let model = Runtime.Soil.bounds_model in
     let file_results =
       List.map
         (fun path ->
-          let ds, p = Almanac.Frontend.lint ~file:path (read_file path) in
+          let ds, p = Almanac.Frontend.lint ~model ~file:path (read_file path) in
           (path, ([] : (string * (string * Almanac.Value.t) list) list), p, ds))
         files
     in
@@ -117,7 +118,7 @@ let lint_cmd =
           (fun (e : Tasks.Task_common.entry) ->
             let file = "catalog:" ^ e.name in
             let ds, p =
-              Almanac.Frontend.lint ~file ~extra:e.extra_sigs
+              Almanac.Frontend.lint ~model ~file ~extra:e.extra_sigs
                 ~externals:e.externals e.source
             in
             (file, e.externals, p, ds))

@@ -296,11 +296,24 @@ let branch_feasible branch res =
 (* Filter evaluation (φ^s)                                              *)
 (* ------------------------------------------------------------------ *)
 
-let proto_of_string = function
-  | "tcp" -> Some Farm_net.Flow.Tcp
-  | "udp" -> Some Farm_net.Flow.Udp
-  | "icmp" -> Some Farm_net.Flow.Icmp
-  | _ -> None
+let filter_atom head (arg : Value.t) =
+  match (head, arg) with
+  | _, Value.FilterV f -> Ok f
+  | (Ast.SrcIP | Ast.DstIP), Value.Str s -> (
+      match Farm_net.Ipaddr.Prefix.of_string_opt s with
+      | Some p ->
+          Ok
+            (Filter.atom
+               (if head = Ast.SrcIP then Filter.Src_ip p else Filter.Dst_ip p))
+      | None -> Error (`Bad_prefix s))
+  | Ast.SrcPort, v -> Ok (Filter.atom (Filter.Src_port (int_of_float (Value.as_num v))))
+  | Ast.DstPort, v -> Ok (Filter.atom (Filter.Dst_port (int_of_float (Value.as_num v))))
+  | Ast.PortF, v -> Ok (Filter.atom (Filter.Port (int_of_float (Value.as_num v))))
+  | Ast.ProtoF, Value.Str s -> (
+      match Farm_net.Flow.proto_of_string s with
+      | Some p -> Ok (Filter.atom (Filter.Proto p))
+      | None -> Error (`Bad_proto s))
+  | _ -> Error `Bad_arg
 
 let rec eval_filter ?(bindings = no_bindings) (e : Ast.expr) :
     (Filter.t, string) result =
@@ -324,49 +337,31 @@ let rec eval_filter ?(bindings = no_bindings) (e : Ast.expr) :
   | Ast.Unop (Ast.Not, a) ->
       let* fa = eval_filter ~bindings a in
       Ok (Filter.Not fa)
+  | Ast.FilterAtom (_, Ast.AnyLit) -> Ok (Filter.atom Filter.Any)
   | Ast.FilterAtom (head, arg) -> (
-      let const_str = function
-        | Ast.String s -> Ok s
-        | Ast.Var v -> (
+      (* the IP and protocol heads take a constant string, the port
+         heads a constant integer *)
+      let* v =
+        match (head, arg) with
+        | (Ast.SrcIP | Ast.DstIP | Ast.ProtoF), Ast.String s -> Ok (Value.Str s)
+        | (Ast.SrcIP | Ast.DstIP | Ast.ProtoF), Ast.Var v -> (
             match bindings v with
-            | Some (Value.Str s) -> Ok s
+            | Some (Value.Str _ as s) -> Ok s
             | _ -> err "filter argument %s is not a constant string" v)
-        | _ -> err "expected a string filter argument"
-      in
-      let const_int = function
-        | Ast.Int i -> Ok i
-        | Ast.Var v -> (
+        | (Ast.SrcIP | Ast.DstIP | Ast.ProtoF), _ ->
+            err "expected a string filter argument"
+        | _, Ast.Int i -> Ok (Value.Num (float_of_int i))
+        | _, Ast.Var v -> (
             match bindings v with
-            | Some (Value.Num n) -> Ok (int_of_float n)
+            | Some (Value.Num _ as n) -> Ok n
             | _ -> err "filter argument %s is not a constant number" v)
         | _ -> err "expected a numeric filter argument"
       in
-      match (head, arg) with
-      | _, Ast.AnyLit -> Ok (Filter.atom Filter.Any)
-      | Ast.SrcIP, a ->
-          let* s = const_str a in
-          (match Farm_net.Ipaddr.Prefix.of_string_opt s with
-          | Some p -> Ok (Filter.atom (Filter.Src_ip p))
-          | None -> err "bad IP prefix %S" s)
-      | Ast.DstIP, a ->
-          let* s = const_str a in
-          (match Farm_net.Ipaddr.Prefix.of_string_opt s with
-          | Some p -> Ok (Filter.atom (Filter.Dst_ip p))
-          | None -> err "bad IP prefix %S" s)
-      | Ast.SrcPort, a ->
-          let* i = const_int a in
-          Ok (Filter.atom (Filter.Src_port i))
-      | Ast.DstPort, a ->
-          let* i = const_int a in
-          Ok (Filter.atom (Filter.Dst_port i))
-      | Ast.PortF, a ->
-          let* i = const_int a in
-          Ok (Filter.atom (Filter.Port i))
-      | Ast.ProtoF, a -> (
-          let* s = const_str a in
-          match proto_of_string s with
-          | Some p -> Ok (Filter.atom (Filter.Proto p))
-          | None -> err "unknown protocol %S" s))
+      match filter_atom head v with
+      | Ok f -> Ok f
+      | Error (`Bad_prefix s) -> err "bad IP prefix %S" s
+      | Error (`Bad_proto s) -> err "unknown protocol %S" s
+      | Error `Bad_arg -> err "bad filter atom argument")
   | _ -> err "expression is not a filter"
 
 (* ------------------------------------------------------------------ *)

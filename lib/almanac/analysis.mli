@@ -86,6 +86,17 @@ type poll_summary = {
 val polls :
   ?bindings:bindings -> Ast.machine -> (poll_summary list, string) result
 
+(** The atom a filter head builds from its evaluated argument (a string
+    for IP and protocol heads, a truncated number for port heads, an
+    [ANY] filter passes through).  {!eval_filter} and both engines build
+    their atoms here and word the errors themselves. *)
+val filter_atom :
+  Ast.filter_head ->
+  Value.t ->
+  ( Farm_net.Filter.t,
+    [ `Bad_prefix of string | `Bad_proto of string | `Bad_arg ] )
+  result
+
 (** φ{^s}⟦·⟧: evaluate a filter expression to a closed filter. *)
 val eval_filter :
   ?bindings:bindings -> Ast.expr -> (Farm_net.Filter.t, string) result

@@ -1,6 +1,7 @@
 (* Resource-bound inference (see bounds.mli).
 
-   The constants below mirror the soil's charging sites exactly:
+   Costs are charged where the soil charges them, at the prices of the
+   model the runtime builds from its calibration ([Soil.bounds_model]):
    - Soil polling: [poll_issue_cost] per ASIC poll (one per aggregation
      group and period), then per subscriber delivery
      [poll_process_cost * records/128 + poll_process_cost
@@ -12,8 +13,8 @@
      + PCIe transfer + IPC + dispatch — all traffic-dependent, so they
      only enter the worst case.
    - [addTCAMRule]/[removeTCAMRule]: [handler_base_cost] each (charged by
-     the soil); [exec "svr N"]: N * [svr_iter_cost], other commands
-     [exec_default_cost]; [transit]: [handler_base_cost]. *)
+     the soil); [exec]: {!Builtins.exec_cost} of its literal command;
+     [transit]: [handler_base_cost]. *)
 
 type cost_model = {
   cores : float;
@@ -23,8 +24,6 @@ type cost_model = {
   sample_cost : float;
   aggregation_cost : float;
   ipc_cpu_cost : float;
-  exec_default_cost : float;
-  svr_iter_cost : float;
   counter_record_bytes : float;
   probe_packet_bytes : float;
   port_count : int;
@@ -32,23 +31,6 @@ type cost_model = {
   scalar_bytes : float;
   list_bytes : float;
 }
-
-let default_model =
-  { cores = 4.;
-    poll_issue_cost = 20e-6;
-    poll_process_cost = 3e-6;
-    handler_base_cost = 6e-6;
-    sample_cost = 10e-6;
-    aggregation_cost = 1e-6;
-    ipc_cpu_cost = 1e-6;
-    exec_default_cost = 1e-3;
-    svr_iter_cost = 60e-6;
-    counter_record_bytes = 16.;
-    probe_packet_bytes = 1500.;
-    port_count = 32;
-    loop_bound = 64;
-    scalar_bytes = 64.;
-    list_bytes = 1024. }
 
 type demand = {
   vcpu_floor : float;
@@ -101,15 +83,8 @@ let rec expr_cost m (e : Ast.expr) =
               worst = m.handler_base_cost }
         | "exec" ->
             let c =
-              match args with
-              | [ Ast.String s ] -> (
-                  match String.split_on_char ' ' s with
-                  | [ "svr"; n ] -> (
-                      match int_of_string_opt n with
-                      | Some n -> float_of_int n *. m.svr_iter_cost
-                      | None -> m.exec_default_cost)
-                  | _ -> m.exec_default_cost)
-              | _ -> m.exec_default_cost
+              Builtins.exec_cost
+                (match args with [ Ast.String s ] -> s | _ -> "")
             in
             { zero_cost with floor = c; worst = c }
         | _ -> zero_cost
@@ -180,7 +155,7 @@ let ram_of_vars m (vars : Ast.var_decl list) =
       | _ -> m.scalar_bytes)
     0. vars
 
-let infer ?(model = default_model) ~(machine : Ast.machine)
+let infer ~model ~(machine : Ast.machine)
     ~(polls : Analysis.poll_summary list) ~(res : float array) () =
   let m = model in
   let states = machine.Ast.states in
@@ -323,7 +298,7 @@ let branch_lower i (b : Analysis.util_branch) =
 let branch_mentions i (b : Analysis.util_branch) =
   List.exists (fun c -> List.mem i (Lin.vars c)) b.Analysis.constraints
 
-let cross_check ?(model = default_model) ?file ~(machine : Ast.machine)
+let cross_check ~model ?file ~(machine : Ast.machine)
     ~(polls : Analysis.poll_summary list)
     ~(state_utils : (string * Analysis.util_summary) list) () =
   List.filter_map

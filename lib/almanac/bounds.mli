@@ -10,8 +10,10 @@
     trigger rate.  The floor is exact for machines whose handlers have no
     traffic-dependent branches ([deterministic = true]).
 
-    [Farm_runtime] mirrors these constants in [Cpu_model]; the record
-    lives here so the almanac layer stays independent of the runtime. *)
+    The prices come from a {!cost_model}, which the runtime builds from
+    its own calibration ([Farm_runtime.Soil.bounds_model]); the almanac
+    layer stays independent of the runtime.  [exec] is priced by
+    {!Builtins.exec_cost}, the function the soil host charges. *)
 
 type cost_model = {
   cores : float;
@@ -20,9 +22,7 @@ type cost_model = {
   handler_base_cost : float;  (** per handler dispatch / TCAM op / transit *)
   sample_cost : float;  (** per sampled probe packet *)
   aggregation_cost : float;  (** per delivery when polls aggregate *)
-  ipc_cpu_cost : float;  (** soil→seed delivery (shared buffer, threads) *)
-  exec_default_cost : float;  (** [exec] with an unknown command *)
-  svr_iter_cost : float;  (** per iteration of [exec "svr N"] *)
+  ipc_cpu_cost : float;  (** soil→seed delivery *)
   counter_record_bytes : float;  (** bytes per counter read over PCIe *)
   probe_packet_bytes : float;  (** assumed packet size for probe PCIe *)
   port_count : int;  (** ports an [All_ports] poll reads *)
@@ -30,10 +30,6 @@ type cost_model = {
   scalar_bytes : float;  (** RAM per scalar variable *)
   list_bytes : float;  (** RAM per list/stats variable *)
 }
-
-(** Matches [Farm_runtime.Cpu_model.default] and the default soil
-    configuration (aggregated polls, shared-buffer IPC, threads). *)
-val default_model : cost_model
 
 type demand = {
   vcpu_floor : float;
@@ -53,7 +49,7 @@ type demand = {
     resource allocation [res] (indexed by {!Analysis.resource_index};
     polling rates may depend on it). *)
 val infer :
-  ?model:cost_model ->
+  model:cost_model ->
   machine:Ast.machine ->
   polls:Analysis.poll_summary list ->
   res:float array ->
@@ -66,7 +62,7 @@ val infer :
     deterministic floor — the seeder would grant the seed less CPU than
     its own subscriptions consume. *)
 val cross_check :
-  ?model:cost_model ->
+  model:cost_model ->
   ?file:string ->
   machine:Ast.machine ->
   polls:Analysis.poll_summary list ->

@@ -1,9 +1,7 @@
-(** Pure built-in functions of the Almanac runtime library (List. 1 plus
-    list/stats helpers), shared by the reference interpreter and the
-    compiled engine.  Every built-in has a reference implementation in the
-    list calling convention; the hot ones also have a list-free fast entry
-    ({!fast}) for the compiled engine.  Only [now], [log] and [res] need a
-    host: {!pure} is host-independent and built once. *)
+(** The runtime library of Almanac (List. 1 plus list/stats helpers), one
+    catalogue row per built-in.  Pure built-ins have a reference
+    implementation in the list calling convention; the hot ones also a
+    list-free fast entry ({!fast}) for the compiled engine. *)
 
 let fail = Host.fail
 
@@ -11,28 +9,13 @@ let num f = Value.Num f
 let arg1 = function [ a ] -> a | _ -> fail "expected 1 argument"
 let arg2 = function [ a; b ] -> (a, b) | _ -> fail "expected 2 arguments"
 
-let proto_of_string = function
-  | "tcp" -> Farm_net.Flow.Tcp
-  | "udp" -> Farm_net.Flow.Udp
-  | "icmp" -> Farm_net.Flow.Icmp
-  | s -> fail "unknown protocol %S" s
-
 (* Evaluate a filter atom head applied to an already-evaluated argument. *)
-let filter_atom_value head (arg : Value.t) : Farm_net.Filter.t =
-  let open Farm_net in
-  match (head, arg) with
-  | _, Value.FilterV f -> f  (* ANY evaluates to a filter already *)
-  | (Ast.SrcIP | Ast.DstIP), Value.Str s -> (
-      match Ipaddr.Prefix.of_string_opt s with
-      | Some p ->
-          Filter.atom
-            (if head = Ast.SrcIP then Filter.Src_ip p else Filter.Dst_ip p)
-      | None -> fail "bad IP prefix %S in filter" s)
-  | Ast.SrcPort, v -> Filter.atom (Filter.Src_port (int_of_float (Value.as_num v)))
-  | Ast.DstPort, v -> Filter.atom (Filter.Dst_port (int_of_float (Value.as_num v)))
-  | Ast.PortF, v -> Filter.atom (Filter.Port (int_of_float (Value.as_num v)))
-  | Ast.ProtoF, Value.Str s -> Filter.atom (Filter.Proto (proto_of_string s))
-  | _ -> fail "bad filter atom argument"
+let filter_atom_value head arg =
+  match Analysis.filter_atom head arg with
+  | Ok f -> f
+  | Error (`Bad_prefix s) -> fail "bad IP prefix %S in filter" s
+  | Error (`Bad_proto s) -> fail "unknown protocol %S" s
+  | Error `Bad_arg -> fail "bad filter atom argument"
 
 let min_fn args =
   let a, b = arg2 args in
@@ -163,6 +146,8 @@ let hash_fn args =
 
 (* Host-bound built-ins. *)
 
+let now_fn (host : Host.host) _args = num (host.h_now ())
+
 let log_fn (host : Host.host) args =
   host.h_log (Value.to_string (arg1 args));
   Value.Unit
@@ -192,63 +177,121 @@ type fast =
 
 type entry = { arity : int; call : Value.t list -> Value.t; fast : fast }
 
-let pure : (string, entry) Hashtbl.t =
-  let generic call = { arity = -1; call; fast = Generic } in
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (name, e) -> Hashtbl.replace tbl name e)
-    [ ( "min",
-        { arity = 2; call = min_fn;
-          fast = Num_of_nums (fun r -> r.(0) <- Float.min r.(0) r.(1)) } );
-      ( "max",
-        { arity = 2; call = max_fn;
-          fast = Num_of_nums (fun r -> r.(0) <- Float.max r.(0) r.(1)) } );
-      ( "size",
-        { arity = 1; call = size_fn;
-          fast =
-            Num_of_value
-              (fun r l -> r.(0) <- float_of_int (List.length (Value.as_list l))) } );
-      ( "is_list_empty",
-        { arity = 1; call = is_list_empty_fn; fast = Value_of_value is_list_empty } );
-      ("append", { arity = 2; call = append_fn; fast = Value_of_values append });
-      ( "nth",
-        { arity = 2; call = nth_fn;
-          fast =
-            Value_of_value_num
-              (fun r l -> nth_in (Value.as_list l) (int_of_float r.(0))) } );
-      ("contains_elem", generic contains_elem_fn);
-      ("remove_elem", generic remove_elem_fn);
-      ("index_of", generic index_of_fn);
-      ("set_nth", generic set_nth_fn);
-      ("stat", { arity = 2; call = stat_fn; fast = Num_of_value_num stat_fast });
-      ( "stats_size",
-        { arity = 1; call = stats_size_fn;
-          fast =
-            Num_of_value
-              (fun r s -> r.(0) <- float_of_int (Array.length (Value.as_stats s))) } );
-      ("stats_sum", generic stats_sum_fn);
-      ("drop_action", generic drop_action_fn);
-      ("count_action", generic count_action_fn);
-      ("rate_limit_action", generic rate_limit_action_fn);
-      ("qos_action", generic qos_action_fn);
-      ("mkRule", generic mk_rule_fn);
-      ("str", generic str_fn);
-      ("str_contains", generic str_contains_fn);
-      ( "floor",
-        { arity = 1; call = floor_fn; fast = Num_of_nums (fun r -> r.(0) <- Float.floor r.(0)) } );
-      ( "abs",
-        { arity = 1; call = abs_fn; fast = Num_of_nums (fun r -> r.(0) <- Float.abs r.(0)) } );
-      ("log2", generic log2_fn);
-      ("hash", generic hash_fn);
-      ("assert", generic assert_fn) ];
-  tbl
+(* ------------------------------------------------------------------ *)
+(* The catalogue                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let now_fn (host : Host.host) _args = num (host.h_now ())
+type sigty = Any | Numeric | Ty of Ast.typ
 
-let host_bound = [ ("now", now_fn); ("log", log_fn); ("res", res_fn) ]
+type func_sig = { args : sigty list; ret : sigty }
 
-let table (host : Host.host) : (string, Value.t list -> Value.t) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  Hashtbl.iter (fun name e -> Hashtbl.replace tbl name e.call) pure;
-  List.iter (fun (name, f) -> Hashtbl.replace tbl name (f host)) host_bound;
-  tbl
+type runs =
+  | Pure of entry
+  | Engine of (Host.host -> Value.t list -> Value.t)
+  | Soil
+
+type row = {
+  name : string;
+  signature : func_sig;
+  runs : runs;
+  stable : bool;
+  at_least : float option;
+}
+
+let row name args ret runs =
+  { name; signature = { args; ret }; runs; stable = false; at_least = None }
+
+let stable r = { r with stable = true }
+let at_least lo r = { r with at_least = Some lo }
+let generic call = Pure { arity = -1; call; fast = Generic }
+let fast_entry arity call fast = Pure { arity; call; fast }
+
+let catalogue =
+  let list = Ty Ast.Tlist and stats = Ty Ast.Tstats in
+  let action = Ty Ast.Taction and bool = Ty Ast.Tbool in
+  [ (* runtime library, List. 1 *)
+    stable (row "res" [] (Ty Ast.Tresources) (Engine res_fn));
+    row "addTCAMRule" [ Ty Ast.Trule ] (Ty Ast.Tunit) Soil;
+    row "removeTCAMRule" [ Ty Ast.Tfilter ] (Ty Ast.Tunit) Soil;
+    row "getTCAMRule" [ Ty Ast.Tfilter ] (Ty Ast.Trule) Soil;
+    row "exec" [ Ty Ast.Tstring ] Numeric Soil;
+    row "min" [ Numeric; Numeric ] Numeric
+      (fast_entry 2 min_fn
+         (Num_of_nums (fun r -> r.(0) <- Float.min r.(0) r.(1))));
+    row "max" [ Numeric; Numeric ] Numeric
+      (fast_entry 2 max_fn
+         (Num_of_nums (fun r -> r.(0) <- Float.max r.(0) r.(1))));
+    (* list helpers *)
+    at_least 0.
+      (row "size" [ list ] Numeric
+         (fast_entry 1 size_fn
+            (Num_of_value
+               (fun r l ->
+                 r.(0) <- float_of_int (List.length (Value.as_list l))))));
+    row "is_list_empty" [ list ] bool
+      (fast_entry 1 is_list_empty_fn (Value_of_value is_list_empty));
+    row "append" [ list; Any ] list
+      (fast_entry 2 append_fn (Value_of_values append));
+    row "nth" [ list; Numeric ] Any
+      (fast_entry 2 nth_fn
+         (Value_of_value_num
+            (fun r l -> nth_in (Value.as_list l) (int_of_float r.(0)))));
+    row "contains_elem" [ list; Any ] bool (generic contains_elem_fn);
+    row "remove_elem" [ list; Any ] list (generic remove_elem_fn);
+    at_least (-1.) (row "index_of" [ list; Any ] Numeric (generic index_of_fn));
+    row "set_nth" [ list; Numeric; Any ] list (generic set_nth_fn);
+    (* stats helpers *)
+    row "stat" [ stats; Numeric ] Numeric
+      (fast_entry 2 stat_fn (Num_of_value_num stat_fast));
+    at_least 0.
+      (row "stats_size" [ stats ] Numeric
+         (fast_entry 1 stats_size_fn
+            (Num_of_value
+               (fun r s ->
+                 r.(0) <- float_of_int (Array.length (Value.as_stats s))))));
+    row "stats_sum" [ stats ] Numeric (generic stats_sum_fn);
+    (* actions *)
+    row "drop_action" [] action (generic drop_action_fn);
+    row "rate_limit_action" [ Numeric ] action (generic rate_limit_action_fn);
+    row "qos_action" [ Numeric ] action (generic qos_action_fn);
+    row "count_action" [] action (generic count_action_fn);
+    row "mkRule" [ Ty Ast.Tfilter; Any ] (Ty Ast.Trule) (generic mk_rule_fn);
+    (* misc *)
+    stable (row "now" [] Numeric (Engine now_fn));
+    row "log" [ Any ] (Ty Ast.Tunit) (Engine log_fn);
+    row "str" [ Any ] (Ty Ast.Tstring) (generic str_fn);
+    row "str_contains" [ Ty Ast.Tstring; Ty Ast.Tstring ] bool
+      (generic str_contains_fn);
+    row "floor" [ Numeric ] Numeric
+      (fast_entry 1 floor_fn (Num_of_nums (fun r -> r.(0) <- Float.floor r.(0))));
+    at_least 0.
+      (row "abs" [ Numeric ] Numeric
+         (fast_entry 1 abs_fn (Num_of_nums (fun r -> r.(0) <- Float.abs r.(0)))));
+    row "log2" [ Numeric ] Numeric (generic log2_fn);
+    at_least 0. (row "hash" [ Any ] Numeric (generic hash_fn));
+    stable (row "self_switch" [] Numeric Soil);
+    (* user invariants, checked at runtime and proved by [Reach] *)
+    row "assert" [ bool ] (Ty Ast.Tunit) (generic assert_fn) ]
+
+let find =
+  let by_name = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace by_name r.name r) catalogue;
+  Hashtbl.find_opt by_name
+
+let soil_effects =
+  List.filter_map
+    (fun r ->
+      match r.runs with Soil when not r.stable -> Some r.name | _ -> None)
+    catalogue
+
+(* [exec "svr N"] models the paper's support-vector-regression seed: N
+   matrix-multiplication iterations at ~60 us of management CPU each
+   (calibrated so 50 parallel 1 ms seeds offer ~3.5 cores, Fig. 6c).
+   Any other command costs a flat 1 ms. *)
+let exec_cost cmd =
+  match String.split_on_char ' ' cmd with
+  | [ "svr"; n ] -> (
+      match int_of_string_opt n with
+      | Some n -> float_of_int n *. 60e-6
+      | None -> 1e-3)
+  | _ -> 1e-3

@@ -1,11 +1,10 @@
-(** Pure built-in functions of the Almanac runtime library, shared by the
-    reference interpreter and the compiled engine. *)
-
-(** Parse a protocol name ("tcp" / "udp" / "icmp"). *)
-val proto_of_string : string -> Farm_net.Flow.proto
+(** The runtime library of Almanac: one {!catalogue} row per built-in.
+    The type checker, both engines, the symbolic passes, {!Bounds} and
+    the soil host all read this module; none keeps its own list of
+    built-in names. *)
 
 (** Evaluate a filter atom head applied to an already-evaluated argument
-    (an [ANY] argument is a filter already and passes through). *)
+    ({!Analysis.filter_atom}, failing with the engines' error texts). *)
 val filter_atom_value : Ast.filter_head -> Value.t -> Farm_net.Filter.t
 
 (** {2 Index rules}
@@ -46,12 +45,49 @@ type fast =
     [call] is the reference implementation the interpreter runs. *)
 type entry = { arity : int; call : Value.t list -> Value.t; fast : fast }
 
-(** Every host-independent built-in, built once per process. *)
-val pure : (string, entry) Hashtbl.t
+(** {2 The catalogue} *)
 
-(** The built-ins bound to a host: [now], [log] and [res]. *)
-val host_bound : (string * (Host.host -> Value.t list -> Value.t)) list
+(** Argument/return types of a signature. *)
+type sigty =
+  | Any
+  | Numeric  (** int / long / float *)
+  | Ty of Ast.typ
 
-(** [table host] is {!pure} plus {!host_bound} applied to [host], in the
-    list convention: the interpreter's name -> closure table. *)
-val table : Host.host -> (string, Value.t list -> Value.t) Hashtbl.t
+type func_sig = { args : sigty list; ret : sigty }
+
+(** How a built-in runs.  Call resolution is the same everywhere: a
+    host override ([Host.h_builtin]) first, then an Almanac function,
+    then the catalogue. *)
+type runs =
+  | Pure of entry  (** host-independent; the symbolic passes fold it *)
+  | Engine of (Host.host -> Value.t list -> Value.t)
+      (** bound to the host's clock, resources or log by the engine *)
+  | Soil  (** served by the deployment's host ([Seed_exec] on a soil) *)
+
+type row = {
+  name : string;
+  signature : func_sig;
+  runs : runs;
+  stable : bool;
+      (** an [Engine] or [Soil] result that is the same for every call in
+          one handler firing: the symbolic passes keep it as a term, not
+          an effect *)
+  at_least : float option;
+      (** a lower bound on a numeric result: the range fact both
+          symbolic passes assume *)
+}
+
+(** Every built-in, in a fixed order. *)
+val catalogue : row list
+
+val find : string -> row option
+
+(** The names of the [Soil] rows that are not stable: the effects every
+    deployment serves.  {!Equiv} and {!Reach} assume them by default;
+    tasks registering more extend the list. *)
+val soil_effects : string list
+
+(** Switch CPU seconds one [exec cmd] costs: [N] x 60 us for ["svr N"],
+    1 ms for any other command.  The soil host charges it; {!Bounds}
+    prices [exec] call sites with it. *)
+val exec_cost : string -> float

@@ -382,14 +382,11 @@ let callee ctx fname =
   match Hashtbl.find_opt ctx.cx_funcs fname with
   | Some fi -> Fn fi
   | None -> (
-      match Hashtbl.find_opt Builtins.pure fname with
-      | Some e -> Pure e
-      | None -> (
-          if fname = "now" then Now
-          else
-            match List.assoc_opt fname Builtins.host_bound with
-            | Some f -> Host_bound f
-            | None -> Dynamic))
+      match Builtins.find fname with
+      | Some { runs = Builtins.Pure e; _ } -> Pure e
+      | Some { runs = Builtins.Engine _; _ } when fname = "now" -> Now
+      | Some { runs = Builtins.Engine f; _ } -> Host_bound f
+      | Some { runs = Builtins.Soil; _ } | None -> Dynamic)
 
 let rec numeric_shaped ctx scope (e : Ast.expr) =
   match e with

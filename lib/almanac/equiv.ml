@@ -529,7 +529,7 @@ let check_state vx (st : Ast.state_decl) : Diagnostic.t list =
 (* ------------------------------------------------------------------ *)
 
 let verify_plan ?(budget = default_budget)
-    ?(host_builtins = Host.default_builtins) ~(funcs : Ast.func_decl list)
+    ?(host_builtins = Builtins.soil_effects) ~(funcs : Ast.func_decl list)
     ~(machine : Ast.machine) ~(plan : Compile.plan) () : Diagnostic.t list =
   let m = machine in
   let hooks_i =

@@ -15,7 +15,7 @@
 
 (** Validate a compile plan against the (resolved) machine AST it was
     compiled from.  [funcs] are the program-level auxiliary functions;
-    [host_builtins] defaults to {!Host.default_builtins}.  Exposed
+    [host_builtins] defaults to {!Builtins.soil_effects}.  Exposed
     separately so tests can corrupt a plan and prove the divergence is
     caught. *)
 val verify_plan :

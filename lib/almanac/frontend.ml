@@ -9,7 +9,7 @@ let load ?extra source =
 (* B201: per machine, the util envelope against the subscriptions' CPU
    floor.  Machines whose polls or utils do not analyze are left to the
    passes that report them. *)
-let bounds ~file ~externals (p : Ast.program) =
+let bounds ~model ~file ~externals (p : Ast.program) =
   List.concat_map
     (fun (m : Ast.machine) ->
       let bindings = Analysis.deploy_bindings ~externals m in
@@ -25,10 +25,10 @@ let bounds ~file ~externals (p : Ast.program) =
                     | Error _ -> None))
               m.states
           in
-          Bounds.cross_check ~file ~machine:m ~polls ~state_utils ())
+          Bounds.cross_check ~model ~file ~machine:m ~polls ~state_utils ())
     p.machines
 
-let lint ~file ?extra ?(externals = []) source =
+let lint ~model ~file ?extra ?(externals = []) source =
   match load ?extra source with
   | Error ds -> (Diagnostic.with_file file ds, None)
   | Ok p ->
@@ -36,10 +36,10 @@ let lint ~file ?extra ?(externals = []) source =
         List.map (fun (m, vs) -> (m, List.map fst vs)) externals
       in
       let lint = Lint.check_program ~file ~externals:bound_names p in
-      (Diagnostic.sort (lint @ bounds ~file ~externals p), Some p)
+      (Diagnostic.sort (lint @ bounds ~model ~file ~externals p), Some p)
 
 let verify ?budget ?(host_builtins = []) program =
-  let host_builtins = Host.default_builtins @ host_builtins in
+  let host_builtins = Builtins.soil_effects @ host_builtins in
   let equiv = Equiv.verify_program ?budget ~host_builtins ~program () in
   let reach = Reach.analyze_program ?budget ~host_builtins ~program () in
   (equiv @ List.concat_map (fun (r : Reach.result) -> r.diags) reach, reach)

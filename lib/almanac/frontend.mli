@@ -12,11 +12,12 @@ val load :
   (Ast.program, Diagnostic.t list) result
 
 (** [farmc lint] on one program: load errors, or the lint pass plus the
-    per-machine resource-bound cross-check ([B201]), sorted and stamped
-    with [file].  [externals] are the deployment bindings per machine.
+    per-machine resource-bound cross-check ([B201]) under [model], sorted
+    and stamped with [file].  [externals] are the deployment bindings per machine.
     The program is returned when it loaded, for cross-task conflict
     checks. *)
 val lint :
+  model:Bounds.cost_model ->
   file:string ->
   ?extra:(string * Typecheck.func_sig) list ->
   ?externals:(string * (string * Value.t) list) list ->
@@ -25,7 +26,7 @@ val lint :
 
 (** Symbolic verification of a type-checked program: translation
     validation ({!Equiv}, [V401]/[V402]) and reachability ({!Reach},
-    [V403]/[V404]), assuming {!Host.default_builtins} plus
+    [V403]/[V404]), assuming {!Builtins.soil_effects} plus
     [host_builtins].  Returns the diagnostics and the reachability
     results that upgrade the lint verdicts. *)
 val verify :

@@ -26,11 +26,6 @@ type host = {
   h_trace : (string -> string -> unit) option;
 }
 
-(* Host functions every deployment serves (soil's TCAM access and [exec]);
-   the symbolic passes treat calls to them as opaque effects. *)
-let default_builtins =
-  [ "addTCAMRule"; "removeTCAMRule"; "getTCAMRule"; "exec" ]
-
 let null_host =
   { h_now = (fun () -> 0.);
     h_resources = (fun () -> Array.make Analysis.n_resources 1.);

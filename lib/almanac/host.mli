@@ -40,10 +40,5 @@ type host = {
           [Some] to the engine's simulation-time trace sink. *)
 }
 
-(** Names of the host functions every deployment serves ([addTCAMRule],
-    [removeTCAMRule], [getTCAMRule], [exec]).  {!Equiv} and {!Reach}
-    assume them by default; tasks registering more extend the list. *)
-val default_builtins : string list
-
 (** A do-nothing host for pure tests. *)
 val null_host : host

@@ -1,33 +1,9 @@
-(* The host interface and the pure built-ins live in {!Host} and
-   {!Builtins}, shared with the compiled engine; re-export them here so
-   existing users of [Interp.host] / [Interp.Runtime_error] keep working. *)
-
-exception Runtime_error = Host.Runtime_error
-
-let fail = Host.fail
-
-type source = Host.source = From_harvester | From_machine of string
-
-type target = Host.target = To_harvester | To_machine of string * int option
-
-type host = Host.host = {
-  h_now : unit -> float;
-  h_resources : unit -> float array;
-  h_send : target -> Value.t -> unit;
-  h_set_trigger : string -> Ast.trigger_type -> Value.t -> unit;
-  h_builtin : string -> (Value.t list -> Value.t) option;
-  h_on_transit : string -> string -> unit;
-  h_log : string -> unit;
-  h_trace : (string -> string -> unit) option;
-}
-
-let null_host = Host.null_host
+open Host
 
 type t = {
   m : Ast.machine;
   funcs : (string, Ast.func_decl) Hashtbl.t;
   host : host;
-  builtins : (string, Value.t list -> Value.t) Hashtbl.t;
   globals : (string, Value.t) Hashtbl.t;
   trigger_types : (string, Ast.trigger_type) Hashtbl.t;
   mutable state : string;
@@ -75,8 +51,6 @@ let assign t (frames : frame list) name v =
 (* ------------------------------------------------------------------ *)
 
 let num f = Value.Num f
-
-exception Return_exc = Host.Return_exc
 
 let rec eval t frames (e : Ast.expr) : Value.t =
   match e with
@@ -126,9 +100,11 @@ and call t frames fname args =
       match Hashtbl.find_opt t.funcs fname with
       | Some fd -> call_almanac t fd argv
       | None -> (
-          match Hashtbl.find_opt t.builtins fname with
-          | Some f -> f argv
-          | None -> fail "unknown function %s" fname))
+          match Builtins.find fname with
+          | Some { runs = Builtins.Pure e; _ } -> e.call argv
+          | Some { runs = Builtins.Engine f; _ } -> f t.host argv
+          | Some { runs = Builtins.Soil; _ } | None ->
+              fail "unknown function %s" fname))
 
 and call_almanac t (fd : Ast.func_decl) argv =
   if List.length fd.fparams <> List.length argv then
@@ -272,8 +248,7 @@ let create ?(externals = []) ~program ~machine host =
     (fun (f : Ast.func_decl) -> Hashtbl.replace funcs f.fname f)
     program.funcs;
   let t =
-    { m; funcs; host; builtins = Builtins.table host;
-      globals = Hashtbl.create 16;
+    { m; funcs; host; globals = Hashtbl.create 16;
       trigger_types = Hashtbl.create 4;
       state =
         (match m.states with

@@ -1,43 +1,9 @@
 (** Interpreter for Almanac machines — the execution core of a seed.
 
     The interpreter is host-agnostic: every effect (time, resources,
-    messaging, TCAM access, polling-rate changes) goes through a {!host}
+    messaging, TCAM access, polling-rate changes) goes through a {!Host.host}
     record.  The FARM runtime wires the host to a soil on a simulated
     switch; tests can wire it to stubs. *)
-
-(** The host interface is shared with the compiled engine ({!Exec}); the
-    definitions live in {!Host} and are re-exported here by equation so
-    [Interp.host] and [Host.host] are the same type, and
-    [Interp.Runtime_error] is {!Host.Runtime_error}. *)
-
-exception Runtime_error of string
-
-(** Where a received message came from (pattern-matched by [recv]). *)
-type source = Host.source = From_harvester | From_machine of string
-
-(** A resolved [send] destination: the interpreter evaluates any [@dst]
-    expression before handing the message to the host. *)
-type target = Host.target = To_harvester | To_machine of string * int option
-
-type host = Host.host = {
-  h_now : unit -> float;
-  h_resources : unit -> float array;
-      (** allocated resources, indexed per {!Analysis.resource_index} *)
-  h_send : target -> Value.t -> unit;
-  h_set_trigger : string -> Ast.trigger_type -> Value.t -> unit;
-      (** trigger variable reassigned at runtime (new struct or bare
-          period); the host reschedules polling *)
-  h_builtin : string -> (Value.t list -> Value.t) option;
-      (** host-provided auxiliary functions; consulted before the pure
-          built-ins *)
-  h_on_transit : string -> string -> unit;  (** old state, new state *)
-  h_log : string -> unit;
-  h_trace : (string -> string -> unit) option;
-      (** trigger-dispatch observability hook; see {!Host.host} *)
-}
-
-(** A do-nothing host for pure tests. *)
-val null_host : host
 
 type t
 
@@ -49,7 +15,7 @@ val create :
   ?externals:(string * Value.t) list ->
   program:Ast.program ->
   machine:string ->
-  host ->
+  Host.host ->
   t
 
 val machine : t -> Ast.machine
@@ -71,7 +37,7 @@ val fire_trigger : t -> string -> Value.t -> unit
 val prepare_trigger : t -> string -> Value.t -> unit
 
 (** Deliver a message; [true] when some [recv] event consumed it. *)
-val deliver : t -> from:source -> Value.t -> bool
+val deliver : t -> from:Host.source -> Value.t -> bool
 
 (** Resource reallocation notification (placement re-optimized). *)
 val realloc : t -> unit

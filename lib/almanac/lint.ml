@@ -96,37 +96,15 @@ let machine_uses (m : Ast.machine) =
 (* Transit structure                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let transit_target (e : Ast.expr) =
-  match e with Ast.Var s | Ast.String s -> Some s | _ -> None
+(* All transit targets anywhere in the bodies of some events. *)
+let transit_targets (evs : Ast.event list) =
+  List.concat_map
+    (fun (ev : Ast.event) ->
+      List.filter_map snd (Semantics.body_transits ev.body))
+    evs
 
-(* All transit targets anywhere in a statement list. *)
-let rec transits acc (ss : Ast.stmt list) =
-  List.fold_left
-    (fun acc s ->
-      match s.Ast.sk with
-      | Ast.Transit e -> (
-          match transit_target e with Some t -> t :: acc | None -> acc)
-      | Ast.If (_, t, f) -> transits (transits acc t) f
-      | Ast.While (_, b) -> transits acc b
-      | Ast.Decl _ | Ast.Assign _ | Ast.Return _ | Ast.Send _
-      | Ast.ExprStmt _ ->
-          acc)
-    acc ss
-
-let has_transit ss = transits [] ss <> []
-
-(* Source positions of every transit site (for reach-backed L102). *)
-let rec transit_sites acc (ss : Ast.stmt list) =
-  List.fold_left
-    (fun acc s ->
-      match s.Ast.sk with
-      | Ast.Transit _ -> s.Ast.sloc :: acc
-      | Ast.If (_, t, f) -> transit_sites (transit_sites acc t) f
-      | Ast.While (_, b) -> transit_sites acc b
-      | Ast.Decl _ | Ast.Assign _ | Ast.Return _ | Ast.Send _
-      | Ast.ExprStmt _ ->
-          acc)
-    acc ss
+let has_transit ss =
+  List.exists (fun (_, t) -> t <> None) (Semantics.body_transits ss)
 
 (* ------------------------------------------------------------------ *)
 (* L101 unreachable states                                             *)
@@ -138,12 +116,9 @@ let check_reachability ~diag (m : Ast.machine) =
   | initial :: _ ->
       (* machine-level handlers run in every state, so their transits are
          edges out of every reachable state *)
-      let global_targets =
-        List.fold_left (fun acc ev -> transits acc ev.Ast.body) [] m.mevents
-      in
+      let global_targets = transit_targets m.mevents in
       let targets_of (s : Ast.state_decl) =
-        List.fold_left (fun acc ev -> transits acc ev.Ast.body)
-          global_targets s.sevents
+        transit_targets s.sevents @ global_targets
       in
       let reachable = Hashtbl.create 8 in
       let rec visit name =
@@ -280,7 +255,7 @@ let enter_transit (m : Ast.machine) (s : Ast.state_decl) =
       (fun acc (st : Ast.stmt) ->
         match st.Ast.sk with
         | Ast.Transit e -> (
-            match transit_target e with
+            match Semantics.transit_target e with
             | Some t -> Some (t, st.Ast.sloc)
             | None -> acc)
         | _ -> acc)
@@ -362,7 +337,7 @@ let reach_dead_transits ~diag (r : Reach.result) (m : Ast.machine) =
                 execution (its pending target is unreachable, infeasible \
                 or always overwritten)"
                m.mname))
-      (transit_sites [] ss)
+      (List.rev_map fst (Semantics.body_transits ss))
   in
   List.iter (fun (ev : Ast.event) -> check ev.Ast.body) m.mevents;
   List.iter

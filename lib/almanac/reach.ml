@@ -98,8 +98,6 @@ let rec aeval (env : string -> aval) (s : sym) : aval =
   match s with
   | Con v -> aval_of_value v
   | Svar (n, _) -> env n
-  | Sapp (("size" | "stats_size" | "hash" | "abs"), _) -> anum 0. infinity
-  | Sapp ("index_of", _) -> anum (-1.) infinity
   | Sunop (Ast.Neg, a) -> (
       match aeval env a with
       | Anum (l, h) -> Anum (-.h, -.l)
@@ -132,7 +130,11 @@ let rec aeval (env : string -> aval) (s : sym) : aval =
           | Some false, Some false -> Abool (Some false)
           | _ -> Abool None)
       | _ -> Atop)
-  | Sfield _ | Sapp _ | Sopaque _ | Slist _ | Sstats _ | Sstruct _ -> Atop
+  | Sapp (f, _) -> (
+      match Builtins.find f with
+      | Some { at_least = Some lo; _ } -> anum lo infinity
+      | _ -> Atop)
+  | Sfield _ | Sopaque _ | Slist _ | Sstats _ | Sstruct _ -> Atop
 
 (* ------------------------------------------------------------------ *)
 (* Path-condition refinement                                           *)
@@ -302,19 +304,6 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Syntactic helpers                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let transit_target = function
-  | Ast.Var s | Ast.String s -> Some s
-  | _ -> None
-
-let rec stmt_transits (s : Ast.stmt) =
-  match s.Ast.sk with
-  | Ast.Transit e -> [ (s.Ast.sloc, transit_target e) ]
-  | Ast.If (_, a, b) -> List.concat_map stmt_transits (a @ b)
-  | Ast.While (_, b) -> List.concat_map stmt_transits b
-  | _ -> []
-
-let body_transits body = List.concat_map stmt_transits body
 
 (* Every dispatch a state can run besides enter/exit, labelled, in
    event order: the events of each trigger key, and each recv arm that
@@ -532,7 +521,7 @@ let handle_unknown acc (st : Ast.state_decl) (events : Ast.event list)
               List.iter
                 (fun (n, _) -> enqueue_enter acc n (globals_only top))
                 acc.ac_states)
-        (body_transits ev.body))
+        (Semantics.body_transits ev.body))
     events
 
 (* Flow one feasible, transiting path into its target state: exit
@@ -789,7 +778,7 @@ let find_livelock acc : string list option =
 (* ------------------------------------------------------------------ *)
 
 let analyze ?(budget = default_budget)
-    ?(host_builtins = Host.default_builtins) ~(funcs : Ast.func_decl list)
+    ?(host_builtins = Builtins.soil_effects) ~(funcs : Ast.func_decl list)
     ~(machine : Ast.machine) () : result =
   let m = machine in
   let hooks =

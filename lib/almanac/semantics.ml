@@ -155,3 +155,20 @@ let live_recv_arms m st =
         else arm :: go (arm :: earlier) rest
   in
   go [] (recv_arms m st)
+
+(* ------------------------------------------------------------------ *)
+(* Transits                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let transit_target = function
+  | Ast.Var s | Ast.String s -> Some s
+  | _ -> None
+
+let rec stmt_transits (s : Ast.stmt) =
+  match s.Ast.sk with
+  | Ast.Transit e -> [ (s.Ast.sloc, transit_target e) ]
+  | Ast.If (_, a, b) -> List.concat_map stmt_transits (a @ b)
+  | Ast.While (_, b) -> List.concat_map stmt_transits b
+  | _ -> []
+
+let body_transits body = List.concat_map stmt_transits body

@@ -79,3 +79,13 @@ val live_recv_arms :
 
 (** ["harvester"] or the machine name. *)
 val source_name : Ast.dest -> string
+
+(** {2 Transits} *)
+
+(** The state a [transit] names: a bare state name or a string literal;
+    [None] for any other expression. *)
+val transit_target : Ast.expr -> string option
+
+(** Every [transit] in a statement list, nested ones included, in
+    program order: its site and {!transit_target}. *)
+val body_transits : Ast.stmt list -> (Ast.pos * string option) list

@@ -149,9 +149,10 @@ let iv_meet a b =
 
 (* A-priori range facts about uninterpreted terms. *)
 let term_fact = function
-  | Sapp (("size" | "stats_size" | "hash" | "abs"), _) ->
-      { iv_full with lo = 0. }
-  | Sapp ("index_of", _) -> { iv_full with lo = -1. }
+  | Sapp (f, _) -> (
+      match Builtins.find f with
+      | Some { at_least = Some lo; _ } -> { iv_full with lo }
+      | _ -> iv_full)
   | _ -> iv_full
 
 (* Decompose a comparison atom into (term, op, constant); the comparison
@@ -639,25 +640,6 @@ let fork_bool ctx p t : (path * bool) list =
 (* Concrete folding helpers                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Pure builtins we may fold concretely (no host access). *)
-let foldable =
-  [ "min"; "max"; "size"; "is_list_empty"; "append"; "nth"; "contains_elem";
-    "remove_elem"; "index_of"; "set_nth"; "stat"; "stats_size"; "stats_sum";
-    "drop_action"; "count_action"; "rate_limit_action"; "qos_action";
-    "mkRule"; "str"; "str_contains"; "floor"; "abs"; "log2"; "hash" ]
-
-let pure_table = lazy (Builtins.table Host.null_host)
-
-let is_pure_builtin name = List.mem name foldable
-
-(* Pure builtins resolvable through the engines' builtin table but not
-   foldable (their value depends on the deployment host); they are
-   assumed stable within one handler firing. *)
-let opaque_pure = [ "now"; "res"; "self_switch" ]
-
-(* Builtin-table names with observable side effects. *)
-let effectful_builtin = [ "log" ]
-
 let num f = Value.Num f
 
 (* ------------------------------------------------------------------ *)
@@ -805,15 +787,18 @@ and eval_call ctx p fname args : (path * sym) list =
       else
         match user_func ctx fname with
         | Some f -> inline_func ctx p fname f argv
-        | None ->
-            if String.equal fname "assert" then eval_assert ctx p argv
-            else if List.mem fname opaque_pure then [ (p, Sapp (fname, argv)) ]
-            else if List.mem fname effectful_builtin then
-              [ ( { p with effects = Ecall (fname, argv) :: p.effects },
-                  unit_s ) ]
-            else if is_pure_builtin fname then eval_pure ctx p fname argv
-            else
-              [ (perr p (Printf.sprintf "unknown function %s" fname), unit_s) ])
+        | None -> (
+            match Builtins.find fname with
+            | Some { runs = Builtins.Pure e; _ } ->
+                if String.equal fname "assert" then eval_assert ctx p argv
+                else eval_pure p fname e argv
+            (* stable within one firing: an uninterpreted term *)
+            | Some { stable = true; _ } -> [ (p, Sapp (fname, argv)) ]
+            | Some { runs = Builtins.Engine _; _ } ->
+                [ ( { p with effects = Ecall (fname, argv) :: p.effects },
+                    unit_s ) ]
+            | Some { runs = Builtins.Soil; _ } | None ->
+                [ (perr p (Printf.sprintf "unknown function %s" fname), unit_s) ]))
     (eval_args ctx p args)
 
 and user_func ctx fname =
@@ -836,15 +821,13 @@ and eval_assert ctx p argv : (path * sym) list =
         (fork_bool ctx p s)
   | _ -> [ (perr p "expected 1 argument", unit_s) ]
 
-and eval_pure ctx p fname argv : (path * sym) list =
-  ignore ctx;
+and eval_pure p fname (e : Builtins.entry) argv : (path * sym) list =
   let all_concrete =
     List.for_all (function Con _ -> true | _ -> false) argv
   in
   if all_concrete then
     let vals = List.map (function Con v -> v | _ -> assert false) argv in
-    let f = Hashtbl.find (Lazy.force pure_table) fname in
-    [ catch_conc p (fun () -> Con (f vals)) ]
+    [ catch_conc p (fun () -> Con (e.call vals)) ]
   else
     (* structural folds over known spines keep loops over lists/stats
        concrete; everything else stays uninterpreted *)
@@ -1276,11 +1259,9 @@ let rec eval_sym (lookup : string -> Value.t) (s : sym) : Value.t =
   | Sfield (b, f) -> Value.field (eval_sym lookup b) f
   | Sapp (f, args) -> (
       let argv = List.map (eval_sym lookup) args in
-      if not (is_pure_builtin f) then fail "eval_sym: opaque builtin %s" f
-      else
-        match Hashtbl.find_opt (Lazy.force pure_table) f with
-        | Some fn -> fn argv
-        | None -> fail "eval_sym: unknown builtin %s" f)
+      match Builtins.find f with
+      | Some { runs = Builtins.Pure e; _ } -> e.call argv
+      | _ -> fail "eval_sym: opaque builtin %s" f)
   | Sopaque (f, i) -> fail "eval_sym: opaque call %s#%d" f i
   | Sunop (op, a) -> Semantics.unop op (eval_sym lookup a)
   | Sbinop (op, a, b) ->

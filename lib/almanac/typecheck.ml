@@ -22,51 +22,12 @@ let failc code fmt =
 (* Generic type error; the more specific T-codes use [failc]. *)
 let fail fmt = failc "T001" fmt
 
-type sigty = Any | Numeric | Ty of Ast.typ
+type sigty = Builtins.sigty = Any | Numeric | Ty of Ast.typ
 
-type func_sig = { args : sigty list; ret : sigty }
+type func_sig = Builtins.func_sig = { args : sigty list; ret : sigty }
 
 let builtin_signatures =
-  [ (* runtime library, List. 1 *)
-    ("res", { args = []; ret = Ty Ast.Tresources });
-    ("addTCAMRule", { args = [ Ty Ast.Trule ]; ret = Ty Ast.Tunit });
-    ("removeTCAMRule", { args = [ Ty Ast.Tfilter ]; ret = Ty Ast.Tunit });
-    ("getTCAMRule", { args = [ Ty Ast.Tfilter ]; ret = Ty Ast.Trule });
-    ("exec", { args = [ Ty Ast.Tstring ]; ret = Numeric });
-    ("min", { args = [ Numeric; Numeric ]; ret = Numeric });
-    ("max", { args = [ Numeric; Numeric ]; ret = Numeric });
-    (* list helpers *)
-    ("size", { args = [ Ty Ast.Tlist ]; ret = Numeric });
-    ("is_list_empty", { args = [ Ty Ast.Tlist ]; ret = Ty Ast.Tbool });
-    ("append", { args = [ Ty Ast.Tlist; Any ]; ret = Ty Ast.Tlist });
-    ("nth", { args = [ Ty Ast.Tlist; Numeric ]; ret = Any });
-    ("contains_elem", { args = [ Ty Ast.Tlist; Any ]; ret = Ty Ast.Tbool });
-    ("remove_elem", { args = [ Ty Ast.Tlist; Any ]; ret = Ty Ast.Tlist });
-    ("index_of", { args = [ Ty Ast.Tlist; Any ]; ret = Numeric });
-    ("set_nth", { args = [ Ty Ast.Tlist; Numeric; Any ]; ret = Ty Ast.Tlist });
-    (* stats helpers *)
-    ("stat", { args = [ Ty Ast.Tstats; Numeric ]; ret = Numeric });
-    ("stats_size", { args = [ Ty Ast.Tstats ]; ret = Numeric });
-    ("stats_sum", { args = [ Ty Ast.Tstats ]; ret = Numeric });
-    (* actions *)
-    ("drop_action", { args = []; ret = Ty Ast.Taction });
-    ("rate_limit_action", { args = [ Numeric ]; ret = Ty Ast.Taction });
-    ("qos_action", { args = [ Numeric ]; ret = Ty Ast.Taction });
-    ("count_action", { args = []; ret = Ty Ast.Taction });
-    ("mkRule", { args = [ Ty Ast.Tfilter; Any ]; ret = Ty Ast.Trule });
-    (* misc *)
-    ("now", { args = []; ret = Numeric });
-    ("log", { args = [ Any ]; ret = Ty Ast.Tunit });
-    ("str", { args = [ Any ]; ret = Ty Ast.Tstring });
-    ("str_contains", { args = [ Ty Ast.Tstring; Ty Ast.Tstring ];
-                       ret = Ty Ast.Tbool });
-    ("floor", { args = [ Numeric ]; ret = Numeric });
-    ("abs", { args = [ Numeric ]; ret = Numeric });
-    ("log2", { args = [ Numeric ]; ret = Numeric });
-    ("hash", { args = [ Any ]; ret = Numeric });
-    ("self_switch", { args = []; ret = Numeric });
-    (* user invariants, checked at runtime and proved by [Reach] *)
-    ("assert", { args = [ Ty Ast.Tbool ]; ret = Ty Ast.Tunit }) ]
+  List.map (fun (r : Builtins.row) -> (r.name, r.signature)) Builtins.catalogue
 
 (* ------------------------------------------------------------------ *)
 (* Inheritance resolution                                              *)
@@ -648,11 +609,6 @@ let check ?extra (p : Ast.program) =
     List.iter (check_machine funcs) machines;
     { p with machines }
   with Error_diag d -> raise (Error d.Diagnostic.message)
-
-let check_result ?extra p =
-  match check ?extra p with
-  | p -> Ok p
-  | exception Error m -> Result.Error m
 
 (* Multi-error variant: one diagnostic per failing function/machine (the
    checker still stops at the first error within each). *)

@@ -17,18 +17,16 @@ exception Error of string
 exception Error_diag of Diagnostic.t
 (** Structured variant of {!Error} with a stable [T0xx] code and the
     position of the failing declaration or statement; raised by the
-    internals, converted by {!check}/{!check_result}. *)
+    internals, converted by {!check}/{!check_diags}. *)
 
-(** Argument/return types for builtin and auxiliary function signatures. *)
-type sigty =
+(** Argument/return types for builtin and auxiliary function signatures;
+    the built-ins' own signatures are their {!Builtins.catalogue} rows. *)
+type sigty = Builtins.sigty =
   | Any
   | Numeric  (** int / long / float *)
   | Ty of Ast.typ
 
-type func_sig = { args : sigty list; ret : sigty }
-
-(** The soil runtime library (List. 1) plus list/stats helpers. *)
-val builtin_signatures : (string * func_sig) list
+type func_sig = Builtins.func_sig = { args : sigty list; ret : sigty }
 
 (** [check ?extra program] type-checks and returns the program with
     machine inheritance resolved.  [extra] adds signatures for
@@ -36,18 +34,9 @@ val builtin_signatures : (string * func_sig) list
 val check :
   ?extra:(string * func_sig) list -> Ast.program -> Ast.program
 
-(** Like {!check} but returning the error message. *)
-val check_result :
-  ?extra:(string * func_sig) list ->
-  Ast.program ->
-  (Ast.program, string) result
-
 (** Like {!check} but accumulating positioned diagnostics — one per
     failing function/machine — instead of stopping at the first. *)
 val check_diags :
   ?extra:(string * func_sig) list ->
   Ast.program ->
   (Ast.program, Diagnostic.t list) result
-
-(** Flatten inheritance only (no type checking) — exposed for tests. *)
-val resolve_inheritance : Ast.machine list -> Ast.machine list

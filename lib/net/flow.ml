@@ -2,6 +2,12 @@ type proto = Tcp | Udp | Icmp
 
 let proto_to_string = function Tcp -> "tcp" | Udp -> "udp" | Icmp -> "icmp"
 
+let proto_of_string = function
+  | "tcp" -> Some Tcp
+  | "udp" -> Some Udp
+  | "icmp" -> Some Icmp
+  | _ -> None
+
 type five_tuple = {
   src : Ipaddr.t;
   dst : Ipaddr.t;

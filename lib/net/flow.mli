@@ -4,6 +4,7 @@
 type proto = Tcp | Udp | Icmp
 
 val proto_to_string : proto -> string
+val proto_of_string : string -> proto option
 
 type five_tuple = {
   src : Ipaddr.t;

@@ -120,7 +120,7 @@ let overlap f g =
    (external variables, auxiliary calls) are conservatively affecting. *)
 let action_affecting (e : Ast.expr) =
   match e with
-  | Ast.Call (("qos_action" | "mirror_action" | "count_action"), _) -> false
+  | Ast.Call (("qos_action" | "count_action"), _) -> false
   | _ -> true
 
 let rec expr_rule_sites ~bindings ~machine ~pos acc (e : Ast.expr) =

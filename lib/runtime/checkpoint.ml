@@ -35,16 +35,10 @@ let bool_of_attr = function
 (* Filters                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let proto_attr = function
-  | Flow.Tcp -> "tcp"
-  | Flow.Udp -> "udp"
-  | Flow.Icmp -> "icmp"
-
-let proto_of_attr = function
-  | "tcp" -> Flow.Tcp
-  | "udp" -> Flow.Udp
-  | "icmp" -> Flow.Icmp
-  | s -> fail "bad proto %S" s
+let proto_of_attr s =
+  match Flow.proto_of_string s with
+  | Some p -> p
+  | None -> fail "bad proto %S" s
 
 let atom_to_xml (a : Filter.atom) =
   let leaf ?v name =
@@ -57,7 +51,7 @@ let atom_to_xml (a : Filter.atom) =
   | Filter.Src_port p -> leaf ~v:(string_of_int p) "srcport"
   | Filter.Dst_port p -> leaf ~v:(string_of_int p) "dstport"
   | Filter.Port p -> leaf ~v:(string_of_int p) "port"
-  | Filter.Proto p -> leaf ~v:(proto_attr p) "proto"
+  | Filter.Proto p -> leaf ~v:(Flow.proto_to_string p) "proto"
   | Filter.Any -> leaf "anyatom"
 
 let atom_of_xml x =
@@ -144,7 +138,7 @@ let packet_to_xml (p : Flow.packet) =
         ("dst", Ipaddr.to_string p.tuple.dst);
         ("sport", string_of_int p.tuple.sport);
         ("dport", string_of_int p.tuple.dport);
-        ("proto", proto_attr p.tuple.proto);
+        ("proto", Flow.proto_to_string p.tuple.proto);
         ("size", string_of_int p.size);
         ("syn", bool_attr p.flags.syn);
         ("ack", bool_attr p.flags.ack);

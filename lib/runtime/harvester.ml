@@ -142,13 +142,10 @@ let shed_check t p =
     false
   end
 
-let handle ?provenance t ~from_switch v =
+let handle ~provenance:p t ~from_switch v =
   t.n_offered <- t.n_offered + 1;
-  let accept = match provenance with None -> true | Some p -> admit t p in
-  let shed =
-    accept
-    && match provenance with Some p -> shed_check t p | None -> false
-  in
+  let accept = admit t p in
+  let shed = accept && shed_check t p in
   let accept = accept && not shed in
   (match t.tracer with
   | None -> ()
@@ -164,9 +161,7 @@ let handle ?provenance t ~from_switch v =
         ~tid:from_switch)
   ;
   if accept then begin
-    (match provenance with
-    | Some p -> t.prov_log <- (t.ctx.now (), p) :: t.prov_log
-    | None -> ());
+    t.prov_log <- (t.ctx.now (), p) :: t.prov_log;
     t.log <- (t.ctx.now (), from_switch, v) :: t.log;
     t.n_received <- t.n_received + 1;
     t.spec.on_message t.ctx ~from_switch v

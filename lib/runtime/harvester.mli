@@ -81,11 +81,11 @@ type provenance = { p_seed : int; p_epoch : int; p_seq : int }
     corrupt task state.  Fences only move forward. *)
 val fence : t -> seed_id:int -> epoch:int -> unit
 
-(** Called by the runtime when a seed message arrives.  With [provenance],
+(** Called by the runtime when a seed message arrives.  By [provenance],
     stale-epoch reports are dropped and (epoch, seq) duplicates — control
     retransmissions, ctrl-dup faults — are suppressed, making delivery
-    exactly-once; without it the message is accepted unconditionally. *)
-val handle : ?provenance:provenance -> t -> from_switch:int -> Value.t -> unit
+    exactly-once. *)
+val handle : provenance:provenance -> t -> from_switch:int -> Value.t -> unit
 
 (** All messages received so far, most recent first:
     (arrival time, source switch, value). *)

@@ -1,6 +1,6 @@
 module Value = Farm_almanac.Value
 module Ast = Farm_almanac.Ast
-module Interp = Farm_almanac.Interp
+module Host = Farm_almanac.Host
 module Aengine = Farm_almanac.Engine
 module Analysis = Farm_almanac.Analysis
 module Filter = Farm_net.Filter
@@ -28,7 +28,7 @@ type t = {
          degradation gauge pins only it, not the whole instance *)
   mutable poll_drops : int;  (* polls the soil dropped/shed on us *)
   mutable last_drop_backoff : float;  (* throttles drop-triggered MD *)
-  send : t -> Interp.target -> Value.t -> unit;  (* wired by the seeder *)
+  send : t -> Host.target -> Value.t -> unit;  (* wired by the seeder *)
 }
 
 let seed_id t = t.sid
@@ -132,7 +132,7 @@ let set_rate_scale t scale =
         Trace.arg_f tr (Trace.label tr "depth") (1. -. scale));
     (* tell the harvester, so global logic can compensate for the
        reduced fidelity *)
-    t.send t Interp.To_harvester
+    t.send t Host.To_harvester
       (Value.Struct
          ( "Degraded",
            [ ("seed", Value.Num (float_of_int t.sid));
@@ -203,6 +203,47 @@ let value_of_installed (e : Tcam.installed) =
         ("bytes", Value.Num (Tcam.bytes e));
         ("packets", Value.Num (Tcam.packets e)) ] )
 
+(* The built-in catalogue's [Soil] rows, served by this soil; a task's
+   [builtins] override them. *)
+let soil_builtin soil = function
+  | "addTCAMRule" ->
+      Some
+        (function
+        | [ rule ] ->
+            (* a full TCAM refuses the rule silently *)
+            ignore (Soil.add_tcam_rule soil (rule_of_value rule));
+            Value.Unit
+        | _ -> raise (Value.Type_error "addTCAMRule: 1 argument"))
+  | "removeTCAMRule" ->
+      Some
+        (function
+        | [ Value.FilterV pattern ] ->
+            ignore (Soil.remove_tcam_rule soil ~pattern);
+            Value.Unit
+        | _ -> raise (Value.Type_error "removeTCAMRule: filter"))
+  | "getTCAMRule" ->
+      Some
+        (function
+        | [ Value.FilterV pattern ] -> (
+            match Soil.get_tcam_rule soil ~pattern with
+            | Some e -> value_of_installed e
+            | None ->
+                Value.Struct
+                  ( "Rule",
+                    [ ("pattern", Value.FilterV Filter.False);
+                      ("act", Value.Action Tcam.Count) ] ))
+        | _ -> raise (Value.Type_error "getTCAMRule: filter"))
+  | "exec" ->
+      (* running external code burns switch CPU *)
+      Some
+        (fun args ->
+          let cmd = match args with [ Value.Str s ] -> s | _ -> "" in
+          Soil.charge_cpu soil (Farm_almanac.Builtins.exec_cost cmd);
+          Value.Num 1.)
+  | "self_switch" ->
+      Some (fun _ -> Value.Num (float_of_int (Soil.node_id soil)))
+  | _ -> None
+
 let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
     ?(epoch = 0) ?(adaptive = []) ~resources ~polls ~send ~seed_id () =
   (* at unlimited soil limits no pressure tick ever comes and no interval
@@ -217,7 +258,7 @@ let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
       send }
   in
   let host =
-    { Interp.h_now = (fun () -> Soil.now soil);
+    { Host.h_now = (fun () -> Soil.now soil);
       h_resources = (fun () -> t.res);
       h_send = (fun target v -> if t.alive then send t target v);
       h_set_trigger = (fun name tt v -> on_set_trigger t name tt v);
@@ -225,66 +266,7 @@ let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
         (fun name ->
           match List.assoc_opt name builtins with
           | Some f -> Some f
-          | None -> (
-              match name with
-              | "addTCAMRule" ->
-                  Some
-                    (fun args ->
-                      match args with
-                      | [ rule ] -> (
-                          match Soil.add_tcam_rule soil (rule_of_value rule) with
-                          | Ok () -> Value.Unit
-                          | Error `Full -> Value.Unit)
-                      | _ -> raise (Value.Type_error "addTCAMRule: 1 argument"))
-              | "removeTCAMRule" ->
-                  Some
-                    (fun args ->
-                      match args with
-                      | [ Value.FilterV pattern ] ->
-                          ignore (Soil.remove_tcam_rule soil ~pattern);
-                          Value.Unit
-                      | _ ->
-                          raise (Value.Type_error "removeTCAMRule: filter"))
-              | "getTCAMRule" ->
-                  Some
-                    (fun args ->
-                      match args with
-                      | [ Value.FilterV pattern ] -> (
-                          match Soil.get_tcam_rule soil ~pattern with
-                          | Some e -> value_of_installed e
-                          | None ->
-                              Value.Struct
-                                ("Rule",
-                                 [ ("pattern", Value.FilterV Filter.False);
-                                   ("act", Value.Action Tcam.Count) ]))
-                      | _ -> raise (Value.Type_error "getTCAMRule: filter"))
-              | "exec" ->
-                  (* Running external code burns switch CPU.  The command
-                     "svr N" models the paper's support-vector-regression
-                     seed: N matrix-multiplication iterations at ~60 us of
-                     management-CPU each (calibrated so 50 parallel 1 ms
-                     seeds offer ~3.5 cores, Fig. 6c).  Other commands cost
-                     a flat 1 ms; tasks can override via [builtins]. *)
-                  Some
-                    (fun args ->
-                      let cmd =
-                        match args with
-                        | [ Value.Str s ] -> s
-                        | _ -> ""
-                      in
-                      let cost =
-                        match String.split_on_char ' ' cmd with
-                        | [ "svr"; n ] -> (
-                            match int_of_string_opt n with
-                            | Some n -> float_of_int n *. 60e-6
-                            | None -> 1e-3)
-                        | _ -> 1e-3
-                      in
-                      Soil.charge_cpu soil cost;
-                      Value.Num 1.)
-              | "self_switch" ->
-                  Some (fun _ -> Value.Num (float_of_int (Soil.node_id soil)))
-              | _ -> None));
+          | None -> soil_builtin soil name);
       h_on_transit =
         (fun old_st new_st ->
           t.transitions <- t.transitions + 1;

@@ -30,7 +30,7 @@ val deploy :
   ?adaptive:string list ->
   resources:float array ->
   polls:Analysis.poll_summary list ->
-  send:(t -> Farm_almanac.Interp.target -> Value.t -> unit) ->
+  send:(t -> Farm_almanac.Host.target -> Value.t -> unit) ->
   seed_id:int ->
   unit ->
   t
@@ -67,7 +67,7 @@ val set_resources : t -> float array -> unit
     identifies the logical message across retransmissions / ctrl-dup
     copies; repeated ids are dropped (idempotent receipt). *)
 val deliver :
-  ?msg_id:int -> t -> from:Farm_almanac.Interp.source -> Value.t -> unit
+  ?msg_id:int -> t -> from:Farm_almanac.Host.source -> Value.t -> unit
 
 (** Snapshot (variables, state) for migration. *)
 val snapshot : t -> (string * Value.t) list * string

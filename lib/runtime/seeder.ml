@@ -5,7 +5,7 @@ module Value = Farm_almanac.Value
 module Ast = Farm_almanac.Ast
 module Typecheck = Farm_almanac.Typecheck
 module Analysis = Farm_almanac.Analysis
-module Interp = Farm_almanac.Interp
+module Host = Farm_almanac.Host
 module Lint = Farm_almanac.Lint
 module Frontend = Farm_almanac.Frontend
 module Diagnostic = Farm_almanac.Diagnostic
@@ -555,9 +555,9 @@ let deliver_to_seeds t task ~machine ~node v ~from =
   in
   List.iter (fun r -> send_to_reg t r ~from v) targets
 
-let seed_send t task exec (target : Interp.target) v =
+let seed_send t task exec (target : Host.target) v =
   match target with
-  | Interp.To_harvester ->
+  | Host.To_harvester ->
       (* stamp provenance: the harvester fences stale epochs and dedups
          (epoch, seq) so zombies and duplicated deliveries are harmless *)
       let prov =
@@ -566,7 +566,7 @@ let seed_send t task exec (target : Interp.target) v =
           p_seq = Seed_exec.alloc_seq exec }
       in
       deliver_to_harvester t task ~from_switch:(Seed_exec.node exec) ~prov v
-  | Interp.To_machine (m, node) ->
+  | Host.To_machine (m, node) ->
       (* seed→seed messages route through the seeder, which drops traffic
          from instances it has already superseded (fencing at the router) *)
       let live =
@@ -576,7 +576,7 @@ let seed_send t task exec (target : Interp.target) v =
       in
       if live then
         deliver_to_seeds t task ~machine:m ~node v
-          ~from:(Interp.From_machine (Seed_exec.machine_name exec))
+          ~from:(Host.From_machine (Seed_exec.machine_name exec))
       else t.fenced_sends <- t.fenced_sends + 1
 
 (* ------------------------------------------------------------------ *)
@@ -1170,7 +1170,7 @@ let deploy t spec =
               (fun r ->
                 match r.r_exec with
                 | Some e when Seed_exec.node e = switch ->
-                    send_to_reg t r ~from:Interp.From_harvester v
+                    send_to_reg t r ~from:Host.From_harvester v
                 | Some _ | None -> ())
               task.regs);
         broadcast =
@@ -1178,7 +1178,7 @@ let deploy t spec =
             List.iter
               (fun r ->
                 match r.r_exec with
-                | Some _ -> send_to_reg t r ~from:Interp.From_harvester v
+                | Some _ -> send_to_reg t r ~from:Host.From_harvester v
                 | None -> ())
               task.regs);
         now = (fun () -> Engine.now t.engine);
@@ -1320,7 +1320,7 @@ let inject_report_storm t ~node ~reports =
       | Some exec when Seed_exec.node exec = node ->
           for i = 0 to reports - 1 do
             t.storm_reports <- t.storm_reports + 1;
-            seed_send t r.r_task exec Interp.To_harvester
+            seed_send t r.r_task exec Host.To_harvester
               (Value.Struct
                  ("Storm", [ ("i", Value.Num (float_of_int i)) ]))
           done

@@ -351,6 +351,19 @@ let cpu_accuracy t ~window = Cpu_model.accuracy t.cfg.cpu t.usage ~window
    counter read (id + 64-bit value + framing). *)
 let counter_record_bytes = 16.
 
+(* The resource-bound pass prices a seed as a soil in [default_config]
+   charges it.  The last five fields are the pass's own assumptions
+   about what it cannot see statically. *)
+let bounds_model =
+  let c = default_config.cpu in
+  { Farm_almanac.Bounds.cores = c.cores; poll_issue_cost = c.poll_issue_cost;
+    poll_process_cost = c.poll_process_cost;
+    handler_base_cost = c.handler_base_cost; sample_cost = c.sample_cost;
+    aggregation_cost = c.aggregation_cost;
+    ipc_cpu_cost = Ipc.cpu_cost default_config.scheme default_config.exec_model;
+    counter_record_bytes; probe_packet_bytes = 1500.; port_count = 32;
+    loop_bound = 64; scalar_bytes = 64.; list_bytes = 1024. }
+
 let poll_payload t = function
   | Filter.All_ports ->
       float_of_int (Switch_model.port_count t.sw) *. counter_record_bytes

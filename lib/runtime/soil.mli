@@ -192,6 +192,10 @@ val cpu_accuracy : t -> window:float -> float
 (** Bytes one hardware counter read moves over the PCIe bus. *)
 val counter_record_bytes : float
 
+(** The resource-bound pass's cost model of a soil in {!default_config}
+    (aggregated polls, shared-buffer IPC, threads), for [B201]. *)
+val bounds_model : Farm_almanac.Bounds.cost_model
+
 type poll_stats = {
   requested : int;
   completed : int;

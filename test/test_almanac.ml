@@ -234,7 +234,7 @@ let test_string_concat () =
          {|machine M { string s = "a" + "b";
            state q { when (enter) do { s = s + "!"; } } }|})
   in
-  let t = Interp.create ~program:p ~machine:"M" Interp.null_host in
+  let t = Interp.create ~program:p ~machine:"M" Host.null_host in
   Interp.start t;
   match Interp.var t "s" with
   | Some (Value.Str v) -> Alcotest.(check string) "concat" "ab!" v
@@ -320,9 +320,9 @@ let prop_expr_roundtrip =
 let test_typecheck_hh () = ignore (check_hh ())
 
 let expect_type_error ?(extra = []) src frag =
-  match Typecheck.check_result ~extra (Parser.program src) with
-  | Ok _ -> Alcotest.failf "expected type error mentioning %S" frag
-  | Error m ->
+  match Typecheck.check ~extra (Parser.program src) with
+  | _ -> Alcotest.failf "expected type error mentioning %S" frag
+  | exception Typecheck.Error m ->
       let contains =
         let lm = String.lowercase_ascii m
         and lf = String.lowercase_ascii frag in
@@ -662,13 +662,13 @@ let make_host ?(resources = [| 2.; 200.; 10.; 5. |]) () =
   let sent = { to_harvester = ref [] } in
   let tcam_rules = ref [] in
   let host =
-    { Interp.null_host with
+    { Host.null_host with
       h_resources = (fun () -> resources);
       h_send =
         (fun target v ->
           match target with
-          | Interp.To_harvester -> sent.to_harvester := v :: !(sent.to_harvester)
-          | Interp.To_machine _ -> ());
+          | Host.To_harvester -> sent.to_harvester := v :: !(sent.to_harvester)
+          | Host.To_machine _ -> ());
       h_builtin =
         (fun name ->
           match name with
@@ -749,7 +749,7 @@ let test_interp_poll_detects_hh () =
 let test_interp_recv_updates_threshold () =
   let t, sent, _ = make_hh () in
   let consumed =
-    Interp.deliver t ~from:Interp.From_harvester (Value.Num 9999.)
+    Interp.deliver t ~from:Host.From_harvester (Value.Num 9999.)
   in
   Alcotest.(check bool) "recv consumed" true consumed;
   (match Interp.var t "threshold" with
@@ -761,7 +761,7 @@ let test_interp_recv_updates_threshold () =
     (List.length !(sent.to_harvester));
   (* recv of an action value matches the second machine event *)
   let consumed =
-    Interp.deliver t ~from:Interp.From_harvester
+    Interp.deliver t ~from:Host.From_harvester
       (Value.Action Farm_net.Tcam.Drop)
   in
   Alcotest.(check bool) "action recv consumed" true consumed;
@@ -773,13 +773,13 @@ let test_interp_unmatched_recv () =
   let t, _, _ = make_hh () in
   (* no recv pattern for a string from a machine *)
   let consumed =
-    Interp.deliver t ~from:(Interp.From_machine "Other") (Value.Str "hi")
+    Interp.deliver t ~from:(Host.From_machine "Other") (Value.Str "hi")
   in
   Alcotest.(check bool) "not consumed" false consumed
 
 let test_interp_snapshot_restore () =
   let t, _, _ = make_hh () in
-  ignore (Interp.deliver t ~from:Interp.From_harvester (Value.Num 777.));
+  ignore (Interp.deliver t ~from:Host.From_harvester (Value.Num 777.));
   let vars, state = Interp.snapshot t in
   (* fresh instance on another "switch" *)
   let p = check_hh () in
@@ -804,7 +804,7 @@ machine M { long x; state s { when (enter) do { x = tri(4); } } }
 |}
   in
   let p = Typecheck.check (Parser.program src) in
-  let t = Interp.create ~program:p ~machine:"M" Interp.null_host in
+  let t = Interp.create ~program:p ~machine:"M" Host.null_host in
   Interp.start t;
   (match Interp.var t "x" with
   | Some (Value.Num n) -> Alcotest.(check (float 0.)) "tri(4)=10" 10. n
@@ -831,12 +831,12 @@ let test_interp_state_locals_reset () =
       }|}
   in
   let p = Typecheck.check (Parser.program src) in
-  let t = Interp.create ~program:p ~machine:"M" Interp.null_host in
+  let t = Interp.create ~program:p ~machine:"M" Host.null_host in
   Interp.start t;
-  ignore (Interp.deliver t ~from:Interp.From_harvester (Value.Num 1.));
-  ignore (Interp.deliver t ~from:Interp.From_harvester (Value.Num 1.));
+  ignore (Interp.deliver t ~from:Host.From_harvester (Value.Num 1.));
+  ignore (Interp.deliver t ~from:Host.From_harvester (Value.Num 1.));
   Alcotest.(check string) "moved to b" "b" (Interp.current_state t);
-  ignore (Interp.deliver t ~from:Interp.From_harvester (Value.Num 1.));
+  ignore (Interp.deliver t ~from:Host.From_harvester (Value.Num 1.));
   Alcotest.(check string) "back to a" "a" (Interp.current_state t);
   (* cnt was reset on re-entry *)
   match Interp.var t "cnt" with
@@ -866,7 +866,7 @@ let test_state_overrides_machine () =
     (fun (engine, name) ->
       let t =
         Engine.instantiate (Engine.prepare ~engine ~program:p ~machine:"M")
-          Interp.null_host
+          Host.null_host
       in
       Engine.start t;
       let deliver () =
@@ -896,7 +896,7 @@ let test_interp_trigger_reassign_notifies () =
   in
   let prog = Typecheck.check (Parser.program src) in
   let host =
-    { Interp.null_host with
+    { Host.null_host with
       h_set_trigger = (fun name _ v -> notified := (name, v) :: !notified) }
   in
   let t = Interp.create ~program:prog ~machine:"M" host in
@@ -924,12 +924,12 @@ machine M {
 |}
   in
   let p = Typecheck.check (Parser.program src) in
-  let t = Interp.create ~program:p ~machine:"M" Interp.null_host in
+  let t = Interp.create ~program:p ~machine:"M" Host.null_host in
   Interp.start t;
   let expect cmd frag =
-    match Interp.deliver t ~from:Interp.From_harvester (Value.Num cmd) with
+    match Interp.deliver t ~from:Host.From_harvester (Value.Num cmd) with
     | _ -> Alcotest.failf "expected runtime error for cmd %g" cmd
-    | exception Interp.Runtime_error m ->
+    | exception Host.Runtime_error m ->
         Alcotest.(check bool)
           (Printf.sprintf "%g mentions %s (got %s)" cmd frag m)
           true
@@ -966,20 +966,20 @@ machine B {
   let p = Typecheck.check (Parser.program src) in
   let b = ref None in
   let host_a =
-    { Interp.null_host with
+    { Host.null_host with
       h_send =
         (fun target v ->
           match (target, !b) with
-          | Interp.To_machine ("B", _), Some bi ->
-              ignore (Interp.deliver bi ~from:(Interp.From_machine "A") v)
+          | Host.To_machine ("B", _), Some bi ->
+              ignore (Interp.deliver bi ~from:(Host.From_machine "A") v)
           | _ -> ()) }
   in
   let a = Interp.create ~program:p ~machine:"A" host_a in
-  let bi = Interp.create ~program:p ~machine:"B" Interp.null_host in
+  let bi = Interp.create ~program:p ~machine:"B" Host.null_host in
   b := Some bi;
   Interp.start a;
   Interp.start bi;
-  ignore (Interp.deliver a ~from:Interp.From_harvester (Value.Num 1.));
+  ignore (Interp.deliver a ~from:Host.From_harvester (Value.Num 1.));
   match Interp.var bi "got" with
   | Some (Value.Num n) -> Alcotest.(check (float 0.)) "B received" 7. n
   | _ -> Alcotest.fail "got unbound"
@@ -1599,9 +1599,9 @@ let exact_vars d =
   List.sort compare (List.map (fun (k, v) -> k ^ " = " ^ exact_value v) vars)
 
 let gen_typecheck p =
-  match Typecheck.check_result ~extra:Almanac_gen.extra_sigs p with
-  | Ok p -> p
-  | Error m ->
+  match Typecheck.check ~extra:Almanac_gen.extra_sigs p with
+  | p -> p
+  | exception Typecheck.Error m ->
       QCheck2.Test.fail_reportf "generator drew an ill-typed program: %s" m
 
 (* One program under a random schedule drawn from [seed]; stops at the
@@ -1646,7 +1646,7 @@ let equiv_diags ~what (program : Ast.program) =
   let ds =
     try
       Equiv.verify_program
-        ~host_builtins:("tick" :: Host.default_builtins) ~program ()
+        ~host_builtins:("tick" :: Builtins.soil_effects) ~program ()
     with e -> Alcotest.failf "%s: Equiv raised %s" what (Printexc.to_string e)
   in
   match List.filter (fun (d : Diagnostic.t) -> d.code = "V401") ds with

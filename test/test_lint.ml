@@ -29,6 +29,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let codes ds = List.map (fun (d : Diagnostic.t) -> d.code) ds
+let lint = Frontend.lint ~model:Soil.bounds_model
 
 (* ------------------------------------------------------------------ *)
 (* Fixture corpus                                                      *)
@@ -56,7 +57,7 @@ let test_fixtures () =
   List.iter
     (fun (name, expected) ->
       let path = Filename.concat "lint_fixtures" name in
-      let ds, _ = Frontend.lint ~file:path (read_file path) in
+      let ds, _ = lint ~file:path (read_file path) in
       Alcotest.(check (list string)) name expected (codes ds);
       List.iter
         (fun (d : Diagnostic.t) ->
@@ -80,7 +81,7 @@ let test_clean_catalog () =
   List.iter
     (fun (e : Task_common.entry) ->
       let ds, _ =
-        Frontend.lint ~file:("catalog:" ^ e.name) ~extra:e.extra_sigs
+        lint ~file:("catalog:" ^ e.name) ~extra:e.extra_sigs
           ~externals:e.externals e.source
       in
       if ds <> [] then
@@ -99,7 +100,7 @@ let test_clean_examples () =
   List.iter
     (fun f ->
       let path = Filename.concat dir f in
-      let ds, _ = Frontend.lint ~file:path (read_file path) in
+      let ds, _ = lint ~file:path (read_file path) in
       if ds <> [] then
         Alcotest.failf "example %s not clean:\n%s" f
           (String.concat "\n" (List.map Diagnostic.to_string ds)))
@@ -357,7 +358,7 @@ let test_bounds_vs_simulation () =
       (* calibrate the per-fabric parameter; everything else is the
          default cost model *)
       let ports = Switch_model.port_count (Soil.switch soil) in
-      let model = { Bounds.default_model with port_count = ports } in
+      let model = { Soil.bounds_model with port_count = ports } in
       let d = Bounds.infer ~model ~machine ~polls ~res () in
       Alcotest.(check bool) "deterministic" true d.deterministic;
       let observed = Cpu_model.busy_seconds (Soil.cpu soil) /. duration in

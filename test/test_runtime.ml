@@ -2267,7 +2267,7 @@ let digest_rows =
   let the_seed seeder task = List.hd (Seeder.seeds seeder task) in
   let mark seeder task v =
     Seed_exec.deliver (the_seed seeder task)
-      ~from:Farm_almanac.Interp.From_harvester (Value.Num v)
+      ~from:Farm_almanac.Host.From_harvester (Value.Num v)
   in
   let idle_switches seeder task =
     let home = Seed_exec.node (the_seed seeder task) in

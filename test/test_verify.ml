@@ -16,6 +16,7 @@ module Lint = Farm_almanac.Lint
 module Diagnostic = Farm_almanac.Diagnostic
 module Value = Farm_almanac.Value
 module Host = Farm_almanac.Host
+module Builtins = Farm_almanac.Builtins
 module Flow = Farm_net.Flow
 module Task_common = Farm_tasks.Task_common
 module Catalog = Farm_tasks.Catalog
@@ -347,7 +348,7 @@ machine Shadowed {
 let test_reach_shadowed_recv () =
   let p = load shadowed_recv_source in
   let m = List.hd p.machines in
-  let t = Interp.create ~program:p ~machine:"Shadowed" Interp.null_host in
+  let t = Interp.create ~program:p ~machine:"Shadowed" Host.null_host in
   Interp.start t;
   ignore (Interp.deliver t ~from:Host.From_harvester (Value.Num 1.));
   Alcotest.(check string) "interp runs the first arm" "A" (Interp.current_state t);
@@ -413,7 +414,7 @@ let test_verify_crashers () =
       | _ -> ()
       | exception e ->
           Alcotest.failf "%s: verify raised %s" body (Printexc.to_string e));
-      let t = Interp.create ~program:p ~machine:"Crash" Interp.null_host in
+      let t = Interp.create ~program:p ~machine:"Crash" Host.null_host in
       Interp.start t;
       let expected =
         match Interp.fire_trigger t "p" (Value.Stats [| 3.; 4. |]) with
@@ -512,7 +513,7 @@ let episode ~case ~round ~warmup =
   let stubs =
     List.map
       (fun n -> (n, fun (_ : Value.t list) -> Value.Unit))
-      Host.default_builtins
+      Builtins.soil_effects
     @ [ ("self_switch", fun _ -> Value.Num 0.) ]
     @ e.builtins
   in
@@ -544,7 +545,7 @@ let episode ~case ~round ~warmup =
     List.iter
       (fun (td : Ast.trig_decl) ->
         try Interp.fire_trigger t td.Ast.tname (trig_value td.ttyp ~round:i)
-        with Interp.Runtime_error _ -> ())
+        with Host.Runtime_error _ -> ())
       m.Ast.mtrigs
   done;
   let td = List.nth m.Ast.mtrigs (round mod List.length m.Ast.mtrigs) in
@@ -642,7 +643,7 @@ let episode ~case ~round ~warmup =
               try
                 Interp.fire_trigger t td.Ast.tname v;
                 false
-              with Interp.Runtime_error _ -> true
+              with Host.Runtime_error _ -> true
             in
             let ctxs =
               Printf.sprintf "%s/%s trig %s round %d" e.name m.Ast.mname
@@ -787,6 +788,102 @@ let test_soundness_coverage () =
   if !full_checks < 20 then
     Alcotest.failf "only %d fully-checked episodes" !full_checks
 
+(* ------------------------------------------------------------------ *)
+(* The built-in catalogue                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One argument per signature type: its source and its value ([st] is
+   the poll binding of [test_catalogue]'s machine). *)
+let catalogue_arg (t : Builtins.sigty) =
+  let any = Value.FilterV (Farm_net.Filter.atom Farm_net.Filter.Any) in
+  let drop = Value.Action Farm_net.Tcam.Drop in
+  match t with
+  | Numeric | Any -> ("1", Value.Num 1.)
+  | Ty Tlist -> ("[1, 2]", Value.List [ Value.Num 1.; Value.Num 2. ])
+  | Ty Tstats -> ("st", Value.Stats [| 1.; 2. |])
+  | Ty Tstring -> ({|"svr 2"|}, Value.Str "svr 2")
+  | Ty Tbool -> ("true", Value.Bool true)
+  | Ty Tfilter -> ("port ANY", any)
+  | Ty Taction -> ("drop_action()", drop)
+  | Ty Trule ->
+      ( "mkRule(port ANY, drop_action())",
+        Value.Struct ("Rule", [ ("pattern", any); ("act", drop) ]) )
+  | Ty t -> Alcotest.failf "no argument of type %s" (Ast.typ_to_string t)
+
+(* Each row is one built-in everywhere: its one-call machine
+   type-checks, a pure row folds to the value its entry computes, no
+   row is an unknown function to Symexec, and the soil host serves
+   every soil row. *)
+let test_catalogue () =
+  List.iter
+    (fun (r : Builtins.row) ->
+      let srcs, vals = List.split (List.map catalogue_arg r.signature.args) in
+      let program =
+        load
+          (Printf.sprintf
+             {|machine Cat {
+  place all;
+  poll p = Poll { .ival = 0.01, .what = port ANY };
+  state s { when (%s) do { %s(%s); } }
+}|}
+             (match r.runs with Soil -> "enter" | _ -> "p as st")
+             r.name (String.concat ", " srcs))
+      in
+      let names = List.mapi (fun i _ -> Printf.sprintf "a%d" i) vals in
+      let call = Ast.Call (r.name, List.map (fun n -> Ast.Var n) names) in
+      let store =
+        Symexec.mk_istore ~locals:[]
+          ~globals:
+            (("r", Symexec.Con Value.Unit)
+            :: List.map2 (fun n v -> (n, Symexec.Con v)) names vals)
+      in
+      let ctx =
+        Symexec.make_ctx ~host_builtins:Builtins.soil_effects
+          ~funcs:(Symexec.Ifuncs []) ~hooks:[] ()
+      in
+      let paths =
+        Symexec.exec_stmts ctx (Symexec.init_path store)
+          [ { Ast.sk = Ast.Assign ("r", call); sloc = Ast.no_pos } ]
+      in
+      let folded (p : Symexec.path) =
+        match (p.outcome, Symexec.peek_global p.store "r") with
+        | Running, Some (Con v) -> "running " ^ Value.to_string v
+        | _ -> outcome_str p
+      in
+      let got = List.map folded paths in
+      if List.mem ("error: unknown function " ^ r.name) got then
+        Alcotest.failf "%s is an unknown function to Symexec" r.name;
+      match r.runs with
+      | Pure e ->
+          let expected =
+            match e.call vals with
+            | v -> "running " ^ Value.to_string v
+            | exception (Host.Runtime_error m | Value.Type_error m) ->
+                "error: " ^ m
+          in
+          Alcotest.(check (list string)) (r.name ^ " folds") [ expected ] got
+      | Engine _ -> ()
+      | Soil -> (
+          let soil =
+            Farm_runtime.Soil.create (Farm_sim.Engine.create ())
+              (Farm_net.Switch_model.create ~id:0 ~ports:4 ())
+          in
+          match
+            Farm_runtime.Seed_exec.deploy ~soil
+              ~plan:
+                (Farm_almanac.Engine.prepare ~engine:`Compiled ~program
+                   ~machine:"Cat")
+              ~resources:(Array.make Farm_almanac.Analysis.n_resources 1.)
+              ~polls:
+                (Result.get_ok
+                   (Farm_almanac.Analysis.polls (List.hd program.machines)))
+              ~send:(fun _ _ _ -> ()) ~seed_id:0 ()
+          with
+          | _ -> ()
+          | exception Host.Runtime_error m ->
+              Alcotest.failf "the soil host does not serve %s: %s" r.name m))
+    Builtins.catalogue
+
 let () =
   Alcotest.run "verify"
     [ ( "equiv",
@@ -818,6 +915,8 @@ let () =
             test_reach_shadowed_recv;
           Alcotest.test_case "index errors are path errors" `Quick
             test_verify_crashers ] );
+      ( "catalogue",
+        [ Alcotest.test_case "one built-in everywhere" `Quick test_catalogue ] );
       ( "soundness",
         List.map QCheck_alcotest.to_alcotest [ prop_symbolic_soundness ]
         @ [ Alcotest.test_case "episodes fully checked" `Quick
