@@ -36,7 +36,7 @@ let farm_detect ~seed =
   match List.find_opt (fun (t, _, _) -> t >= w.onset) reports with
   | Some (t, _, _) ->
       (* subtract the report's network latency: recognition is local *)
-      Some (t -. Runtime.Seeder.default_config.control_latency -. w.onset)
+      Some (t -. Runtime.Control.latency -. w.onset)
   | None -> None
 
 let baseline_detect ~seed deploy detect_after shutdown =

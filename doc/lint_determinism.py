@@ -38,16 +38,14 @@ ALLOWLIST = [
      "fold result sorted by node id at the end of the pipeline"),
     ("lib/runtime/seeder.ml", "Soil.set_pressure_listener soilv",
      "independent per-key listener installation"),
-    ("lib/runtime/seeder.ml", "acc + Overload.Breaker.opens b",
+    ("lib/runtime/control.ml", "acc + Overload.Breaker.opens b",
      "commutative int sum"),
-    ("lib/net/switch_model.ml", "Tcam.record t.tcam f.tuple",
-     "commutative counter accumulation"),
+    ("lib/net/switch_model.ml", "e.hits <- Tcam.matching t.tcam e.flow.tuple",
+     "independent per-flow write: each entry's hits depend on its flow only"),
     ("lib/net/switch_model.ml", "let r = effective_rate t f in",
      "independent per-flow mutation"),
     ("lib/net/switch_model.ml", "let hit =",
      "commutative rate accumulation into a fresh subject"),
-    ("lib/net/switch_model.ml", "acc +. f.rate",
-     "commutative float sum"),
     ("lib/placement/milp_formulation.ml", "integer.(v) <- true",
      "indexed array write, one slot per key"),
     ("lib/placement/milp_formulation.ml", "if n0 = c.node && res'.(r) > 0.",
@@ -62,6 +60,8 @@ ALLOWLIST = [
      "indexed array write, one slot per key"),
     ("lib/almanac/compile.ml", "global_names.(i) <- name",
      "indexed array write, one slot per key"),
+    ("lib/almanac/compile.ml", "typed || acc",
+     "boolean or: commutative and associative"),
 ]
 
 

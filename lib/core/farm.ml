@@ -80,6 +80,7 @@ module Runtime = struct
   module Soil = Farm_runtime.Soil
   module Seed_exec = Farm_runtime.Seed_exec
   module Harvester = Farm_runtime.Harvester
+  module Control = Farm_runtime.Control
   module Seeder = Farm_runtime.Seeder
 end
 

@@ -58,9 +58,10 @@ let handlers seeder =
           Fabric.set_link_state fabric ~time:(Engine.now engine) a b ~up:true);
     on_ctrl_degrade =
       (fun ~loss ~delay ~dup ->
-        Seeder.set_ctrl_faults seeder { Seeder.loss; delay; dup });
+        Control.set_faults (Seeder.control seeder)
+          { Control.loss; delay; dup });
     on_ctrl_restore =
-      (fun () -> Seeder.set_ctrl_faults seeder Seeder.perfect_ctrl);
+      (fun () -> Control.set_faults (Seeder.control seeder) Control.perfect);
     on_counter_freeze = (fun node -> with_soil node (fun s -> Soil.set_frozen s true));
     on_counter_thaw = (fun node -> with_soil node (fun s -> Soil.set_frozen s false));
     on_counter_glitch = (fun node -> with_soil node (fun s -> Soil.glitch s));
