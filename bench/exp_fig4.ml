@@ -61,12 +61,21 @@ let farm_load ~leaves =
   let entry = Tasks.Catalog.find "heavy-hitter" in
   (* the HH threshold sits above aggregated background port rates so only
      genuine heavy hitters (the churn events) produce reports *)
+  let override = function
+    | "threshold" -> Some (Almanac.Value.Num 1e7)
+    | "interval" -> Some (Almanac.Value.Num 1e-3)
+    | _ -> None
+  in
   let entry =
     { entry with
       Tasks.Task_common.externals =
-        [ ("HH",
-           [ ("threshold", Almanac.Value.Num 1e7);
-             ("interval", Almanac.Value.Num 1e-3) ]) ] }
+        List.map
+          (fun (m, vs) ->
+            ( m,
+              List.map
+                (fun (k, v) -> (k, Option.value (override k) ~default:v))
+                vs ))
+          entry.Tasks.Task_common.externals }
   in
   (match Runtime.Seeder.deploy seeder (Tasks.Task_common.to_task_spec entry) with
   | Ok _ -> ()
