@@ -18,7 +18,6 @@ type resource = VCpu | Ram | TcamR | Pcie
 val n_resources : int
 val resource_index : resource -> int
 val resource_name : resource -> string
-val resource_of_name : string -> resource option
 val all_resources : resource list
 
 (** {2 Utility analysis} *)

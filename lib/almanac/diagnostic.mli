@@ -15,8 +15,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
-
 type t = {
   code : string;  (** stable machine-readable code, e.g. ["L101"] *)
   severity : severity;

@@ -1,12 +1,9 @@
 (** The seed interchange format of §V-A d: Almanac programs compiled by
     the seeder to XML and decompiled back into executable machines by each
     switch's soil.  The encoding is a complete structural serialization of
-    the AST, so [of_xml (to_xml p) = p]. *)
+    the AST, so [load (compile p) = p]. *)
 
-val program_to_xml : Ast.program -> Xml.t
-val program_of_xml : Xml.t -> Ast.program
-
-(** Convenience: serialize straight to/from strings. *)
+(** A program as interchange XML text. *)
 val compile : Ast.program -> string
 
 exception Decode_error of string

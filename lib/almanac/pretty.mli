@@ -2,9 +2,5 @@
     [Parser.program (program_to_string p)] yields a structurally equal AST
     (modulo redundant parentheses), which the test suite checks. *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_machine : Format.formatter -> Ast.machine -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string

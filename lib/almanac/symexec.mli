@@ -33,9 +33,8 @@ val sym_equal : sym -> sym -> bool
 
 (** {2 Path conditions} *)
 
-(** An atom [(t, b)] asserts term [t] is truthy iff [b]. *)
-val norm_atom : sym * bool -> sym * bool
-
+(** A path condition is a list of atoms; an atom [(t, b)] asserts term
+    [t] is truthy iff [b]. *)
 val feasible : (sym * bool) list -> bool
 val pc_to_string : (sym * bool) list -> string
 

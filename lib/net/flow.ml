@@ -31,23 +31,6 @@ type packet = {
 
 type t = { id : int; tuple : five_tuple; rate : float; path : int list }
 
-let tuple_equal a b =
-  Ipaddr.equal a.src b.src && Ipaddr.equal a.dst b.dst && a.sport = b.sport
-  && a.dport = b.dport && a.proto = b.proto
-
-let tuple_compare a b =
-  let c = Ipaddr.compare a.src b.src in
-  if c <> 0 then c
-  else
-    let c = Ipaddr.compare a.dst b.dst in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.sport b.sport in
-      if c <> 0 then c
-      else
-        let c = Int.compare a.dport b.dport in
-        if c <> 0 then c else Stdlib.compare a.proto b.proto
-
 let pp_tuple ppf t =
   Format.fprintf ppf "%a:%d -> %a:%d (%s)" Ipaddr.pp t.src t.sport Ipaddr.pp
     t.dst t.dport (proto_to_string t.proto)

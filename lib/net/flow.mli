@@ -36,8 +36,6 @@ type t = {
   path : int list;  (** switch ids traversed, in order *)
 }
 
-val tuple_equal : five_tuple -> five_tuple -> bool
-val tuple_compare : five_tuple -> five_tuple -> int
 val pp_tuple : Format.formatter -> five_tuple -> unit
 
 (** A fresh packet of [size] bytes for the tuple with default flags. *)

@@ -109,9 +109,3 @@ let paths_matching ?(max_paths = 64) topo f =
 
 let path_switches topo p = List.filter (Topology.is_switch topo) p
 
-let path_latency topo p =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> go (acc +. Topology.link_latency topo a b) rest
-    | [ _ ] | [] -> acc
-  in
-  go 0. p

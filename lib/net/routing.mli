@@ -24,9 +24,6 @@ val paths_matching : ?max_paths:int -> Topology.t -> Filter.t -> path list
 (** Switch ids of a path, in order (drops host endpoints). *)
 val path_switches : Topology.t -> path -> int list
 
-(** Sum of link latencies along a path. *)
-val path_latency : Topology.t -> path -> float
-
 (** Can the filter match a packet with src in [src] and dst in [dst]?
     Three-valued evaluation, conservative towards "possible". *)
 val satisfiable :

@@ -12,16 +12,6 @@ let accton_as5712 =
   { vcpu = 4.; ram_mb = 8192.; tcam_entries = 2048; pcie_bps = 8e6;
     asic_bps = 100e9 }
 
-let accton_as7712 = { accton_as5712 with ram_mb = 16384. }
-
-let aps_bf2556 =
-  { vcpu = 8.; ram_mb = 32768.; tcam_entries = 4096; pcie_bps = 8e6;
-    asic_bps = 2e12 }
-
-let arista_7280 =
-  { vcpu = 4.; ram_mb = 8192.; tcam_entries = 2048; pcie_bps = 8e6;
-    asic_bps = 100e9 }
-
 type active_flow = {
   flow_id : int;
   tuple : Flow.five_tuple;
@@ -252,8 +242,6 @@ let set_surge t ~time factor =
       (active_flows t)
   end
 
-let surge_factor t = t.surge
-
 let check_port t port =
   if port < 0 || port >= Array.length t.ports then
     invalid_arg (Printf.sprintf "Switch_model: port %d out of range" port)
@@ -262,10 +250,6 @@ let port_bytes t ~time ~port =
   check_port t port;
   sync t ~time;
   t.ports.(port).p_bytes
-
-let port_rate t ~port =
-  check_port t port;
-  t.ports.(port).p_rate
 
 let watch_subject t ~time subj =
   sync t ~time;

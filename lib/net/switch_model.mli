@@ -16,15 +16,8 @@ type caps = {
   asic_bps : float;  (** ASIC switching capacity, bits per second *)
 }
 
-(** Platform profiles of §VI-A. *)
-
-val aps_bf2556 : caps  (** Tofino, 8-core Xeon, 32 GB — 2.0 Tb/s *)
-
+(** The paper's Accton AS5712 platform (§VI-A). *)
 val accton_as5712 : caps  (** Atom C2538 quad core, 8 GB *)
-
-val accton_as7712 : caps  (** like AS5712 with twice the RAM *)
-
-val arista_7280 : caps  (** AMD GX-424CC quad core, 8 GB *)
 
 type active_flow = {
   flow_id : int;
@@ -87,15 +80,10 @@ val remove_rule : t -> time:float -> Tcam.region -> pattern:Filter.t -> int
     is bit-exact with the unfaulted model. *)
 val set_surge : t -> time:float -> float -> unit
 
-val surge_factor : t -> float
-
 (** {2 Counters (polling targets)} *)
 
 (** Cumulative bytes transmitted on a port. *)
 val port_bytes : t -> time:float -> port:int -> float
-
-(** Current egress rate of a port, bytes/s. *)
-val port_rate : t -> port:int -> float
 
 (** Register interest in a subject so its counter accumulates; idempotent. *)
 val watch_subject : t -> time:float -> Filter.subject -> unit

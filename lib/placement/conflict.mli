@@ -48,10 +48,6 @@ type profile = {
     disjoint. *)
 val overlap : Farm_net.Filter.t -> Farm_net.Filter.t -> bool
 
-(** Harvest the [addTCAMRule] call sites of one resolved machine.
-    [bindings] resolves [external] variables used in patterns. *)
-val rule_sites : ?bindings:Analysis.bindings -> Ast.machine -> rule_site list
-
 (** Build a task's profile from its machine analyses, each paired with
     the bindings used to resolve its [external] variables. *)
 val profile :

@@ -55,8 +55,6 @@ let count t =
     m *. Float.log (m /. float_of_int zeros)
   else raw
 
-let expected_error t = 1.04 /. sqrt (float_of_int t.m)
-
 let merge t other =
   if t.precision <> other.precision then
     invalid_arg "Hyperloglog.merge: precision mismatch";

@@ -16,9 +16,6 @@ val add : t -> string -> unit
 (** Estimated number of distinct keys added. *)
 val count : t -> float
 
-(** Expected relative standard error (1.04/sqrt(m)). *)
-val expected_error : t -> float
-
 (** Merge [other] into [t] (same precision required). *)
 val merge : t -> t -> unit
 

@@ -6,10 +6,9 @@ type entry := Task_common.entry
 (** All Table I entries, in the paper's order. *)
 val all : entry list
 
-(** Sketch-based variants (the paper's §VIII future-work extension);
-    resolvable through {!find} but not part of Table I. *)
-val extensions : entry list
-
+(** An entry of {!all} by name, or one of the sketch-based variants (the
+    paper's §VIII future-work extension), which are not part of Table I.
+    Raises [Invalid_argument] for an unknown name. *)
 val find : string -> entry
 val names : string list
 
