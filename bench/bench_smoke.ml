@@ -438,7 +438,7 @@ let () =
   let seeder = mttr_bench ~crashes in
   let module Seeder = Runtime.Seeder in
   let module Histogram = Sim.Metrics.Histogram in
-  let dl = Seeder.detection_latency seeder in
+  let dl = Runtime.Healing.detection_latency (Seeder.healing seeder) in
   let rt = Seeder.recovery_time seeder in
   let ms h q = 1000. *. Histogram.percentile h q in
   let stats h =

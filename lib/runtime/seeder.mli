@@ -7,15 +7,14 @@
     or migrates seed instances accordingly, and routes messages between
     seeds and harvesters.
 
-    With [auto_heal] it is also a self-healing control plane: switches
-    send periodic heartbeats, a timeout-based failure detector declares
-    silent switches dead, running seeds ship periodic delta checkpoints of
-    their machine state, and on detection the orphaned seeds are
-    automatically re-placed (incremental greedy pass) and resumed from
-    their last checkpoint.  Every (re)instantiation bumps the seed's
-    {e epoch}; harvesters fence reports by epoch, so an instance that
-    survives a false detection (a "zombie") can never corrupt task
-    state. *)
+    It reacts to switch failures: when its {!Healing} layer declares a
+    switch failed, the orphaned seeds are re-placed (incremental greedy
+    pass) and resumed from their last checkpoint; when the switch
+    rejoins, the placement is re-optimized.  With [auto_heal] the
+    healing layer detects crashes from missing heartbeats and ships seed
+    checkpoints.  Every (re)instantiation bumps the seed's {e epoch};
+    harvesters fence reports by epoch, so an instance that survives a
+    false detection (a "zombie") can never corrupt task state. *)
 
 module Value := Farm_almanac.Value
 
@@ -129,14 +128,15 @@ val reoptimize : t -> unit
 
     One failure path, two detectors.  {!crash_switch}/{!revive_switch} are
     the {e ground truth}: the management plane silently dies / reboots.
-    The control plane learns of it only from a detector, which declares
-    the switch failed (its orphaned seeds are re-placed incrementally,
-    resuming from their last checkpoint when one was shipped) and rejoins
-    it when it is back (fence lifted, zombies terminated, global
-    re-optimization).  With [auto_heal] the detector watches heartbeats and
-    fires after [detection_timeout]; without it an oracle detector declares
-    the crash at the same instant and rejoins the switch at revival — zero
-    latency, no false positives. *)
+    The control plane learns of it only from the detector of {!healing},
+    chosen once at {!create}: with [auto_heal] {!Healing.heartbeat}, which
+    fires after [detection_timeout] of silence; without it
+    {!Healing.oracle}, which declares the crash at the same instant and
+    rejoins the switch at revival — zero latency, no false positives.  A
+    declared switch's orphaned seeds are re-placed incrementally, resuming
+    from their last checkpoint when one was shipped; a rejoined switch
+    gets its fence lifted, its zombies terminated and a global
+    re-optimization. *)
 
 (** Silently crash a switch's management plane: every seed instance on it
     stops.  Tasks pinned solely to it are dropped once it is declared
@@ -150,11 +150,9 @@ val crash_switch : t -> int -> unit
     at once.  Reviving a switch that is up is a no-op. *)
 val revive_switch : t -> int -> unit
 
-(** Ground-truth crashed switches, sorted (tests/instrumentation). *)
-val down_switches : t -> int list
-
-(** Failed switches (control-plane view), sorted. *)
-val failed_switches : t -> int list
+(** The self-healing layer: the detector's view of failed and down
+    switches, zombies, and the healing counters. *)
+val healing : t -> Healing.t
 
 (** The control channel every seed, harvester and heartbeat message
     takes: faults are set and its counters read there. *)
@@ -216,35 +214,17 @@ val last_checkpoint :
 (** Current instance epoch of a registered seed ([-1] = never placed). *)
 val seed_epoch : t -> int -> int option
 
-(** Crash → detector declaration latency, over true failures only. *)
-val detection_latency : t -> Farm_sim.Metrics.Histogram.t
-
-(** Crash → replacement-instance-running latency, per recovered seed. *)
+(** The {!Healing} counters of {!healing}.  [checkpoint_bytes] are the
+    control-channel bytes spent on checkpoints (the cost side of the
+    checkpoint-frequency trade-off; kept separate from
+    {!collector_bytes}). *)
 val recovery_time : t -> Farm_sim.Metrics.Histogram.t
 
 val heartbeats_sent : t -> int
 val checkpoints_shipped : t -> int
-
-(** Control-channel bytes spent on checkpoints (the cost side of the
-    checkpoint-frequency trade-off; kept separate from
-    {!collector_bytes}). *)
 val checkpoint_bytes : t -> float
-
-(** Detector declarations, and the subset that were false positives (the
-    switch was merely slow/partitioned, not crashed). *)
 val detections : t -> int
-
 val false_detections : t -> int
-
-(** Seed instances automatically re-placed and resumed by the healing
-    layer (both after detections and on reboot-rejoin). *)
-val auto_recoveries : t -> int
-
-(** Demoted instances terminated (kill order or rejoin handshake). *)
-val zombies_fenced : t -> int
-
-(** Currently live demoted instances awaiting termination. *)
-val zombie_count : t -> int
 
 (** {2 Overload resilience} *)
 

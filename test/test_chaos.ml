@@ -162,7 +162,7 @@ let build_topo = function
    optimizing over: all registered seeds of the given tasks minus failed
    candidate sites, over the healthy switches' capacities. *)
 let oracle_instance seeder tasks =
-  let failed = Seeder.failed_switches seeder in
+  let failed = Healing.failed_switches (Seeder.healing seeder) in
   let pcie = Analysis.resource_index Analysis.Pcie in
   let switches =
     Seeder.soils seeder
@@ -199,7 +199,7 @@ let oracle_instance seeder tasks =
    test can check the invariants against a recovery that did not happen *)
 let check_invariants ?failed seeder tasks ~at ~what violations =
   let failed =
-    match failed with Some f -> f | None -> Seeder.failed_switches seeder
+    match failed with Some f -> f | None -> Healing.failed_switches (Seeder.healing seeder)
   in
   let vio fmt =
     Printf.ksprintf
@@ -269,7 +269,7 @@ let check_healed seeder tasks violations =
   | l ->
       vio "seeds [%s] still orphaned"
         (String.concat "," (List.map string_of_int l)));
-  let down = Seeder.down_switches seeder in
+  let down = Healing.down_switches (Seeder.healing seeder) in
   List.iter
     (fun (name, task) ->
       List.iter
@@ -298,7 +298,7 @@ let check_healed seeder tasks violations =
         (Harvester.accepted_provenance h))
     tasks;
   let open Farm_sim.Metrics in
-  let dl = Seeder.detection_latency seeder in
+  let dl = Healing.detection_latency (Seeder.healing seeder) in
   if Histogram.count dl > 0 && Histogram.max dl > heal_bound then
     vio "detection latency %.4f exceeds %.4f" (Histogram.max dl) heal_bound;
   let rt = Seeder.recovery_time seeder in
@@ -549,7 +549,7 @@ let test_broken_recovery_caught () =
   (* correct failure handling: the oracle detector declares leaf0 failed
      and the pinned task is dropped, no violations *)
   Alcotest.(check (list int)) "oracle declared the crash" [ leaf0 ]
-    (Seeder.failed_switches seeder);
+    (Healing.failed_switches (Seeder.healing seeder));
   Alcotest.(check bool) "pinned task dropped" false
     (Seeder.is_placed (List.assoc "pin0" tasks));
   Alcotest.(check (list string)) "after failure: no violations" []

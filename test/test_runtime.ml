@@ -792,7 +792,7 @@ machine Roam {
   let home = Seed_exec.node seed in
   Seeder.crash_switch seeder home;
   Alcotest.(check (list int)) "marked failed" [ home ]
-    (Seeder.failed_switches seeder);
+    (Healing.failed_switches (Seeder.healing seeder));
   (* the replacement seed lives on another switch and polls again *)
   (match Seeder.seeds seeder task with
   | [ replacement ] ->
@@ -1113,6 +1113,74 @@ let prop_checkpoint_roundtrip =
       && String.equal full'.ck_state state0
       && vars_equal reconstructed next_vars)
 
+(* -- the seeder-side merge rule, one arriving checkpoint at a time --- *)
+
+let test_checkpoint_merge_rule () =
+  let engine, _, _, seeder = make_world () in
+  let healing = Seeder.healing seeder in
+  let ck = Healing.ck () in
+  let gaps () =
+    Farm_sim.Metrics.Registry.value (Engine.metrics engine)
+      "seeder.checkpoints.gaps"
+  in
+  let arrive ~epoch ~seq ~full vars =
+    { Checkpoint.ck_seed = 0; ck_epoch = epoch; ck_seq = seq; ck_full = full;
+      ck_vars = List.map (fun (k, x) -> (k, Value.Num x)) vars;
+      ck_removed = []; ck_state = Printf.sprintf "s%d.%d" epoch seq }
+  in
+  (* what happens; the seed's current epoch; the arriving checkpoint;
+     the store afterwards (vars, state); seeder.checkpoints.gaps *)
+  let rows =
+    [ ("a delta before any full snapshot is a gap", 1,
+       arrive ~epoch:1 ~seq:0 ~full:false [ ("x", 1.) ], None, 1);
+      ("a full snapshot starts the store", 1,
+       arrive ~epoch:1 ~seq:1 ~full:true [ ("x", 1.); ("y", 1.) ],
+       Some ([ ("x", 1.); ("y", 1.) ], "s1.1"), 1);
+      ("the next delta merges", 1,
+       arrive ~epoch:1 ~seq:2 ~full:false [ ("x", 2.) ],
+       Some ([ ("x", 2.); ("y", 1.) ], "s1.2"), 1);
+      ("a duplicate is ignored", 1,
+       arrive ~epoch:1 ~seq:2 ~full:false [ ("x", 9.) ],
+       Some ([ ("x", 2.); ("y", 1.) ], "s1.2"), 1);
+      ("a reordered older delta is ignored", 1,
+       arrive ~epoch:1 ~seq:1 ~full:false [ ("x", 7.) ],
+       Some ([ ("x", 2.); ("y", 1.) ], "s1.2"), 1);
+      ("a delta after a gap is counted and held", 1,
+       arrive ~epoch:1 ~seq:4 ~full:false [ ("x", 4.) ],
+       Some ([ ("x", 2.); ("y", 1.) ], "s1.2"), 2);
+      ("the next full snapshot replaces the store", 1,
+       arrive ~epoch:1 ~seq:5 ~full:true [ ("z", 5.) ],
+       Some ([ ("z", 5.) ], "s1.5"), 2);
+      ("a full snapshot from an older epoch is dropped", 2,
+       arrive ~epoch:1 ~seq:6 ~full:true [ ("w", 6.) ],
+       Some ([ ("z", 5.) ], "s1.5"), 2);
+      ("a delta from a newer epoch is dropped", 1,
+       arrive ~epoch:2 ~seq:6 ~full:false [ ("w", 6.) ],
+       Some ([ ("z", 5.) ], "s1.5"), 2);
+      ("a full snapshot of the current epoch replaces an older epoch's", 2,
+       arrive ~epoch:2 ~seq:0 ~full:true [ ("v", 0.) ],
+       Some ([ ("v", 0.) ], "s2.0"), 2) ]
+  in
+  List.iter
+    (fun (what, epoch, c, want, want_gaps) ->
+      Healing.merge healing ck ~epoch c;
+      let got =
+        Option.map (fun (_, vars, state) -> (vars, state))
+          (Healing.last_checkpoint ck)
+      in
+      (match (got, want) with
+      | None, None -> ()
+      | Some (vars, state), Some (want_vars, want_state) ->
+          Alcotest.(check string) (what ^ ": state") want_state state;
+          Alcotest.(check bool) (what ^ ": vars") true
+            (vars_equal vars
+               (List.map (fun (k, x) -> (k, Value.Num x)) want_vars))
+      | Some _, None | None, Some _ ->
+          Alcotest.fail (what ^ ": store presence"));
+      Alcotest.(check (option (float 0.))) (what ^ ": gaps")
+        (Some (float_of_int want_gaps)) (gaps ()))
+    rows
+
 (* -- restored checkpoints resume identically on both engines ------- *)
 
 let counting_source =
@@ -1297,7 +1365,7 @@ let test_auto_heal_detects_and_recovers () =
   (* the detector noticed within its timeout (+ one heartbeat of slack) *)
   Alcotest.(check int) "one detection" 1 (Seeder.detections seeder);
   Alcotest.(check int) "no false positives" 0 (Seeder.false_detections seeder);
-  let dl = Seeder.detection_latency seeder in
+  let dl = Healing.detection_latency (Seeder.healing seeder) in
   Alcotest.(check int) "latency recorded" 1 (Farm_sim.Metrics.Histogram.count dl);
   let latency = Farm_sim.Metrics.Histogram.mean dl in
   Alcotest.(check bool)
@@ -1306,7 +1374,7 @@ let test_auto_heal_detects_and_recovers () =
     (latency > 0.02 && latency < 0.035 +. 0.01 +. 0.002);
   (* the orphan was re-placed automatically, off the dead switch *)
   Alcotest.(check bool) "auto recovery happened" true
-    (Seeder.auto_recoveries seeder >= 1);
+    (Healing.auto_recoveries (Seeder.healing seeder) >= 1);
   (match Seeder.seeds seeder task with
   | [ replacement ] ->
       Alcotest.(check bool) "moved off the crashed switch" true
@@ -1321,7 +1389,7 @@ let test_auto_heal_detects_and_recovers () =
   Alcotest.(check (list int)) "no orphans left" []
     (Seeder.orphaned_seeds seeder);
   Alcotest.(check (list int)) "failure is on the books" [ home ]
-    (Seeder.failed_switches seeder)
+    (Healing.failed_switches (Seeder.healing seeder))
 
 let test_bounded_state_loss () =
   (* a crash loses at most one checkpoint interval of machine state: the
@@ -1374,14 +1442,14 @@ let test_crash_during_recovery () =
   let seed_id = Seed_exec.seed_id exec in
   Engine.schedule engine ~delay:0. (fun _ -> Seeder.crash_switch seeder home);
   Engine.run ~until:0.305 engine;
-  Alcotest.(check (list int)) "crash is silent" [] (Seeder.failed_switches seeder);
+  Alcotest.(check (list int)) "crash is silent" [] (Healing.failed_switches (Seeder.healing seeder));
   Alcotest.(check (list int)) "seed orphaned" [ seed_id ]
     (Seeder.orphaned_seeds seeder);
   (* the reboot wins the race against the detector *)
   Seeder.revive_switch seeder home;
   Engine.run ~until:0.4 engine;
   Alcotest.(check int) "detector never fired" 0 (Seeder.detections seeder);
-  Alcotest.(check int) "rejoined on heartbeat" 1 (Seeder.auto_recoveries seeder);
+  Alcotest.(check int) "rejoined on heartbeat" 1 (Healing.auto_recoveries (Seeder.healing seeder));
   (match Seeder.seeds seeder task with
   | [ e ] ->
       Alcotest.(check int) "restarted in place" home (Seed_exec.node e);
@@ -1415,7 +1483,7 @@ let test_reboot_before_detection_is_true () =
   Alcotest.(check int) "one detection" 1 (Seeder.detections seeder);
   Alcotest.(check int) "not a false positive" 0
     (Seeder.false_detections seeder);
-  let dl = Seeder.detection_latency seeder in
+  let dl = Healing.detection_latency (Seeder.healing seeder) in
   Alcotest.(check int) "latency recorded" 1
     (Farm_sim.Metrics.Histogram.count dl);
   Alcotest.(check bool) "latency within the detector's bound" true
@@ -1518,10 +1586,10 @@ machine Rep {
   Alcotest.(check bool) "switches were falsely declared" true
     (Seeder.false_detections seeder >= 2);
   Alcotest.(check (list int)) "everyone rejoined" []
-    (Seeder.failed_switches seeder);
-  Alcotest.(check int) "no zombie left running" 0 (Seeder.zombie_count seeder);
+    (Healing.failed_switches (Seeder.healing seeder));
+  Alcotest.(check int) "no zombie left running" 0 (Healing.zombie_count (Seeder.healing seeder));
   Alcotest.(check bool) "zombies were fenced" true
-    (Seeder.zombies_fenced seeder >= 2);
+    (Healing.zombies_fenced (Seeder.healing seeder) >= 2);
   Alcotest.(check int) "both seeds live again" 2
     (List.length (Seeder.seeds seeder task));
   Alcotest.(check (list int)) "no orphans" [] (Seeder.orphaned_seeds seeder);
@@ -1650,8 +1718,8 @@ machine Chat {
   Alcotest.(check int) "no false detections" 0 (Seeder.false_detections seeder);
   Alcotest.(check int) "no migrations" 0 (Seeder.migrations seeder);
   Alcotest.(check (list int)) "no failed switches" []
-    (Seeder.failed_switches seeder);
-  Alcotest.(check int) "no zombies" 0 (Seeder.zombie_count seeder);
+    (Healing.failed_switches (Seeder.healing seeder));
+  Alcotest.(check int) "no zombies" 0 (Healing.zombie_count (Seeder.healing seeder));
   Alcotest.(check int) "both seeds alive" 2
     (List.length (Seeder.seeds seeder task));
   (* once the channel heals, the half-open probes succeed and close *)
@@ -2559,7 +2627,9 @@ let () =
       ( "checkpoints",
         qsuite [ prop_value_roundtrip; prop_checkpoint_roundtrip ]
         @ [ Alcotest.test_case "restore equivalence across engines" `Quick
-              test_checkpoint_restore_engine_equivalence ] );
+              test_checkpoint_restore_engine_equivalence;
+            Alcotest.test_case "seeder-side merge rule" `Quick
+              test_checkpoint_merge_rule ] );
       ( "idempotence",
         [ Alcotest.test_case "ctrl-dup handled exactly once" `Quick
             test_ctrl_dup_idempotence;
