@@ -8,7 +8,6 @@ type config = {
   aggregation_factor : float;
   record_bytes : float;
   collector_latency : float;
-  collector_process_cost : float;
 }
 
 let default_config =
@@ -16,8 +15,7 @@ let default_config =
     batch_process_time = 0.4;
     aggregation_factor = 0.75;  (* best achievable per §VI-B b *)
     record_bytes = 64.;
-    collector_latency = 250e-6;
-    collector_process_cost = 2e-6 }
+    collector_latency = 250e-6 }
 
 type t = {
   collector : Collector.t;
@@ -29,8 +27,7 @@ type t = {
 
 let deploy ?(config = default_config) engine fabric ~hh_threshold =
   let collector =
-    Collector.create engine ~latency:config.collector_latency
-      ~process_cost:config.collector_process_cost ~hh_threshold
+    Collector.create engine ~latency:config.collector_latency ~hh_threshold
   in
   let t =
     { collector; timers = []; reported = Hashtbl.create 64;

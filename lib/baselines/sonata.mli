@@ -12,7 +12,6 @@ type config = {
   aggregation_factor : float;  (** fraction of records removed in-network *)
   record_bytes : float;
   collector_latency : float;
-  collector_process_cost : float;
 }
 
 val default_config : config
