@@ -35,7 +35,8 @@ type t = {
      message still in flight from before a migration — cannot corrupt task
      state. *)
   fences : (int, int) Hashtbl.t;
-  seen : (int, Ipc.Dedup.t) Hashtbl.t;  (* per-seed seqs of the fence epoch *)
+  seen : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+      (* per seed, the accepted seqs of the fence epoch *)
   mutable prov_log : (float * provenance) list;  (* accepted, newest first *)
   mutable n_received : int;  (* = List.length log, kept O(1) *)
   mutable stale_dropped : int;
@@ -87,7 +88,7 @@ let fence t ~seed_id ~epoch =
   let cur = Option.value (Hashtbl.find_opt t.fences seed_id) ~default:(-1) in
   if epoch > cur then begin
     Hashtbl.replace t.fences seed_id epoch;
-    Hashtbl.replace t.seen seed_id (Ipc.Dedup.create ())
+    Hashtbl.replace t.seen seed_id (Hashtbl.create 64)
   end
 
 (* Admission control: drop stale-epoch reports, dedup (seed, epoch, seq).
@@ -102,18 +103,21 @@ let admit t p =
   end
   else begin
     if p.p_epoch > cur then fence t ~seed_id:p.p_seed ~epoch:p.p_epoch;
-    let dedup =
+    let seqs =
       match Hashtbl.find_opt t.seen p.p_seed with
-      | Some d -> d
+      | Some s -> s
       | None ->
-          let d = Ipc.Dedup.create () in
-          Hashtbl.replace t.seen p.p_seed d;
-          d
+          let s = Hashtbl.create 64 in
+          Hashtbl.replace t.seen p.p_seed s;
+          s
     in
-    if Ipc.Dedup.register dedup p.p_seq then true
-    else begin
+    if Hashtbl.mem seqs p.p_seq then begin
       t.dup_dropped <- t.dup_dropped + 1;
       false
+    end
+    else begin
+      Hashtbl.replace seqs p.p_seq ();
+      true
     end
   end
 

@@ -20,27 +20,3 @@ let cpu_cost scheme exec =
   | Grpc, Processes -> 45e-6
   | Shared_buffer, Threads -> 1e-6
   | Shared_buffer, Processes -> 4e-6
-
-module Dedup = struct
-  type t = {
-    seen : (int, unit) Hashtbl.t;
-    mutable accepted : int;
-    mutable duplicates : int;
-  }
-
-  let create () = { seen = Hashtbl.create 64; accepted = 0; duplicates = 0 }
-
-  let register t id =
-    if Hashtbl.mem t.seen id then begin
-      t.duplicates <- t.duplicates + 1;
-      false
-    end
-    else begin
-      Hashtbl.replace t.seen id ();
-      t.accepted <- t.accepted + 1;
-      true
-    end
-
-  let accepted t = t.accepted
-  let duplicates t = t.duplicates
-end

@@ -20,7 +20,7 @@ type t = {
   mutable transitions : int;
   mutable alive : bool;
   mutable next_seq : int;  (* per-instance report sequence numbers *)
-  dedup : Ipc.Dedup.t;  (* inbound control-message ids seen *)
+  mutable dups : int;  (* inbound copies dropped by their receipt *)
   (* overload resilience: AIMD degraded mode over the adaptive triggers *)
   adaptive : string list;  (* poll vars whose period may be stretched *)
   rate_scale : float ref;
@@ -40,7 +40,7 @@ let alloc_seq t =
   t.next_seq <- s + 1;
   s
 
-let duplicates_dropped t = Ipc.Dedup.duplicates t.dedup
+let duplicates_dropped t = t.dups
 let node t = Soil.node_id t.soil
 let soil t = t.soil
 let resources t = t.res
@@ -253,7 +253,7 @@ let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
   let t =
     { sid = seed_id; soil; epoch; plan; inst = None;
       res = Array.copy resources; polls; subs = []; transitions = 0; alive = true; next_seq = 0;
-      dedup = Ipc.Dedup.create (); adaptive; rate_scale = ref 1.;
+      dups = 0; adaptive; rate_scale = ref 1.;
       poll_drops = 0; last_drop_backoff = Float.neg_infinity;
       send }
   in
@@ -334,12 +334,23 @@ let set_resources t res =
   resubscribe_all t;
   Aengine.realloc (inst t)
 
-(* Deliver an inbound control message.  [msg_id] identifies the logical
-   message across retransmissions and ctrl-dup copies: repeats are dropped
-   so handling is idempotent (exactly-once on an at-least-once channel). *)
-let deliver ?msg_id t ~from v =
+(* The epoch of the last instance that took the message.  Epochs only
+   grow along a message's deliveries (see the interface), so an instance
+   has taken it iff the receipt holds its epoch. *)
+type receipt = int ref
+
+let receipt () = ref min_int
+
+let deliver ?receipt t ~from v =
   let fresh =
-    match msg_id with Some id -> Ipc.Dedup.register t.dedup id | None -> true
+    match receipt with
+    | Some r when !r = t.epoch ->
+        t.dups <- t.dups + 1;
+        false
+    | Some r ->
+        r := t.epoch;
+        true
+    | None -> true
   in
   if fresh && t.alive then ignore (Aengine.deliver (inst t) ~from v)
 

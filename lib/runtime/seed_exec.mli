@@ -48,7 +48,8 @@ val epoch : t -> int
 (** Allocate the next report sequence number (monotonic per instance). *)
 val alloc_seq : t -> int
 
-(** Inbound control messages suppressed as duplicates (same [msg_id]). *)
+(** Inbound copies {!deliver} dropped because this instance had already
+    taken their message. *)
 val duplicates_dropped : t -> int
 
 val machine_name : t -> string
@@ -63,11 +64,26 @@ val resources : t -> float array
     fire. *)
 val set_resources : t -> float array -> unit
 
-(** Deliver a message from the harvester or another seed.  [msg_id]
-    identifies the logical message across retransmissions / ctrl-dup
-    copies; repeated ids are dropped (idempotent receipt). *)
+(** The receipt of one logical control message, shared by all of its
+    copies (retransmissions and ctrl-dup duplicates): one int, whatever
+    the number of copies or instances. *)
+type receipt
+
+(** A receipt no instance has taken yet. *)
+val receipt : unit -> receipt
+
+(** Deliver a message from the harvester or another seed.  With
+    [receipt], delivery is exactly-once per instance: a copy whose
+    receipt already holds this instance's epoch is dropped and counted
+    in {!duplicates_dropped}; otherwise the receipt takes this epoch and
+    the handler runs (if the instance is alive).  This requires that
+    every copy go to the instance of one logical seed that is current
+    when the copy lands, as the seeder routes them: the epochs a
+    message meets then only grow.  So a copy reaching a re-instantiated
+    seed is taken once by the new instance.  Without [receipt] every
+    call runs the handler. *)
 val deliver :
-  ?msg_id:int -> t -> from:Farm_almanac.Host.source -> Value.t -> unit
+  ?receipt:receipt -> t -> from:Farm_almanac.Host.source -> Value.t -> unit
 
 (** Snapshot (variables, state) for migration. *)
 val snapshot : t -> (string * Value.t) list * string

@@ -110,7 +110,7 @@ type t = {
   registry : (int, reg) Hashtbl.t;  (* seed_id -> reg *)
   mutable next_seed : int;
   mutable next_task : int;
-  mutable next_msg : int;  (* control-message ids (idempotent receipt) *)
+  mutable next_msg : int;  (* seed-message ids: their retry jitter keys *)
   mutable assignments : Model.assignment list;
   mutable migration_count : int;
   collector_bytes : Metrics.Counter.t;
@@ -234,16 +234,19 @@ let seed_on _t task ~machine ~node =
 
 (* Deliver to one registered seed; retried while the seed is away
    (migrating, or waiting to be re-placed after a switch failure).  Every
-   logical message gets a fresh id so the receiving instance can drop the
-   retransmitted / ctrl-duplicated copies (idempotent receipt). *)
+   copy goes to the seed's instance of the moment, and all copies share
+   one receipt, so the receiving instance drops the retransmitted /
+   ctrl-duplicated copies it has already taken (idempotent receipt).  The
+   message's id keys its retries' jitter. *)
 let send_to_reg t (r : reg) ~from v =
-  let msg_id = t.next_msg in
+  let key = t.next_msg in
   t.next_msg <- t.next_msg + 1;
+  let receipt = Seed_exec.receipt () in
   let dest = Option.map Seed_exec.node r.r_exec in
-  Control.send t.control ?dest ~key:msg_id (fun () ->
+  Control.send t.control ?dest ~key (fun () ->
       match r.r_exec with
       | Some e ->
-          Seed_exec.deliver ~msg_id e ~from v;
+          Seed_exec.deliver ~receipt e ~from v;
           `Delivered
       | None ->
           if Hashtbl.mem t.registry r.r_spec.seed_id then `Absent else `Gone)

@@ -356,7 +356,13 @@ let every t ~period ?phase f =
   arm t c (t.clock +. phase);
   c
 
-let cancel timer = timer.cancelled <- true
+(* The cell stays queued until its due time, but drops its closure now:
+   [run] never calls a cancelled cell's callback, and a re-armed timer
+   (a soil group, a resubscribed seed) must not keep what the old one
+   captured alive until then. *)
+let cancel timer =
+  timer.cancelled <- true;
+  timer.cb <- noop
 
 let set_period timer p =
   if p <= 0. then invalid_arg "Engine.set_period: period must be positive";

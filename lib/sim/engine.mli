@@ -38,7 +38,12 @@ type timer
     with {!set_period} — this is how seeds adapt their polling rate. *)
 val every : t -> period:float -> ?phase:float -> (t -> unit) -> timer
 
+(** [cancel tm] stops [tm] and releases its callback at once, so what
+    the callback captured can be collected.  The timer's queued event is
+    not removed: it is still dispatched (and counted by {!dispatched}) at
+    its due time, does nothing, and counts in {!pending} until then. *)
 val cancel : timer -> unit
+
 val set_period : timer -> float -> unit
 
 (** Run until the event queue drains or [until] is reached (events at

@@ -1301,6 +1301,105 @@ machine Adj {
   Alcotest.(check bool) "harvester dropped the duplicate copies" true
     (Harvester.dup_dropped h >= 2)
 
+(* -- a copy that outlives its instance -------------------------------- *)
+
+let counter_source =
+  {|
+machine Cnt {
+  place any;
+  long count = 0;
+  state s {
+    when (recv long t from harvester) do { count = count + t; }
+  }
+}
+|}
+
+(* A counting seed whose harvester context the test drives by hand. *)
+let counter_world ~seed =
+  let engine = Engine.create ~seed () in
+  let fabric = Fabric.create (Topology.linear ~n:2) in
+  let seeder = Seeder.create engine fabric in
+  set_ctrl seeder ~dup:1.0 ();
+  let ctx = ref None in
+  let spec =
+    { (Seeder.simple_spec ~name:"cnt" ~source:counter_source) with
+      Seeder.ts_harvester =
+        { Harvester.on_start = (fun c -> ctx := Some c);
+          on_message = (fun _ ~from_switch:_ _ -> ()) } }
+  in
+  let task = deployed seeder spec in
+  match !ctx with
+  | Some ctx -> (engine, seeder, task, ctx)
+  | None -> Alcotest.fail "harvester not started"
+
+let count_of s =
+  match Seed_exec.var s "count" with
+  | Some (Value.Num n) -> n
+  | _ -> Alcotest.fail "count unbound"
+
+let test_ctrl_dup_reinstantiated () =
+  (* Every control message arrives twice, the copy 1 ms after the
+     original.  The original reaches the seed's first instance; its
+     switch crashes before the copy lands, so the copy reaches the
+     re-placed instance, which has never taken the message and takes it
+     once.  Exactly what a per-instance table of message ids decides. *)
+  let engine, seeder, task, ctx = counter_world ~seed:23 in
+  Engine.run ~until:0.1 engine;
+  let first = List.hd (Seeder.seeds seeder task) in
+  ctx.Harvester.broadcast (Value.Num 1.);
+  Engine.run ~until:0.1005 engine;
+  Alcotest.(check (float 0.)) "original taken by the first instance" 1.
+    (count_of first);
+  Seeder.crash_switch seeder (Seed_exec.node first);
+  let second =
+    match Seeder.seeds seeder task with
+    | [ s ] -> s
+    | _ -> Alcotest.fail "seed not re-placed"
+  in
+  Alcotest.(check bool) "a new instance" true
+    (Seed_exec.epoch second > Seed_exec.epoch first);
+  Alcotest.(check (float 0.)) "new instance starts fresh" 0. (count_of second);
+  Engine.run ~until:0.2 engine;
+  Alcotest.(check (float 0.)) "the copy is taken once by the new instance" 1.
+    (count_of second);
+  Alcotest.(check int) "nothing dropped there" 0
+    (Seed_exec.duplicates_dropped second);
+  (* a message sent to the new instance: original taken, copy dropped *)
+  ctx.Harvester.broadcast (Value.Num 10.);
+  Engine.run ~until:0.3 engine;
+  Alcotest.(check (float 0.)) "next message taken once" 11. (count_of second);
+  Alcotest.(check int) "its copy dropped" 1
+    (Seed_exec.duplicates_dropped second);
+  Alcotest.(check (float 0.)) "the dead instance took nothing more" 1.
+    (count_of first)
+
+let test_ctrl_dup_bounded () =
+  (* Seed-side exactly-once keeps no state per message: after 10 000
+     duplicated broadcasts the world holds what it held after 10.  Words
+     reachable from the world are exact, so the tolerance only covers
+     the engine's cell freelist and hashtable resizes (64 words).  A
+     table of taken ids per instance grew by 48 080 words here. *)
+  let engine, seeder, task, ctx = counter_world ~seed:29 in
+  let broadcasts n =
+    for _ = 1 to n do
+      ctx.Harvester.broadcast (Value.Num 1.);
+      Engine.run ~until:(Engine.now engine +. 0.002) engine
+    done
+  in
+  let words () = Obj.reachable_words (Obj.repr (engine, seeder, task)) in
+  broadcasts 10;
+  let w10 = words () in
+  broadcasts 9_990;
+  let w10k = words () in
+  let s = List.hd (Seeder.seeds seeder task) in
+  Alcotest.(check (float 0.)) "every broadcast taken once" 10_000.
+    (count_of s);
+  Alcotest.(check int) "every copy dropped" 10_000
+    (Seed_exec.duplicates_dropped s);
+  if abs (w10k - w10) > 64 then
+    Alcotest.failf "world grew from %d words after 10 broadcasts to %d \
+                    after 10 000" w10 w10k
+
 (* -- reviving a healthy switch is a no-op --------------------------- *)
 
 let test_double_recovery_noop () =
@@ -2633,6 +2732,10 @@ let () =
       ( "idempotence",
         [ Alcotest.test_case "ctrl-dup handled exactly once" `Quick
             test_ctrl_dup_idempotence;
+          Alcotest.test_case "ctrl-dup copy reaching a re-placed seed" `Quick
+            test_ctrl_dup_reinstantiated;
+          Alcotest.test_case "ctrl-dup state bounded over broadcasts" `Quick
+            test_ctrl_dup_bounded;
           Alcotest.test_case "double recovery is a no-op" `Quick
             test_double_recovery_noop ] );
       ( "self-healing",

@@ -433,6 +433,32 @@ let test_engine_cancel () =
   Engine.run ~until:10. e;
   Alcotest.(check int) "cancelled after 2 ticks" 2 !count
 
+(* A cancelled timer's cell stays queued until its due time, but must
+   not keep its closure (and what the closure captured) alive that long:
+   re-armed soil groups leave thousands of such cells in the wheel. *)
+let test_engine_cancel_releases () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  let[@inline never] arm () =
+    let captured = Array.make (Sys.opaque_identity 8) 0 in
+    Weak.set w 0 (Some captured);
+    Engine.every e ~period:5. (fun _ -> captured.(0) <- captured.(0) + 1)
+  in
+  let timer = arm () in
+  Gc.full_major ();
+  Alcotest.(check bool) "armed timer keeps its closure" true
+    (Weak.check w 0);
+  Engine.cancel timer;
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled timer released its closure" false
+    (Weak.check w 0);
+  Alcotest.(check int) "cell still queued" 1 (Engine.pending e);
+  Engine.run ~until:4. e;
+  Alcotest.(check int) "nothing due yet" 0 (Engine.dispatched e);
+  Engine.run ~until:6. e;
+  Alcotest.(check int) "dispatched at its due time" 1 (Engine.dispatched e);
+  Alcotest.(check int) "then gone" 0 (Engine.pending e)
+
 let test_engine_set_period () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -743,6 +769,8 @@ let () =
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "periodic" `Quick test_engine_periodic;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "cancel releases the callback" `Quick
+            test_engine_cancel_releases;
           Alcotest.test_case "set_period" `Quick test_engine_set_period;
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           Alcotest.test_case "far future / overflow" `Quick
