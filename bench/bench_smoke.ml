@@ -134,11 +134,29 @@ let sim_smoke () =
 (* Bytes one compiled heavy-hitter activation allocates on 16-port
    stats (null host), after warm-up; a minor collection before each read
    syncs OCaml 5's counters, so the figure is deterministic and gates.
-   What remains is the handler's own data: [stats_list] builds a 16-entry
-   list by [append] (136 list cells) and boxes each counter it stores.
-   Boxed numeric slots, boxed comparison results and consed call
-   arguments cost 15 384 B per activation; the gate is half of that. *)
-let activation_alloc_gate = 7692.
+   What remains is the handler's own data: [stats_list] boxes each
+   counter it stores and builds its 16-entry list once, from the
+   pending appends' reversed tail.  Boxed numeric slots, boxed
+   comparison results and consed call arguments cost 15 384 B per
+   activation, and an [append] that copied its list 4 656 B, under a
+   7 692 B gate; the gate keeps that ratio to the 1 984 B it takes now. *)
+let activation_alloc_gate = 3278.
+
+(* The same activation on 88-port stats, the spines of farmbench's
+   deploy-churn, where the list work dominates: an [append] that copied
+   its list cost 99 984 B per activation, quadratic in the ports.  The
+   pending appends allocate 8 896 B; the gate keeps the 16-port ratio.
+   The time is printed, not gated: 60-69 us per activation with both
+   quadratic terms, 18-21 us with the pending appends and the [size] /
+   [nth] caches (three runs each, 2-vCPU VM). *)
+let wide_ports = 88
+let wide_alloc_gate = 14697.
+
+(* Nodes of heavy-hitter's machine compiled to a list shape (a pending
+   append or a [size] / [nth] inline cache, [Compile.t.c_list_sites]):
+   [stats_list]'s and [rate_above]'s appends, [size(prev)] and
+   [nth(prev, i)].  Deterministic, like the fused count. *)
+let list_sites_gate = 4
 
 (* Nodes of heavy-hitter's machine (with its stats helpers) that
    [Compile] turns into a fused closure, reading typed frame slots and
@@ -189,10 +207,11 @@ let deploy_alloc () =
    collection with the world still held.  The figure is deterministic.
    Cancelled timers that kept their closures, and with them dead seeds,
    plus a table of taken message ids per seed instance, held 8 121 048 B
-   here; without them it is 4 736 960 B.  Either leak alone crosses the
-   bound: 7 210 040 B with the timers' closures, 5 091 408 B with the
-   tables. *)
-let retention_gate = 5e6
+   here (either alone crossed a 5 MB bound), and harvester gauges that
+   kept every undeployed task's harvester 4 736 960 B; without them it
+   is 3 553 832 B.  The gate keeps the ratio the 5 MB gate had to
+   4 736 960 B. *)
+let retention_gate = 3.752e6
 
 let churn_retention () =
   let deploys = 60 and max_live = 4 in
@@ -399,7 +418,8 @@ let () =
   let compiled_fire = Almanac.Exec.prepare_trigger compiled "pollStats" in
   let compiled_eps = bench_events compiled_fire stats in
 
-  let fused = (Almanac.Compile.compile ~program ~machine:"HH").c_fused in
+  let plan = Almanac.Compile.compile ~program ~machine:"HH" in
+  let fused = plan.c_fused and list_sites = plan.c_list_sites in
   let speedup = compiled_eps /. interp_eps in
   let activation_bytes = activation_alloc compiled_fire stats in
   Printf.printf "almanac HH poll activation:\n";
@@ -407,7 +427,19 @@ let () =
   Printf.printf "  compiled %12.0f events/sec (%.0f B allocated/activation)\n"
     compiled_eps activation_bytes;
   Printf.printf "  speedup  %12.2fx\n" speedup;
-  Printf.printf "  fused    %12d nodes (gate: %d)\n%!" fused fused_gate;
+  Printf.printf "  fused    %12d nodes (gate: %d)\n" fused fused_gate;
+  Printf.printf "  lists    %12d nodes (gate: %d)\n%!" list_sites list_sites_gate;
+
+  let wide =
+    Almanac.Exec.create ~program ~machine:"HH" Almanac.Host.null_host
+  in
+  Almanac.Exec.start wide;
+  let wide_fire = Almanac.Exec.prepare_trigger wide "pollStats" in
+  let wide_stats = Almanac.Value.Stats (Array.make wide_ports 100.) in
+  let wide_ns = 1e9 /. bench_events ~warmup:500 wide_fire wide_stats in
+  let wide_bytes = activation_alloc wide_fire wide_stats in
+  Printf.printf "  %d ports %8.0f ns/activation (%.0f B allocated/activation)\n%!"
+    wide_ports wide_ns wide_bytes;
 
   let sim_eps, sweep_deterministic, sim_alloc_per_event = sim_smoke () in
   Printf.printf "simulation core (heavy-hitter world, timer-wheel engine):\n";
@@ -512,6 +544,14 @@ let () =
     \  \"compiled_alloc_gate_bytes\": %.0f,\n\
     \  \"compiled_fused_nodes\": %d,\n\
     \  \"compiled_fused_gate\": %d,\n\
+    \  \"compiled_list_sites\": %d,\n\
+    \  \"compiled_list_sites_gate\": %d,\n\
+    \  \"wide_activation\": {\n\
+    \    \"ports\": %d,\n\
+    \    \"compiled_ns_per_activation\": %.0f,\n\
+    \    \"compiled_alloc_bytes_per_activation\": %.1f,\n\
+    \    \"gate_bytes\": %.0f\n\
+    \  },\n\
     \  \"sim_events_per_sec\": %.1f,\n\
     \  \"sim_alloc_bytes_per_event\": %.1f,\n\
     \  \"sweep_deterministic\": %b,\n\
@@ -564,7 +604,8 @@ let () =
     \  }\n\
      }\n"
     interp_eps compiled_eps speedup activation_bytes activation_alloc_gate
-    fused fused_gate
+    fused fused_gate list_sites list_sites_gate
+    wide_ports wide_ns wide_bytes wide_alloc_gate
     sim_eps sim_alloc_per_event
     sweep_deterministic deploy_seeds deploy_bytes deploy_alloc_gate
     churn_deploys retained_bytes retention_gate
@@ -652,6 +693,19 @@ let () =
     Printf.eprintf
       "FAIL: a compiled heavy-hitter activation allocates %.0f B (gate: %.0f B)\n%!"
       activation_bytes activation_alloc_gate;
+    exit 1
+  end;
+  if wide_bytes > wide_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: a compiled heavy-hitter activation on %d ports allocates %.0f B \
+       (gate: %.0f B)\n%!"
+      wide_ports wide_bytes wide_alloc_gate;
+    exit 1
+  end;
+  if list_sites < list_sites_gate then begin
+    Printf.eprintf
+      "FAIL: heavy-hitter compiles %d nodes to a list shape (gate: %d)\n%!"
+      list_sites list_sites_gate;
     exit 1
   end;
   if fused < fused_gate then begin

@@ -25,7 +25,11 @@
       {!Exec.create_compiled}, and host built-ins use the list convention;
     - event dispatch tables are precomputed per (state, trigger) pair,
       including the state-overrides-machine rule, so firing a trigger is
-      an array index plus closure calls.
+      an array index plus closure calls;
+    - two list shapes keep the stats helpers' loops linear: in a loop, a
+      frame list built by [v = append(v, e)] grows in O(1) until
+      something else reads it, and every [size] / [nth] site keeps a
+      per-instance cache of the last list it saw (see "List shapes").
 
     The produced code is observationally equivalent to {!Interp} on
     type-checked programs; the dynamic corner cases of the interpreter
@@ -46,6 +50,23 @@ let absent : Value.t = Value.Str "\000almanac-absent"
 (* Sentinel in a [Value.t] slot whose number lives unboxed at the same
    index of the level's float array. *)
 let num_tag : Value.t = Value.Str "\000almanac-num"
+
+(* Sentinel in a frame slot whose list is being built by appends; the
+   list itself is in the slot's two hidden slots (see "List shapes"). *)
+let pend_tag : Value.t = Value.Str "\000almanac-pending"
+
+(* The inline cache of one [size] or [nth] site: the last list the site
+   saw (compared physically) and, for a [size] site, its length, for an
+   [nth] site, the last index read and the list's tail at that index. *)
+type list_cache = {
+  mutable lc_list : Value.t list;
+  mutable lc_len : int;
+  mutable lc_idx : int;
+  mutable lc_tail : Value.t list;
+}
+
+(* [[]], of length 0 and tail [[]] at index 0, is a true entry *)
+let new_list_cache () = { lc_list = []; lc_len = 0; lc_idx = 0; lc_tail = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Runtime environment                                                 *)
@@ -73,6 +94,7 @@ type env = {
       (* per call site: a host closure, or [static_call] *)
   regs : float array;  (* numeric registers; results in [regs.(0)] *)
   mutable other : Value.t;  (* a numeric code's non-number result *)
+  lists : list_cache array;  (* per [size] / [nth] site *)
 }
 
 type ecode = env -> Value.t
@@ -250,6 +272,8 @@ type t = {
       (* (function name, closure unless the host overrides the name) *)
   c_plan : plan;
   c_fused : int;  (* nodes compiled to a fused shape *)
+  c_list_sites : int;  (* appends and [size] / [nth] sites on a list shape *)
+  c_n_caches : int;  (* length of [env.lists] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -263,17 +287,20 @@ let is_num_typ = function
 (* Frame layout of one event or function body.  [l_bound] marks names that
    are guaranteed present on entry (parameters, trigger bindings) and can
    be read without a presence check; [l_typed] marks names every
-   declaration of which is numeric. *)
+   declaration of which is numeric; [l_pend] gives a list built by
+   appends the first of its two hidden slots, which follow the
+   variables' slots. *)
 type layout = {
   l_slots : (string, int) Hashtbl.t;
   l_bound : (string, unit) Hashtbl.t;
   l_typed : (string, bool) Hashtbl.t;
+  l_pend : (string, int) Hashtbl.t;
   mutable l_size : int;
 }
 
 let new_layout () =
   { l_slots = Hashtbl.create 8; l_bound = Hashtbl.create 4;
-    l_typed = Hashtbl.create 8; l_size = 0 }
+    l_typed = Hashtbl.create 8; l_pend = Hashtbl.create 2; l_size = 0 }
 
 let layout_add lay name numeric =
   let typed =
@@ -313,6 +340,30 @@ let rec collect_decls lay stmts =
           ())
     stmts
 
+(* Pre-pass, after [collect_decls]: a frame variable [v] of the body
+   with a site [v = append(v, e)] in a [while] gets its two hidden
+   slots, when [append] is the built-in (no Almanac function shadows it)
+   and [v] is not typed.  Every site of [v] then compiles to a pending
+   append. *)
+let collect_appends lay ~append stmts =
+  let rec go in_loop stmts =
+    List.iter
+      (fun (s : Ast.stmt) ->
+        match s.Ast.sk with
+        | Ast.Assign (n, Ast.Call ("append", [ Ast.Var m; _ ]))
+          when in_loop && append && String.equal n m && Hashtbl.mem lay.l_slots n
+               && (not (slot_typed lay n)) && not (Hashtbl.mem lay.l_pend n) ->
+            Hashtbl.replace lay.l_pend n lay.l_size;
+            lay.l_size <- lay.l_size + 2
+        | Ast.If (_, a, b) ->
+            go in_loop a;
+            go in_loop b
+        | Ast.While (_, b) -> go true b
+        | _ -> ())
+      stmts
+  in
+  go false stmts
+
 (* An Almanac function as call sites see it: the layout is known before
    any body is compiled, the body is filled in afterwards (calls may
    precede the callee and recurse).  [fi_frame] is the template a call
@@ -337,6 +388,9 @@ type ctx = {
       (* reversed call sites *)
   mutable cx_n_calls : int;
   mutable cx_fused : int;  (* nodes compiled to a fused shape *)
+  cx_append : bool;  (* [append] is the built-in *)
+  mutable cx_list_sites : int;
+  mutable cx_n_caches : int;
 }
 
 (* State-local layout an event body is specialized to. *)
@@ -347,6 +401,7 @@ type scope = {
   sc_locals : locals_layout option;
       (* [None] resolves state locals dynamically against
          [env.locals_names] (initializers, function bodies) *)
+  sc_loop : bool;  (* inside a [while] of the body *)
 }
 
 (* Whether a read of [name] most likely yields a number: decides, for
@@ -414,6 +469,98 @@ let rec bool_shaped (e : Ast.expr) =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* List shapes                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Almanac lists are immutable [Value.List]s, so [append] copies its list
+   and [nth] / [size] walk it: a loop that builds or scans a list of n
+   entries one index at a time costs O(n^2).  Two shapes make the stats
+   helpers' loops linear without changing a value anyone can see.  Both
+   are chosen for sites in a [while] of their own body, where a site runs
+   many times per event: a lone append costs more pending than copied,
+   and a cache emptied when its event ends ([release_lists]) never hits
+   at a site that runs once.
+
+   Pending appends.  A frame variable [v] with a site [v = append(v, e)]
+   in a loop gets two hidden frame slots.  While a site runs on a list,
+   [v]'s own slot holds [pend_tag], the first hidden slot the list [v]
+   held when the appends began (a [Value.List], shared as-is) and the
+   second the appended values, newest first.  Every other read of [v]
+   first stores back the identical list, [prefix @ List.rev tail]
+   ([flush_pending]), so one append followed by a read costs what a
+   plain append costs.  Globals and state locals are never pending.
+
+   Inline caches.  Each [size] and [nth] call site in a loop has a
+   [list_cache] in the instance ([env.lists]), keyed on the list's
+   physical identity: lists are immutable, so the same block has the
+   same length and the same tail at each index.  [nth] at the cached
+   index or after it walks on from the cached tail, so a forward scan is
+   linear.  The caches are per instance because the compiled [t] is
+   shared by every instance of the machine, on whichever domain runs it.
+   A value that is not a list, a negative or out-of-range index, or a
+   host override takes the general code, with its error text. *)
+
+let flush_pending fr i h =
+  let v =
+    match (fr.(h), fr.(h + 1)) with
+    | Value.List prefix, Value.List tail -> Value.List (prefix @ List.rev tail)
+    | _ -> invalid_arg "Compile.flush_pending"
+  in
+  fr.(i) <- v;
+  v
+
+(* the slot and first hidden slot of a pending frame variable *)
+let pend_slot scope name =
+  match scope.sc_frame with
+  | Some lay -> (
+      match Hashtbl.find_opt lay.l_pend name with
+      | Some h -> Some (Hashtbl.find lay.l_slots name, h)
+      | None -> None)
+  | None -> None
+
+(* Back to the empty entry, so a cache keeps no list alive between
+   events. *)
+let release_lists env =
+  let lists = env.lists in
+  for k = 0 to Array.length lists - 1 do
+    let c = lists.(k) in
+    if c.lc_list != [] then begin
+      c.lc_list <- [];
+      c.lc_len <- 0;
+      c.lc_idx <- 0;
+      c.lc_tail <- []
+    end
+  done
+
+let cached_size c (l : Value.t list) =
+  if c.lc_list == l then c.lc_len
+  else begin
+    let n = List.length l in
+    c.lc_list <- l;
+    c.lc_len <- n;
+    n
+  end
+
+(* the tail at index [i] of a list whose tail at index [j] is [t]; [[]]
+   past the end *)
+let rec tail_at i j (t : Value.t list) =
+  if j = i then t else match t with _ :: r -> tail_at i (j + 1) r | [] -> []
+
+let cached_nth c (l : Value.t list) i =
+  let t =
+    if c.lc_list == l && i >= c.lc_idx then tail_at i c.lc_idx c.lc_tail
+    else if i >= 0 then tail_at i 0 l
+    else []
+  in
+  match t with
+  | x :: _ ->
+      if c.lc_list != l then c.lc_list <- l;
+      c.lc_idx <- i;
+      c.lc_tail <- t;
+      x
+  | [] -> Builtins.nth_in l i
+
+(* ------------------------------------------------------------------ *)
 (* Variable access                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -467,7 +614,8 @@ let outer_read ctx scope name : ecode * ncode =
           let i = find env in
           if i >= 0 then get_num env env.locals env.lnums i else gn env )
 
-let var_read ctx scope name : ecode * ncode =
+(* the read of a name, with no regard to pending appends *)
+let slot_read ctx scope name : ecode * ncode =
   match scope.sc_frame with
   | Some lay -> (
       match Hashtbl.find_opt lay.l_slots name with
@@ -484,6 +632,21 @@ let var_read ctx scope name : ecode * ncode =
               else on env )
       | None -> outer_read ctx scope name)
   | None -> outer_read ctx scope name
+
+(* [slot_read]; a pending list is stored back before it is read *)
+let var_read ctx scope name : ecode * ncode =
+  let read = slot_read ctx scope name in
+  match pend_slot scope name with
+  | None -> read
+  | Some (i, h) ->
+      let ev, nv = read in
+      ( (fun env ->
+          let fr = env.frame in
+          if fr.(i) == pend_tag then flush_pending fr i h else ev env),
+        fun env ->
+          let fr = env.frame in
+          if fr.(i) == pend_tag then num_result env (flush_pending fr i h)
+          else nv env )
 
 (* A writer stores a value ([wv]) or the number in [regs.(0)] ([wn]). *)
 type writer = { wv : env -> Value.t -> unit; wn : env -> unit }
@@ -588,11 +751,13 @@ let fast_operand scope (e : Ast.expr) =
       Some (Slot (Hashtbl.find lay.l_slots name))
   | _ -> None
 
-(* The frame slot of a parameter or trigger binding: never absent, it
-   holds a value boxed unless its tag is [num_tag]. *)
+(* The frame slot of a parameter or trigger binding that no append
+   makes pending: never absent, it holds a value boxed unless its tag is
+   [num_tag]. *)
 let bound_slot scope (e : Ast.expr) =
   match (e, scope.sc_frame) with
-  | Ast.Var name, Some lay when Hashtbl.mem lay.l_bound name ->
+  | Ast.Var name, Some lay
+    when Hashtbl.mem lay.l_bound name && not (Hashtbl.mem lay.l_pend name) ->
       Hashtbl.find_opt lay.l_slots name
   | _ -> None
 
@@ -705,6 +870,25 @@ let eval_args (codes : ecode array) env : Value.t list =
 
 (* A call site compiles to a value code or a numeric code. *)
 type call_code = V of ecode | N of ncode
+
+(* A new call site of [fname]: its index in [env.calls]. *)
+let call_site ctx fname cal =
+  let idx = ctx.cx_n_calls in
+  ctx.cx_n_calls <- idx + 1;
+  ctx.cx_calls <-
+    ( fname,
+      match cal with
+      | Dynamic -> fun _ -> fail "unknown function %s" fname
+      | Fn _ | Pure _ | Now | Host_bound _ -> static_call )
+    :: ctx.cx_calls;
+  idx
+
+(* A new [size] / [nth] site with a cache: its index in [env.lists]. *)
+let cache_site ctx =
+  let k = ctx.cx_n_caches in
+  ctx.cx_n_caches <- k + 1;
+  ctx.cx_list_sites <- ctx.cx_list_sites + 1;
+  k
 
 let rec compile_expr ctx scope (e : Ast.expr) : ecode =
   match e with
@@ -897,20 +1081,15 @@ and compile_cond ctx scope (e : Ast.expr) : ccode =
    runs with its arguments written straight into a fresh frame, a pure
    built-in through its list-free entry when the arguments allow. *)
 and compile_call ctx scope fname args : call_code =
-  let idx = ctx.cx_n_calls in
-  ctx.cx_n_calls <- idx + 1;
   let cal = callee ctx fname in
-  ctx.cx_calls <-
-    ( fname,
-      match cal with
-      | Dynamic -> fun _ -> fail "unknown function %s" fname
-      | Fn _ | Pure _ | Now | Host_bound _ -> static_call )
-    :: ctx.cx_calls;
+  let idx = call_site ctx fname cal in
   (* each argument is compiled once, as a number where the built-in
      takes one; [values] is the list-convention view of the arguments
      for a host override and for the reference implementation *)
   let num a = compile_num ctx scope a and value a = compile_expr ctx scope a in
   let overridden env = env.calls.(idx) != static_call in
+  (* the built-in [name] at a site in a loop gets an inline cache *)
+  let cached name = scope.sc_loop && String.equal fname name in
   let host env values = env.calls.(idx) (eval_args values env) in
   let all_values () = Array.of_list (List.map value args) in
   match cal with
@@ -968,6 +1147,35 @@ and compile_call ctx scope fname args : call_code =
                   let v0 = if ok0 then Value.Num x else v0 in
                   let v1 = if ok1 then Value.Num env.regs.(0) else env.other in
                   num_result env (e.call [ v0; v1 ]))
+      | Builtins.Num_of_value f, [ a ] when e.arity = 1 && cached "size" -> (
+          (* [size] in a loop: as below, through the site's cache *)
+          let k = cache_site ctx in
+          let c0 = value a in
+          let values = [| c0 |] in
+          let size env v =
+            match v with
+            | Value.List l ->
+                env.regs.(0) <- float_of_int (cached_size env.lists.(k) l)
+            | v -> f env.regs v
+          in
+          let general env =
+            if overridden env then num_result env (host env values)
+            else begin
+              size env (c0 env);
+              true
+            end
+          in
+          match bound_slot scope a with
+          | Some s ->
+              N
+                (fused ctx (fun env ->
+                     let v = env.frame.(s) in
+                     if v != num_tag && env.calls.(idx) == static_call then begin
+                       size env v;
+                       true
+                     end
+                     else general env))
+          | None -> N general)
       | Builtins.Num_of_value f, [ a ] when e.arity = 1 -> (
           let c0 = value a in
           let values = [| c0 |] in
@@ -1032,6 +1240,23 @@ and compile_call ctx scope fname args : call_code =
                 let v0 = c0 env in
                 let v1 = c1 env in
                 f v0 v1)
+      | Builtins.Value_of_value_num f, [ a; b ] when e.arity = 2 && cached "nth" ->
+          (* [nth] in a loop: as below, through the site's cache *)
+          let k = cache_site ctx in
+          let c0 = value a in
+          let n1 = num b in
+          let values = [| c0; value_of_num n1 |] in
+          V
+            (fun env ->
+              if overridden env then host env values
+              else
+                let v0 = c0 env in
+                if n1 env then
+                  match v0 with
+                  | Value.List l ->
+                      cached_nth env.lists.(k) l (int_of_float env.regs.(0))
+                  | v -> f env.regs v
+                else e.call [ v0; env.other ])
       | Builtins.Value_of_value_num f, [ a; b ] when e.arity = 2 ->
           let c0 = value a in
           let n1 = num b in
@@ -1160,6 +1385,9 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
           fused ctx (fun env ->
               if env.frame.(i) == num_tag then env.fnums.(i) <- k else general env)
       | _ -> general)
+  | Ast.Assign (n, Ast.Call ("append", [ Ast.Var m; x ]))
+    when String.equal n m && pend_slot scope n <> None ->
+      compile_pending_append ctx scope n x
   | Ast.Assign (n, e) -> (
       let w = compile_assign_target ctx scope n in
       let general : scode =
@@ -1194,6 +1422,7 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
       let cel = compile_stmts ctx scope el in
       fun env -> if cc env then cth env else cel env
   | Ast.While (c, body) ->
+      let scope = { scope with sc_loop = true } in
       let cc = compile_cond ctx scope c in
       let cbody = compile_stmts ctx scope body in
       fun env ->
@@ -1232,6 +1461,54 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
 and compile_stmts ctx scope stmts =
   seq (List.map (compile_stmt ctx scope) stmts)
 
+(* [v = append(v, x)] on a pending frame variable (see "List shapes").
+   While [v]'s slot holds a list or is pending, [x] is consed onto the
+   hidden tail; if reading [x] stored [v] back, the stored list starts
+   the next run of appends.  An unbound slot, a value of another kind or
+   a host override runs the general code, which is what compiling the
+   assignment as a plain call would give. *)
+and compile_pending_append ctx scope n x : scode =
+  let i, h = Option.get (pend_slot scope n) in
+  let cal = callee ctx "append" in
+  let append =
+    match cal with
+    | Pure { fast = Builtins.Value_of_values f; arity = 2; _ } -> f
+    | _ -> invalid_arg "Compile.compile_pending_append"
+  in
+  let idx = call_site ctx "append" cal in
+  let w = compile_assign_target ctx scope n in
+  let cv = fst (var_read ctx scope n) in
+  let cx = compile_expr ctx scope x in
+  let values = [| cv; cx |] in
+  let general env =
+    w.wv env
+      (if env.calls.(idx) != static_call then env.calls.(idx) (eval_args values env)
+       else
+         let v0 = cv env in
+         let v1 = cx env in
+         append v0 v1)
+  in
+  ctx.cx_list_sites <- ctx.cx_list_sites + 1;
+  fun env ->
+    let fr = env.frame in
+    let cur = fr.(i) in
+    if env.calls.(idx) == static_call
+       && (cur == pend_tag || match cur with Value.List _ -> true | _ -> false)
+    then begin
+      let v = cx env in
+      if fr.(i) == pend_tag then begin
+        match fr.(h + 1) with
+        | Value.List tail -> fr.(h + 1) <- Value.List (v :: tail)
+        | _ -> invalid_arg "Compile.compile_pending_append"
+      end
+      else begin
+        fr.(h) <- fr.(i);
+        fr.(h + 1) <- Value.List [ v ];
+        fr.(i) <- pend_tag
+      end
+    end
+    else general env
+
 (* ------------------------------------------------------------------ *)
 (* Events, states, functions                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1262,7 +1539,8 @@ let compile_event ctx (locals : locals_layout) (ev : Ast.event) : event_c * veve
   | Some (n, numeric) -> ignore (layout_add_bound lay n numeric)
   | None -> ());
   collect_decls lay ev.body;
-  let scope = { sc_frame = Some lay; sc_locals = Some locals } in
+  collect_appends lay ~append:ctx.cx_append ev.body;
+  let scope = { sc_frame = Some lay; sc_locals = Some locals; sc_loop = false } in
   let body = compile_stmts ctx scope ev.body in
   let binding =
     match binding with
@@ -1309,7 +1587,7 @@ let compile_state ctx (m : Ast.machine) trig_names (st : Ast.state_decl) :
   let local_inits =
     List.map2
       (fun slot (v : Ast.var_decl) ->
-        let init_scope = { sc_frame = None; sc_locals = None } in
+        let init_scope = { sc_frame = None; sc_locals = None; sc_loop = false } in
         let code =
           match v.vinit with
           | Some e -> compile_expr ctx init_scope e
@@ -1360,13 +1638,14 @@ let compile_state ctx (m : Ast.machine) trig_names (st : Ast.state_decl) :
       vs_recv = List.map snd recv } )
 
 (* Layout of a function, before any body is compiled. *)
-let declare_func (fd : Ast.func_decl) : fn_info =
+let declare_func ~append (fd : Ast.func_decl) : fn_info =
   let lay = new_layout () in
   let params =
     Array.of_list
       (List.map (fun (t, n) -> (n, layout_add_bound lay n (is_num_typ t))) fd.fparams)
   in
   collect_decls lay fd.fbody;
+  collect_appends lay ~append fd.fbody;
   let frame = Array.make lay.l_size absent in
   Array.iter (fun (n, slot) -> if slot_typed lay n then frame.(slot) <- num_tag) params;
   { fi_name = fd.fname; fi_layout = lay; fi_params = params; fi_frame = frame;
@@ -1376,7 +1655,7 @@ let compile_func ctx (fd : Ast.func_decl) : func_c * vfunc =
   let fi = Hashtbl.find ctx.cx_funcs fd.fname in
   (* function bodies resolve non-frame names dynamically: the state the
      machine occupies at call time is unknown *)
-  let scope = { sc_frame = Some fi.fi_layout; sc_locals = None } in
+  let scope = { sc_frame = Some fi.fi_layout; sc_locals = None; sc_loop = false } in
   let body = compile_stmts ctx scope fd.fbody in
   fi.fi_body := body;
   ( { fn_name = fd.fname;
@@ -1460,9 +1739,14 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
   List.iter
     (fun (td : Ast.trig_decl) -> Hashtbl.replace trig_hook td.tname td.ttyp)
     m.mtrigs;
+  (* [append] is the built-in unless an Almanac function shadows it *)
+  let append =
+    not (List.exists (fun (fd : Ast.func_decl) -> fd.fname = "append") program.funcs)
+  in
   let fn_infos = Hashtbl.create 8 in
   List.iter
-    (fun (fd : Ast.func_decl) -> Hashtbl.replace fn_infos fd.fname (declare_func fd))
+    (fun (fd : Ast.func_decl) ->
+      Hashtbl.replace fn_infos fd.fname (declare_func ~append fd))
     program.funcs;
   let ctx =
     { cx_global_slots = global_slots;
@@ -1471,9 +1755,12 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
       cx_funcs = fn_infos;
       cx_calls = [];
       cx_n_calls = 0;
-      cx_fused = 0 }
+      cx_fused = 0;
+      cx_append = append;
+      cx_list_sites = 0;
+      cx_n_caches = 0 }
   in
-  let init_scope = { sc_frame = None; sc_locals = None } in
+  let init_scope = { sc_frame = None; sc_locals = None; sc_loop = false } in
   let var_inits =
     List.map2
       (fun slot (v : Ast.var_decl) ->
@@ -1543,4 +1830,6 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
     c_funcs = funcs;
     c_call_sites = Array.of_list (List.rev ctx.cx_calls);
     c_plan = plan;
-    c_fused = ctx.cx_fused }
+    c_fused = ctx.cx_fused;
+    c_list_sites = ctx.cx_list_sites;
+    c_n_caches = ctx.cx_n_caches }

@@ -7,7 +7,11 @@
     every expression and statement compiles once into an OCaml closure
     (numbers travel in float registers, conditions as [bool]); every call
     site is resolved here, so an instance only looks up host overrides;
-    and event dispatch tables are precomputed per (state, trigger) pair.
+    event dispatch tables are precomputed per (state, trigger) pair; and
+    in a loop, a frame list built by [v = append(v, e)] grows in O(1)
+    until another read of [v], and each [size] / [nth] site keeps a
+    per-instance cache of the last list it saw, so the stats helpers'
+    loops are linear.
     Observationally equivalent to {!Interp} on type-checked programs (see
     DESIGN.md, "Almanac execution pipeline").  Compile once per machine;
     instantiate many times with {!Exec.create_compiled}.  A {!t} is
@@ -21,6 +25,12 @@
     interpreter equivalent of a missing hashtable key).  Compared with
     physical equality; programs cannot forge it. *)
 val absent : Value.t
+
+(** The per-instance inline cache of one [size] or [nth] call site
+    (DESIGN.md, "Almanac execution pipeline"). *)
+type list_cache
+
+val new_list_cache : unit -> list_cache
 
 (** Mutable execution environment threaded through compiled closures.
     [locals_names] always describes the layout of [locals]; during a
@@ -44,7 +54,15 @@ type env = {
           plan's entry from {!t.c_call_sites} *)
   regs : float array;  (** numeric registers (length 2) *)
   mutable other : Value.t;  (** a numeric code's non-number result *)
+  lists : list_cache array;
+      (** one cache per [size] / [nth] site in a loop
+          ({!t.c_n_caches}); per instance, so instances sharing a {!t}
+          never share one *)
 }
+
+(** Empty every list cache of an instance, so none keeps a list alive
+    once an event has run. *)
+val release_lists : env -> unit
 
 type ecode = env -> Value.t
 type scode = env -> unit
@@ -167,6 +185,11 @@ type t = {
       (** how many nodes compiled to a fused shape: a closure that reads
           its typed frame slots and literals in place, with the general
           code as fallback (DESIGN.md, "Almanac execution pipeline") *)
+  c_list_sites : int;
+      (** how many appends compiled to a pending append, plus the
+          [size] / [nth] sites with an inline cache; counted apart from
+          [c_fused] *)
+  c_n_caches : int;  (** how many caches an instance allocates *)
 }
 
 (** Compile machine [machine] of a type-checked, inheritance-resolved

@@ -59,7 +59,11 @@ let run_event (env : Compile.env) (ec : Compile.event_c) binding =
   | None -> ());
   env.frame <- fr;
   env.fnums <- nums;
-  try ec.ev_body env with Host.Return_exc _ -> ()
+  match ec.ev_body env with
+  | () | (exception Host.Return_exc _) -> Compile.release_lists env
+  | exception e ->
+      Compile.release_lists env;
+      raise e
 
 let run_events env evs binding =
   for i = 0 to Array.length evs - 1 do
@@ -131,7 +135,8 @@ let create_compiled ?(externals = []) (c : Compile.t) (host : Host.host) =
       pending = None;
       calls;
       regs = Array.make 2 0.;
-      other = Value.Unit }
+      other = Value.Unit;
+      lists = Array.init c.c_n_caches (fun _ -> Compile.new_list_cache ()) }
   in
   (* machine and trigger variables, progressively (earlier initializers
      are visible to later ones) *)

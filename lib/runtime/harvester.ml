@@ -25,6 +25,17 @@ type overload_config = { window : float; max_reports : int }
 let default_overload = { window = 0.1; max_reports = 64 }
 let unlimited = { window = infinity; max_reports = max_int }
 
+(* The accounting the registry's gauges read: a record of its own, so
+   the gauges of an undeployed task keep these counters alive and not
+   the harvester (its spec, context and [seen] tables). *)
+type counters = {
+  mutable n_received : int;  (* = List.length log, kept O(1) *)
+  mutable stale_dropped : int;
+  mutable dup_dropped : int;
+  mutable n_offered : int;
+  mutable n_shed : int;
+}
+
 type t = {
   spec : spec;
   ctx : ctx;
@@ -38,22 +49,21 @@ type t = {
   seen : (int, (int, unit) Hashtbl.t) Hashtbl.t;
       (* per seed, the accepted seqs of the fence epoch *)
   mutable prov_log : (float * provenance) list;  (* accepted, newest first *)
-  mutable n_received : int;  (* = List.length log, kept O(1) *)
-  mutable stale_dropped : int;
-  mutable dup_dropped : int;
+  counts : counters;
   mutable tracer : Farm_sim.Trace.t option;  (* wired by the seeder *)
   mutable lim : overload_config;
   mutable window_start : float;
   admits : (int, int) Hashtbl.t;  (* per-seed admits this window *)
-  mutable n_offered : int;
-  mutable n_shed : int;
 }
 
 let create spec ctx =
   { spec; ctx; log = []; fences = Hashtbl.create 16; seen = Hashtbl.create 16;
-    prov_log = []; n_received = 0; stale_dropped = 0; dup_dropped = 0;
+    prov_log = [];
+    counts =
+      { n_received = 0; stale_dropped = 0; dup_dropped = 0; n_offered = 0;
+        n_shed = 0 };
     tracer = None; lim = unlimited; window_start = 0.;
-    admits = Hashtbl.create 16; n_offered = 0; n_shed = 0 }
+    admits = Hashtbl.create 16 }
 
 let set_tracer t tr = t.tracer <- tr
 
@@ -69,17 +79,18 @@ let window_admits t =
     |> List.sort compare
 
 let metrics_register t reg ~prefix =
+  let c = t.counts in
   let g name f =
     Farm_sim.Metrics.Registry.gauge_fn reg (prefix ^ name)
       (fun () -> float_of_int (f ()))
   in
-  g "received" (fun () -> t.n_received);
-  g "stale_dropped" (fun () -> t.stale_dropped);
-  g "dup_dropped" (fun () -> t.dup_dropped);
+  g "received" (fun () -> c.n_received);
+  g "stale_dropped" (fun () -> c.stale_dropped);
+  g "dup_dropped" (fun () -> c.dup_dropped);
   (* an unlimited inbox never sheds and does not publish shed metrics *)
   if t.lim <> unlimited then begin
-    g "offered" (fun () -> t.n_offered);
-    g "shed" (fun () -> t.n_shed)
+    g "offered" (fun () -> c.n_offered);
+    g "shed" (fun () -> c.n_shed)
   end
 
 let start t = t.spec.on_start t.ctx
@@ -98,7 +109,7 @@ let fence t ~seed_id ~epoch =
 let admit t p =
   let cur = Option.value (Hashtbl.find_opt t.fences p.p_seed) ~default:(-1) in
   if p.p_epoch < cur then begin
-    t.stale_dropped <- t.stale_dropped + 1;
+    t.counts.stale_dropped <- t.counts.stale_dropped + 1;
     false
   end
   else begin
@@ -112,7 +123,7 @@ let admit t p =
           s
     in
     if Hashtbl.mem seqs p.p_seq then begin
-      t.dup_dropped <- t.dup_dropped + 1;
+      t.counts.dup_dropped <- t.counts.dup_dropped + 1;
       false
     end
     else begin
@@ -138,7 +149,7 @@ let shed_check t p =
     match Hashtbl.find t.admits p.p_seed with n -> n | exception Not_found -> 0
   in
   if used >= share then begin
-    t.n_shed <- t.n_shed + 1;
+    t.counts.n_shed <- t.counts.n_shed + 1;
     true
   end
   else begin
@@ -147,7 +158,7 @@ let shed_check t p =
   end
 
 let handle ~provenance:p t ~from_switch v =
-  t.n_offered <- t.n_offered + 1;
+  t.counts.n_offered <- t.counts.n_offered + 1;
   let accept = admit t p in
   let shed = accept && shed_check t p in
   let accept = accept && not shed in
@@ -167,14 +178,14 @@ let handle ~provenance:p t ~from_switch v =
   if accept then begin
     t.prov_log <- (t.ctx.now (), p) :: t.prov_log;
     t.log <- (t.ctx.now (), from_switch, v) :: t.log;
-    t.n_received <- t.n_received + 1;
+    t.counts.n_received <- t.counts.n_received + 1;
     t.spec.on_message t.ctx ~from_switch v
   end
 
 let received t = t.log
-let received_count t = t.n_received
+let received_count t = t.counts.n_received
 let accepted_provenance t = t.prov_log
-let stale_dropped t = t.stale_dropped
-let dup_dropped t = t.dup_dropped
-let offered_count t = t.n_offered
-let shed_count t = t.n_shed
+let stale_dropped t = t.counts.stale_dropped
+let dup_dropped t = t.counts.dup_dropped
+let offered_count t = t.counts.n_offered
+let shed_count t = t.counts.n_shed

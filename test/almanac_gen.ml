@@ -18,6 +18,14 @@
      another kind or reach an outer binding;
    - the pure builtins [size], [nth], [append], [stat], [stats_size],
      [min], [max], [is_list_empty], [floor] and [abs];
+   - [v = append(v, x)], the compiled engine's pending append on a frame
+     list, alone and in bounded loops, with reads of [v] between the
+     appends and after them ([size], an in-range [nth], [==], [send], an
+     argument, [return v]), an alias taken before them, and a list
+     variable that holds another kind;
+   - forward (each index once or twice), backward and two-lists-in-turn
+     [size] / [nth] scans, which the compiled engine's per-site caches
+     serve;
    - functions with parameters and [return], called from handlers and
      from later functions (never recursively, so runs terminate);
    - [recv float] / [recv long] handlers, trigger bindings and [transit].
@@ -299,15 +307,189 @@ and stmt ctx d : (Ast.stmt list * ctx) G.t =
     let+ e = expr ctx N 2 in
     ([ st (Ast.ExprStmt (call f [ e ])) ], ctx)
   in
+  let lists = List.filter (fun v -> v.ty = L) assignable in
+  let in_loop = d > 0 && ctx.loop < 2 in
   G.frequency
     (List.concat
        [ [ (3, decl) ];
          (if assignable <> [] then [ (4, assign ()) ] else []);
          (if numeric_assignable <> [] then [ (2, increment numeric_assignable) ] else []);
+         (if lists <> [] then [ (2, append_self ctx lists) ] else []);
+         (if in_loop then [ (1, build ctx) ] else []);
+         (if in_loop && vars_of ctx L <> [] then [ (1, scan ctx) ] else []);
          (if d > 0 then [ (2, if_) ] else []);
          (if d > 0 && ctx.loop < 2 then [ (1, while_) ] else []);
          (if ctx.states <> [] then [ (1, transit ()) ] else []);
          [ (1, send); (1, effect) ] ])
+
+(* [v = append(v, x)]: on a frame variable, the compiled engine's
+   pending append; [x] is mostly a number, now and then an untyped [nth]
+   or a bool *)
+and append_self ctx lists =
+  let* v = G.oneofl lists in
+  let+ x = elem ctx in
+  ([ st (Ast.Assign (v.name, call "append" [ Ast.Var v.name; x ])) ], ctx)
+
+and elem ctx =
+  G.frequency [ (4, expr ctx N 1); (1, expr ctx B 1); (1, mixed_nth) ]
+
+(* an untyped value of some kind: a bool, a number or a list *)
+and mixed_nth =
+  G.map
+    (fun i ->
+      call "nth"
+        [ Ast.ListLit [ Ast.Bool true; Ast.Int 3; Ast.ListLit [ Ast.Int 1 ] ]; Ast.Int i ])
+    (G.int_range 0 2)
+
+(* The loop counter of nesting depth [ctx.loop], read-only to the other
+   statements. *)
+and counter ctx =
+  let k = Printf.sprintf "k%d" ctx.loop in
+  (k, { name = k; ty = N; assignable = false })
+
+(* A read of list [v] between or after appends: whole, by [size], by an
+   in-range [nth], compared with another list, or passed to a function *)
+and list_read ctx v k : Ast.stmt list G.t =
+  let send e = st (Ast.Send (e, Ast.Harvester)) in
+  let others = List.filter (fun w -> w.name <> v) (vars_of ctx L) in
+  let takes_list = List.filter (fun f -> List.mem L f.params) ctx.funcs in
+  G.frequency
+    (List.concat
+       [ [ (2, G.return [ send (Ast.Var v) ]);
+           (2, G.return [ send (call "size" [ Ast.Var v ]) ]);
+           ( 2,
+             G.return
+               [ st
+                   (Ast.If
+                      ( Ast.Binop (Ast.Lt, Ast.Var k, call "size" [ Ast.Var v ]),
+                        [ send (call "nth" [ Ast.Var v; Ast.Var k ]) ],
+                        [] )) ] );
+           (1, G.return [ send (call "nth" [ Ast.Var v; Ast.Int 0 ]) ]) ];
+         (match others with
+         | [] -> []
+         | ws ->
+             [ ( 2,
+                 let+ w = G.oneofl ws in
+                 [ send (Ast.Binop (Ast.Eq, Ast.Var v, Ast.Var w.name)) ] ) ]);
+         (match takes_list with
+         | [] -> []
+         | fs ->
+             [ ( 2,
+                 let* f = G.oneofl fs in
+                 let first = ref true in
+                 let+ args =
+                   G.flatten_l
+                     (List.map
+                        (fun t ->
+                          if t = L && !first then begin
+                            first := false;
+                            G.return (Ast.Var v)
+                          end
+                          else expr ctx t 0)
+                        f.params)
+                 in
+                 [ send (call f.fname args) ] ) ]) ])
+
+(* A list built by appends in a bounded loop, with reads between the
+   appends and after the loop.  The list is a new frame variable (now
+   and then holding another kind, from an untyped [nth]), or one in
+   scope; an alias may be taken before the appends. *)
+and build ctx : (Ast.stmt list * ctx) G.t =
+  let* fresh = G.frequencyl [ (2, true); (1, false) ] in
+  let* v, decls, ctx =
+    if fresh || vars_of ctx L = [] then
+      let* name = G.oneofl pool in
+      let+ init = G.frequency [ (4, expr ctx L 1); (1, mixed_nth) ] in
+      ( name,
+        [ st (Ast.Decl (Ast.Tlist, name, Some init)) ],
+        { ctx with vars = { name; ty = L; assignable = true } :: ctx.vars } )
+    else
+      let+ v = G.oneofl (vars_of ctx L) in
+      (v.name, [], ctx)
+  in
+  let* alias, ctx =
+    G.frequency
+      [ (2, G.return ([], ctx));
+        ( 1,
+          let+ w = G.oneofl (List.filter (fun n -> n <> v) pool) in
+          ( [ st (Ast.Decl (Ast.Tlist, w, Some (Ast.Var v))) ],
+            { ctx with vars = { name = w; ty = L; assignable = true } :: ctx.vars } ) ) ]
+  in
+  let k, kv = counter ctx in
+  let inner = { ctx with loop = ctx.loop + 1; vars = kv :: ctx.vars } in
+  let* bound = G.int_range 1 4 in
+  let* x = elem inner in
+  let* reads = G.int_range 0 2 >>= fun n -> G.list_repeat n (list_read inner v k) in
+  let* second = G.frequency [ (3, G.return []); (1, G.map (fun (s, _) -> s) (append_self inner [ { name = v; ty = L; assignable = true } ])) ] in
+  let+ after = G.frequency [ (1, G.return []); (2, list_read inner v k) ] in
+  let append = st (Ast.Assign (v, call "append" [ Ast.Var v; x ])) in
+  let step = st (Ast.Assign (k, Ast.Binop (Ast.Add, Ast.Var k, Ast.Int 1))) in
+  ( decls @ alias
+    @ [ st (Ast.Decl (Ast.Tlong, k, Some (Ast.Int 0)));
+        st
+          (Ast.While
+             ( Ast.Binop (Ast.Lt, Ast.Var k, Ast.Int bound),
+               (append :: List.concat reads) @ second @ [ step ] )) ]
+    @ after,
+    { ctx with vars = kv :: ctx.vars } )
+
+(* [size] / [nth] scans: forward (each index once or twice), backward,
+   or over two lists in turn through one [nth] site *)
+and scan ctx : (Ast.stmt list * ctx) G.t =
+  let k, kv = counter ctx in
+  let ctx' = { ctx with vars = kv :: ctx.vars } in
+  let* v = G.map (fun v -> v.name) (G.oneofl (vars_of ctx L)) in
+  let* w = G.map (fun v -> v.name) (G.oneofl (vars_of ctx L)) in
+  let send e = st (Ast.Send (e, Ast.Harvester)) in
+  let size l = call "size" [ Ast.Var l ] in
+  let nth l i = call "nth" [ Ast.Var l; i ] in
+  let step op = st (Ast.Assign (k, Ast.Binop (op, Ast.Var k, Ast.Int 1))) in
+  let+ shape = G.int_range 0 3 in
+  let body =
+    match shape with
+    | 0 | 1 ->
+        (* forward, the index read once or twice *)
+        let read = send (nth v (Ast.Var k)) in
+        [ st (Ast.Decl (Ast.Tlong, k, Some (Ast.Int 0)));
+          st
+            (Ast.While
+               ( Ast.Binop (Ast.Lt, Ast.Var k, size v),
+                 (if shape = 0 then [ read ] else [ read; send (size v); read ])
+                 @ [ step Ast.Add ] )) ]
+    | 2 ->
+        [ st (Ast.Decl (Ast.Tlong, k, Some (Ast.Binop (Ast.Sub, size v, Ast.Int 1))));
+          st
+            (Ast.While
+               ( Ast.Binop (Ast.Ge, Ast.Var k, Ast.Int 0),
+                 [ send (nth v (Ast.Var k)); step Ast.Sub ] )) ]
+    | _ ->
+        (* one [nth] site sees [v], then [w], at each index *)
+        let inner = Printf.sprintf "k%d" (ctx.loop + 1) in
+        [ st (Ast.Decl (Ast.Tlong, k, Some (Ast.Int 0)));
+          st
+            (Ast.While
+               ( Ast.Binop (Ast.Lt, Ast.Var k, Ast.Int 3),
+                 [ st (Ast.Decl (Ast.Tlong, inner, Some (Ast.Int 0)));
+                   st
+                     (Ast.While
+                        ( Ast.Binop (Ast.Lt, Ast.Var inner, Ast.Int 2),
+                          [ st (Ast.Decl (Ast.Tlist, "u", Some (Ast.Var v)));
+                            st
+                              (Ast.If
+                                 ( Ast.Binop (Ast.Gt, Ast.Var inner, Ast.Int 0),
+                                   [ st (Ast.Assign ("u", Ast.Var w)) ],
+                                   [] ));
+                            st
+                              (Ast.If
+                                 ( Ast.Binop (Ast.Lt, Ast.Var k, size "u"),
+                                   [ send (nth "u" (Ast.Var k)) ],
+                                   [] ));
+                            st
+                              (Ast.Assign
+                                 (inner, Ast.Binop (Ast.Add, Ast.Var inner, Ast.Int 1))) ] ));
+                   step Ast.Add ] )) ]
+  in
+  (body, ctx')
 
 (* Function [fi]: parameters from the pool, a body, then [return]. *)
 let func funcs i : (Ast.func_decl * fsig) G.t =

@@ -1746,6 +1746,49 @@ machine Override {
 }
 |}
 
+(* The compiled engine's [size] / [nth] caches live in the instance and
+   are emptied when an event ends, so the list a scan read is collected
+   once the machine drops it. *)
+let test_list_caches_release () =
+  let program =
+    Typecheck.check
+      (Parser.program
+         {|
+machine Scan {
+  place all;
+  time clock = Time { .ival = 1 };
+  list l = [1, 2, 3];
+  float t = 0;
+  state s0 {
+    when (clock) do {
+      long i = 0;
+      while (i < size(l)) {
+        t = t + nth(l, i);
+        i = i + 1;
+      }
+      l = [4, 5];
+    }
+  }
+}
+|})
+  in
+  let inst = Exec.create ~program ~machine:"Scan" Host.null_host in
+  Exec.start inst;
+  let weak = Weak.create 1 in
+  (Sys.opaque_identity (fun () ->
+       match Exec.var inst "l" with
+       | Some (Value.List l) -> Weak.set weak 0 (Some l)
+       | _ -> Alcotest.fail "l is not a list"))
+    ();
+  Exec.fire_trigger inst "clock" Value.Unit;
+  Alcotest.(check (option string)) "the scan ran" (Some "6")
+    (Option.map Value.to_string (Exec.var inst "t"));
+  Gc.full_major ();
+  Alcotest.(check bool) "the scanned list is collected" true
+    (Option.is_none (Weak.get weak 0));
+  (* ... while the instance, and its caches, are still alive *)
+  Alcotest.(check string) "instance alive" "s0" (Exec.current_state inst)
+
 let test_host_overrides () =
   let program = Typecheck.check (Parser.program override_source) in
   let ovr name f = (name, f) in
@@ -1924,7 +1967,9 @@ let () =
           Alcotest.test_case "generated-program corpus" `Quick
             test_generated_corpus;
           Alcotest.test_case "host overrides of built-ins" `Quick
-            test_host_overrides ]
+            test_host_overrides;
+          Alcotest.test_case "list caches keep nothing alive" `Quick
+            test_list_caches_release ]
         @ qsuite
             [ prop_differential_random; prop_shared_plan_no_interference;
               prop_generated_differential; prop_generated_equiv;

@@ -487,6 +487,41 @@ let test_seeder_undeploy_releases () =
   Alcotest.(check int) "seeds gone" 0 (List.length (Seeder.seeds seeder task));
   Alcotest.(check bool) "not placed" false (Seeder.is_placed task)
 
+(* Undeploy frees the task's harvester: its gauges stay in the registry
+   with their names and values, but they read a counters record, not the
+   harvester, whose context reaches the task (program, spec) and whose
+   [seen] tables grow with every report. *)
+let test_seeder_undeploy_frees_harvester () =
+  let engine, _, fabric, seeder = make_world () in
+  let weak = Weak.create 1 in
+  let name = ref "" and received = ref 0. in
+  let tuple =
+    { Flow.src = Farm_net.Ipaddr.of_string "10.1.1.10";
+      dst = Farm_net.Ipaddr.of_string "10.2.1.10"; sport = 1234; dport = 80;
+      proto = Flow.Tcp }
+  in
+  ignore (Fabric.start_flow fabric ~time:0. ~tuple ~rate:100_000. ());
+  (Sys.opaque_identity (fun () ->
+       let task = deployed seeder (watchdog_spec ~limit:50_000. ()) in
+       Engine.run ~until:1. engine;
+       let h = Seeder.harvester task in
+       received := float_of_int (Harvester.received_count h);
+       name :=
+         List.find
+           (fun n -> String.starts_with ~prefix:"harvester.task" n
+                     && String.ends_with ~suffix:".received" n)
+           (Farm_sim.Metrics.Registry.names (Engine.metrics engine));
+       Weak.set weak 0 (Some h);
+       Seeder.undeploy seeder task))
+    ();
+  Engine.run ~until:1.5 engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "reports were received" true (!received > 0.);
+  Alcotest.(check (option (float 0.))) "gauge kept, same value" (Some !received)
+    (Farm_sim.Metrics.Registry.value (Engine.metrics engine) !name);
+  Alcotest.(check bool) "undeployed task's harvester collected" true
+    (Option.is_none (Weak.get weak 0))
+
 let test_seeder_rejects_bad_programs () =
   let _, _, _, seeder = make_world () in
   (match Seeder.deploy seeder (Seeder.simple_spec ~name:"bad" ~source:"machine {") with
@@ -2696,6 +2731,8 @@ let () =
             test_seeder_collector_accounting;
           Alcotest.test_case "undeploy releases" `Quick
             test_seeder_undeploy_releases;
+          Alcotest.test_case "undeploy frees the harvester" `Quick
+            test_seeder_undeploy_frees_harvester;
           Alcotest.test_case "verify_on_deploy gate" `Quick
             test_seeder_verify_on_deploy;
           Alcotest.test_case "rejects bad programs" `Quick
