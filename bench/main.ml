@@ -1,7 +1,7 @@
 (* FARM evaluation harness: regenerates every table and figure of the
    paper's §VI.  Run with no argument for the full suite, or name one or
    more experiments: table1 table4 table5 fig4 fig5 fig6 fig7 fig8 fig9
-   fig10 ablation micro. *)
+   fig10 ablation. *)
 
 let experiments =
   [ ("table1", Exp_table1.run);
@@ -14,8 +14,7 @@ let experiments =
     ("fig9", Exp_fig9.run);
     ("fig10", Exp_fig10.run);
     ("table5", Exp_table5.run);
-    ("ablation", Exp_ablation.run);
-    ("micro", Micro.run) ]
+    ("ablation", Exp_ablation.run) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -30,14 +30,6 @@ SORT_WINDOW = 3  # lines before/after the site searched for a sort
 # numbers drift; content does not).  Keep reasons honest — "it's
 # probably fine" is not one.
 ALLOWLIST = [
-    ("lib/runtime/seeder.ml", "Hashtbl.replace tasks r.r_task.task_id",
-     "keyed replace; every reg of a task carries the same task record"),
-    ("lib/runtime/seeder.ml", "task.placed <-",
-     "independent per-key mutation"),
-    ("lib/runtime/seeder.ml", "fun node soilv acc",
-     "fold result sorted by node id at the end of the pipeline"),
-    ("lib/runtime/seeder.ml", "Soil.set_pressure_listener soilv",
-     "independent per-key listener installation"),
     ("lib/runtime/control.ml", "acc + Overload.Breaker.opens b",
      "commutative int sum"),
     ("lib/net/switch_model.ml", "e.hits <- Tcam.matching t.tcam e.flow.tuple",

@@ -13,6 +13,8 @@ module Heuristic = Farm_placement.Heuristic
 module Conflict = Farm_placement.Conflict
 module Fabric = Farm_net.Fabric
 module Switch_model = Farm_net.Switch_model
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
 
 type config = {
   soil_config : Soil.config;
@@ -70,58 +72,26 @@ let simple_spec ~name ~source =
     ts_extra_sigs = []; ts_harvester = Harvester.collector_spec;
     ts_adaptive = [] }
 
-type task = {
-  task_id : int;
-  spec : task_spec;
-  program : Ast.program Lazy.t;
-      (* what a switch runs: the program compiled to the interchange XML
-         shipped to switches (§V-A d) and decompiled, once per task; the
-         plan of each of its machines is prepared from this immutable
-         AST *)
-  mutable harvester : Harvester.t option;
-  mutable placed : bool;
-  mutable regs : reg list;  (* registered seeds, in seed-id order *)
-}
-
-(* registry entry for one seed of one task *)
-and reg = {
-  r_spec : Model.seed_spec;
-  r_task : task;
-  r_machine : string;
-  r_plan : Farm_almanac.Engine.plan Lazy.t;
-      (* the machine prepared from [program] once per task: one lazy per
-         machine, shared by all its registrations, so every seed,
-         migration and recovery instantiates the same plan; it dies with
-         the registrations *)
-  r_polls : Analysis.poll_summary list;
-  r_externals : (string * Value.t) list;
-  mutable r_exec : Seed_exec.t option;
-  mutable r_migrating : bool;
-  mutable r_epoch : int;  (* epoch of the current/last instance *)
-  r_ck : Healing.ck;  (* checkpoints: sender side and seeder-side store *)
-}
+type task = Registry.task
+type reg = Registry.reg
 
 type t = {
   engine : Engine.t;
   fabric : Fabric.t;
   cfg : config;
-  soils : (int, Soil.t) Hashtbl.t;
+  soils : Soil.t Int_map.t;  (* by node *)
   healing : Healing.t;
-  registry : (int, reg) Hashtbl.t;  (* seed_id -> reg *)
-  mutable next_seed : int;
-  mutable next_task : int;
+  registry : Registry.t;
   mutable next_msg : int;  (* seed-message ids: their retry jitter keys *)
   mutable assignments : Model.assignment list;
   mutable migration_count : int;
   collector_bytes : Metrics.Counter.t;
   mutable collector_messages : int;
   control : Control.t;
-  (* conflict-detection profiles of deployed tasks, by task id *)
-  mutable profiles : (int * Conflict.profile) list;
   (* every diagnostic (lint, conflicts) of the most recent deploy *)
   mutable last_diags : Diagnostic.t list;
   mutable fenced_sends : int;
-  pressured : (int, unit) Hashtbl.t;  (* soils currently under pressure *)
+  mutable pressured : Int_set.t;  (* soils currently under pressure *)
   mutable pressure_events : int;  (* pressure flag flips seen *)
   mutable storm_reports : int;  (* reports injected by Report_storm faults *)
 }
@@ -130,34 +100,34 @@ let engine t = t.engine
 let fabric t = t.fabric
 
 let soil t node =
-  match Hashtbl.find_opt t.soils node with
+  match Int_map.find_opt node t.soils with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Seeder.soil: no soil on node %d" node)
 
-let soils t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.soils []
-  |> List.sort (fun a b -> Int.compare (Soil.node_id a) (Soil.node_id b))
+let soils t = List.map snd (Int_map.bindings t.soils)
 
 let control t = t.control
 let healing t = t.healing
 let retransmissions t = Control.retransmissions t.control
 let lost_messages t = Control.lost_messages t.control
 
-let harvester task =
+let harvester (task : task) =
   match task.harvester with
   | Some h -> h
   | None -> invalid_arg "Seeder.harvester: task has no harvester yet"
 
-let is_placed task = task.placed
+let is_placed (task : task) = task.placed
 
 (* the live optimization instance: all registered seeds over all healthy
    soils; seeds lose failed switches from their candidate sets *)
-let instance_stub t =
+let placement_instance t =
+  let failed = Healing.is_failed t.healing in
   let pcie = Analysis.resource_index Analysis.Pcie in
   let switches =
-    Hashtbl.fold
-      (fun node soilv acc ->
-        if Healing.is_failed t.healing node then acc else
+    List.filter_map
+      (fun soilv ->
+        let node = Soil.node_id soilv in
+        if failed node then None else
         let caps = Switch_model.caps (Soil.switch soilv) in
         let avail = Array.make Analysis.n_resources 0. in
         avail.(Analysis.resource_index Analysis.VCpu) <- caps.vcpu;
@@ -169,27 +139,15 @@ let instance_stub t =
                Farm_net.Tcam.Monitoring);
         (* polling budget in reads/s: PCIe bits/s over one counter read *)
         avail.(pcie) <- caps.pcie_bps /. (8. *. Soil.counter_record_bytes);
-        { Model.node; avail } :: acc)
-      t.soils []
-    |> List.sort (fun (a : Model.switch_caps) b -> Int.compare a.node b.node)
+        Some { Model.node; avail })
+      (soils t)
   in
-  let alive (s : Model.seed_spec) =
-    { s with
-      candidates =
-        List.filter
-          (fun n -> not (Healing.is_failed t.healing n))
-          s.candidates }
-  in
-  { Model.seeds =
-      Hashtbl.fold (fun _ r acc -> alive r.r_spec :: acc) t.registry []
-      |> List.filter (fun (s : Model.seed_spec) -> s.candidates <> [])
-      |> List.sort (fun (a : Model.seed_spec) b ->
-             Int.compare a.seed_id b.seed_id);
+  { Model.seeds = Registry.placement_seeds t.registry ~failed;
     switches; alpha_poll = 1.; previous = t.assignments }
 
-let current_utility t = Model.total_utility (instance_stub t) t.assignments
+let current_utility t =
+  Model.total_utility (placement_instance t) t.assignments
 
-let placement_instance = instance_stub
 let current_assignments t = t.assignments
 
 let collector_bytes t = Metrics.Counter.value t.collector_bytes
@@ -210,17 +168,15 @@ let rec value_bytes (v : Value.t) =
   | Value.Struct (_, fs) ->
       List.fold_left (fun a (_, v) -> a +. value_bytes v) 16. fs
 
-let by_seed_id a b = Int.compare a.r_spec.seed_id b.r_spec.seed_id
+let seed_specs _t (task : task) =
+  List.map (fun (r : reg) -> r.r_spec) task.regs
 
-let sorted_regs t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.registry [] |> List.sort by_seed_id
+let seeds _t (task : task) =
+  List.filter_map (fun (r : reg) -> r.r_exec) task.regs
 
-let seed_specs _t task = List.map (fun r -> r.r_spec) task.regs
-let seeds _t task = List.filter_map (fun r -> r.r_exec) task.regs
-
-let seed_on _t task ~machine ~node =
+let seed_on _t (task : task) ~machine ~node =
   List.find_opt
-    (fun r ->
+    (fun (r : reg) ->
       r.r_machine = machine
       && match r.r_exec with
          | Some e -> Seed_exec.node e = node
@@ -249,18 +205,18 @@ let send_to_reg t (r : reg) ~from v =
           Seed_exec.deliver ~receipt e ~from v;
           `Delivered
       | None ->
-          if Hashtbl.mem t.registry r.r_spec.seed_id then `Absent else `Gone)
+          if Registry.mem t.registry r.r_spec.seed_id then `Absent else `Gone)
 
 (* to every running seed of [task] that [pick] selects, in seed-id order *)
-let send_to_seeds t task pick ~from v =
+let send_to_seeds t (task : task) pick ~from v =
   List.iter
-    (fun r ->
+    (fun (r : reg) ->
       match r.r_exec with
       | Some e when pick r e -> send_to_reg t r ~from v
       | Some _ | None -> ())
     task.regs
 
-let seed_send t task exec (target : Host.target) v =
+let seed_send t (task : task) exec (target : Host.target) v =
   match target with
   | Host.To_harvester ->
       (* stamp provenance: the harvester fences stale epochs and dedups
@@ -288,13 +244,13 @@ let seed_send t task exec (target : Host.target) v =
       (* seed→seed messages route through the seeder, which drops traffic
          from instances it has already superseded (fencing at the router) *)
       let live =
-        match Hashtbl.find_opt t.registry (Seed_exec.seed_id exec) with
+        match Registry.find t.registry (Seed_exec.seed_id exec) with
         | Some r -> Seed_exec.epoch exec = r.r_epoch
         | None -> false
       in
       if live then
         send_to_seeds t task
-          (fun r e ->
+          (fun (r : reg) e ->
             r.r_machine = m
             && Option.fold ~none:true ~some:(( = ) (Seed_exec.node e)) node)
           ~from:(Host.From_machine (Seed_exec.machine_name exec)) v
@@ -304,7 +260,7 @@ let seed_send t task exec (target : Host.target) v =
 (* Placement application                                               *)
 (* ------------------------------------------------------------------ *)
 
-let retire_exec r =
+let retire_exec (r : reg) =
   (match r.r_exec with
   | Some exec ->
       Seed_exec.destroy exec;
@@ -339,8 +295,8 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
   in
   let exec =
     Seed_exec.deploy ~soil:soilv ~plan ~externals:r.r_externals
-      ~builtins:r.r_task.spec.ts_builtins ?restore ~epoch:r.r_epoch
-      ~adaptive:r.r_task.spec.ts_adaptive ~resources:a.a_res ~polls:r.r_polls
+      ~builtins:r.r_task.builtins ?restore ~epoch:r.r_epoch
+      ~adaptive:r.r_task.adaptive ~resources:a.a_res ~polls:r.r_polls
       ~send:(fun exec target v -> seed_send t r.r_task exec target v)
       ~seed_id:r.r_spec.seed_id ()
   in
@@ -363,8 +319,7 @@ let apply_placement t (placement : Model.placement) =
     new_assignments;
   (* destroy / migrate / retune existing seeds, in seed-id order so
      same-time engine events are enqueued deterministically *)
-  List.iter
-    (fun (r : reg) ->
+  Registry.iter_seeds t.registry (fun r ->
       let seed_id = r.r_spec.seed_id in
       match (r.r_exec, Hashtbl.find_opt by_seed seed_id) with
       | Some _, None ->
@@ -403,22 +358,19 @@ let apply_placement t (placement : Model.placement) =
             Seed_exec.set_resources exec a.a_res
       | None, Some a when not r.r_migrating ->
           instantiate t r a ~restore:None
-      | None, _ -> ())
-    (sorted_regs t);
+      | None, _ -> ());
   t.assignments <- new_assignments;
   (* task placement flags *)
-  let tasks = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ (r : reg) -> Hashtbl.replace tasks r.r_task.task_id r.r_task)
-    t.registry;
-  Hashtbl.iter
-    (fun _ task ->
+  List.iter
+    (fun (task : task) ->
       task.placed <-
-        List.exists (fun r -> Hashtbl.mem by_seed r.r_spec.seed_id) task.regs)
-    tasks
+        List.exists
+          (fun (r : reg) -> Hashtbl.mem by_seed r.r_spec.seed_id)
+          task.regs)
+    (Registry.tasks t.registry)
 
 let reoptimize t =
-  let inst = instance_stub t in
+  let inst = placement_instance t in
   let placement, _stats = Heuristic.optimize inst in
   apply_placement t placement
 
@@ -431,14 +383,9 @@ let reoptimize t =
    ([optimize_incremental] falls back to a full optimize if pinning would
    drop a task).  Returns how many orphans run again. *)
 let fail_over t node =
-  List.iter
-    (fun (r : reg) ->
-      match r.r_exec with
-      | Some exec when Seed_exec.node exec = node ->
-          r.r_exec <- None;
-          Healing.demote t.healing r.r_ck exec
-      | Some _ | None -> ())
-    (sorted_regs t);
+  Registry.iter_on t.registry node (fun r exec ->
+      r.r_exec <- None;
+      Healing.demote t.healing r.r_ck exec);
   let orphans =
     List.filter_map
       (fun (a : Model.assignment) ->
@@ -449,13 +396,13 @@ let fail_over t node =
   t.assignments <-
     List.filter (fun (a : Model.assignment) -> a.a_node <> node) t.assignments;
   let placement, _stats =
-    Heuristic.optimize_incremental (instance_stub t) ~affected:orphans
+    Heuristic.optimize_incremental (placement_instance t) ~affected:orphans
   in
   apply_placement t placement;
   List.length
     (List.filter
        (fun seed_id ->
-         match Hashtbl.find_opt t.registry seed_id with
+         match Registry.find t.registry seed_id with
          | Some r -> r.r_exec <> None
          | None -> false)
        orphans)
@@ -468,7 +415,7 @@ let rejoin_orphans t node =
     (fun n (a : Model.assignment) ->
       if a.a_node <> node then n
       else
-        match Hashtbl.find_opt t.registry a.a_seed with
+        match Registry.find t.registry a.a_seed with
         | Some r when r.r_exec = None && not r.r_migrating ->
             instantiate t r a ~restore:None;
             if r.r_exec <> None then n + 1 else n
@@ -480,12 +427,14 @@ let rejoin_orphans t node =
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = default_config) engine fabric =
-  let soils = Hashtbl.create 32 in
-  List.iter
-    (fun sw ->
-      Hashtbl.replace soils (Switch_model.id sw)
-        (Soil.create ~config:config.soil_config engine sw))
-    (Fabric.switch_models fabric);
+  let soils =
+    List.fold_left
+      (fun soils sw ->
+        Int_map.add (Switch_model.id sw)
+          (Soil.create ~config:config.soil_config engine sw)
+          soils)
+      Int_map.empty (Fabric.switch_models fabric)
+  in
   let reg = Engine.metrics engine in
   let control = Control.create engine config.ctrl_protection in
   let detector =
@@ -504,27 +453,24 @@ let create ?(config = default_config) engine fabric =
             ~fail_over:(fun node -> fail_over (Lazy.force t) node)
             ~reoptimize:(fun () -> reoptimize (Lazy.force t))
             ~repush:(fun node -> rejoin_orphans (Lazy.force t) node);
-        registry = Hashtbl.create 64;
-        next_seed = 0; next_task = 0; next_msg = 0; assignments = [];
+        registry = Registry.create (); next_msg = 0; assignments = [];
         migration_count = 0;
         collector_bytes =
           Metrics.Registry.counter reg "seeder.collector.bytes";
-        collector_messages = 0; control; profiles = []; last_diags = [];
-        fenced_sends = 0; pressured = Hashtbl.create 8; pressure_events = 0;
+        collector_messages = 0; control; last_diags = [];
+        fenced_sends = 0; pressured = Int_set.empty; pressure_events = 0;
         storm_reports = 0 }
   in
   let t = Lazy.force t in
   (* soils report their pressure flips up (none at unlimited limits) *)
   let on_pressure ~node ~high =
-    if high <> Hashtbl.mem t.pressured node then begin
-      if high then Hashtbl.replace t.pressured node ()
-      else Hashtbl.remove t.pressured node;
+    if high <> Int_set.mem node t.pressured then begin
+      t.pressured <-
+        (if high then Int_set.add else Int_set.remove) node t.pressured;
       t.pressure_events <- t.pressure_events + 1
     end
   in
-  Hashtbl.iter
-    (fun _ soilv -> Soil.set_pressure_listener soilv on_pressure)
-    soils;
+  Int_map.iter (fun _ s -> Soil.set_pressure_listener s on_pressure) soils;
   (* publish the plain mutable counters as callback gauges, sampled at
      snapshot time — no extra work on the hot paths that bump them *)
   let g name f = Metrics.Registry.gauge_fn reg name (fun () -> float_of_int (f ())) in
@@ -534,13 +480,10 @@ let create ?(config = default_config) engine fabric =
   (* an unlimited channel never limits anything and publishes no
      protection metrics *)
   if config.ctrl_protection <> Control.unlimited then begin
-    g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured);
+    g "seeder.pressure.switches" (fun () -> Int_set.cardinal t.pressured);
     g "seeder.pressure.events" (fun () -> t.pressure_events)
   end;
-  Healing.start t.healing
-    ~nodes:
-      (List.sort Int.compare
-         (List.map Switch_model.id (Fabric.switch_models fabric)));
+  Healing.start t.healing ~nodes:(List.map fst (Int_map.bindings soils));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -589,18 +532,18 @@ let deploy t spec =
       Error (pass ^ ": " ^ Diagnostic.to_string d)
     else Ok ()
   in
-  let task =
-    { task_id = t.next_task; spec;
-      program = lazy Farm_almanac.Machine_xml.(load (compile program));
-      harvester = None; placed = false; regs = [] }
-  in
-  t.next_task <- t.next_task + 1;
-  (* analyze every machine and register its seeds *)
+  let task_id = Registry.fresh_task_id t.registry in
+  (* what a switch runs: the program compiled to the interchange XML
+     shipped to switches (§V-A d) and decompiled, once per task; the plan
+     of each of its machines is prepared from this immutable AST *)
+  let shipped = lazy Farm_almanac.Machine_xml.(load (compile program)) in
+  (* analyze every machine and number its seeds; each machine yields its
+     registry entries once the task record exists *)
   let topo = Fabric.topology t.fabric in
-  let* registered, analyzed =
+  let* machines, analyzed =
     List.fold_left
       (fun acc (m : Ast.machine) ->
-        let* acc, analyzed = acc in
+        let* machines, analyzed = acc in
         let externals =
           Option.value
             (List.assoc_opt m.mname spec.ts_externals)
@@ -630,30 +573,35 @@ let deploy t spec =
         let plan =
           lazy
             (Farm_almanac.Engine.prepare ~engine:t.cfg.engine
-               ~program:(Lazy.force task.program) ~machine:m.mname)
+               ~program:(Lazy.force shipped) ~machine:m.mname)
         in
-        let regs =
+        let specs =
           List.map
             (fun (site : Analysis.seed_site) ->
-              let seed_id = t.next_seed in
-              t.next_seed <- seed_id + 1;
-              { r_spec =
-                  { Model.seed_id; task_id = task.task_id;
-                    candidates = site.candidates;
-                    branches = initial_state_util; polls = poll_reqs };
-                r_task = task; r_machine = m.mname; r_plan = plan;
-                r_polls = polls;
-                r_externals = externals; r_exec = None;
-                r_migrating = false; r_epoch = -1; r_ck = Healing.ck () })
+              let seed_id = Registry.fresh_seed_id t.registry in
+              { Model.seed_id; task_id; candidates = site.candidates;
+                branches = initial_state_util; polls = poll_reqs })
             summary.seeds
         in
-        Ok (regs @ acc, (summary, bindings) :: analyzed))
+        let regs task =
+          List.map
+            (fun r_spec ->
+              { Registry.r_spec; r_task = task; r_machine = m.mname;
+                r_plan = plan; r_polls = polls; r_externals = externals;
+                r_exec = None; r_migrating = false; r_epoch = -1;
+                r_ck = Healing.ck () })
+            specs
+        in
+        Ok (regs :: machines, (summary, bindings) :: analyzed))
       (Ok ([], [])) program.machines
   in
-  (* cross-task conflicts against already-deployed tasks *)
+  (* cross-task conflicts against already-deployed tasks, newest first *)
   let profile = Conflict.profile ~task:spec.ts_name (List.rev analyzed) in
   let conflicts =
-    Conflict.check_against profile (List.map snd t.profiles)
+    Conflict.check_against profile
+      (List.rev_map
+         (fun (d : task) -> d.profile)
+         (Registry.tasks t.registry))
   in
   record conflicts;
   let* () =
@@ -661,47 +609,46 @@ let deploy t spec =
       Error ("conflict: " ^ Diagnostic.to_string (List.hd conflicts))
     else Ok ()
   in
-  if registered = [] then Error "task has no seeds to place"
-  else begin
-    List.iter
-      (fun r -> Hashtbl.replace t.registry r.r_spec.seed_id r)
-      registered;
-    task.regs <- List.sort by_seed_id registered;
-    (* harvester wiring *)
-    let ctx =
-      { Harvester.send_to_seed =
-          (fun ~switch ->
-            send_to_seeds t task
-              (fun _ e -> Seed_exec.node e = switch)
-              ~from:Host.From_harvester);
-        broadcast =
-          send_to_seeds t task (fun _ _ -> true) ~from:Host.From_harvester;
-        now = (fun () -> Engine.now t.engine);
-        log = (fun _ -> ()) }
-    in
-    let h = Harvester.create spec.ts_harvester ctx in
-    Harvester.set_tracer h (Engine.tracer t.engine);
-    Harvester.set_overload h t.cfg.harvester_overload;
-    Harvester.metrics_register h (Engine.metrics t.engine)
-      ~prefix:(Printf.sprintf "harvester.task%d." task.task_id);
-    task.harvester <- Some h;
-    reoptimize t;
-    if not task.placed then begin
-      (* release the registry entries *)
-      List.iter
-        (fun r -> Hashtbl.remove t.registry r.r_spec.seed_id)
-        registered;
-      task.regs <- [];
-      Error
-        (Printf.sprintf "task %s cannot be placed with available resources"
-           spec.ts_name)
-    end
-    else begin
-      Harvester.start h;
-      t.profiles <- (task.task_id, profile) :: t.profiles;
-      Ok task
-    end
-  end
+  let task =
+    { Registry.task_id; name = spec.ts_name; builtins = spec.ts_builtins;
+      adaptive = spec.ts_adaptive; profile; harvester = None;
+      placed = false; regs = [] }
+  in
+  match List.concat_map (fun regs -> regs task) (List.rev machines) with
+  | [] -> Error "task has no seeds to place"
+  | regs ->
+      Registry.register t.registry task regs;
+      (* harvester wiring *)
+      let ctx =
+        { Harvester.send_to_seed =
+            (fun ~switch ->
+              send_to_seeds t task
+                (fun _ e -> Seed_exec.node e = switch)
+                ~from:Host.From_harvester);
+          broadcast =
+            send_to_seeds t task (fun _ _ -> true) ~from:Host.From_harvester;
+          now = (fun () -> Engine.now t.engine);
+          log = (fun _ -> ()) }
+      in
+      let h = Harvester.create spec.ts_harvester ctx in
+      Harvester.set_tracer h (Engine.tracer t.engine);
+      Harvester.set_overload h t.cfg.harvester_overload;
+      task.harvester <- Some h;
+      reoptimize t;
+      if not task.placed then begin
+        Registry.unregister t.registry task;
+        Error
+          (Printf.sprintf "task %s cannot be placed with available resources"
+             spec.ts_name)
+      end
+      else begin
+        (* gauges only for a placed task: they outlive it in the metrics
+           registry *)
+        Harvester.metrics_register h (Engine.metrics t.engine)
+          ~prefix:(Printf.sprintf "harvester.task%d." task_id);
+        Harvester.start h;
+        Ok task
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Failures: silent crashes and the detectors that find them           *)
@@ -711,30 +658,20 @@ let deploy t spec =
    every instance on it stops.  The control plane learns of it from the
    healing layer's detector. *)
 let crash_switch t node =
-  if Hashtbl.mem t.soils node && not (Healing.is_down t.healing node) then begin
-    List.iter
-      (fun (r : reg) ->
-        match r.r_exec with
-        | Some exec when Seed_exec.node exec = node -> retire_exec r
-        | Some _ | None -> ())
-      (sorted_regs t);
+  if Int_map.mem node t.soils && not (Healing.is_down t.healing node) then begin
+    Registry.iter_on t.registry node (fun r _ -> retire_exec r);
     Healing.crash t.healing node
   end
 
 let revive_switch t node = Healing.revive t.healing node
 
-let undeploy t task =
-  List.iter
-    (fun r ->
-      retire_exec r;
-      Hashtbl.remove t.registry r.r_spec.seed_id)
-    task.regs;
-  task.regs <- [];
+let undeploy t (task : task) =
+  List.iter retire_exec task.regs;
+  Registry.unregister t.registry task;
   t.assignments <-
     List.filter
-      (fun (a : Model.assignment) -> Hashtbl.mem t.registry a.a_seed)
+      (fun (a : Model.assignment) -> Registry.mem t.registry a.a_seed)
       t.assignments;
-  t.profiles <- List.filter (fun (id, _) -> id <> task.task_id) t.profiles;
   task.placed <- false
 
 (* ------------------------------------------------------------------ *)
@@ -747,18 +684,18 @@ let undeploy t task =
 let orphaned_seeds t =
   List.filter_map
     (fun (a : Model.assignment) ->
-      match Hashtbl.find_opt t.registry a.a_seed with
+      match Registry.find t.registry a.a_seed with
       | Some r when r.r_exec = None && not r.r_migrating -> Some a.a_seed
       | _ -> None)
     t.assignments
   |> List.sort Int.compare
 
 let last_checkpoint t seed_id =
-  Option.bind (Hashtbl.find_opt t.registry seed_id) (fun r ->
+  Option.bind (Registry.find t.registry seed_id) (fun r ->
       Healing.last_checkpoint r.r_ck)
 
 let seed_epoch t seed_id =
-  match Hashtbl.find_opt t.registry seed_id with
+  match Registry.find t.registry seed_id with
   | Some r -> Some r.r_epoch
   | None -> None
 
@@ -783,18 +720,12 @@ let inject_report_storm t ~node ~reports =
   let ev = Control.trace_instant t.engine "report_storm" in
   Control.trace_i ev "node" node;
   Control.trace_i ev "reports" reports;
-  List.iter
-    (fun (r : reg) ->
-      match r.r_exec with
-      | Some exec when Seed_exec.node exec = node ->
-          for i = 0 to reports - 1 do
-            t.storm_reports <- t.storm_reports + 1;
-            seed_send t r.r_task exec Host.To_harvester
-              (Value.Struct
-                 ("Storm", [ ("i", Value.Num (float_of_int i)) ]))
-          done
-      | Some _ | None -> ())
-    (sorted_regs t)
+  Registry.iter_on t.registry node (fun r exec ->
+      for i = 0 to reports - 1 do
+        t.storm_reports <- t.storm_reports + 1;
+        seed_send t r.r_task exec Host.To_harvester
+          (Value.Struct ("Storm", [ ("i", Value.Num (float_of_int i)) ]))
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical digest                                                    *)
@@ -808,11 +739,6 @@ let inject_report_storm t ~node ~reports =
 let digest t =
   let b = Buffer.create 4096 in
   let ints l = String.concat "," (List.map string_of_int l) in
-  let state_xml ~seed ~epoch ~seq (vars, state) =
-    Checkpoint.encode
-      { Checkpoint.ck_seed = seed; ck_epoch = epoch; ck_seq = seq;
-        ck_full = true; ck_vars = vars; ck_removed = []; ck_state = state }
-  in
   Printf.bprintf b "engine dispatched=%d now=%h\n"
     (Engine.dispatched t.engine) (Engine.now t.engine);
   Printf.bprintf b "utility=%h failed=[%s] down=[%s]\n" (current_utility t)
@@ -828,57 +754,10 @@ let digest t =
     (Control.rate_limited t.control) (Control.breaker_dropped t.control)
     (Control.retry_capped t.control) (Control.breaker_opens t.control)
     t.storm_reports t.pressure_events
-    (ints
-       (Hashtbl.fold (fun n () acc -> n :: acc) t.pressured []
-       |> List.sort Int.compare))
+    (ints (Int_set.elements t.pressured))
     (Healing.zombie_count t.healing);
   Control.digest t.control b;
-  let regs = sorted_regs t in
-  List.sort_uniq
-    (fun a b -> Int.compare a.task_id b.task_id)
-    (List.map (fun r -> r.r_task) regs)
-  |> List.iter (fun task ->
-         Printf.bprintf b "task %d %s placed=%b" task.task_id
-           task.spec.ts_name task.placed;
-         (match task.harvester with
-         | None -> ()
-         | Some h ->
-             Printf.bprintf b
-               " recv=%d stale=%d dup=%d offered=%d shed=%d prov=[%s]"
-               (Harvester.received_count h) (Harvester.stale_dropped h)
-               (Harvester.dup_dropped h) (Harvester.offered_count h)
-               (Harvester.shed_count h)
-               (String.concat ";"
-                  (List.map
-                     (fun (at, (p : Harvester.provenance)) ->
-                       Printf.sprintf "%h:%d:%d:%d" at p.p_seed p.p_epoch
-                         p.p_seq)
-                     (Harvester.accepted_provenance h)));
-             match Harvester.window_admits h with
-             | [] -> ()
-             | admits ->
-                 Printf.bprintf b " admits=[%s]"
-                   (String.concat ";"
-                      (List.map (fun (s, n) -> Printf.sprintf "%d:%d" s n)
-                         admits)));
-         Buffer.add_char b '\n');
-  List.iter
-    (fun r ->
-      let seed = r.r_spec.seed_id in
-      Printf.bprintf b "seed %d task=%d epoch=%d migrating=%b" seed
-        r.r_task.task_id r.r_epoch r.r_migrating;
-      (match r.r_exec with
-      | None -> ()
-      | Some e ->
-          Printf.bprintf b
-            " node=%d state=%s transitions=%d degradation=%h drops=%d %s"
-            (Seed_exec.node e) (Seed_exec.state e) (Seed_exec.transitions e)
-            (Seed_exec.degradation e) (Seed_exec.poll_drops e)
-            (state_xml ~seed ~epoch:(Seed_exec.epoch e) ~seq:0
-               (Seed_exec.snapshot e)));
-      Healing.digest_store b ~seed r.r_ck;
-      Buffer.add_char b '\n')
-    regs;
+  Registry.digest b t.registry;
   List.iter
     (fun soilv ->
       Printf.bprintf b "soil %d pcie_factor=%h" (Soil.node_id soilv)

@@ -214,10 +214,13 @@ val last_checkpoint :
 (** Current instance epoch of a registered seed ([-1] = never placed). *)
 val seed_epoch : t -> int -> int option
 
-(** The {!Healing} counters of {!healing}.  [checkpoint_bytes] are the
+(** {2 Healing counters}
+
+    The {!Healing} counters of {!healing}.  [checkpoint_bytes] are the
     control-channel bytes spent on checkpoints (the cost side of the
     checkpoint-frequency trade-off; kept separate from
     {!collector_bytes}). *)
+
 val recovery_time : t -> Farm_sim.Metrics.Histogram.t
 
 val heartbeats_sent : t -> int

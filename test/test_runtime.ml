@@ -323,7 +323,9 @@ machine Adj {
    and refused deploy sequences (a task needing more vCPU than a switch
    has cannot be placed) must leave every task's [seed_specs], [seeds],
    [seed_on] and broadcast order equal to the sorted registry, seen
-   through [placement_instance], filtered to the task. *)
+   through [placement_instance], filtered to the task; soils and the
+   instance's switches in node order; and no harvester gauge of a
+   refused task. *)
 module Model = Farm_placement.Model
 
 type seed_list_op = Deploy of float * int | Undeploy of int
@@ -367,6 +369,9 @@ let prop_task_seed_lists =
       in
       (* live tasks: (task, task id, harvester ctx) *)
       let live = ref [] and gone = ref [] in
+      (* every deploy passes the front end, so each takes the next task id *)
+      let next_tid = ref 0 in
+      let ascending l = List.sort_uniq Int.compare l = l in
       let settle () = Engine.run ~until:(Engine.now engine +. 0.02) engine in
       let check_task (task, tid, ctx) =
         let expected =
@@ -421,6 +426,8 @@ let prop_task_seed_lists =
         (match op with
         | Deploy (cpu, machines) ->
             let before = registered () in
+            let tid = !next_tid in
+            incr next_tid;
             let ctx = ref None in
             let spec =
               { (Seeder.simple_spec ~name:"lists"
@@ -435,15 +442,16 @@ let prop_task_seed_lists =
                     on_message = (fun _ ~from_switch:_ _ -> ()) } }
             in
             (match (Seeder.deploy seeder spec, !ctx) with
-            | Ok task, Some c ->
-                let tid =
-                  (List.hd (List.rev (registered ()))).Model.task_id
-                in
-                live := !live @ [ (task, tid, c) ]
+            | Ok task, Some c -> live := !live @ [ (task, tid, c) ]
             | Ok _, None -> failwith "harvester not started"
             | Error _, _ ->
                 if registered () <> before then
-                  failwith "refused deploy left seeds registered")
+                  failwith "refused deploy left seeds registered";
+                let prefix = Printf.sprintf "harvester.task%d." tid in
+                if
+                  List.exists (String.starts_with ~prefix)
+                    (Farm_sim.Metrics.Registry.names (Engine.metrics engine))
+                then failwith "refused deploy left harvester gauges")
         | Undeploy i -> (
             match List.nth_opt !live i with
             | Some ((task, _, _) as l) ->
@@ -452,7 +460,12 @@ let prop_task_seed_lists =
                 gone := task :: !gone
             | None -> ()));
         settle ();
-        List.for_all check_task !live
+        ascending (List.map Soil.node_id (Seeder.soils seeder))
+        && ascending
+             (List.map
+                (fun (s : Model.switch_caps) -> s.node)
+                (Seeder.placement_instance seeder).switches)
+        && List.for_all check_task !live
         && List.for_all
              (fun task ->
                Seeder.seed_specs seeder task = [] && Seeder.seeds seeder task = [])
