@@ -10,14 +10,26 @@
    - a 5-level hashed timer wheel (32 slots per level, 0.1 ms ticks) of
      intrusively linked {e cells}; inserting or re-arming a cell is O(1)
      amortized and allocation-free,
-   - a small {e ready} cell-heap holding only the cells of the tick the
-     cursor is standing on, which restores the exact [(time, seq)]
-     dispatch order inside a tick,
+   - a sorted {e run}: when nothing of the current tick is left, the next
+     level-0 slot is copied into a reusable array in insertion order and
+     merge-sorted once on [(time, seq)] over a reusable scratch buffer,
+     so each of its events is then dispatched from the front in O(1) (a
+     broadcast's copies share one time and rising seqs, so a slot is
+     often already sorted and costs one comparison per cell),
+   - a small {e same-tick} cell-heap for cells armed into the tick being
+     dispatched (zero-delay and sub-tick re-arms, cascades landing on the
+     cursor); [run] takes whichever of the run's head and the heap's root
+     is earlier,
    - an {e overflow} cell-heap for events beyond the wheel horizon
      (~56 min at the default geometry), refilled when the cursor reaches
      them, and
    - a freelist of one-shot cells so steady-state [schedule] calls do not
      allocate either.
+
+   The run, its scratch buffer and both heaps grow to their largest
+   occupancy once and are never shrunk; every vacated slot is reset to
+   the [nil] cell, so a dispatched cell (and the closure it captures) is
+   not kept reachable by them.
 
    Dispatch order is exactly the lexicographic [(time, seq)] order of the
    seed binary-heap engine — [seq] is a global per-push counter — so all
@@ -68,7 +80,11 @@ type t = {
   mutable cur : int;                   (* tick the cursor stands on *)
   slots : cell array array;            (* levels x wheel_slots list heads *)
   bitmaps : int array;                 (* per-level slot occupancy *)
-  ready : cheap;                       (* cells of the current tick *)
+  mutable run : cell array;            (* drained slot, sorted *)
+  mutable scratch : cell array;        (* merge buffer, all [nil] at rest *)
+  mutable run_head : int;              (* next cell of the run *)
+  mutable run_len : int;
+  ready : cheap;                       (* armed into the current tick *)
   overflow : cheap;                    (* beyond the wheel horizon *)
   nil : cell;                          (* per-engine list terminator *)
   mutable free : cell;                 (* one-shot cell freelist *)
@@ -98,9 +114,9 @@ and cell = {
   mutable next : cell;                 (* intrusive slot list; nil-ended *)
 }
 
-(* Min-heap of cells on (time, seq): the FIFO tie-break inside a tick.
-   Vacated slots are reset to [nil] so popped cells (and the closures
-   they capture) never outlive their dispatch. *)
+(* Min-heap of cells on (time, seq).  Vacated slots are reset to [nil]
+   so popped cells (and the closures they capture) never outlive their
+   dispatch. *)
 and cheap = { mutable a : cell array; mutable n : int; hnil : cell }
 
 let cell_lt x y = x.time < y.time || (x.time = y.time && x.seq < y.seq)
@@ -154,13 +170,48 @@ let cheap_pop h =
     done
   end
   else h.a.(0) <- h.hnil;
-  let cap = Array.length h.a in
-  if cap > 64 && h.n * 4 < cap then begin
-    let a = Array.make (Stdlib.max 16 (2 * h.n)) h.hnil in
-    Array.blit h.a 0 a 0 h.n;
-    h.a <- a
-  end;
   top
+
+(* Sort [a.(lo) .. a.(hi-1)] on (time, seq), with [tmp] as the merge
+   buffer, which only a range of more than [small_sort] cells touches.
+   Halves already in order skip their merge, so a sorted stretch costs
+   one comparison per cell. *)
+let small_sort = 8
+
+let rec merge_sort a tmp lo hi =
+  if hi - lo <= small_sort then
+    for i = lo + 1 to hi - 1 do
+      let c = a.(i) in
+      if cell_lt c a.(i - 1) then begin
+        let j = ref i in
+        while !j > lo && cell_lt c a.(!j - 1) do
+          a.(!j) <- a.(!j - 1);
+          decr j
+        done;
+        a.(!j) <- c
+      end
+    done
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    merge_sort a tmp lo mid;
+    merge_sort a tmp mid hi;
+    if cell_lt a.(mid) a.(mid - 1) then begin
+      Array.blit a lo tmp lo (mid - lo);
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid && !j < hi do
+        if cell_lt a.(!j) tmp.(!i) then begin
+          a.(!k) <- a.(!j);
+          incr j
+        end
+        else begin
+          a.(!k) <- tmp.(!i);
+          incr i
+        end;
+        incr k
+      done;
+      Array.blit tmp !i a !k (mid - !i)
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Engine construction                                                 *)
@@ -177,6 +228,7 @@ let create ?(seed = 42) () =
     next_seq = 0; cur = 0;
     slots = Array.init levels (fun _ -> Array.make wheel_slots nil);
     bitmaps = Array.make levels 0;
+    run = [||]; scratch = [||]; run_head = 0; run_len = 0;
     ready = cheap_create nil; overflow = cheap_create nil; nil;
     free = nil; free_len = 0;
     tracer = None; tr_cat = 0; tr_name = 0; tr_seq = 0;
@@ -202,8 +254,8 @@ let metrics t = t.metrics
 (* Insertion                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Cells at or before the cursor tick join the ready heap (their slot has
-   already been drained); later cells go to the lowest wheel level whose
+(* Cells at or before the cursor tick join the same-tick heap (their slot
+   has already been drained); later cells go to the lowest wheel level whose
    current window contains their tick, i.e. the smallest [k] with
    [tick lsr (5*(k+1)) = cur lsr (5*(k+1))]; anything beyond the top
    window goes to the overflow heap.  Occupied slots are therefore always
@@ -266,13 +318,42 @@ let free_cell t c =
 (* Cursor advance                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Make the ready heap non-empty if any event exists: jump the cursor to
-   the lowest occupied slot (bitmap scan), draining level-0 slots into
-   the ready heap and cascading higher-level slots downwards.  Each cell
-   cascades at most [levels-1] times over its life, so the amortized cost
-   per event is O(1). *)
+(* Copy a drained level-0 slot into the run and sort it.  The slot list
+   is newest-first, so it is written back to front: the run starts in
+   insertion order.  Called only when the run and the same-tick heap are
+   empty. *)
+let fill_run t head =
+  let n = ref 0 and c = ref head in
+  while !c != t.nil do
+    incr n;
+    c := (!c).next
+  done;
+  let n = !n in
+  if n > Array.length t.run then begin
+    let cap = Stdlib.max 16 (Stdlib.max n (2 * Array.length t.run)) in
+    t.run <- Array.make cap t.nil;
+    t.scratch <- Array.make cap t.nil
+  end;
+  let c = ref head in
+  for i = n - 1 downto 0 do
+    let x = !c in
+    c := x.next;
+    x.next <- t.nil;
+    t.run.(i) <- x
+  done;
+  merge_sort t.run t.scratch 0 n;
+  if n > small_sort then Array.fill t.scratch 0 n t.nil;
+  t.run_head <- 0;
+  t.run_len <- n
+
+(* Make the run or the same-tick heap non-empty if any event exists:
+   jump the cursor to the lowest occupied slot (bitmap scan), draining a
+   level-0 slot into the run and cascading higher-level slots downwards
+   (a cascaded cell that lands on the cursor tick joins the same-tick
+   heap).  Each cell cascades at most [levels-1] times over its life, so
+   the amortized cost per event is O(1). *)
 let rec refill t =
-  if t.ready.n > 0 then true
+  if t.run_head < t.run_len || t.ready.n > 0 then true
   else begin
     let k = ref 0 in
     while !k < levels && t.bitmaps.(!k) = 0 do
@@ -290,21 +371,16 @@ let rec refill t =
       let head = t.slots.(k).(idx) in
       t.slots.(k).(idx) <- t.nil;
       t.bitmaps.(k) <- t.bitmaps.(k) land lnot (1 lsl idx);
-      let c = ref head in
-      if k = 0 then
-        while !c != t.nil do
-          let next = (!c).next in
-          (!c).next <- t.nil;
-          cheap_push t.ready !c;
-          c := next
-        done
-      else
+      if k = 0 then fill_run t head
+      else begin
+        let c = ref head in
         while !c != t.nil do
           let next = (!c).next in
           (!c).next <- t.nil;
           insert t !c (tick_of_time (!c).time);
           c := next
-        done;
+        done
+      end;
       refill t
     end
     else if t.overflow.n > 0 then begin
@@ -372,21 +448,29 @@ let set_period timer p =
 (* Run loop                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Peek-then-commit: [refill] positions the next event at the ready-heap
-   root, [peek] reads it without removing, and the pop after the [until]
-   check is the only descent — one per dispatched event. *)
+(* Peek-then-commit: the next event is the run's head or the same-tick
+   heap's root, whichever is earlier on (time, seq); it is removed only
+   after the [until] check. *)
 let run ?until t =
   let continue = ref true in
   while !continue do
     if not (refill t) then continue := false
     else begin
-      let c = t.ready.a.(0) in
+      let from_run =
+        t.run_head < t.run_len
+        && (t.ready.n = 0 || cell_lt t.run.(t.run_head) t.ready.a.(0))
+      in
+      let c = if from_run then t.run.(t.run_head) else t.ready.a.(0) in
       match until with
       | Some u when c.time > u ->
           t.clock <- u;
           continue := false
       | Some _ | None ->
-          let c = cheap_pop t.ready in
+          if from_run then begin
+            t.run.(t.run_head) <- t.nil;
+            t.run_head <- t.run_head + 1
+          end
+          else ignore (cheap_pop t.ready);
           t.clock <- c.time;
           t.dispatched <- t.dispatched + 1;
           t.pending <- t.pending - 1;

@@ -8,7 +8,10 @@
     The event queue is a hierarchical timer wheel (5 levels of 32 slots at
     0.1 ms ticks, with an overflow heap past the ~56 min horizon) tuned for
     periodic-timer-heavy workloads: re-arming a timer is O(1) and
-    allocation-free.  Dispatch order remains the exact lexicographic
+    allocation-free.  Each 0.1 ms tick is dispatched from one sorted run:
+    its slot is sorted once, and events are then taken from the front,
+    merged with a small heap of events armed into the tick being
+    dispatched.  Dispatch order remains the exact lexicographic
     [(time, push-sequence)] order of a binary-heap queue, so simulations are
     bit-for-bit reproducible; see DESIGN.md "Scheduler & parallel sweeps". *)
 

@@ -457,7 +457,53 @@ let test_engine_cancel_releases () =
   Alcotest.(check int) "nothing due yet" 0 (Engine.dispatched e);
   Engine.run ~until:6. e;
   Alcotest.(check int) "dispatched at its due time" 1 (Engine.dispatched e);
-  Alcotest.(check int) "then gone" 0 (Engine.pending e)
+  Alcotest.(check int) "then gone" 0 (Engine.pending e);
+  (* A burst in one tick: more one-shots than the freelist keeps (the
+     rest are dropped with their callbacks set), in scrambled time
+     order so the run's sort merges, plus cancelled timers due in the
+     same tick.  A dispatched cell's closure must not stay reachable
+     through the run or its merge buffer, neither while the rest of the
+     run waits after [~until] nor once it is drained. *)
+  let n = 1500 and cancelled = 8 in
+  let time k = 10.0012 +. (float_of_int k *. 5e-8) in
+  let key i = i * 7919 mod n in
+  let ws = Weak.create (n + cancelled) in
+  let[@inline never] burst () =
+    for i = 0 to n - 1 do
+      let captured = Array.make (Sys.opaque_identity 4) i in
+      Weak.set ws i (Some captured);
+      Engine.schedule_at e ~time:(time (key i)) (fun _ ->
+          captured.(0) <- captured.(0) + 1)
+    done;
+    for i = 0 to cancelled - 1 do
+      let captured = Array.make (Sys.opaque_identity 4) i in
+      Weak.set ws (n + i) (Some captured);
+      let tm =
+        Engine.every e ~period:1. ~phase:(time (2 * i) -. Engine.now e)
+          (fun _ -> captured.(0) <- captured.(0) + 1)
+      in
+      Engine.cancel tm
+    done
+  in
+  burst ();
+  let stop = 1300 in
+  Engine.run ~until:(time stop +. 2.5e-8) e;
+  Gc.full_major ();
+  let released i = not (Weak.check ws i) in
+  for i = 0 to n - 1 do
+    let due = key i <= stop in
+    if released i <> due then
+      Alcotest.failf "one-shot %d (due %b) released %b after the stop" i due
+        (released i)
+  done;
+  Alcotest.(check int) "rest of the run queued" (n - 1 - stop)
+    (Engine.pending e);
+  Engine.run ~until:11. e;
+  Gc.full_major ();
+  for i = 0 to n + cancelled - 1 do
+    if not (released i) then
+      Alcotest.failf "cell %d keeps its closure after the burst" i
+  done
 
 let test_engine_set_period () =
   let e = Engine.create () in
@@ -651,7 +697,7 @@ let run_scenario (type e) (module S : SCHED with type t = e) sc =
   Buffer.contents log
 
 (* [dense]: sub-tick and tie-prone periods over a short horizon — stresses
-   the ready heap, slot hashing and FIFO tie-breaks.  [sparse]: long
+   slot hashing, the same-tick heap and FIFO tie-breaks.  [sparse]: long
    horizons past the wheel's top window (~3355 s at 0.1 ms ticks) —
    stresses the overflow heap, cascades and idle clock jumps. *)
 let gen_scenario ~dense =
@@ -686,8 +732,52 @@ let gen_scenario ~dense =
   let* sc_split = float_range 0.05 0.95 in
   pure { sc_timers; sc_shots; sc_chains; sc_split; sc_horizon = horizon }
 
-let prop_sched_equiv ~dense ~count name =
-  QCheck2.Test.make ~name ~count ~print:show_scenario (gen_scenario ~dense)
+(* Hundreds of events inside single 0.1 ms ticks.  The bursts sit 0.05
+   tick into ticks 21, 137, 160 and 1502, which at t = 0 are on wheel
+   levels 0, 1, 1 and 2.  Those on level 1 and 2 reach the cursor
+   through cascades, which relink cells against seq order, so a
+   tie-break by insertion order alone is wrong there; tick 160 starts
+   its level-1 slot, so its whole burst lands on the cursor tick in one
+   cascade and is dispatched from the same-tick heap.  Times inside a
+   burst are quantized and one-shots come in same-time groups, so many
+   tie exactly; chains re-arm into the tick being dispatched with zero
+   or sub-tick delays, some earlier than cells still waiting in the
+   run; and the segmented run stops inside a burst. *)
+let burst_bases = [ 2.105e-3; 1.3705e-2; 1.6005e-2; 0.1502 ]
+
+let gen_burst =
+  let open QCheck2.Gen in
+  let horizon = 0.25 in
+  let time =
+    let* base = oneofl burst_bases in
+    let* k = int_bound 12 in
+    pure (base +. (float_of_int k *. 7e-6))
+  in
+  let period = oneofl [ 7e-5; 1e-4; 2.5e-4; 0.01 ] in
+  let timer =
+    let* st_period = period in
+    let* st_phase = option time in
+    let* st_cancel_at = option time in
+    let* st_retune = option (pair time period) in
+    pure { st_period; st_phase; st_cancel_at; st_retune }
+  in
+  let* sc_timers = list_size (int_bound 4) timer in
+  (* broadcasts: up to 96 copies at one time, scheduled back to back *)
+  let* groups = list_size (int_range 2 10) (pair time (int_range 1 96)) in
+  let sc_shots =
+    List.concat_map (fun (d, k) -> List.init k (fun _ -> d)) groups
+  in
+  let* sc_chains =
+    list_size (int_range 10 80)
+      (pair time (oneofl [ 0.; 3e-6; 7e-6; 2e-5; 4e-5 ]))
+  in
+  let* stop = map2 ( +. ) (oneofl burst_bases) (float_range 0. 9e-5) in
+  pure
+    { sc_timers; sc_shots; sc_chains; sc_split = stop /. horizon;
+      sc_horizon = horizon }
+
+let prop_sched_equiv gen ~count name =
+  QCheck2.Test.make ~name ~count ~print:show_scenario gen
     (fun sc ->
       let w = run_scenario (module Wheel_sched) sc in
       let h = run_scenario (module Heap_sched) sc in
@@ -707,10 +797,16 @@ let prop_sched_equiv ~dense ~count name =
           first_diff (ctx w) (ctx h))
 
 let prop_sched_equiv_dense =
-  prop_sched_equiv ~dense:true ~count:80 "wheel = heap (dense, ties, cancel, set_period)"
+  prop_sched_equiv (gen_scenario ~dense:true) ~count:80
+    "wheel = heap (dense, ties, cancel, set_period)"
 
 let prop_sched_equiv_sparse =
-  prop_sched_equiv ~dense:false ~count:80 "wheel = heap (sparse, overflow horizon)"
+  prop_sched_equiv (gen_scenario ~dense:false) ~count:80
+    "wheel = heap (sparse, overflow horizon)"
+
+let prop_sched_equiv_burst =
+  prop_sched_equiv gen_burst ~count:80
+    "wheel = heap (bursts in one tick, same-tick chains, cascades)"
 
 (* Deterministic far-future case: one-shots past the wheel's top window
    plus a slow periodic timer, with a time tie resolved FIFO. *)
@@ -776,7 +872,9 @@ let () =
           Alcotest.test_case "far future / overflow" `Quick
             test_engine_far_future ] );
       ( "scheduler equivalence",
-        qsuite [ prop_sched_equiv_dense; prop_sched_equiv_sparse ] );
+        qsuite
+          [ prop_sched_equiv_dense; prop_sched_equiv_sparse;
+            prop_sched_equiv_burst ] );
       ( "metrics",
         [ Alcotest.test_case "counter" `Quick test_metrics_counter;
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
