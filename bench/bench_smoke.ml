@@ -238,8 +238,10 @@ let deploy_alloc () =
    plus a table of taken message ids per seed instance, held 8 121 048 B
    here (either alone crossed a 5 MB bound), and harvester gauges that
    kept every undeployed task's harvester 4 736 960 B; without them it
-   is 3 572 384 B, of which the engine's sorted run and merge buffer,
-   kept at their largest size, hold about 7 kB.  The gate keeps the
+   is 3 618 680 B, of which the engine's sorted run and merge buffer,
+   kept at their largest size, hold about 7 kB (3 572 384 B while a
+   soil kept dead seeds as four-field records in a hash table; their
+   seven-field records in an ordered map are larger).  The gate keeps the
    ratio the 5 MB gate had to 4 736 960 B. *)
 let retention_gate = 3.752e6
 

@@ -30,8 +30,6 @@ SORT_WINDOW = 3  # lines before/after the site searched for a sort
 # numbers drift; content does not).  Keep reasons honest — "it's
 # probably fine" is not one.
 ALLOWLIST = [
-    ("lib/runtime/control.ml", "acc + Overload.Breaker.opens b",
-     "commutative int sum"),
     ("lib/net/switch_model.ml", "e.hits <- Tcam.matching t.tcam e.flow.tuple",
      "independent per-flow write: each entry's hits depend on its flow only"),
     ("lib/net/switch_model.ml", "let r = effective_rate t f in",

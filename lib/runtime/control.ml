@@ -50,6 +50,11 @@ let latency = 250e-6  (* DC-internal RTT/2 to the controller *)
 let retry_backoff = 1e-3
 let max_retries = 5
 
+module Int_map = Map.Make (Int)
+
+(* A switch's circuit breaker, and its retries waiting for a send *)
+type link = { breaker : Overload.Breaker.t; mutable inflight : int }
+
 type t = {
   engine : Engine.t;
   prot : protection;
@@ -61,8 +66,7 @@ type t = {
      jitter for the same (key, try) regardless of interleaving *)
   jitter : Rng.t;
   bucket : Overload.Token_bucket.t;  (* global pacing *)
-  breakers : (int, Overload.Breaker.t) Hashtbl.t;  (* per destination *)
-  inflight : (int, int) Hashtbl.t;  (* per-switch retries awaiting a slot *)
+  mutable links : link Int_map.t;  (* by switch id, made on first use *)
   mutable retransmissions : int;
   mutable lost : int;
   mutable rate_limited : int;
@@ -70,21 +74,23 @@ type t = {
   mutable retry_capped : int;
 }
 
-(* The circuit breaker guarding one switch's channel (created on first
-   use). *)
-let breaker t node =
-  match Hashtbl.find t.breakers node with
-  | b -> b
-  | exception Not_found ->
-      let b =
-        Overload.Breaker.create ~threshold:t.prot.breaker_threshold
-          ~cooldown:t.prot.breaker_cooldown
+let link t node =
+  match Int_map.find_opt node t.links with
+  | Some l -> l
+  | None ->
+      let l =
+        { breaker =
+            Overload.Breaker.create ~threshold:t.prot.breaker_threshold
+              ~cooldown:t.prot.breaker_cooldown;
+          inflight = 0 }
       in
-      Hashtbl.replace t.breakers node b;
-      b
+      t.links <- Int_map.add node l t.links;
+      l
+
+let breaker t node = (link t node).breaker
 
 let breaker_opens t =
-  Hashtbl.fold (fun _ b acc -> acc + Overload.Breaker.opens b) t.breakers 0
+  Int_map.fold (fun _ l acc -> acc + Overload.Breaker.opens l.breaker) t.links 0
 
 let create engine prot =
   let limited = prot <> unlimited in
@@ -100,7 +106,7 @@ let create engine prot =
       rng = lazy (Rng.split (Engine.rng engine)); jitter;
       bucket =
         Overload.Token_bucket.create ~rate:prot.rate_limit ~burst:prot.burst;
-      breakers = Hashtbl.create 8; inflight = Hashtbl.create 8;
+      links = Int_map.empty;
       retransmissions = 0; lost = 0; rate_limited = 0; breaker_dropped = 0;
       retry_capped = 0 }
   in
@@ -150,12 +156,11 @@ let success t = function
   | Some node -> Overload.Breaker.success (breaker t node)
   | None -> ()
 
-let inflight t node =
-  Option.value (Hashtbl.find_opt t.inflight node) ~default:0
-
 (* a retry holds one of its switch's slots until it is sent *)
 let hold t d = function
-  | Some node -> Hashtbl.replace t.inflight node (max 0 (inflight t node + d))
+  | Some node ->
+      let l = link t node in
+      l.inflight <- max 0 (l.inflight + d)
   | None -> ()
 
 let lost_at t dest name =
@@ -210,7 +215,7 @@ and resend t c ~tries ?dest ?key deliver =
   | _ when tries >= max_retries ->
       t.lost <- t.lost + 1;
       ignore (trace_instant t.engine "ctrl_lost")
-  | Some node when inflight t node >= t.prot.max_inflight_retries ->
+  | Some node when (link t node).inflight >= t.prot.max_inflight_retries ->
       t.retry_capped <- t.retry_capped + 1;
       lost_at t dest "ctrl_retry_capped"
   | _ ->
@@ -241,26 +246,22 @@ let breaker_dropped t = t.breaker_dropped
 let retry_capped t = t.retry_capped
 
 let breaker_state t node =
-  Option.map Overload.Breaker.state_name (Hashtbl.find_opt t.breakers node)
+  Option.map
+    (fun l -> Overload.Breaker.state_name l.breaker)
+    (Int_map.find_opt node t.links)
 
 (* a switch whose breaker is closed without failures and that has no
    retries in flight prints nothing *)
 let digest t b =
-  let nodes tbl = Hashtbl.fold (fun n _ acc -> n :: acc) tbl [] in
-  List.sort_uniq Int.compare (nodes t.breakers @ nodes t.inflight)
-  |> List.iter (fun node ->
-         let line =
-           (match
-              Option.map Overload.Breaker.state
-                (Hashtbl.find_opt t.breakers node)
-            with
-           | None | Some (Closed 0) -> ""
-           | Some (Closed n) -> Printf.sprintf " fails=%d" n
-           | Some (Open until) -> Printf.sprintf " open@%h" until
-           | Some Half_open -> " half_open")
-           ^
-           match Hashtbl.find_opt t.inflight node with
-           | None | Some 0 -> ""
-           | Some n -> Printf.sprintf " inflight=%d" n
-         in
-         if line <> "" then Printf.bprintf b "ctrl %d%s\n" node line)
+  Int_map.iter
+    (fun node l ->
+      let line =
+        (match Overload.Breaker.state l.breaker with
+        | Closed 0 -> ""
+        | Closed n -> Printf.sprintf " fails=%d" n
+        | Open until -> Printf.sprintf " open@%h" until
+        | Half_open -> " half_open")
+        ^ if l.inflight = 0 then "" else Printf.sprintf " inflight=%d" l.inflight
+      in
+      if line <> "" then Printf.bprintf b "ctrl %d%s\n" node line)
+    t.links

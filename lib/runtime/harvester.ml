@@ -36,47 +36,67 @@ type counters = {
   mutable n_shed : int;
 }
 
+module Int_map = Map.Make (Int)
+
+(* One seed.  [fence] is the minimum epoch whose reports are valid (-1
+   until the first fence); the seeder raises it whenever it
+   (re)instantiates the seed, so a zombie instance left behind by a false
+   failure detection, or a message in flight from before a migration,
+   cannot corrupt task state. *)
+type seed = {
+  mutable fence : int;
+  seen : (int, unit) Hashtbl.t;  (* accepted seqs of the fence epoch *)
+  mutable admits : int;  (* admitted in window number [admits_window] *)
+  mutable admits_window : int;
+}
+
 type t = {
   spec : spec;
   ctx : ctx;
   mutable log : (float * int * Value.t) list;
-  (* epoch fencing: per seed, the minimum epoch whose reports are valid.
-     The seeder raises the fence whenever it (re)instantiates a seed, so a
-     zombie instance left behind by a false failure detection — or a
-     message still in flight from before a migration — cannot corrupt task
-     state. *)
-  fences : (int, int) Hashtbl.t;
-  seen : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* per seed, the accepted seqs of the fence epoch *)
+  mutable seeds : seed Int_map.t;  (* by seed id *)
+  mutable fenced : int;  (* seeds whose fence is set *)
   mutable prov_log : (float * provenance) list;  (* accepted, newest first *)
   counts : counters;
   mutable tracer : Farm_sim.Trace.t option;  (* wired by the seeder *)
   mutable lim : overload_config;
   mutable window_start : float;
-  admits : (int, int) Hashtbl.t;  (* per-seed admits this window *)
+  mutable window : int;  (* windows opened so far *)
 }
 
 let create spec ctx =
-  { spec; ctx; log = []; fences = Hashtbl.create 16; seen = Hashtbl.create 16;
-    prov_log = [];
+  { spec; ctx; log = []; seeds = Int_map.empty; fenced = 0; prov_log = [];
     counts =
       { n_received = 0; stale_dropped = 0; dup_dropped = 0; n_offered = 0;
         n_shed = 0 };
-    tracer = None; lim = unlimited; window_start = 0.;
-    admits = Hashtbl.create 16 }
+    tracer = None; lim = unlimited; window_start = 0.; window = 0 }
 
 let set_tracer t tr = t.tracer <- tr
 
+let open_window t now =
+  t.window_start <- now;
+  t.window <- t.window + 1
+
 let set_overload t lim =
   t.lim <- lim;
-  t.window_start <- t.ctx.now ();
-  Hashtbl.reset t.admits
+  open_window t (t.ctx.now ())
+
+let admits t s = if s.admits_window = t.window then s.admits else 0
 
 let window_admits t =
+  let admitted _ s = match admits t s with 0 -> None | n -> Some n in
   if t.lim = unlimited then []
-  else
-    Hashtbl.fold (fun seed n acc -> (seed, n) :: acc) t.admits []
-    |> List.sort compare
+  else Int_map.bindings (Int_map.filter_map admitted t.seeds)
+
+let seed t seed_id =
+  match Int_map.find_opt seed_id t.seeds with
+  | Some s -> s
+  | None ->
+      let s =
+        { fence = -1; seen = Hashtbl.create 64; admits = 0; admits_window = 0 }
+      in
+      t.seeds <- Int_map.add seed_id s t.seeds;
+      s
 
 let metrics_register t reg ~prefix =
   let c = t.counts in
@@ -95,39 +115,32 @@ let metrics_register t reg ~prefix =
 
 let start t = t.spec.on_start t.ctx
 
-let fence t ~seed_id ~epoch =
-  let cur = Option.value (Hashtbl.find_opt t.fences seed_id) ~default:(-1) in
-  if epoch > cur then begin
-    Hashtbl.replace t.fences seed_id epoch;
-    Hashtbl.replace t.seen seed_id (Hashtbl.create 64)
+let raise_fence t s epoch =
+  if epoch > s.fence then begin
+    if s.fence < 0 then t.fenced <- t.fenced + 1;
+    s.fence <- epoch;
+    Hashtbl.reset s.seen
   end
+
+let fence t ~seed_id ~epoch = raise_fence t (seed t seed_id) epoch
 
 (* Admission control: drop stale-epoch reports, dedup (seed, epoch, seq).
    Reports from an epoch *newer* than the fence are accepted and raise the
    fence — the instantiate-side fence call and the first report race over
    the control channel, and both orders must converge. *)
-let admit t p =
-  let cur = Option.value (Hashtbl.find_opt t.fences p.p_seed) ~default:(-1) in
-  if p.p_epoch < cur then begin
+let admit t s p =
+  if p.p_epoch < s.fence then begin
     t.counts.stale_dropped <- t.counts.stale_dropped + 1;
     false
   end
   else begin
-    if p.p_epoch > cur then fence t ~seed_id:p.p_seed ~epoch:p.p_epoch;
-    let seqs =
-      match Hashtbl.find_opt t.seen p.p_seed with
-      | Some s -> s
-      | None ->
-          let s = Hashtbl.create 64 in
-          Hashtbl.replace t.seen p.p_seed s;
-          s
-    in
-    if Hashtbl.mem seqs p.p_seq then begin
+    raise_fence t s p.p_epoch;
+    if Hashtbl.mem s.seen p.p_seq then begin
       t.counts.dup_dropped <- t.counts.dup_dropped + 1;
       false
     end
     else begin
-      Hashtbl.replace seqs p.p_seq ();
+      Hashtbl.replace s.seen p.p_seq ();
       true
     end
   end
@@ -137,30 +150,26 @@ let admit t p =
    function of (sim time, admitted history) — deterministic.  At
    [unlimited] limits the window never closes and no share is ever used
    up. *)
-let shed_check t p =
+let shed_check t s =
   let now = t.ctx.now () in
-  if now -. t.window_start >= t.lim.window then begin
-    t.window_start <- now;
-    Hashtbl.reset t.admits
-  end;
-  let seeds = max 1 (Hashtbl.length t.fences) in
-  let share = max 1 (t.lim.max_reports / seeds) in
-  let used =
-    match Hashtbl.find t.admits p.p_seed with n -> n | exception Not_found -> 0
-  in
+  if now -. t.window_start >= t.lim.window then open_window t now;
+  let share = max 1 (t.lim.max_reports / max 1 t.fenced) in
+  let used = admits t s in
   if used >= share then begin
     t.counts.n_shed <- t.counts.n_shed + 1;
     true
   end
   else begin
-    Hashtbl.replace t.admits p.p_seed (used + 1);
+    s.admits <- used + 1;
+    s.admits_window <- t.window;
     false
   end
 
 let handle ~provenance:p t ~from_switch v =
   t.counts.n_offered <- t.counts.n_offered + 1;
-  let accept = admit t p in
-  let shed = accept && shed_check t p in
+  let s = seed t p.p_seed in
+  let accept = admit t s p in
+  let shed = accept && shed_check t s in
   let accept = accept && not shed in
   (match t.tracer with
   | None -> ()
@@ -173,8 +182,7 @@ let handle ~provenance:p t ~from_switch v =
              (if shed then "report_shed"
               else if accept then "report"
               else "report_dropped"))
-        ~tid:from_switch)
-  ;
+        ~tid:from_switch);
   if accept then begin
     t.prov_log <- (t.ctx.now (), p) :: t.prov_log;
     t.log <- (t.ctx.now (), from_switch, v) :: t.log;

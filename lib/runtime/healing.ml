@@ -20,6 +20,19 @@ type ck = {
 
 let ck () = { timer = None; next = 0; last_shipped = None; store = None }
 
+module Int_map = Map.Make (Int)
+
+(* One switch.  The seeder only learns about crashes through its
+   detector, so [failed] and [down] can disagree in both directions. *)
+type switch = {
+  mutable failed : bool;  (* control-plane view: declared down *)
+  mutable down : bool;  (* ground truth: crashed, not yet revived *)
+  mutable last_crash : float option;  (* survives revival *)
+  mutable last_seen : float option;  (* last heartbeat arrival *)
+  (* demoted instances, oldest first: only false positives leave any *)
+  mutable zombies : Seed_exec.t list;
+}
+
 type t = {
   engine : Engine.t;
   control : Control.t;
@@ -29,17 +42,7 @@ type t = {
   fail_over : int -> int;
   reoptimize : unit -> unit;
   repush : int -> int;
-  failed : (int, unit) Hashtbl.t;  (* control-plane view: marked down *)
-  (* ground truth: switches whose management plane actually crashed, with
-     the crash time.  The seeder only learns about these through its
-     detector — [failed] and [down] can disagree in both directions. *)
-  down : (int, float) Hashtbl.t;
-  last_crash : (int, float) Hashtbl.t;  (* survives revival, for metrics *)
-  last_seen : (int, float) Hashtbl.t;  (* last heartbeat arrival per switch *)
-  (* demoted instances on suspected switches.  Only false positives
-     produce zombies — a genuinely crashed switch has no live instance left
-     to demote. *)
-  mutable zombies : (int * Seed_exec.t) list;
+  mutable switches : switch Int_map.t;  (* by switch id *)
   detection_latency : Metrics.Histogram.t;
   recovery_time : Metrics.Histogram.t;
   checkpoint_bytes : Metrics.Counter.t;
@@ -61,39 +64,41 @@ and detector = {
   checkpoint_interval : float;  (* 0: no checkpoints are shipped *)
 }
 
-let sorted_nodes tbl =
-  Hashtbl.fold (fun n _ acc -> n :: acc) tbl [] |> List.sort Int.compare
+let switch t node =
+  match Int_map.find_opt node t.switches with
+  | Some s -> s
+  | None ->
+      let s =
+        { failed = false; down = false; last_crash = None; last_seen = None;
+          zombies = [] }
+      in
+      t.switches <- Int_map.add node s t.switches;
+      s
 
-let failed_switches t = sorted_nodes t.failed
-let down_switches t = sorted_nodes t.down
-let is_failed t node = Hashtbl.mem t.failed node
-let is_down t node = Hashtbl.mem t.down node
+let flag f t node =
+  match Int_map.find_opt node t.switches with Some s -> f s | None -> false
+
+let is_failed = flag (fun s -> s.failed)
+let is_down = flag (fun s -> s.down)
+
+let nodes p t =
+  Int_map.fold (fun n s acc -> if p s then n :: acc else acc) t.switches []
+  |> List.rev
+
+let failed_switches = nodes (fun s -> s.failed)
+let down_switches = nodes (fun s -> s.down)
 
 (* ------------------------------------------------------------------ *)
 (* Zombies and checkpoints                                             *)
 (* ------------------------------------------------------------------ *)
 
-let kill_zombies_on t node =
-  let mine, rest = List.partition (fun (n, _) -> n = node) t.zombies in
-  t.zombies <- rest;
+let kill_zombies t s =
   List.iter
-    (fun (_, exec) ->
+    (fun exec ->
       if Seed_exec.is_alive exec then Seed_exec.destroy exec;
       t.zombies_fenced <- t.zombies_fenced + 1)
-    mine
-
-(* Tell the (possibly only suspected-dead) switch to terminate a demoted
-   instance.  If the zombie was already cleaned up by the time the message
-   lands, it is simply gone. *)
-let send_kill t exec =
-  Control.send t.control ~dest:(Seed_exec.node exec) (fun () ->
-      if List.exists (fun (_, e) -> e == exec) t.zombies then begin
-        t.zombies <- List.filter (fun (_, e) -> not (e == exec)) t.zombies;
-        Seed_exec.destroy exec;
-        t.zombies_fenced <- t.zombies_fenced + 1;
-        `Delivered
-      end
-      else `Gone)
+    s.zombies;
+  s.zombies <- []
 
 let stop_checkpoints ck =
   match ck.timer with
@@ -102,10 +107,21 @@ let stop_checkpoints ck =
       ck.timer <- None
   | None -> ()
 
+(* Keep the instance as a zombie and tell its (possibly only
+   suspected-dead) switch to terminate it.  If the zombie was already
+   cleaned up by the time the message lands, it is simply gone. *)
 let demote t ck exec =
   stop_checkpoints ck;
-  t.zombies <- t.zombies @ [ (Seed_exec.node exec, exec) ];
-  send_kill t exec
+  let s = switch t (Seed_exec.node exec) in
+  s.zombies <- s.zombies @ [ exec ];
+  Control.send t.control ~dest:(Seed_exec.node exec) (fun () ->
+      if List.memq exec s.zombies then begin
+        s.zombies <- List.filter (fun e -> e != exec) s.zombies;
+        Seed_exec.destroy exec;
+        t.zombies_fenced <- t.zombies_fenced + 1;
+        `Delivered
+      end
+      else `Gone)
 
 let last_checkpoint ck =
   Option.map (fun st -> (st.st_time, st.st_vars, st.st_state)) ck.store
@@ -203,20 +219,17 @@ let declare_failed t node =
   t.detections <- t.detections + 1;
   Control.trace_i
     (Control.trace_instant t.engine "declare_failed") "node" node;
+  let s = switch t node in
   let crashed_at =
-    match Hashtbl.find_opt t.down node with
-    | Some _ as down -> down
-    | None -> (
-        match
-          (Hashtbl.find_opt t.last_crash node, Hashtbl.find_opt t.last_seen node)
-        with
-        | Some c, Some seen when c >= seen -> Some c
-        | _ -> None)
+    match (s.last_crash, s.last_seen) with
+    | Some _, _ when s.down -> s.last_crash
+    | Some c, Some seen when c >= seen -> s.last_crash
+    | _ -> None
   in
   (match crashed_at with
   | Some t0 -> Metrics.Histogram.record t.detection_latency (now -. t0)
   | None -> t.false_detections <- t.false_detections + 1);
-  Hashtbl.replace t.failed node ();
+  s.failed <- true;
   recovered t (t.fail_over node) ~since:crashed_at
 
 (* A switch the control plane had written off is provably alive and
@@ -224,9 +237,10 @@ let declare_failed t node =
    fabric.  Any zombies still on it are terminated as part of the rejoin
    handshake. *)
 let rejoin t node =
-  Hashtbl.remove t.failed node;
-  kill_zombies_on t node;
-  Hashtbl.replace t.last_seen node (Engine.now t.engine);
+  let s = switch t node in
+  s.failed <- false;
+  kill_zombies t s;
+  s.last_seen <- Some (Engine.now t.engine);
   t.reoptimize ()
 
 (* A heartbeat proves the switch's management plane is up.  If it was
@@ -235,19 +249,15 @@ let rejoin t node =
    died with a crash the detector never saw (down and back up within the
    detection timeout). *)
 let on_heartbeat t node =
-  let now = Engine.now t.engine in
   t.heartbeats_delivered <- t.heartbeats_delivered + 1;
-  Hashtbl.replace t.last_seen node now;
-  if Hashtbl.mem t.failed node then rejoin t node
+  let s = switch t node in
+  s.last_seen <- Some (Engine.now t.engine);
+  if s.failed then rejoin t node
   else
-    recovered t (t.repush node)
-      ~since:
-        (match Hashtbl.find_opt t.last_crash node with
-        | Some t0 when t0 <= now -> Some t0
-        | _ -> None)
+    recovered t (t.repush node) ~since:s.last_crash
 
 let beat t node =
-  if not (Hashtbl.mem t.down node) then begin
+  if not (is_down t node) then begin
     t.heartbeats_sent <- t.heartbeats_sent + 1;
     Control.trace_i (Control.trace_instant t.engine "heartbeat") "node" node;
     Control.oneshot t.control (fun () -> on_heartbeat t node)
@@ -257,19 +267,15 @@ let sweep t nodes ~timeout =
   let now = Engine.now t.engine in
   List.iter
     (fun node ->
-      if not (Hashtbl.mem t.failed node) then
-        let seen =
-          match Hashtbl.find_opt t.last_seen node with
-          | Some at -> at
-          | None -> now
-        in
-        if now -. seen > timeout then declare_failed t node)
+      let s = switch t node in
+      let seen = Option.value s.last_seen ~default:now in
+      if (not s.failed) && now -. seen > timeout then declare_failed t node)
     nodes
 
 let oracle =
   { start = (fun _ _ -> ());
     crashed = declare_failed;
-    revived = (fun t node -> if Hashtbl.mem t.failed node then rejoin t node);
+    revived = (fun t node -> if is_failed t node then rejoin t node);
     checkpoint_interval = 0. }
 
 let heartbeat ~interval ~timeout ~checkpoint_interval =
@@ -279,7 +285,7 @@ let heartbeat ~interval ~timeout ~checkpoint_interval =
     let now = Engine.now t.engine in
     List.iter
       (fun node ->
-        Hashtbl.replace t.last_seen node now;
+        (switch t node).last_seen <- Some now;
         ignore
           (Engine.every t.engine ~period:interval (fun _ -> beat t node)
             : Engine.timer))
@@ -301,9 +307,7 @@ let create engine control detector ~full_every ~fail_over ~reoptimize
   let reg = Engine.metrics engine in
   let t =
     { engine; control; detector; full_every = max 1 full_every;
-      fail_over; reoptimize; repush; failed = Hashtbl.create 4;
-      down = Hashtbl.create 4; last_crash = Hashtbl.create 4;
-      last_seen = Hashtbl.create 16; zombies = [];
+      fail_over; reoptimize; repush; switches = Int_map.empty;
       detection_latency =
         Metrics.Registry.histogram reg "seeder.detection_latency";
       recovery_time = Metrics.Registry.histogram reg "seeder.recovery_time";
@@ -329,15 +333,15 @@ let create engine control detector ~full_every ~fail_over ~reoptimize
 let start t ~nodes = t.detector.start t nodes
 
 let crash t node =
-  let now = Engine.now t.engine in
-  Hashtbl.replace t.down node now;
-  Hashtbl.replace t.last_crash node now;
+  let s = switch t node in
+  s.down <- true;
+  s.last_crash <- Some (Engine.now t.engine);
   (* any zombie instances die with the switch too *)
-  kill_zombies_on t node;
+  kill_zombies t s;
   t.detector.crashed t node
 
 let revive t node =
-  Hashtbl.remove t.down node;
+  (switch t node).down <- false;
   t.detector.revived t node
 
 let detection_latency t = t.detection_latency
@@ -349,7 +353,8 @@ let detections t = t.detections
 let false_detections t = t.false_detections
 let auto_recoveries t = t.auto_recoveries
 let zombies_fenced t = t.zombies_fenced
-let zombie_count t = List.length t.zombies
+let zombie_count t =
+  Int_map.fold (fun _ s n -> n + List.length s.zombies) t.switches 0
 
 let digest_store b ~seed ck =
   match ck.store with

@@ -45,18 +45,24 @@ type sub_kind =
   | Probe of { filter : Filter.t; deliver : Farm_net.Flow.packet -> unit }
   | Time of (float -> unit)
 
-(* Per-seed accounting: queue priority (default 0), requests waiting in the
-   PCIe queue (the seed's fair share), and the drop counter
-   [soil.<node>.polls.dropped.seed<id>], registered at the first drop. *)
+module Int_map = Map.Make (Int)
+
+(* One seed id, made on first mention: queue priority (default 0),
+   requests in the PCIe queue (its fair share), the drop counter
+   [soil.<node>.polls.dropped.seed<id>] (registered at the first drop),
+   attached instances, and the hooks (no-ops until set and after a
+   detach).  Queued requests still count against a detached seed. *)
 type seed_acct = {
   sa_id : int;
   mutable sa_prio : int;
   mutable sa_queued : int;
   mutable sa_dropped : Metrics.Counter.t option;
+  mutable sa_regs : int;
+  mutable sa_on_drop : int -> unit;
+  mutable sa_on_pressure : bool -> unit;
 }
 
 type subscription = {
-  sub_id : int;
   sub_owner : seed_acct;  (* for drop attribution and fair share *)
   kind : sub_kind;
   mutable period : float;
@@ -132,8 +138,8 @@ type t = {
   cfg : config;
   usage : Cpu_model.usage;
   rng : Farm_sim.Rng.t;
-  mutable seeds : int list;
-  mutable next_sub : int;
+  mutable seeds : seed_acct Int_map.t;  (* by seed id *)
+  mutable regs : int;  (* attached instances, all seeds *)
   mutable groups : group list;
   lim : overload_config;  (* [config.overload], or [unlimited] *)
   (* PCIe bus: the waiting transfers, oldest first, in [q_len] slots from
@@ -163,19 +169,14 @@ type t = {
   asic_polls : Metrics.Counter.t;
   latency : Metrics.Histogram.t;
       (* seed-observed delivery latency: ASIC read issue -> handler *)
-  (* per-seed drop notification hooks; the reaction is up to the seed *)
-  drop_hooks : (int, int -> unit) Hashtbl.t;
-  accts : (int, seed_acct) Hashtbl.t;
   (* request-granularity queue accounting ([overload_stats]) *)
   mutable offered : int;
   mutable served : int;
-  mutable shed_n : int;
   mutable q_peak : int;
   (* pressure monitor *)
   mutable last_cpu : float;  (* monitor window baselines *)
   mutable last_pcie : float;
   mutable pressured : bool;
-  pressure_hooks : (int, bool -> unit) Hashtbl.t;  (* seed hooks *)
   mutable listener : node:int -> high:bool -> unit;  (* the seeder's *)
   shed : Metrics.Counter.t;
   pressure : Metrics.Gauge.t;
@@ -260,15 +261,12 @@ let pressure_tick t =
     Metrics.Gauge.set t.pressure 0.;
     flip false
   end;
-  (* every high tick backs degraded-capable seeds off multiplicatively;
+  (* every high tick backs attached seeds off multiplicatively, in id order;
      every low tick recovers them additively (no-op at full fidelity) *)
   if high || low then begin
-    let notify sid =
-      match Hashtbl.find_opt t.pressure_hooks sid with
-      | Some f -> f high
-      | None -> ()
-    in
-    List.iter notify (List.sort_uniq Int.compare t.seeds);
+    Int_map.iter
+      (fun _ a -> if a.sa_regs > 0 then a.sa_on_pressure high)
+      t.seeds;
     t.listener ~node:(Switch_model.id t.sw) ~high
   end
 
@@ -282,8 +280,8 @@ let create ?(config = default_config) engine sw =
   let limited = lim <> unlimited in
   let t =
     { engine; sw; cfg = config; usage = Cpu_model.usage ();
-      rng = Farm_sim.Rng.split (Engine.rng engine); seeds = [];
-      next_sub = 0; groups = []; lim; queue = [||]; q_head = 0; q_len = 0;
+      rng = Farm_sim.Rng.split (Engine.rng engine); seeds = Int_map.empty;
+      regs = 0; groups = []; lim; queue = [||]; q_head = 0; q_len = 0;
       q_top = min_int; q_top_n = 0; busy = false; q_seq = 0;
       wait_cap = (if limited then infinity else config.max_poll_queue_delay);
       bus = { free_at = 0.; busy_s = 0. }; pcie_factor = 1.;
@@ -291,10 +289,8 @@ let create ?(config = default_config) engine sw =
       dropped = c "polls.dropped"; pcie_bytes = c "pcie.bytes";
       asic_polls = c "asic.polls";
       latency = Metrics.Registry.histogram reg (pre ^ "delivery_latency");
-      drop_hooks = Hashtbl.create 8; accts = Hashtbl.create 8;
-      offered = 0; served = 0; shed_n = 0; q_peak = 0;
+      offered = 0; served = 0; q_peak = 0;
       last_cpu = 0.; last_pcie = 0.; pressured = false;
-      pressure_hooks = Hashtbl.create 8;
       listener = (fun ~node:_ ~high:_ -> ());
       shed =
         (if limited then c "polls.shed" else Metrics.Counter.create ());
@@ -316,30 +312,31 @@ let config t = t.cfg
 let now t = Engine.now t.engine
 let engine t = t.engine
 
-let attach_seed t id = t.seeds <- id :: t.seeds
-
 let acct t seed_id =
-  match Hashtbl.find t.accts seed_id with
-  | a -> a
-  | exception Not_found ->
+  match Int_map.find_opt seed_id t.seeds with
+  | Some a -> a
+  | None ->
       let a =
-        { sa_id = seed_id; sa_prio = 0; sa_queued = 0; sa_dropped = None }
+        { sa_id = seed_id; sa_prio = 0; sa_queued = 0; sa_dropped = None;
+          sa_regs = 0; sa_on_drop = ignore; sa_on_pressure = ignore }
       in
-      Hashtbl.add t.accts seed_id a;
+      t.seeds <- Int_map.add seed_id a t.seeds;
       a
 
-let detach_seed t id =
-  (* remove one registration *)
-  let rec go = function
-    | [] -> []
-    | x :: rest -> if x = id then rest else x :: go rest
-  in
-  t.seeds <- go t.seeds;
-  Hashtbl.remove t.drop_hooks id;
-  Hashtbl.remove t.pressure_hooks id;
-  (acct t id).sa_prio <- 0
+let attach_seed t id =
+  let a = acct t id in
+  a.sa_regs <- a.sa_regs + 1;
+  t.regs <- t.regs + 1
 
-let seed_count t = List.length t.seeds
+(* one registration goes; the hooks and priority go even if another stays *)
+let detach_seed t id =
+  let a = acct t id in
+  if a.sa_regs > 0 then (a.sa_regs <- a.sa_regs - 1; t.regs <- t.regs - 1);
+  a.sa_on_drop <- ignore;
+  a.sa_on_pressure <- ignore;
+  a.sa_prio <- 0
+
+let seed_count t = t.regs
 
 let charge_cpu t s = Cpu_model.charge t.usage s
 let cpu t = t.usage
@@ -381,7 +378,8 @@ let overload_stats t =
   if t.lim = unlimited then None
   else
     Some
-      { o_offered = t.offered; o_completed = t.served; o_shed = t.shed_n;
+      { o_offered = t.offered; o_completed = t.served;
+        o_shed = int_of_float (Metrics.Counter.value t.shed);
         o_pending = t.q_len + (if t.busy then 1 else 0);
         o_queue_peak = t.q_peak }
 
@@ -397,12 +395,12 @@ let effective_pcie_bps t =
   let caps = Switch_model.caps t.sw in
   if t.pcie_factor = 1. then caps.pcie_bps else caps.pcie_bps /. t.pcie_factor
 
-let on_poll_drop t ~seed_id f = Hashtbl.replace t.drop_hooks seed_id f
+let on_poll_drop t ~seed_id f = (acct t seed_id).sa_on_drop <- f
 
 let set_seed_priority t ~seed_id prio = (acct t seed_id).sa_prio <- prio
 
 let on_pressure t ~seed_id f =
-  Hashtbl.replace t.pressure_hooks seed_id (fun high -> f ~high)
+  (acct t seed_id).sa_on_pressure <- (fun high -> f ~high)
 
 let set_pressure_listener t f = t.listener <- f
 
@@ -421,20 +419,7 @@ let record_seed_drop t a n =
         c
   in
   Metrics.Counter.add ctr (float_of_int n);
-  match Hashtbl.find t.drop_hooks a.sa_id with
-  | f -> f n
-  | exception Not_found -> ()
-
-(* Group [owners] into a (seed, count) list sorted by seed id. *)
-let drops_by_seed owners =
-  let rec group = function
-    | [] -> []
-    | a :: rest -> (
-        match group rest with
-        | (b, n) :: tl when b.sa_id = a.sa_id -> (a, n + 1) :: tl
-        | tl -> (a, 1) :: tl)
-  in
-  group (List.stable_sort (fun a b -> Int.compare a.sa_id b.sa_id) owners)
+  a.sa_on_drop n
 
 let trace_drop t ~name ~n =
   match Engine.tracer t.engine with
@@ -446,14 +431,19 @@ let trace_drop t ~name ~n =
       Trace.arg_i tr m.tm_k_polls n
 
 (* A poll (or probe sample) owned by [owners] was dropped: count globally,
-   attribute per seed, notify the owners. *)
+   attribute per seed and notify the owners, in seed-id order. *)
 let drop_polls t ~name owners =
   let n = List.length owners in
   Metrics.Counter.add t.dropped (float_of_int n);
   trace_drop t ~name ~n;
   match owners with
   | [ a ] -> record_seed_drop t a 1
-  | _ -> List.iter (fun (a, n) -> record_seed_drop t a n) (drops_by_seed owners)
+  | _ ->
+      let count = function Some n -> Some (n + 1) | None -> Some 1 in
+      List.fold_left
+        (fun m a -> Int_map.update a.sa_id count m)
+        Int_map.empty owners
+      |> Int_map.iter (fun id n -> record_seed_drop t (acct t id) n)
 
 (* --- the priority queue over the PCIe bus ---
 
@@ -626,7 +616,6 @@ let pcie_transfer t ~bytes ~owners k =
         (* queue full: shed the least valuable request among the queue and
            the incoming one, which stands at index -1 *)
         let vi = victim_index t t.q_head (-1) req (share req) in
-        t.shed_n <- t.shed_n + 1;
         Metrics.Counter.incr t.shed;
         if vi < 0 then begin
           drop_polls t ~name:"poll_shed" owners;
@@ -710,8 +699,6 @@ let transfer t ~bytes ~seeds k =
     drop_polls t ~name:"poll_dropped" owners
 
 (* Issue one ASIC poll for [subject] and deliver the result to [subs]. *)
-let sub_owners subs = List.map (fun s -> s.sub_owner) subs
-
 let issue_poll t subject subs =
   let issued = Engine.now t.engine in
   Metrics.Counter.add t.requested (float_of_int (List.length subs));
@@ -729,7 +716,7 @@ let issue_poll t subject subs =
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)
   let data = read_counters t subject in
-  let owners = sub_owners subs in
+  let owners = List.map (fun s -> s.sub_owner) subs in
   let ok =
     pcie_transfer t ~bytes ~owners (fun _engine ->
         let records = Float.max 1. (bytes /. counter_record_bytes) in
@@ -775,12 +762,7 @@ let find_group t subject =
   List.find_opt (fun g -> Filter.subject_equal g.g_subject subject) t.groups
 
 let fresh_sub t ~seed_id ~period kind =
-  let s =
-    { sub_id = t.next_sub; sub_owner = acct t seed_id; kind; period;
-      timer = None; active = true }
-  in
-  t.next_sub <- t.next_sub + 1;
-  s
+  { sub_owner = acct t seed_id; kind; period; timer = None; active = true }
 
 let subscribe_poll t ~seed_id ~subject ~period deliver =
   Switch_model.watch_subject t.sw ~time:(Engine.now t.engine) subject;
@@ -854,7 +836,7 @@ let cancel t sub =
   | Poll p when t.cfg.aggregate_polls -> (
       match find_group t p.subject with
       | Some g ->
-          g.g_subs <- List.filter (fun s -> s.sub_id <> sub.sub_id) g.g_subs;
+          g.g_subs <- List.filter (fun s -> s != sub) g.g_subs;
           rearm_group t g
       | None -> ())
   | Poll _ | Probe _ | Time _ -> ()

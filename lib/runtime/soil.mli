@@ -67,11 +67,14 @@ val now : t -> float
 
 val engine : t -> Farm_sim.Engine.t
 
-(** {2 Seeds} *)
+(** {2 Seeds}
 
-(** Register a seed instance (affects IPC latency, Fig. 10). *)
+    Each seed id has one record (instances, priority, hooks), made on
+    first mention and kept after a detach, which drops one instance and
+    resets the priority and both hooks.  IPC latency grows with
+    [seed_count], the instances attached over all seeds (Fig. 10). *)
+
 val attach_seed : t -> int -> unit
-
 val detach_seed : t -> int -> unit
 val seed_count : t -> int
 

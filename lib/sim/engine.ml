@@ -425,7 +425,7 @@ let schedule t ~delay f =
 let every t ~period ?phase f =
   if period <= 0. then invalid_arg "Engine.every: period must be positive";
   let phase = Option.value phase ~default:period in
-  if phase < 0. then invalid_arg "Engine.schedule: negative delay";
+  if phase < 0. then invalid_arg "Engine.every: negative phase";
   let c =
     { time = 0.; seq = 0; cb = f; period; cancelled = false; next = t.nil }
   in

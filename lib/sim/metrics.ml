@@ -47,7 +47,6 @@ module Histogram = struct
     done;
     !acc
 
-  let mean t = if t.n = 0 then 0. else fold ( +. ) 0. t /. float_of_int t.n
   let max t = fold Float.max neg_infinity t
   let min t = fold Float.min infinity t
 
@@ -56,6 +55,10 @@ module Histogram = struct
       Array.sort Float.compare t.xs;
       t.sorted <- true
     end
+
+  let mean t =
+    ensure_sorted t;
+    if t.n = 0 then 0. else fold ( +. ) 0. t /. float_of_int t.n
 
   (* Linear interpolation between closest ranks: rank = p/100 * (n-1),
      value = xs.(floor rank) blended with xs.(ceil rank). *)
@@ -174,31 +177,25 @@ module Registry = struct
     List.iteri
       (fun i name ->
         if i > 0 then Buffer.add_string b ",\n";
-        Buffer.add_string b (Printf.sprintf "  %S: " name);
+        Printf.bprintf b "  %S: " name;
         match Hashtbl.find t.tbl name with
-        | Counter c ->
-            Buffer.add_string b
-              (Printf.sprintf "{\"type\": \"counter\", \"value\": %s}" (fnum (Counter.value c)))
-        | Gauge g ->
-            Buffer.add_string b
-              (Printf.sprintf "{\"type\": \"gauge\", \"value\": %s}" (fnum (Gauge.value g)))
-        | Gauge_fn f ->
-            Buffer.add_string b
-              (Printf.sprintf "{\"type\": \"gauge\", \"value\": %s}" (fnum (f ())))
+        | (Counter _ | Gauge _ | Gauge_fn _) as m ->
+            Printf.bprintf b "{\"type\": \"%s\", \"value\": %s}" (kind m)
+              (fnum (Option.get (value t name)))
         | Histogram h ->
             let n = Histogram.count h in
             if n = 0 then
               Buffer.add_string b "{\"type\": \"histogram\", \"count\": 0}"
             else
-              Buffer.add_string b
-                (Printf.sprintf
-                   "{\"type\": \"histogram\", \"count\": %d, \"mean\": %s, \"min\": %s, \
-                    \"max\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s}"
-                   n (fnum (Histogram.mean h)) (fnum (Histogram.min h))
-                   (fnum (Histogram.max h))
-                   (fnum (Histogram.percentile h 50.))
-                   (fnum (Histogram.percentile h 95.))
-                   (fnum (Histogram.percentile h 99.))))
+              let mean = Histogram.mean h in
+              let p50 = Histogram.percentile h 50. in
+              let p95 = Histogram.percentile h 95. in
+              let p99 = Histogram.percentile h 99. in
+              Printf.bprintf b
+                "{\"type\": \"histogram\", \"count\": %d, \"mean\": %s, \"min\": %s, \
+                 \"max\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s}"
+                n (fnum mean) (fnum (Histogram.min h)) (fnum (Histogram.max h))
+                (fnum p50) (fnum p95) (fnum p99))
       ns;
     Buffer.add_string b "\n}\n";
     Buffer.contents b

@@ -28,7 +28,8 @@ module Histogram : sig
   val create : unit -> t
   val record : t -> float -> unit
   val count : t -> int
-  val mean : t -> float
+  val mean : t -> float  (** summed in ascending order *)
+
   val max : t -> float
   val min : t -> float
 

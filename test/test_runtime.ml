@@ -2686,6 +2686,149 @@ let test_retry_inflight_bound () =
     (sends - bound, bound * Control.max_retries, sends)
     Control.(retry_capped c, retransmissions c, lost_messages c)
 
+(* -- id-keyed stores: every walk visits ascending ids ------------- *)
+
+let test_control_digest_order () =
+  (* breakers and in-flight retries created on switches in scrambled
+     order: three switches retry to exhaustion (breaker only), then two
+     more hold a retry each; the digest lists them by switch id *)
+  let engine, _, c = lossy_channel ~bound:8 in
+  let send dests =
+    List.iter (fun d -> Control.send c ~dest:d (fun () -> `Delivered)) dests
+  in
+  send [ 9; 3; 12 ];
+  Engine.run engine;
+  send [ 7; 1 ];
+  let b = Buffer.create 128 in
+  Control.digest c b;
+  Alcotest.(check string) "ascending switch ids"
+    "ctrl 1 fails=1 inflight=1\nctrl 3 fails=6\nctrl 7 fails=1 inflight=1\n\
+     ctrl 9 fails=6\nctrl 12 fails=6\n"
+    (Buffer.contents b)
+
+let test_healing_switch_order () =
+  let make detector =
+    let engine = Engine.create () in
+    let control = Control.create engine Control.unlimited in
+    let h =
+      Healing.create engine control detector ~full_every:1
+        ~fail_over:(fun _ -> 0) ~reoptimize:ignore ~repush:(fun _ -> 0)
+    in
+    (engine, h)
+  in
+  let views h = (Healing.down_switches h, Healing.failed_switches h) in
+  let check msg down failed h =
+    Alcotest.(check (pair (list int) (list int))) msg (down, failed) (views h)
+  in
+  (* the oracle declares each crash as it happens, in crash order *)
+  let _, h = make Healing.oracle in
+  List.iter (Healing.crash h) [ 7; 2; 11; 4 ];
+  check "oracle: crashed" [ 2; 4; 7; 11 ] [ 2; 4; 7; 11 ] h;
+  List.iter (Healing.revive h) [ 11; 2 ];
+  check "oracle: revived" [ 4; 7 ] [ 4; 7 ] h;
+  (* heartbeats: declarations follow the sweep's scrambled node list, and
+     a revived switch stays declared until its next heartbeat lands *)
+  let engine, h =
+    make
+      (Healing.heartbeat ~interval:0.01 ~timeout:0.05 ~checkpoint_interval:0.)
+  in
+  Healing.start h ~nodes:[ 9; 4; 0; 11; 7; 2; 5 ];
+  List.iter (Healing.crash h) [ 7; 11; 2; 4 ];
+  check "heartbeat: crashed" [ 2; 4; 7; 11 ] [] h;
+  Engine.run ~until:0.2 engine;
+  check "heartbeat: declared" [ 2; 4; 7; 11 ] [ 2; 4; 7; 11 ] h;
+  List.iter (Healing.revive h) [ 11; 2 ];
+  check "heartbeat: revived" [ 4; 7 ] [ 2; 4; 7; 11 ] h;
+  Engine.run ~until:0.3 engine;
+  check "heartbeat: rejoined" [ 4; 7 ] [ 4; 7 ] h
+
+let test_soil_pressure_order () =
+  (* a CPU watermark below any utilization makes every monitor tick high *)
+  let engine = Engine.create () in
+  let overload = { Soil.default_overload with cpu_high = neg_infinity } in
+  let soil =
+    Soil.create
+      ~config:{ Soil.default_config with overload = Some overload }
+      engine
+      (Switch_model.create ~id:0 ~ports:4 ())
+  in
+  let calls = ref [] in
+  let hook id =
+    Soil.on_pressure soil ~seed_id:id (fun ~high ->
+        calls := (id, high) :: !calls)
+  in
+  List.iter (Soil.attach_seed soil) [ 8; 2; 5; 2; 3 ];
+  List.iter hook [ 8; 11; 3; 2; 5 ];
+  Soil.detach_seed soil 3;
+  (* one of 2's two registrations: both of its hooks go *)
+  Soil.detach_seed soil 2;
+  Soil.detach_seed soil 42;
+  Alcotest.(check int) "registrations left" 3 (Soil.seed_count soil);
+  let tick () =
+    calls := [];
+    Engine.run ~until:(Engine.now engine +. overload.pressure_interval) engine;
+    List.rev !calls
+  in
+  Alcotest.(check (list (pair int bool))) "attached seeds with a hook"
+    [ (5, true); (8, true) ] (tick ());
+  hook 2;
+  hook 3;
+  Alcotest.(check (list (pair int bool))) "re-hooked, each seed once"
+    [ (2, true); (5, true); (8, true) ] (tick ())
+
+let test_harvester_window_order () =
+  let now = ref 0. in
+  let h =
+    Harvester.create Harvester.collector_spec
+      { Harvester.send_to_seed = (fun ~switch:_ _ -> ()); broadcast = ignore;
+        now = (fun () -> !now); log = ignore }
+  in
+  Harvester.set_overload h { Harvester.window = 1.; max_reports = 6 };
+  List.iter (fun s -> Harvester.fence h ~seed_id:s ~epoch:0) [ 7; 2; 4 ];
+  let seq = ref 0 in
+  let report s =
+    incr seq;
+    Harvester.handle h ~from_switch:s (Value.Num 1.)
+      ~provenance:{ Harvester.p_seed = s; p_epoch = 0; p_seq = !seq }
+  in
+  (* three fenced seeds share 6 reports: 2 each; the third of 7 and of 4
+     are shed *)
+  List.iter report [ 7; 7; 4; 7; 2; 4; 4 ];
+  Alcotest.(check (list (pair int int))) "window admits by seed id"
+    [ (2, 1); (4, 2); (7, 2) ] (Harvester.window_admits h);
+  Alcotest.(check int) "sheds" 2 (Harvester.shed_count h);
+  now := 1.;
+  List.iter report [ 4; 2 ];
+  Alcotest.(check (list (pair int int))) "next window starts empty"
+    [ (2, 1); (4, 1) ] (Harvester.window_admits h);
+  Alcotest.(check int) "no new shed" 2 (Harvester.shed_count h)
+
+(* A detached seed's soil record outlives it (queued requests share its
+   fair-share count) but must not keep its hooks' closures alive. *)
+let test_soil_detach_releases_hooks () =
+  let engine = Engine.create () in
+  let soil = Soil.create engine (Switch_model.create ~id:0 ~ports:4 ()) in
+  let w = Weak.create 2 in
+  let[@inline never] attach () =
+    let drop = Array.make (Sys.opaque_identity 8) 0 in
+    let pressure = Array.make (Sys.opaque_identity 8) 0 in
+    Weak.set w 0 (Some drop);
+    Weak.set w 1 (Some pressure);
+    Soil.attach_seed soil 3;
+    Soil.on_poll_drop soil ~seed_id:3 (fun n -> drop.(0) <- n);
+    Soil.on_pressure soil ~seed_id:3 (fun ~high:_ -> pressure.(0) <- 1)
+  in
+  attach ();
+  Gc.full_major ();
+  Alcotest.(check (pair bool bool)) "attached seed keeps its hooks"
+    (true, true) (Weak.check w 0, Weak.check w 1);
+  Soil.detach_seed soil 3;
+  Gc.full_major ();
+  Alcotest.(check (pair bool bool)) "detached seed's hooks released"
+    (false, false) (Weak.check w 0, Weak.check w 1);
+  Alcotest.(check int) "no registration left" 0
+    (Soil.seed_count (Sys.opaque_identity soil))
+
 let check_digest_rows make rows =
   let digest_after ~perturbed f =
     let w, seeder = make () in
@@ -2819,7 +2962,17 @@ let () =
           Alcotest.test_case "retries: reports and seed messages jitter apart"
             `Quick test_retry_jitter_keys_apart;
           Alcotest.test_case "retries: in-flight bound per switch" `Quick
-            test_retry_inflight_bound ]
+            test_retry_inflight_bound;
+          Alcotest.test_case "control digest in switch order" `Quick
+            test_control_digest_order;
+          Alcotest.test_case "healing views in switch order" `Quick
+            test_healing_switch_order;
+          Alcotest.test_case "soil pressure in seed order" `Quick
+            test_soil_pressure_order;
+          Alcotest.test_case "harvester admits in seed order" `Quick
+            test_harvester_window_order;
+          Alcotest.test_case "soil detach releases the hooks" `Quick
+            test_soil_detach_releases_hooks ]
         @ qsuite
             [ prop_harvester_fencing; prop_fair_share_queue_matches_reference ]
       ) ]

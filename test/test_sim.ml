@@ -524,6 +524,13 @@ let test_engine_past_raises () =
           Engine.schedule_at e ~time:0.5 (fun _ -> ())));
   Engine.run e
 
+let test_engine_every_negative_phase () =
+  let e = Engine.create () in
+  Alcotest.check_raises "negative phase rejected"
+    (Invalid_argument "Engine.every: negative phase") (fun () ->
+      ignore (Engine.every e ~period:1. ~phase:(-0.5) ignore : Engine.timer));
+  Alcotest.(check int) "nothing armed" 0 (Engine.pending e)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -569,6 +576,22 @@ let test_metrics_histogram_edge () =
   Metrics.Histogram.reset h;
   Alcotest.(check int) "reset count" 0 (Metrics.Histogram.count h);
   check_float "reset p50" 0. (Metrics.Histogram.percentile h 50.)
+
+(* Summed in recording order, 1e16 + -1e16 + 1 is 1; in sorted order the
+   1 is absorbed by -1e16 and the sum is 0.  The mean must not depend on
+   whether a percentile has sorted the samples yet. *)
+let test_metrics_histogram_mean_order () =
+  let reg = Metrics.Registry.create () in
+  let h = Metrics.Registry.histogram reg "h" in
+  List.iter (Metrics.Histogram.record h) [ 1e16; -1e16; 1. ];
+  check_float "mean before a percentile" 0. (Metrics.Histogram.mean h);
+  ignore (Metrics.Histogram.percentile h 50. : float);
+  check_float "mean after a percentile" 0. (Metrics.Histogram.mean h);
+  Metrics.Histogram.reset h;
+  List.iter (Metrics.Histogram.record h) [ 1e16; -1e16; 1. ];
+  let fields = String.split_on_char ',' (Metrics.Registry.to_json reg) in
+  Alcotest.(check bool) "to_json prints the sorted mean" true
+    (List.mem " \"mean\": 0" fields)
 
 let test_metrics_busy () =
   let b = Metrics.Busy.create () in
@@ -869,6 +892,8 @@ let () =
             test_engine_cancel_releases;
           Alcotest.test_case "set_period" `Quick test_engine_set_period;
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
+          Alcotest.test_case "every: negative phase raises" `Quick
+            test_engine_every_negative_phase;
           Alcotest.test_case "far future / overflow" `Quick
             test_engine_far_future ] );
       ( "scheduler equivalence",
@@ -880,5 +905,7 @@ let () =
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
           Alcotest.test_case "histogram edge cases" `Quick
             test_metrics_histogram_edge;
+          Alcotest.test_case "histogram mean is order-free" `Quick
+            test_metrics_histogram_mean_order;
           Alcotest.test_case "busy" `Quick test_metrics_busy ]
         @ qsuite [ prop_histogram_percentile_monotone ] ) ]
