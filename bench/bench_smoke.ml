@@ -238,8 +238,9 @@ let deploy_alloc () =
    plus a table of taken message ids per seed instance, held 8 121 048 B
    here (either alone crossed a 5 MB bound), and harvester gauges that
    kept every undeployed task's harvester 4 736 960 B; without them it
-   is 3 618 680 B, of which the engine's sorted run and merge buffer,
-   kept at their largest size, hold about 7 kB (3 572 384 B while a
+   is 3 615 800 B, of which the engine's sorted run and merge buffer,
+   kept at their largest size, hold about 7 kB (3 618 680 B while each
+   topology link carried a latency nothing read; 3 572 384 B while a
    soil kept dead seeds as four-field records in a hash table; their
    seven-field records in an ordered map are larger).  The gate keeps the
    ratio the 5 MB gate had to 4 736 960 B. *)
@@ -267,6 +268,54 @@ let churn_retention () =
   let live1 = (Gc.stat ()).live_words in
   ignore (Sys.opaque_identity w);
   (deploys, float_of_int ((live1 - live0) * (Sys.word_size / 8)))
+
+(* Bytes one transfer offered to a saturated bounded soil allocates:
+   [Soil.default_overload] (16 waiting transfers, then fair-share
+   shedding), a 1000 B transfer every 0.1 ms against a bus that moves one
+   per ms, so nine arrivals in ten shed a request.  Four owner lists
+   rotate, one of them with two seeds and one seed at priority 1, so
+   victim choice weighs priorities and shares.  The figure covers the
+   offering timer's event, the arrival, the shed with its drop
+   attribution, and the served tenth: 338.2 B.  It is read between two
+   full major collections, so it is deterministic and gates at its value
+   plus half a word: a closure, a lookup that allocates or a boxed float
+   added per arrival or per shed fails it. *)
+let shed_alloc_gate = 342.2
+
+let shed_alloc () =
+  let module Soil = Runtime.Soil in
+  let engine = Sim.Engine.create () in
+  let sw = Net.Switch_model.create ~id:0 ~ports:16 () in
+  let config =
+    { Soil.default_config with overload = Some Soil.default_overload }
+  in
+  let soil = Soil.create ~config engine sw in
+  Soil.set_seed_priority soil ~seed_id:3 1;
+  let owners = [| [ 0 ]; [ 1 ]; [ 2; 3 ]; [ 1 ] |] in
+  let n = ref 0 in
+  let served () = () in
+  ignore
+    (Sim.Engine.every engine ~period:1e-4 (fun _ ->
+         Soil.transfer soil ~bytes:1000. ~seeds:owners.(!n land 3) served;
+         incr n)
+      : Sim.Engine.timer);
+  Sim.Engine.run ~until:0.1 engine;
+  let offered () =
+    match Soil.overload_stats soil with
+    | Some st -> st.Soil.o_offered
+    | None -> failwith "shed alloc: the soil is not bounded"
+  in
+  let o0 = offered () in
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  Sim.Engine.run ~until:1.1 engine;
+  Gc.full_major ();
+  let alloc = Gc.allocated_bytes () -. a0 in
+  let offers = offered () - o0 in
+  let shed =
+    match Soil.overload_stats soil with Some st -> st.Soil.o_shed | None -> 0
+  in
+  (offers, shed, alloc /. float_of_int offers)
 
 (* Steady-state bytes one [Switch_model.poll_subject All_ports] allocates
    on a 16-port switch carrying 32 flows, with [rules] catch-all
@@ -515,6 +564,11 @@ let () =
   Printf.printf "deploy churn (catalog on 4 spines x 28 leaves):\n";
   Printf.printf "  %.0f B live after %d deploys (gate: %.0f B)\n%!"
     retained_bytes churn_deploys retention_gate;
+  let shed_offers, shed_count, shed_bytes = shed_alloc () in
+  Printf.printf "saturated bounded soil (%d transfers offered, %d shed):\n"
+    shed_offers shed_count;
+  Printf.printf "  %.1f B allocated/offer (gate: %.1f B)\n%!" shed_bytes
+    shed_alloc_gate;
   let poll_bytes_0 = poll_alloc ~rules:0 in
   let poll_bytes_64 = poll_alloc ~rules:64 in
   Printf.printf "switch poll (all ports, 32 flows):\n";
@@ -654,6 +708,12 @@ let () =
     \    \"live_bytes\": %.0f,\n\
     \    \"gate_bytes\": %.0f\n\
     \  },\n\
+    \  \"shed\": {\n\
+    \    \"offered\": %d,\n\
+    \    \"shed\": %d,\n\
+    \    \"alloc_bytes_per_offer\": %.1f,\n\
+    \    \"gate_bytes\": %.1f\n\
+    \  },\n\
     \  \"poll\": {\n\
     \    \"flows\": 32,\n\
     \    \"alloc_bytes_0_rules\": %.1f,\n\
@@ -700,6 +760,7 @@ let () =
     burst_eps_q3 burst_bytes burst_alloc_gate
     deploy_seeds deploy_bytes deploy_alloc_gate
     churn_deploys retained_bytes retention_gate
+    shed_offers shed_count shed_bytes shed_alloc_gate
     poll_bytes_0 poll_bytes_64 trace_inert
     trace_pairs eps_off eps_on alloc_off alloc_on trace_events trace_bytes
     trace_overhead_pct overhead_q1 overhead_q3
@@ -779,6 +840,13 @@ let () =
     Printf.eprintf
       "FAIL: a %d-deploy churn leaves %.0f B live (gate: %.0f B)\n%!"
       churn_deploys retained_bytes retention_gate;
+    exit 1
+  end;
+  if shed_bytes > shed_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: a transfer offered to a saturated bounded soil allocates %.1f B \
+       (gate: %.1f B)\n%!"
+      shed_bytes shed_alloc_gate;
     exit 1
   end;
   if poll_bytes_64 > poll_bytes_0 then begin

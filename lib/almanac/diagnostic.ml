@@ -18,7 +18,6 @@ let make ?file ?(pos = Ast.no_pos) severity ~code message =
 
 let error ?file ?pos ~code message = make ?file ?pos Error ~code message
 let warning ?file ?pos ~code message = make ?file ?pos Warning ~code message
-let info ?file ?pos ~code message = make ?file ?pos Info ~code message
 
 let errorf ?file ?pos ~code fmt =
   Printf.ksprintf (error ?file ?pos ~code) fmt

@@ -28,7 +28,6 @@ val make :
 
 val error : ?file:string -> ?pos:Ast.pos -> code:string -> string -> t
 val warning : ?file:string -> ?pos:Ast.pos -> code:string -> string -> t
-val info : ?file:string -> ?pos:Ast.pos -> code:string -> string -> t
 
 (** Formatted-message variant of {!error}. *)
 val errorf :

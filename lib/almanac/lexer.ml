@@ -1,9 +1,9 @@
-exception Error of string
+exception Error of Ast.pos * string
 
 type located = { token : Token.t; line : int; col : int }
 
 let error line col fmt =
-  Printf.ksprintf (fun m -> raise (Error (Printf.sprintf "%d:%d: %s" line col m))) fmt
+  Printf.ksprintf (fun m -> raise (Error ({ Ast.line; col }, m))) fmt
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'

@@ -1,8 +1,8 @@
 (** Hand-written lexer for Almanac.  Supports [//] line comments and
     [/* ... */] block comments. *)
 
-exception Error of string
-(** Lexical error with a "line:col: message" payload. *)
+exception Error of Ast.pos * string
+(** Lexical error: where it is, and the message. *)
 
 type located = { token : Token.t; line : int; col : int }
 

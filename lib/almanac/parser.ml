@@ -613,31 +613,11 @@ let parse_program st =
   go ();
   { Ast.funcs = List.rev !funcs; machines = List.rev !machines }
 
-(* The lexer reports errors as "line:col: message" strings; recover the
-   position for the structured diagnostic. *)
-let diag_of_lexer_error m =
-  let pos, message =
-    match String.index_opt m ':' with
-    | Some i -> (
-        match String.index_from_opt m (i + 1) ':' with
-        | Some j -> (
-            let line = int_of_string_opt (String.sub m 0 i) in
-            let col = int_of_string_opt (String.sub m (i + 1) (j - i - 1)) in
-            match (line, col) with
-            | Some line, Some col ->
-                ( { Ast.line; col },
-                  String.trim
-                    (String.sub m (j + 1) (String.length m - j - 1)) )
-            | _ -> (Ast.no_pos, m))
-        | None -> (Ast.no_pos, m))
-    | None -> (Ast.no_pos, m)
-  in
-  Diagnostic.error ~pos ~code:"P001" message
-
 let make_state src =
   let toks =
     try Lexer.tokenize src
-    with Lexer.Error m -> raise (Error_diag (diag_of_lexer_error m))
+    with Lexer.Error (pos, message) ->
+      raise (Error_diag (Diagnostic.error ~pos ~code:"P001" message))
   in
   { toks = Array.of_list toks; pos = 0 }
 

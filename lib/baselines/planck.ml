@@ -2,18 +2,10 @@ module Engine = Farm_sim.Engine
 module Fabric = Farm_net.Fabric
 module Switch_model = Farm_net.Switch_model
 
-type config = {
-  sample_period : float;
-  min_samples : int;
-  process_latency : float;
-  mirror_latency : float;
-}
-
-let default_config =
-  { sample_period = 1e-3;  (* mirror port drains a sample per ms *)
-    min_samples = 3;
-    process_latency = 0.5e-3;
-    mirror_latency = 100e-6 }
+let sample_period = 1e-3  (* mirror port drains a sample per ms *)
+let min_samples = 3  (* samples of one port needed before deciding *)
+let process_latency = 0.5e-3  (* collector pipeline delay *)
+let mirror_latency = 100e-6
 
 type t = {
   mutable timers : Engine.timer list;
@@ -22,7 +14,7 @@ type t = {
   mutable rx_bytes : float;
 }
 
-let deploy ?(config = default_config) engine fabric ~hh_threshold =
+let deploy engine fabric ~hh_threshold =
   let t =
     { timers = []; reported = Hashtbl.create 64;
       detections = []; rx_bytes = 0. }
@@ -34,7 +26,7 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
         let node = Switch_model.id sw in
         (* sliding sample counts per egress port *)
         let counts = Hashtbl.create 16 in
-        Engine.every engine ~period:config.sample_period (fun engine ->
+        Engine.every engine ~period:sample_period (fun engine ->
             match Switch_model.sample_packet sw rng with
             | None -> ()
             | Some pkt ->
@@ -50,7 +42,7 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
                     1 + Option.value (Hashtbl.find_opt counts key) ~default:0
                   in
                   Hashtbl.replace counts key c;
-                  if c >= config.min_samples
+                  if c >= min_samples
                      && not (Hashtbl.mem t.reported (node, key))
                   then begin
                     (* the flow's estimated rate: its sample share *)
@@ -61,8 +53,7 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
                     if est >= hh_threshold then begin
                       Hashtbl.replace t.reported (node, key) ();
                       Engine.schedule engine
-                        ~delay:
-                          (config.mirror_latency +. config.process_latency)
+                        ~delay:(mirror_latency +. process_latency)
                         (fun engine ->
                           t.detections <-
                             (Engine.now engine, node, key) :: t.detections)

@@ -4,19 +4,9 @@
     sliding window — specialized hardware support buys millisecond
     detection (Tab. 4: ~4 ms at 10 Gb/s) at the price of generality. *)
 
-type config = {
-  sample_period : float;  (** per-switch mirror sampling interval *)
-  min_samples : int;  (** samples of one port needed before deciding *)
-  process_latency : float;  (** collector pipeline delay *)
-  mirror_latency : float;
-}
-
-val default_config : config
-
 type t
 
 val deploy :
-  ?config:config ->
   Farm_sim.Engine.t ->
   Farm_net.Fabric.t ->
   hh_threshold:float ->

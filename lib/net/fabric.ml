@@ -3,7 +3,6 @@ type flow_record = {
   rate : float;
   flags : Flow.tcp_flags;
   payload : string;
-  pinned : bool;  (* explicit path: never rerouted, dropped if severed *)
   mutable path : Routing.path;
   mutable switches : int list;
 }
@@ -65,18 +64,14 @@ let uninstall t ~time ~flow_id (r : flow_record) =
     r.switches
 
 let start_flow t ~time ~tuple ~rate ?(flags = Flow.no_flags) ?(payload = "")
-    ?path () =
-  let pinned = Option.is_some path in
-  let path =
-    match path with Some p -> Some p | None -> Routing.route_flow t.topo tuple
-  in
-  match path with
+    () =
+  match Routing.route_flow t.topo tuple with
   | None -> None
   | Some path ->
       let switches = Routing.path_switches t.topo path in
       let flow_id = t.next_flow_id in
       t.next_flow_id <- t.next_flow_id + 1;
-      let r = { tuple; rate; flags; payload; pinned; path; switches } in
+      let r = { tuple; rate; flags; payload; path; switches } in
       install t ~time ~flow_id r;
       Hashtbl.replace t.active flow_id r;
       Some flow_id
@@ -123,34 +118,20 @@ let set_link_state t ~time a b ~up =
   if Topology.link_is_up t.topo a b <> up then begin
     Topology.set_link_state t.topo a b ~up;
     if not up then
-      (* move flows off the dead link; pinned flows are simply severed *)
+      (* move flows off the dead link *)
       List.iter
         (fun (flow_id, r) ->
-          if path_uses_link r.path a b then
-            if r.pinned then begin
-              uninstall t ~time ~flow_id r;
-              Hashtbl.remove t.active flow_id;
-              t.dropped <- t.dropped + 1
-            end
-            else reroute_flow t ~time flow_id r)
+          if path_uses_link r.path a b then reroute_flow t ~time flow_id r)
         (sorted_active t)
     else
       (* re-run ECMP so flows spread back over the restored link *)
       List.iter
-        (fun (flow_id, r) -> if not r.pinned then reroute_flow t ~time flow_id r)
+        (fun (flow_id, r) -> reroute_flow t ~time flow_id r)
         (sorted_active t)
   end
 
-let link_is_up t a b = Topology.link_is_up t.topo a b
 let rerouted_flows t = t.rerouted
 let dropped_flows t = t.dropped
-
-let reset t ~time =
-  let ids =
-    Hashtbl.fold (fun id _ acc -> id :: acc) t.active []
-    |> List.sort Int.compare
-  in
-  List.iter (stop_flow t ~time) ids
 
 let random_host_addr t rng =
   if Array.length t.host_prefixes = 0 then

@@ -22,7 +22,6 @@ val start_flow :
   rate:float ->
   ?flags:Flow.tcp_flags ->
   ?payload:string ->
-  ?path:Routing.path ->
   unit ->
   int option
 
@@ -36,22 +35,17 @@ val active_flow_count : t -> int
 (** {2 Link faults}
 
     Taking a link down reroutes every active flow whose path crosses it
-    (ECMP over the surviving links); flows started with an explicit [?path]
-    are pinned and get dropped instead, as do flows left with no route.
-    Bringing a link back re-runs ECMP for all non-pinned flows so load
+    (ECMP over the surviving links); flows left with no route are
+    dropped.  Bringing a link back re-runs ECMP for all flows so load
     spreads back over it.  Flow processing order is by flow id, so the
     outcome is deterministic. *)
 
 val set_link_state : t -> time:float -> int -> int -> up:bool -> unit
-val link_is_up : t -> int -> int -> bool
 
 (** Cumulative counts of flows rerouted / dropped by link faults. *)
 val rerouted_flows : t -> int
 
 val dropped_flows : t -> int
-
-(** Stop all flows (between benchmark repetitions). *)
-val reset : t -> time:float -> unit
 
 (** Pick a uniformly random address inside some host's prefix. *)
 val random_host_addr : t -> Farm_sim.Rng.t -> Ipaddr.t

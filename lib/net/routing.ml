@@ -1,8 +1,11 @@
 type path = int list
 
+(* Enumeration stops at this many shortest paths per pair. *)
+let max_paths = 64
+
 (* BFS from dst computing distance, then enumerate shortest paths from src
    by walking strictly-decreasing distances. *)
-let shortest_paths ?(max_paths = 64) topo ~src ~dst =
+let shortest_paths topo ~src ~dst =
   let n = Topology.node_count topo in
   if src < 0 || src >= n || dst < 0 || dst >= n then []
   else begin
@@ -87,7 +90,7 @@ let rec eval3 f ~src ~dst =
 
 let satisfiable f ~src ~dst = snd (eval3 f ~src ~dst)
 
-let paths_matching ?(max_paths = 64) topo f =
+let paths_matching topo f =
   let hosts = Topology.hosts topo in
   let pairs =
     List.concat_map
@@ -104,7 +107,7 @@ let paths_matching ?(max_paths = 64) topo f =
       hosts
   in
   List.concat_map
-    (fun (s, d) -> shortest_paths ~max_paths topo ~src:s ~dst:d)
+    (fun (s, d) -> shortest_paths topo ~src:s ~dst:d)
     pairs
 
 let path_switches topo p = List.filter (Topology.is_switch topo) p

@@ -9,8 +9,8 @@ type path = int list
 (** Node ids in order, endpoints included. *)
 
 (** All shortest paths between two nodes (BFS + DAG enumeration).  Empty if
-    disconnected.  [max_paths] caps enumeration (default 64). *)
-val shortest_paths : ?max_paths:int -> Topology.t -> src:int -> dst:int -> path list
+    disconnected.  Enumeration stops at 64 paths. *)
+val shortest_paths : Topology.t -> src:int -> dst:int -> path list
 
 (** One ECMP path chosen deterministically from [flow] (hash of the tuple
     selects among equal-cost candidates). *)
@@ -19,7 +19,7 @@ val route_flow : Topology.t -> Flow.five_tuple -> path option
 (** φ{_path}: paths between host pairs that can carry traffic matching the
     filter.  A host pair (h1, h2) qualifies when the filter is satisfiable
     given src ∈ prefix(h1) and dst ∈ prefix(h2). *)
-val paths_matching : ?max_paths:int -> Topology.t -> Filter.t -> path list
+val paths_matching : Topology.t -> Filter.t -> path list
 
 (** Switch ids of a path, in order (drops host endpoints). *)
 val path_switches : Topology.t -> path -> int list

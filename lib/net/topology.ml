@@ -11,9 +11,9 @@ type t = {
   mutable node_list : node list;  (* reversed *)
   mutable count : int;
   byid : (int, node) Hashtbl.t;
-  (* adjacency: per node, list of (neighbor, latency), insertion order
-     defines port numbering *)
-  adj : (int, (int * float) list ref) Hashtbl.t;
+  (* adjacency: per node, its neighbors; insertion order defines port
+     numbering *)
+  adj : (int, int list ref) Hashtbl.t;
   (* administratively/physically down links, keyed (min, max); ports keep
      their numbering, only reachability changes *)
   down : (int * int, unit) Hashtbl.t;
@@ -42,12 +42,10 @@ let adj t id =
   | Some l -> l
   | None -> invalid_arg (Printf.sprintf "Topology: unknown node %d" id)
 
-let default_latency = 5e-6
-
-let add_link ?(latency = default_latency) t a b =
+let add_link t a b =
   let la = adj t a and lb = adj t b in
-  la := !la @ [ (b, latency) ];
-  lb := !lb @ [ (a, latency) ]
+  la := !la @ [ b ];
+  lb := !lb @ [ a ]
 
 let node t id =
   match Hashtbl.find_opt t.byid id with
@@ -63,7 +61,7 @@ let switch_ids t = List.map (fun n -> n.id) (switches t)
 let is_switch t id = (node t id).kind = Switch
 
 let has_link t a b =
-  Hashtbl.mem t.adj a && List.mem_assoc b !(adj t a)
+  Hashtbl.mem t.adj a && List.mem b !(adj t a)
 
 let set_link_state t a b ~up =
   if not (has_link t a b) then
@@ -75,8 +73,7 @@ let link_is_up t a b = has_link t a b && not (Hashtbl.mem t.down (link_key a b))
 
 let neighbors t id =
   List.filter_map
-    (fun (n, _) ->
-      if Hashtbl.mem t.down (link_key id n) then None else Some n)
+    (fun n -> if Hashtbl.mem t.down (link_key id n) then None else Some n)
     !(adj t id)
 
 let port_count t id = List.length !(adj t id)
@@ -85,7 +82,7 @@ let links t =
   List.concat_map
     (fun n ->
       List.filter_map
-        (fun (b, _) -> if n.id < b then Some (n.id, b) else None)
+        (fun b -> if n.id < b then Some (n.id, b) else None)
         !(adj t n.id))
     (nodes t)
   |> List.sort compare
@@ -96,15 +93,10 @@ let switch_links t =
 let port_to t a b =
   let rec go i = function
     | [] -> raise Not_found
-    | (n, _) :: _ when n = b -> i
+    | n :: _ when n = b -> i
     | _ :: rest -> go (i + 1) rest
   in
   go 0 !(adj t a)
-
-let link_latency t a b =
-  match List.assoc_opt b !(adj t a) with
-  | Some l -> l
-  | None -> raise Not_found
 
 let host_of_addr t addr =
   List.find_opt

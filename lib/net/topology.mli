@@ -1,5 +1,5 @@
-(** Network topologies: nodes (switches and hosts) connected by links with
-    latency.  Generators for the spine-leaf fabric of the paper's production
+(** Network topologies: nodes (switches and hosts) connected by links.
+    Generators for the spine-leaf fabric of the paper's production
     deployment, plus fat-tree and linear topologies for tests. *)
 
 type kind = Switch | Host
@@ -22,9 +22,8 @@ val add_switch : t -> string -> int
 
 val add_host : t -> string -> Ipaddr.Prefix.t -> int
 
-(** Bidirectional link; [latency] in seconds (default 5 microseconds,
-    a DC-internal hop). *)
-val add_link : ?latency:float -> t -> int -> int -> unit
+(** Bidirectional link. *)
+val add_link : t -> int -> int -> unit
 
 (** {2 Generators} *)
 
@@ -79,8 +78,6 @@ val port_count : t -> int -> int
 (** Port index on [a] that faces neighbor [b]; raises [Not_found] when the
     link does not exist. *)
 val port_to : t -> int -> int -> int
-
-val link_latency : t -> int -> int -> float
 
 (** Host whose prefix contains the address. *)
 val host_of_addr : t -> Ipaddr.t -> int option

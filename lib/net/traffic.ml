@@ -45,10 +45,10 @@ let background engine fabric rng profile =
   ignore
     (Engine.every engine ~period:(profile.mean_lifetime /. 10.) refill)
 
-let heavy_hitter engine fabric rng ~at ~rate ?src ?dst () =
+let heavy_hitter engine fabric rng ~at ~rate () =
   let result = ref None in
   Engine.schedule_at engine ~time:at (fun engine ->
-      let tuple = random_tuple fabric rng ?src ?dst () in
+      let tuple = random_tuple fabric rng () in
       result :=
         Fabric.start_flow fabric ~time:(Engine.now engine) ~tuple ~rate ());
   result

@@ -18,16 +18,13 @@ val background :
   Farm_sim.Engine.t -> Fabric.t -> Farm_sim.Rng.t -> profile -> unit
 
 (** Start a long-lived elephant flow of [rate] bytes/s at time [at] between
-    random (or given) endpoints; the returned ref holds the flow id once
-    started. *)
+    random endpoints; the returned ref holds the flow id once started. *)
 val heavy_hitter :
   Farm_sim.Engine.t ->
   Fabric.t ->
   Farm_sim.Rng.t ->
   at:float ->
   rate:float ->
-  ?src:Ipaddr.t ->
-  ?dst:Ipaddr.t ->
   unit ->
   int option ref
 

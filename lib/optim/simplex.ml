@@ -244,9 +244,7 @@ let maximize ?deadline ~nvars ~objective constrs =
           { objective = z2.(cols) +. Lin_expr.constant objective; values }
   end
 
-let minimize ?deadline ~nvars ~objective constrs =
-  match
-    maximize ?deadline ~nvars ~objective:(Lin_expr.neg objective) constrs
-  with
+let minimize ~nvars ~objective constrs =
+  match maximize ~nvars ~objective:(Lin_expr.neg objective) constrs with
   | Optimal s -> Optimal { s with objective = -.s.objective }
   | (Infeasible | Unbounded) as o -> o

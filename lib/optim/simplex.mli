@@ -34,6 +34,4 @@ val maximize :
   nvars:int -> objective:Lin_expr.t -> constr list -> outcome
 
 (** Convenience wrapper negating the objective. *)
-val minimize :
-  ?deadline:float ->
-  nvars:int -> objective:Lin_expr.t -> constr list -> outcome
+val minimize : nvars:int -> objective:Lin_expr.t -> constr list -> outcome

@@ -97,7 +97,7 @@ let poll_demand inst assignments ~node =
 
 let pcie = Analysis.resource_index Analysis.Pcie
 
-let validate ?(migrating = []) inst assignments =
+let validate inst assignments =
   let problems = ref [] in
   let report fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
   (* each seed at most once *)
@@ -141,28 +141,11 @@ let validate ?(migrating = []) inst assignments =
   List.iter
     (fun c ->
       let on_node = List.filter (fun a -> a.a_node = c.node) assignments in
-      (* migration doubling: a migrating seed also consumes its previous
-         resources on the source switch *)
-      let migration_extra r =
-        List.fold_left
-          (fun acc prev ->
-            if
-              List.mem prev.a_seed migrating
-              && prev.a_node = c.node
-              && not
-                   (List.exists
-                      (fun a -> a.a_seed = prev.a_seed && a.a_node = c.node)
-                      assignments)
-            then acc +. prev.a_res.(r)
-            else acc)
-          0. inst.previous
-      in
       Array.iteri
         (fun r avail ->
           if r <> pcie then begin
             let used =
               List.fold_left (fun acc a -> acc +. a.a_res.(r)) 0. on_node
-              +. migration_extra r
             in
             if used > avail +. 1e-6 then
               report "switch %d over capacity for %s (C4): %.3f > %.3f"

@@ -56,11 +56,8 @@ val total_utility : instance -> assignment list -> float
     over co-located seeds (polling once at the fastest rate serves all). *)
 val poll_demand : instance -> assignment list -> node:int -> float
 
-(** Check (C1)–(C4); returns human-readable violations (empty = valid).
-    [migrating] marks seeds whose state is being transferred, doubling
-    their footprint on the {e source} switch of the previous placement. *)
-val validate :
-  ?migrating:int list -> instance -> assignment list -> string list
+(** Check (C1)–(C4); returns human-readable violations (empty = valid). *)
+val validate : instance -> assignment list -> string list
 
 val seed : instance -> int -> seed_spec
 

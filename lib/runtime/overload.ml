@@ -28,15 +28,13 @@ module Token_bucket = struct
     refill t ~now;
     t.level
 
-  (* Debit [cost] tokens and return how long the caller must wait before
+  (* Debit one token and return how long the caller must wait before
      acting.  Overdrawing is allowed — the debt is repaid by future refills,
      which is what turns a burst into a smooth paced stream. *)
-  let reserve ?(cost = 1.) t ~now =
+  let reserve t ~now =
     refill t ~now;
-    let delay =
-      if t.level >= cost then 0. else (cost -. t.level) /. t.rate
-    in
-    t.level <- t.level -. cost;
+    let delay = if t.level >= 1. then 0. else (1. -. t.level) /. t.rate in
+    t.level <- t.level -. 1.;
     delay
 end
 

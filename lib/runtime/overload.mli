@@ -17,11 +17,11 @@ module Token_bucket : sig
   (** Tokens available at [now] (after refill). *)
   val level : t -> now:float -> float
 
-  (** Debit [cost] (default 1) tokens and return the delay the caller must
-      wait before acting — 0 when credit is available.  The bucket may be
-      overdrawn; the debt delays subsequent reservations, which paces a
-      burst into a smooth stream. *)
-  val reserve : ?cost:float -> t -> now:float -> float
+  (** Debit one token and return the delay the caller must wait before
+      acting — 0 when credit is available.  The bucket may be overdrawn;
+      the debt delays subsequent reservations, which paces a burst into a
+      smooth stream. *)
+  val reserve : t -> now:float -> float
 end
 
 module Breaker : sig

@@ -86,28 +86,12 @@ type poll_stats = {
   asic_polls : int;
 }
 
-type overload_stats = {
+type overload_stats = Pcie.stats = {
   o_offered : int;
   o_completed : int;
   o_shed : int;
   o_pending : int;
   o_queue_peak : int;
-}
-
-(* One PCIe transfer, waiting or on the bus. *)
-type pcie_req = {
-  rq_seq : int;  (* arrival order (newest = largest) *)
-  rq_bytes : float;
-  rq_issued : float;
-  rq_prio : int;  (* max of the owning seeds' priorities *)
-  rq_owners : seed_acct list;  (* owning seeds, one entry per poll *)
-  rq_deliver : Engine.t -> unit;
-}
-
-(* Bus clocks; a float-only record, so per-transfer updates do not allocate. *)
-type bus = {
-  mutable free_at : float;  (* end of the FIFO backlog *)
-  mutable busy_s : float;  (* accumulated bus-busy seconds *)
 }
 
 (* Interned trace ids for the hot emission sites, memoized per sink so
@@ -116,14 +100,11 @@ type bus = {
 type tids = {
   tm_sink : Trace.t;
   tm_soil : int;  (* cat "soil" *)
-  tm_pcie : int;  (* cat "soil.pcie" *)
   tm_ipc : int;  (* cat "soil.ipc" *)
   tm_asic_poll : int;
-  tm_transfer : int;
   tm_deliver : int;
   tm_k_subject : int;
   tm_k_subs : int;
-  tm_k_bytes : int;
   tm_k_polls : int;
   tm_pressure_on : int;
   tm_pressure_off : int;
@@ -142,24 +123,7 @@ type t = {
   mutable regs : int;  (* attached instances, all seeds *)
   mutable groups : group list;
   lim : overload_config;  (* [config.overload], or [unlimited] *)
-  (* PCIe bus: the waiting transfers, oldest first, in [q_len] slots from
-     [q_head]; the highest priority among them and how many hold it; and
-     whether one is on the bus *)
-  mutable queue : pcie_req array;
-  mutable q_head : int;
-  mutable q_len : int;
-  mutable q_top : int;
-  mutable q_top_n : int;
-  mutable busy : bool;
-  mutable q_seq : int;
-  (* arrival-time wait cap: [config.max_poll_queue_delay] at unlimited
-     limits, where the queue is a FIFO whose backlog ends at
-     [bus.free_at]; infinite under a bounded queue, which sheds instead *)
-  wait_cap : float;
-  bus : bus;
-  (* PCIe slowdown fault (Fault.Pcie_degrade): effective bandwidth is
-     [caps.pcie_bps / pcie_factor] *)
-  mutable pcie_factor : float;
+  bus : seed_acct Pcie.t;
   (* poll accounting, published in the engine registry under
      [soil.<node>.*] *)
   requested : Metrics.Counter.t;
@@ -169,16 +133,11 @@ type t = {
   asic_polls : Metrics.Counter.t;
   latency : Metrics.Histogram.t;
       (* seed-observed delivery latency: ASIC read issue -> handler *)
-  (* request-granularity queue accounting ([overload_stats]) *)
-  mutable offered : int;
-  mutable served : int;
-  mutable q_peak : int;
   (* pressure monitor *)
   mutable last_cpu : float;  (* monitor window baselines *)
   mutable last_pcie : float;
   mutable pressured : bool;
   mutable listener : node:int -> high:bool -> unit;  (* the seeder's *)
-  shed : Metrics.Counter.t;
   pressure : Metrics.Gauge.t;
   (* counter fault injection (Fault.Counter_freeze / Counter_glitch) *)
   mutable frozen : bool;
@@ -195,14 +154,11 @@ let tids t tr =
       let m =
         { tm_sink = tr;
           tm_soil = Trace.label tr "soil";
-          tm_pcie = Trace.label tr "soil.pcie";
           tm_ipc = Trace.label tr "soil.ipc";
           tm_asic_poll = Trace.intern tr "asic_poll";
-          tm_transfer = Trace.intern tr "transfer";
           tm_deliver = Trace.intern tr "deliver";
           tm_k_subject = Trace.label tr "subject";
           tm_k_subs = Trace.label tr "subs";
-          tm_k_bytes = Trace.label tr "bytes";
           tm_k_polls = Trace.label tr "polls";
           tm_pressure_on = Trace.intern tr "pressure_on";
           tm_pressure_off = Trace.intern tr "pressure_off";
@@ -235,8 +191,9 @@ let pressure_tick t =
   in
   t.last_cpu <- busy;
   let cpu_util = cpu_delta /. (t.lim.pressure_interval *. cores) in
-  let pcie_delta = t.bus.busy_s -. t.last_pcie in
-  t.last_pcie <- t.bus.busy_s;
+  let pcie_busy = Pcie.busy_seconds t.bus in
+  let pcie_delta = pcie_busy -. t.last_pcie in
+  t.last_pcie <- pcie_busy;
   let pcie_util = pcie_delta /. t.lim.pressure_interval in
   let high = cpu_util > t.lim.cpu_high || pcie_util > t.lim.pcie_high in
   let low = cpu_util < t.lim.cpu_low && pcie_util < t.lim.pcie_low in
@@ -269,42 +226,6 @@ let pressure_tick t =
       t.seeds;
     t.listener ~node:(Switch_model.id t.sw) ~high
   end
-
-(* At [unlimited] limits nothing is shed and no monitor runs; neither
-   registers its metrics, so the registry is that of an unprotected soil. *)
-let create ?(config = default_config) engine sw =
-  let reg = Engine.metrics engine in
-  let pre = Printf.sprintf "soil.%d." (Switch_model.id sw) in
-  let c name = Metrics.Registry.counter reg (pre ^ name) in
-  let lim = Option.value config.overload ~default:unlimited in
-  let limited = lim <> unlimited in
-  let t =
-    { engine; sw; cfg = config; usage = Cpu_model.usage ();
-      rng = Farm_sim.Rng.split (Engine.rng engine); seeds = Int_map.empty;
-      regs = 0; groups = []; lim; queue = [||]; q_head = 0; q_len = 0;
-      q_top = min_int; q_top_n = 0; busy = false; q_seq = 0;
-      wait_cap = (if limited then infinity else config.max_poll_queue_delay);
-      bus = { free_at = 0.; busy_s = 0. }; pcie_factor = 1.;
-      requested = c "polls.requested"; completed = c "polls.completed";
-      dropped = c "polls.dropped"; pcie_bytes = c "pcie.bytes";
-      asic_polls = c "asic.polls";
-      latency = Metrics.Registry.histogram reg (pre ^ "delivery_latency");
-      offered = 0; served = 0; q_peak = 0;
-      last_cpu = 0.; last_pcie = 0.; pressured = false;
-      listener = (fun ~node:_ ~high:_ -> ());
-      shed =
-        (if limited then c "polls.shed" else Metrics.Counter.create ());
-      pressure =
-        (if limited then Metrics.Registry.gauge reg (pre ^ "pressure")
-         else Metrics.Gauge.create ());
-      frozen = false; frozen_cache = []; glitch_budget = 0; tmemo = None }
-  in
-  if limited then
-    ignore
-      (Engine.every engine ~period:lim.pressure_interval (fun _ ->
-           pressure_tick t)
-        : Engine.timer);
-  t
 
 let node_id t = Switch_model.id t.sw
 let switch t = t.sw
@@ -369,31 +290,19 @@ let poll_payload t = function
       counter_record_bytes
 
 (* ------------------------------------------------------------------ *)
-(* Overload protection: hooks, drop attribution, the PCIe queue        *)
+(* Overload protection: hooks, drop attribution, the PCIe bus         *)
 (* ------------------------------------------------------------------ *)
 
 let limits t = t.lim
 
 let overload_stats t =
-  if t.lim = unlimited then None
-  else
-    Some
-      { o_offered = t.offered; o_completed = t.served;
-        o_shed = int_of_float (Metrics.Counter.value t.shed);
-        o_pending = t.q_len + (if t.busy then 1 else 0);
-        o_queue_peak = t.q_peak }
+  if t.lim = unlimited then None else Some (Pcie.stats t.bus)
 
 let set_pcie_factor t f =
   if f <= 0. then invalid_arg "Soil.set_pcie_factor: factor must be > 0";
-  t.pcie_factor <- f
+  Pcie.set_factor t.bus f
 
-let pcie_factor t = t.pcie_factor
-
-(* Effective PCIe bandwidth; at the default factor 1 it returns the stored
-   value instead of boxing a fresh float on every transfer. *)
-let effective_pcie_bps t =
-  let caps = Switch_model.caps t.sw in
-  if t.pcie_factor = 1. then caps.pcie_bps else caps.pcie_bps /. t.pcie_factor
+let pcie_factor t = Pcie.factor t.bus
 
 let on_poll_drop t ~seed_id f = (acct t seed_id).sa_on_drop <- f
 
@@ -445,196 +354,63 @@ let drop_polls t ~name owners =
         Int_map.empty owners
       |> Int_map.iter (fun id n -> record_seed_drop t (acct t id) n)
 
-(* --- the priority queue over the PCIe bus ---
-
-   With equal priorities the next transfer is the oldest, taken from the
-   head in O(1), so an unbounded FIFO stays linear in its traffic.  Each
-   seed's queued-request count is kept up to date on enqueue, pump and
-   shed, so choosing a victim scans the queue without rebuilding any
-   per-seed table. *)
-
-let rec add_queued d = function
-  | [] -> ()
-  | a :: rest ->
-      a.sa_queued <- a.sa_queued + d;
-      add_queued d rest
-
-(* A request's fair-share weight: the most queued requests any of its
-   owners holds. *)
-let share r =
-  List.fold_left (fun acc a -> Int.max acc a.sa_queued) 1 r.rq_owners
-
-(* Index of the victim among the queue from [i] on and the candidate [v]
-   at index [vi], whose share is [sv].  Shedding policy: lowest priority
-   first; among those, the request whose owning seed holds the most
-   queued requests (most over its fair share); ties shed the newest
-   arrival, so the incoming request loses to equally guilty older ones.
-   Deterministic: arrival numbers are unique.  The queued counts do not
-   change during a scan, so each share is computed once. *)
-let rec victim_index t i vi v sv =
-  if i = t.q_head + t.q_len then vi
-  else
-    let r = t.queue.(i) in
-    if r.rq_prio < v.rq_prio then victim_index t (i + 1) i r (share r)
-    else if r.rq_prio > v.rq_prio then victim_index t (i + 1) vi v sv
-    else
-      let sr = share r in
-      if sr > sv || (sr = sv && r.rq_seq > v.rq_seq) then
-        victim_index t (i + 1) i r sr
-      else victim_index t (i + 1) vi v sv
-
-(* Fills the queue's free slots, so that a served or shed request, and the
-   subscriptions and seeds its closure holds, can be collected. *)
-let no_req =
-  { rq_seq = -1; rq_bytes = 0.; rq_issued = 0.; rq_prio = 0; rq_owners = [];
-    rq_deliver = ignore }
-
-let count_top t p =
-  if p > t.q_top then begin
-    t.q_top <- p;
-    t.q_top_n <- 1
-  end
-  else if p = t.q_top then t.q_top_n <- t.q_top_n + 1
-
-(* On reaching the end of the array, move the requests to the front if
-   that frees at least half of it, else double it. *)
-let queue_push t req =
-  let cap = Array.length t.queue in
-  if t.q_head + t.q_len = cap then begin
-    let q =
-      if cap > 0 && 2 * t.q_len <= cap then t.queue
-      else Array.make (Int.max 8 (2 * cap)) no_req
-    in
-    Array.blit t.queue t.q_head q 0 t.q_len;
-    if q == t.queue then Array.fill q t.q_len (cap - t.q_len) no_req;
-    t.queue <- q;
-    t.q_head <- 0
-  end;
-  t.queue.(t.q_head + t.q_len) <- req;
-  t.q_len <- t.q_len + 1;
-  count_top t req.rq_prio
-
-let queue_remove t i =
-  let r = t.queue.(i) in
-  if i = t.q_head then begin
-    t.queue.(i) <- no_req;
-    t.q_head <- i + 1
-  end
-  else begin
-    let last = t.q_head + t.q_len - 1 in
-    Array.blit t.queue (i + 1) t.queue i (last - i);
-    t.queue.(last) <- no_req
-  end;
-  t.q_len <- t.q_len - 1;
-  add_queued (-1) r.rq_owners;
-  if r.rq_prio = t.q_top then begin
-    t.q_top_n <- t.q_top_n - 1;
-    if t.q_top_n = 0 then begin
-      (* the last request of the top priority left: find the next one *)
-      t.q_top <- min_int;
-      for j = t.q_head to t.q_head + t.q_len - 1 do
-        count_top t t.queue.(j).rq_prio
-      done
-    end
-  end
-
-(* Index of the oldest request of the highest priority, from [i] on. *)
-let rec next_index t i =
-  if t.queue.(i).rq_prio = t.q_top then i else next_index t (i + 1)
-
-(* Put [next] on the idle bus.  Its duration is taken at the bandwidth in
-   force when it starts, and its completion scheduled [dur] from now, so
-   completion times are exact sums of durations. *)
-let rec serve t next =
-  t.busy <- true;
-  let now = Engine.now t.engine in
-  let dur = next.rq_bytes *. 8. /. effective_pcie_bps t in
-  t.bus.busy_s <- t.bus.busy_s +. dur;
-  (match Engine.tracer t.engine with
-  | None -> ()
-  | Some tr ->
-      (* span covers queueing + transfer: from the request's arrival to
-         bus completion *)
-      let m = tids t tr in
-      Trace.span tr ~ts:next.rq_issued
-        ~dur:(now +. dur -. next.rq_issued)
-        ~cat:m.tm_pcie ~name:m.tm_transfer ~tid:(node_id t);
-      Trace.arg_f tr m.tm_k_bytes next.rq_bytes);
-  Engine.schedule t.engine ~delay:dur (fun engine ->
-      (* account the transfer when it completes, so byte counters over
-         a window reflect achieved (not queued) throughput *)
-      Metrics.Counter.add t.pcie_bytes next.rq_bytes;
-      t.busy <- false;
-      t.served <- t.served + 1;
-      next.rq_deliver engine;
-      pump t)
-
-and pump t =
-  if (not t.busy) && t.q_len > 0 then begin
-    let i = next_index t t.q_head in
-    let next = t.queue.(i) in
-    queue_remove t i;
-    serve t next
-  end
+(* At [unlimited] limits nothing is shed and no monitor runs; neither
+   registers its metrics, so the registry is that of an unprotected soil. *)
+let create ?(config = default_config) engine sw =
+  let reg = Engine.metrics engine in
+  let pre = Printf.sprintf "soil.%d." (Switch_model.id sw) in
+  let c name = Metrics.Registry.counter reg (pre ^ name) in
+  let lim = Option.value config.overload ~default:unlimited in
+  let limited = lim <> unlimited in
+  let pcie_bytes = c "pcie.bytes" in
+  let t =
+    { engine; sw; cfg = config; usage = Cpu_model.usage ();
+      rng = Farm_sim.Rng.split (Engine.rng engine); seeds = Int_map.empty;
+      regs = 0; groups = []; lim;
+      bus =
+        (* a bounded queue sheds instead of capping the wait *)
+        Pcie.create engine sw ~max_queue:lim.max_pcie_queue
+          ~wait_cap:(if limited then infinity else config.max_poll_queue_delay)
+          ~shed:(if limited then c "polls.shed" else Metrics.Counter.create ())
+          ~bytes:pcie_bytes ~queued:(fun a -> a.sa_queued)
+          ~set_queued:(fun a n -> a.sa_queued <- n);
+      requested = c "polls.requested"; completed = c "polls.completed";
+      dropped = c "polls.dropped"; pcie_bytes; asic_polls = c "asic.polls";
+      latency = Metrics.Registry.histogram reg (pre ^ "delivery_latency");
+      last_cpu = 0.; last_pcie = 0.; pressured = false;
+      listener = (fun ~node:_ ~high:_ -> ());
+      pressure =
+        (if limited then Metrics.Registry.gauge reg (pre ^ "pressure")
+         else Metrics.Gauge.create ());
+      frozen = false; frozen_cache = []; glitch_budget = 0; tmemo = None }
+  in
+  Pcie.on_shed t.bus (drop_polls t ~name:"poll_shed");
+  if limited then
+    ignore
+      (Engine.every engine ~period:lim.pressure_interval (fun _ ->
+           pressure_tick t)
+        : Engine.timer);
+  t
 
 let rec owners_priority acc = function
   | [] -> acc
   | a :: rest -> owners_priority (Int.max acc a.sa_prio) rest
 
-(* Schedule a transfer over the PCIe bus; calls [k] at completion, or
-   returns [false] when the transfer is refused on arrival: it would wait
-   longer than the wait cap, or the full queue sheds it at once.  [owners]
-   own the transfer (one entry per poll) and set its priority and fair
-   share.  A request the queue sheds, on arrival or later, is counted as
-   a drop of its owners' polls here. *)
-let pcie_transfer t ~bytes ~owners k =
-  let now = Engine.now t.engine in
-  let start = Float.max now t.bus.free_at in
-  if start -. now > t.wait_cap then false
-  else begin
-    t.bus.free_at <- start +. (bytes *. 8. /. effective_pcie_bps t);
-    t.offered <- t.offered + 1;
-    let prio =
-      owners_priority
-        (match owners with [] -> (acct t (-1)).sa_prio | _ -> min_int)
-        owners
-    in
-    let req =
-      { rq_seq = t.q_seq; rq_bytes = bytes; rq_issued = now; rq_prio = prio;
-        rq_owners = owners; rq_deliver = k }
-    in
-    t.q_seq <- t.q_seq + 1;
-    add_queued 1 owners;
-    let accepted =
-      if t.q_len < t.lim.max_pcie_queue then begin
-        (* an idle bus has an empty queue: the arrival goes straight on *)
-        if t.busy then queue_push t req
-        else (add_queued (-1) owners; serve t req);
-        true
-      end
-      else begin
-        (* queue full: shed the least valuable request among the queue and
-           the incoming one, which stands at index -1 *)
-        let vi = victim_index t t.q_head (-1) req (share req) in
-        Metrics.Counter.incr t.shed;
-        if vi < 0 then begin
-          drop_polls t ~name:"poll_shed" owners;
-          add_queued (-1) owners;
-          false
-        end
-        else begin
-          drop_polls t ~name:"poll_shed" t.queue.(vi).rq_owners;
-          queue_remove t vi;
-          queue_push t req;
-          true
-        end
-      end
-    in
-    let depth = t.q_len + if t.busy then 1 else 0 in
-    if depth > t.q_peak then t.q_peak <- depth;
-    pump t;
-    accepted
-  end
+(* Offer a transfer owned by [owners] (one entry per poll) to the bus; [k]
+   runs when it completes.  Its priority is its owners' highest, or seed
+   -1's for an ownerless transfer.  This is the one site that drops the
+   polls of a refused transfer.  One the full queue sheds on arrival was
+   already counted as [poll_shed] by the shed hook, and is counted again
+   here as [poll_dropped]: ROADMAP item 8 counts it once, which moves
+   probe-mix's digest. *)
+let offer t ~bytes owners k =
+  let prio =
+    owners_priority
+      (match owners with [] -> (acct t (-1)).sa_prio | _ -> min_int)
+      owners
+  in
+  if not (Pcie.offer t.bus ~bytes ~prio ~owners k) then
+    drop_polls t ~name:"poll_dropped" owners
 
 let ipc_deliver ?issued t f =
   (* IPC latency depends on how many seeds are co-located (Fig. 10) *)
@@ -663,7 +439,7 @@ let set_frozen t on =
   t.frozen <- on;
   if not on then t.frozen_cache <- []
 
-let glitch ?(polls = 1) t = t.glitch_budget <- t.glitch_budget + polls
+let glitch t = t.glitch_budget <- t.glitch_budget + 1
 
 (* ASIC counter read, possibly degraded: while frozen, every subject keeps
    returning the snapshot taken at freeze time; a pending glitch corrupts
@@ -694,9 +470,7 @@ let read_counters t subject =
   else data
 
 let transfer t ~bytes ~seeds k =
-  let owners = List.map (acct t) seeds in
-  if not (pcie_transfer t ~bytes ~owners (fun _ -> k ())) then
-    drop_polls t ~name:"poll_dropped" owners
+  offer t ~bytes (List.map (acct t) seeds) (fun _ -> k ())
 
 (* Issue one ASIC poll for [subject] and deliver the result to [subs]. *)
 let issue_poll t subject subs =
@@ -716,27 +490,23 @@ let issue_poll t subject subs =
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)
   let data = read_counters t subject in
-  let owners = List.map (fun s -> s.sub_owner) subs in
-  let ok =
-    pcie_transfer t ~bytes ~owners (fun _engine ->
-        let records = Float.max 1. (bytes /. counter_record_bytes) in
-        List.iter
-          (fun sub ->
-            if sub.active then begin
-              (* bulk counter reads are DMA'd: post-processing is cheap
-                 per record on top of the fixed per-poll cost *)
-              charge_cpu t (t.cfg.cpu.poll_process_cost *. records /. 128.);
-              charge_cpu t t.cfg.cpu.poll_process_cost;
-              if t.cfg.aggregate_polls then
-                charge_cpu t t.cfg.cpu.aggregation_cost;
-              Metrics.Counter.incr t.completed;
-              match sub.kind with
-              | Poll p -> ipc_deliver ~issued t (fun () -> p.deliver data)
-              | Probe _ | Time _ -> ()
-            end)
-          subs)
-  in
-  if not ok then drop_polls t ~name:"poll_dropped" owners
+  offer t ~bytes (List.map (fun s -> s.sub_owner) subs) (fun _engine ->
+      let records = Float.max 1. (bytes /. counter_record_bytes) in
+      List.iter
+        (fun sub ->
+          if sub.active then begin
+            (* bulk counter reads are DMA'd: post-processing is cheap
+               per record on top of the fixed per-poll cost *)
+            charge_cpu t (t.cfg.cpu.poll_process_cost *. records /. 128.);
+            charge_cpu t t.cfg.cpu.poll_process_cost;
+            if t.cfg.aggregate_polls then
+              charge_cpu t t.cfg.cpu.aggregation_cost;
+            Metrics.Counter.incr t.completed;
+            match sub.kind with
+            | Poll p -> ipc_deliver ~issued t (fun () -> p.deliver data)
+            | Probe _ | Time _ -> ()
+          end)
+        subs)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregated polling groups                                           *)
@@ -794,14 +564,11 @@ let subscribe_probe t ~seed_id ~filter ~period deliver =
     match Switch_model.sample_packet t.sw t.rng with
     | Some pkt when Filter.matches filter pkt.tuple ->
         charge_cpu t t.cfg.cpu.sample_cost;
-        let ok =
-          pcie_transfer t ~bytes:(float_of_int pkt.size) ~owners (fun _ ->
-              if sub.active then begin
-                Metrics.Counter.incr t.completed;
-                ipc_deliver t (fun () -> deliver pkt)
-              end)
-        in
-        if not ok then drop_polls t ~name:"poll_dropped" owners
+        offer t ~bytes:(float_of_int pkt.size) owners (fun _ ->
+            if sub.active then begin
+              Metrics.Counter.incr t.completed;
+              ipc_deliver t (fun () -> deliver pkt)
+            end)
     | Some _ | None -> ()
   in
   sub.timer <- Some (Engine.every t.engine ~period tick);

@@ -10,11 +10,12 @@
     is never disturbed), accounts management-CPU time, and models the
     soil↔seed IPC (threads/processes × gRPC/shared-buffer).
 
-    PCIe transfers wait in one priority queue (FIFO within a priority)
-    whose limits {!config.overload} sets: a bounded queue sheds by fair
-    share, and a monitor publishes CPU/PCIe pressure to the co-located
-    seeds (AIMD degraded mode) and to the seeder.  The default runs the
-    same code at {!unlimited} limits. *)
+    PCIe transfers go through the switch's {!Pcie} bus, whose queue
+    limits {!config.overload} sets; the soil prices them, attributes the
+    polls a refused or shed transfer loses to their seeds, and runs a
+    monitor that publishes CPU/PCIe pressure to the co-located seeds
+    (AIMD degraded mode) and to the seeder.  The default runs the same
+    code at {!unlimited} limits. *)
 
 module Filter := Farm_net.Filter
 
@@ -128,7 +129,7 @@ val limits : t -> overload_config
 
 (** Request-granularity queue accounting, [None] at {!unlimited} limits.
     Offered = completed + shed + pending at every instant. *)
-type overload_stats = {
+type overload_stats = Pcie.stats = {
   o_offered : int;
   o_completed : int;
   o_shed : int;
@@ -176,11 +177,11 @@ val get_tcam_rule : t -> pattern:Filter.t -> Farm_net.Tcam.installed option
     Hooks for [Farm_sim.Fault]'s counter faults.  While frozen, ASIC reads
     keep returning the per-subject snapshot taken at the first read after
     the freeze; thawing clears the snapshots.  A glitch corrupts the next
-    [polls] ASIC reads with deterministic garbage (drawn from the soil's own
-    rng, so runs stay reproducible). *)
+    ASIC read with deterministic garbage (drawn from the soil's own rng, so
+    runs stay reproducible). *)
 
 val set_frozen : t -> bool -> unit
-val glitch : ?polls:int -> t -> unit
+val glitch : t -> unit
 
 (** {2 Accounting} *)
 

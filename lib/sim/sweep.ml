@@ -22,9 +22,8 @@
      descheduled domains — a measured 3-15x *slowdown*, not a wash.
      [~clamp:false] keeps the old behavior for determinism tests that
      need real extra domains.
-   - Workers run with an enlarged per-domain minor heap
-     ([gc_tune], on by default): fewer minor collections means fewer
-     stop-the-world barriers.  [Gc.set minor_heap_size] is per-domain in
+   - Workers run with an enlarged per-domain minor heap: fewer minor
+     collections means fewer stop-the-world barriers.  [Gc.set minor_heap_size] is per-domain in
      OCaml 5, so a spawned worker's setting dies with its domain; the
      participating caller's GC parameters are snapshotted and restored.
    - Workers accumulate results domain-locally and the caller assembles
@@ -59,7 +58,7 @@ let effective_domains ?domains ?(clamp = true) n =
    tripping frequent stop-the-world minor collections. *)
 let worker_minor_words = 2 * 1024 * 1024
 
-let run ?domains ?(clamp = true) ?(gc_tune = true) n f =
+let run ?domains ?(clamp = true) n f =
   if n < 0 then invalid_arg "Sweep.run: negative scenario count";
   let d = effective_domains ?domains ~clamp n in
   if d <= 1 then Array.init n f
@@ -71,8 +70,7 @@ let run ?domains ?(clamp = true) ?(gc_tune = true) n f =
     let next = Atomic.make 0 in
     ignore (_pad : int array);
     let tune_gc () =
-      if gc_tune then
-        Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_words }
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_words }
     in
     (* Take scenarios until the counter runs out (or a peer failed) and
        return this worker's results, newest first, keyed by index. *)
@@ -101,7 +99,7 @@ let run ?domains ?(clamp = true) ?(gc_tune = true) n f =
     let caller_gc = Gc.get () in
     let mine =
       Fun.protect
-        ~finally:(fun () -> if gc_tune then Gc.set caller_gc)
+        ~finally:(fun () -> Gc.set caller_gc)
         (fun () ->
           tune_gc ();
           worker ())
@@ -115,5 +113,5 @@ let run ?domains ?(clamp = true) ?(gc_tune = true) n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map ?domains ?clamp ?gc_tune a f =
-  run ?domains ?clamp ?gc_tune (Array.length a) (fun i -> f a.(i))
+let map ?domains ?clamp a f =
+  run ?domains ?clamp (Array.length a) (fun i -> f a.(i))

@@ -16,9 +16,9 @@
     minor GC must rendezvous with descheduled domains).  [run] therefore
     clamps the domain count to [Domain.recommended_domain_count] by
     default, and gives each worker an enlarged per-domain minor heap so
-    allocation-heavy scenarios trip fewer barriers.  Both behaviors have
-    escape hatches ([~clamp:false], [~gc_tune:false]); worker GC tuning
-    never leaks into the calling domain. *)
+    allocation-heavy scenarios trip fewer barriers.  [~clamp:false]
+    lifts the clamp; worker GC tuning never leaks into the calling
+    domain. *)
 
 (** Domain count used when [?domains] is omitted:
     [FARM_SWEEP_DOMAINS] if set, else [Domain.recommended_domain_count].
@@ -37,13 +37,10 @@ val effective_domains : ?domains:int -> ?clamp:bool -> int -> int
     effective count [<= 1] degrades to sequential [Array.init].
 
     [~clamp:false] spawns exactly the requested domains even beyond the
-    core count (determinism tests); [~gc_tune:false] leaves every
-    domain's GC parameters alone.  If a scenario raises, the sweep stops
+    core count (determinism tests).  If a scenario raises, the sweep stops
     taking new work, every domain is joined, and the first exception
     re-raises here. *)
-val run :
-  ?domains:int -> ?clamp:bool -> ?gc_tune:bool -> int -> (int -> 'a) -> 'a array
+val run : ?domains:int -> ?clamp:bool -> int -> (int -> 'a) -> 'a array
 
 (** [map ~domains a f] = [run ~domains (Array.length a) (fun i -> f a.(i))]. *)
-val map :
-  ?domains:int -> ?clamp:bool -> ?gc_tune:bool -> 'a array -> ('a -> 'b) -> 'b array
+val map : ?domains:int -> ?clamp:bool -> 'a array -> ('a -> 'b) -> 'b array

@@ -99,8 +99,8 @@ let test_lexer_scientific_notation () =
 
 let test_lexer_errors () =
   Alcotest.check_raises "unterminated string"
-    (Lexer.Error "1:1: unterminated string") (fun () ->
-      ignore (Lexer.tokenize "\"oops"));
+    (Lexer.Error ({ Ast.line = 1; col = 1 }, "unterminated string"))
+    (fun () -> ignore (Lexer.tokenize "\"oops"));
   (match Lexer.tokenize "x # y" with
   | _ -> Alcotest.fail "expected lexical error"
   | exception Lexer.Error _ -> ())

@@ -2047,11 +2047,12 @@ let prop_harvester_fencing =
    queue is modelled as it was first written — a list, oldest first,
    whose shedding victim is picked by rebuilding every seed's queued count
    on each arrival to a full queue.  An unbounded one ([max_queue =
-   None]) is the FIFO that protection off used to run: an arrival that
-   would start more than [cap] after now is refused, and its completion
-   is scheduled at enqueue, [completion - now] ahead.  It logs what the
+   None]) is the FIFO that protection off runs: an arrival that would
+   start more than [cap] after now, against a backlog summed at each
+   arrival's PCIe factor, is refused.  Either way a transfer takes its
+   duration at the factor in force when it starts.  It logs what the
    soil makes observable: transfers served, in order, every per-seed drop
-   notification, and each transfer's issue and completion time. *)
+   notification, and each transfer's completion time. *)
 module Ref_queue = struct
   type req = {
     seq : int;
@@ -2059,7 +2060,6 @@ module Ref_queue = struct
     prio : int;
     seeds : int list;
     tag : int;
-    issued : float;
   }
 
   type t = {
@@ -2067,7 +2067,8 @@ module Ref_queue = struct
     max_queue : int option;
     cap : float;
     mutable free_at : float;
-    times : (int, float * float) Hashtbl.t;  (* tag -> issued, completed *)
+    mutable factor : float;  (* PCIe slowdown, as [Soil.set_pcie_factor] *)
+    times : (int, float) Hashtbl.t;  (* tag -> completion time *)
     prios : (int, int) Hashtbl.t;
     mutable queue : req list;
     mutable busy : bool;
@@ -2082,7 +2083,7 @@ module Ref_queue = struct
   }
 
   let create engine ~max_queue ~cap =
-    { engine; max_queue; cap; free_at = 0.; times = Hashtbl.create 64;
+    { engine; max_queue; cap; free_at = 0.; factor = 1.; times = Hashtbl.create 64;
       prios = Hashtbl.create 8; queue = []; busy = false;
       next_seq = 0; offered = 0; completed = 0; shed = 0; peak = 0;
       dropped = 0; per_seed = Hashtbl.create 8; log = [] }
@@ -2139,10 +2140,14 @@ module Ref_queue = struct
               else v)
           first rest
 
+  (* the soil's bandwidth: 8 Mbit/s, divided by a factor other than 1 *)
+  let duration t bytes =
+    bytes *. 8. /. (if t.factor = 1. then 8e6 else 8e6 /. t.factor)
+
   let serve t r =
     t.completed <- t.completed + 1;
     t.log <- Printf.sprintf "serve %d" r.tag :: t.log;
-    Hashtbl.replace t.times r.tag (r.issued, Engine.now t.engine)
+    Hashtbl.replace t.times r.tag (Engine.now t.engine)
 
   let rec pump t =
     if not t.busy then
@@ -2156,7 +2161,7 @@ module Ref_queue = struct
           in
           t.queue <- List.filter (fun r -> r.seq <> next.seq) t.queue;
           t.busy <- true;
-          Engine.schedule t.engine ~delay:(next.bytes *. 8. /. 8e6) (fun _ ->
+          Engine.schedule t.engine ~delay:(duration t next.bytes) (fun _ ->
               t.busy <- false;
               serve t next;
               pump t)
@@ -2166,9 +2171,9 @@ module Ref_queue = struct
     let start = Float.max now t.free_at in
     if start -. now > t.cap then drop t req.seeds
     else begin
-      let completion = start +. (req.bytes *. 8. /. 8e6) in
-      t.free_at <- completion;
-      Engine.schedule t.engine ~delay:(completion -. now) (fun _ -> serve t req)
+      t.free_at <- start +. duration t req.bytes;
+      t.queue <- t.queue @ [ req ];
+      pump t
     end
 
   let enqueue_bounded t req max_queue =
@@ -2201,10 +2206,7 @@ module Ref_queue = struct
       List.fold_left (fun acc sid -> max acc (priority t sid)) min_int
         (if seeds = [] then [ -1 ] else seeds)
     in
-    let req =
-      { seq = t.next_seq; bytes; prio; seeds; tag;
-        issued = Engine.now t.engine }
-    in
+    let req = { seq = t.next_seq; bytes; prio; seeds; tag } in
     t.next_seq <- t.next_seq + 1;
     match t.max_queue with
     | None -> enqueue_fifo t req
@@ -2214,6 +2216,7 @@ end
 type queue_op =
   | Arrive of float * float * int list  (* time, bytes, owning seeds *)
   | Priority of float * int * int  (* time, seed, priority *)
+  | Factor of float * float  (* time, PCIe factor *)
 
 (* A bounded queue of 0-6 transfers, or the default config (unbounded)
    with a wait cap of 0 s to the default 1 s. *)
@@ -2233,7 +2236,12 @@ let gen_queue_ops =
         (1,
          map3
            (fun t s p -> Priority (t, s, p))
-           (float_bound_inclusive 0.03) (int_bound 4) (int_range (-1) 2)) ]
+           (float_bound_inclusive 0.03) (int_bound 4) (int_range (-1) 2));
+        (1,
+         map2
+           (fun t f -> Factor (t, f))
+           (float_bound_inclusive 0.03)
+           (oneofl [ 0.5; 1.; 2.; 4. ])) ]
   in
   let cfg =
     frequency
@@ -2241,16 +2249,6 @@ let gen_queue_ops =
         (2, map (fun c -> Default c) (oneofl [ 0.; 0.002; 0.01; 1. ])) ]
   in
   pair cfg (list_size (int_range 1 120) op)
-
-(* Completion times match the reference bit for bit, except where the old
-   FIFO's [now + (completion - now)] rounds: that sum is exact only while
-   the completion is at most twice the issue time, and is within one ulp
-   otherwise. *)
-let same_completion ~issued ~expected got =
-  Float.equal got expected
-  || (expected > 2. *. issued
-     && (Float.equal got (Float.succ expected)
-        || Float.equal got (Float.pred expected)))
 
 let prop_fair_share_queue_matches_reference =
   QCheck2.Test.make
@@ -2289,7 +2287,11 @@ let prop_fair_share_queue_matches_reference =
           | Priority (time, sid, p) ->
               Engine.schedule engine ~delay:time (fun _ ->
                   Soil.set_seed_priority soil ~seed_id:sid p;
-                  Hashtbl.replace rq.prios sid p))
+                  Hashtbl.replace rq.prios sid p)
+          | Factor (time, f) ->
+              Engine.schedule engine ~delay:time (fun _ ->
+                  Soil.set_pcie_factor soil f;
+                  rq.factor <- f))
         ops;
       Engine.run ~until:1. engine;
       let per_seed sid =
@@ -2312,11 +2314,11 @@ let prop_fair_share_queue_matches_reference =
       && stats_match
       && Hashtbl.length times = Hashtbl.length rq.times
       && Hashtbl.fold
-           (fun tag (issued, expected) ok ->
+           (fun tag expected ok ->
              ok
              &&
              match Hashtbl.find_opt times tag with
-             | Some got -> same_completion ~issued ~expected got
+             | Some got -> Float.equal got expected
              | None -> false)
            rq.times true
       && (Soil.poll_stats soil).dropped = rq.dropped
