@@ -238,8 +238,9 @@ let deploy_alloc () =
    plus a table of taken message ids per seed instance, held 8 121 048 B
    here (either alone crossed a 5 MB bound), and harvester gauges that
    kept every undeployed task's harvester 4 736 960 B; without them it
-   is 3 615 800 B, of which the engine's sorted run and merge buffer,
-   kept at their largest size, hold about 7 kB (3 618 680 B while each
+   is 3 617 120 B, of which the engine's sorted run and merge buffer,
+   kept at their largest size, hold about 7 kB (3 615 800 B before each
+   poll group kept its traced subject name; 3 618 680 B while each
    topology link carried a latency nothing read; 3 572 384 B while a
    soil kept dead seeds as four-field records in a hash table; their
    seven-field records in an ordered map are larger).  The gate keeps the

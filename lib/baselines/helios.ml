@@ -2,9 +2,8 @@ module Engine = Farm_sim.Engine
 module Fabric = Farm_net.Fabric
 module Switch_model = Farm_net.Switch_model
 
-type config = { loop_period : float; collector_latency : float }
-
-let default_config = { loop_period = 77e-3; collector_latency = 250e-6 }
+let loop_period = 77e-3
+let collector_latency = 250e-6
 
 type t = {
   mutable timer : Engine.timer option;
@@ -13,7 +12,7 @@ type t = {
   mutable rx_bytes : float;
 }
 
-let deploy ?(config = default_config) engine fabric ~hh_threshold =
+let deploy engine fabric ~hh_threshold =
   let t =
     { timer = None; reported = Hashtbl.create 64;
       detections = []; rx_bytes = 0. }
@@ -22,7 +21,7 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
   (* previous full-loop counter snapshot per (switch, port) *)
   let last : (int * int, float * float) Hashtbl.t = Hashtbl.create 256 in
   let timer =
-    Engine.every engine ~period:config.loop_period (fun engine ->
+    Engine.every engine ~period:loop_period (fun engine ->
         let now = Engine.now engine in
         List.iter
           (fun sw ->
@@ -39,7 +38,7 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
                   then begin
                     Hashtbl.replace t.reported (node, port) ();
                     t.detections <-
-                      (now +. config.collector_latency, node, port)
+                      (now +. collector_latency, node, port)
                       :: t.detections
                   end
               | Some _ | None -> ());

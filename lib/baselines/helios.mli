@@ -3,17 +3,12 @@
     decide circuit reconfiguration.  Its responsiveness is bounded by the
     loop period (Tab. 4: 77 ms). *)
 
-type config = {
-  loop_period : float;  (** the central control loop (77 ms) *)
-  collector_latency : float;
-}
-
-val default_config : config
+val loop_period : float
+(** The central control loop (77 ms). *)
 
 type t
 
 val deploy :
-  ?config:config ->
   Farm_sim.Engine.t ->
   Farm_net.Fabric.t ->
   hh_threshold:float ->

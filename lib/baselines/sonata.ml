@@ -2,20 +2,11 @@ module Engine = Farm_sim.Engine
 module Fabric = Farm_net.Fabric
 module Switch_model = Farm_net.Switch_model
 
-type config = {
-  window : float;
-  batch_process_time : float;
-  aggregation_factor : float;
-  record_bytes : float;
-  collector_latency : float;
-}
-
-let default_config =
-  { window = 3.;  (* streaming batch interval *)
-    batch_process_time = 0.4;
-    aggregation_factor = 0.75;  (* best achievable per §VI-B b *)
-    record_bytes = 64.;
-    collector_latency = 250e-6 }
+let window = 3.  (* streaming batch interval *)
+let batch_process_time = 0.4
+let aggregation_factor = 0.75  (* best achievable per §VI-B b *)
+let record_bytes = 64.
+let collector_latency = 250e-6
 
 type t = {
   collector : Collector.t;
@@ -25,9 +16,9 @@ type t = {
   hh_threshold : float;
 }
 
-let deploy ?(config = default_config) engine fabric ~hh_threshold =
+let deploy engine fabric ~hh_threshold =
   let collector =
-    Collector.create engine ~latency:config.collector_latency ~hh_threshold
+    Collector.create engine ~latency:collector_latency ~hh_threshold
   in
   let t =
     { collector; timers = []; reported = Hashtbl.create 64;
@@ -41,7 +32,7 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
           Array.make (Switch_model.port_count sw) 0.
         in
         let last_total = ref 0. in
-        Engine.every engine ~period:config.window (fun engine ->
+        Engine.every engine ~period:window (fun engine ->
             let now = Engine.now engine in
             (* The data plane reduces the packet stream by the aggregation
                factor; the remaining per-packet records stream to Spark.
@@ -58,10 +49,10 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
             let packets = window_bytes /. 1000. in
             let records =
               int_of_float
-                (ceil (packets *. (1. -. config.aggregation_factor)))
+                (ceil (packets *. (1. -. aggregation_factor)))
             in
             Collector.push_opaque collector
-              ~bytes:(float_of_int records *. config.record_bytes)
+              ~bytes:(float_of_int records *. record_bytes)
               ~records;
             (* the batch is evaluated after the processing delay *)
             let snapshot =
@@ -71,11 +62,11 @@ let deploy ?(config = default_config) engine fabric ~hh_threshold =
             let start = Array.copy window_start in
             Array.blit snapshot 0 window_start 0 (Array.length snapshot);
             Engine.schedule engine
-              ~delay:(config.collector_latency +. config.batch_process_time)
+              ~delay:(collector_latency +. batch_process_time)
               (fun engine ->
                 Array.iteri
                   (fun port bytes ->
-                    let rate = (bytes -. start.(port)) /. config.window in
+                    let rate = (bytes -. start.(port)) /. window in
                     if
                       rate >= t.hh_threshold
                       && not (Hashtbl.mem t.reported (node, port))

@@ -6,20 +6,15 @@
     Sonata's multi-second responsiveness in Tab. 4.  Per §VII it computes
     {e switch-local} heavy hitters only (no cross-switch merge). *)
 
-type config = {
-  window : float;  (** streaming batch window (s) *)
-  batch_process_time : float;  (** Spark batch processing delay (s) *)
-  aggregation_factor : float;  (** fraction of records removed in-network *)
-  record_bytes : float;
-  collector_latency : float;
-}
+val window : float
+(** Streaming batch window (s). *)
 
-val default_config : config
+val batch_process_time : float
+(** Spark batch processing delay (s). *)
 
 type t
 
 val deploy :
-  ?config:config ->
   Farm_sim.Engine.t ->
   Farm_net.Fabric.t ->
   hh_threshold:float ->

@@ -3,27 +3,38 @@ module Metrics = Farm_sim.Metrics
 module Rng = Farm_sim.Rng
 module Trace = Farm_sim.Trace
 
+let c_seeder = Trace.key "seeder"
+
 let trace_instant engine name =
   match Engine.tracer engine with
   | None -> None
   | Some tr as sink ->
-      Trace.instant tr ~ts:(Engine.now engine) ~cat:(Trace.label tr "seeder")
-        ~name:(Trace.intern tr name) ~tid:0;
+      Trace.instant tr ~ts:(Engine.now engine) ~cat:c_seeder
+        ~name:(Trace.name tr name) ~tid:0;
       sink
 
 let trace_span engine name ~dur =
   match Engine.tracer engine with
   | None -> None
   | Some tr as sink ->
-      Trace.span tr ~ts:(Engine.now engine) ~dur
-        ~cat:(Trace.label tr "seeder") ~name:(Trace.intern tr name) ~tid:0;
+      Trace.span tr ~ts:(Engine.now engine) ~dur ~cat:c_seeder
+        ~name:(Trace.name tr name) ~tid:0;
       sink
 
 let trace_i sink key v =
-  match sink with Some tr -> Trace.arg_i tr (Trace.label tr key) v | None -> ()
+  match sink with Some tr -> Trace.arg_i tr key v | None -> ()
 
 let trace_f sink key v =
-  match sink with Some tr -> Trace.arg_f tr (Trace.label tr key) v | None -> ()
+  match sink with Some tr -> Trace.arg_f tr key v | None -> ()
+
+let n_breaker_drop = Trace.key "ctrl_breaker_drop"
+let n_rate_limited = Trace.key "ctrl_rate_limited"
+let n_send = Trace.key "ctrl_send"
+let n_lost = Trace.key "ctrl_lost"
+let n_retry_capped = Trace.key "ctrl_retry_capped"
+let n_retry = Trace.key "ctrl_retry"
+let k_node = Trace.key "node"
+let k_try = Trace.key "try"
 
 type protection = {
   rate_limit : float;  (* sends per second (token refill rate) *)
@@ -165,7 +176,7 @@ let hold t d = function
 
 let lost_at t dest name =
   t.lost <- t.lost + 1;
-  trace_i (trace_instant t.engine name) "node" (Option.value dest ~default:(-1))
+  trace_i (trace_instant t.engine name) k_node (Option.value dest ~default:(-1))
 
 (* Try [tries] of one unicast.  The faults [c] are read once per try,
    when it is sent: a try paced by the bucket still transmits under them.
@@ -177,12 +188,12 @@ let rec attempt t ~tries ?dest ?key deliver =
   match dest with
   | Some node when not (Overload.Breaker.allow (breaker t node) ~now) ->
       t.breaker_dropped <- t.breaker_dropped + 1;
-      lost_at t dest "ctrl_breaker_drop"
+      lost_at t dest n_breaker_drop
   | _ ->
       let delay = Overload.Token_bucket.reserve t.bucket ~now in
       if delay > 0. then begin
         t.rate_limited <- t.rate_limited + 1;
-        ignore (trace_instant t.engine "ctrl_rate_limited");
+        ignore (trace_instant t.engine n_rate_limited);
         Engine.schedule t.engine ~delay (fun _ ->
             send_now t c ~tries ?dest ?key deliver)
       end
@@ -190,7 +201,7 @@ let rec attempt t ~tries ?dest ?key deliver =
 
 and send_now t c ~tries ?dest ?key deliver =
   if transmit t c ~extra:0. (arrive t c ~tries ?dest ?key deliver) then
-    ignore (trace_span t.engine "ctrl_send" ~dur:(latency +. c.delay))
+    ignore (trace_span t.engine n_send ~dur:(latency +. c.delay))
   else begin
     failure t dest;
     resend t c ~tries ?dest ?key deliver
@@ -214,14 +225,14 @@ and resend t c ~tries ?dest ?key deliver =
   match dest with
   | _ when tries >= max_retries ->
       t.lost <- t.lost + 1;
-      ignore (trace_instant t.engine "ctrl_lost")
+      ignore (trace_instant t.engine n_lost)
   | Some node when (link t node).inflight >= t.prot.max_inflight_retries ->
       t.retry_capped <- t.retry_capped + 1;
-      lost_at t dest "ctrl_retry_capped"
+      lost_at t dest n_retry_capped
   | _ ->
       hold t 1 dest;
       t.retransmissions <- t.retransmissions + 1;
-      trace_i (trace_instant t.engine "ctrl_retry") "try" (tries + 1);
+      trace_i (trace_instant t.engine n_retry) k_try (tries + 1);
       let jitter =
         match key with
         | Some k when t.prot.retry_jitter > 0. ->

@@ -96,13 +96,16 @@ val breaker_state : t -> int -> string option
     breaker is not closed at zero failures or that has retries waiting. *)
 val digest : t -> Buffer.t -> unit
 
-(** Events on the seeder's track (category ["seeder"], tid 0).  Each
-    returns the sink it went to, for {!trace_i}/{!trace_f} to append
-    arguments; with no tracer a call is one branch and allocates nothing. *)
-val trace_instant : Farm_sim.Engine.t -> string -> Farm_sim.Trace.t option
+(** Events on the seeder's track (category ["seeder"], tid 0), named by
+    a module-level {!Farm_sim.Trace.key}.  Each returns the sink it went
+    to, for {!trace_i}/{!trace_f} to append arguments; with no tracer a
+    call is one branch and allocates nothing. *)
+val trace_instant :
+  Farm_sim.Engine.t -> Farm_sim.Trace.key -> Farm_sim.Trace.t option
 
 val trace_span :
-  Farm_sim.Engine.t -> string -> dur:float -> Farm_sim.Trace.t option
+  Farm_sim.Engine.t -> Farm_sim.Trace.key -> dur:float ->
+  Farm_sim.Trace.t option
 
-val trace_i : Farm_sim.Trace.t option -> string -> int -> unit
-val trace_f : Farm_sim.Trace.t option -> string -> float -> unit
+val trace_i : Farm_sim.Trace.t option -> Farm_sim.Trace.key -> int -> unit
+val trace_f : Farm_sim.Trace.t option -> Farm_sim.Trace.key -> float -> unit

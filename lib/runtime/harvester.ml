@@ -1,4 +1,10 @@
+module Trace = Farm_sim.Trace
 module Value = Farm_almanac.Value
+
+let c_harvester = Trace.key "harvester"
+let n_report = Trace.key "report"
+let n_report_shed = Trace.key "report_shed"
+let n_report_dropped = Trace.key "report_dropped"
 
 type ctx = {
   send_to_seed : switch:int -> Value.t -> unit;
@@ -58,7 +64,7 @@ type t = {
   mutable fenced : int;  (* seeds whose fence is set *)
   mutable prov_log : (float * provenance) list;  (* accepted, newest first *)
   counts : counters;
-  mutable tracer : Farm_sim.Trace.t option;  (* wired by the seeder *)
+  mutable tracer : unit -> Trace.t option;  (* the engine's sink *)
   mutable lim : overload_config;
   mutable window_start : float;
   mutable window : int;  (* windows opened so far *)
@@ -69,7 +75,7 @@ let create spec ctx =
     counts =
       { n_received = 0; stale_dropped = 0; dup_dropped = 0; n_offered = 0;
         n_shed = 0 };
-    tracer = None; lim = unlimited; window_start = 0.; window = 0 }
+    tracer = (fun () -> None); lim = unlimited; window_start = 0.; window = 0 }
 
 let set_tracer t tr = t.tracer <- tr
 
@@ -171,17 +177,15 @@ let handle ~provenance:p t ~from_switch v =
   let accept = admit t s p in
   let shed = accept && shed_check t s in
   let accept = accept && not shed in
-  (match t.tracer with
+  (match t.tracer () with
   | None -> ()
   | Some tr ->
-      let module Trace = Farm_sim.Trace in
-      Trace.instant tr ~ts:(t.ctx.now ())
-        ~cat:(Trace.label tr "harvester")
+      Trace.instant tr ~ts:(t.ctx.now ()) ~cat:c_harvester
         ~name:
-          (Trace.intern tr
-             (if shed then "report_shed"
-              else if accept then "report"
-              else "report_dropped"))
+          (Trace.name tr
+             (if shed then n_report_shed
+              else if accept then n_report
+              else n_report_dropped))
         ~tid:from_switch);
   if accept then begin
     t.prov_log <- (t.ctx.now (), p) :: t.prov_log;

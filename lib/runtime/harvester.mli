@@ -27,10 +27,12 @@ type t
 val create : spec -> ctx -> t
 val start : t -> unit
 
-(** Attach (or detach) a trace sink: every inbound report then emits an
-    instant event (category ["harvester"], accepted or dropped).  Wired
-    by the seeder from [Engine.tracer] at deploy time. *)
-val set_tracer : t -> Farm_sim.Trace.t option -> unit
+(** Where to find the trace sink: while it returns [Some sink], every
+    inbound report emits an instant event there (category
+    ["harvester"], accepted or dropped).  The seeder wires it to its
+    engine's current sink, so swapping or detaching that sink takes
+    effect at once. *)
+val set_tracer : t -> (unit -> Farm_sim.Trace.t option) -> unit
 
 (** Publish this harvester's accounting (received / stale_dropped /
     dup_dropped, plus offered / shed when the inbox has limits) as

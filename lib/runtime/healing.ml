@@ -1,6 +1,14 @@
 module Engine = Farm_sim.Engine
 module Metrics = Farm_sim.Metrics
+module Trace = Farm_sim.Trace
 module Value = Farm_almanac.Value
+
+let n_checkpoint = Trace.key "checkpoint"
+let n_declare_failed = Trace.key "declare_failed"
+let n_heartbeat = Trace.key "heartbeat"
+let k_seed = Trace.key "seed"
+let k_bytes = Trace.key "bytes"
+let k_node = Trace.key "node"
 
 (* last checkpoint of a seed accumulated at the seeder (deltas merged) *)
 type store = {
@@ -178,10 +186,10 @@ let ship t ck ~epoch exec =
   (* shipping it competes for control-channel bandwidth *)
   let extra = bytes *. 8. /. ctrl_bandwidth_bps in
   let ev =
-    Control.trace_span t.engine "checkpoint" ~dur:(Control.latency +. extra)
+    Control.trace_span t.engine n_checkpoint ~dur:(Control.latency +. extra)
   in
-  Control.trace_i ev "seed" seed;
-  Control.trace_f ev "bytes" bytes;
+  Control.trace_i ev k_seed seed;
+  Control.trace_f ev k_bytes bytes;
   Control.oneshot t.control ~extra (fun () -> merge t ck ~epoch:(epoch ()) c)
 
 let start_checkpoints t ck ~epoch exec =
@@ -217,8 +225,7 @@ let recovered t n ~since =
 let declare_failed t node =
   let now = Engine.now t.engine in
   t.detections <- t.detections + 1;
-  Control.trace_i
-    (Control.trace_instant t.engine "declare_failed") "node" node;
+  Control.trace_i (Control.trace_instant t.engine n_declare_failed) k_node node;
   let s = switch t node in
   let crashed_at =
     match (s.last_crash, s.last_seen) with
@@ -259,7 +266,7 @@ let on_heartbeat t node =
 let beat t node =
   if not (is_down t node) then begin
     t.heartbeats_sent <- t.heartbeats_sent + 1;
-    Control.trace_i (Control.trace_instant t.engine "heartbeat") "node" node;
+    Control.trace_i (Control.trace_instant t.engine n_heartbeat) k_node node;
     Control.oneshot t.control (fun () -> on_heartbeat t node)
   end
 

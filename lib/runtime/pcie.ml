@@ -3,6 +3,10 @@ module Metrics = Farm_sim.Metrics
 module Trace = Farm_sim.Trace
 module Switch_model = Farm_net.Switch_model
 
+let c_pcie = Trace.key "soil.pcie"
+let n_transfer = Trace.key "transfer"
+let k_bytes = Trace.key "bytes"
+
 type stats = {
   o_offered : int;
   o_completed : int;
@@ -59,8 +63,6 @@ type 'o t = {
   mutable offered : int;
   mutable served : int;
   mutable q_peak : int;
-  (* the span's sink and its ids of "soil.pcie", "transfer", "bytes" *)
-  mutable tmemo : (Trace.t * int * int * int) option;
 }
 
 let create engine sw ~max_queue ~wait_cap ~shed ~bytes ~queued ~set_queued =
@@ -68,7 +70,7 @@ let create engine sw ~max_queue ~wait_cap ~shed ~bytes ~queued ~set_queued =
     q_top = min_int; q_top_n = 0; busy = false; q_seq = 0;
     clocks = { free_at = 0.; busy_s = 0. }; factor = 1.; shed; bytes;
     queued; set_queued; on_shed = ignore; offered = 0; served = 0;
-    q_peak = 0; tmemo = None }
+    q_peak = 0 }
 
 let on_shed t f = t.on_shed <- f
 let set_factor t f = t.factor <- f
@@ -80,17 +82,6 @@ let stats t =
     o_shed = int_of_float (Metrics.Counter.value t.shed);
     o_pending = t.q_len + (if t.busy then 1 else 0);
     o_queue_peak = t.q_peak }
-
-let tids t tr =
-  match t.tmemo with
-  | Some ((sink, _, _, _) as m) when sink == tr -> m
-  | _ ->
-      let m =
-        ( tr, Trace.label tr "soil.pcie", Trace.intern tr "transfer",
-          Trace.label tr "bytes" )
-      in
-      t.tmemo <- Some m;
-      m
 
 (* Effective bandwidth; at the default factor 1 it returns the stored
    value instead of boxing a fresh float on every transfer. *)
@@ -212,10 +203,10 @@ let rec serve t next =
   | Some tr ->
       (* span covers queueing + transfer: from the request's arrival to
          bus completion *)
-      let _, cat, name, k_bytes = tids t tr in
       Trace.span tr ~ts:next.rq_issued
         ~dur:(now +. dur -. next.rq_issued)
-        ~cat ~name ~tid:(Switch_model.id t.sw);
+        ~cat:c_pcie ~name:(Trace.name tr n_transfer)
+        ~tid:(Switch_model.id t.sw);
       Trace.arg_f tr k_bytes next.rq_bytes);
   Engine.schedule t.engine ~delay:dur (fun engine ->
       (* account the transfer when it completes, so byte counters over

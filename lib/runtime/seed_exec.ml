@@ -8,6 +8,14 @@ module Tcam = Farm_net.Tcam
 module Sengine = Farm_sim.Engine
 module Trace = Farm_sim.Trace
 
+let c_handler = Trace.key "seed.handler"
+let c_transit = Trace.key "seed.transit"
+let c_overload = Trace.key "seed.overload"
+let n_degradation = Trace.key "degradation"
+let k_seed = Trace.key "seed"
+let k_state = Trace.key "state"
+let k_depth = Trace.key "depth"
+
 type t = {
   sid : int;
   soil : Soil.t;
@@ -125,11 +133,10 @@ let set_rate_scale t scale =
     (match Sengine.tracer (Soil.engine t.soil) with
     | None -> ()
     | Some tr ->
-        Trace.instant tr ~ts:(Soil.now t.soil)
-          ~cat:(Trace.label tr "seed.overload")
-          ~name:(Trace.intern tr "degradation") ~tid:(Soil.node_id t.soil);
-        Trace.arg_i tr (Trace.label tr "seed") t.sid;
-        Trace.arg_f tr (Trace.label tr "depth") (1. -. scale));
+        Trace.instant tr ~ts:(Soil.now t.soil) ~cat:c_overload
+          ~name:(Trace.name tr n_degradation) ~tid:(Soil.node_id t.soil);
+        Trace.arg_i tr k_seed t.sid;
+        Trace.arg_f tr k_depth (1. -. scale));
     (* tell the harvester, so global logic can compensate for the
        reduced fidelity *)
     t.send t Host.To_harvester
@@ -274,11 +281,10 @@ let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
           match Sengine.tracer (Soil.engine soil) with
           | None -> ()
           | Some tr ->
-              Trace.instant tr ~ts:(Soil.now soil)
-                ~cat:(Trace.label tr "seed.transit")
+              Trace.instant tr ~ts:(Soil.now soil) ~cat:c_transit
                 ~name:(Trace.intern tr (old_st ^ "->" ^ new_st))
                 ~tid:(Soil.node_id soil);
-              Trace.arg_i tr (Trace.label tr "seed") seed_id);
+              Trace.arg_i tr k_seed seed_id);
       h_log = (fun _ -> ());
       (* Wired only when a trace sink is attached at deploy time, so
          untraced runs keep the engines' [None] fast path (one branch
@@ -286,30 +292,19 @@ let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
       h_trace =
         (match Sengine.tracer (Soil.engine soil) with
         | None -> None
-        | Some tr0 ->
-            (* fixed ids are interned once per sink (re-fetched if the
-               sink is swapped); [trig]/[st] vary per fire but turn into
-               allocation-free hash hits after their first occurrence *)
+        | Some _ ->
+            (* [trig]/[st] vary per fire but turn into allocation-free
+               hash hits after their first occurrence *)
             let tid = Soil.node_id soil in
-            let sink = ref tr0 in
-            let cat = ref (Trace.label tr0 "seed.handler") in
-            let k_seed = ref (Trace.label tr0 "seed") in
-            let k_state = ref (Trace.label tr0 "state") in
             Some
               (fun trig st ->
                 match Sengine.tracer (Soil.engine soil) with
                 | None -> ()
                 | Some tr ->
-                    if tr != !sink then begin
-                      sink := tr;
-                      cat := Trace.label tr "seed.handler";
-                      k_seed := Trace.label tr "seed";
-                      k_state := Trace.label tr "state"
-                    end;
-                    Trace.instant tr ~ts:(Soil.now soil) ~cat:!cat
+                    Trace.instant tr ~ts:(Soil.now soil) ~cat:c_handler
                       ~name:(Trace.intern tr trig) ~tid;
-                    Trace.arg_i tr !k_seed seed_id;
-                    Trace.arg_s tr !k_state (Trace.intern tr st))) }
+                    Trace.arg_i tr k_seed seed_id;
+                    Trace.arg_s tr k_state (Trace.intern tr st))) }
   in
   let i = Aengine.instantiate ~externals plan host in
   t.inst <- Some i;

@@ -15,6 +15,17 @@ module Fabric = Farm_net.Fabric
 module Switch_model = Farm_net.Switch_model
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
+module Trace = Farm_sim.Trace
+
+let n_instantiate = Trace.key "instantiate"
+let n_migrate = Trace.key "migrate"
+let n_report_storm = Trace.key "report_storm"
+let k_seed = Trace.key "seed"
+let k_node = Trace.key "node"
+let k_epoch = Trace.key "epoch"
+let k_from = Trace.key "from"
+let k_to = Trace.key "to"
+let k_reports = Trace.key "reports"
 
 type config = {
   soil_config : Soil.config;
@@ -301,10 +312,10 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
       ~seed_id:r.r_spec.seed_id ()
   in
   r.r_exec <- Some exec;
-  let ev = Control.trace_instant t.engine "instantiate" in
-  Control.trace_i ev "seed" r.r_spec.seed_id;
-  Control.trace_i ev "node" a.a_node;
-  Control.trace_i ev "epoch" r.r_epoch;
+  let ev = Control.trace_instant t.engine n_instantiate in
+  Control.trace_i ev k_seed r.r_spec.seed_id;
+  Control.trace_i ev k_node a.a_node;
+  Control.trace_i ev k_epoch r.r_epoch;
   (match r.r_task.harvester with
   | Some h -> Harvester.fence h ~seed_id:r.r_spec.seed_id ~epoch:r.r_epoch
   | None -> ());
@@ -328,10 +339,10 @@ let apply_placement t (placement : Model.placement) =
       | Some exec, Some a when Seed_exec.node exec <> a.a_node ->
           (* migrate: snapshot, transfer state, resume at the target *)
           let snapshot = Seed_exec.snapshot exec in
-          let ev = Control.trace_span t.engine "migrate" ~dur:migration_time in
-          Control.trace_i ev "seed" seed_id;
-          Control.trace_i ev "from" (Seed_exec.node exec);
-          Control.trace_i ev "to" a.a_node;
+          let ev = Control.trace_span t.engine n_migrate ~dur:migration_time in
+          Control.trace_i ev k_seed seed_id;
+          Control.trace_i ev k_from (Seed_exec.node exec);
+          Control.trace_i ev k_to a.a_node;
           retire_exec r;
           r.r_migrating <- true;
           t.migration_count <- t.migration_count + 1;
@@ -631,7 +642,7 @@ let deploy t spec =
           log = (fun _ -> ()) }
       in
       let h = Harvester.create spec.ts_harvester ctx in
-      Harvester.set_tracer h (Engine.tracer t.engine);
+      Harvester.set_tracer h (fun () -> Engine.tracer t.engine);
       Harvester.set_overload h t.cfg.harvester_overload;
       task.harvester <- Some h;
       reoptimize t;
@@ -717,9 +728,9 @@ let pressure_events t = t.pressure_events
    path, so fencing, dedup and the bounded inbox all see them as ordinary
    (if antisocial) traffic. *)
 let inject_report_storm t ~node ~reports =
-  let ev = Control.trace_instant t.engine "report_storm" in
-  Control.trace_i ev "node" node;
-  Control.trace_i ev "reports" reports;
+  let ev = Control.trace_instant t.engine n_report_storm in
+  Control.trace_i ev k_node node;
+  Control.trace_i ev k_reports reports;
   Registry.iter_on t.registry node (fun r exec ->
       for i = 0 to reports - 1 do
         t.storm_reports <- t.storm_reports + 1;

@@ -5,6 +5,20 @@ module Filter = Farm_net.Filter
 module Switch_model = Farm_net.Switch_model
 module Tcam = Farm_net.Tcam
 
+let c_soil = Trace.key "soil"
+let c_ipc = Trace.key "soil.ipc"
+let n_asic_poll = Trace.key "asic_poll"
+let n_deliver = Trace.key "deliver"
+let n_pressure_on = Trace.key "pressure_on"
+let n_pressure_off = Trace.key "pressure_off"
+let n_poll_shed = Trace.key "poll_shed"
+let n_poll_dropped = Trace.key "poll_dropped"
+let k_subject = Trace.key "subject"
+let k_subs = Trace.key "subs"
+let k_polls = Trace.key "polls"
+let k_cpu = Trace.key "cpu"
+let k_pcie = Trace.key "pcie"
+
 (* Overload limits: past [max_pcie_queue] waiting transfers the PCIe queue
    sheds, and a monitor publishes CPU/PCIe pressure every interval.
    Protection off is the same code at [unlimited] limits. *)
@@ -71,11 +85,14 @@ type subscription = {
 }
 
 (* Aggregation group: one ASIC poll timer shared by all subscribers of a
-   subject. *)
+   subject.  Without aggregation each poll subscription has a group of
+   its own, outside [t.groups].  [g_name] is the subject as traced,
+   formatted at the group's first traced poll. *)
 type group = {
   g_subject : Filter.subject;
   mutable g_subs : subscription list;
   mutable g_timer : Engine.timer option;
+  mutable g_name : string;
 }
 
 type poll_stats = {
@@ -92,25 +109,6 @@ type overload_stats = Pcie.stats = {
   o_shed : int;
   o_pending : int;
   o_queue_peak : int;
-}
-
-(* Interned trace ids for the hot emission sites, memoized per sink so
-   steady-state tracing allocates nothing (subjects are formatted with
-   [Filter.pp_subject] once, on first use, never per poll). *)
-type tids = {
-  tm_sink : Trace.t;
-  tm_soil : int;  (* cat "soil" *)
-  tm_ipc : int;  (* cat "soil.ipc" *)
-  tm_asic_poll : int;
-  tm_deliver : int;
-  tm_k_subject : int;
-  tm_k_subs : int;
-  tm_k_polls : int;
-  tm_pressure_on : int;
-  tm_pressure_off : int;
-  tm_k_cpu : int;
-  tm_k_pcie : int;
-  tm_subjects : (Filter.subject, int) Hashtbl.t;
 }
 
 type t = {
@@ -143,41 +141,7 @@ type t = {
   mutable frozen : bool;
   mutable frozen_cache : (Filter.subject * float array) list;
   mutable glitch_budget : int;
-  mutable tmemo : tids option;
 }
-
-(* Memoized interned ids for [tr]; rebuilt only if the sink changes. *)
-let tids t tr =
-  match t.tmemo with
-  | Some m when m.tm_sink == tr -> m
-  | _ ->
-      let m =
-        { tm_sink = tr;
-          tm_soil = Trace.label tr "soil";
-          tm_ipc = Trace.label tr "soil.ipc";
-          tm_asic_poll = Trace.intern tr "asic_poll";
-          tm_deliver = Trace.intern tr "deliver";
-          tm_k_subject = Trace.label tr "subject";
-          tm_k_subs = Trace.label tr "subs";
-          tm_k_polls = Trace.label tr "polls";
-          tm_pressure_on = Trace.intern tr "pressure_on";
-          tm_pressure_off = Trace.intern tr "pressure_off";
-          tm_k_cpu = Trace.label tr "cpu";
-          tm_k_pcie = Trace.label tr "pcie";
-          tm_subjects = Hashtbl.create 8 }
-      in
-      t.tmemo <- Some m;
-      m
-
-let subject_sid m subject =
-  match Hashtbl.find_opt m.tm_subjects subject with
-  | Some id -> id
-  | None ->
-      let id =
-        Trace.intern m.tm_sink (Format.asprintf "%a" Filter.pp_subject subject)
-      in
-      Hashtbl.add m.tm_subjects subject id;
-      id
 
 (* --- pressure monitor (armed only under finite limits) --- *)
 
@@ -201,12 +165,11 @@ let pressure_tick t =
     match Engine.tracer t.engine with
     | None -> ()
     | Some tr ->
-        let m = tids t tr in
-        Trace.instant tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
-          ~name:(if on then m.tm_pressure_on else m.tm_pressure_off)
+        Trace.instant tr ~ts:(Engine.now t.engine) ~cat:c_soil
+          ~name:(Trace.name tr (if on then n_pressure_on else n_pressure_off))
           ~tid:(Switch_model.id t.sw);
-        Trace.arg_f tr m.tm_k_cpu cpu_util;
-        Trace.arg_f tr m.tm_k_pcie pcie_util
+        Trace.arg_f tr k_cpu cpu_util;
+        Trace.arg_f tr k_pcie pcie_util
   in
   if high && not t.pressured then begin
     t.pressured <- true;
@@ -334,10 +297,9 @@ let trace_drop t ~name ~n =
   match Engine.tracer t.engine with
   | None -> ()
   | Some tr ->
-      let m = tids t tr in
-      Trace.instant tr ~ts:(Engine.now t.engine) ~cat:m.tm_soil
-        ~name:(Trace.intern tr name) ~tid:(node_id t);
-      Trace.arg_i tr m.tm_k_polls n
+      Trace.instant tr ~ts:(Engine.now t.engine) ~cat:c_soil
+        ~name:(Trace.name tr name) ~tid:(node_id t);
+      Trace.arg_i tr k_polls n
 
 (* A poll (or probe sample) owned by [owners] was dropped: count globally,
    attribute per seed and notify the owners, in seed-id order. *)
@@ -382,9 +344,9 @@ let create ?(config = default_config) engine sw =
       pressure =
         (if limited then Metrics.Registry.gauge reg (pre ^ "pressure")
          else Metrics.Gauge.create ());
-      frozen = false; frozen_cache = []; glitch_budget = 0; tmemo = None }
+      frozen = false; frozen_cache = []; glitch_budget = 0 }
   in
-  Pcie.on_shed t.bus (drop_polls t ~name:"poll_shed");
+  Pcie.on_shed t.bus (drop_polls t ~name:n_poll_shed);
   if limited then
     ignore
       (Engine.every engine ~period:lim.pressure_interval (fun _ ->
@@ -410,7 +372,7 @@ let offer t ~bytes owners k =
       owners
   in
   if not (Pcie.offer t.bus ~bytes ~prio ~owners k) then
-    drop_polls t ~name:"poll_dropped" owners
+    drop_polls t ~name:n_poll_dropped owners
 
 let ipc_deliver ?issued t f =
   (* IPC latency depends on how many seeds are co-located (Fig. 10) *)
@@ -421,9 +383,8 @@ let ipc_deliver ?issued t f =
   (match Engine.tracer t.engine with
   | None -> ()
   | Some tr ->
-      let m = tids t tr in
-      Trace.span tr ~ts:(Engine.now t.engine) ~dur:lat ~cat:m.tm_ipc
-        ~name:m.tm_deliver ~tid:(Switch_model.id t.sw));
+      Trace.span tr ~ts:(Engine.now t.engine) ~dur:lat ~cat:c_ipc
+        ~name:(Trace.name tr n_deliver) ~tid:(Switch_model.id t.sw));
   Engine.schedule t.engine ~delay:lat (fun engine ->
       (match issued with
       | Some t0 ->
@@ -472,8 +433,10 @@ let read_counters t subject =
 let transfer t ~bytes ~seeds k =
   offer t ~bytes (List.map (acct t) seeds) (fun _ -> k ())
 
-(* Issue one ASIC poll for [subject] and deliver the result to [subs]. *)
-let issue_poll t subject subs =
+(* Issue one ASIC poll for [g]'s subject and deliver the result to its
+   subscribers. *)
+let issue_poll t g =
+  let subject = g.g_subject and subs = g.g_subs in
   let issued = Engine.now t.engine in
   Metrics.Counter.add t.requested (float_of_int (List.length subs));
   charge_cpu t t.cfg.cpu.poll_issue_cost;
@@ -481,11 +444,12 @@ let issue_poll t subject subs =
   (match Engine.tracer t.engine with
   | None -> ()
   | Some tr ->
-      let m = tids t tr in
-      Trace.instant tr ~ts:issued ~cat:m.tm_soil ~name:m.tm_asic_poll
+      if g.g_name = "" then
+        g.g_name <- Format.asprintf "%a" Filter.pp_subject subject;
+      Trace.instant tr ~ts:issued ~cat:c_soil ~name:(Trace.name tr n_asic_poll)
         ~tid:(Switch_model.id t.sw);
-      Trace.arg_s tr m.tm_k_subject (subject_sid m subject);
-      Trace.arg_i tr m.tm_k_subs (List.length subs));
+      Trace.arg_s tr k_subject (Trace.intern tr g.g_name);
+      Trace.arg_i tr k_subs (List.length subs));
   let bytes = poll_payload t subject in
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)
@@ -525,8 +489,7 @@ let rearm_group t g =
       let period = group_period g in
       g.g_timer <-
         Some
-          (Engine.every t.engine ~period (fun _ ->
-               issue_poll t g.g_subject g.g_subs))
+          (Engine.every t.engine ~period (fun _ -> issue_poll t g))
 
 let find_group t subject =
   List.find_opt (fun g -> Filter.subject_equal g.g_subject subject) t.groups
@@ -542,17 +505,21 @@ let subscribe_poll t ~seed_id ~subject ~period deliver =
       match find_group t subject with
       | Some g -> g
       | None ->
-          let g = { g_subject = subject; g_subs = []; g_timer = None } in
+          let g =
+            { g_subject = subject; g_subs = []; g_timer = None; g_name = "" }
+          in
           t.groups <- g :: t.groups;
           g
     in
     g.g_subs <- sub :: g.g_subs;
     rearm_group t g
   end
-  else
-    sub.timer <-
-      Some
-        (Engine.every t.engine ~period (fun _ -> issue_poll t subject [ sub ]));
+  else begin
+    let g =
+      { g_subject = subject; g_subs = [ sub ]; g_timer = None; g_name = "" }
+    in
+    sub.timer <- Some (Engine.every t.engine ~period (fun _ -> issue_poll t g))
+  end;
   sub
 
 let subscribe_probe t ~seed_id ~filter ~period deliver =

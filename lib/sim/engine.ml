@@ -94,11 +94,6 @@ type t = {
      publish into.  Per-engine — never global — so parallel sweeps stay
      deterministic and isolated. *)
   mutable tracer : Trace.t option;
-  (* interned ids for the per-dispatch instant, refreshed by
-     [set_tracer]; only read when [tracer] is [Some _] *)
-  mutable tr_cat : int;
-  mutable tr_name : int;
-  mutable tr_seq : int;
   metrics : Metrics.Registry.t;
 }
 
@@ -219,6 +214,11 @@ let rec merge_sort a tmp lo hi =
 
 let noop (_ : t) = ()
 
+(* the per-dispatch instant's trace keys *)
+let c_engine = Trace.key "engine"
+let n_dispatch = Trace.key "dispatch"
+let k_seq = Trace.key "seq"
+
 let create ?(seed = 42) () =
   let rec nil =
     { time = 0.; seq = 0; cb = noop; period = 0.; cancelled = true;
@@ -231,7 +231,7 @@ let create ?(seed = 42) () =
     run = [||]; scratch = [||]; run_head = 0; run_len = 0;
     ready = cheap_create nil; overflow = cheap_create nil; nil;
     free = nil; free_len = 0;
-    tracer = None; tr_cat = 0; tr_name = 0; tr_seq = 0;
+    tracer = None;
     metrics = Metrics.Registry.create () }
 
 let now t = t.clock
@@ -240,14 +240,7 @@ let dispatched t = t.dispatched
 let pending t = t.pending
 let tracer t = t.tracer
 
-let set_tracer t tr =
-  t.tracer <- tr;
-  match tr with
-  | None -> ()
-  | Some tr ->
-      t.tr_cat <- Trace.label tr "engine";
-      t.tr_name <- Trace.intern tr "dispatch";
-      t.tr_seq <- Trace.label tr "seq"
+let set_tracer t tr = t.tracer <- tr
 let metrics t = t.metrics
 
 (* ------------------------------------------------------------------ *)
@@ -481,9 +474,9 @@ let run ?until t =
             (match t.tracer with
             | None -> ()
             | Some tr ->
-                Trace.instant tr ~ts:c.time ~cat:t.tr_cat ~name:t.tr_name
-                  ~tid:0;
-                Trace.arg_i tr t.tr_seq c.seq);
+                Trace.instant tr ~ts:c.time ~cat:c_engine
+                  ~name:(Trace.name tr n_dispatch) ~tid:0;
+                Trace.arg_i tr k_seq c.seq);
             c.cb t;
             if c.period > 0. then begin
               if not c.cancelled then arm t c (c.time +. c.period)

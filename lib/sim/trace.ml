@@ -1,8 +1,9 @@
 (* Deterministic structured tracing.  Events are stamped with simulation
    time only — never wall clock — so a traced run is byte-identical
    across replays and across [Sweep] domain counts.  A sink is owned by
-   one engine (no global mutable state), which is what makes the
-   domain-count invariance hold by construction.
+   one engine, which is what makes the domain-count invariance hold by
+   construction.  The one process-wide value is the counter that numbers
+   keys: it holds no event, string or id.
 
    Storage is a chunked structure-of-arrays buffer with one slot layout
    for every event: ts, a descriptor, the name id and the tid, plus
@@ -12,8 +13,9 @@
    Chunks double from 1 Ki slots up to a 64 Ki cap and are never copied;
    a payload column is allocated the first time a chunk needs it, so the
    common event shapes do not pay for the widest one.  Strings are
-   interned once per sink; everything textual — the Chrome JSON, [Printf]
-   decimal timestamps, escaping — happens at flush time. *)
+   interned once per sink, and a key's id is kept in a per-sink array
+   indexed by the key's number; everything textual — the Chrome JSON,
+   [Printf] decimal timestamps, escaping — happens at flush time. *)
 
 type arg = S of string | I of int | F of float
 
@@ -94,14 +96,24 @@ let[@inline] column c j =
 let first_chunk = 1024
 let max_chunk = 65536
 
+(* A key is a code-literal string with a process-wide number, under
+   which each sink's tables cache the key's id. *)
+type key = { k_num : int; k_str : string }
+
+let keys = Atomic.make 0
+let key s = { k_num = Atomic.fetch_and_add keys 1; k_str = s }
+
 (* A string intern table; ids are dense and stable for its lifetime. *)
 type table = {
   ids : (string, int) Hashtbl.t;
   mutable strs : string array;
   mutable n : int;
+  mutable by_key : int array;  (* key number -> id; -1 until resolved *)
 }
 
-let table_make () = { ids = Hashtbl.create 64; strs = Array.make 64 ""; n = 0 }
+let table_make () =
+  { ids = Hashtbl.create 64; strs = Array.make 64 ""; n = 0;
+    by_key = Array.make (Atomic.get keys) (-1) }
 
 let table_id tb s =
   (* [Hashtbl.find] rather than [find_opt]: a hit returns the id with no
@@ -146,8 +158,8 @@ let count t = t.len
 let dropped t = t.dropped
 
 let clear t =
-  (* keep the first chunk, release the rest.  The intern tables survive
-     (ids stay valid across [clear], which lets callers cache them). *)
+  (* keep the first chunk, release the rest.  The intern tables survive:
+     ids stay valid across [clear]. *)
   let c0 = t.chunks.(0) in
   if t.n_chunks > 1 then t.chunks <- [| c0 |];
   t.n_chunks <- 1;
@@ -160,10 +172,30 @@ let clear t =
 
 let intern t s = table_id t.names s
 
-let label t s =
-  if t.labels.n = max_labels && not (Hashtbl.mem t.labels.ids s) then
-    invalid_arg (Printf.sprintf "Trace.label: more than %d labels" max_labels);
-  table_id t.labels s
+let resolve tb k =
+  let n = Array.length tb.by_key in
+  if k.k_num >= n then begin
+    let a = Array.make (max (k.k_num + 1) (2 * n)) (-1) in
+    Array.blit tb.by_key 0 a 0 n;
+    tb.by_key <- a
+  end;
+  let id = table_id tb k.k_str in
+  tb.by_key.(k.k_num) <- id;
+  id
+
+(* After a key's first use on a sink: one array read, no allocation. *)
+let[@inline] key_id tb k =
+  let by = tb.by_key in
+  let id = if k.k_num < Array.length by then by.(k.k_num) else -1 in
+  if id >= 0 then id else resolve tb k
+
+let name t k = key_id t.names k
+
+let[@inline] label t k =
+  let id = key_id t.labels k in
+  if id >= max_labels then
+    invalid_arg (Printf.sprintf "Trace: more than %d labels" max_labels);
+  id
 
 let add_chunk t =
   let cap = min (2 * chunk_cap t.cur) max_chunk in
@@ -203,10 +235,6 @@ let[@inline] next_slot t =
     i
   end
 
-let check_label what id =
-  if id < 0 || id >= max_labels then
-    invalid_arg (Printf.sprintf "Trace: %s %d is not a label id" what id)
-
 let[@inline] record t ~ts ~desc ~name ~tid =
   let i = next_slot t in
   let c = t.cur in
@@ -217,18 +245,16 @@ let[@inline] record t ~ts ~desc ~name ~tid =
   t.last <- i
 
 let instant t ~ts ~cat ~name ~tid =
-  check_label "category" cat;
-  record t ~ts ~desc:(cat lsl cat_shift) ~name ~tid
+  record t ~ts ~desc:(label t cat lsl cat_shift) ~name ~tid
 
 let span t ~ts ~dur ~cat ~name ~tid =
-  check_label "category" cat;
-  record t ~ts ~desc:(1 lor (cat lsl cat_shift)) ~name ~tid;
+  record t ~ts ~desc:(1 lor (label t cat lsl cat_shift)) ~name ~tid;
   (column t.cur 0).(t.last) <- dur
 
 let[@inline] add_arg t key kind v =
   let i = t.last in
   if i < 0 then invalid_arg "Trace: argument with no event recorded";
-  check_label "key" key;
+  let key = label t key in
   let c = t.cur in
   let d = c.c_desc.(i) in
   let j = arity d in

@@ -2,9 +2,10 @@
 
     Events are stamped with {e simulation time} only — never wall clock —
     so a traced run's event stream is byte-identical across replays and
-    across [Sweep] domain counts.  A sink belongs to a single engine
-    (there is no global trace state); attach one with
-    [Engine.set_tracer].
+    across [Sweep] domain counts.  A sink belongs to a single engine;
+    attach one with [Engine.set_tracer].  The only process-wide state is
+    the counter that numbers {!key}s, which holds no event, string or
+    id, so sinks stay isolated across domains.
 
     Created with [~ring:n > 0] the sink is a bounded flight recorder:
     the most recent [n] events are kept, older ones are overwritten (and
@@ -38,35 +39,41 @@ val create : ?ring:int -> unit -> t
 
 (** {1 Recording}
 
-    Strings are interned once per sink and events then carry ids; ids
-    are stable for the sink's lifetime, surviving [clear], so emission
-    sites may cache them.  Event names and string argument values go
-    through [intern]; the few code-literal categories and argument keys
-    go through [label]. *)
+    A sink resolves a {!key} the first time it records it and keeps the
+    id for its lifetime, surviving [clear]; from then on a recording
+    site pays one array read and allocates nothing. *)
+
+type key
+
+val key : string -> key
+(** A category, argument key or constant event name, declared at module
+    level: each call takes a fresh process-wide number. *)
 
 val intern : t -> string -> int
-(** Id of an event name or string value.  Any number of strings may be
-    interned; never allocates for a string already interned. *)
+(** Id of an event name or string value computed at run time (trigger,
+    state and transition names, poll subjects); never allocates for a
+    string already interned. *)
 
-val label : t -> string -> int
-(** Id of a category or argument key.  A sink holds at most 8192
-    labels; interning one more raises [Invalid_argument]. *)
+val name : t -> key -> int
+(** Id of a constant event name, as [intern] of its string. *)
 
-val instant : t -> ts:float -> cat:int -> name:int -> tid:int -> unit
-(** Instant event ("ph":"i") on track [tid] (any int). *)
+val instant : t -> ts:float -> cat:key -> name:int -> tid:int -> unit
+(** Instant event ("ph":"i") on track [tid] (any int).  A sink holds at
+    most 8192 distinct category and argument-key strings; recording one
+    more raises [Invalid_argument]. *)
 
-val span : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> unit
+val span : t -> ts:float -> dur:float -> cat:key -> name:int -> tid:int -> unit
 (** Complete span ("ph":"X"): an operation starting at [ts] lasting
     [dur] seconds. *)
 
-val arg_i : t -> int -> int -> unit
+val arg_i : t -> key -> int -> unit
 (** [arg_i t key v] appends argument [key = I v] to the event recorded
     last.  An event takes at most three arguments, kept in order;
     appending with no event recorded since [create]/[clear], or a
     fourth argument, raises [Invalid_argument]. *)
 
-val arg_f : t -> int -> float -> unit
-val arg_s : t -> int -> int -> unit
+val arg_f : t -> key -> float -> unit
+val arg_s : t -> key -> int -> unit
 (** [arg_s t key s]: an [S] argument whose value is the interned id [s]. *)
 
 (** {1 Reading} *)

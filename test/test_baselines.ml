@@ -113,7 +113,7 @@ let test_sonata_detects_at_batch_boundary () =
       Alcotest.(check bool)
         (Printf.sprintf "batchy latency (%.2fs)" d)
         true
-        (d >= Sonata.default_config.batch_process_time && d <= 3.5)
+        (d >= Sonata.batch_process_time && d <= 3.5)
   | None -> Alcotest.fail "Sonata must detect"
 
 let test_planck_fast () =
@@ -142,7 +142,7 @@ let test_helios_within_loop () =
       Alcotest.(check bool)
         (Printf.sprintf "within ~2 loop periods (%.3fs)" d)
         true
-        (d <= 2.5 *. Helios.default_config.loop_period)
+        (d <= 2.5 *. Helios.loop_period)
   | None -> Alcotest.fail "Helios must detect"
 
 (* ------------------------------------------------------------------ *)
@@ -229,9 +229,8 @@ let prop_detection_within_window_bounds =
       Planck.shutdown planck;
       match (s_lat, p_lat) with
       | Some s, Some p ->
-          let c = Sonata.default_config in
-          s >= c.Sonata.batch_process_time
-          && s <= c.Sonata.window +. c.Sonata.batch_process_time +. 0.5
+          s >= Sonata.batch_process_time
+          && s <= Sonata.window +. Sonata.batch_process_time +. 0.5
           && p < 0.02
       | _ -> false)
 

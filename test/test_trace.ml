@@ -14,14 +14,19 @@ open Farm_sim
 (* Trace sink mechanics                                                *)
 (* ------------------------------------------------------------------ *)
 
+let c_c = Trace.key "c"
+let n_e = Trace.key "e"
+let k_i = Trace.key "i"
+let k_f = Trace.key "f"
+let k_s = Trace.key "s"
+
 let test_trace_unbounded () =
   let t = Trace.create () in
-  let cat = Trace.label t "c" and name = Trace.intern t "e" in
-  let k = Trace.label t "i" in
+  let name = Trace.name t n_e in
   (* push past the initial capacity to exercise growth *)
   for i = 0 to 2999 do
-    Trace.instant t ~ts:(float_of_int i) ~cat ~name ~tid:0;
-    Trace.arg_i t k i
+    Trace.instant t ~ts:(float_of_int i) ~cat:c_c ~name ~tid:0;
+    Trace.arg_i t k_i i
   done;
   Alcotest.(check int) "count" 3000 (Trace.count t);
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped t);
@@ -33,9 +38,8 @@ let test_trace_unbounded () =
 
 let test_trace_ring_overwrites_oldest () =
   let t = Trace.create ~ring:4 () in
-  let cat = Trace.label t "c" in
   for i = 1 to 10 do
-    Trace.instant t ~ts:(float_of_int i) ~cat
+    Trace.instant t ~ts:(float_of_int i) ~cat:c_c
       ~name:(Trace.intern t (string_of_int i)) ~tid:0
   done;
   Alcotest.(check int) "holds ring size" 4 (Trace.count t);
@@ -45,15 +49,19 @@ let test_trace_ring_overwrites_oldest () =
     [ "7"; "8"; "9"; "10" ]
     (List.map (fun e -> e.Trace.name) (Trace.events t))
 
+let c_pcie = Trace.key "soil.pcie"
+let k_bytes = Trace.key "bytes"
+let c_engine = Trace.key "engine"
+
 let test_trace_chrome_json () =
   let t = Trace.create () in
-  Trace.span t ~ts:1.5 ~dur:0.25 ~cat:(Trace.label t "soil.pcie")
-    ~name:(Trace.intern t "transfer") ~tid:3;
-  Trace.arg_f t (Trace.label t "bytes") 128.;
-  Trace.instant t ~ts:2. ~cat:(Trace.label t "engine")
+  Trace.span t ~ts:1.5 ~dur:0.25 ~cat:c_pcie ~name:(Trace.intern t "transfer")
+    ~tid:3;
+  Trace.arg_f t k_bytes 128.;
+  Trace.instant t ~ts:2. ~cat:c_engine
     ~name:(Trace.intern t "weird \"name\"\n") ~tid:0;
-  Trace.arg_s t (Trace.label t "s") (Trace.intern t "a\tb");
-  Trace.arg_i t (Trace.label t "i") (-7);
+  Trace.arg_s t k_s (Trace.intern t "a\tb");
+  Trace.arg_i t k_i (-7);
   let j = Trace.to_chrome_json t in
   let has needle =
     let nl = String.length needle and jl = String.length j in
@@ -75,16 +83,15 @@ let test_trace_chrome_json () =
 
 let test_trace_recording_allocates_nothing () =
   let t = Trace.create ~ring:256 () in
-  let cat = Trace.label t "c" and name = Trace.intern t "e" in
-  let ki = Trace.label t "i" and kf = Trace.label t "f" in
-  let ks = Trace.label t "s" and sv = Trace.intern t "v" in
+  let sv = Trace.intern t "v" in
   let record i =
-    Trace.instant t ~ts:1.5 ~cat ~name ~tid:i;
-    Trace.arg_i t ki i;
-    Trace.arg_f t kf 2.5;
-    Trace.arg_s t ks sv;
-    Trace.span t ~ts:1.5 ~dur:0.5 ~cat ~name ~tid:i;
-    Trace.arg_f t kf 2.5
+    let name = Trace.name t n_e in
+    Trace.instant t ~ts:1.5 ~cat:c_c ~name ~tid:i;
+    Trace.arg_i t k_i i;
+    Trace.arg_f t k_f 2.5;
+    Trace.arg_s t k_s sv;
+    Trace.span t ~ts:1.5 ~dur:0.5 ~cat:c_c ~name ~tid:i;
+    Trace.arg_f t k_f 2.5
   in
   (* the first pass allocates the ring's payload columns *)
   for i = 1 to 512 do record i done;
@@ -95,14 +102,69 @@ let test_trace_recording_allocates_nothing () =
     (Printf.sprintf "no per-event allocation (%.0f words)" words)
     true (words < 100.)
 
+let test_trace_label_cap () =
+  (* categories and argument keys share one 13-bit field per sink *)
+  let t = Trace.create ~ring:1 () in
+  let keys = Array.init 8193 (fun i -> Trace.key (Printf.sprintf "l%d" i)) in
+  let name = Trace.name t n_e in
+  for i = 0 to 8191 do
+    Trace.instant t ~ts:0. ~cat:keys.(i) ~name ~tid:0
+  done;
+  (match Trace.instant t ~ts:0. ~cat:keys.(8192) ~name ~tid:0 with
+  | () -> Alcotest.fail "the 8193rd label must raise"
+  | exception Invalid_argument _ -> ());
+  (* a label already held is still accepted at the cap *)
+  Trace.instant t ~ts:1. ~cat:keys.(5) ~name ~tid:0;
+  Trace.arg_i t keys.(8191) 1;
+  Alcotest.(check string) "held labels decode" "l5"
+    (List.hd (Trace.events t)).Trace.cat
+
+let c_shared = Trace.key "shared"
+let c_other = Trace.key "other"
+
+let test_trace_key_per_sink () =
+  (* the same key resolves to a different id in each sink: [a] sees
+     another label first.  Both keep it across [clear]. *)
+  let a = Trace.create () and b = Trace.create () in
+  let ev t ts cat = Trace.instant t ~ts ~cat ~name:(Trace.name t n_e) ~tid:0 in
+  ev a 0. c_other;
+  ev a 1. c_shared;
+  Trace.arg_i a c_shared 1;
+  ev b 2. c_shared;
+  Trace.arg_i b c_other 2;
+  Trace.clear a;
+  ev a 3. c_shared;
+  Trace.arg_i a c_other 3;
+  let show t =
+    List.map
+      (fun e ->
+        ( e.Trace.cat,
+          List.map
+            (function k, Trace.I v -> Printf.sprintf "%s=%d" k v | k, _ -> k)
+            e.Trace.args ))
+      (Trace.events t)
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "sink a after clear" [ ("shared", [ "other=3" ]) ] (show a);
+  Alcotest.(check (list (pair string (list string))))
+    "sink b" [ ("shared", [ "other=2" ]) ] (show b)
+
 (* ------------------------------------------------------------------ *)
 (* Encoding round trip                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The labels a generated event may use, each with its key, built once:
+   a key is declared at module level, never per event. *)
+let gen_labels =
+  List.map
+    (fun s -> (s, Trace.key s))
+    [ "c"; "soil.pcie"; "q\"x"; "k\n"; "seed"; "a\\b" ]
+
 (* One generated event: strings stay strings here; the test interns them
-   while recording.  The stream is replayed [reps] times with every name
-   suffixed by its position, so a case holds more distinct names than
-   any 16-bit id field and more events than the largest storage chunk. *)
+   (and looks their labels' keys up) while recording.  The stream is
+   replayed [reps] times with every name suffixed by its position, so a
+   case holds more distinct names than any 16-bit id field and more
+   events than the largest storage chunk. *)
 type gen_event = {
   g_ts : float;
   g_dur : float option;
@@ -118,7 +180,7 @@ let gen_stream =
   let str =
     map2 (fun a b -> a ^ b) (string_size ~gen:printable (int_range 0 6)) escapes
   in
-  let label = oneofl [ "c"; "soil.pcie"; "q\"x"; "k\n"; "seed"; "a\\b" ] in
+  let label = oneofl (List.map fst gen_labels) in
   let int =
     oneof [ int; int_range (-5) 5; pure min_int; pure max_int; pure (-1) ]
   in
@@ -157,13 +219,13 @@ let nth_event evs i =
     args = g.g_args }
 
 let record t (ev : Trace.event) =
-  let cat = Trace.label t ev.cat and name = Trace.intern t ev.name in
+  let cat = List.assoc ev.cat gen_labels and name = Trace.intern t ev.name in
   (match ev.ph with
   | Trace.Instant -> Trace.instant t ~ts:ev.ts ~cat ~name ~tid:ev.tid
   | Trace.Span dur -> Trace.span t ~ts:ev.ts ~dur ~cat ~name ~tid:ev.tid);
   List.iter
     (fun (k, v) ->
-      let k = Trace.label t k in
+      let k = List.assoc k gen_labels in
       match v with
       | Trace.I i -> Trace.arg_i t k i
       | Trace.F f -> Trace.arg_f t k f
@@ -448,6 +510,47 @@ let test_golden (_, world, md5, expected) () =
   Alcotest.(check string) "Chrome JSON MD5" md5
     (Digest.to_hex (Digest.string (Trace.to_chrome_json tr)))
 
+(* Every emitter, the harvester included, records into the engine's
+   current sink: after a swap everything goes to the new sink, and after
+   a detach nowhere.  The sink is swapped after deploy and before the
+   first elephant; a second one arrives after the detach. *)
+let test_sink_swap () =
+  let a = Trace.create () and b = Trace.create () in
+  let w = World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1 () in
+  Engine.set_tracer w.World.engine (Some a);
+  (match World.deploy_catalog_task w "heavy-hitter" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "heavy-hitter deploy: %s" m);
+  World.background_traffic ~flows:32 w;
+  List.iter
+    (fun at ->
+      ignore
+        (Farm.Net.Traffic.heavy_hitter w.World.engine w.World.fabric
+           w.World.rng ~at ~rate:2e7 ()))
+    [ 0.3; 1.05 ];
+  World.run ~until:0.2 w;
+  let n_a = Trace.count a in
+  Engine.set_tracer w.World.engine (Some b);
+  World.run ~until:1.0 w;
+  let n_b = Trace.count b in
+  Engine.set_tracer w.World.engine None;
+  World.run ~until:1.2 w;
+  let cats tr =
+    let seen = ref [] in
+    Trace.iter
+      (fun ev ->
+        if not (List.mem ev.Trace.cat !seen) then seen := ev.Trace.cat :: !seen)
+      tr;
+    List.sort compare !seen
+  in
+  Alcotest.(check int) "nothing reaches the old sink" n_a (Trace.count a);
+  Alcotest.(check int) "nothing reaches a detached sink" n_b (Trace.count b);
+  Alcotest.(check (list string))
+    "every category lands in the new sink"
+    [ "engine"; "harvester"; "seed.handler"; "seeder"; "soil"; "soil.ipc";
+      "soil.pcie" ]
+    (List.filter (fun c -> c <> "seed.transit") (cats b))
+
 let () =
   Alcotest.run "farm_trace"
     [ ( "sink",
@@ -458,6 +561,10 @@ let () =
             test_trace_chrome_json;
           Alcotest.test_case "recording allocates nothing" `Quick
             test_trace_recording_allocates_nothing;
+          Alcotest.test_case "8192 labels per sink" `Quick
+            test_trace_label_cap;
+          Alcotest.test_case "a key resolves per sink" `Quick
+            test_trace_key_per_sink;
           QCheck_alcotest.to_alcotest prop_roundtrip_unbounded;
           QCheck_alcotest.to_alcotest prop_roundtrip_ring ] );
       ( "registry",
@@ -472,7 +579,9 @@ let () =
         List.map
           (fun ((name, _, _, _) as g) ->
             Alcotest.test_case name `Quick (test_golden g))
-          golden );
+          golden
+        @ [ Alcotest.test_case "sink swap and detach" `Quick test_sink_swap ]
+      );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest prop_trace_replay_identical;
           Alcotest.test_case "sweep domain invariance" `Slow
