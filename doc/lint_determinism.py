@@ -30,12 +30,6 @@ SORT_WINDOW = 3  # lines before/after the site searched for a sort
 # numbers drift; content does not).  Keep reasons honest — "it's
 # probably fine" is not one.
 ALLOWLIST = [
-    ("lib/net/switch_model.ml", "e.hits <- Tcam.matching t.tcam e.flow.tuple",
-     "independent per-flow write: each entry's hits depend on its flow only"),
-    ("lib/net/switch_model.ml", "let r = effective_rate t f in",
-     "independent per-flow mutation"),
-    ("lib/net/switch_model.ml", "let hit =",
-     "commutative rate accumulation into a fresh subject"),
     ("lib/placement/milp_formulation.ml", "integer.(v) <- true",
      "indexed array write, one slot per key"),
     ("lib/placement/milp_formulation.ml", "if n0 = c.node && res'.(r) > 0.",

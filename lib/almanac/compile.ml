@@ -30,6 +30,14 @@
       frame list built by [v = append(v, e)] grows in O(1) until
       something else reads it, and every [size] / [nth] site keeps a
       per-instance cache of the last list it saw (see "List shapes").
+    - a [return] raises nothing: it leaves its value in [env.ret]
+      ([absent] while none is pending).  A sequence tests the slot before
+      each statement and a [while] before its condition, and both stop
+      once it is set.  [run_frame] reads and clears the slot when a
+      function body ends, [Exec.run_event] clears it when a handler ends,
+      and both clear it when the body fails.  {!Interp} still raises its
+      own [Return_exc]: the reference engine keeps the plainest reading
+      of [return], and the differential holds the two to the same runs.
 
     The produced code is observationally equivalent to {!Interp} on
     type-checked programs; the dynamic corner cases of the interpreter
@@ -90,6 +98,7 @@ type env = {
   mutable frame : Value.t array;
   mutable fnums : float array;
   mutable pending : string option;  (* transit target (a state name) *)
+  mutable ret : Value.t;  (* a pending [return]'s value, or [absent] *)
   calls : (Value.t list -> Value.t) array;
       (* per call site: a host closure, or [static_call] *)
   regs : float array;  (* numeric registers; results in [regs.(0)] *)
@@ -1320,7 +1329,8 @@ and compile_fn_call ctx scope fi idx args : call_code =
           run_frame env !(fi.fi_body) fr fnums
         end)
 
-(* Run a function body in frame [fr]; [return] ends it with a value. *)
+(* Run a function body in frame [fr]; a [return] ends it with the value
+   it left in [env.ret], which is cleared for the caller. *)
 and run_frame env body fr fnums =
   let saved = env.frame and saved_nums = env.fnums in
   env.frame <- fr;
@@ -1329,14 +1339,16 @@ and run_frame env body fr fnums =
   | () ->
       env.frame <- saved;
       env.fnums <- saved_nums;
-      Value.Unit
-  | exception Host.Return_exc v ->
-      env.frame <- saved;
-      env.fnums <- saved_nums;
-      v
+      let v = env.ret in
+      if v == absent then Value.Unit
+      else begin
+        env.ret <- absent;
+        v
+      end
   | exception e ->
       env.frame <- saved;
       env.fnums <- saved_nums;
+      env.ret <- absent;
       raise e
 
 (* ------------------------------------------------------------------ *)
@@ -1345,15 +1357,20 @@ and run_frame env body fr fnums =
 
 let nop_stmt : scode = fun _ -> ()
 
+(* Statements in order, stopping once one leaves a [return] pending
+   (the slot is clear when a body starts). *)
 let seq (codes : scode list) : scode =
   match codes with
   | [] -> nop_stmt
   | [ c ] -> c
   | codes ->
       let arr = Array.of_list codes in
+      let n = Array.length arr in
       fun env ->
-        for i = 0 to Array.length arr - 1 do
-          arr.(i) env
+        let i = ref 0 in
+        while !i < n && env.ret == absent do
+          arr.(!i) env;
+          incr i
         done
 
 let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
@@ -1427,15 +1444,16 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
       let cbody = compile_stmts ctx scope body in
       fun env ->
         let fuel = ref 1_000_000 in
-        while cc env do
+        (* a [return] in the body ends the loop *)
+        while env.ret == absent && cc env do
           decr fuel;
           if !fuel <= 0 then fail "while loop exceeded iteration budget";
           cbody env
         done
-  | Ast.Return None -> fun _ -> raise (Host.Return_exc Value.Unit)
+  | Ast.Return None -> fun env -> env.ret <- Value.Unit
   | Ast.Return (Some e) ->
       let c = compile_expr ctx scope e in
-      fun env -> raise (Host.Return_exc (c env))
+      fun env -> env.ret <- c env
   | Ast.Send (e, dest) -> (
       let ce = compile_expr ctx scope e in
       match dest with

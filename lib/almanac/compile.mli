@@ -49,6 +49,9 @@ type env = {
   mutable frame : Value.t array;
   mutable fnums : float array;
   mutable pending : string option;
+  mutable ret : Value.t;
+      (** the value of a [return] that is ending its body, else
+          {!absent}; {!run_frame} and [Exec]'s event runner clear it *)
   calls : (Value.t list -> Value.t) array;
       (** per call site: the host's closure for the name, else the
           plan's entry from {!t.c_call_sites} *)
@@ -78,7 +81,8 @@ val get : Value.t array -> float array -> int -> Value.t
 val set : Value.t array -> float array -> int -> Value.t -> unit
 
 (** [run_frame env body frame nums] runs a function body in a fresh frame
-    and returns its [return] value ([Unit] without one). *)
+    and returns its [return] value ([Unit] without one), leaving
+    [env.ret] clear. *)
 val run_frame : env -> scode -> Value.t array -> float array -> Value.t
 
 type event_c = {

@@ -60,8 +60,12 @@ let run_event (env : Compile.env) (ec : Compile.event_c) binding =
   env.frame <- fr;
   env.fnums <- nums;
   match ec.ev_body env with
-  | () | (exception Host.Return_exc _) -> Compile.release_lists env
+  | () ->
+      (* a handler's [return] ends it and its value goes nowhere *)
+      if env.ret != absent then env.ret <- absent;
+      Compile.release_lists env
   | exception e ->
+      env.ret <- absent;
       Compile.release_lists env;
       raise e
 
@@ -133,6 +137,7 @@ let create_compiled ?(externals = []) (c : Compile.t) (host : Host.host) =
       frame = empty_frame;
       fnums = Compile.no_nums;
       pending = None;
+      ret = absent;
       calls;
       regs = Array.make 2 0.;
       other = Value.Unit;
@@ -190,9 +195,7 @@ let fire_id t id value =
   apply_pending t
 
 let trace_fire t name =
-  match t.host.Host.h_trace with
-  | None -> ()
-  | Some f -> f name t.c.c_states.(t.env.Compile.state).st_name
+  t.host.Host.h_trace name t.c.c_states.(t.env.Compile.state).st_name
 
 let fire_trigger t name value =
   match Hashtbl.find_opt t.c.c_trig_ids name with

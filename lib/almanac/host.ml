@@ -8,9 +8,6 @@ exception Runtime_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
-(* Control-flow exception shared by both engines for [return]. *)
-exception Return_exc of Value.t
-
 type source = From_harvester | From_machine of string
 
 type target = To_harvester | To_machine of string * int option
@@ -23,7 +20,7 @@ type host = {
   h_builtin : string -> (Value.t list -> Value.t) option;
   h_on_transit : string -> string -> unit;
   h_log : string -> unit;
-  h_trace : (string -> string -> unit) option;
+  h_trace : string -> string -> unit;
 }
 
 let null_host =
@@ -34,4 +31,4 @@ let null_host =
     h_builtin = (fun _ -> None);
     h_on_transit = (fun _ _ -> ());
     h_log = (fun _ -> ());
-    h_trace = None }
+    h_trace = (fun _ _ -> ()) }

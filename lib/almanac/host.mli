@@ -10,9 +10,6 @@ exception Runtime_error of string
 (** Raise {!Runtime_error} with a formatted message. *)
 val fail : ('a, unit, string, 'b) format4 -> 'a
 
-(** Control-flow exception used by both engines to implement [return]. *)
-exception Return_exc of Value.t
-
 (** Where a received message came from (pattern-matched by [recv]). *)
 type source = From_harvester | From_machine of string
 
@@ -33,11 +30,10 @@ type host = {
           built-ins *)
   h_on_transit : string -> string -> unit;  (** old state, new state *)
   h_log : string -> unit;
-  h_trace : (string -> string -> unit) option;
+  h_trace : string -> string -> unit;
       (** observability hook, called by both engines on trigger dispatch
-          with (trigger name, current state).  [None] (the default)
-          costs a single branch on the hot path; the FARM runtime wires
-          [Some] to the engine's simulation-time trace sink. *)
+          with (trigger name, current state); the FARM runtime wires it
+          to the engine's current simulation-time trace sink. *)
 }
 
 (** A do-nothing host for pure tests. *)

@@ -1,5 +1,10 @@
 open Host
 
+(* [return] unwinds to the enclosing function call or event handler.  The
+   compiled engine leaves the value in a slot instead (see [Compile]);
+   this engine keeps the plain form as the reference. *)
+exception Return_exc of Value.t
+
 type t = {
   m : Ast.machine;
   funcs : (string, Ast.func_decl) Hashtbl.t;
@@ -310,7 +315,7 @@ let start t =
   end
 
 let fire_trigger t name value =
-  (match t.host.h_trace with None -> () | Some f -> f name t.state);
+  t.host.h_trace name t.state;
   let evs = current_events t (Semantics.Var name) in
   List.iter
     (fun (ev : Ast.event) ->

@@ -30,32 +30,26 @@ type port_state = { mutable p_rate : float; mutable p_bytes : float }
 
 type subject_state = { mutable s_rate : float; mutable s_bytes : float }
 
-module Subject_map = Map.Make (struct
-  type t = Filter.subject
-
-  let compare = Filter.subject_compare
-end)
-
 type t = {
   sw_id : int;
   caps : caps;
   tcam : Tcam.t;
   ports : port_state array;
-  mutable subjects : subject_state Subject_map.t;
-  flows : (int, entry) Hashtbl.t;
+  (* watched subjects, in watch order; a switch watches a handful *)
+  mutable watched : (Filter.subject * subject_state) array;
+  (* the active flows' entries, sorted by flow id, in [flows.(0)] to
+     [flows.(n_flows - 1)]; the slots after them hold [vacant] *)
+  mutable flows : entry array;
+  mutable n_flows : int;
   mutable tcam_version : int;
   mutable last_sync : float;
   (* traffic-surge fault: offered load multiplier applied on top of every
      flow's base rate; 1.0 is bit-exact with the unfaulted model *)
   mutable surge : float;
-  (* Hot-query caches, refreshed on demand with the exact fold the
-     uncached code used — same iteration order, same float accumulation,
-     so cached results are bit-identical to recomputing.  [fl_cache]
-     (id-sorted flow list) goes stale only on membership changes; the
-     rate caches ([rate_cache], the sum of active rates, and the sampling
-     table) also on any re-rating. *)
-  mutable fl_cache : active_flow list;
-  mutable fl_dirty : bool;
+  (* Rate caches, refreshed on demand by a walk in flow-id order, so
+     cached results are bit-identical to recomputing: [rate_cache], the
+     sum of active rates, and the sampling table go stale on membership
+     changes and on any re-rating. *)
   mutable rate_cache : float;
   mutable rate_dirty : bool;
   (* sampling table: the flows with a positive rate in id order, and the
@@ -68,13 +62,54 @@ let create ?(caps = accton_as5712) ~id ~ports () =
   { sw_id = id; caps;
     tcam = Tcam.create ~capacity:caps.tcam_entries ();
     ports = Array.init (Stdlib.max 1 ports) (fun _ -> { p_rate = 0.; p_bytes = 0. });
-    subjects = Subject_map.empty;
-    flows = Hashtbl.create 32;
+    watched = [||];
+    flows = [||];
+    n_flows = 0;
     tcam_version = 0;
     last_sync = 0.;
     surge = 1.;
-    fl_cache = []; fl_dirty = false; rate_cache = 0.; rate_dirty = false;
+    rate_cache = 0.; rate_dirty = false;
     smp_flows = [||]; smp_cum = [||] }
+
+(* Filler of the flow store's unused slots, so a removed flow is not kept
+   alive; no walk reads past [n_flows]. *)
+let vacant =
+  { flow =
+      { flow_id = -1;
+        tuple =
+          { Flow.src = Ipaddr.of_int 0; dst = Ipaddr.of_int 0; sport = 0;
+            dport = 0; proto = Flow.Tcp };
+        base_rate = 0.; rate = 0.; flags = Flow.no_flags; payload = "";
+        egress = -1 };
+    hits = [||] }
+
+(* The first index in [0, n_flows] whose flow id is at least [id]. *)
+let find_slot t id =
+  let lo = ref 0 and hi = ref t.n_flows in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.flows.(mid).flow.flow_id < id then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Put [e] in the store: in place of the entry with its id, else at its
+   sorted position.  [Fabric] hands out rising ids, so that is normally
+   the end; a reroute re-installs an older id in the middle. *)
+let store_entry t e =
+  let id = e.flow.flow_id in
+  let i = find_slot t id in
+  if i < t.n_flows && t.flows.(i).flow.flow_id = id then t.flows.(i) <- e
+  else begin
+    let n = t.n_flows in
+    if n = Array.length t.flows then begin
+      let grown = Array.make (Stdlib.max 8 (2 * n)) vacant in
+      Array.blit t.flows 0 grown 0 n;
+      t.flows <- grown
+    end;
+    Array.blit t.flows i t.flows (i + 1) (n - i);
+    t.flows.(i) <- e;
+    t.n_flows <- n + 1
+  end
 
 let id t = t.sw_id
 let caps t = t.caps
@@ -86,14 +121,15 @@ let port_count t = Array.length t.ports
 let refresh_hits t =
   let v = Tcam.version t.tcam in
   if v <> t.tcam_version then begin
-    Hashtbl.iter
-      (fun _ e -> e.hits <- Tcam.matching t.tcam e.flow.tuple)
-      t.flows;
+    for i = 0 to t.n_flows - 1 do
+      let e = t.flows.(i) in
+      e.hits <- Tcam.matching t.tcam e.flow.tuple
+    done;
     t.tcam_version <- v
   end
 
 (* Integrate all rates up to [time]; counters stay exact at poll instants.
-   Each TCAM rule matched at this instant gets, flow by flow in table
+   Each TCAM rule matched at this instant gets, flow by flow in id
    order, the flow's bytes of the interval and its packets at 1000 B per
    packet (at least one).  Crediting flow by flow keeps the float sums
    those of a scan of every rule per flow; summing per-rule rates would
@@ -101,49 +137,54 @@ let refresh_hits t =
 let sync t ~time =
   let dt = time -. t.last_sync in
   if dt > 0. then begin
-    Array.iter (fun p -> p.p_bytes <- p.p_bytes +. (p.p_rate *. dt)) t.ports;
-    Subject_map.iter
-      (fun _ s -> s.s_bytes <- s.s_bytes +. (s.s_rate *. dt))
-      t.subjects;
+    for i = 0 to Array.length t.ports - 1 do
+      let p = t.ports.(i) in
+      p.p_bytes <- p.p_bytes +. (p.p_rate *. dt)
+    done;
+    for i = 0 to Array.length t.watched - 1 do
+      let _, s = t.watched.(i) in
+      s.s_bytes <- s.s_bytes +. (s.s_rate *. dt)
+    done;
     refresh_hits t;
-    Hashtbl.iter
-      (fun _ e ->
-        let rate = e.flow.rate in
-        if rate > 0. then begin
-          let bytes = rate *. dt in
-          let q = bytes /. 1000. in
-          (* [Float.max 1. q], spelled out so that no float is boxed *)
-          let packets = if q > 1. || Float.is_nan q then q else 1. in
-          let hits = e.hits in
-          for i = 0 to Array.length hits - 1 do
-            let c = hits.(i) in
-            c.bytes <- c.bytes +. bytes;
-            c.packets <- c.packets +. packets
-          done
-        end)
-      t.flows;
+    for i = 0 to t.n_flows - 1 do
+      let e = t.flows.(i) in
+      let rate = e.flow.rate in
+      if rate > 0. then begin
+        let bytes = rate *. dt in
+        let q = bytes /. 1000. in
+        (* [Float.max 1. q], spelled out so that no float is boxed *)
+        let packets = if q > 1. || Float.is_nan q then q else 1. in
+        let hits = e.hits in
+        for j = 0 to Array.length hits - 1 do
+          let c = hits.(j) in
+          c.bytes <- c.bytes +. bytes;
+          c.packets <- c.packets +. packets
+        done
+      end
+    done;
     t.last_sync <- time
   end
   else if dt < 0. then
     invalid_arg "Switch_model: time went backwards"
+
+(* Whether flow [f] counts towards subject [subj]. *)
+let counts subj f =
+  match subj with
+  | Filter.All_ports -> true
+  | Filter.Port_counter p -> f.tuple.sport = p || f.tuple.dport = p
+  | Filter.Prefix_counter p ->
+      Ipaddr.Prefix.mem f.tuple.src p || Ipaddr.Prefix.mem f.tuple.dst p
+  | Filter.Proto_counter p -> f.tuple.proto = p
 
 let rate_delta t f delta =
   if f.egress >= 0 && f.egress < Array.length t.ports then begin
     let p = t.ports.(f.egress) in
     p.p_rate <- p.p_rate +. delta
   end;
-  Subject_map.iter
-    (fun subj s ->
-      let hit =
-        match subj with
-        | Filter.All_ports -> true
-        | Filter.Port_counter p -> f.tuple.sport = p || f.tuple.dport = p
-        | Filter.Prefix_counter p ->
-            Ipaddr.Prefix.mem f.tuple.src p || Ipaddr.Prefix.mem f.tuple.dst p
-        | Filter.Proto_counter p -> f.tuple.proto = p
-      in
-      if hit then s.s_rate <- s.s_rate +. delta)
-    t.subjects
+  for i = 0 to Array.length t.watched - 1 do
+    let subj, s = t.watched.(i) in
+    if counts subj f then s.s_rate <- s.s_rate +. delta
+  done
 
 let effective_rate t f =
   let base =
@@ -164,42 +205,39 @@ let add_flow t ~time ~flow_id ~tuple ~rate ?(flags = Flow.no_flags)
     { flow_id; tuple; base_rate = rate; rate; flags; payload; egress }
   in
   f.rate <- effective_rate t f;
-  Hashtbl.replace t.flows flow_id
-    { flow = f; hits = Tcam.matching t.tcam tuple };
-  t.fl_dirty <- true;
+  store_entry t { flow = f; hits = Tcam.matching t.tcam tuple };
   t.rate_dirty <- true;
   rate_delta t f f.rate
 
 let remove_flow t ~time ~flow_id =
   sync t ~time;
-  match Hashtbl.find_opt t.flows flow_id with
-  | None -> ()
-  | Some { flow = f; _ } ->
-      rate_delta t f (-.f.rate);
-      Hashtbl.remove t.flows flow_id;
-      t.fl_dirty <- true;
-      t.rate_dirty <- true
+  let i = find_slot t flow_id in
+  let n = t.n_flows in
+  if i < n && t.flows.(i).flow.flow_id = flow_id then begin
+    let f = t.flows.(i).flow in
+    rate_delta t f (-.f.rate);
+    Array.blit t.flows (i + 1) t.flows i (n - i - 1);
+    t.flows.(n - 1) <- vacant;
+    t.n_flows <- n - 1;
+    t.rate_dirty <- true
+  end
 
 let active_flows t =
-  if t.fl_dirty then begin
-    t.fl_cache <-
-      Hashtbl.fold (fun _ e acc -> e.flow :: acc) t.flows []
-      |> List.sort (fun a b -> Int.compare a.flow_id b.flow_id);
-    t.fl_dirty <- false
-  end;
-  t.fl_cache
+  List.init t.n_flows (fun i -> t.flows.(i).flow)
 
-(* Re-apply TCAM actions (Drop, Rate_limit) to every active flow. *)
+(* Re-apply TCAM actions (Drop, Rate_limit) to every active flow, in id
+   order, so the float accumulation into port and subject rates is
+   deterministic. *)
 let apply_tcam_actions t =
-  Hashtbl.iter
-    (fun _ { flow = f; _ } ->
-      let r = effective_rate t f in
-      if r <> f.rate then begin
-        rate_delta t f (r -. f.rate);
-        f.rate <- r;
-        t.rate_dirty <- true
-      end)
-    t.flows
+  for i = 0 to t.n_flows - 1 do
+    let f = t.flows.(i).flow in
+    let r = effective_rate t f in
+    if r <> f.rate then begin
+      rate_delta t f (r -. f.rate);
+      f.rate <- r;
+      t.rate_dirty <- true
+    end
+  done
 
 (* Rule changes settle the counters first, so a new rule counts traffic
    from its install on and a removed one keeps its last interval.  Adding
@@ -224,22 +262,13 @@ let remove_rule t ~time region ~pattern =
       n
 
 (* Traffic-surge fault: settle counters at [time], then re-rate every
-   active flow under the new multiplier (flow-id order, so the float
-   accumulation into port/subject rates is deterministic). *)
+   active flow under the new multiplier. *)
 let set_surge t ~time factor =
   if factor <= 0. then invalid_arg "Switch_model.set_surge: factor <= 0";
   if factor <> t.surge then begin
     sync t ~time;
     t.surge <- factor;
-    List.iter
-      (fun f ->
-        let r = effective_rate t f in
-        if r <> f.rate then begin
-          rate_delta t f (r -. f.rate);
-          f.rate <- r;
-          t.rate_dirty <- true
-        end)
-      (active_flows t)
+    apply_tcam_actions t
   end
 
 let check_port t port =
@@ -251,54 +280,71 @@ let port_bytes t ~time ~port =
   sync t ~time;
   t.ports.(port).p_bytes
 
+(* The index of subject [subj] in [t.watched], or -1 if it is not
+   watched; a loop, so a poll allocates no closure and no option. *)
+let find_subject t subj =
+  let n = Array.length t.watched in
+  let i = ref 0 in
+  while !i < n && not (Filter.subject_equal (fst t.watched.(!i)) subj) do
+    incr i
+  done;
+  if !i < n then !i else -1
+
 let watch_subject t ~time subj =
   sync t ~time;
-  if not (Subject_map.mem subj t.subjects) then begin
+  if find_subject t subj < 0 then begin
     let s = { s_rate = 0.; s_bytes = 0. } in
     (* initialize the subject's rate from currently active flows *)
-    t.subjects <- Subject_map.add subj s t.subjects;
-    Hashtbl.iter
-      (fun _ { flow = f; _ } ->
-        let hit =
-          match subj with
-          | Filter.All_ports -> true
-          | Filter.Port_counter p -> f.tuple.sport = p || f.tuple.dport = p
-          | Filter.Prefix_counter p ->
-              Ipaddr.Prefix.mem f.tuple.src p
-              || Ipaddr.Prefix.mem f.tuple.dst p
-          | Filter.Proto_counter p -> f.tuple.proto = p
-        in
-        if hit then s.s_rate <- s.s_rate +. f.rate)
-      t.flows
+    t.watched <- Array.append t.watched [| (subj, s) |];
+    for i = 0 to t.n_flows - 1 do
+      let f = t.flows.(i).flow in
+      if counts subj f then s.s_rate <- s.s_rate +. f.rate
+    done
   end
 
 let subject_bytes t ~time subj =
   sync t ~time;
-  match Subject_map.find_opt subj t.subjects with
-  | Some s -> s.s_bytes
-  | None -> 0.
+  let i = find_subject t subj in
+  if i < 0 then 0. else (snd t.watched.(i)).s_bytes
 
 let poll_subject t ~time subj =
   sync t ~time;
   match subj with
-  | Filter.All_ports -> Array.map (fun p -> p.p_bytes) t.ports
+  | Filter.All_ports ->
+      (* filled by a loop: a closure returning each float would box it *)
+      let bytes = Array.create_float (Array.length t.ports) in
+      for i = 0 to Array.length t.ports - 1 do
+        bytes.(i) <- t.ports.(i).p_bytes
+      done;
+      bytes
   | _ -> [| subject_bytes t ~time subj |]
 
 let refresh_rates t =
   if t.rate_dirty then begin
-    t.rate_cache <- Hashtbl.fold (fun _ e acc -> acc +. e.flow.rate) t.flows 0.;
+    let total = ref 0. and positive = ref 0 in
+    for i = 0 to t.n_flows - 1 do
+      let r = t.flows.(i).flow.rate in
+      total := !total +. r;
+      if r > 0. then incr positive
+    done;
+    t.rate_cache <- !total;
     (* adding a zero rate leaves a running sum unchanged, so the sums over
        the positive flows alone are the ones a walk over all flows in id
        order reaches at those flows *)
-    t.smp_flows <-
-      Array.of_list (List.filter (fun f -> f.rate > 0.) (active_flows t));
-    let acc = ref 0. in
-    t.smp_cum <-
-      Array.map
-        (fun f ->
-          acc := !acc +. f.rate;
-          !acc)
-        t.smp_flows;
+    let flows = Array.make !positive vacant.flow
+    and cum = Array.create_float !positive in
+    let k = ref 0 and acc = ref 0. in
+    for i = 0 to t.n_flows - 1 do
+      let f = t.flows.(i).flow in
+      if f.rate > 0. then begin
+        acc := !acc +. f.rate;
+        flows.(!k) <- f;
+        cum.(!k) <- !acc;
+        incr k
+      end
+    done;
+    t.smp_flows <- flows;
+    t.smp_cum <- cum;
     t.rate_dirty <- false
   end
 
@@ -324,7 +370,7 @@ let sample_packet t rng =
     let target = Farm_sim.Rng.uniform rng 0. total in
     let n = Array.length t.smp_cum in
     let i = first_reaching t.smp_cum target 0 n in
-    (* the sums can fall short of a total folded in another order *)
+    (* a draw rounded up to the total reaches no sum *)
     if i = n then None
     else
       let f = t.smp_flows.(i) in

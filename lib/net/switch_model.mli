@@ -54,9 +54,8 @@ val add_flow :
 val remove_flow : t -> time:float -> flow_id:int -> unit
 
 val active_flows : t -> active_flow list
-(** Active flows sorted by [flow_id].  Cached between membership changes
-    — repeated calls (packet sampling, surge re-rating) return the same
-    list without re-folding the flow table. *)
+(** Active flows sorted by [flow_id], the order in which every walk of
+    the model visits them. *)
 
 (** {2 TCAM rules} *)
 
@@ -104,6 +103,6 @@ val poll_subject : t -> time:float -> Filter.subject -> float array
 val sample_packet : t -> Farm_sim.Rng.t -> Flow.packet option
 
 (** Total offered egress rate over all flows, bytes/s.  Cached between
-    re-ratings; the refresh uses the same fold as always, so the value
+    re-ratings; the refresh sums the rates in flow-id order, so the value
     is bit-identical to recomputing on every call. *)
 val total_rate : t -> float

@@ -286,25 +286,20 @@ let deploy ~soil ~plan ?(externals = []) ?(builtins = []) ?restore
                 ~tid:(Soil.node_id soil);
               Trace.arg_i tr k_seed seed_id);
       h_log = (fun _ -> ());
-      (* Wired only when a trace sink is attached at deploy time, so
-         untraced runs keep the engines' [None] fast path (one branch
-         per trigger fire). *)
+      (* Reads the engine's sink on every fire, so a sink attached to a
+         running world, or swapped, gets handler events too; untraced, a
+         fire costs one closure call and one branch.  [trig]/[st] vary
+         per fire but turn into allocation-free hash hits after their
+         first occurrence. *)
       h_trace =
-        (match Sengine.tracer (Soil.engine soil) with
-        | None -> None
-        | Some _ ->
-            (* [trig]/[st] vary per fire but turn into allocation-free
-               hash hits after their first occurrence *)
-            let tid = Soil.node_id soil in
-            Some
-              (fun trig st ->
-                match Sengine.tracer (Soil.engine soil) with
-                | None -> ()
-                | Some tr ->
-                    Trace.instant tr ~ts:(Soil.now soil) ~cat:c_handler
-                      ~name:(Trace.intern tr trig) ~tid;
-                    Trace.arg_i tr k_seed seed_id;
-                    Trace.arg_s tr k_state (Trace.intern tr st))) }
+        (fun trig st ->
+          match Sengine.tracer (Soil.engine soil) with
+          | None -> ()
+          | Some tr ->
+              Trace.instant tr ~ts:(Soil.now soil) ~cat:c_handler
+                ~name:(Trace.intern tr trig) ~tid:(Soil.node_id soil);
+              Trace.arg_i tr k_seed seed_id;
+              Trace.arg_s tr k_state (Trace.intern tr st)) }
   in
   let i = Aengine.instantiate ~externals plan host in
   t.inst <- Some i;

@@ -28,6 +28,8 @@
      serve;
    - functions with parameters and [return], called from handlers and
      from later functions (never recursively, so runs terminate);
+   - early returns inside [if] and [while] bodies: [return e] in
+     functions, a bare [return;] in event handlers;
    - [recv float] / [recv long] handlers, trigger bindings and [transit].
 
    [nth] returns an untyped value, so numeric and bool variables can hold
@@ -49,11 +51,17 @@ type var = { name : string; ty : ty; assignable : bool }
 
 type fsig = { fname : string; params : ty list; ret : ty }
 
+(* What a [return] may look like here: none (initializers), bare (event
+   handlers) or with a value of the function's type *)
+type ret_mode = No_return | Bare | Value of ty
+
 type ctx = {
   vars : var list;  (* lexical scope, innermost first *)
   funcs : fsig list;  (* callable auxiliary functions *)
   states : string list;  (* transit targets; [] where transit is unsafe *)
   loop : int;  (* while nesting depth *)
+  returns : ret_mode;
+  in_block : bool;  (* inside an [if] or [while] body *)
 }
 
 let pool = [ "a"; "b"; "x"; "y" ]
@@ -278,15 +286,18 @@ and stmt ctx d : (Ast.stmt list * ctx) G.t =
   let numeric_assignable = List.filter (fun v -> v.ty = N) assignable in
   let if_ =
     let* c = expr ctx B 2 in
-    let* th = G.int_range 1 3 >>= stmts ctx (d - 1) in
-    let+ el = G.int_range 0 2 >>= stmts ctx (d - 1) in
+    let block = { ctx with in_block = true } in
+    let* th = G.int_range 1 3 >>= stmts block (d - 1) in
+    let+ el = G.int_range 0 2 >>= stmts block (d - 1) in
     ([ st (Ast.If (c, th, el)) ], ctx)
   in
   let while_ =
     let k = Printf.sprintf "k%d" ctx.loop in
     let kv = { name = k; ty = N; assignable = false } in
     let* bound = G.int_range 1 3 in
-    let inner = { ctx with loop = ctx.loop + 1; vars = kv :: ctx.vars } in
+    let inner =
+      { ctx with loop = ctx.loop + 1; vars = kv :: ctx.vars; in_block = true }
+    in
     let+ body = G.int_range 1 3 >>= stmts inner (d - 1) in
     let step = st (Ast.Assign (k, Ast.Binop (Ast.Add, Ast.Var k, Ast.Int 1))) in
     ( [ st (Ast.Decl (Ast.Tlong, k, Some (Ast.Int 0)));
@@ -307,6 +318,17 @@ and stmt ctx d : (Ast.stmt list * ctx) G.t =
     let+ e = expr ctx N 2 in
     ([ st (Ast.ExprStmt (call f [ e ])) ], ctx)
   in
+  (* an early return, which ends the body with the statements after it
+     (and the rest of an enclosing loop) unrun *)
+  let return_ =
+    match ctx.returns with
+    | Value t ->
+        [ ( 1,
+            let+ e = expr ctx t 2 in
+            ([ st (Ast.Return (Some e)) ], ctx) ) ]
+    | Bare -> [ (1, G.return ([ st (Ast.Return None) ], ctx)) ]
+    | No_return -> []
+  in
   let lists = List.filter (fun v -> v.ty = L) assignable in
   let in_loop = d > 0 && ctx.loop < 2 in
   G.frequency
@@ -320,6 +342,7 @@ and stmt ctx d : (Ast.stmt list * ctx) G.t =
          (if d > 0 then [ (2, if_) ] else []);
          (if d > 0 && ctx.loop < 2 then [ (1, while_) ] else []);
          (if ctx.states <> [] then [ (1, transit ()) ] else []);
+         (if ctx.in_block then return_ else []);
          [ (1, send); (1, effect) ] ])
 
 (* [v = append(v, x)]: on a frame variable, the compiled engine's
@@ -501,7 +524,7 @@ let func funcs i : (Ast.func_decl * fsig) G.t =
   let* ptyps = G.flatten_l (List.map ast_typ ptys) in
   let ctx =
     { vars = List.map2 (fun name ty -> { name; ty; assignable = true }) names ptys;
-      funcs; states = []; loop = 0 }
+      funcs; states = []; loop = 0; returns = Value ret; in_block = false }
   in
   let* n = G.int_range 0 3 in
   let* body = stmts ctx 2 n in
@@ -559,7 +582,10 @@ let machine funcs : Ast.machine G.t =
     List.fold_left
       (fun acc (name, t) ->
         let* decls, vars = acc in
-        let ctx = { vars; funcs = []; states = []; loop = 0 } in
+        let ctx =
+          { vars; funcs = []; states = []; loop = 0; returns = No_return;
+            in_block = false }
+        in
         let+ decl = var_decl ctx ~d:0 name t in
         (decls @ [ decl ], { name; ty = t; assignable = true } :: vars))
       (G.return ([], [ th ]))
@@ -571,7 +597,10 @@ let machine funcs : Ast.machine G.t =
   in
   let* nstates = G.int_range 2 3 in
   let snames = List.filteri (fun i _ -> i < nstates) state_names in
-  let base = { vars = gvars; funcs; states = snames; loop = 0 } in
+  let base =
+    { vars = gvars; funcs; states = snames; loop = 0; returns = Bare;
+      in_block = false }
+  in
   let* states =
     G.flatten_l
       (List.map

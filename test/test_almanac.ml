@@ -1227,7 +1227,7 @@ let diff_driver ~plan ~externals
           incr transitions;
           log := Printf.sprintf "transit:%s->%s" a b :: !log);
       h_log = (fun m -> log := ("log:" ^ m) :: !log);
-      h_trace = None }
+      h_trace = (fun _ _ -> ()) }
   in
   { dd_plan = plan; dd_host = host; dd_externals = externals;
     dd_inst = Engine.instantiate ~externals plan host;
@@ -1812,6 +1812,73 @@ let test_host_overrides () =
            ~externals:[] ~builtins))
     cases
 
+(* A [return] inside a loop ends the function at once, also when the
+   returned expression calls the function again inside an argument; a
+   bare [return;] ends a handler, with the loop around it unfinished. *)
+let early_return_source =
+  {|
+long walk(long n) {
+  long i = 0;
+  while (i < 100) {
+    if (i * i >= n) then {
+      if (n <= 1) then { return i; }
+      return i + walk(n - max(walk(floor(n / 4)), 1));
+    }
+    i = i + 1;
+  }
+  return -1;
+}
+machine Walk {
+  place all;
+  time clock = Time { .ival = 1 };
+  list seen = [];
+  long after = 0;
+  state s0 {
+    when (clock) do {
+      long k = 0;
+      while (k < 6) {
+        seen = append(seen, walk(k * 7));
+        if (k == 4) then { return; }
+        k = k + 1;
+      }
+      after = after + 1;
+    }
+  }
+}
+|}
+
+let test_early_return () =
+  let program = Typecheck.check (Parser.program early_return_source) in
+  let run engine =
+    let inst =
+      Engine.instantiate (Engine.prepare ~engine ~program ~machine:"Walk")
+        Host.null_host
+    in
+    Engine.start inst;
+    Engine.fire_trigger inst "clock" (Value.Num 0.);
+    Engine.fire_trigger inst "clock" (Value.Num 1.);
+    let get v = Option.map Value.to_string (Engine.var inst v) in
+    let walks =
+      List.map
+        (fun n ->
+          Value.to_string (Engine.call_function inst "walk" [ Value.Num n ]))
+        [ 0.; 1.; 2.; 9.; 10.; 50. ]
+    in
+    (get "seen", get "after", walks)
+  in
+  let seen, after, walks = run `Interp in
+  Alcotest.(check (option string)) "interp: the handler returned early"
+    (Some "0") after;
+  Alcotest.(check (option string)) "interp: two runs of five walks"
+    (Some "[0, 16, 20, 22, 26, 0, 16, 20, 22, 26]") seen;
+  let seen', after', walks' = run `Compiled in
+  Alcotest.(check (option string)) "compiled: seen" seen seen';
+  Alcotest.(check (option string)) "compiled: after" after after';
+  Alcotest.(check (list string)) "compiled: walk" walks walks';
+  ignore
+    (diff_run_machine ~what:"early return" ~program ~machine:"Walk"
+       ~externals:[] ~builtins:[])
+
 (* Both engines evaluate binop operands left to right.  With a host whose
    now() counts its calls, [now() == now() - 1] compares 1 with 2 - 1. *)
 let eq_order_source =
@@ -1969,7 +2036,9 @@ let () =
           Alcotest.test_case "host overrides of built-ins" `Quick
             test_host_overrides;
           Alcotest.test_case "list caches keep nothing alive" `Quick
-            test_list_caches_release ]
+            test_list_caches_release;
+          Alcotest.test_case "return from a loop, recursion in an argument"
+            `Quick test_early_return ]
         @ qsuite
             [ prop_differential_random; prop_shared_plan_no_interference;
               prop_generated_differential; prop_generated_equiv;

@@ -521,6 +521,70 @@ let prop_sample_matches_walk =
                 (List.init n Fun.id))
         ops)
 
+module Int_map = Map.Make (Int)
+
+type store_op =
+  | New of float  (* the next rising id, as [Fabric] hands them out *)
+  | Gone of int  (* any id issued so far, active or not *)
+  | Back of int * float  (* re-install an issued id: a reroute *)
+
+(* The switch's flow store under fresh ids, removals and re-installs of
+   old ids keeps the flows strictly sorted by id, and they are exactly the
+   bindings of a map from id to the last install. *)
+let prop_flow_store_sorted =
+  let gen =
+    let open QCheck2.Gen in
+    list_size (int_range 0 80)
+      (frequency
+         [ (4, map (fun r -> New r) gen_rate);
+           (3, map (fun k -> Gone k) nat);
+           (2, map2 (fun k r -> Back (k, r)) nat gen_rate) ])
+  in
+  QCheck2.Test.make ~name:"flow store = id-ordered map" ~count:300 gen
+    (fun ops ->
+      let sw = Switch_model.create ~id:0 ~ports:2 () in
+      let issued = ref 0 and time = ref 0. in
+      let install reference id rate =
+        Switch_model.add_flow sw ~time:!time ~flow_id:id
+          ~tuple:(tup ~sport:(1000 + id) ()) ~rate ~egress:(id mod 2) ();
+        Int_map.add id rate reference
+      in
+      let old k = k mod Stdlib.max 1 !issued in
+      List.fold_left
+        (fun (ok, reference) op ->
+          time := !time +. 0.1;
+          let reference =
+            match op with
+            | New rate ->
+                let id = !issued in
+                incr issued;
+                install reference id rate
+            | Gone k ->
+                let id = old k in
+                Switch_model.remove_flow sw ~time:!time ~flow_id:id;
+                Int_map.remove id reference
+            | Back (k, rate) -> install reference (old k) rate
+          in
+          let ids =
+            List.map
+              (fun (f : Switch_model.active_flow) -> f.flow_id)
+              (Switch_model.active_flows sw)
+          in
+          let rec strictly = function
+            | a :: (b :: _ as rest) -> a < b && strictly rest
+            | [ _ ] | [] -> true
+          in
+          let bindings =
+            List.map
+              (fun (f : Switch_model.active_flow) ->
+                (f.flow_id, f.base_rate))
+              (Switch_model.active_flows sw)
+          in
+          ( ok && strictly ids && bindings = Int_map.bindings reference,
+            reference ))
+        (true, Int_map.empty) ops
+      |> fst)
+
 (* Reference switch accounting: the model as it was before it kept each
    flow's matching rules.  Every sync re-matches each active flow against
    every installed rule ([record]).  Rates follow the same TCAM actions
@@ -548,16 +612,20 @@ module Ref_switch = struct
       p_rate = Array.make ports 0.; p_bytes = Array.make ports 0.;
       last = 0.; surge = 1. }
 
+  (* [f] on every flow in id order, the order the switch defines *)
+  let iter_by_id r f =
+    Hashtbl.fold (fun id fl acc -> (id, fl) :: acc) r.flows []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (_, fl) -> f fl)
+
   let sync r ~time =
     let dt = time -. r.last in
     if dt > 0. then begin
       Array.iteri
         (fun i rate -> r.p_bytes.(i) <- r.p_bytes.(i) +. (rate *. dt))
         r.p_rate;
-      Hashtbl.iter
-        (fun _ f ->
-          if f.rate > 0. then record r.tcam f.tuple ~bytes:(f.rate *. dt))
-        r.flows;
+      iter_by_id r (fun f ->
+          if f.rate > 0. then record r.tcam f.tuple ~bytes:(f.rate *. dt));
       r.last <- time
     end
 
@@ -599,7 +667,7 @@ module Ref_switch = struct
     else begin
       sync r ~time;
       let added = Tcam.add r.tcam region rule in
-      Hashtbl.iter (fun _ f -> rerate r f) r.flows;
+      iter_by_id r (rerate r);
       added
     end
 
@@ -609,16 +677,14 @@ module Ref_switch = struct
     | Some _ ->
         sync r ~time;
         let n = Tcam.remove r.tcam region ~pattern in
-        Hashtbl.iter (fun _ f -> rerate r f) r.flows;
+        iter_by_id r (rerate r);
         n
 
   let set_surge r ~time factor =
     if factor <> r.surge then begin
       sync r ~time;
       r.surge <- factor;
-      Hashtbl.fold (fun id f acc -> (id, f) :: acc) r.flows []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.iter (fun (_, f) -> rerate r f)
+      iter_by_id r (rerate r)
     end
 end
 
@@ -1067,7 +1133,9 @@ let () =
           Alcotest.test_case "rule counts from install to removal" `Quick
             test_switch_rule_lifetime;
           Alcotest.test_case "sampling" `Quick test_switch_sampling ]
-        @ qsuite [ prop_sample_matches_walk; prop_accounting_matches_scan ] );
+        @ qsuite
+            [ prop_sample_matches_walk; prop_accounting_matches_scan;
+              prop_flow_store_sorted ] );
       ( "fabric",
         [ Alcotest.test_case "flow accounting" `Quick
             test_fabric_flow_accounting;

@@ -551,6 +551,25 @@ let test_sink_swap () =
       "soil.pcie" ]
     (List.filter (fun c -> c <> "seed.transit") (cats b))
 
+(* A sink attached after deploy, to a world that ran untraced, gets the
+   handler events of the seeds already running. *)
+let test_sink_attached_late () =
+  let w = World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1 () in
+  (match World.deploy_catalog_task w "heavy-hitter" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "heavy-hitter deploy: %s" m);
+  World.background_traffic ~flows:32 w;
+  World.run ~until:0.1 w;
+  let tr = Trace.create () in
+  Engine.set_tracer w.World.engine (Some tr);
+  World.run ~until:0.2 w;
+  let handlers = ref 0 in
+  Trace.iter
+    (fun ev -> if ev.Trace.cat = "seed.handler" then incr handlers)
+    tr;
+  Alcotest.(check bool) "seed.handler events reach the late sink" true
+    (!handlers > 0)
+
 let () =
   Alcotest.run "farm_trace"
     [ ( "sink",
@@ -580,7 +599,9 @@ let () =
           (fun ((name, _, _, _) as g) ->
             Alcotest.test_case name `Quick (test_golden g))
           golden
-        @ [ Alcotest.test_case "sink swap and detach" `Quick test_sink_swap ]
+        @ [ Alcotest.test_case "sink swap and detach" `Quick test_sink_swap;
+            Alcotest.test_case "sink attached after deploy" `Quick
+              test_sink_attached_late ]
       );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest prop_trace_replay_identical;
