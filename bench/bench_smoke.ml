@@ -196,12 +196,13 @@ let list_sites_gate = 4
    and does not only show up as wall-clock drift. *)
 let fused_gate = 15
 
-let activation_alloc fire stats =
-  for _ = 1 to 100 do fire stats done;
+(* Bytes one [f x] allocates, after 100 warm-up calls *)
+let alloc_per_call f x =
+  for _ = 1 to 100 do f x done;
   let n = 1_000 in
   Gc.minor ();
   let a0 = Gc.allocated_bytes () in
-  for _ = 1 to n do fire stats done;
+  for _ = 1 to n do f x done;
   Gc.minor ();
   (Gc.allocated_bytes () -. a0) /. float_of_int n
 
@@ -369,6 +370,40 @@ let poll_alloc ~rules =
   Gc.minor ();
   (Gc.allocated_bytes () -. a0) /. float_of_int polls
 
+(* Bytes one [Checkpoint.wire_bytes] allocates on a heavy-hitter delta
+   checkpoint: the 16-entry [prev] list a poll replaced, as self-healing
+   prices it on every checkpoint interval.  The writer counts the wire
+   form without building it, so what remains is the sink, its counter
+   and the boxed result: 48.1 B, gated at that plus half a word; a minor
+   collection before each read makes the count deterministic.  Building
+   the XML tree and printing it cost 24 640 B per call.  Also returns the
+   bytes one [encode] of it allocates (4 824 B; 24 624 B through the tree)
+   and the wire length (452 B), printed beside it. *)
+let checkpoint_alloc_gate = 52.1
+let checkpoint_alloc program =
+  let module Checkpoint = Farm_runtime.Checkpoint in
+  let hh = Almanac.Exec.create ~program ~machine:"HH" Almanac.Host.null_host in
+  Almanac.Exec.start hh;
+  let fire = Almanac.Exec.prepare_trigger hh "pollStats" in
+  let poll k =
+    fire (Almanac.Value.Stats (Array.init 16 (fun i -> float_of_int (k * 37 + i))))
+  in
+  poll 1;
+  let base, _ = Almanac.Exec.snapshot hh in
+  poll 2;
+  let vars, state = Almanac.Exec.snapshot hh in
+  let changed, removed = Checkpoint.delta ~base vars in
+  let ck =
+    { Checkpoint.ck_seed = 1; ck_epoch = 1; ck_seq = 1; ck_full = false;
+      ck_vars = changed; ck_removed = removed; ck_state = state }
+  in
+  let per_call f =
+    alloc_per_call (fun ck -> ignore (Sys.opaque_identity (f ck))) ck
+  in
+  ( per_call Checkpoint.wire_bytes,
+    per_call Checkpoint.encode,
+    Checkpoint.wire_bytes ck )
+
 (* The heavy-hitter world of the trace and overload smokes: background
    traffic plus one elephant at 0.3 s, so detections reach the harvester
    inside the 1 s run and the digests cover collector traffic.  A tracer,
@@ -527,7 +562,7 @@ let () =
   let plan = Almanac.Compile.compile ~program ~machine:"HH" in
   let fused = plan.c_fused and list_sites = plan.c_list_sites in
   let speedup = compiled_eps /. interp_eps in
-  let activation_bytes = activation_alloc compiled_fire stats in
+  let activation_bytes = alloc_per_call compiled_fire stats in
   Printf.printf "almanac HH poll activation:\n";
   Printf.printf "  interp   %12.0f events/sec\n" interp_eps;
   Printf.printf "  compiled %12.0f events/sec (%.0f B allocated/activation)\n"
@@ -543,7 +578,7 @@ let () =
   let wide_fire = Almanac.Exec.prepare_trigger wide "pollStats" in
   let wide_stats = Almanac.Value.Stats (Array.make wide_ports 100.) in
   let wide_ns = 1e9 /. bench_events ~warmup:500 wide_fire wide_stats in
-  let wide_bytes = activation_alloc wide_fire wide_stats in
+  let wide_bytes = alloc_per_call wide_fire wide_stats in
   Printf.printf "  %d ports %8.0f ns/activation (%.0f B allocated/activation)\n%!"
     wide_ports wide_ns wide_bytes;
 
@@ -587,6 +622,11 @@ let () =
     "  %.0f B allocated with no rule, %.0f B with 64 matching rules (gate: \
      %.0f B)\n%!"
     poll_bytes_0 poll_bytes_64 poll_alloc_gate;
+  let ck_wire_alloc, ck_encode_alloc, ck_bytes = checkpoint_alloc program in
+  Printf.printf "checkpoint (heavy-hitter delta, %.0f wire bytes):\n" ck_bytes;
+  Printf.printf "  wire_bytes %7.1f B allocated/call (gate: %.1f B)\n"
+    ck_wire_alloc checkpoint_alloc_gate;
+  Printf.printf "  encode     %7.1f B allocated/call\n%!" ck_encode_alloc;
 
   let pairs = trace_smoke () in
   let trace_inert =
@@ -733,6 +773,12 @@ let () =
     \    \"alloc_bytes_64_rules\": %.1f,\n\
     \    \"gate_bytes\": %.0f\n\
     \  },\n\
+    \  \"checkpoint\": {\n\
+    \    \"wire_bytes\": %.0f,\n\
+    \    \"wire_bytes_alloc_bytes_per_call\": %.1f,\n\
+    \    \"encode_alloc_bytes_per_call\": %.1f,\n\
+    \    \"gate_bytes\": %.1f\n\
+    \  },\n\
     \  \"tracing\": {\n\
     \    \"digest_parity\": %b,\n\
     \    \"pairs\": %d,\n\
@@ -775,7 +821,8 @@ let () =
     deploy_seeds deploy_bytes deploy_alloc_gate
     churn_deploys retained_bytes retention_gate
     shed_offers shed_count shed_bytes shed_alloc_gate
-    poll_bytes_0 poll_bytes_64 poll_alloc_gate trace_inert
+    poll_bytes_0 poll_bytes_64 poll_alloc_gate
+    ck_bytes ck_wire_alloc ck_encode_alloc checkpoint_alloc_gate trace_inert
     trace_pairs eps_off eps_on alloc_off alloc_on trace_events trace_bytes
     trace_overhead_pct overhead_q1 overhead_q3
     ov_parity ov_eps_off
@@ -873,6 +920,13 @@ let () =
     Printf.eprintf
       "FAIL: a switch poll on 32 flows allocates %.0f B (gate: %.0f B)\n%!"
       poll_bytes_0 poll_alloc_gate;
+    exit 1
+  end;
+  if ck_wire_alloc > checkpoint_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: pricing a heavy-hitter delta checkpoint allocates %.1f B (gate: \
+       %.1f B)\n%!"
+      ck_wire_alloc checkpoint_alloc_gate;
     exit 1
   end;
   if activation_bytes > activation_alloc_gate then begin

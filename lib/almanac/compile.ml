@@ -1358,11 +1358,33 @@ and run_frame env body fr fnums =
 let nop_stmt : scode = fun _ -> ()
 
 (* Statements in order, stopping once one leaves a [return] pending
-   (the slot is clear when a body starts). *)
+   (the slot is clear when a body starts).  Up to four statements run
+   straight-line in one closure; longer bodies loop over an array. *)
 let seq (codes : scode list) : scode =
   match codes with
   | [] -> nop_stmt
   | [ c ] -> c
+  | [ a; b ] ->
+      fun env ->
+        a env;
+        if env.ret == absent then b env
+  | [ a; b; c ] ->
+      fun env ->
+        a env;
+        if env.ret == absent then begin
+          b env;
+          if env.ret == absent then c env
+        end
+  | [ a; b; c; d ] ->
+      fun env ->
+        a env;
+        if env.ret == absent then begin
+          b env;
+          if env.ret == absent then begin
+            c env;
+            if env.ret == absent then d env
+          end
+        end
   | codes ->
       let arr = Array.of_list codes in
       let n = Array.length arr in

@@ -1,3 +1,11 @@
+(* The XML layer of the seed interchange format (see xml.mli).  The
+   writer appends into one [Buffer]: escaping copies the unescaped runs of
+   a value with [Buffer.add_substring] and writes only the entities, so
+   serializing a tree allocates little beyond the output itself.  The
+   escape table is shared with writers that emit the same markup without
+   a tree ([Farm_runtime.Checkpoint]), through [add_escaped] and
+   [escaped_length]. *)
+
 type t = Element of string * (string * string) list * t list | Text of string
 
 let element ?(attrs = []) name children = Element (name, attrs, children)
@@ -37,40 +45,76 @@ let rec text_content = function
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The five characters escaped in text and attribute values, and their
+   entities; [""] for every other character. *)
+let entity = function
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '&' -> "&amp;"
+  | '"' -> "&quot;"
+  | '\'' -> "&apos;"
+  | _ -> ""
+
+let add_escaped buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let e = entity s.[i] in
+    if String.length e > 0 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_string buf e;
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
+
+let escaped_length s =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    let e = String.length (entity s.[i]) in
+    if e > 0 then n := !n + e - 1
+  done;
+  !n
 
 let to_string ?(indent = true) t =
   let buf = Buffer.create 1024 in
+  let newline () = if indent then Buffer.add_char buf '\n' in
+  let pad depth =
+    if indent then
+      for _ = 1 to 2 * depth do
+        Buffer.add_char buf ' '
+      done
+  in
   let rec go depth t =
-    let pad = if indent then String.make (2 * depth) ' ' else "" in
+    pad depth;
     match t with
-    | Text s -> Buffer.add_string buf (pad ^ escape s ^ if indent then "\n" else "")
-    | Element (n, attrs, kids) ->
-        Buffer.add_string buf (pad ^ "<" ^ n);
+    | Text s ->
+        add_escaped buf s;
+        newline ()
+    | Element (n, attrs, kids) -> (
+        Buffer.add_char buf '<';
+        Buffer.add_string buf n;
         List.iter
           (fun (k, v) ->
-            Buffer.add_string buf (Printf.sprintf " %s=\"%s\"" k (escape v)))
+            Buffer.add_char buf ' ';
+            Buffer.add_string buf k;
+            Buffer.add_string buf "=\"";
+            add_escaped buf v;
+            Buffer.add_char buf '"')
           attrs;
-        if kids = [] then
-          Buffer.add_string buf ("/>" ^ if indent then "\n" else "")
-        else begin
-          Buffer.add_string buf (">" ^ if indent then "\n" else "");
-          List.iter (go (depth + 1)) kids;
-          Buffer.add_string buf (pad ^ "</" ^ n ^ ">");
-          if indent then Buffer.add_char buf '\n'
-        end
+        match kids with
+        | [] ->
+            Buffer.add_string buf "/>";
+            newline ()
+        | kids ->
+            Buffer.add_char buf '>';
+            newline ();
+            List.iter (go (depth + 1)) kids;
+            pad depth;
+            Buffer.add_string buf "</";
+            Buffer.add_string buf n;
+            Buffer.add_char buf '>';
+            newline ())
   in
   go 0 t;
   Buffer.contents buf

@@ -30,6 +30,14 @@ val text_content : t -> string
 (** Serialize with proper escaping; [indent] pretty-prints (default). *)
 val to_string : ?indent:bool -> t -> string
 
+(** [add_escaped buf s] appends [s] with each of the five markup
+    characters (less-than, greater-than, ampersand, both quotes) replaced
+    by its entity, as {!to_string} writes text and attribute values. *)
+val add_escaped : Buffer.t -> string -> unit
+
+(** [String.length] of what {!add_escaped} appends, without building it. *)
+val escaped_length : string -> int
+
 exception Parse_error of string
 
 (** Parse one document element (prolog allowed, comments skipped). *)

@@ -9,11 +9,6 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-(* Floats travel as hex literals ("%h") so decode (encode v) is exact —
-   counters restored from a checkpoint must be bit-identical for replay
-   determinism. *)
-let float_attr f = Printf.sprintf "%h" f
-
 let float_of_attr s =
   match float_of_string_opt s with
   | Some f -> f
@@ -23,8 +18,6 @@ let int_of_attr s =
   match int_of_string_opt s with
   | Some i -> i
   | None -> fail "bad int %S" s
-
-let bool_attr b = if b then "1" else "0"
 
 let bool_of_attr = function
   | "1" -> true
@@ -39,20 +32,6 @@ let proto_of_attr s =
   match Flow.proto_of_string s with
   | Some p -> p
   | None -> fail "bad proto %S" s
-
-let atom_to_xml (a : Filter.atom) =
-  let leaf ?v name =
-    Xml.element ~attrs:(match v with Some v -> [ ("v", v) ] | None -> []) name
-      []
-  in
-  match a with
-  | Filter.Src_ip p -> leaf ~v:(Ipaddr.Prefix.to_string p) "srcip"
-  | Filter.Dst_ip p -> leaf ~v:(Ipaddr.Prefix.to_string p) "dstip"
-  | Filter.Src_port p -> leaf ~v:(string_of_int p) "srcport"
-  | Filter.Dst_port p -> leaf ~v:(string_of_int p) "dstport"
-  | Filter.Port p -> leaf ~v:(string_of_int p) "port"
-  | Filter.Proto p -> leaf ~v:(Flow.proto_to_string p) "proto"
-  | Filter.Any -> leaf "anyatom"
 
 let atom_of_xml x =
   let v () = Xml.attr_exn x "v" in
@@ -70,15 +49,6 @@ let atom_of_xml x =
   | "proto" -> Filter.Proto (proto_of_attr (v ()))
   | "anyatom" -> Filter.Any
   | n -> fail "unknown filter atom <%s>" n
-
-let rec filter_to_xml (f : Filter.t) =
-  match f with
-  | Filter.True -> Xml.element "t" []
-  | Filter.False -> Xml.element "f" []
-  | Filter.Atom a -> atom_to_xml a
-  | Filter.And (a, b) -> Xml.element "and" [ filter_to_xml a; filter_to_xml b ]
-  | Filter.Or (a, b) -> Xml.element "or" [ filter_to_xml a; filter_to_xml b ]
-  | Filter.Not a -> Xml.element "not" [ filter_to_xml a ]
 
 let rec filter_of_xml x =
   let two () =
@@ -105,21 +75,6 @@ let rec filter_of_xml x =
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let action_to_xml (a : Tcam.action) =
-  let mk kind arg =
-    Xml.element
-      ~attrs:
-        (("kind", kind) :: (match arg with Some v -> [ ("arg", v) ] | None -> []))
-      "action" []
-  in
-  match a with
-  | Tcam.Forward p -> mk "forward" (Some (string_of_int p))
-  | Tcam.Drop -> mk "drop" None
-  | Tcam.Rate_limit r -> mk "ratelimit" (Some (float_attr r))
-  | Tcam.Set_qos q -> mk "setqos" (Some (string_of_int q))
-  | Tcam.Mirror -> mk "mirror" None
-  | Tcam.Count -> mk "count" None
-
 let action_of_xml x =
   let arg () = Xml.attr_exn x "arg" in
   match Xml.attr_exn x "kind" with
@@ -130,22 +85,6 @@ let action_of_xml x =
   | "mirror" -> Tcam.Mirror
   | "count" -> Tcam.Count
   | k -> fail "unknown action kind %S" k
-
-let packet_to_xml (p : Flow.packet) =
-  Xml.element
-    ~attrs:
-      [ ("src", Ipaddr.to_string p.tuple.src);
-        ("dst", Ipaddr.to_string p.tuple.dst);
-        ("sport", string_of_int p.tuple.sport);
-        ("dport", string_of_int p.tuple.dport);
-        ("proto", Flow.proto_to_string p.tuple.proto);
-        ("size", string_of_int p.size);
-        ("syn", bool_attr p.flags.syn);
-        ("ack", bool_attr p.flags.ack);
-        ("fin", bool_attr p.flags.fin);
-        ("rst", bool_attr p.flags.rst);
-        ("payload", p.payload) ]
-    "packet" []
 
 let packet_of_xml x : Flow.packet =
   let a k = Xml.attr_exn x k in
@@ -162,31 +101,6 @@ let packet_of_xml x : Flow.packet =
       { syn = bool_of_attr (a "syn"); ack = bool_of_attr (a "ack");
         fin = bool_of_attr (a "fin"); rst = bool_of_attr (a "rst") };
     payload = a "payload" }
-
-let rec value_to_xml (v : Value.t) =
-  match v with
-  | Value.Unit -> Xml.element "unit" []
-  | Value.Bool b -> Xml.element ~attrs:[ ("v", bool_attr b) ] "bool" []
-  | Value.Num n -> Xml.element ~attrs:[ ("v", float_attr n) ] "num" []
-  | Value.Str s -> Xml.element ~attrs:[ ("v", s) ] "str" []
-  | Value.List l -> Xml.element "list" (List.map value_to_xml l)
-  | Value.Packet p -> packet_to_xml p
-  | Value.Action a -> action_to_xml a
-  | Value.FilterV f -> Xml.element "filter" [ filter_to_xml f ]
-  | Value.Stats arr ->
-      Xml.element
-        ~attrs:
-          [ ("v",
-             String.concat " " (Array.to_list (Array.map float_attr arr))) ]
-        "stats" []
-  | Value.Struct (name, fields) ->
-      Xml.element
-        ~attrs:[ ("name", name) ]
-        "struct"
-        (List.map
-           (fun (k, v) ->
-             Xml.element ~attrs:[ ("name", k) ] "field" [ value_to_xml v ])
-           fields)
 
 let rec value_of_xml x : Value.t =
   match Xml.name x with
@@ -233,25 +147,6 @@ type t = {
   ck_state : string;
 }
 
-let to_xml ck =
-  Xml.element
-    ~attrs:
-      [ ("seed", string_of_int ck.ck_seed);
-        ("epoch", string_of_int ck.ck_epoch);
-        ("seq", string_of_int ck.ck_seq);
-        ("full", bool_attr ck.ck_full);
-        ("state", ck.ck_state) ]
-    "checkpoint"
-    [ Xml.element "vars"
-        (List.map
-           (fun (k, v) ->
-             Xml.element ~attrs:[ ("name", k) ] "var" [ value_to_xml v ])
-           ck.ck_vars);
-      Xml.element "removed"
-        (List.map
-           (fun n -> Xml.element ~attrs:[ ("n", n) ] "r" [])
-           ck.ck_removed) ]
-
 let of_xml x =
   if Xml.name x <> "checkpoint" then fail "expected <checkpoint>";
   let vars =
@@ -277,9 +172,175 @@ let of_xml x =
     ck_vars = vars; ck_removed = removed;
     ck_state = Xml.attr_exn x "state" }
 
-let encode ck = Xml.to_string ~indent:false (to_xml ck)
 let decode s = of_xml (Xml.parse s)
-let wire_bytes ck = float_of_int (String.length (encode ck))
+
+(* ------------------------------------------------------------------ *)
+(* Writer                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One walk writes a checkpoint's wire form into a buffer ([encode]) or
+   only counts its bytes ([wire_bytes]): the two cannot disagree, and
+   pricing builds no tree, prints no float and allocates no string but
+   the text of an IP address.  The bytes are those
+   [Xml.to_string ~indent:false] writes for the tree [of_xml] reads back:
+   childless elements close with "/>", attribute values are escaped as
+   [Xml.add_escaped] does. *)
+type sink = Buf of Buffer.t | Len of int ref
+
+(* markup, as is *)
+let raw s m =
+  match s with
+  | Buf b -> Buffer.add_string b m
+  | Len n -> n := !n + String.length m
+
+(* an attribute value *)
+let text s v =
+  match s with
+  | Buf b -> Xml.add_escaped b v
+  | Len n -> n := !n + Xml.escaped_length v
+
+(* decimal digits of [i], without its sign *)
+let rec digits i = if i > -10 && i < 10 then 1 else 1 + digits (i / 10)
+
+let int s i =
+  match s with
+  | Buf b -> Buffer.add_string b (string_of_int i)
+  | Len n -> n := !n + digits i + if i < 0 then 1 else 0
+
+(* [String.length (Printf.sprintf "%h" f)] from [f]'s sign and the low 63
+   bits of its pattern: "-" if negative, then "infinity", "nan", or "0x",
+   the leading digit, "." and the mantissa's hex digits up to the last
+   non-zero one (none for a zero mantissa), "p", the exponent's sign and
+   its decimal digits. *)
+let hex_length ~neg bits =
+  let e = (bits lsr 52) land 0x7ff and m = bits land 0xf_ffff_ffff_ffff in
+  let rec nibbles m d =
+    if m land 0xf = 0 then nibbles (m lsr 4) (d - 1) else d
+  in
+  (if neg then 1 else 0)
+  +
+  if e = 0x7ff then if m = 0 then 8 else 3
+  else
+    let exp = if e > 0 then e - 1023 else if m = 0 then 0 else -1022 in
+    5 + (if m = 0 then 0 else 1 + nibbles m 13) + digits exp
+
+(* Floats travel as hex literals ("%h") so decode (encode v) is exact —
+   counters restored from a checkpoint must be bit-identical for replay
+   determinism.  Inlined, so pricing a counter of a [Stats] array does
+   not box it (16 B per counter otherwise). *)
+let[@inline] hex s f =
+  match s with
+  | Buf b -> Printf.bprintf b "%h" f
+  | Len n ->
+      let bits = Int64.to_int (Int64.bits_of_float f) in
+      n := !n + hex_length ~neg:(Float.sign_bit f) bits
+
+let bool s b = raw s (if b then "1" else "0")
+
+(* [<tag a="v"/>]: [m] is the markup up to the value's opening quote *)
+let leaf_text s m v = raw s m; text s v; raw s "\"/>"
+let leaf_int s m i = raw s m; int s i; raw s "\"/>"
+let leaf_hex s m f = raw s m; hex s f; raw s "\"/>"
+
+let rec filter s (f : Filter.t) =
+  match f with
+  | True -> raw s "<t/>"
+  | False -> raw s "<f/>"
+  | And (a, b) -> raw s "<and>"; filter s a; filter s b; raw s "</and>"
+  | Or (a, b) -> raw s "<or>"; filter s a; filter s b; raw s "</or>"
+  | Not a -> raw s "<not>"; filter s a; raw s "</not>"
+  | Atom (Src_ip p) -> leaf_text s "<srcip v=\"" (Ipaddr.Prefix.to_string p)
+  | Atom (Dst_ip p) -> leaf_text s "<dstip v=\"" (Ipaddr.Prefix.to_string p)
+  | Atom (Src_port p) -> leaf_int s "<srcport v=\"" p
+  | Atom (Dst_port p) -> leaf_int s "<dstport v=\"" p
+  | Atom (Port p) -> leaf_int s "<port v=\"" p
+  | Atom (Proto p) -> leaf_text s "<proto v=\"" (Flow.proto_to_string p)
+  | Atom Any -> raw s "<anyatom/>"
+
+let action s (a : Tcam.action) =
+  match a with
+  | Forward p -> leaf_int s "<action kind=\"forward\" arg=\"" p
+  | Drop -> raw s "<action kind=\"drop\"/>"
+  | Rate_limit r -> leaf_hex s "<action kind=\"ratelimit\" arg=\"" r
+  | Set_qos q -> leaf_int s "<action kind=\"setqos\" arg=\"" q
+  | Mirror -> raw s "<action kind=\"mirror\"/>"
+  | Count -> raw s "<action kind=\"count\"/>"
+
+let packet s ({ tuple = t; flags = fl; _ } as p : Flow.packet) =
+  raw s "<packet src=\""; text s (Ipaddr.to_string t.src);
+  raw s "\" dst=\""; text s (Ipaddr.to_string t.dst);
+  raw s "\" sport=\""; int s t.sport;
+  raw s "\" dport=\""; int s t.dport;
+  raw s "\" proto=\""; text s (Flow.proto_to_string t.proto);
+  raw s "\" size=\""; int s p.size;
+  raw s "\" syn=\""; bool s fl.syn;
+  raw s "\" ack=\""; bool s fl.ack;
+  raw s "\" fin=\""; bool s fl.fin;
+  raw s "\" rst=\""; bool s fl.rst;
+  leaf_text s "\" payload=\"" p.payload
+
+let rec value s (v : Value.t) =
+  match v with
+  | Unit -> raw s "<unit/>"
+  | Bool b -> raw s (if b then "<bool v=\"1\"/>" else "<bool v=\"0\"/>")
+  | Num n -> leaf_hex s "<num v=\"" n
+  | Str x -> leaf_text s "<str v=\"" x
+  | List [] -> raw s "<list/>"
+  | List l -> raw s "<list>"; values s l; raw s "</list>"
+  | Packet p -> packet s p
+  | Action a -> action s a
+  | FilterV f -> raw s "<filter>"; filter s f; raw s "</filter>"
+  | Stats arr ->
+      raw s "<stats v=\"";
+      for i = 0 to Array.length arr - 1 do
+        if i > 0 then raw s " ";
+        hex s arr.(i)
+      done;
+      raw s "\"/>"
+  | Struct (name, []) -> leaf_text s "<struct name=\"" name
+  | Struct (name, fields) ->
+      raw s "<struct name=\""; text s name; raw s "\">";
+      bindings s "field" fields;
+      raw s "</struct>"
+
+and values s = function [] -> () | v :: l -> value s v; values s l
+
+(* [<tag name="k">v</tag>] per binding *)
+and bindings s tag = function
+  | [] -> ()
+  | (k, v) :: l ->
+      raw s "<"; raw s tag; raw s " name=\""; text s k; raw s "\">";
+      value s v;
+      raw s "</"; raw s tag; raw s ">";
+      bindings s tag l
+
+let rec removed s = function
+  | [] -> ()
+  | n :: l -> leaf_text s "<r n=\"" n; removed s l
+
+let write s ck =
+  raw s "<checkpoint seed=\""; int s ck.ck_seed;
+  raw s "\" epoch=\""; int s ck.ck_epoch;
+  raw s "\" seq=\""; int s ck.ck_seq;
+  raw s "\" full=\""; bool s ck.ck_full;
+  raw s "\" state=\""; text s ck.ck_state;
+  (match ck.ck_vars with
+  | [] -> raw s "\"><vars/>"
+  | l -> raw s "\"><vars>"; bindings s "var" l; raw s "</vars>");
+  (match ck.ck_removed with
+  | [] -> raw s "<removed/>"
+  | l -> raw s "<removed>"; removed s l; raw s "</removed>");
+  raw s "</checkpoint>"
+
+let encode ck =
+  let b = Buffer.create 1024 in
+  write (Buf b) ck;
+  Buffer.contents b
+
+let wire_bytes ck =
+  let n = ref 0 in
+  write (Len n) ck;
+  float_of_int !n
 
 let delta ~base vars =
   let changed =

@@ -12,16 +12,17 @@
 
     The codec is a complete structural serialization of {!Value.t}:
     [decode (encode c) = c] for every checkpoint, including packets,
-    filters, TCAM actions and nested structs. *)
+    filters, TCAM actions and nested structs.
+
+    One writer defines the wire form.  It walks a checkpoint once and
+    emits its bytes either into a buffer ({!encode}) or into a byte
+    count ({!wire_bytes}), so the price the self-healing layer charges a
+    checkpoint (control-channel time and switch CPU) is the exact length
+    of its encoding, computed without building an XML tree, printing a
+    float or allocating a string (but the text of an IP address held in a
+    packet or filter).  {!decode} parses with {!Farm_almanac.Xml}. *)
 
 module Value := Farm_almanac.Value
-
-(** {2 Value codec} *)
-
-val value_to_xml : Value.t -> Farm_almanac.Xml.t
-
-(** Raises {!Decode_error} on malformed input. *)
-val value_of_xml : Farm_almanac.Xml.t -> Value.t
 
 exception Decode_error of string
 
@@ -42,7 +43,9 @@ val encode : t -> string
 (** Raises {!Decode_error} (or [Xml.Parse_error]) on malformed input. *)
 val decode : string -> t
 
-(** Bytes the encoded checkpoint occupies on the control channel. *)
+(** Bytes the encoded checkpoint occupies on the control channel:
+    [String.length (encode c)], counted by the same writer without
+    producing the string. *)
 val wire_bytes : t -> float
 
 (** [delta ~base vars] = (changed-or-new bindings, removed names) of

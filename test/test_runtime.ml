@@ -1111,10 +1111,16 @@ let value_gen =
                  (list_size (int_range 0 4)
                     (pair name (self (n / 3)))) ]))
 
+let one_var v =
+  { Checkpoint.ck_seed = 3; ck_epoch = 1; ck_seq = 0; ck_full = true;
+    ck_vars = [ ("v", v) ]; ck_removed = []; ck_state = "s" }
+
 let prop_value_roundtrip =
   QCheck2.Test.make ~name:"checkpoint: value codec round-trips" ~count:300
     ~print:Value.to_string value_gen (fun v ->
-      Value.equal v (Checkpoint.value_of_xml (Checkpoint.value_to_xml v)))
+      match (Checkpoint.decode (Checkpoint.encode (one_var v))).ck_vars with
+      | [ ("v", v') ] -> Value.equal v v'
+      | _ -> false)
 
 (* machine-state snapshots: distinctly-named vars + a state string *)
 let snapshot_gen =
@@ -1160,6 +1166,132 @@ let prop_checkpoint_roundtrip =
       && vars_equal full'.ck_vars base_vars
       && String.equal full'.ck_state state0
       && vars_equal reconstructed next_vars)
+
+let priced_exactly c =
+  Checkpoint.wire_bytes c = float_of_int (String.length (Checkpoint.encode c))
+
+(* [wire_bytes] counts what [encode] writes, for full checkpoints and for
+   deltas against a second snapshot; the delta's state is any printable
+   string, so escaped attribute values are priced too. *)
+let prop_wire_bytes =
+  QCheck2.Test.make ~name:"checkpoint: wire_bytes = length of encode"
+    ~count:300
+    QCheck2.Gen.(triple snapshot_gen snapshot_gen (string_small_of printable))
+    (fun ((base_vars, state0), (next_vars, _), state1) ->
+      let full =
+        { Checkpoint.ck_seed = 3; ck_epoch = 1; ck_seq = 0; ck_full = true;
+          ck_vars = base_vars; ck_removed = []; ck_state = state0 }
+      in
+      let changed, removed = Checkpoint.delta ~base:base_vars next_vars in
+      let delta_ck =
+        { Checkpoint.ck_seed = 3; ck_epoch = 1; ck_seq = 1; ck_full = false;
+          ck_vars = changed; ck_removed = removed; ck_state = state1 }
+      in
+      priced_exactly full && priced_exactly delta_ck)
+
+(* The length [wire_bytes] gives a float, held in a number, a counter
+   array and a rate-limit action, is that of [Printf.sprintf "%h"], which
+   [encode] writes: over random 64-bit patterns, and one by one over the
+   edge cases of the format (zeros, subnormals, infinities, NaNs of either
+   sign, exponents of one to four digits). *)
+let hex_edge_cases =
+  let bits = Int64.float_of_bits in
+  [ 0.; -0.; 1.; -1.; 16.; 1024.; 0.1; 1e30; 1e31; 1e-300; 0x1p-1000;
+    5e-324; -5e-324; bits 0x000F_FFFF_FFFF_FFFFL; bits 0x0008_0000_0000_0000L;
+    Float.infinity; Float.neg_infinity; Float.max_float; -.Float.max_float;
+    Float.min_float; -.Float.min_float; Float.nan; -.Float.nan;
+    bits 0x7FF0_0000_0000_0001L; bits 0xFFF8_0000_0000_0000L;
+    bits 0xFFFF_FFFF_FFFF_FFFFL ]
+
+let hex_priced_exactly f =
+  List.for_all
+    (fun v -> priced_exactly (one_var v))
+    [ Value.Num f; Value.Stats [| f; 1.; f |];
+      Value.Action (Farm_net.Tcam.Rate_limit f) ]
+
+let prop_hex_length =
+  QCheck2.Test.make ~name:"checkpoint: a float's wire length = %h length"
+    ~count:2000 ~print:(Printf.sprintf "%h")
+    QCheck2.Gen.(map Int64.float_of_bits int64)
+    hex_priced_exactly
+
+let test_hex_edge_cases () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%h (%S) priced exactly" f (Printf.sprintf "%h" f))
+        true (hex_priced_exactly f))
+    hex_edge_cases
+
+(* The wire form of one checkpoint holding every kind of value, as the
+   tree-building encoder wrote it: escaped quotes, ampersands and angle
+   brackets in payloads and names, every filter and action form, and
+   hex floats from zero and subnormals to infinity. *)
+let golden_checkpoint =
+  let prefix s = Option.get (Farm_net.Ipaddr.Prefix.of_string_opt s) in
+  let ip = Farm_net.Ipaddr.of_string in
+  let packet =
+    { Flow.tuple =
+        { Flow.src = ip "10.1.2.3"; dst = ip "192.168.0.254"; sport = 40000;
+          dport = 80; proto = Flow.Tcp };
+      size = 1500;
+      flags = { Flow.syn = true; ack = false; fin = true; rst = false };
+      payload = "GET /?a=<b>&c=\"d\"&e='f'" }
+  in
+  let filter =
+    Filter.And
+      ( Filter.Or
+          ( Filter.Atom (Filter.Src_ip (prefix "10.0.0.0/8")),
+            Filter.Not (Filter.Atom (Filter.Dst_ip (prefix "172.16.4.0/22"))) ),
+        Filter.And
+          ( Filter.Or
+              (Filter.Atom (Filter.Src_port 53), Filter.Atom (Filter.Dst_port 443)),
+            Filter.Or
+              ( Filter.And (Filter.Atom (Filter.Port 22), Filter.True),
+                Filter.Or
+                  ( Filter.Atom (Filter.Proto Flow.Udp),
+                    Filter.Or (Filter.Atom Filter.Any, Filter.False) ) ) ) )
+  in
+  let actions =
+    Value.List
+      (List.map
+         (fun a -> Value.Action a)
+         Tcam.[ Forward 3; Drop; Rate_limit 1.25e6; Set_qos 5; Mirror; Count ])
+  in
+  { Checkpoint.ck_seed = 7; ck_epoch = 2; ck_seq = 13; ck_full = false;
+    ck_vars =
+      [ ("unit", Value.Unit); ("flag", Value.Bool true);
+        ("off", Value.Bool false); ("count", Value.Num 42.);
+        ("rate", Value.Num (-0.1)); ("zero", Value.Num (-0.));
+        ("tiny", Value.Num 5e-324); ("huge", Value.Num Float.infinity);
+        ("name", Value.Str "a<b & \"c\" 'd'>"); ("empty", Value.Str "");
+        ("pkt", Value.Packet packet); ("rule", Value.FilterV filter);
+        ("acts", actions);
+        ("counters", Value.Stats [| 0.; 1.5; 1e300; -2.; Float.max_float |]);
+        ("nostats", Value.Stats [||]);
+        ("nested", Value.List [ Value.Num 1.; Value.Str "x"; Value.List [] ]);
+        ( "flow",
+          Value.Struct
+            ( "flow",
+              [ ("bytes", Value.Num 1e9);
+                ("key", Value.Struct ("key", [ ("src", Value.Str "10.0.0.1") ]));
+                ("none", Value.Struct ("none", [])) ] ) ) ];
+    ck_removed = [ "old"; "gone&" ];
+    ck_state = "watch\"ing" }
+
+let golden_wire_form =
+  {|<checkpoint seed="7" epoch="2" seq="13" full="0" state="watch&quot;ing"><vars><var name="unit"><unit/></var><var name="flag"><bool v="1"/></var><var name="off"><bool v="0"/></var><var name="count"><num v="0x1.5p+5"/></var><var name="rate"><num v="-0x1.999999999999ap-4"/></var><var name="zero"><num v="-0x0p+0"/></var><var name="tiny"><num v="0x0.0000000000001p-1022"/></var><var name="huge"><num v="infinity"/></var><var name="name"><str v="a&lt;b &amp; &quot;c&quot; &apos;d&apos;&gt;"/></var><var name="empty"><str v=""/></var><var name="pkt"><packet src="10.1.2.3" dst="192.168.0.254" sport="40000" dport="80" proto="tcp" size="1500" syn="1" ack="0" fin="1" rst="0" payload="GET /?a=&lt;b&gt;&amp;c=&quot;d&quot;&amp;e=&apos;f&apos;"/></var><var name="rule"><filter><and><or><srcip v="10.0.0.0/8"/><not><dstip v="172.16.4.0/22"/></not></or><and><or><srcport v="53"/><dstport v="443"/></or><or><and><port v="22"/><t/></and><or><proto v="udp"/><or><anyatom/><f/></or></or></or></and></and></filter></var><var name="acts"><list><action kind="forward" arg="3"/><action kind="drop"/><action kind="ratelimit" arg="0x1.312dp+20"/><action kind="setqos" arg="5"/><action kind="mirror"/><action kind="count"/></list></var><var name="counters"><stats v="0x0p+0 0x1.8p+0 0x1.7e43c8800759cp+996 -0x1p+1 0x1.fffffffffffffp+1023"/></var><var name="nostats"><stats v=""/></var><var name="nested"><list><num v="0x1p+0"/><str v="x"/><list/></list></var><var name="flow"><struct name="flow"><field name="bytes"><num v="0x1.dcd65p+29"/></field><field name="key"><struct name="key"><field name="src"><str v="10.0.0.1"/></field></struct></field><field name="none"><struct name="none"/></field></struct></var></vars><removed><r n="old"/><r n="gone&amp;"/></removed></checkpoint>|}
+
+let test_checkpoint_golden () =
+  let ck = golden_checkpoint in
+  Alcotest.(check string) "encode" golden_wire_form (Checkpoint.encode ck);
+  Alcotest.(check (float 0.)) "wire_bytes"
+    (float_of_int (String.length golden_wire_form))
+    (Checkpoint.wire_bytes ck);
+  let back = Checkpoint.decode golden_wire_form in
+  Alcotest.(check bool) "decode" true
+    (back.ck_state = ck.ck_state && back.ck_removed = ck.ck_removed
+    && vars_equal back.ck_vars ck.ck_vars)
 
 (* -- the seeder-side merge rule, one arriving checkpoint at a time --- *)
 
@@ -2919,8 +3051,13 @@ let () =
           Alcotest.test_case "pinned task dropped" `Quick
             test_switch_failure_drops_pinned_task ] );
       ( "checkpoints",
-        qsuite [ prop_value_roundtrip; prop_checkpoint_roundtrip ]
-        @ [ Alcotest.test_case "restore equivalence across engines" `Quick
+        qsuite
+          [ prop_value_roundtrip; prop_checkpoint_roundtrip; prop_wire_bytes;
+            prop_hex_length ]
+        @ [ Alcotest.test_case "wire form golden" `Quick test_checkpoint_golden;
+            Alcotest.test_case "float wire length edge cases" `Quick
+              test_hex_edge_cases;
+            Alcotest.test_case "restore equivalence across engines" `Quick
               test_checkpoint_restore_engine_equivalence;
             Alcotest.test_case "seeder-side merge rule" `Quick
               test_checkpoint_merge_rule ] );

@@ -52,6 +52,28 @@ let test_catalog_pretty_roundtrip () =
           Alcotest.failf "%s: re-parse failed: %s" e.name m)
     Catalog.all
 
+(* The seed XML every deploy ships, pinned by MD5 over the catalog as the
+   writer that printed each attribute with [sprintf] and each escape into
+   a fresh buffer wrote it: indented, as [Machine_xml.compile] writes it,
+   and flat, re-serialized from the parsed tree. *)
+let test_catalog_seed_xml_pinned () =
+  let compiled =
+    List.map
+      (fun (e : Task_common.entry) ->
+        Farm_almanac.Machine_xml.compile (Farm_almanac.Parser.program e.source))
+      Catalog.all
+  in
+  let flat =
+    List.map
+      (fun x ->
+        Farm_almanac.Xml.(to_string ~indent:false (parse x)))
+      compiled
+  in
+  let md5 l = Digest.to_hex (Digest.string (String.concat "" l)) in
+  Alcotest.(check string) "indented" "48df8926562f1a2b9b1d93cda18d4535"
+    (md5 compiled);
+  Alcotest.(check string) "flat" "f076188a4b81e45b41d27ad03740770e" (md5 flat)
+
 let test_hhh_inherited_deploys_both_machines () =
   (* the inherited-HHH task ships both the HH base machine and the HHH
      extension: both are instantiated *)
@@ -392,6 +414,8 @@ let () =
     [ ( "catalog",
         [ Alcotest.test_case "size" `Quick test_catalog_size;
           Alcotest.test_case "all compile" `Quick test_catalog_compiles;
+          Alcotest.test_case "seed XML bytes pinned" `Quick
+            test_catalog_seed_xml_pinned;
           Alcotest.test_case "pretty round-trip" `Quick
             test_catalog_pretty_roundtrip;
           Alcotest.test_case "inherited HHH deploys both" `Quick
