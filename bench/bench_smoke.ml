@@ -232,6 +232,36 @@ let deploy_alloc () =
   let alloc = Gc.allocated_bytes () -. a0 in
   (List.length (Runtime.Seeder.seeds w.World.seeder task), alloc)
 
+(* Bytes one [Heuristic.optimize] allocates on deploy-churn's live set:
+   heavy-hitter twice and the first five rolling catalog tasks on an
+   8-spine/88-leaf world, 768 seeds on 96 switches, with the placement
+   they were deployed under as the previous one.  The call builds one
+   index of its seeds (one shape per task machine, poll subjects interned
+   to ints, residents kept per switch) and solves 5 LPs: 691 200 B, of
+   which the LPs are about 190 kB.  A minor collection before each read
+   makes the figure deterministic; the gate is that plus about 1 %.  A
+   memo key and demand lists built per seed, subject lists compared with
+   [Filter.subject_equal], and every placement folded, sorted and tabled
+   per redistribution cost 3 772 056 B. *)
+let placement_alloc_gate = 698_000.
+
+let placement_alloc () =
+  let w = World.create ~seed:1 ~spines:8 ~leaves:88 ~hosts_per_leaf:1 () in
+  List.iter
+    (fun name ->
+      let spec = Tasks.Task_common.to_task_spec (Tasks.Catalog.find name) in
+      match Runtime.Seeder.deploy w.World.seeder spec with
+      | Ok _ -> ()
+      | Error m -> failwith (Printf.sprintf "placement alloc: %s: %s" name m))
+    [ "heavy-hitter"; "heavy-hitter"; "hierarchical-heavy-hitter-inherited";
+      "hierarchical-heavy-hitter"; "new-tcp-connections"; "tcp-syn-flood";
+      "partial-tcp-flow" ];
+  let inst = Runtime.Seeder.placement_instance w.World.seeder in
+  ( List.length inst.seeds,
+    alloc_per_call
+      (fun inst -> ignore (Sys.opaque_identity (Placement.Heuristic.optimize inst)))
+      inst )
+
 (* Bytes a deploy/undeploy churn leaves live: 60 deploys of the catalog
    (ddos aside, as in farmbench's deploy-churn) on a 4-spine/28-leaf
    world under background traffic, the oldest undeployed once more than
@@ -607,6 +637,11 @@ let () =
   Printf.printf "deploy (heavy-hitter on 8 spines x 88 leaves):\n";
   Printf.printf "  %d seeds, %.0f B allocated\n%!" deploy_seeds deploy_bytes;
 
+  let placement_seeds, placement_bytes = placement_alloc () in
+  Printf.printf "placement (deploy-churn live set, 96 switches):\n";
+  Printf.printf "  %d seeds, %.0f B allocated/optimize (gate: %.0f B)\n%!"
+    placement_seeds placement_bytes placement_alloc_gate;
+
   Printf.printf "deploy churn (catalog on 4 spines x 28 leaves):\n";
   Printf.printf "  %.0f B live after %d deploys (gate: %.0f B)\n%!"
     retained_bytes churn_deploys retention_gate;
@@ -755,6 +790,12 @@ let () =
     \    \"alloc_bytes\": %.0f,\n\
     \    \"gate_bytes\": %.0f\n\
     \  },\n\
+    \  \"placement\": {\n\
+    \    \"switches\": 96,\n\
+    \    \"seeds\": %d,\n\
+    \    \"alloc_bytes_per_optimize\": %.0f,\n\
+    \    \"gate_bytes\": %.0f\n\
+    \  },\n\
     \  \"retention\": {\n\
     \    \"switches\": 32,\n\
     \    \"deploys\": %d,\n\
@@ -819,6 +860,7 @@ let () =
     sweep_deterministic burst_copies burst_reps burst_eps_med burst_eps_q1
     burst_eps_q3 burst_bytes burst_alloc_gate
     deploy_seeds deploy_bytes deploy_alloc_gate
+    placement_seeds placement_bytes placement_alloc_gate
     churn_deploys retained_bytes retention_gate
     shed_offers shed_count shed_bytes shed_alloc_gate
     poll_bytes_0 poll_bytes_64 poll_alloc_gate
@@ -895,6 +937,13 @@ let () =
     Printf.eprintf
       "FAIL: one heavy-hitter deploy allocates %.0f B (gate: %.0f B)\n%!"
       deploy_bytes deploy_alloc_gate;
+    exit 1
+  end;
+  if placement_bytes > placement_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: one optimize on the %d-seed live set allocates %.0f B (gate: \
+       %.0f B)\n%!"
+      placement_seeds placement_bytes placement_alloc_gate;
     exit 1
   end;
   if retained_bytes > retention_gate then begin

@@ -130,24 +130,27 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 type cursor = { src : string; mutable pos : int }
 
 let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+
+(* the character at the cursor satisfies [p]: the scanning loops test
+   this, or the cursor directly, rather than [peek], which allocates an
+   option per character *)
+let holds c p = c.pos < String.length c.src && p c.src.[c.pos]
 let advance c = c.pos <- c.pos + 1
 
-let starts_with c s =
-  let n = String.length s in
-  c.pos + n <= String.length c.src && String.sub c.src c.pos n = s
+(* [s] occurs in [src] at [pos + i], compared from its [i]th character
+   in place *)
+let rec occurs_at src pos s i =
+  i = String.length s
+  || (pos + i < String.length src
+     && src.[pos + i] = s.[i]
+     && occurs_at src pos s (i + 1))
+
+let starts_with c s = occurs_at c.src c.pos s 0
 
 let skip c s = c.pos <- c.pos + String.length s
 
-let skip_ws c =
-  while
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance c;
-        true
-    | _ -> false
-  do
-    ()
-  done
+let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+let skip_ws c = while holds c is_space do advance c done
 
 let rec skip_misc c =
   skip_ws c;
@@ -160,7 +163,7 @@ let rec skip_misc c =
   else if starts_with c "<!--" then begin
     let rec go i =
       if i + 3 > String.length c.src then fail "unterminated comment"
-      else if String.sub c.src i 3 = "-->" then c.pos <- i + 3
+      else if occurs_at c.src i "-->" 0 then c.pos <- i + 3
       else go (i + 1)
     in
     go (c.pos + 4);
@@ -175,9 +178,7 @@ let is_name_char ch =
 
 let parse_name c =
   let start = c.pos in
-  while (match peek c with Some ch -> is_name_char ch | None -> false) do
-    advance c
-  done;
+  while holds c is_name_char do advance c done;
   if c.pos = start then fail "expected a name at offset %d" c.pos;
   String.sub c.src start (c.pos - start)
 
@@ -224,7 +225,7 @@ let parse_attrs c =
           | _ -> fail "expected a quoted attribute value"
         in
         let start = c.pos in
-        while (match peek c with Some ch -> ch <> quote | None -> false) do
+        while c.pos < String.length c.src && c.src.[c.pos] <> quote do
           advance c
         done;
         (match peek c with
@@ -271,9 +272,7 @@ let rec parse_element c =
       end
       else begin
         let start = c.pos in
-        while
-          (match peek c with Some ch -> ch <> '<' | None -> false)
-        do
+        while c.pos < String.length c.src && c.src.[c.pos] <> '<' do
           advance c
         done;
         let s = unescape (String.sub c.src start (c.pos - start)) in

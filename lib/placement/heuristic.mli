@@ -12,7 +12,10 @@
     5. apply migrations in decreasing benefit order, then redistribute
        again.
 
-    Phases 3–5 can be disabled individually for ablation studies. *)
+    Phases 3–5 can be disabled individually for ablation studies.  A
+    call indexes its instance once (one shape per task machine, poll
+    subjects interned, residents kept per switch) and keeps nothing
+    between calls. *)
 
 type phases = { redistribute : bool; migrate : bool }
 

@@ -77,9 +77,11 @@ let placement_seeds t ~failed =
   Int_map.fold
     (fun _ r acc ->
       let s = r.r_spec in
-      match List.filter (fun n -> not (failed n)) s.candidates with
-      | [] -> acc
-      | candidates -> { s with candidates } :: acc)
+      if not (List.exists failed s.candidates) then s :: acc
+      else
+        match List.filter (fun n -> not (failed n)) s.candidates with
+        | [] -> acc
+        | candidates -> { s with candidates } :: acc)
     t.seeds []
   |> List.rev
 

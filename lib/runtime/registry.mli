@@ -59,7 +59,8 @@ val iter_on : t -> int -> (reg -> Seed_exec.t -> unit) -> unit
 val tasks : t -> task list
 
 (** The placement instance's seeds, in seed-id order: every seed's spec
-    minus the [failed] switches, without seeds left with no candidate. *)
+    minus the [failed] switches, without seeds left with no candidate.  A
+    spec with no failed candidate is the registered one, not a copy. *)
 val placement_seeds : t -> failed:(int -> bool) -> Model.seed_spec list
 
 (** One [task …] line per task (placement, harvester accounting), then

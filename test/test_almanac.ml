@@ -1050,6 +1050,36 @@ let test_xml_parse_errors () =
       | exception Xml.Parse_error _ -> ())
     [ "<a>"; "<a></b>"; "<a x=1/>"; "no xml here"; "<a><b></a></b>" ]
 
+(* The parser compares markup in place, so its end-of-input tests carry
+   the bounds: a tag, a comment or a [/>] that ends on the last byte
+   parses, and every truncation of a document is a [Parse_error], never
+   an out-of-bounds access. *)
+let test_xml_end_of_input () =
+  List.iter
+    (fun (doc, name, kids) ->
+      match Xml.parse doc with
+      | t ->
+          Alcotest.(check string) (doc ^ " root") name (Xml.name t);
+          Alcotest.(check int) (doc ^ " children") kids
+            (List.length (Xml.children t))
+      | exception Xml.Parse_error m -> Alcotest.failf "%S: %s" doc m)
+    [ ("<a/>", "a", 0); ("<a></a>", "a", 0); ("<a x=\"1\"/>", "a", 0);
+      ("<!--c--><a/>", "a", 0); ("<?p?><a/>", "a", 0);
+      ("<a><!--c--></a>", "a", 0); ("<a><b/></a>", "a", 1);
+      ("<a>t</a>", "a", 1) ];
+  let doc = {|<?xml v?><!-- c --><a x="1"><b/><!-- d --><c>t&amp;</c></a>|} in
+  for n = 0 to String.length doc - 1 do
+    match Xml.parse (String.sub doc 0 n) with
+    | _ -> Alcotest.failf "expected parse error for %S" (String.sub doc 0 n)
+    | exception Xml.Parse_error _ -> ()
+  done;
+  List.iter
+    (fun bad ->
+      match Xml.parse bad with
+      | _ -> Alcotest.failf "expected parse error for %S" bad
+      | exception Xml.Parse_error _ -> ())
+    [ "<!--c-->"; "<!--c--"; "<a><!--c-->"; "<a/"; "<?p?>" ]
+
 let test_machine_xml_roundtrip_hh () =
   let p = parse_hh () in
   let xml = Machine_xml.compile p in
@@ -2018,6 +2048,7 @@ let () =
           Alcotest.test_case "parser features" `Quick
             test_xml_parser_features;
           Alcotest.test_case "parse errors" `Quick test_xml_parse_errors;
+          Alcotest.test_case "end of input" `Quick test_xml_end_of_input;
           Alcotest.test_case "HH round-trip" `Quick
             test_machine_xml_roundtrip_hh;
           Alcotest.test_case "catalog round-trip" `Quick

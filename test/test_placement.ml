@@ -265,11 +265,18 @@ let prop_heuristic_always_valid =
 
 (* -- memoised heuristic vs its un-memoised reference (qcheck) ------ *)
 
-(* Instances that exercise the per-call LP memo: a few switch shapes
-   repeated over many switches, a few seed templates repeated across
-   tasks, with each task polling its own subjects or ones it shares with
-   others.  Subjects are built afresh per task, so shared ones are equal
-   but not physically equal. *)
+(* Instances that exercise the per-call LP memo and the call's seed
+   index: a few switch shapes repeated over many switches (48-96 of them
+   in one draw in eight), a few seed templates repeated across tasks, with
+   each task polling its own subjects or ones it shares with others.
+   Subjects are built afresh per task, so shared ones are equal but not
+   physically equal.  As the seeder builds them, a task has one or two
+   machines, each a run of seeds sharing one [branches] and one [polls]
+   list, and a machine may place a seed on every switch ([candidates =
+   [node]]); a twin task may repeat another with structurally equal but
+   physically distinct lists, as two deploys of one task do.  Half the
+   draws carry a previous placement: the reference's placement of the
+   tasks but the last, as a rolling deploy has, or random locations. *)
 let memo_instance seed =
   let rng = Rng.create seed in
   let pick l = List.nth l (Rng.int rng (List.length l)) in
@@ -278,7 +285,9 @@ let memo_instance seed =
     List.init (1 + Rng.int rng 3) (fun _ ->
         (pick [ 1.; 2.; 4. ], pick [ 512.; 1024. ], pick [ 30.; 100.; 300. ]))
   in
-  let nsw = 2 + Rng.int rng 23 in
+  let nsw =
+    if Rng.int rng 8 = 0 then 48 + Rng.int rng 49 else 2 + Rng.int rng 23
+  in
   let switches =
     List.init nsw (fun node ->
         let cpu, mem, bus = pick shapes in
@@ -313,45 +322,95 @@ let memo_instance seed =
   in
   let templates = List.init (1 + Rng.int rng 2) (fun _ -> template ()) in
   let next_id = ref 0 in
-  let seeds =
-    List.concat
-      (List.init (2 + Rng.int rng 9) (fun task ->
-           let branches, polls = pick templates in
-           let own = Rng.bool rng in
-           let branches =
-             List.map
-               (fun (constraints, coeff, c) ->
-                 { Analysis.constraints;
-                   utility =
-                     [ Lin.var ~coeff vcpu; Lin.const (if own then cap () else c) ] })
-               branches
-           in
-           (* own subjects (offset) or the shared low ones *)
-           let offset = if Rng.bool rng then 0 else 1 + task in
-           let polls =
-             List.map
-               (fun (k, ival) ->
-                 { Model.subject = subject (if k = 0 then 0 else k + offset);
-                   ival =
-                     (match ival with
-                     | Analysis.Const_ival _ when own ->
-                         Analysis.Const_ival (const_ival ())
-                     | ival -> ival) })
-               polls
-           in
-           let everywhere = Rng.int rng 3 > 0 in
-           List.init (1 + Rng.int rng 4) (fun _ ->
-               let candidates =
-                 if everywhere then List.init nsw Fun.id
-                 else
-                   List.sort_uniq Int.compare
-                     (List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng nsw))
-               in
-               let seed_id = !next_id in
-               incr next_id;
-               { Model.seed_id; task_id = task; candidates; branches; polls })))
+  let fresh_id () =
+    let id = !next_id in
+    incr next_id;
+    id
   in
-  mk_instance seeds switches
+  let machine task =
+    let branches, polls = pick templates in
+    let own = Rng.bool rng in
+    let branches =
+      List.map
+        (fun (constraints, coeff, c) ->
+          { Analysis.constraints;
+            utility =
+              [ Lin.var ~coeff vcpu; Lin.const (if own then cap () else c) ] })
+        branches
+    in
+    (* own subjects (offset) or the shared low ones *)
+    let offset = if Rng.bool rng then 0 else 1 + task in
+    let polls =
+      List.map
+        (fun (k, ival) ->
+          { Model.subject = subject (if k = 0 then 0 else k + offset);
+            ival =
+              (match ival with
+              | Analysis.Const_ival _ when own ->
+                  Analysis.Const_ival (const_ival ())
+              | ival -> ival) })
+        polls
+    in
+    let seed candidates =
+      { Model.seed_id = fresh_id (); task_id = task; candidates; branches;
+        polls }
+    in
+    match Rng.int rng 3 with
+    | 0 -> List.init nsw (fun node -> seed [ node ])
+    | k ->
+        List.init (1 + Rng.int rng 4) (fun _ ->
+            seed
+              (if k = 1 then List.init nsw Fun.id
+               else
+                 List.sort_uniq Int.compare
+                   (List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng nsw))))
+  in
+  let tasks =
+    List.init (2 + Rng.int rng 9) (fun task ->
+        List.concat (List.init (1 + Rng.int rng 2) (fun _ -> machine task)))
+  in
+  let ntasks = List.length tasks in
+  let twin =
+    if Rng.int rng 3 > 0 then []
+    else
+      let copy_lin l = Lin.add Lin.zero l in
+      List.map
+        (fun (s : Model.seed_spec) ->
+          { s with
+            seed_id = fresh_id ();
+            task_id = ntasks;
+            branches =
+              List.map
+                (fun (b : Analysis.util_branch) ->
+                  { Analysis.constraints = List.map copy_lin b.constraints;
+                    utility = List.map copy_lin b.utility })
+                s.branches;
+            polls = List.map (fun (p : Model.poll_req) -> { p with ival = p.ival }) s.polls })
+        (pick tasks)
+  in
+  let seeds = List.concat tasks @ twin in
+  let previous =
+    match Rng.int rng 4 with
+    | 0 ->
+        let earlier =
+          List.filter
+            (fun (s : Model.seed_spec) -> s.task_id < ntasks - 1)
+            (List.concat tasks)
+        in
+        (fst (Ref_heuristic.optimize (mk_instance earlier switches)))
+          .assignments
+    | 1 ->
+        List.filter_map
+          (fun (s : Model.seed_spec) ->
+            if Rng.bool rng then None
+            else
+              Some
+                { Model.a_seed = s.seed_id; a_node = Rng.int rng (nsw + 2);
+                  a_branch = 0; a_res = Array.make Analysis.n_resources 0. })
+          seeds
+    | _ -> []
+  in
+  mk_instance ~previous seeds switches
 
 let same_placement ((p : Model.placement), m) ((q : Model.placement), m') =
   let bits = Int64.bits_of_float in
@@ -439,7 +498,10 @@ let prop_total_utility_matches_reference =
    most switches host the same mix of seeds, so the call solves far fewer
    LPs than there are switches: 5, where solving one per branch of each of
    the 768 seeds and one per switch took 864.  The count is deterministic,
-   hence pinned: it moves only if the heuristic or the catalog changes. *)
+   hence pinned: it moves only if the heuristic or the catalog changes.
+   So is the placement: the MD5 of its assignments (seed, node, branch and
+   each allocation in [%h]) and the bits of its utility are pinned as the
+   heuristic computed them before its per-call seed index. *)
 let test_lp_solves_on_live_set () =
   let engine = Farm_sim.Engine.create ~seed:1 () in
   let topo =
@@ -468,7 +530,19 @@ let test_lp_solves_on_live_set () =
     (Printf.sprintf "%d LP solves, far below 96 switches" stats.lp_solves)
     true
     (stats.lp_solves * 4 <= 96);
-  Alcotest.(check int) "pinned LP solves" 5 stats.lp_solves
+  Alcotest.(check int) "pinned LP solves" 5 stats.lp_solves;
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (a : Model.assignment) ->
+      Printf.bprintf b "%d %d %d" a.a_seed a.a_node a.a_branch;
+      Array.iter (Printf.bprintf b " %h") a.a_res;
+      Buffer.add_char b '\n')
+    placement.assignments;
+  Alcotest.(check string) "pinned placement"
+    "6707e6b85b6bdbb739411a2cfc35e2bc"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  Alcotest.(check string) "pinned utility bits" "40b63cccccccccd8"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float placement.utility))
 
 (* ------------------------------------------------------------------ *)
 (* MILP                                                                *)
