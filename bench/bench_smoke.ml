@@ -434,6 +434,36 @@ let checkpoint_alloc program =
     per_call Checkpoint.encode,
     Checkpoint.wire_bytes ck )
 
+(* Bytes the two text readers on the deploy path allocate per call, on
+   heavy-hitter: [Frontend.load] of its 1 549-byte source (lexing,
+   parsing and type checking, as [Seeder.deploy] runs it) and
+   [Machine_xml.load] of its 7 317-byte interchange XML (as each task's
+   first instantiation forces its plan): 49 880 B and 49 432 B.  A
+   lexer that read characters through [char option]s, looked keywords up
+   in a list and consed its tokens cost 131 608 B per load; an XML reader
+   that copied every value through a [Buffer], unescaped and trimmed the
+   blank runs between elements, cut each closing tag's name and closed
+   over list refs per element 141 200 B.  A minor collection before each
+   read makes the figures deterministic, so each gates at its value plus
+   half a word. *)
+let frontend_alloc_gate = 49884.1
+let xml_load_alloc_gate = 49436.1
+
+let text_readers_alloc program =
+  let entry = Tasks.Catalog.find "heavy-hitter" in
+  let xml = Almanac.Machine_xml.compile program in
+  ( String.length entry.source,
+    alloc_per_call
+      (fun src ->
+        ignore
+          (Sys.opaque_identity
+             (Almanac.Frontend.load ~extra:entry.extra_sigs src)))
+      entry.source,
+    String.length xml,
+    alloc_per_call
+      (fun xml -> ignore (Sys.opaque_identity (Almanac.Machine_xml.load xml)))
+      xml )
+
 (* The heavy-hitter world of the trace and overload smokes: background
    traffic plus one elephant at 0.3 s, so detections reach the harvester
    inside the 1 s run and the digests cover collector traffic.  A tracer,
@@ -662,6 +692,18 @@ let () =
   Printf.printf "  wire_bytes %7.1f B allocated/call (gate: %.1f B)\n"
     ck_wire_alloc checkpoint_alloc_gate;
   Printf.printf "  encode     %7.1f B allocated/call\n%!" ck_encode_alloc;
+  let src_bytes, frontend_bytes, xml_bytes, xml_load_bytes =
+    text_readers_alloc program
+  in
+  Printf.printf "text readers (heavy-hitter):\n";
+  Printf.printf
+    "  Frontend.load    %9.1f B allocated/call on %d source bytes (gate: %.1f \
+     B)\n"
+    frontend_bytes src_bytes frontend_alloc_gate;
+  Printf.printf
+    "  Machine_xml.load %9.1f B allocated/call on %d XML bytes (gate: %.1f \
+     B)\n%!"
+    xml_load_bytes xml_bytes xml_load_alloc_gate;
 
   let pairs = trace_smoke () in
   let trace_inert =
@@ -820,6 +862,15 @@ let () =
     \    \"encode_alloc_bytes_per_call\": %.1f,\n\
     \    \"gate_bytes\": %.1f\n\
     \  },\n\
+    \  \"text_readers\": {\n\
+    \    \"task\": \"heavy-hitter\",\n\
+    \    \"source_bytes\": %d,\n\
+    \    \"frontend_load_alloc_bytes_per_call\": %.1f,\n\
+    \    \"frontend_load_gate_bytes\": %.1f,\n\
+    \    \"xml_bytes\": %d,\n\
+    \    \"machine_xml_load_alloc_bytes_per_call\": %.1f,\n\
+    \    \"machine_xml_load_gate_bytes\": %.1f\n\
+    \  },\n\
     \  \"tracing\": {\n\
     \    \"digest_parity\": %b,\n\
     \    \"pairs\": %d,\n\
@@ -864,7 +915,9 @@ let () =
     churn_deploys retained_bytes retention_gate
     shed_offers shed_count shed_bytes shed_alloc_gate
     poll_bytes_0 poll_bytes_64 poll_alloc_gate
-    ck_bytes ck_wire_alloc ck_encode_alloc checkpoint_alloc_gate trace_inert
+    ck_bytes ck_wire_alloc ck_encode_alloc checkpoint_alloc_gate
+    src_bytes frontend_bytes frontend_alloc_gate
+    xml_bytes xml_load_bytes xml_load_alloc_gate trace_inert
     trace_pairs eps_off eps_on alloc_off alloc_on trace_events trace_bytes
     trace_overhead_pct overhead_q1 overhead_q3
     ov_parity ov_eps_off
@@ -976,6 +1029,19 @@ let () =
       "FAIL: pricing a heavy-hitter delta checkpoint allocates %.1f B (gate: \
        %.1f B)\n%!"
       ck_wire_alloc checkpoint_alloc_gate;
+    exit 1
+  end;
+  if frontend_bytes > frontend_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: Frontend.load of heavy-hitter allocates %.1f B (gate: %.1f B)\n%!"
+      frontend_bytes frontend_alloc_gate;
+    exit 1
+  end;
+  if xml_load_bytes > xml_load_alloc_gate then begin
+    Printf.eprintf
+      "FAIL: Machine_xml.load of heavy-hitter's XML allocates %.1f B (gate: \
+       %.1f B)\n%!"
+      xml_load_bytes xml_load_alloc_gate;
     exit 1
   end;
   if activation_bytes > activation_alloc_gate then begin

@@ -6,5 +6,9 @@ exception Error of Ast.pos * string
 
 type located = { token : Token.t; line : int; col : int }
 
-(** Tokenize a whole source string; the last element is [EOF]. *)
-val tokenize : string -> located list
+(** The tokens are [toks.(0)] to [toks.(len - 1)]; the last is [EOF].
+    The array may be longer than [len]. *)
+type t = { toks : located array; len : int }
+
+(** Tokenize a whole source string. *)
+val tokenize : string -> t

@@ -4,7 +4,8 @@ exception Error of string
    [program]/[expression] entry points convert it to [Error]. *)
 exception Error_diag of Diagnostic.t
 
-type state = { toks : Lexer.located array; mutable pos : int }
+(* the tokens are [toks.(0)] to [toks.(len - 1)], the last [EOF] *)
+type state = { toks : Lexer.located array; len : int; mutable pos : int }
 
 let pos_of st =
   let { Lexer.line; col; _ } = st.toks.(st.pos) in
@@ -24,16 +25,19 @@ let cur st = st.toks.(st.pos).Lexer.token
 
 let peek st k =
   let i = st.pos + k in
-  if i < Array.length st.toks then st.toks.(i).Lexer.token else Token.EOF
+  if i < st.len then st.toks.(i).Lexer.token else Token.EOF
 
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let advance st = if st.pos < st.len - 1 then st.pos <- st.pos + 1
+
+(* the current token is [tok] *)
+let at st tok = Token.equal (cur st) tok
 
 let eat st tok =
-  if cur st = tok then advance st
+  if at st tok then advance st
   else error st "expected %s" (Token.to_string tok)
 
 let accept st tok =
-  if cur st = tok then begin
+  if at st tok then begin
     advance st;
     true
   end
@@ -83,7 +87,7 @@ let decl_starts st =
   match cur st with
   | Token.IDENT "stats" -> (
       match peek st 1 with Token.IDENT _ -> true | _ -> false)
-  | t -> typ_of_token t <> None
+  | t -> Option.is_some (typ_of_token t)
 
 let trigger_type_of_token = function
   | Token.KW_TIME -> Some Ast.Time
@@ -277,8 +281,8 @@ and parse_primary st =
           Ast.FilterAtom (head, arg)
       | _ ->
           advance st;
-          if cur st = Token.LPAREN then Ast.Call (name, parse_args st)
-          else if cur st = Token.LBRACE && peek st 1 = Token.DOT then
+          if at st Token.LPAREN then Ast.Call (name, parse_args st)
+          else if at st Token.LBRACE && Token.equal (peek st 1) Token.DOT then
             parse_struct_lit st name
           else Ast.Var name)
   | _ -> error st "expected an expression"
@@ -314,7 +318,7 @@ and parse_stmt_kind st =
       let else_ =
         if accept st Token.KW_ELSE then
           (* allow both [else { ... }] and [else if ...] *)
-          if cur st = Token.KW_IF then [ parse_stmt st ] else parse_block st
+          if at st Token.KW_IF then [ parse_stmt st ] else parse_block st
         else []
       in
       Ast.If (cond, then_, else_)
@@ -351,7 +355,7 @@ and parse_stmt_kind st =
       let init = if accept st Token.ASSIGN then Some (parse_expr st) else None in
       eat st Token.SEMI;
       Ast.Decl (typ, name, init)
-  | Token.IDENT name when peek st 1 = Token.ASSIGN ->
+  | Token.IDENT name when Token.equal (peek st 1) Token.ASSIGN ->
       advance st;
       advance st;
       let e = parse_expr st in
@@ -453,7 +457,7 @@ let parse_state st ~loc =
       | Token.KW_UTIL ->
           let uloc = pos_of st in
           advance st;
-          if !util <> None then error st "duplicate util block";
+          if Option.is_some !util then error st "duplicate util block";
           util := Some (parse_util st ~loc:uloc)
       | Token.KW_WHEN ->
           let evloc = pos_of st in
@@ -502,7 +506,7 @@ let parse_place st ~loc =
     match role with
     | Some role ->
         let pfilter =
-          if cur st = Token.KW_RANGE then None else Some (parse_expr st)
+          if at st Token.KW_RANGE then None else Some (parse_expr st)
         in
         eat st Token.KW_RANGE;
         let rop =
@@ -559,7 +563,7 @@ let parse_machine st ~loc =
       | Token.KW_EXTERNAL ->
           advance st;
           vars := parse_var_decl st ~is_external:true :: !vars
-      | t when trigger_type_of_token t <> None ->
+      | t when Option.is_some (trigger_type_of_token t) ->
           trigs := parse_trig_decl st :: !trigs
       | _ when decl_starts st ->
           vars := parse_var_decl st ~is_external:false :: !vars
@@ -605,7 +609,7 @@ let parse_program st =
         advance st;
         machines := parse_machine st ~loc:mloc :: !machines;
         go ()
-    | t when typ_of_token t <> None ->
+    | t when Option.is_some (typ_of_token t) ->
         funcs := parse_fundec st :: !funcs;
         go ()
     | _ -> error st "expected a machine or function declaration"
@@ -614,12 +618,12 @@ let parse_program st =
   { Ast.funcs = List.rev !funcs; machines = List.rev !machines }
 
 let make_state src =
-  let toks =
+  let { Lexer.toks; len } =
     try Lexer.tokenize src
     with Lexer.Error (pos, message) ->
       raise (Error_diag (Diagnostic.error ~pos ~code:"P001" message))
   in
-  { toks = Array.of_list toks; pos = 0 }
+  { toks; len; pos = 0 }
 
 (* Legacy string payload: "line:col: message", as before diagnostics. *)
 let string_of_diag (d : Diagnostic.t) =
@@ -638,6 +642,6 @@ let expression src =
   try
     let st = make_state src in
     let e = parse_expr st in
-    if cur st <> Token.EOF then error st "trailing input after expression";
+    if not (at st Token.EOF) then error st "trailing input after expression";
     e
   with Error_diag d -> raise (Error (string_of_diag d))

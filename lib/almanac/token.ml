@@ -103,6 +103,20 @@ let keyword_table : (string * t) list =
     ("rule", KW_RULE); ("void", KW_VOID); ("time", KW_TIME);
     ("poll", KW_POLL); ("probe", KW_PROBE) ]
 
+(* Tokens compared without the generic [compare]: a constant constructor
+   is an immediate, so [==] decides it; the four carrying constructors
+   compare their payloads, the float by IEEE [=]. *)
+let equal a b =
+  match (a, b) with
+  | IDENT x, IDENT y -> String.equal x y
+  | INT x, INT y -> Int.equal x y
+  | FLOAT x, FLOAT y -> x = y
+  | STRING x, STRING y -> String.equal x y
+  | (IDENT _ | INT _ | FLOAT _ | STRING _), _
+  | _, (IDENT _ | INT _ | FLOAT _ | STRING _) ->
+      false
+  | a, b -> a == b
+
 let to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | INT i -> Printf.sprintf "integer %d" i
@@ -131,6 +145,6 @@ let to_string = function
   | SLASH -> "'/'"
   | EOF -> "end of input"
   | t -> (
-      match List.find_opt (fun (_, tok) -> tok = t) keyword_table with
+      match List.find_opt (fun (_, tok) -> equal tok t) keyword_table with
       | Some (kw, _) -> Printf.sprintf "keyword %S" kw
       | None -> "token")

@@ -129,12 +129,9 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
-
-(* the character at the cursor satisfies [p]: the scanning loops test
-   this, or the cursor directly, rather than [peek], which allocates an
-   option per character *)
-let holds c p = c.pos < String.length c.src && p c.src.[c.pos]
+(* The scanning loops below test the character at the cursor against the
+   length directly, with no [char option] and no predicate passed as a
+   closure per character. *)
 let advance c = c.pos <- c.pos + 1
 
 (* [s] occurs in [src] at [pos + i], compared from its [i]th character
@@ -149,8 +146,16 @@ let starts_with c s = occurs_at c.src c.pos s 0
 
 let skip c s = c.pos <- c.pos + String.length s
 
+(* the first offset of [ch] in [src.[i .. stop - 1]], or [stop] *)
+let rec index_upto src i stop ch =
+  if i >= stop || src.[i] = ch then i else index_upto src (i + 1) stop ch
+
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-let skip_ws c = while holds c is_space do advance c done
+
+let skip_ws c =
+  while c.pos < String.length c.src && is_space c.src.[c.pos] do
+    advance c
+  done
 
 let rec skip_misc c =
   skip_ws c;
@@ -176,75 +181,87 @@ let is_name_char ch =
   || (ch >= '0' && ch <= '9')
   || ch = '_' || ch = '-' || ch = ':' || ch = '.'
 
+(* the offset after the name at the cursor *)
+let name_end c =
+  let src = c.src in
+  let j = ref c.pos in
+  while !j < String.length src && is_name_char src.[!j] do
+    incr j
+  done;
+  if !j = c.pos then fail "expected a name at offset %d" c.pos;
+  !j
+
 let parse_name c =
   let start = c.pos in
-  while holds c is_name_char do advance c done;
-  if c.pos = start then fail "expected a name at offset %d" c.pos;
+  c.pos <- name_end c;
   String.sub c.src start (c.pos - start)
 
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '&' then begin
-      let j = try String.index_from s !i ';' with Not_found -> fail "bad entity" in
-      (match String.sub s (!i + 1) (j - !i - 1) with
-      | "lt" -> Buffer.add_char buf '<'
-      | "gt" -> Buffer.add_char buf '>'
-      | "amp" -> Buffer.add_char buf '&'
-      | "quot" -> Buffer.add_char buf '"'
-      | "apos" -> Buffer.add_char buf '\''
-      | e -> fail "unknown entity &%s;" e);
-      i := j + 1
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
+(* [src.[start .. stop - 1]] with its entities replaced; a run without
+   [&] is one [String.sub] *)
+let unescape src start stop =
+  if index_upto src start stop '&' = stop then
+    String.sub src start (stop - start)
+  else begin
+    let buf = Buffer.create (stop - start) in
+    let i = ref start in
+    while !i < stop do
+      if src.[!i] = '&' then begin
+        let j = index_upto src !i stop ';' in
+        if j = stop then fail "bad entity";
+        (match String.sub src (!i + 1) (j - !i - 1) with
+        | "lt" -> Buffer.add_char buf '<'
+        | "gt" -> Buffer.add_char buf '>'
+        | "amp" -> Buffer.add_char buf '&'
+        | "quot" -> Buffer.add_char buf '"'
+        | "apos" -> Buffer.add_char buf '\''
+        | e -> fail "unknown entity &%s;" e);
+        i := j + 1
+      end
+      else begin
+        Buffer.add_char buf src.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents buf
+  end
 
-let parse_attrs c =
-  let attrs = ref [] in
-  let rec go () =
+(* [src.[start .. stop - 1]] is blank by [String.trim]'s measure *)
+let rec blank src start stop =
+  start >= stop
+  || (match src.[start] with
+     | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+     | _ -> false)
+     && blank src (start + 1) stop
+
+(* The readers below recurse with an accumulator rather than closing
+   over a list ref, so an element costs no closure. *)
+let rec parse_attrs c acc =
+  skip_ws c;
+  let src = c.src in
+  let n = String.length src in
+  if c.pos < n && is_name_char src.[c.pos] then begin
+    let key = parse_name c in
     skip_ws c;
-    match peek c with
-    | Some ch when is_name_char ch ->
-        let key = parse_name c in
-        skip_ws c;
-        (match peek c with
-        | Some '=' -> advance c
-        | _ -> fail "expected '=' after attribute %s" key);
-        skip_ws c;
-        let quote =
-          match peek c with
-          | Some (('"' | '\'') as q) ->
-              advance c;
-              q
-          | _ -> fail "expected a quoted attribute value"
-        in
-        let start = c.pos in
-        while c.pos < String.length c.src && c.src.[c.pos] <> quote do
-          advance c
-        done;
-        (match peek c with
-        | Some _ -> ()
-        | None -> fail "unterminated attribute value");
-        let v = String.sub c.src start (c.pos - start) in
-        advance c;
-        attrs := (key, unescape v) :: !attrs;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  List.rev !attrs
+    if c.pos < n && src.[c.pos] = '=' then advance c
+    else fail "expected '=' after attribute %s" key;
+    skip_ws c;
+    let quote = if c.pos < n then src.[c.pos] else ' ' in
+    if quote <> '"' && quote <> '\'' then
+      fail "expected a quoted attribute value";
+    advance c;
+    let start = c.pos in
+    let stop = index_upto src start n quote in
+    if stop = n then fail "unterminated attribute value";
+    c.pos <- stop + 1;
+    parse_attrs c ((key, unescape src start stop) :: acc)
+  end
+  else List.rev acc
 
 let rec parse_element c =
   if not (starts_with c "<") then fail "expected '<' at offset %d" c.pos;
   advance c;
   let tag = parse_name c in
-  let attrs = parse_attrs c in
+  let attrs = parse_attrs c [] in
   skip_ws c;
   if starts_with c "/>" then begin
     skip c "/>";
@@ -252,38 +269,45 @@ let rec parse_element c =
   end
   else if starts_with c ">" then begin
     advance c;
-    let kids = ref [] in
-    let rec go () =
-      if peek c = None then fail "unterminated <%s>" tag
-      else if starts_with c "</" then begin
-        skip c "</";
-        let close = parse_name c in
-        if close <> tag then fail "mismatched </%s> for <%s>" close tag;
-        skip_ws c;
-        if starts_with c ">" then advance c else fail "expected '>'"
-      end
-      else if starts_with c "<!--" then begin
-        skip_misc c;
-        go ()
-      end
-      else if starts_with c "<" then begin
-        kids := parse_element c :: !kids;
-        go ()
-      end
-      else begin
-        let start = c.pos in
-        while c.pos < String.length c.src && c.src.[c.pos] <> '<' do
-          advance c
-        done;
-        let s = unescape (String.sub c.src start (c.pos - start)) in
-        if String.trim s <> "" then kids := Text s :: !kids;
-        go ()
-      end
-    in
-    go ();
-    Element (tag, attrs, List.rev !kids)
+    Element (tag, attrs, parse_children c tag [])
   end
   else fail "malformed tag <%s" tag
+
+(* the children of [tag] up to its closing tag, which is compared in
+   place and cut only for the error *)
+and parse_children c tag acc =
+  let src = c.src in
+  if c.pos >= String.length src then fail "unterminated <%s>" tag
+  else if starts_with c "</" then begin
+    skip c "</";
+    let start = c.pos in
+    let stop = name_end c in
+    if stop - start <> String.length tag || not (occurs_at src start tag 0)
+    then
+      fail "mismatched </%s> for <%s>"
+        (String.sub src start (stop - start))
+        tag;
+    c.pos <- stop;
+    skip_ws c;
+    if starts_with c ">" then advance c else fail "expected '>'";
+    List.rev acc
+  end
+  else if starts_with c "<!--" then begin
+    skip_misc c;
+    parse_children c tag acc
+  end
+  else if starts_with c "<" then begin
+    let kid = parse_element c in
+    parse_children c tag (kid :: acc)
+  end
+  else begin
+    let start = c.pos in
+    let stop = index_upto src start (String.length src) '<' in
+    c.pos <- stop;
+    (* blank runs between elements are layout, not text *)
+    if blank src start stop then parse_children c tag acc
+    else parse_children c tag (Text (unescape src start stop) :: acc)
+  end
 
 let parse src =
   let c = { src; pos = 0 } in

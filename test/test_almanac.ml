@@ -62,37 +62,37 @@ let check_hh () = Typecheck.check ~extra:hh_extra_sigs (parse_hh ())
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The tokens of [src], in order, as (token, line, column). *)
+let lex src =
+  let { Lexer.toks; len } = Lexer.tokenize src in
+  List.init len (fun i ->
+      let { Lexer.token; line; col } = toks.(i) in
+      (token, line, col))
+
+let kinds src = List.map (fun (t, _, _) -> t) (lex src)
+
 let test_lexer_basic () =
-  let toks = Lexer.tokenize "machine M { long x = 10; } // comment" in
-  let kinds = List.map (fun (l : Lexer.located) -> l.token) toks in
   Alcotest.(check bool) "token stream" true
-    (kinds
+    (kinds "machine M { long x = 10; } // comment"
     = [ Token.KW_MACHINE; Token.IDENT "M"; Token.LBRACE; Token.KW_LONG;
         Token.IDENT "x"; Token.ASSIGN; Token.INT 10; Token.SEMI;
         Token.RBRACE; Token.EOF ])
 
 let test_lexer_operators () =
-  let toks = Lexer.tokenize "== <> <= >= < > = + - * /" in
-  let kinds = List.map (fun (l : Lexer.located) -> l.token) toks in
   Alcotest.(check bool) "operators" true
-    (kinds
+    (kinds "== <> <= >= < > = + - * /"
     = [ Token.EQ; Token.NEQ; Token.LE; Token.GE; Token.LT; Token.GT;
         Token.ASSIGN; Token.PLUS; Token.MINUS; Token.STAR; Token.SLASH;
         Token.EOF ])
 
 let test_lexer_comments_strings () =
-  let toks =
-    Lexer.tokenize "/* block\ncomment */ \"a string\" 3.25 // rest"
-  in
-  let kinds = List.map (fun (l : Lexer.located) -> l.token) toks in
   Alcotest.(check bool) "comments skipped" true
-    (kinds = [ Token.STRING "a string"; Token.FLOAT 3.25; Token.EOF ])
+    (kinds "/* block\ncomment */ \"a string\" 3.25 // rest"
+    = [ Token.STRING "a string"; Token.FLOAT 3.25; Token.EOF ])
 
 let test_lexer_scientific_notation () =
-  let toks = Lexer.tokenize "1e-3 2.5E6 7e2 3e" in
-  let kinds = List.map (fun (l : Lexer.located) -> l.token) toks in
   Alcotest.(check bool) "e-notation floats" true
-    (kinds
+    (kinds "1e-3 2.5E6 7e2 3e"
     = [ Token.FLOAT 1e-3; Token.FLOAT 2.5e6; Token.FLOAT 7e2;
         (* "3e" is an int followed by an identifier *)
         Token.INT 3; Token.IDENT "e"; Token.EOF ])
@@ -106,12 +106,143 @@ let test_lexer_errors () =
   | exception Lexer.Error _ -> ())
 
 let test_lexer_positions () =
-  let toks = Lexer.tokenize "a\n  b" in
-  match toks with
-  | [ a; b; _eof ] ->
-      Alcotest.(check (pair int int)) "a at 1:1" (1, 1) (a.line, a.col);
-      Alcotest.(check (pair int int)) "b at 2:3" (2, 3) (b.line, b.col)
+  match lex "a\n  b" with
+  | [ (_, la, ca); (_, lb, cb); _eof ] ->
+      Alcotest.(check (pair int int)) "a at 1:1" (1, 1) (la, ca);
+      Alcotest.(check (pair int int)) "b at 2:3" (2, 3) (lb, cb)
   | _ -> Alcotest.fail "expected 3 tokens"
+
+(* Every entry of [Token.keyword_table] lexes to its token, and
+   [Token.to_string] names it. *)
+let test_lexer_keywords () =
+  List.iter
+    (fun (kw, tok) ->
+      (match kinds kw with
+      | [ t; Token.EOF ] when Token.equal t tok -> ()
+      | _ -> Alcotest.failf "%S does not lex to its keyword" kw);
+      Alcotest.(check string) (kw ^ " named") (Printf.sprintf "keyword %S" kw)
+        (Token.to_string tok);
+      (* a keyword with a trailing underscore is an identifier *)
+      Alcotest.(check bool) (kw ^ "_ is an identifier") true
+        (kinds (kw ^ "_") = [ Token.IDENT (kw ^ "_"); Token.EOF ]))
+    Token.keyword_table;
+  Alcotest.(check bool) "soft keyword" true
+    (kinds "stats" = [ Token.IDENT "stats"; Token.EOF ])
+
+(* The lexer against the frozen reference ([Ref_lexer], the lexer as it
+   was before it read by index): on every source, the same tokens at the
+   same positions, or the same error at the same position with the same
+   message, or the same exception. *)
+type lexed =
+  | Tokens of (Token.t * int * int) list
+  | Lex_error of Ast.pos * string
+  | Raised of string
+
+let lexed_by_lexer src =
+  match lex src with
+  | ts -> Tokens ts
+  | exception Lexer.Error (p, m) -> Lex_error (p, m)
+  | exception e -> Raised (Printexc.to_string e)
+
+let lexed_by_reference src =
+  match Ref_lexer.tokenize src with
+  | ts ->
+      Tokens
+        (List.map (fun { Ref_lexer.token; line; col } -> (token, line, col)) ts)
+  | exception Ref_lexer.Error (p, m) -> Lex_error (p, m)
+  | exception e -> Raised (Printexc.to_string e)
+
+let alm_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".alm")
+  |> List.sort compare
+  |> List.map (fun f ->
+         In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+(* the catalog, the generated-program corpus, the lint fixtures and the
+   shipped examples *)
+let lexer_sources =
+  lazy
+    (List.map
+       (fun (e : Farm_tasks.Task_common.entry) -> e.source)
+       Farm_tasks.Catalog.all
+    @ alm_files "almanac_corpus" @ alm_files "lint_fixtures"
+    @ alm_files "../examples")
+
+(* Edits that reach the lexer's error and corner paths: a stray
+   character, an unterminated string or block comment, a block comment
+   over a line end with tokens after it on its last line, exponent forms,
+   an int too large for [int_of_string], strings that span lines or end
+   on an escape, CRLF line ends, and a cut. *)
+let lexer_mutations =
+  let insert text src at =
+    String.sub src 0 at ^ text ^ String.sub src at (String.length src - at)
+  in
+  [ ("stray #", insert "#");
+    ("open string", insert "\"");
+    ("open block comment", insert "/*");
+    ("multi-line block comment", insert " /* a\n  b */ ");
+    ("line comment", insert "//");
+    ("3e", insert " 3e ");
+    ("1e-3", insert " 1e-3 2.5E+6 1.e 7.5e ");
+    ("long int", insert " 12345678901234567890123 999999999999999999 ");
+    ("multi-line string", insert " \"a\nb\\\n c\\\"\\n\" ");
+    ("string ending on an escape", fun src _ -> src ^ "\"ab\\");
+    ("CRLF", fun src _ -> String.concat "\r\n" (String.split_on_char '\n' src));
+    ("cut", fun src at -> String.sub src 0 at) ]
+
+let check_lexer_agrees ~what src =
+  if lexed_by_lexer src <> lexed_by_reference src then
+    Alcotest.failf "lexer and reference differ on %s:\n%s" what src
+
+let test_lexer_reference () =
+  let sources = Lazy.force lexer_sources in
+  Alcotest.(check int) "catalog sources" 17
+    (List.length Farm_tasks.Catalog.all);
+  List.iteri
+    (fun k src ->
+      check_lexer_agrees ~what:(Printf.sprintf "source %d" k) src;
+      List.iter
+        (fun (name, mutate) ->
+          List.iter
+            (fun at ->
+              check_lexer_agrees
+                ~what:(Printf.sprintf "source %d, %s at %d" k name at)
+                (mutate src at))
+            [ 0; String.length src / 3; String.length src / 2;
+              String.length src ])
+        lexer_mutations)
+    sources
+
+let prop_lexer_reference =
+  let open QCheck2.Gen in
+  let source =
+    oneof
+      [ map
+          (fun i ->
+            let sources = Lazy.force lexer_sources in
+            List.nth sources (i mod List.length sources))
+          nat;
+        map (fun (p, _) -> Pretty.program_to_string p) Almanac_gen.program ]
+  in
+  let mutation =
+    let* k = int_bound (List.length lexer_mutations) in
+    let+ f = float_bound_inclusive 1. in
+    (k, f)
+  in
+  QCheck2.Test.make ~name:"lexer = frozen reference on mutated sources"
+    ~count:300 ~long_factor:25
+    ~print:(fun (src, (k, f)) ->
+      Printf.sprintf "mutation %d at %g of\n%s" k f src)
+    (pair source mutation)
+    (fun (src, (k, f)) ->
+      let src =
+        match List.nth_opt lexer_mutations k with
+        | None -> src
+        | Some (_, mutate) ->
+            mutate src (int_of_float (f *. float_of_int (String.length src)))
+      in
+      lexed_by_lexer src = lexed_by_reference src)
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
@@ -1080,6 +1211,128 @@ let test_xml_end_of_input () =
       | exception Xml.Parse_error _ -> ())
     [ "<!--c-->"; "<!--c--"; "<a><!--c-->"; "<a/"; "<?p?>" ]
 
+(* Generated documents through the reader.  A document is drawn with its
+   layout: text runs holding entity characters, blank runs, comments and
+   single- or double-quoted attributes.  What the reader must return is
+   the tree with the comments dropped, each run of adjacent text and
+   blank pieces merged (less the XML blanks that open it after a
+   comment), and merged runs that are blank dropped.  Without
+   its comments, whose texts would merge when written, the tree must also
+   survive [Xml.to_string ~indent:false]. *)
+type xml_piece =
+  | Child of string * (string * string) list * xml_piece list
+  | Piece_text of string
+  | Piece_blank of string
+  | Piece_comment of string
+
+let xml_doc_gen =
+  let open QCheck2.Gen in
+  let name =
+    let* first = oneofl [ "a"; "b"; "seed"; "Var"; "x_1" ] in
+    let+ rest = oneofl [ ""; "-2"; ".k"; ":ns" ] in
+    first ^ rest
+  in
+  let text =
+    string_size
+      ~gen:(oneofl [ 'a'; 'z'; '0'; ' '; '\n'; '<'; '>'; '&'; '"'; '\'' ])
+      (int_range 1 12)
+  in
+  let blank =
+    string_size ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '\012' ]) (int_range 1 4)
+  in
+  let comment =
+    map (fun s -> String.concat "" (String.split_on_char '-' s)) text
+  in
+  let attrs = list_size (int_bound 3) (pair name text) in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [ map (fun t -> Piece_text t) text;
+               map (fun b -> Piece_blank b) blank;
+               map (fun c -> Piece_comment c) comment ]
+         in
+         let* n = name and* a = attrs in
+         let+ kids =
+           list_size (int_bound 5)
+             (if depth = 0 then leaf
+              else frequency [ (2, leaf); (1, self (depth - 1)) ])
+         in
+         Child (n, a, kids))
+
+(* [single]: single quotes and blanks around [=] for this element's
+   attributes; the two styles alternate by depth *)
+let rec xml_render buf single = function
+  | Child (n, attrs, kids) ->
+      let q = if single then '\'' else '"' and sp = if single then " " else "" in
+      Buffer.add_char buf '<';
+      Buffer.add_string buf n;
+      List.iter
+        (fun (k, v) ->
+          Printf.bprintf buf " %s%s=%s%c" k sp sp q;
+          Xml.add_escaped buf v;
+          Buffer.add_char buf q)
+        attrs;
+      if kids = [] then Buffer.add_string buf "/>"
+      else begin
+        Buffer.add_char buf '>';
+        List.iter (xml_render buf (not single)) kids;
+        Printf.bprintf buf "</%s >" n
+      end
+  | Piece_text t -> Xml.add_escaped buf t
+  | Piece_blank b -> Buffer.add_string buf b
+  | Piece_comment c -> Printf.bprintf buf "<!--%s-->" c
+
+let rec xml_expected = function
+  | Child (n, attrs, kids) ->
+      (* the reader skips a comment with the XML blanks after it *)
+      let rec after_comment run i =
+        if i < String.length run && String.contains " \t\n\r" run.[i] then
+          after_comment run (i + 1)
+        else String.sub run i (String.length run - i)
+      in
+      let flush (run, comment, acc) =
+        let run = if comment then after_comment run 0 else run in
+        if String.trim run = "" then acc else Xml.Text run :: acc
+      in
+      let last =
+        List.fold_left
+          (fun ((run, comment, acc) as st) -> function
+            | Piece_text t | Piece_blank t -> (run ^ t, comment, acc)
+            | Piece_comment _ -> ("", true, flush st)
+            | Child _ as k -> ("", false, xml_expected k :: flush st))
+          ("", false, []) kids
+      in
+      Xml.Element (n, attrs, List.rev (flush last))
+  | Piece_text _ | Piece_blank _ | Piece_comment _ -> assert false
+
+let rec xml_uncommented = function
+  | Child (n, attrs, kids) ->
+      Child
+        ( n, attrs,
+          List.filter_map
+            (function
+              | Piece_comment _ -> None | k -> Some (xml_uncommented k))
+            kids )
+  | piece -> piece
+
+let prop_xml_roundtrip =
+  QCheck2.Test.make ~name:"xml: parse of generated documents" ~count:500
+    ~long_factor:25
+    ~print:(fun d ->
+      let buf = Buffer.create 64 in
+      xml_render buf false d;
+      Buffer.contents buf)
+    xml_doc_gen
+    (fun d ->
+      let buf = Buffer.create 256 in
+      Buffer.add_string buf "<?xml version=\"1.0\"?>\n<!-- head -->";
+      xml_render buf false d;
+      Buffer.add_string buf " \n";
+      let t = xml_expected (xml_uncommented d) in
+      Xml.parse (Buffer.contents buf) = xml_expected d
+      && Xml.parse (Xml.to_string ~indent:false t) = t)
+
 let test_machine_xml_roundtrip_hh () =
   let p = parse_hh () in
   let xml = Machine_xml.compile p in
@@ -1957,7 +2210,10 @@ let () =
           Alcotest.test_case "scientific notation" `Quick
             test_lexer_scientific_notation;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
-          Alcotest.test_case "positions" `Quick test_lexer_positions ] );
+          Alcotest.test_case "positions" `Quick test_lexer_positions;
+          Alcotest.test_case "keywords" `Quick test_lexer_keywords;
+          Alcotest.test_case "frozen reference" `Quick test_lexer_reference ]
+        @ qsuite [ prop_lexer_reference ] );
       ( "parser",
         [ Alcotest.test_case "heavy hitter example" `Quick test_parse_hh;
           Alcotest.test_case "arithmetic precedence" `Quick
@@ -2054,7 +2310,8 @@ let () =
           Alcotest.test_case "catalog round-trip" `Quick
             test_machine_xml_roundtrip_catalog;
           Alcotest.test_case "decode errors" `Quick
-            test_machine_xml_decode_errors ] );
+            test_machine_xml_decode_errors ]
+        @ qsuite [ prop_xml_roundtrip ] );
       ( "differential",
         [ Alcotest.test_case "catalog: interp vs compiled" `Quick
             test_differential_catalog;
