@@ -495,12 +495,25 @@ let quantile q xs =
   if i + 1 >= Array.length a then a.(i)
   else a.(i) +. ((pos -. float_of_int i) *. (a.(i + 1) -. a.(i)))
 
+(* [n] pairs [(off (), on ())], the side that runs first alternating, so
+   drift on the host hits both sides alike *)
+let alternating_pairs n off on =
+  List.init n (fun k ->
+      if k mod 2 = 0 then
+        let a = off () in
+        (a, on ())
+      else
+        let b = on () in
+        (off (), b))
+
 (* Observability smoke: the heavy-hitter world run with tracing disabled
    (the default — a single [None] branch per emission site) and with a
    sink attached.  The simulation digest must be identical either way
    (tracing is passive).  The wall-clock cost of tracing is the median,
-   with quartiles, of [trace_pairs] alternating untraced/traced runs: a
-   best-of-3 ratio swung between 14 % and 75 % on a noisy VM.  Bytes
+   with quartiles, of [trace_pairs] pairs of untraced/traced runs, the
+   side that runs first alternating: a best-of-3 ratio swung between
+   14 % and 75 % on a noisy VM, and with the untraced run always first
+   unchanged code failed the 40 % gate in 3-4 of 12 runs.  Bytes
    allocated are counted between two full major collections, which makes
    them independent of GC timing, so every run of a configuration
    reports the same figure. *)
@@ -538,9 +551,9 @@ let trace_smoke () =
       alloc = Gc.allocated_bytes () -. a0;
       msgs = Runtime.Seeder.collector_messages w.World.seeder }
   in
-  List.init trace_pairs (fun _ ->
-      let off = run ~traced:false in
-      (off, run ~traced:true))
+  alternating_pairs trace_pairs
+    (fun () -> run ~traced:false)
+    (fun () -> run ~traced:true)
 
 (* Overload-protection smoke: the same heavy-hitter world with the
    protection stack disabled (the default) and fully armed but unstressed.
@@ -588,13 +601,9 @@ let overload_smoke () =
       ov_eps = float_of_int (Sim.Engine.dispatched w.World.engine) /. dt;
       ov_sheds = sheds; ov_msgs = Seeder.collector_messages seeder }
   in
-  List.init overload_pairs (fun k ->
-      if k mod 2 = 0 then
-        let off = run ~overload:false in
-        (off, run ~overload:true)
-      else
-        let on = run ~overload:true in
-        (run ~overload:false, on))
+  alternating_pairs overload_pairs
+    (fun () -> run ~overload:false)
+    (fun () -> run ~overload:true)
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_micro.json" in

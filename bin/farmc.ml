@@ -73,17 +73,10 @@ let conflict_diags linted =
       (fun (name, externals, p) ->
         match p with
         | None -> None
-        | Some (p : Almanac.Ast.program) ->
+        | Some p ->
             let summaries =
-              List.filter_map
-                (fun (m : Almanac.Ast.machine) ->
-                  let bindings =
-                    Almanac.Analysis.deploy_bindings ~externals m
-                  in
-                  match Almanac.Analysis.summarize ~bindings ~topo m with
-                  | Ok s -> Some (s, bindings)
-                  | Error _ -> None)
-                p.machines
+              List.filter_map Result.to_option
+                (Almanac.Frontend.analyze ~topo ~externals p)
             in
             Some (Placement.Conflict.profile ~task:name summaries))
       linted
@@ -255,14 +248,12 @@ let compile_cmd =
 let analyze_cmd =
   let run file =
     let p = or_die (check_program file) in
-    let topo = ref_topo () in
-    List.iter
-      (fun (m : Almanac.Ast.machine) ->
+    List.iter2
+      (fun (m : Almanac.Ast.machine) analysis ->
         Printf.printf "machine %s\n" m.mname;
-        let bindings = Almanac.Analysis.deploy_bindings ~externals:[] m in
-        match Almanac.Analysis.summarize ~bindings ~topo m with
+        match analysis with
         | Error e -> Printf.printf "  analysis error: %s\n" e
-        | Ok s ->
+        | Ok ((s : Almanac.Analysis.summary), _) ->
             Printf.printf "  seeds (on a 2x4 spine-leaf reference fabric): %d\n"
               (List.length s.seeds);
             List.iter
@@ -293,6 +284,7 @@ let analyze_cmd =
                         pv.subjects)))
               s.poll_vars)
       p.machines
+      (Almanac.Frontend.analyze ~topo:(ref_topo ()) p)
   in
   Cmd.v
     (Cmd.info "analyze"

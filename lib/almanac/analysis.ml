@@ -27,24 +27,6 @@ type bindings = string -> Value.t option
 
 let no_bindings _ = None
 
-let deploy_bindings ~externals (m : Ast.machine) : bindings =
-  let bound = Option.value (List.assoc_opt m.mname externals) ~default:[] in
-  fun name ->
-    match List.assoc_opt name bound with
-    | Some _ as v -> v
-    | None ->
-        List.find_map
-          (fun (v : Ast.var_decl) ->
-            if v.vname <> name then None
-            else
-              match v.vinit with
-              | Some (Ast.Int i) -> Some (Value.Num (float_of_int i))
-              | Some (Ast.Float f) -> Some (Value.Num f)
-              | Some (Ast.String s) -> Some (Value.Str s)
-              | Some (Ast.Bool b) -> Some (Value.Bool b)
-              | _ -> None)
-          m.mvars
-
 let ( let* ) = Result.bind
 
 let err fmt = Printf.ksprintf (fun m -> Error m) fmt
@@ -383,11 +365,6 @@ let poll_rate spec res =
 type rexpr = RLin of Lin.t | RQuot of float * Lin.t  (* c / lin *)
 
 let rec eval_rexpr ~bindings (e : Ast.expr) : (rexpr, string) result =
-  let lin e =
-    match to_linear ~bindings ~resvars:[] e with
-    | Ok l -> Ok (RLin l)
-    | Error e -> Error e
-  in
   match e with
   | Ast.Binop (Ast.Div, a, b) -> (
       let* ra = eval_rexpr ~bindings a in
@@ -421,14 +398,9 @@ let rec eval_rexpr ~bindings (e : Ast.expr) : (rexpr, string) result =
       match (ra, rb) with
       | RLin la, RLin lb -> Ok (RLin (op la lb))
       | _ -> err "ival is not linear-invertible")
-  | e -> (
-      match lin e with
-      | Ok r -> Ok r
-      | Error _ -> (
-          (* resource field? to_linear with res() base handles it *)
-          match to_linear ~bindings ~resvars:[] e with
-          | Ok l -> Ok (RLin l)
-          | Error m -> Error m))
+  | e ->
+      let* l = to_linear ~bindings ~resvars:[] e in
+      Ok (RLin l)
 
 let ival_spec_of_expr ~bindings e : (ival_spec, string) result =
   let* r = eval_rexpr ~bindings e in

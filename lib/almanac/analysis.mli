@@ -38,13 +38,6 @@ type bindings = string -> Value.t option
 
 val no_bindings : bindings
 
-(** The bindings a deployment gives machine [m]: its entry in the task's
-    per-machine [externals] first, then literal initializers of [m]'s
-    variables.  Every entry point that analyzes a machine as the seeder
-    deploys it uses these. *)
-val deploy_bindings :
-  externals:(string * (string * Value.t) list) list -> Ast.machine -> bindings
-
 (** Analyze a [util] block.  Fails on non-linear utilities (the paper
     restricts [util] so this cannot happen for type-checked programs,
     except division by a non-constant). *)

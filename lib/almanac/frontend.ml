@@ -6,13 +6,34 @@ let load ?extra source =
   | Error d -> Error [ d ]
   | Ok parsed -> Typecheck.check_diags ?extra parsed
 
+(* The bindings a deployment gives machine [m]: its entry in the task's
+   per-machine [externals] first, then literal initializers of [m]'s
+   variables. *)
+let deploy_bindings ~externals (m : Ast.machine) : Analysis.bindings =
+  let bound = Option.value (List.assoc_opt m.mname externals) ~default:[] in
+  fun name ->
+    match List.assoc_opt name bound with
+    | Some _ as v -> v
+    | None ->
+        List.find_map
+          (fun (v : Ast.var_decl) ->
+            if v.vname <> name then None
+            else
+              match v.vinit with
+              | Some (Ast.Int i) -> Some (Value.Num (float_of_int i))
+              | Some (Ast.Float f) -> Some (Value.Num f)
+              | Some (Ast.String s) -> Some (Value.Str s)
+              | Some (Ast.Bool b) -> Some (Value.Bool b)
+              | _ -> None)
+          m.mvars
+
 (* B201: per machine, the util envelope against the subscriptions' CPU
    floor.  Machines whose polls or utils do not analyze are left to the
    passes that report them. *)
 let bounds ~model ~file ~externals (p : Ast.program) =
   List.concat_map
     (fun (m : Ast.machine) ->
-      let bindings = Analysis.deploy_bindings ~externals m in
+      let bindings = deploy_bindings ~externals m in
       match Analysis.polls ~bindings m with
       | Error _ -> []
       | Ok polls ->
@@ -28,15 +49,26 @@ let bounds ~model ~file ~externals (p : Ast.program) =
           Bounds.cross_check ~model ~file ~machine:m ~polls ~state_utils ())
     p.machines
 
+let lint_program ?file ?(externals = []) ?reach p =
+  Lint.check_program ?file
+    ~externals:(List.map (fun (m, vs) -> (m, List.map fst vs)) externals)
+    ?reach p
+
 let lint ~model ~file ?extra ?(externals = []) source =
   match load ?extra source with
   | Error ds -> (Diagnostic.with_file file ds, None)
   | Ok p ->
-      let bound_names =
-        List.map (fun (m, vs) -> (m, List.map fst vs)) externals
-      in
-      let lint = Lint.check_program ~file ~externals:bound_names p in
+      let lint = lint_program ~file ~externals p in
       (Diagnostic.sort (lint @ bounds ~model ~file ~externals p), Some p)
+
+let analyze ~topo ?(externals = []) (p : Ast.program) =
+  List.map
+    (fun m ->
+      let bindings = deploy_bindings ~externals m in
+      Result.map
+        (fun s -> (s, bindings))
+        (Analysis.summarize ~bindings ~topo m))
+    p.machines
 
 let verify ?budget ?(host_builtins = []) program =
   let host_builtins = Builtins.soil_effects @ host_builtins in
@@ -50,4 +82,4 @@ let verify_report ?budget ?host_builtins program =
     match d.code with "L101" | "L102" | "L107" -> true | _ -> false
   in
   Diagnostic.sort
-    (ds @ List.filter reach_backed (Lint.check_program ~reach program))
+    (ds @ List.filter reach_backed (lint_program ~reach program))

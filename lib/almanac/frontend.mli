@@ -11,6 +11,16 @@ val load :
   string ->
   (Ast.program, Diagnostic.t list) result
 
+(** The lint pass over a type-checked program as it is deployed:
+    [externals] are the deployment bindings per machine, [reach] the
+    reachability results that upgrade the verdicts (see {!verify}). *)
+val lint_program :
+  ?file:string ->
+  ?externals:(string * (string * Value.t) list) list ->
+  ?reach:Reach.result list ->
+  Ast.program ->
+  Diagnostic.t list
+
 (** [farmc lint] on one program: load errors, or the lint pass plus the
     per-machine resource-bound cross-check ([B201]) under [model], sorted
     and stamped with [file].  [externals] are the deployment bindings per machine.
@@ -23,6 +33,17 @@ val lint :
   ?externals:(string * (string * Value.t) list) list ->
   string ->
   Diagnostic.t list * Ast.program option
+
+(** The seeder's analyses ({!Analysis.summarize}) of each machine of a
+    type-checked program on [topo], in program order: the summary with
+    the bindings it was made under (the machine's entry in [externals]
+    first, then its variables' literal initializers), or why the machine
+    does not analyze. *)
+val analyze :
+  topo:Farm_net.Topology.t ->
+  ?externals:(string * (string * Value.t) list) list ->
+  Ast.program ->
+  (Analysis.summary * Analysis.bindings, string) result list
 
 (** Symbolic verification of a type-checked program: translation
     validation ({!Equiv}, [V401]/[V402]) and reachability ({!Reach},

@@ -157,6 +157,15 @@ let skip_ws c =
     advance c
   done
 
+(* the comment at the cursor, and nothing after it *)
+let skip_comment c =
+  let rec go i =
+    if i + 3 > String.length c.src then fail "unterminated comment"
+    else if occurs_at c.src i "-->" 0 then c.pos <- i + 3
+    else go (i + 1)
+  in
+  go (c.pos + 4)
+
 let rec skip_misc c =
   skip_ws c;
   if starts_with c "<?" then begin
@@ -166,12 +175,7 @@ let rec skip_misc c =
     skip_misc c
   end
   else if starts_with c "<!--" then begin
-    let rec go i =
-      if i + 3 > String.length c.src then fail "unterminated comment"
-      else if occurs_at c.src i "-->" 0 then c.pos <- i + 3
-      else go (i + 1)
-    in
-    go (c.pos + 4);
+    skip_comment c;
     skip_misc c
   end
 
@@ -293,7 +297,7 @@ and parse_children c tag acc =
     List.rev acc
   end
   else if starts_with c "<!--" then begin
-    skip_misc c;
+    skip_comment c;
     parse_children c tag acc
   end
   else if starts_with c "<" then begin

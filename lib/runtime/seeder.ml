@@ -5,7 +5,6 @@ module Ast = Farm_almanac.Ast
 module Typecheck = Farm_almanac.Typecheck
 module Analysis = Farm_almanac.Analysis
 module Host = Farm_almanac.Host
-module Lint = Farm_almanac.Lint
 module Frontend = Farm_almanac.Frontend
 module Diagnostic = Farm_almanac.Diagnostic
 module Model = Farm_placement.Model
@@ -528,13 +527,11 @@ let deploy t spec =
       Frontend.verify ~host_builtins:(List.map fst spec.ts_builtins) program
     else ([], [])
   in
-  let bound_externals =
-    List.map (fun (m, vs) -> (m, List.map fst vs)) spec.ts_externals
+  let static_diags =
+    Diagnostic.sort
+      (verify_diags
+      @ Frontend.lint_program ~externals:spec.ts_externals ~reach program)
   in
-  let lint_diags =
-    Lint.check_program ~externals:bound_externals ~reach program
-  in
-  let static_diags = Diagnostic.sort (verify_diags @ lint_diags) in
   record static_diags;
   let* () =
     if Diagnostic.has_errors static_diags then
@@ -543,71 +540,18 @@ let deploy t spec =
       Error (pass ^ ": " ^ Diagnostic.to_string d)
     else Ok ()
   in
-  let task_id = Registry.fresh_task_id t.registry in
-  (* what a switch runs: the program compiled to the interchange XML
-     shipped to switches (§V-A d) and decompiled, once per task; the plan
-     of each of its machines is prepared from this immutable AST *)
-  let shipped = lazy Farm_almanac.Machine_xml.(load (compile program)) in
-  (* analyze every machine and number its seeds; each machine yields its
-     registry entries once the task record exists *)
-  let topo = Fabric.topology t.fabric in
-  let* machines, analyzed =
-    List.fold_left
-      (fun acc (m : Ast.machine) ->
-        let* machines, analyzed = acc in
-        let externals =
-          Option.value
-            (List.assoc_opt m.mname spec.ts_externals)
-            ~default:[]
-        in
-        let bindings =
-          Analysis.deploy_bindings ~externals:spec.ts_externals m
-        in
-        let* summary = Analysis.summarize ~bindings ~topo m in
-        let polls = summary.poll_vars in
-        let initial_state_util =
-          match summary.state_utils with
-          | (_, u) :: _ -> u
-          | [] -> Analysis.default_utility
-        in
-        let poll_reqs =
-          List.concat_map
-            (fun (p : Analysis.poll_summary) ->
-              match p.ptrig with
-              | Ast.Poll ->
-                  List.map
-                    (fun subject -> { Model.subject; ival = p.ival })
-                    p.subjects
-              | Ast.Probe | Ast.Time -> [])
-            polls
-        in
-        let plan =
-          lazy
-            (Farm_almanac.Engine.prepare ~engine:t.cfg.engine
-               ~program:(Lazy.force shipped) ~machine:m.mname)
-        in
-        let specs =
-          List.map
-            (fun (site : Analysis.seed_site) ->
-              let seed_id = Registry.fresh_seed_id t.registry in
-              { Model.seed_id; task_id; candidates = site.candidates;
-                branches = initial_state_util; polls = poll_reqs })
-            summary.seeds
-        in
-        let regs task =
-          List.map
-            (fun r_spec ->
-              { Registry.r_spec; r_task = task; r_machine = m.mname;
-                r_plan = plan; r_polls = polls; r_externals = externals;
-                r_exec = None; r_migrating = false; r_epoch = -1;
-                r_ck = Healing.ck () })
-            specs
-        in
-        Ok (regs :: machines, (summary, bindings) :: analyzed))
-      (Ok ([], [])) program.machines
+  (* every machine's analysis, or the first machine's error *)
+  let* analyzed =
+    List.fold_right
+      (fun r acc ->
+        let* a = r in
+        Result.map (List.cons a) acc)
+      (Frontend.analyze ~topo:(Fabric.topology t.fabric)
+         ~externals:spec.ts_externals program)
+      (Ok [])
   in
   (* cross-task conflicts against already-deployed tasks, newest first *)
-  let profile = Conflict.profile ~task:spec.ts_name (List.rev analyzed) in
+  let profile = Conflict.profile ~task:spec.ts_name analyzed in
   let conflicts =
     Conflict.check_against profile
       (List.rev_map
@@ -621,11 +565,59 @@ let deploy t spec =
     else Ok ()
   in
   let task =
-    { Registry.task_id; name = spec.ts_name; builtins = spec.ts_builtins;
+    { Registry.task_id = Registry.fresh_task_id t.registry;
+      name = spec.ts_name; builtins = spec.ts_builtins;
       adaptive = spec.ts_adaptive; profile; harvester = None;
       placed = false; regs = [] }
   in
-  match List.concat_map (fun regs -> regs task) (List.rev machines) with
+  (* what a switch runs: the program compiled to the interchange XML
+     shipped to switches (§V-A d) and decompiled, once per task; the plan
+     of each of its machines is prepared from this immutable AST *)
+  let shipped = lazy Farm_almanac.Machine_xml.(load (compile program)) in
+  (* each machine's seeds, numbered in program order *)
+  let regs =
+    List.concat_map
+      (fun ((summary : Analysis.summary), _) ->
+        let r_machine = summary.machine.mname in
+        let r_externals =
+          Option.value
+            (List.assoc_opt r_machine spec.ts_externals)
+            ~default:[]
+        in
+        let branches =
+          match summary.state_utils with
+          | (_, u) :: _ -> u
+          | [] -> Analysis.default_utility
+        in
+        let polls =
+          List.concat_map
+            (fun (p : Analysis.poll_summary) ->
+              match p.ptrig with
+              | Ast.Poll ->
+                  List.map
+                    (fun subject -> { Model.subject; ival = p.ival })
+                    p.subjects
+              | Ast.Probe | Ast.Time -> [])
+            summary.poll_vars
+        in
+        let r_plan =
+          lazy
+            (Farm_almanac.Engine.prepare ~engine:t.cfg.engine
+               ~program:(Lazy.force shipped) ~machine:r_machine)
+        in
+        List.map
+          (fun (site : Analysis.seed_site) ->
+            let seed_id = Registry.fresh_seed_id t.registry in
+            { Registry.r_spec =
+                { Model.seed_id; task_id = task.task_id;
+                  candidates = site.candidates; branches; polls };
+              r_task = task; r_machine; r_plan; r_polls = summary.poll_vars;
+              r_externals; r_exec = None; r_migrating = false; r_epoch = -1;
+              r_ck = Healing.ck () })
+          summary.seeds)
+      analyzed
+  in
+  match regs with
   | [] -> Error "task has no seeds to place"
   | regs ->
       Registry.register t.registry task regs;
@@ -656,7 +648,7 @@ let deploy t spec =
         (* gauges only for a placed task: they outlive it in the metrics
            registry *)
         Harvester.metrics_register h (Engine.metrics t.engine)
-          ~prefix:(Printf.sprintf "harvester.task%d." task_id);
+          ~prefix:(Printf.sprintf "harvester.task%d." task.task_id);
         Harvester.start h;
         Ok task
       end

@@ -108,7 +108,8 @@ val soils : t -> Soil.t list
     tasks, re-optimize the global placement and instantiate the task's
     seeds.  Fails (with a message) on syntax/type errors, error-severity
     lint diagnostics ([L105]–[L107]), analysis errors, or when the task
-    cannot be placed.  Every diagnostic the verification passes produced
+    cannot be placed; only a task that passes the static passes and the
+    conflict check draws task and seed ids.  Every diagnostic the verification passes produced
     — including warnings that did not block the deployment — is available
     from {!last_deploy_diagnostics} afterwards. *)
 val deploy : t -> task_spec -> (task, string) result

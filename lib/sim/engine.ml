@@ -7,9 +7,10 @@
    and allocates a fresh closure plus heap entry per tick.  Instead we
    keep:
 
-   - a 5-level hashed timer wheel (32 slots per level, 0.1 ms ticks) of
-     intrusively linked {e cells}; inserting or re-arming a cell is O(1)
-     amortized and allocation-free,
+   - an 11-level hashed timer wheel (32 slots per level, 0.1 ms ticks)
+     of intrusively linked {e cells}, deep enough to hold every tick an
+     event can have; inserting or re-arming a cell is O(1) amortized and
+     allocation-free,
    - a sorted {e run}: when nothing of the current tick is left, the next
      level-0 slot is copied into a reusable array in insertion order and
      merge-sorted once on [(time, seq)] over a reusable scratch buffer,
@@ -19,14 +20,11 @@
    - a small {e same-tick} cell-heap for cells armed into the tick being
      dispatched (zero-delay and sub-tick re-arms, cascades landing on the
      cursor); [run] takes whichever of the run's head and the heap's root
-     is earlier,
-   - an {e overflow} cell-heap for events beyond the wheel horizon
-     (~56 min at the default geometry), refilled when the cursor reaches
-     them, and
+     is earlier, and
    - a freelist of one-shot cells so steady-state [schedule] calls do not
      allocate either.
 
-   The run, its scratch buffer and both heaps grow to their largest
+   The run, its scratch buffer and the heap grow to their largest
    occupancy once and are never shrunk; every vacated slot is reset to
    the [nil] cell, so a dispatched cell (and the closure it captures) is
    not kept reachable by them.
@@ -43,15 +41,16 @@
 
 let tick_bits = 5
 let wheel_slots = 1 lsl tick_bits (* 32 *)
-let levels = 5
 
-(* 0.1 ms ticks: finer than every poll/heartbeat period in the tree, and
-   the top level still spans 32^5 ticks = ~56 simulated minutes before
-   the overflow heap takes over. *)
+(* 0.1 ms ticks: finer than every poll/heartbeat period in the tree. *)
 let tick_inv = 1e4
 
 (* clamp for absurdly late events so [int_of_float] stays defined *)
 let max_tick = 1 lsl 50
+
+(* 11 levels span 2^55 ticks, so every tick up to [max_tick] has a slot
+   and no event needs a queue beside the wheel. *)
+let levels = 11
 
 let tick_of_time time =
   let x = time *. tick_inv in
@@ -85,7 +84,6 @@ type t = {
   mutable run_head : int;              (* next cell of the run *)
   mutable run_len : int;
   ready : cheap;                       (* armed into the current tick *)
-  overflow : cheap;                    (* beyond the wheel horizon *)
   nil : cell;                          (* per-engine list terminator *)
   mutable free : cell;                 (* one-shot cell freelist *)
   mutable free_len : int;
@@ -229,7 +227,7 @@ let create ?(seed = 42) () =
     slots = Array.init levels (fun _ -> Array.make wheel_slots nil);
     bitmaps = Array.make levels 0;
     run = [||]; scratch = [||]; run_head = 0; run_len = 0;
-    ready = cheap_create nil; overflow = cheap_create nil; nil;
+    ready = cheap_create nil; nil;
     free = nil; free_len = 0;
     tracer = None;
     metrics = Metrics.Registry.create () }
@@ -250,30 +248,25 @@ let metrics t = t.metrics
 (* Cells at or before the cursor tick join the same-tick heap (their slot
    has already been drained); later cells go to the lowest wheel level whose
    current window contains their tick, i.e. the smallest [k] with
-   [tick lsr (5*(k+1)) = cur lsr (5*(k+1))]; anything beyond the top
-   window goes to the overflow heap.  Occupied slots are therefore always
+   [tick lsr (5*(k+1)) = cur lsr (5*(k+1))], which the top level
+   contains for every tick.  Occupied slots are therefore always
    strictly ahead of the cursor inside their window, which is what lets
    [refill] jump straight to the lowest set bitmap bit. *)
 let insert t c tick =
   if tick <= t.cur then cheap_push t.ready c
   else begin
-    let lvl = ref 0 in
+    let k = ref 0 in
     while
-      !lvl < levels
-      &&
-      let shift = tick_bits * (!lvl + 1) in
+      let shift = tick_bits * (!k + 1) in
       tick lsr shift <> t.cur lsr shift
     do
-      incr lvl
+      incr k
     done;
-    if !lvl < levels then begin
-      let k = !lvl in
-      let idx = (tick lsr (tick_bits * k)) land (wheel_slots - 1) in
-      c.next <- t.slots.(k).(idx);
-      t.slots.(k).(idx) <- c;
-      t.bitmaps.(k) <- t.bitmaps.(k) lor (1 lsl idx)
-    end
-    else cheap_push t.overflow c
+    let k = !k in
+    let idx = (tick lsr (tick_bits * k)) land (wheel_slots - 1) in
+    c.next <- t.slots.(k).(idx);
+    t.slots.(k).(idx) <- c;
+    t.bitmaps.(k) <- t.bitmaps.(k) lor (1 lsl idx)
   end
 
 (* fresh (time, seq) for a cell, then queue it *)
@@ -374,22 +367,6 @@ let rec refill t =
           c := next
         done
       end;
-      refill t
-    end
-    else if t.overflow.n > 0 then begin
-      (* wheel empty: jump to the earliest far event and pull everything
-         inside the (new) top window back into the wheel *)
-      let omt = tick_of_time t.overflow.a.(0).time in
-      if omt > t.cur then t.cur <- omt;
-      let top = tick_bits * levels in
-      let top_end = ((t.cur lsr top) + 1) lsl top in
-      let continue = ref true in
-      while !continue && t.overflow.n > 0 do
-        let c = t.overflow.a.(0) in
-        let ct = tick_of_time c.time in
-        if ct < top_end then insert t (cheap_pop t.overflow) ct
-        else continue := false
-      done;
       refill t
     end
     else false

@@ -5,8 +5,8 @@
     seeds, harvesters, baselines, traffic sources) runs on this engine, which
     replaces the paper's production data center as the experiment substrate.
 
-    The event queue is a hierarchical timer wheel (5 levels of 32 slots at
-    0.1 ms ticks, with an overflow heap past the ~56 min horizon) tuned for
+    The event queue is a hierarchical timer wheel (11 levels of 32 slots
+    at 0.1 ms ticks, enough for any event time) tuned for
     periodic-timer-heavy workloads: re-arming a timer is O(1) and
     allocation-free.  Each 0.1 ms tick is dispatched from one sorted run:
     its slot is sorted once, and events are then taken from the front,

@@ -80,20 +80,6 @@ module Histogram = struct
     t.sorted <- true
 end
 
-module Busy = struct
-  type t = { mutable busy : float }
-
-  let create () = { busy = 0. }
-  let add t d = t.busy <- t.busy +. d
-  let busy_time t = t.busy
-
-  let utilization t ~from ~till =
-    let span = till -. from in
-    if span <= 0. then 0. else t.busy /. span
-
-  let reset t = t.busy <- 0.
-end
-
 module Registry = struct
   type metric =
     | Counter of Counter.t

@@ -1,6 +1,6 @@
-(** Measurement primitives used by experiments: counters, gauges,
-    histograms and busy-time (CPU utilization) accumulators, plus a
-    named-metric {!Registry} for publishing them under dotted paths. *)
+(** Measurement primitives used by experiments: counters, gauges and
+    histograms, plus a named-metric {!Registry} for publishing them under
+    dotted paths. *)
 
 module Counter : sig
   type t
@@ -38,22 +38,6 @@ module Histogram : sig
       histograms.  Amortized: samples are re-sorted (in place, no
       allocation) only when new samples arrived since the last call. *)
   val percentile : t -> float -> float
-
-  val reset : t -> unit
-end
-
-(** Accumulates busy time; [utilization] is busy/elapsed over an interval.
-    Used for switch-CPU-load experiments (Figs. 5, 6, 9): utilization can
-    exceed 1.0 (i.e. 100 %) on multi-core management CPUs. *)
-module Busy : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val busy_time : t -> float
-
-  (** [utilization t ~from ~till] = accumulated busy time / (till - from). *)
-  val utilization : t -> from:float -> till:float -> float
 
   val reset : t -> unit
 end

@@ -1,5 +1,4 @@
 module Frontend = Farm_almanac.Frontend
-module Analysis = Farm_almanac.Analysis
 module Diagnostic = Farm_almanac.Diagnostic
 
 let all : Task_common.entry list =
@@ -50,12 +49,11 @@ let compile_one topo (e : Task_common.entry) =
       (Frontend.load ~extra:e.extra_sigs e.source)
   in
   List.fold_left
-    (fun acc (m : Farm_almanac.Ast.machine) ->
+    (fun acc analysis ->
       let* () = acc in
-      let bindings = Analysis.deploy_bindings ~externals:e.externals m in
-      let* _summary = Analysis.summarize ~bindings ~topo m in
-      Ok ())
-    (Ok ()) program.machines
+      Result.map ignore analysis)
+    (Ok ())
+    (Frontend.analyze ~topo ~externals:e.externals program)
 
 let compile_all topo =
   List.map

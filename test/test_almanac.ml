@@ -1171,7 +1171,14 @@ let test_xml_parser_features () =
     (List.length
        (List.filter
           (function Xml.Element _ -> true | Xml.Text _ -> false)
-          (Xml.children doc)))
+          (Xml.children doc)));
+  (* a comment inside an element ends the text run before it and takes
+     none of the blanks after it *)
+  List.iter
+    (fun (doc, kids) ->
+      Alcotest.(check bool) doc true (Xml.children (Xml.parse doc) = kids))
+    [ ("<a><!--c--> x</a>", [ Xml.Text " x" ]);
+      ("<a>x <!--c--> y</a>", [ Xml.Text "x "; Xml.Text " y" ]) ]
 
 let test_xml_parse_errors () =
   List.iter
@@ -1285,23 +1292,16 @@ let rec xml_render buf single = function
 
 let rec xml_expected = function
   | Child (n, attrs, kids) ->
-      (* the reader skips a comment with the XML blanks after it *)
-      let rec after_comment run i =
-        if i < String.length run && String.contains " \t\n\r" run.[i] then
-          after_comment run (i + 1)
-        else String.sub run i (String.length run - i)
-      in
-      let flush (run, comment, acc) =
-        let run = if comment then after_comment run 0 else run in
+      let flush (run, acc) =
         if String.trim run = "" then acc else Xml.Text run :: acc
       in
       let last =
         List.fold_left
-          (fun ((run, comment, acc) as st) -> function
-            | Piece_text t | Piece_blank t -> (run ^ t, comment, acc)
-            | Piece_comment _ -> ("", true, flush st)
-            | Child _ as k -> ("", false, xml_expected k :: flush st))
-          ("", false, []) kids
+          (fun ((run, acc) as st) -> function
+            | Piece_text t | Piece_blank t -> (run ^ t, acc)
+            | Piece_comment _ -> ("", flush st)
+            | Child _ as k -> ("", xml_expected k :: flush st))
+          ("", []) kids
       in
       Xml.Element (n, attrs, List.rev (flush last))
   | Piece_text _ | Piece_blank _ | Piece_comment _ -> assert false

@@ -163,6 +163,19 @@ machine Limiter {
 }
 |}
 
+(* installs no rule and polls nothing: conflicts with no task *)
+let quiet_source =
+  {|
+machine Quiet {
+  place all;
+  time tick = Time { .ival = 1 };
+  long n = 0;
+  state s {
+    when (tick as t) do { n = n + 1; }
+  }
+}
+|}
+
 (* watches all ports: Blocker's drop rule blinds it (C302) *)
 let watcher_source =
   {|
@@ -294,26 +307,38 @@ let test_seeder_conflict_warns () =
   Alcotest.(check bool) "C301 recorded on second deploy" true
     (List.mem "C301" (codes (Seeder.last_deploy_diagnostics seeder)))
 
+(* the refused deploy draws no ids: the next task continues the
+   numbering of the last accepted one *)
 let test_seeder_refuses_conflicts () =
   let _, seeder =
     make_world
       ~config:{ Seeder.default_config with refuse_conflicts = true } ()
   in
-  (match
-     Seeder.deploy seeder
-       (Seeder.simple_spec ~name:"blocker" ~source:blocker_source)
-   with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "deploy blocker: %s" m);
-  match
-    Seeder.deploy seeder
-      (Seeder.simple_spec ~name:"limiter" ~source:limiter_source)
-  with
-  | Ok _ -> Alcotest.fail "conflicting task deployed despite refuse_conflicts"
-  | Error m ->
-      Alcotest.(check bool) "mentions conflict" true
-        (List.mem "C301" (codes (Seeder.last_deploy_diagnostics seeder)));
-      ignore m
+  let deploy name source =
+    Seeder.deploy seeder (Seeder.simple_spec ~name ~source)
+  in
+  let ids task =
+    List.map
+      (fun (s : Farm_placement.Model.seed_spec) -> (s.task_id, s.seed_id))
+      (Seeder.seed_specs seeder task)
+  in
+  match deploy "blocker" blocker_source with
+  | Error m -> Alcotest.failf "deploy blocker: %s" m
+  | Ok blocker -> (
+      (match deploy "limiter" limiter_source with
+      | Ok _ ->
+          Alcotest.fail "conflicting task deployed despite refuse_conflicts"
+      | Error _ ->
+          Alcotest.(check bool) "mentions conflict" true
+            (List.mem "C301" (codes (Seeder.last_deploy_diagnostics seeder))));
+      let n = List.length (ids blocker) in
+      match deploy "quiet" quiet_source with
+      | Error m -> Alcotest.failf "deploy quiet: %s" m
+      | Ok quiet ->
+          Alcotest.(check (list (pair int int)))
+            "task 1, seeds after the blocker's"
+            (List.init n (fun i -> (1, n + i)))
+            (ids quiet))
 
 (* ------------------------------------------------------------------ *)
 (* Bounds vs. simulation: the inferred ceiling dominates the observed  *)

@@ -593,15 +593,6 @@ let test_metrics_histogram_mean_order () =
   Alcotest.(check bool) "to_json prints the sorted mean" true
     (List.mem " \"mean\": 0" fields)
 
-let test_metrics_busy () =
-  let b = Metrics.Busy.create () in
-  Metrics.Busy.add b 0.5;
-  Metrics.Busy.add b 0.7;
-  check_float "busy time" 1.2 (Metrics.Busy.busy_time b);
-  (* 1.2s busy over 1s wall = 120% load: multi-core overcommit *)
-  check_float "utilization > 1" 1.2
-    (Metrics.Busy.utilization b ~from:0. ~till:1.)
-
 let prop_histogram_percentile_monotone =
   QCheck2.Test.make ~name:"histogram percentiles monotone" ~count:100
     QCheck2.Gen.(list_size (int_range 1 50) (float_range (-100.) 100.))
@@ -906,6 +897,5 @@ let () =
           Alcotest.test_case "histogram edge cases" `Quick
             test_metrics_histogram_edge;
           Alcotest.test_case "histogram mean is order-free" `Quick
-            test_metrics_histogram_mean_order;
-          Alcotest.test_case "busy" `Quick test_metrics_busy ]
+            test_metrics_histogram_mean_order ]
         @ qsuite [ prop_histogram_percentile_monotone ] ) ]
