@@ -25,9 +25,13 @@ let max_fn args =
   let a, b = arg2 args in
   num (Float.max (Value.as_num a) (Value.as_num b))
 
-let size_fn args = num (float_of_int (List.length (Value.as_list (arg1 args))))
+let size_fn args = num (float_of_int (Value.list_length (arg1 args)))
 
-let is_list_empty l = Value.of_bool (Value.as_list l = [])
+let is_list_empty l =
+  Value.of_bool
+    (match l with
+    | Value.Nums a -> Float.Array.length a = 0
+    | l -> Value.as_list l = [])
 let is_list_empty_fn args = is_list_empty (arg1 args)
 let append l x = Value.List (Value.as_list l @ [ x ])
 
@@ -173,7 +177,7 @@ type fast =
   | Num_of_value_num of (float array -> Value.t -> unit)
   | Value_of_value of (Value.t -> Value.t)
   | Value_of_values of (Value.t -> Value.t -> Value.t)
-  | Value_of_value_num of (float array -> Value.t -> Value.t)
+  | Elem of (float array -> Value.t -> Value.t)
 
 type entry = { arity : int; call : Value.t list -> Value.t; fast : fast }
 
@@ -226,16 +230,14 @@ let catalogue =
       (row "size" [ list ] Numeric
          (fast_entry 1 size_fn
             (Num_of_value
-               (fun r l ->
-                 r.(0) <- float_of_int (List.length (Value.as_list l))))));
+               (fun r l -> r.(0) <- float_of_int (Value.list_length l)))));
     row "is_list_empty" [ list ] bool
       (fast_entry 1 is_list_empty_fn (Value_of_value is_list_empty));
     row "append" [ list; Any ] list
       (fast_entry 2 append_fn (Value_of_values append));
     row "nth" [ list; Numeric ] Any
       (fast_entry 2 nth_fn
-         (Value_of_value_num
-            (fun r l -> nth_in (Value.as_list l) (int_of_float r.(0)))));
+         (Elem (fun r l -> nth_in (Value.as_list l) (int_of_float r.(0)))));
     row "contains_elem" [ list; Any ] bool (generic contains_elem_fn);
     row "remove_elem" [ list; Any ] list (generic remove_elem_fn);
     at_least (-1.) (row "index_of" [ list; Any ] Numeric (generic index_of_fn));

@@ -38,8 +38,10 @@ type fast =
       (** a value and a number in [r.(0)] -> number ([stat]) *)
   | Value_of_value of (Value.t -> Value.t)  (** [is_list_empty] *)
   | Value_of_values of (Value.t -> Value.t -> Value.t)  (** [append] *)
-  | Value_of_value_num of (float array -> Value.t -> Value.t)
-      (** a value and a number in [r.(0)] -> value ([nth]) *)
+  | Elem of (float array -> Value.t -> Value.t)
+      (** a list and an index in [r.(0)] -> the element ([nth]); the
+          compiled engine reads a [Value.Nums] in place instead, into
+          [r.(0)], and calls this only on other values *)
 
 (** [arity] is the argument count [fast] expects (-1 for [Generic]);
     [call] is the reference implementation the interpreter runs. *)

@@ -26,10 +26,14 @@
     - event dispatch tables are precomputed per (state, trigger) pair,
       including the state-overrides-machine rule, so firing a trigger is
       an array index plus closure calls;
-    - two list shapes keep the stats helpers' loops linear: in a loop, a
-      frame list built by [v = append(v, e)] grows in O(1) until
-      something else reads it, and every [size] / [nth] site keeps a
-      per-instance cache of the last list it saw (see "List shapes").
+    - list shapes keep the stats helpers' loops linear and their lists
+      unboxed: in a loop, a frame list built by [v = append(v, e)] grows
+      in O(1) until something else reads it, numbers going into a float
+      buffer that becomes a packed list ([Value.Nums]); every [size] /
+      [nth] site in a loop keeps a per-instance cache of the last list it
+      saw; and [size] / [nth] read a packed list in place, [nth] into the
+      numeric register (see "List shapes").  A packed list leaves the
+      engine as its [Value.List] ([Value.plain]).
     - a [return] raises nothing: it leaves its value in [env.ret]
       ([absent] while none is pending).  A sequence tests the slot before
       each statement and a [while] before its condition, and both stop
@@ -104,6 +108,9 @@ type env = {
   regs : float array;  (* numeric registers; results in [regs.(0)] *)
   mutable other : Value.t;  (* a numeric code's non-number result *)
   lists : list_cache array;  (* per [size] / [nth] site *)
+  hints : int array;
+      (* per pending list variable: the numbers its last packed run
+         appended, the size of its next run's first buffer *)
 }
 
 type ecode = env -> Value.t
@@ -123,6 +130,34 @@ type scode = env -> unit
 let static_call : Value.t list -> Value.t = fun _ -> assert false
 
 let no_nums : float array = [||]
+
+(* A fresh frame of [n] unbound slots, and a float array for it.  Up to
+   eight slots they are array literals, which OCaml allocates inline;
+   [Array.make] and [Array.create_float] call into the runtime, and
+   every event and function call makes a frame. *)
+let new_frame n : Value.t array =
+  match n with
+  | 1 -> [| absent |]
+  | 2 -> [| absent; absent |]
+  | 3 -> [| absent; absent; absent |]
+  | 4 -> [| absent; absent; absent; absent |]
+  | 5 -> [| absent; absent; absent; absent; absent |]
+  | 6 -> [| absent; absent; absent; absent; absent; absent |]
+  | 7 -> [| absent; absent; absent; absent; absent; absent; absent |]
+  | 8 -> [| absent; absent; absent; absent; absent; absent; absent; absent |]
+  | n -> Array.make n absent
+
+let new_nums n : float array =
+  match n with
+  | 1 -> [| 0. |]
+  | 2 -> [| 0.; 0. |]
+  | 3 -> [| 0.; 0.; 0. |]
+  | 4 -> [| 0.; 0.; 0.; 0. |]
+  | 5 -> [| 0.; 0.; 0.; 0.; 0. |]
+  | 6 -> [| 0.; 0.; 0.; 0.; 0.; 0. |]
+  | 7 -> [| 0.; 0.; 0.; 0.; 0.; 0.; 0. |]
+  | 8 -> [| 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0. |]
+  | n -> Array.create_float n
 
 (* Slot access by value: [get] returns [absent] for an unbound slot;
    [set] stores a number unboxed whenever the level has a float array
@@ -283,6 +318,7 @@ type t = {
   c_fused : int;  (* nodes compiled to a fused shape *)
   c_list_sites : int;  (* appends and [size] / [nth] sites on a list shape *)
   c_n_caches : int;  (* length of [env.lists] *)
+  c_n_hints : int;  (* length of [env.hints] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -298,12 +334,12 @@ let is_num_typ = function
    be read without a presence check; [l_typed] marks names every
    declaration of which is numeric; [l_pend] gives a list built by
    appends the first of its two hidden slots, which follow the
-   variables' slots. *)
+   variables' slots, and its index in [env.hints]. *)
 type layout = {
   l_slots : (string, int) Hashtbl.t;
   l_bound : (string, unit) Hashtbl.t;
   l_typed : (string, bool) Hashtbl.t;
-  l_pend : (string, int) Hashtbl.t;
+  l_pend : (string, int * int) Hashtbl.t;
   mutable l_size : int;
 }
 
@@ -330,7 +366,11 @@ let layout_add_bound lay name numeric =
   i
 
 let slot_typed lay name = Hashtbl.find_opt lay.l_typed name = Some true
-let layout_nums lay = Hashtbl.fold (fun _ typed acc -> typed || acc) lay.l_typed false
+(* a frame with a pending list keeps its packed run's count in its
+   float array *)
+let layout_nums lay =
+  Hashtbl.length lay.l_pend > 0
+  || Hashtbl.fold (fun _ typed acc -> typed || acc) lay.l_typed false
 
 (* Pre-pass: collect every declared name of a body (including branches
    that may not execute) so reads textually before a declaration resolve
@@ -353,8 +393,8 @@ let rec collect_decls lay stmts =
    with a site [v = append(v, e)] in a [while] gets its two hidden
    slots, when [append] is the built-in (no Almanac function shadows it)
    and [v] is not typed.  Every site of [v] then compiles to a pending
-   append. *)
-let collect_appends lay ~append stmts =
+   append.  [hints] counts the pending variables of the machine. *)
+let collect_appends lay ~append ~hints stmts =
   let rec go in_loop stmts =
     List.iter
       (fun (s : Ast.stmt) ->
@@ -362,7 +402,8 @@ let collect_appends lay ~append stmts =
         | Ast.Assign (n, Ast.Call ("append", [ Ast.Var m; _ ]))
           when in_loop && append && String.equal n m && Hashtbl.mem lay.l_slots n
                && (not (slot_typed lay n)) && not (Hashtbl.mem lay.l_pend n) ->
-            Hashtbl.replace lay.l_pend n lay.l_size;
+            Hashtbl.replace lay.l_pend n (lay.l_size, !hints);
+            incr hints;
             lay.l_size <- lay.l_size + 2
         | Ast.If (_, a, b) ->
             go in_loop a;
@@ -383,6 +424,7 @@ type fn_info = {
   fi_layout : layout;
   fi_params : (string * int) array;
   fi_frame : Value.t array;
+  fi_tagged : int array;  (* the slots [fi_frame] tags *)
   fi_nums : bool;
   fi_body : scode ref;
 }
@@ -398,6 +440,7 @@ type ctx = {
   mutable cx_n_calls : int;
   mutable cx_fused : int;  (* nodes compiled to a fused shape *)
   cx_append : bool;  (* [append] is the built-in *)
+  cx_hints : int ref;  (* pending list variables so far *)
   mutable cx_list_sites : int;
   mutable cx_n_caches : int;
 }
@@ -462,7 +505,9 @@ let rec numeric_shaped ctx scope (e : Ast.expr) =
   | Ast.Var name -> var_typed ctx scope name
   | Ast.Call (f, _) -> (
       match callee ctx f with
-      | Pure { fast = Builtins.(Num_of_nums _ | Num_of_value _ | Num_of_value_num _); _ }
+      | Pure
+          { fast = Builtins.(Num_of_nums _ | Num_of_value _ | Num_of_value_num _ | Elem _);
+            _ }
       | Now ->
           true
       | Pure _ | Fn _ | Host_bound _ | Dynamic -> false)
@@ -481,10 +526,10 @@ let rec bool_shaped (e : Ast.expr) =
 (* List shapes                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Almanac lists are immutable [Value.List]s, so [append] copies its list
-   and [nth] / [size] walk it: a loop that builds or scans a list of n
-   entries one index at a time costs O(n^2).  Two shapes make the stats
-   helpers' loops linear without changing a value anyone can see.  Both
+(* Almanac lists are immutable, so [append] copies its list and [nth] /
+   [size] walk it: a loop that builds or scans a list of n entries one
+   index at a time costs O(n^2).  Three shapes make the stats helpers'
+   loops linear without changing a value anyone can see.  The first two
    are chosen for sites in a [while] of their own body, where a site runs
    many times per event: a lone append costs more pending than copied,
    and a cache emptied when its event ends ([release_lists]) never hits
@@ -492,12 +537,24 @@ let rec bool_shaped (e : Ast.expr) =
 
    Pending appends.  A frame variable [v] with a site [v = append(v, e)]
    in a loop gets two hidden frame slots.  While a site runs on a list,
-   [v]'s own slot holds [pend_tag], the first hidden slot the list [v]
-   held when the appends began (a [Value.List], shared as-is) and the
-   second the appended values, newest first.  Every other read of [v]
-   first stores back the identical list, [prefix @ List.rev tail]
-   ([flush_pending]), so one append followed by a read costs what a
-   plain append costs.  Globals and state locals are never pending.
+   [v]'s own slot holds [pend_tag] and the first hidden slot the list [v]
+   held when the appends began, shared as-is.  The second holds the
+   appended values, in one of two forms:
+   - packed: a run of numbers appended to an empty or packed list is
+     written unboxed into a float buffer ([Value.Nums], filled up to the
+     count kept in the frame's float array at the same index);
+   - consed: any other run, as a [Value.List] newest first.  A packed
+     run that meets a value that is not a number turns consed.
+   Every other read of [v] first stores back the list the appends made
+   ([flush_pending]): the packed [Value.Nums] of prefix and buffer (the
+   buffer itself when it is full and the prefix empty), else
+   [prefix @ List.rev tail].  So one append followed by a read costs what
+   a plain append costs.  A flush ends the run: the next append starts a
+   new buffer, so a buffer is never written once a value holds it.  The
+   count a packed run reached sizes the variable's next first buffer
+   ([env.hints], per instance), so a loop that appends as many numbers
+   each event allocates one buffer of the right size.  Globals and state
+   locals are never pending.
 
    Inline caches.  Each [size] and [nth] call site in a loop has a
    [list_cache] in the instance ([env.lists]), keyed on the list's
@@ -507,23 +564,47 @@ let rec bool_shaped (e : Ast.expr) =
    linear.  The caches are per instance because the compiled [t] is
    shared by every instance of the machine, on whichever domain runs it.
    A value that is not a list, a negative or out-of-range index, or a
-   host override takes the general code, with its error text. *)
+   host override takes the general code, with its error text.
 
-let flush_pending fr i h =
+   Packed reads.  [size] of a [Value.Nums] is its length and [nth] reads
+   its element in place, into the numeric register when the site is
+   compiled as a number; neither needs a cache.
+
+   A [Value.Nums] never leaves the engine: host calls, [send], trigger
+   variables and [Exec]'s readers hand over its [Value.plain] form. *)
+
+(* the initial buffer of a packed run with no hint *)
+let first_buffer = 8
+
+let flush_pending env fr i h k =
   let v =
     match (fr.(h), fr.(h + 1)) with
-    | Value.List prefix, Value.List tail -> Value.List (prefix @ List.rev tail)
+    | prefix, Value.Nums buf -> (
+        let n = int_of_float env.fnums.(h + 1) in
+        env.hints.(k) <- n;
+        match prefix with
+        | Value.Nums p ->
+            let m = Float.Array.length p in
+            let a = Float.Array.create (m + n) in
+            Float.Array.blit p 0 a 0 m;
+            Float.Array.blit buf 0 a m n;
+            Value.Nums a
+        | _ ->
+            Value.Nums
+              (if n = Float.Array.length buf then buf else Float.Array.sub buf 0 n))
+    | prefix, Value.List tail -> Value.List (Value.as_list prefix @ List.rev tail)
     | _ -> invalid_arg "Compile.flush_pending"
   in
   fr.(i) <- v;
   v
 
-(* the slot and first hidden slot of a pending frame variable *)
+(* the slot, first hidden slot and hint index of a pending frame
+   variable *)
 let pend_slot scope name =
   match scope.sc_frame with
   | Some lay -> (
       match Hashtbl.find_opt lay.l_pend name with
-      | Some h -> Some (Hashtbl.find lay.l_slots name, h)
+      | Some (h, k) -> Some (Hashtbl.find lay.l_slots name, h, k)
       | None -> None)
   | None -> None
 
@@ -647,14 +728,14 @@ let var_read ctx scope name : ecode * ncode =
   let read = slot_read ctx scope name in
   match pend_slot scope name with
   | None -> read
-  | Some (i, h) ->
+  | Some (i, h, k) ->
       let ev, nv = read in
       ( (fun env ->
           let fr = env.frame in
-          if fr.(i) == pend_tag then flush_pending fr i h else ev env),
+          if fr.(i) == pend_tag then flush_pending env fr i h k else ev env),
         fun env ->
           let fr = env.frame in
-          if fr.(i) == pend_tag then num_result env (flush_pending fr i h)
+          if fr.(i) == pend_tag then num_result env (flush_pending env fr i h k)
           else nv env )
 
 (* A writer stores a value ([wv]) or the number in [regs.(0)] ([wn]). *)
@@ -672,7 +753,7 @@ let global_write ctx name : writer =
           let wv env v =
             check env;
             set env.globals env.gnums g v;
-            env.host.h_set_trigger name tt v
+            env.host.h_set_trigger name tt (Value.plain v)
           in
           { wv; wn = (fun env -> wv env (Value.Num env.regs.(0))) }
       | None ->
@@ -868,14 +949,30 @@ let arith_expr_slot op (na : ncode) j (nb : ncode) : ncode =
 (* ------------------------------------------------------------------ *)
 
 (* Evaluate compiled argument codes left to right (the interpreter uses
-   [List.map], which the stdlib evaluates left to right). *)
-let eval_args (codes : ecode array) env : Value.t list =
-  let n = Array.length codes in
-  let rec go i = if i >= n then [] else
+   [List.map], which the stdlib evaluates left to right).  Top-level
+   recursions, so no closure is allocated per call. *)
+let rec eval_from (codes : ecode array) env i : Value.t list =
+  if i >= Array.length codes then []
+  else
     let v = codes.(i) env in
-    v :: go (i + 1)
-  in
-  go 0
+    v :: eval_from codes env (i + 1)
+
+let eval_args codes env = eval_from codes env 0
+
+(* [eval_args] for a host closure, which gets no [Value.Nums] *)
+let rec eval_plain_from (codes : ecode array) env i : Value.t list =
+  if i >= Array.length codes then []
+  else
+    let v = Value.plain (codes.(i) env) in
+    v :: eval_plain_from codes env (i + 1)
+
+let eval_host_args codes env = eval_plain_from codes env 0
+
+(* Whether the index in [r] (converted as [nth] converts it) is inside
+   the packed list [a]. *)
+let[@inline] in_range a (r : float) =
+  let i = int_of_float r in
+  i >= 0 && i < Float.Array.length a
 
 (* A call site compiles to a value code or a numeric code. *)
 type call_code = V of ecode | N of ncode
@@ -921,7 +1018,7 @@ let rec compile_expr ctx scope (e : Ast.expr) : ecode =
       let cb = compile_expr ctx scope b in
       fun env -> Value.field (cb env) f
   | Ast.Call (fname, args) -> (
-      match compile_call ctx scope fname args with
+      match compile_call ctx scope ~num:false fname args with
       | V c -> c
       | N n -> value_of_num n)
   | Ast.Unop (Ast.Not, a) when not (bool_shaped a) ->
@@ -952,6 +1049,9 @@ let rec compile_expr ctx scope (e : Ast.expr) : ecode =
             (f, v) :: go (i + 1)
         in
         Value.Struct (name, go 0)
+  | Ast.ListLit [] ->
+      let v = Value.List [] in
+      fun _ -> v
   | Ast.ListLit es ->
       let codes = Array.of_list (List.map (compile_expr ctx scope) es) in
       fun env -> Value.List (eval_args codes env)
@@ -989,7 +1089,7 @@ and compile_num ctx scope (e : Ast.expr) : ncode =
   | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) as op, a, b) ->
       compile_arith ctx scope op a b
   | Ast.Call (fname, args) -> (
-      match compile_call ctx scope fname args with
+      match compile_call ctx scope ~num:true fname args with
       | N n -> n
       | V c -> num_of_value c)
   | _ -> num_of_value (compile_expr ctx scope e)
@@ -1088,8 +1188,10 @@ and compile_cond ctx scope (e : Ast.expr) : ccode =
 (* Resolve one call site.  Every site first checks [env.calls] for a host
    override (the interpreter's first choice); an Almanac function then
    runs with its arguments written straight into a fresh frame, a pure
-   built-in through its list-free entry when the arguments allow. *)
-and compile_call ctx scope fname args : call_code =
+   built-in through its list-free entry when the arguments allow.  [num]:
+   the caller wants a number, so a site that can give either may give
+   a numeric code. *)
+and compile_call ctx scope ~num:want_num fname args : call_code =
   let cal = callee ctx fname in
   let idx = call_site ctx fname cal in
   (* each argument is compiled once, as a number where the built-in
@@ -1099,7 +1201,7 @@ and compile_call ctx scope fname args : call_code =
   let overridden env = env.calls.(idx) != static_call in
   (* the built-in [name] at a site in a loop gets an inline cache *)
   let cached name = scope.sc_loop && String.equal fname name in
-  let host env values = env.calls.(idx) (eval_args values env) in
+  let host env values = env.calls.(idx) (eval_host_args values env) in
   let all_values () = Array.of_list (List.map value args) in
   match cal with
   | Dynamic ->
@@ -1249,33 +1351,61 @@ and compile_call ctx scope fname args : call_code =
                 let v0 = c0 env in
                 let v1 = c1 env in
                 f v0 v1)
-      | Builtins.Value_of_value_num f, [ a; b ] when e.arity = 2 && cached "nth" ->
-          (* [nth] in a loop: as below, through the site's cache *)
-          let k = cache_site ctx in
+      | Builtins.Elem f, [ a; b ] when e.arity = 2 ->
+          (* a packed list's element is read in place; [nth] in a loop
+             reads any other list through the site's cache *)
+          let elem =
+            if cached "nth" then
+              let k = cache_site ctx in
+              fun env v ->
+                match v with
+                | Value.List l ->
+                    cached_nth env.lists.(k) l (int_of_float env.regs.(0))
+                | v -> f env.regs v
+            else fun env v -> f env.regs v
+          in
           let c0 = value a in
           let n1 = num b in
           let values = [| c0; value_of_num n1 |] in
-          V
-            (fun env ->
-              if overridden env then host env values
+          if want_num then
+            let general env =
+              if overridden env then num_result env (host env values)
               else
                 let v0 = c0 env in
                 if n1 env then
                   match v0 with
-                  | Value.List l ->
-                      cached_nth env.lists.(k) l (int_of_float env.regs.(0))
-                  | v -> f env.regs v
-                else e.call [ v0; env.other ])
-      | Builtins.Value_of_value_num f, [ a; b ] when e.arity = 2 ->
-          let c0 = value a in
-          let n1 = num b in
-          let values = [| c0; value_of_num n1 |] in
-          V
-            (fun env ->
-              if overridden env then host env values
-              else
-                let v0 = c0 env in
-                if n1 env then f env.regs v0 else e.call [ v0; env.other ])
+                  | Value.Nums a when in_range a env.regs.(0) ->
+                      env.regs.(0) <- Float.Array.get a (int_of_float env.regs.(0));
+                      true
+                  | v -> num_result env (elem env v)
+                else num_result env (e.call [ v0; env.other ])
+            in
+            (* [nth(bound, slot)]: the packed list's element, read in place *)
+            match (bound_slot scope a, fast_operand scope b) with
+            | Some s, Some (Slot k) ->
+                N
+                  (fused ctx (fun env ->
+                       match env.frame.(s) with
+                       | Value.Nums a
+                         when env.frame.(k) == num_tag
+                              && env.calls.(idx) == static_call
+                              && in_range a env.fnums.(k) ->
+                           env.regs.(0) <- Float.Array.get a (int_of_float env.fnums.(k));
+                           true
+                       | _ -> general env))
+            | _ -> N general
+          else
+            V
+              (fun env ->
+                if overridden env then host env values
+                else
+                  let v0 = c0 env in
+                  if n1 env then
+                    match v0 with
+                    | Value.Nums a when in_range a env.regs.(0) ->
+                        Value.Num (Float.Array.get a (int_of_float env.regs.(0)))
+                    | v -> elem env v
+                  else e.call [ v0; env.other ])
       | _ ->
           let values = all_values () in
           V
@@ -1295,7 +1425,7 @@ and compile_fn_call ctx scope fi idx args : call_code =
     V
       (fun env ->
         let argv = eval_args values env in
-        if env.calls.(idx) != static_call then env.calls.(idx) argv
+        if env.calls.(idx) != static_call then env.calls.(idx) (List.map Value.plain argv)
         else fail "%s expects %d arguments, got %d" fi.fi_name nparams nargs)
   end
   else
@@ -1317,12 +1447,14 @@ and compile_fn_call ctx scope fi idx args : call_code =
     let writers = Array.of_list writers and values = Array.of_list values in
     V
       (fun env ->
-        if env.calls.(idx) != static_call then env.calls.(idx) (eval_args values env)
+        if env.calls.(idx) != static_call then env.calls.(idx) (eval_host_args values env)
         else begin
-          let fr = Array.copy fi.fi_frame in
-          let fnums =
-            if fi.fi_nums then Array.create_float (Array.length fr) else no_nums
-          in
+          let fr = new_frame (Array.length fi.fi_frame) in
+          let tagged = fi.fi_tagged in
+          for k = 0 to Array.length tagged - 1 do
+            fr.(tagged.(k)) <- num_tag
+          done;
+          let fnums = if fi.fi_nums then new_nums (Array.length fr) else no_nums in
           for k = 0 to Array.length writers - 1 do
             writers.(k) env fr fnums
           done;
@@ -1427,26 +1559,34 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
   | Ast.Assign (n, Ast.Call ("append", [ Ast.Var m; x ]))
     when String.equal n m && pend_slot scope n <> None ->
       compile_pending_append ctx scope n x
-  | Ast.Assign (n, e) -> (
+  | Ast.Assign (n, e) ->
       let w = compile_assign_target ctx scope n in
-      let general : scode =
-        if numeric_shaped ctx scope e then
-          let ne = compile_num ctx scope e in
-          fun env -> if ne env then w.wn env else w.wv env env.other
-        else
-          let c = compile_expr ctx scope e in
-          fun env -> w.wv env (c env)
-      in
-      (* [x = x + k] *)
-      match e with
-      | Ast.Binop (Ast.Add, Ast.Var m, k) when String.equal m n -> (
-          match (fast_operand scope (Ast.Var n), fast_operand scope k) with
-          | Some (Slot i), Some (Lit k) ->
-              fused ctx (fun env ->
-                  if env.frame.(i) == num_tag then env.fnums.(i) <- env.fnums.(i) +. k
-                  else general env)
-          | _ -> general)
-      | _ -> general)
+      if numeric_shaped ctx scope e then
+        let ne = compile_num ctx scope e in
+        let general env = if ne env then w.wn env else w.wv env env.other in
+        let x_plus_lit =
+          match e with
+          | Ast.Binop (Ast.Add, Ast.Var m, k) when String.equal m n -> (
+              match fast_operand scope k with Some (Lit k) -> Some k | _ -> None)
+          | _ -> None
+        in
+        match (fast_operand scope (Ast.Var n), x_plus_lit) with
+        | Some (Slot i), Some k ->
+            (* [x = x + k] *)
+            fused ctx (fun env ->
+                if env.frame.(i) == num_tag then env.fnums.(i) <- env.fnums.(i) +. k
+                else general env)
+        | Some (Slot i), None ->
+            (* [x = e] on a typed frame slot: the number goes in place *)
+            fused ctx (fun env ->
+                if ne env then
+                  if env.frame.(i) == num_tag then env.fnums.(i) <- env.regs.(0)
+                  else w.wn env
+                else w.wv env env.other)
+        | None, _ | Some (Lit _), _ -> general
+      else
+        let c = compile_expr ctx scope e in
+        fun env -> w.wv env (c env)
   | Ast.Transit e -> (
       match e with
       | Ast.Var s | Ast.String s ->
@@ -1455,6 +1595,10 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
       | e ->
           let c = compile_expr ctx scope e in
           fun env -> env.pending <- Some (Value.as_str (c env)))
+  | Ast.If (c, th, []) ->
+      let cc = compile_cond ctx scope c in
+      let cth = compile_stmts ctx scope th in
+      fun env -> if cc env then cth env
   | Ast.If (c, th, el) ->
       let cc = compile_cond ctx scope c in
       let cth = compile_stmts ctx scope th in
@@ -1479,17 +1623,18 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
   | Ast.Send (e, dest) -> (
       let ce = compile_expr ctx scope e in
       match dest with
-      | Ast.Harvester -> fun env -> env.host.h_send Host.To_harvester (ce env)
+      | Ast.Harvester ->
+          fun env -> env.host.h_send Host.To_harvester (Value.plain (ce env))
       | Ast.Machine (m, None) ->
           let tgt = Host.To_machine (m, None) in
-          fun env -> env.host.h_send tgt (ce env)
+          fun env -> env.host.h_send tgt (Value.plain (ce env))
       | Ast.Machine (m, Some d) ->
           let cd = compile_expr ctx scope d in
           fun env ->
             let tgt =
               Host.To_machine (m, Some (int_of_float (Value.as_num (cd env))))
             in
-            env.host.h_send tgt (ce env))
+            env.host.h_send tgt (Value.plain (ce env)))
   | Ast.ExprStmt e ->
       if numeric_shaped ctx scope e then
         let n = compile_num ctx scope e in
@@ -1502,13 +1647,15 @@ and compile_stmts ctx scope stmts =
   seq (List.map (compile_stmt ctx scope) stmts)
 
 (* [v = append(v, x)] on a pending frame variable (see "List shapes").
-   While [v]'s slot holds a list or is pending, [x] is consed onto the
-   hidden tail; if reading [x] stored [v] back, the stored list starts
-   the next run of appends.  An unbound slot, a value of another kind or
-   a host override runs the general code, which is what compiling the
-   assignment as a plain call would give. *)
+   While [v]'s slot holds a list or is pending, [x] goes into the run:
+   written to the float buffer or consed onto the tail.  If reading [x]
+   stored [v] back, the stored list starts the next run.  An unbound
+   slot, a value of another kind or a host override runs the general
+   code, which is what compiling the assignment as a plain call would
+   give.  [x] is compiled as a number, so a number reaches the buffer
+   unboxed. *)
 and compile_pending_append ctx scope n x : scode =
-  let i, h = Option.get (pend_slot scope n) in
+  let i, h, k = Option.get (pend_slot scope n) in
   let cal = callee ctx "append" in
   let append =
     match cal with
@@ -1518,11 +1665,13 @@ and compile_pending_append ctx scope n x : scode =
   let idx = call_site ctx "append" cal in
   let w = compile_assign_target ctx scope n in
   let cv = fst (var_read ctx scope n) in
-  let cx = compile_expr ctx scope x in
+  let nx = compile_num ctx scope x in
+  let cx = value_of_num nx in
   let values = [| cv; cx |] in
   let general env =
     w.wv env
-      (if env.calls.(idx) != static_call then env.calls.(idx) (eval_args values env)
+      (if env.calls.(idx) != static_call then
+         env.calls.(idx) (eval_host_args values env)
        else
          let v0 = cv env in
          let v1 = cx env in
@@ -1533,21 +1682,58 @@ and compile_pending_append ctx scope n x : scode =
     let fr = env.frame in
     let cur = fr.(i) in
     if env.calls.(idx) == static_call
-       && (cur == pend_tag || match cur with Value.List _ -> true | _ -> false)
+       && (cur == pend_tag
+          || match cur with Value.List _ | Value.Nums _ -> true | _ -> false)
     then begin
-      let v = cx env in
-      if fr.(i) == pend_tag then begin
-        match fr.(h + 1) with
-        | Value.List tail -> fr.(h + 1) <- Value.List (v :: tail)
-        | _ -> invalid_arg "Compile.compile_pending_append"
-      end
-      else begin
-        fr.(h) <- fr.(i);
-        fr.(h + 1) <- Value.List [ v ];
-        fr.(i) <- pend_tag
-      end
+      let is_num = nx env in
+      if fr.(i) == pend_tag then append_pending env fr h is_num
+      else start_pending env fr i h k is_num
     end
     else general env
+
+(* The appended value: the number in [regs.(0)] if [is_num], else
+   [env.other]. *)
+and appended env is_num = if is_num then Value.Num env.regs.(0) else env.other
+
+(* A run begins on the list in slot [i]: packed if it and the value
+   allow, else consed. *)
+and start_pending env fr i h k is_num =
+  let prefix = fr.(i) in
+  fr.(h) <- prefix;
+  (match prefix with
+  | (Value.List [] | Value.Nums _) when is_num ->
+      let hint = env.hints.(k) in
+      let buf = Float.Array.create (if hint > 0 then hint else first_buffer) in
+      Float.Array.set buf 0 env.regs.(0);
+      fr.(h + 1) <- Value.Nums buf;
+      env.fnums.(h + 1) <- 1.
+  | _ -> fr.(h + 1) <- Value.List [ appended env is_num ]);
+  fr.(i) <- pend_tag
+
+and append_pending env fr h is_num =
+  match fr.(h + 1) with
+  | Value.Nums buf when is_num ->
+      let n = int_of_float env.fnums.(h + 1) in
+      let buf =
+        if n < Float.Array.length buf then buf
+        else begin
+          let grown = Float.Array.create (2 * n) in
+          Float.Array.blit buf 0 grown 0 n;
+          fr.(h + 1) <- Value.Nums grown;
+          grown
+        end
+      in
+      Float.Array.set buf n env.regs.(0);
+      env.fnums.(h + 1) <- float_of_int (n + 1)
+  | Value.Nums buf ->
+      (* not a number: the run goes on consed, newest first *)
+      let n = int_of_float env.fnums.(h + 1) in
+      let rec consed j acc =
+        if j >= n then acc else consed (j + 1) (Value.Num (Float.Array.get buf j) :: acc)
+      in
+      fr.(h + 1) <- Value.List (env.other :: consed 0 [])
+  | Value.List tail -> fr.(h + 1) <- Value.List (appended env is_num :: tail)
+  | _ -> invalid_arg "Compile.append_pending"
 
 (* ------------------------------------------------------------------ *)
 (* Events, states, functions                                           *)
@@ -1579,7 +1765,7 @@ let compile_event ctx (locals : locals_layout) (ev : Ast.event) : event_c * veve
   | Some (n, numeric) -> ignore (layout_add_bound lay n numeric)
   | None -> ());
   collect_decls lay ev.body;
-  collect_appends lay ~append:ctx.cx_append ev.body;
+  collect_appends lay ~append:ctx.cx_append ~hints:ctx.cx_hints ev.body;
   let scope = { sc_frame = Some lay; sc_locals = Some locals; sc_loop = false } in
   let body = compile_stmts ctx scope ev.body in
   let binding =
@@ -1678,18 +1864,24 @@ let compile_state ctx (m : Ast.machine) trig_names (st : Ast.state_decl) :
       vs_recv = List.map snd recv } )
 
 (* Layout of a function, before any body is compiled. *)
-let declare_func ~append (fd : Ast.func_decl) : fn_info =
+let declare_func ~append ~hints (fd : Ast.func_decl) : fn_info =
   let lay = new_layout () in
   let params =
     Array.of_list
       (List.map (fun (t, n) -> (n, layout_add_bound lay n (is_num_typ t))) fd.fparams)
   in
   collect_decls lay fd.fbody;
-  collect_appends lay ~append fd.fbody;
+  collect_appends lay ~append ~hints fd.fbody;
   let frame = Array.make lay.l_size absent in
-  Array.iter (fun (n, slot) -> if slot_typed lay n then frame.(slot) <- num_tag) params;
+  let tagged =
+    Array.of_list
+      (List.filter_map
+         (fun (n, slot) -> if slot_typed lay n then Some slot else None)
+         (Array.to_list params))
+  in
+  Array.iter (fun slot -> frame.(slot) <- num_tag) tagged;
   { fi_name = fd.fname; fi_layout = lay; fi_params = params; fi_frame = frame;
-    fi_nums = layout_nums lay; fi_body = ref nop_stmt }
+    fi_tagged = tagged; fi_nums = layout_nums lay; fi_body = ref nop_stmt }
 
 let compile_func ctx (fd : Ast.func_decl) : func_c * vfunc =
   let fi = Hashtbl.find ctx.cx_funcs fd.fname in
@@ -1783,10 +1975,11 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
   let append =
     not (List.exists (fun (fd : Ast.func_decl) -> fd.fname = "append") program.funcs)
   in
+  let hints = ref 0 in
   let fn_infos = Hashtbl.create 8 in
   List.iter
     (fun (fd : Ast.func_decl) ->
-      Hashtbl.replace fn_infos fd.fname (declare_func ~append fd))
+      Hashtbl.replace fn_infos fd.fname (declare_func ~append ~hints fd))
     program.funcs;
   let ctx =
     { cx_global_slots = global_slots;
@@ -1797,6 +1990,7 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
       cx_n_calls = 0;
       cx_fused = 0;
       cx_append = append;
+      cx_hints = hints;
       cx_list_sites = 0;
       cx_n_caches = 0 }
   in
@@ -1872,4 +2066,5 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
     c_plan = plan;
     c_fused = ctx.cx_fused;
     c_list_sites = ctx.cx_list_sites;
-    c_n_caches = ctx.cx_n_caches }
+    c_n_caches = ctx.cx_n_caches;
+    c_n_hints = !hints }

@@ -9,9 +9,10 @@
     site is resolved here, so an instance only looks up host overrides;
     event dispatch tables are precomputed per (state, trigger) pair; and
     in a loop, a frame list built by [v = append(v, e)] grows in O(1)
-    until another read of [v], and each [size] / [nth] site keeps a
+    until another read of [v], a run of numbers unboxed into a packed
+    list ([Value.Nums]), and each [size] / [nth] site keeps a
     per-instance cache of the last list it saw, so the stats helpers'
-    loops are linear.
+    loops are linear; [size] and [nth] read a packed list in place.
     Observationally equivalent to {!Interp} on type-checked programs (see
     DESIGN.md, "Almanac execution pipeline").  Compile once per machine;
     instantiate many times with {!Exec.create_compiled}.  A {!t} is
@@ -61,6 +62,10 @@ type env = {
       (** one cache per [size] / [nth] site in a loop
           ({!t.c_n_caches}); per instance, so instances sharing a {!t}
           never share one *)
+  hints : int array;
+      (** per pending list variable ({!t.c_n_hints}): how many numbers
+          its last packed run appended, the size of its next run's first
+          buffer; it changes no value *)
 }
 
 (** Empty every list cache of an instance, so none keeps a list alive
@@ -72,6 +77,13 @@ type scode = env -> unit
 
 (** An empty float array: the numbers of a level without typed slots. *)
 val no_nums : float array
+
+(** A fresh frame of [n] unbound slots, and a float array of length [n]
+    for its numbers; small ones are allocated inline, without a call into
+    the runtime. *)
+val new_frame : int -> Value.t array
+
+val new_nums : int -> float array
 
 (** [get vals nums i] is the value of slot [i] of a level ([absent] when
     unbound); [set vals nums i v] binds it, unboxing a number when the
@@ -190,10 +202,12 @@ type t = {
           its typed frame slots and literals in place, with the general
           code as fallback (DESIGN.md, "Almanac execution pipeline") *)
   c_list_sites : int;
-      (** how many appends compiled to a pending append, plus the
-          [size] / [nth] sites with an inline cache; counted apart from
+      (** how many appends compiled to a pending append (which packs a
+          run of numbers), plus the [size] / [nth] sites with an inline
+          cache (which read a packed list in place); counted apart from
           [c_fused] *)
   c_n_caches : int;  (** how many caches an instance allocates *)
+  c_n_hints : int;  (** how many pending list variables the machine has *)
 }
 
 (** Compile machine [machine] of a type-checked, inheritance-resolved

@@ -3,7 +3,8 @@
     Mirrors the {!Interp} API so the two engines are interchangeable
     behind {!Engine.S}; semantics are the interpreter's (the differential
     suite in [test/test_almanac.ml] checks observational equivalence over
-    the whole task catalog and over generated programs).  Per event
+    the whole task catalog and over generated programs), and every value
+    this module hands out is [Value.plain]: no packed list leaves it.  Per event
     firing this engine does an array index into the (state, trigger)
     dispatch table and runs pre-compiled closures — no string hashing, no
     scope-chain walk.  Slot values go through {!Compile.get} /
@@ -48,11 +49,10 @@ let empty_frame : Value.t array = [||]
 
 let run_event (env : Compile.env) (ec : Compile.event_c) binding =
   let fr =
-    if ec.ev_frame_size = 0 then empty_frame
-    else Array.make ec.ev_frame_size absent
+    if ec.ev_frame_size = 0 then empty_frame else Compile.new_frame ec.ev_frame_size
   in
   let nums =
-    if ec.ev_nums then Array.create_float ec.ev_frame_size else Compile.no_nums
+    if ec.ev_nums then Compile.new_nums ec.ev_frame_size else Compile.no_nums
   in
   (match ec.ev_binding with
   | Some slot -> Compile.set fr nums slot binding
@@ -141,7 +141,8 @@ let create_compiled ?(externals = []) (c : Compile.t) (host : Host.host) =
       calls;
       regs = Array.make 2 0.;
       other = Value.Unit;
-      lists = Array.init c.c_n_caches (fun _ -> Compile.new_list_cache ()) }
+      lists = Array.init c.c_n_caches (fun _ -> Compile.new_list_cache ());
+      hints = Array.make c.c_n_hints 0 }
   in
   (* machine and trigger variables, progressively (earlier initializers
      are visible to later ones) *)
@@ -164,7 +165,7 @@ let var t name =
   let rec local i =
     if i >= Array.length env.Compile.locals_names then None
     else if String.equal env.locals_names.(i) name && env.locals.(i) != absent
-    then Some (Compile.get env.locals env.lnums i)
+    then Some (Value.plain (Compile.get env.locals env.lnums i))
     else local (i + 1)
   in
   match local 0 with
@@ -173,7 +174,7 @@ let var t name =
       match Hashtbl.find_opt t.c.c_global_slots name with
       | Some g ->
           let v = Compile.get env.globals env.gnums g in
-          if v != absent then Some v else None
+          if v != absent then Some (Value.plain v) else None
       | None -> None)
 
 let start t =
@@ -212,18 +213,22 @@ let prepare_trigger t name =
         fire_id t id value
   | None -> fun _ -> apply_pending t
 
-let deliver t ~from value =
-  let st = t.c.c_states.(t.env.Compile.state) in
-  match
-    Array.find_opt
-      (fun (rc : Compile.recv_c) -> Semantics.accepts rc.rc_typ rc.rc_dest from value)
-      st.st_recv
-  with
-  | Some rc ->
+(* The first arm from [i] on, in [st_recv] order, that accepts the
+   message runs it.  A top-level loop, not a search with a closure, so a
+   message no arm takes allocates nothing. *)
+let rec deliver_from t (arms : Compile.recv_c array) i ~from value =
+  if i >= Array.length arms then false
+  else
+    let rc = arms.(i) in
+    if Semantics.accepts rc.rc_typ rc.rc_dest from value then begin
       run_event t.env rc.rc_ev value;
       apply_pending t;
       true
-  | None -> false
+    end
+    else deliver_from t arms (i + 1) ~from value
+
+let deliver t ~from value =
+  deliver_from t t.c.c_states.(t.env.Compile.state).st_recv 0 ~from value
 
 let realloc t =
   let st = t.c.c_states.(t.env.Compile.state) in
@@ -236,12 +241,12 @@ let snapshot t =
   Array.iteri
     (fun i name ->
       let v = Compile.get env.Compile.globals env.gnums i in
-      if v != absent then vars := (name, v) :: !vars)
+      if v != absent then vars := (name, Value.plain v) :: !vars)
     t.c.c_global_names;
   Array.iteri
     (fun i name ->
       let v = Compile.get env.locals env.lnums i in
-      if v != absent then vars := ("state." ^ name, v) :: !vars)
+      if v != absent then vars := ("state." ^ name, Value.plain v) :: !vars)
     env.locals_names;
   (!vars, current_state t)
 
@@ -283,5 +288,5 @@ let restore t ~vars ~state =
 
 let call_function t name argv =
   match Hashtbl.find_opt t.c.c_funcs name with
-  | Some fc -> invoke_func t.env fc argv
+  | Some fc -> Value.plain (invoke_func t.env fc argv)
   | None -> fail "program has no function %s" name

@@ -132,7 +132,7 @@ let value_matches_typ (v : Value.t) ty =
   | Value.Num _, Ast.Tfloat
   | Value.Bool _, Ast.Tbool
   | Value.Str _, Ast.Tstring
-  | Value.List _, Ast.Tlist
+  | (Value.List _ | Value.Nums _), Ast.Tlist
   | Value.Packet _, Ast.Tpacket
   | Value.Action _, Ast.Taction
   | Value.FilterV _, Ast.Tfilter

@@ -4,6 +4,7 @@ type t =
   | Num of float
   | Str of string
   | List of t list
+  | Nums of floatarray
   | Packet of Farm_net.Flow.packet
   | Action of Farm_net.Tcam.action
   | FilterV of Farm_net.Filter.t
@@ -19,7 +20,7 @@ let kind = function
   | Bool _ -> "bool"
   | Num _ -> "number"
   | Str _ -> "string"
-  | List _ -> "list"
+  | List _ | Nums _ -> "list"
   | Packet _ -> "packet"
   | Action _ -> "action"
   | FilterV _ -> "filter"
@@ -44,9 +45,36 @@ let as_str = function
   | Str s -> s
   | v -> type_error "expected a string, got %s" (kind v)
 
+let nums_to_list a =
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) (Num (Float.Array.get a i) :: acc)
+  in
+  go (Float.Array.length a - 1) []
+
 let as_list = function
   | List l -> l
+  | Nums a -> nums_to_list a
   | v -> type_error "expected a list, got %s" (kind v)
+
+let rec has_nums = function
+  | Nums _ -> true
+  | List l -> List.exists has_nums l
+  | Struct (_, fields) -> List.exists (fun (_, x) -> has_nums x) fields
+  | Unit | Bool _ | Num _ | Str _ | Packet _ | Action _ | FilterV _ | Stats _ ->
+      false
+
+let rec plain v =
+  if not (has_nums v) then v
+  else
+    match v with
+    | Nums a -> List (nums_to_list a)
+    | List l -> List (List.map plain l)
+    | Struct (n, fields) -> Struct (n, List.map (fun (k, x) -> (k, plain x)) fields)
+    | v -> v
+
+let list_length = function
+  | Nums a -> Float.Array.length a
+  | v -> List.length (as_list v)
 
 let as_filter = function
   | FilterV f -> f
@@ -67,6 +95,17 @@ let rec equal a b =
   | Num x, Num y -> x = y
   | Str x, Str y -> String.equal x y
   | List x, List y -> List.length x = List.length y && List.for_all2 equal x y
+  | Nums x, Nums y ->
+      let n = Float.Array.length x in
+      let rec go i = i >= n || (Float.Array.get x i = Float.Array.get y i && go (i + 1)) in
+      n = Float.Array.length y && go 0
+  | Nums x, List y | List y, Nums x ->
+      let rec go i = function
+        | [] -> i = Float.Array.length x
+        | Num v :: r -> i < Float.Array.length x && Float.Array.get x i = v && go (i + 1) r
+        | _ :: _ -> false
+      in
+      go 0 y
   | Packet x, Packet y -> x = y
   | Action x, Action y -> x = y
   | FilterV x, FilterV y -> Farm_net.Filter.equal x y
@@ -77,7 +116,7 @@ let rec equal a b =
       && List.for_all2
            (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
            fx fy
-  | ( ( Unit | Bool _ | Num _ | Str _ | List _ | Packet _ | Action _
+  | ( ( Unit | Bool _ | Num _ | Str _ | List _ | Nums _ | Packet _ | Action _
       | FilterV _ | Stats _ | Struct _ ),
       _ ) ->
       false
@@ -142,6 +181,7 @@ let rec pp ppf = function
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
            pp)
         l
+  | Nums a -> pp ppf (List (nums_to_list a))
   | Packet p -> Format.fprintf ppf "<packet %a>" Farm_net.Flow.pp_tuple p.tuple
   | Action _ -> Format.pp_print_string ppf "<action>"
   | FilterV f -> Farm_net.Filter.pp ppf f

@@ -8,6 +8,12 @@ type t =
   | Num of float
   | Str of string
   | List of t list
+  | Nums of floatarray
+      (** a list of numbers held unboxed, built by the compiled engine
+          ({!Compile}); the same value as the [List] of its [Num]s under
+          {!equal}, {!pp} and every type check.  It stays inside the
+          Almanac engines: {!plain} turns it back into a [List] wherever
+          a value leaves them. *)
   | Packet of Farm_net.Flow.packet
   | Action of Farm_net.Tcam.action
   | FilterV of Farm_net.Filter.t
@@ -24,7 +30,16 @@ val truthy : t -> bool
 val as_num : t -> float
 
 val as_str : t -> string
+
+(** A [List]'s elements, or a [Nums]' as [Num]s (allocated). *)
 val as_list : t -> t list
+
+(** The number of elements of a list value; O(1) on [Nums]. *)
+val list_length : t -> int
+
+(** [v] with every [Nums] in it, nested in lists and structs too, turned
+    into its [List]; [v] itself (no allocation) when it holds none. *)
+val plain : t -> t
 val as_filter : t -> Farm_net.Filter.t
 val as_action : t -> Farm_net.Tcam.action
 val as_stats : t -> float array

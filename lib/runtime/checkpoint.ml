@@ -287,6 +287,12 @@ let rec value s (v : Value.t) =
   | Str x -> leaf_text s "<str v=\"" x
   | List [] -> raw s "<list/>"
   | List l -> raw s "<list>"; values s l; raw s "</list>"
+  | Nums a when Float.Array.length a = 0 -> raw s "<list/>"
+  | Nums a ->
+      (* the bytes of the [List] of its [Num]s *)
+      raw s "<list>";
+      Float.Array.iter (fun n -> leaf_hex s "<num v=\"" n) a;
+      raw s "</list>"
   | Packet p -> packet s p
   | Action a -> action s a
   | FilterV f -> raw s "<filter>"; filter s f; raw s "</filter>"

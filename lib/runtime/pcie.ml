@@ -48,6 +48,10 @@ type 'o t = {
   mutable q_top : int;
   mutable q_top_n : int;
   mutable busy : bool;
+  mutable on_bus : 'o req;  (* the transfer on the bus, while [busy] *)
+  mutable finish : Engine.t -> unit;
+      (* the bus's completion event, [complete t]: one closure per bus,
+         as one transfer at a time holds it *)
   mutable q_seq : int;
   clocks : clocks;
   (* PCIe slowdown fault (Fault.Pcie_degrade): effective bandwidth is
@@ -64,13 +68,6 @@ type 'o t = {
   mutable served : int;
   mutable q_peak : int;
 }
-
-let create engine sw ~max_queue ~wait_cap ~shed ~bytes ~queued ~set_queued =
-  { engine; sw; max_queue; wait_cap; queue = [||]; q_head = 0; q_len = 0;
-    q_top = min_int; q_top_n = 0; busy = false; q_seq = 0;
-    clocks = { free_at = 0.; busy_s = 0. }; factor = 1.; shed; bytes;
-    queued; set_queued; on_shed = ignore; offered = 0; served = 0;
-    q_peak = 0 }
 
 let on_shed t f = t.on_shed <- f
 let set_factor t f = t.factor <- f
@@ -131,8 +128,9 @@ let rec victim_index t i vi v sv =
         victim_index t (i + 1) i r sr
       else victim_index t (i + 1) vi v sv
 
-(* Fills the queue's free slots, so that a served or shed request, and
-   the subscriptions and seeds its closure holds, can be collected. *)
+(* Fills the queue's free slots and the bus when idle, so that a served
+   or shed request, and the subscriptions and seeds its closure holds,
+   can be collected. *)
 let no_req =
   { rq_seq = -1; rq_bytes = 0.; rq_issued = 0.; rq_prio = 0;
     rq_owners = []; rq_deliver = ignore }
@@ -195,6 +193,7 @@ let rec next_index t i =
    completion times are exact sums of durations. *)
 let rec serve t next =
   t.busy <- true;
+  t.on_bus <- next;
   let now = Engine.now t.engine in
   let dur = next.rq_bytes *. 8. /. bandwidth t in
   t.clocks.busy_s <- t.clocks.busy_s +. dur;
@@ -208,14 +207,18 @@ let rec serve t next =
         ~cat:c_pcie ~name:(Trace.name tr n_transfer)
         ~tid:(Switch_model.id t.sw);
       Trace.arg_f tr k_bytes next.rq_bytes);
-  Engine.schedule t.engine ~delay:dur (fun engine ->
-      (* account the transfer when it completes, so byte counters over
-         a window reflect achieved (not queued) throughput *)
-      Metrics.Counter.add t.bytes next.rq_bytes;
-      t.busy <- false;
-      t.served <- t.served + 1;
-      next.rq_deliver engine;
-      pump t)
+  Engine.schedule t.engine ~delay:dur t.finish
+
+(* The transfer on the bus completes.  It is accounted now, so byte
+   counters over a window reflect achieved (not queued) throughput. *)
+and complete t engine =
+  let next = t.on_bus in
+  t.on_bus <- no_req;
+  Metrics.Counter.add t.bytes next.rq_bytes;
+  t.busy <- false;
+  t.served <- t.served + 1;
+  next.rq_deliver engine;
+  pump t
 
 and pump t =
   if (not t.busy) && t.q_len > 0 then begin
@@ -224,6 +227,17 @@ and pump t =
     queue_remove t i;
     serve t next
   end
+
+let create engine sw ~max_queue ~wait_cap ~shed ~bytes ~queued ~set_queued =
+  let t =
+    { engine; sw; max_queue; wait_cap; queue = [||]; q_head = 0; q_len = 0;
+      q_top = min_int; q_top_n = 0; busy = false; on_bus = no_req;
+      finish = ignore; q_seq = 0; clocks = { free_at = 0.; busy_s = 0. };
+      factor = 1.; shed; bytes; queued; set_queued; on_shed = ignore;
+      offered = 0; served = 0; q_peak = 0 }
+  in
+  t.finish <- complete t;
+  t
 
 let offer t ~bytes ~prio ~owners k =
   let now = Engine.now t.engine in

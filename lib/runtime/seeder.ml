@@ -171,6 +171,7 @@ let rec value_bytes (v : Value.t) =
   | Value.Num _ -> 8.
   | Value.Str s -> float_of_int (String.length s)
   | Value.List l -> List.fold_left (fun a v -> a +. value_bytes v) 8. l
+  | Value.Nums a -> 8. +. (8. *. float_of_int (Float.Array.length a))
   | Value.Packet _ -> 64.
   | Value.Action _ -> 8.
   | Value.FilterV _ -> 32.

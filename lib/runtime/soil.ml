@@ -86,13 +86,26 @@ type subscription = {
 
 (* Aggregation group: one ASIC poll timer shared by all subscribers of a
    subject.  Without aggregation each poll subscription has a group of
-   its own, outside [t.groups].  [g_name] is the subject as traced,
-   formatted at the group's first traced poll. *)
+   its own, outside [t.groups].  [g_owners] is the subscribers' seeds,
+   one entry per subscriber, kept with [g_subs]; [g_bytes] is what one
+   poll of the subject moves over the bus.  [g_name] is the subject as
+   traced, formatted at the group's first traced poll. *)
 type group = {
   g_subject : Filter.subject;
   mutable g_subs : subscription list;
+  mutable g_owners : seed_acct list;
+  g_bytes : float;
   mutable g_timer : Engine.timer option;
   mutable g_name : string;
+}
+
+(* One issued ASIC poll, from the read to the last delivery: the bus
+   transfer and each subscriber's delivery refer to it. *)
+type poll = {
+  pl_issued : float;
+  pl_data : float array;  (* the counters, read at issue *)
+  pl_bytes : float;
+  pl_subs : subscription list;  (* the group's subscribers at issue *)
 }
 
 type poll_stats = {
@@ -374,7 +387,7 @@ let offer t ~bytes owners k =
   if not (Pcie.offer t.bus ~bytes ~prio ~owners k) then
     drop_polls t ~name:n_poll_dropped owners
 
-let ipc_deliver ?issued t f =
+let ipc_deliver t f =
   (* IPC latency depends on how many seeds are co-located (Fig. 10) *)
   let lat = Ipc.latency t.cfg.scheme t.cfg.exec_model ~seeds:(seed_count t) in
   charge_cpu t (Ipc.cpu_cost t.cfg.scheme t.cfg.exec_model);
@@ -385,12 +398,7 @@ let ipc_deliver ?issued t f =
   | Some tr ->
       Trace.span tr ~ts:(Engine.now t.engine) ~dur:lat ~cat:c_ipc
         ~name:(Trace.name tr n_deliver) ~tid:(Switch_model.id t.sw));
-  Engine.schedule t.engine ~delay:lat (fun engine ->
-      (match issued with
-      | Some t0 ->
-          Metrics.Histogram.record t.latency (Engine.now engine -. t0)
-      | None -> ());
-      f ())
+  Engine.schedule t.engine ~delay:lat f
 
 (* ------------------------------------------------------------------ *)
 (* Counter fault injection                                             *)
@@ -433,10 +441,33 @@ let read_counters t subject =
 let transfer t ~bytes ~seeds k =
   offer t ~bytes (List.map (acct t) seeds) (fun _ -> k ())
 
+(* IPC hands a poll's counters to one subscriber. *)
+let deliver_poll t p deliver =
+  Metrics.Histogram.record t.latency (Engine.now t.engine -. p.pl_issued);
+  deliver p.pl_data
+
+(* The poll's transfer completed: each subscriber still active pays its
+   processing and gets the counters over IPC, in subscription order. *)
+let rec poll_done t p records = function
+  | [] -> ()
+  | sub :: rest ->
+      if sub.active then begin
+        (* bulk counter reads are DMA'd: post-processing is cheap per
+           record on top of the fixed per-poll cost *)
+        charge_cpu t (t.cfg.cpu.poll_process_cost *. records /. 128.);
+        charge_cpu t t.cfg.cpu.poll_process_cost;
+        if t.cfg.aggregate_polls then charge_cpu t t.cfg.cpu.aggregation_cost;
+        Metrics.Counter.incr t.completed;
+        match sub.kind with
+        | Poll q -> ipc_deliver t (fun _ -> deliver_poll t p q.deliver)
+        | Probe _ | Time _ -> ()
+      end;
+      poll_done t p records rest
+
 (* Issue one ASIC poll for [g]'s subject and deliver the result to its
    subscribers. *)
 let issue_poll t g =
-  let subject = g.g_subject and subs = g.g_subs in
+  let subs = g.g_subs in
   let issued = Engine.now t.engine in
   Metrics.Counter.add t.requested (float_of_int (List.length subs));
   charge_cpu t t.cfg.cpu.poll_issue_cost;
@@ -445,32 +476,21 @@ let issue_poll t g =
   | None -> ()
   | Some tr ->
       if g.g_name = "" then
-        g.g_name <- Format.asprintf "%a" Filter.pp_subject subject;
+        g.g_name <- Format.asprintf "%a" Filter.pp_subject g.g_subject;
       Trace.instant tr ~ts:issued ~cat:c_soil ~name:(Trace.name tr n_asic_poll)
         ~tid:(Switch_model.id t.sw);
       Trace.arg_s tr k_subject (Trace.intern tr g.g_name);
       Trace.arg_i tr k_subs (List.length subs));
-  let bytes = poll_payload t subject in
   (* the ASIC snapshots the counters when the read is issued; the data
      then crosses the PCIe bus *)
-  let data = read_counters t subject in
-  offer t ~bytes (List.map (fun s -> s.sub_owner) subs) (fun _engine ->
-      let records = Float.max 1. (bytes /. counter_record_bytes) in
-      List.iter
-        (fun sub ->
-          if sub.active then begin
-            (* bulk counter reads are DMA'd: post-processing is cheap
-               per record on top of the fixed per-poll cost *)
-            charge_cpu t (t.cfg.cpu.poll_process_cost *. records /. 128.);
-            charge_cpu t t.cfg.cpu.poll_process_cost;
-            if t.cfg.aggregate_polls then
-              charge_cpu t t.cfg.cpu.aggregation_cost;
-            Metrics.Counter.incr t.completed;
-            match sub.kind with
-            | Poll p -> ipc_deliver ~issued t (fun () -> p.deliver data)
-            | Probe _ | Time _ -> ()
-          end)
-        subs)
+  let p =
+    { pl_issued = issued; pl_data = read_counters t g.g_subject;
+      pl_bytes = g.g_bytes; pl_subs = subs }
+  in
+  offer t ~bytes:p.pl_bytes g.g_owners (fun _ ->
+      poll_done t p
+        (Float.max 1. (p.pl_bytes /. counter_record_bytes))
+        p.pl_subs)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregated polling groups                                           *)
@@ -494,6 +514,18 @@ let rearm_group t g =
 let find_group t subject =
   List.find_opt (fun g -> Filter.subject_equal g.g_subject subject) t.groups
 
+let set_subs g subs =
+  g.g_subs <- subs;
+  g.g_owners <- List.map (fun s -> s.sub_owner) subs
+
+let new_group t subject subs =
+  let g =
+    { g_subject = subject; g_subs = []; g_owners = [];
+      g_bytes = poll_payload t subject; g_timer = None; g_name = "" }
+  in
+  set_subs g subs;
+  g
+
 let fresh_sub t ~seed_id ~period kind =
   { sub_owner = acct t seed_id; kind; period; timer = None; active = true }
 
@@ -505,19 +537,15 @@ let subscribe_poll t ~seed_id ~subject ~period deliver =
       match find_group t subject with
       | Some g -> g
       | None ->
-          let g =
-            { g_subject = subject; g_subs = []; g_timer = None; g_name = "" }
-          in
+          let g = new_group t subject [] in
           t.groups <- g :: t.groups;
           g
     in
-    g.g_subs <- sub :: g.g_subs;
+    set_subs g (sub :: g.g_subs);
     rearm_group t g
   end
   else begin
-    let g =
-      { g_subject = subject; g_subs = [ sub ]; g_timer = None; g_name = "" }
-    in
+    let g = new_group t subject [ sub ] in
     sub.timer <- Some (Engine.every t.engine ~period (fun _ -> issue_poll t g))
   end;
   sub
@@ -534,7 +562,7 @@ let subscribe_probe t ~seed_id ~filter ~period deliver =
         offer t ~bytes:(float_of_int pkt.size) owners (fun _ ->
             if sub.active then begin
               Metrics.Counter.incr t.completed;
-              ipc_deliver t (fun () -> deliver pkt)
+              ipc_deliver t (fun _ -> deliver pkt)
             end)
     | Some _ | None -> ()
   in
@@ -570,7 +598,7 @@ let cancel t sub =
   | Poll p when t.cfg.aggregate_polls -> (
       match find_group t p.subject with
       | Some g ->
-          g.g_subs <- List.filter (fun s -> s != sub) g.g_subs;
+          set_subs g (List.filter (fun s -> s != sub) g.g_subs);
           rearm_group t g
       | None -> ())
   | Poll _ | Probe _ | Time _ -> ()

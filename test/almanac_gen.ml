@@ -20,9 +20,12 @@
      [min], [max], [is_list_empty], [floor] and [abs];
    - [v = append(v, x)], the compiled engine's pending append on a frame
      list, alone and in bounded loops, with reads of [v] between the
-     appends and after them ([size], an in-range [nth], [==], [send], an
-     argument, [return v]), an alias taken before them, and a list
-     variable that holds another kind;
+     appends and after them ([size], an in-range [nth], [==] with another
+     list or a literal, [send], an argument, a copy into another list
+     variable, which snapshots then see, [return v]), an alias taken
+     before them, and a list variable that holds another kind; [x] is
+     mostly a number (the compiled engine packs such a run unboxed) and
+     now and then another kind (the run turns into a plain list);
    - forward (each index once or twice), backward and two-lists-in-turn
      [size] / [nth] scans, which the compiled engine's per-site caches
      serve;
@@ -371,10 +374,12 @@ and counter ctx =
   (k, { name = k; ty = N; assignable = false })
 
 (* A read of list [v] between or after appends: whole, by [size], by an
-   in-range [nth], compared with another list, or passed to a function *)
+   in-range [nth], compared with another list or a literal, copied into
+   another list variable, or passed to a function *)
 and list_read ctx v k : Ast.stmt list G.t =
   let send e = st (Ast.Send (e, Ast.Harvester)) in
   let others = List.filter (fun w -> w.name <> v) (vars_of ctx L) in
+  let targets = List.filter (fun w -> w.assignable) others in
   let takes_list = List.filter (fun f -> List.mem L f.params) ctx.funcs in
   G.frequency
     (List.concat
@@ -388,12 +393,24 @@ and list_read ctx v k : Ast.stmt list G.t =
                         [ send (call "nth" [ Ast.Var v; Ast.Var k ]) ],
                         [] )) ] );
            (1, G.return [ send (call "nth" [ Ast.Var v; Ast.Int 0 ]) ]) ];
+         [ ( 1,
+             let+ n = G.int_range 0 3 in
+             [ send
+                 (Ast.Binop
+                    (Ast.Eq, Ast.Var v, Ast.ListLit (List.init n (fun i -> Ast.Int i))))
+             ] ) ];
          (match others with
          | [] -> []
          | ws ->
              [ ( 2,
                  let+ w = G.oneofl ws in
                  [ send (Ast.Binop (Ast.Eq, Ast.Var v, Ast.Var w.name)) ] ) ]);
+         (match targets with
+         | [] -> []
+         | ws ->
+             [ ( 1,
+                 let+ w = G.oneofl ws in
+                 [ st (Ast.Assign (w.name, Ast.Var v)) ] ) ]);
          (match takes_list with
          | [] -> []
          | fs ->
@@ -422,7 +439,10 @@ and build ctx : (Ast.stmt list * ctx) G.t =
   let* v, decls, ctx =
     if fresh || vars_of ctx L = [] then
       let* name = G.oneofl pool in
-      let+ init = G.frequency [ (4, expr ctx L 1); (1, mixed_nth) ] in
+      let+ init =
+        G.frequency
+          [ (2, G.return (Ast.ListLit [])); (4, expr ctx L 1); (1, mixed_nth) ]
+      in
       ( name,
         [ st (Ast.Decl (Ast.Tlist, name, Some init)) ],
         { ctx with vars = { name; ty = L; assignable = true } :: ctx.vars } )
@@ -444,7 +464,16 @@ and build ctx : (Ast.stmt list * ctx) G.t =
   let* x = elem inner in
   let* reads = G.int_range 0 2 >>= fun n -> G.list_repeat n (list_read inner v k) in
   let* second = G.frequency [ (3, G.return []); (1, G.map (fun (s, _) -> s) (append_self inner [ { name = v; ty = L; assignable = true } ])) ] in
-  let+ after = G.frequency [ (1, G.return []); (2, list_read inner v k) ] in
+  let+ after =
+    G.frequency
+      [ (1, G.return []);
+        (2, list_read inner v k);
+        ( 1,
+          (* a value of another kind after the loop's numbers *)
+          let* x = G.frequency [ (2, expr inner B 0); (1, mixed_nth) ] in
+          let+ read = list_read inner v k in
+          st (Ast.Assign (v, call "append" [ Ast.Var v; x ])) :: read ) ]
+  in
   let append = st (Ast.Assign (v, call "append" [ Ast.Var v; x ])) in
   let step = st (Ast.Assign (k, Ast.Binop (Ast.Add, Ast.Var k, Ast.Int 1))) in
   ( decls @ alias

@@ -1485,6 +1485,13 @@ let diff_driver ~plan ~externals
         Value.Num (x +. float_of_int !ticks)
     | _ -> Host.fail "tick expects 1 argument"
   in
+  (* a packed list ([Value.Nums]) must not reach the host: the
+     interpreter never makes one, so a leak shows as a differing effect *)
+  let packed v = if Value.plain v != v then "PACKED " else "" in
+  let checked name f args =
+    List.iter (fun v -> if packed v <> "" then log := ("PACKED arg of " ^ name) :: !log) args;
+    f args
+  in
   let host =
     { Host.h_now =
         (fun () ->
@@ -1494,17 +1501,18 @@ let diff_driver ~plan ~externals
       h_send =
         (fun target v ->
           log :=
-            Printf.sprintf "send:%s:%s" (diff_target_str target)
+            Printf.sprintf "send:%s:%s%s" (diff_target_str target) (packed v)
               (Value.to_string v)
             :: !log);
       h_set_trigger =
         (fun name _tt v ->
-          log := Printf.sprintf "settrig:%s:%s" name (Value.to_string v) :: !log);
+          log := Printf.sprintf "settrig:%s:%s%s" name (packed v) (Value.to_string v)
+                 :: !log);
       h_builtin =
         (fun name ->
           match List.assoc_opt name builtins with
-          | Some f -> Some f
-          | None -> if name = "tick" then Some tick else None);
+          | Some f -> Some (checked name f)
+          | None -> if name = "tick" then Some (checked name tick) else None);
       h_on_transit =
         (fun a b ->
           incr transitions;
@@ -1877,9 +1885,15 @@ let rec exact_value (v : Value.t) =
   | Value.List l -> "[" ^ String.concat ", " (List.map exact_value l) ^ "]"
   | v -> Value.to_string v
 
+(* a packed list in a snapshot shows as a difference with the
+   interpreter's *)
 let exact_vars d =
   let vars, _ = Engine.snapshot d.dd_inst in
-  List.sort compare (List.map (fun (k, v) -> k ^ " = " ^ exact_value v) vars)
+  List.sort compare
+    (List.map
+       (fun (k, v) ->
+         k ^ (if Value.plain v != v then " = PACKED " else " = ") ^ exact_value v)
+       vars)
 
 let gen_typecheck p =
   match Typecheck.check ~extra:Almanac_gen.extra_sigs p with
@@ -2071,6 +2085,140 @@ machine Scan {
     (Option.is_none (Weak.get weak 0));
   (* ... while the instance, and its caches, are still alive *)
   Alcotest.(check string) "instance alive" "s0" (Exec.current_state inst)
+
+(* A packed list ([Value.Nums], which the compiled engine builds from
+   appended numbers) is the [Value.List] of its [Num]s to every reader. *)
+let test_packed_list_value () =
+  let xs = [ 3.; 0.5; -0.; 1e300; 7.25 ] in
+  let p = Value.Nums (Float.Array.of_list xs) in
+  let l = Value.List (List.map (fun x -> Value.Num x) xs) in
+  let check_eq what a b expect =
+    Alcotest.(check bool) (what ^ " (a, b)") expect (Value.equal a b);
+    Alcotest.(check bool) (what ^ " (b, a)") expect (Value.equal b a)
+  in
+  check_eq "= its List" p l true;
+  check_eq "= itself" p p true;
+  check_eq "<> a shorter list" p (Value.List [ Value.Num 3. ]) false;
+  check_eq "<> a longer list" p (Value.List (Value.as_list l @ [ Value.Num 1. ])) false;
+  check_eq "<> a list with another kind" p
+    (Value.List (Value.Str "3" :: List.tl (Value.as_list l)))
+    false;
+  check_eq "empty = []" (Value.Nums (Float.Array.create 0)) (Value.List []) true;
+  check_eq "nan as in a List" (Value.Nums (Float.Array.make 1 nan))
+    (Value.List [ Value.Num nan ]) false;
+  check_eq "-0 = 0 as in a List" (Value.Nums (Float.Array.make 1 (-0.)))
+    (Value.List [ Value.Num 0. ]) true;
+  Alcotest.(check string) "to_string" (Value.to_string l) (Value.to_string p);
+  Alcotest.(check int) "list_length" 5 (Value.list_length p);
+  Alcotest.(check bool) "plain is the List" true (Value.plain p = l);
+  Alcotest.(check bool) "plain of a plain value is itself" true (Value.plain l == l);
+  let nested = Value.Struct ("R", [ ("xs", Value.List [ p; Value.Num 1. ]) ]) in
+  Alcotest.(check bool) "plain reaches into lists and structs" true
+    (Value.plain nested = Value.Struct ("R", [ ("xs", Value.List [ l; Value.Num 1. ]) ]));
+  let error f =
+    match f () with
+    | _ -> "no error"
+    | exception Value.Type_error m -> m
+    | exception Host.Runtime_error m -> m
+  in
+  Alcotest.(check string) "type errors name a list"
+    (error (fun () -> Value.as_num l))
+    (error (fun () -> Value.as_num p));
+  (* [nth] past the end of a packed list, read in place by the compiled
+     engine as a number and as a value, fails as the interpreter does *)
+  let program =
+    Typecheck.check
+      (Parser.program
+         (Farm_tasks.Task_common.stats_helpers
+         ^ {|
+machine Past {
+  place all;
+  poll p = Poll { .ival = 1, .what = port ANY };
+  list xs = [];
+  float x = 0;
+  state s0 {
+    when (p as stats) do {
+      xs = stats_list(stats);
+      x = nth(xs, 1);
+      send nth(xs, 0) to harvester;
+      x = nth(xs, size(xs));
+    }
+  }
+}
+|}))
+  in
+  let run create start fire =
+    let inst = create ~program ~machine:"Past" Host.null_host in
+    start inst;
+    error (fun () -> fire inst "p" (Value.Stats [| 4.; 5. |]))
+  in
+  Alcotest.(check string) "nth past the end"
+    (run (fun ~program ~machine h -> Interp.create ~program ~machine h) Interp.start
+       Interp.fire_trigger)
+    (run (fun ~program ~machine h -> Exec.create ~program ~machine h) Exec.start
+       Exec.fire_trigger)
+
+(* [stats_list] packs its list; the compiled engine hands the host a
+   [Value.List] in [send], a host built-in's arguments and a trigger
+   variable, and [Exec.var] / [snapshot] / [call_function] return one. *)
+let test_packed_list_boundaries () =
+  let program =
+    Typecheck.check
+      ~extra:[ ("inspect", { Typecheck.args = [ Typecheck.Ty Ast.Tlist ]; ret = Typecheck.Numeric }) ]
+      (Parser.program
+         (Farm_tasks.Task_common.stats_helpers
+         ^ {|
+machine Pack {
+  place all;
+  poll p = Poll { .ival = 1, .what = port ANY };
+  list last = [];
+  state s0 {
+    when (p as stats) do {
+      last = stats_list(stats);
+      send last to harvester;
+      long n = inspect(last);
+      list again = stats_list(stats);
+      if (again == last and size(again) == 3 and nth(again, 2) == 30) then {
+        send 1 to harvester;
+      }
+    }
+  }
+}
+|}))
+  in
+  let seen = ref [] in
+  let is_list what = function
+    | Value.List l when List.for_all (function Value.Num _ -> true | _ -> false) l ->
+        seen := what :: !seen
+    | v -> Alcotest.failf "%s got %s" what (Value.to_string v)
+  in
+  let host =
+    { Host.null_host with
+      h_send =
+        (fun _ v ->
+          match v with
+          | Value.Num _ -> seen := "equal" :: !seen
+          | v -> is_list "send" v);
+      h_builtin =
+        (function
+        | "inspect" ->
+            Some
+              (fun args ->
+                List.iter (is_list "host built-in") args;
+                Value.Num 0.)
+        | _ -> None) }
+  in
+  let inst = Exec.create ~program ~machine:"Pack" host in
+  Exec.start inst;
+  Exec.fire_trigger inst "p" (Value.Stats [| 10.; 20.; 30. |]);
+  Alcotest.(check (list string)) "host saw Lists" [ "equal"; "host built-in"; "send" ] !seen;
+  (match Exec.var inst "last" with
+  | Some v -> is_list "var" v
+  | None -> Alcotest.fail "last unbound");
+  List.iter (fun (_, v) -> if Value.plain v != v then Alcotest.fail "snapshot packed")
+    (fst (Exec.snapshot inst));
+  is_list "call_function"
+    (Exec.call_function inst "stats_list" [ Value.Stats [| 1.; 2. |] ])
 
 let test_host_overrides () =
   let program = Typecheck.check (Parser.program override_source) in
@@ -2325,6 +2473,9 @@ let () =
             test_host_overrides;
           Alcotest.test_case "list caches keep nothing alive" `Quick
             test_list_caches_release;
+          Alcotest.test_case "packed list = its List" `Quick test_packed_list_value;
+          Alcotest.test_case "packed list leaves the engine as a List" `Quick
+            test_packed_list_boundaries;
           Alcotest.test_case "return from a loop, recursion in an argument"
             `Quick test_early_return ]
         @ qsuite

@@ -1427,6 +1427,131 @@ let test_checkpoint_restore_engine_equivalence () =
   Alcotest.(check string) "same machine state" (Seed_exec.state exec_i)
     (Seed_exec.state exec_c)
 
+(* -- packed numeric lists ------------------------------------------- *)
+
+(* A list of numbers the compiled engine builds by appends in a loop is
+   held packed ([Value.Nums]); it is the [Value.List] of its [Num]s to
+   every reader, and the runtime only ever sees that [List]. *)
+let packed = Value.Nums (Float.Array.of_list [ 3.; 0.5; -0.; 1e20; 7. ])
+
+let unpacked =
+  Value.List (List.map (fun x -> Value.Num x) [ 3.; 0.5; -0.; 1e20; 7. ])
+
+let test_packed_checkpoint_bytes () =
+  let ck v =
+    { Checkpoint.ck_seed = 3; ck_epoch = 1; ck_seq = 0; ck_full = true;
+      ck_vars = [ ("prev", v); ("hitters", Value.Nums (Float.Array.create 0)) ];
+      ck_removed = []; ck_state = "observe" }
+  in
+  let plain_ck =
+    { (ck unpacked) with
+      ck_vars = [ ("prev", unpacked); ("hitters", Value.List []) ] }
+  in
+  Alcotest.(check string) "encode" (Checkpoint.encode plain_ck)
+    (Checkpoint.encode (ck packed));
+  Alcotest.(check (float 0.)) "wire_bytes" (Checkpoint.wire_bytes plain_ck)
+    (Checkpoint.wire_bytes (ck packed));
+  Alcotest.(check bool) "decodes to the List" true
+    (match (Checkpoint.decode (Checkpoint.encode (ck packed))).ck_vars with
+    | [ ("prev", (Value.List _ as v)); ("hitters", Value.List []) ] ->
+        Value.equal v unpacked
+    | _ -> false)
+
+(* heavy-hitter's seed ([stats_list] packs [prev]) plus a machine that
+   sends the packed list itself on every poll *)
+let packed_source =
+  Farm_tasks.Task_common.stats_helpers
+  ^ {|
+machine Sender {
+  place any;
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  list last = [];
+  state s {
+    when (ticks as stats) do {
+      last = stats_list(stats);
+      send last to harvester;
+    }
+  }
+}
+|}
+
+let packed_exec ?restore ~send engine_kind program machine =
+  let engine = Engine.create () in
+  let sw = Switch_model.create ~id:0 ~ports:6 () in
+  let soil = Soil.create engine sw in
+  let exec =
+    Seed_exec.deploy ~soil
+      ~plan:(Farm_almanac.Engine.prepare ~engine:engine_kind ~program ~machine)
+      ?restore
+      ~resources:(Array.make Farm_almanac.Analysis.n_resources 1.)
+      ~polls:(first_polls program) ~send ~seed_id:1 ()
+  in
+  (engine, exec)
+
+let test_packed_send_is_list () =
+  let program = Typecheck.check (Farm_almanac.Parser.program packed_source) in
+  let sent = ref [] in
+  let engine, _ =
+    packed_exec `Compiled program "Sender" ~send:(fun _ _ v -> sent := v :: !sent)
+  in
+  Engine.run ~until:0.1 engine;
+  Alcotest.(check bool) "sent every poll" true (List.length !sent >= 9);
+  List.iter
+    (fun v ->
+      match v with
+      | Value.List l ->
+          Alcotest.(check int) "one counter per port" 6 (List.length l);
+          List.iter
+            (function
+              | Value.Num _ -> () | v -> Alcotest.failf "element %s" (Value.to_string v))
+            l
+      | v -> Alcotest.failf "the harvester got %s, not a Value.List" (Value.to_string v))
+    !sent
+
+(* A compiled heavy-hitter seed, its packed [prev] checkpointed through
+   the wire codec, restored into a fresh interpreter and a fresh compiled
+   instance: every variable and the state agree after the restore and
+   after both run on. *)
+let test_packed_restore_engines () =
+  let program = Typecheck.check (Farm_almanac.Parser.program Farm_tasks.Hh.hh.Farm_tasks.Task_common.source) in
+  let run ?restore kind =
+    packed_exec ?restore kind program "HH" ~send:(fun _ _ _ -> ())
+  in
+  let engine0, exec0 = run `Compiled in
+  Engine.run ~until:0.05 engine0;
+  let vars, state = Seed_exec.snapshot exec0 in
+  List.iter
+    (fun (k, v) ->
+      if Value.plain v != v then Alcotest.failf "snapshot hands out a packed %s" k)
+    vars;
+  (match List.assoc_opt "prev" vars with
+  | Some (Value.List (_ :: _)) -> ()
+  | _ -> Alcotest.fail "prev is not a non-empty Value.List");
+  let ck =
+    Checkpoint.decode
+      (Checkpoint.encode
+         { Checkpoint.ck_seed = 1; ck_epoch = 0; ck_seq = 0; ck_full = true;
+           ck_vars = vars; ck_removed = []; ck_state = state })
+  in
+  let restore = (ck.Checkpoint.ck_vars, ck.Checkpoint.ck_state) in
+  let engine_i, exec_i = run ~restore `Interp in
+  let engine_c, exec_c = run ~restore `Compiled in
+  let same what =
+    let show e =
+      let vars, state = Seed_exec.snapshot e in
+      state
+      :: List.sort compare
+           (List.map (fun (k, v) -> k ^ " = " ^ Value.to_string v) vars)
+    in
+    Alcotest.(check (list string)) what (show exec_i) (show exec_c)
+  in
+  same "restored";
+  Alcotest.(check bool) "restored = checkpointed" true
+    (vars_equal vars (fst (Seed_exec.snapshot exec_c)));
+  Engine.run ~until:0.05 engine_i;
+  Engine.run ~until:0.05 engine_c;
+  same "after running on"
+
 (* -- idempotent control-message handling --------------------------- *)
 
 (* the seeder's control channel at [loss] and [dup]; [()] restores it *)
@@ -3060,7 +3185,13 @@ let () =
             Alcotest.test_case "restore equivalence across engines" `Quick
               test_checkpoint_restore_engine_equivalence;
             Alcotest.test_case "seeder-side merge rule" `Quick
-              test_checkpoint_merge_rule ] );
+              test_checkpoint_merge_rule;
+            Alcotest.test_case "packed list: checkpoint bytes of its List"
+              `Quick test_packed_checkpoint_bytes;
+            Alcotest.test_case "packed list: send hands over a Value.List"
+              `Quick test_packed_send_is_list;
+            Alcotest.test_case "packed list: restore across engines" `Quick
+              test_packed_restore_engines ] );
       ( "idempotence",
         [ Alcotest.test_case "ctrl-dup handled exactly once" `Quick
             test_ctrl_dup_idempotence;
