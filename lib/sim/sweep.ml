@@ -14,7 +14,7 @@
    the sweep and re-raise in the caller after all domains joined.
 
    Multicore discipline (why the shape below, measured on this repo's
-   bench_sweep):
+   bench_smoke sweep):
 
    - Domains are clamped to the hardware by default.  OCaml 5 minor
      collections are stop-the-world across all running domains, so

@@ -4,7 +4,7 @@
     take-a-number queue.  Results are keyed by scenario index, so a sweep
     is deterministic whenever each scenario function is — parallel and
     sequential executions produce byte-identical result arrays (asserted
-    by [test/test_sweep.ml] and the bench_sweep harness).
+    by [test/test_sweep.ml] and the bench_smoke harness).
 
     Scenario functions must be self-contained: build the engine, fabric
     and RNG inside the call (derive per-scenario seeds with {!Rng.stream}
