@@ -27,13 +27,13 @@
       including the state-overrides-machine rule, so firing a trigger is
       an array index plus closure calls;
     - list shapes keep the stats helpers' loops linear and their lists
-      unboxed: in a loop, a frame list built by [v = append(v, e)] grows
-      in O(1) until something else reads it, numbers going into a float
-      buffer that becomes a packed list ([Value.Nums]); every [size] /
-      [nth] site in a loop keeps a per-instance cache of the last list it
-      saw; and [size] / [nth] read a packed list in place, [nth] into the
-      numeric register (see "List shapes").  A packed list leaves the
-      engine as its [Value.List] ([Value.plain]).
+      unboxed: in a loop, a run of numbers appended by [v = append(v, e)]
+      to a frame list goes into a float buffer in O(1) each until
+      something else reads [v], which then holds a packed list
+      ([Value.Nums]); [size] reads a packed list's length and [nth] its
+      element in place, into the numeric register (see "List shapes").
+      A packed list leaves the engine as its [Value.List]
+      ([Value.plain]).
     - a [return] raises nothing: it leaves its value in [env.ret]
       ([absent] while none is pending).  A sequence tests the slot before
       each statement and a [while] before its condition, and both stop
@@ -67,19 +67,6 @@ let num_tag : Value.t = Value.Str "\000almanac-num"
    list itself is in the slot's two hidden slots (see "List shapes"). *)
 let pend_tag : Value.t = Value.Str "\000almanac-pending"
 
-(* The inline cache of one [size] or [nth] site: the last list the site
-   saw (compared physically) and, for a [size] site, its length, for an
-   [nth] site, the last index read and the list's tail at that index. *)
-type list_cache = {
-  mutable lc_list : Value.t list;
-  mutable lc_len : int;
-  mutable lc_idx : int;
-  mutable lc_tail : Value.t list;
-}
-
-(* [[]], of length 0 and tail [[]] at index 0, is a true entry *)
-let new_list_cache () = { lc_list = []; lc_len = 0; lc_idx = 0; lc_tail = [] }
-
 (* ------------------------------------------------------------------ *)
 (* Runtime environment                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -107,7 +94,6 @@ type env = {
       (* per call site: a host closure, or [static_call] *)
   regs : float array;  (* numeric registers; results in [regs.(0)] *)
   mutable other : Value.t;  (* a numeric code's non-number result *)
-  lists : list_cache array;  (* per [size] / [nth] site *)
   hints : int array;
       (* per pending list variable: the numbers its last packed run
          appended, the size of its next run's first buffer *)
@@ -316,8 +302,7 @@ type t = {
       (* (function name, closure unless the host overrides the name) *)
   c_plan : plan;
   c_fused : int;  (* nodes compiled to a fused shape *)
-  c_list_sites : int;  (* appends and [size] / [nth] sites on a list shape *)
-  c_n_caches : int;  (* length of [env.lists] *)
+  c_list_sites : int;  (* appends compiled to a pending append *)
   c_n_hints : int;  (* length of [env.hints] *)
 }
 
@@ -442,7 +427,6 @@ type ctx = {
   cx_append : bool;  (* [append] is the built-in *)
   cx_hints : int ref;  (* pending list variables so far *)
   mutable cx_list_sites : int;
-  mutable cx_n_caches : int;
 }
 
 (* State-local layout an event body is specialized to. *)
@@ -453,7 +437,6 @@ type scope = {
   sc_locals : locals_layout option;
       (* [None] resolves state locals dynamically against
          [env.locals_names] (initializers, function bodies) *)
-  sc_loop : bool;  (* inside a [while] of the body *)
 }
 
 (* Whether a read of [name] most likely yields a number: decides, for
@@ -526,49 +509,35 @@ let rec bool_shaped (e : Ast.expr) =
 (* List shapes                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Almanac lists are immutable, so [append] copies its list and [nth] /
-   [size] walk it: a loop that builds or scans a list of n entries one
-   index at a time costs O(n^2).  Three shapes make the stats helpers'
-   loops linear without changing a value anyone can see.  The first two
-   are chosen for sites in a [while] of their own body, where a site runs
-   many times per event: a lone append costs more pending than copied,
-   and a cache emptied when its event ends ([release_lists]) never hits
-   at a site that runs once.
+(* Almanac lists are immutable, so [append] copies its list and [nth]
+   walks it: a loop that builds or scans a list of n entries one index
+   at a time costs O(n^2).  Two shapes make the stats helpers' loops,
+   which build and scan lists of numbers, linear without changing a
+   value anyone can see.
 
    Pending appends.  A frame variable [v] with a site [v = append(v, e)]
-   in a loop gets two hidden frame slots.  While a site runs on a list,
-   [v]'s own slot holds [pend_tag] and the first hidden slot the list [v]
-   held when the appends began, shared as-is.  The second holds the
-   appended values, in one of two forms:
-   - packed: a run of numbers appended to an empty or packed list is
-     written unboxed into a float buffer ([Value.Nums], filled up to the
-     count kept in the frame's float array at the same index);
-   - consed: any other run, as a [Value.List] newest first.  A packed
-     run that meets a value that is not a number turns consed.
-   Every other read of [v] first stores back the list the appends made
-   ([flush_pending]): the packed [Value.Nums] of prefix and buffer (the
-   buffer itself when it is full and the prefix empty), else
-   [prefix @ List.rev tail].  So one append followed by a read costs what
-   a plain append costs.  A flush ends the run: the next append starts a
-   new buffer, so a buffer is never written once a value holds it.  The
-   count a packed run reached sizes the variable's next first buffer
-   ([env.hints], per instance), so a loop that appends as many numbers
-   each event allocates one buffer of the right size.  Globals and state
-   locals are never pending.
-
-   Inline caches.  Each [size] and [nth] call site in a loop has a
-   [list_cache] in the instance ([env.lists]), keyed on the list's
-   physical identity: lists are immutable, so the same block has the
-   same length and the same tail at each index.  [nth] at the cached
-   index or after it walks on from the cached tail, so a forward scan is
-   linear.  The caches are per instance because the compiled [t] is
-   shared by every instance of the machine, on whichever domain runs it.
-   A value that is not a list, a negative or out-of-range index, or a
-   host override takes the general code, with its error text.
+   in a [while] of its own body (where a site runs many times per
+   event: a lone append costs more pending than copied) gets two hidden
+   frame slots.  A number appended to an empty or packed list starts a
+   packed run: [v]'s own slot holds [pend_tag], the first hidden slot
+   the list [v] held when the run began, shared as-is, and the second a
+   float buffer ([Value.Nums]) that the run's numbers fill up to the
+   count kept in the frame's float array at the same index.  Every other
+   read of [v] first stores back the packed [Value.Nums] of prefix and
+   buffer ([flush_pending]; the buffer itself when it is full and the
+   prefix empty), so one append followed by a read costs what a plain
+   append costs.  A flush ends the run: the next append starts a new
+   buffer, so a buffer is never written once a value holds it.  Any
+   other append (a value that is not a number, which first stores the
+   run back, or a number appended to a non-empty [Value.List]) is a
+   plain [append].  The count a run reached sizes the variable's next
+   first buffer ([env.hints], per instance), so a loop that appends as
+   many numbers each event allocates one buffer of the right size.
+   Globals and state locals are never pending.
 
    Packed reads.  [size] of a [Value.Nums] is its length and [nth] reads
    its element in place, into the numeric register when the site is
-   compiled as a number; neither needs a cache.
+   compiled as a number.
 
    A [Value.Nums] never leaves the engine: host calls, [send], trigger
    variables and [Exec]'s readers hand over its [Value.plain] form. *)
@@ -577,26 +546,51 @@ let rec bool_shaped (e : Ast.expr) =
 let first_buffer = 8
 
 let flush_pending env fr i h k =
+  let n = int_of_float env.fnums.(h + 1) in
+  env.hints.(k) <- n;
   let v =
     match (fr.(h), fr.(h + 1)) with
-    | prefix, Value.Nums buf -> (
-        let n = int_of_float env.fnums.(h + 1) in
-        env.hints.(k) <- n;
-        match prefix with
-        | Value.Nums p ->
-            let m = Float.Array.length p in
-            let a = Float.Array.create (m + n) in
-            Float.Array.blit p 0 a 0 m;
-            Float.Array.blit buf 0 a m n;
-            Value.Nums a
-        | _ ->
-            Value.Nums
-              (if n = Float.Array.length buf then buf else Float.Array.sub buf 0 n))
-    | prefix, Value.List tail -> Value.List (Value.as_list prefix @ List.rev tail)
+    | Value.Nums p, Value.Nums buf ->
+        let m = Float.Array.length p in
+        let a = Float.Array.create (m + n) in
+        Float.Array.blit p 0 a 0 m;
+        Float.Array.blit buf 0 a m n;
+        Value.Nums a
+    | _, Value.Nums buf ->
+        Value.Nums (if n = Float.Array.length buf then buf else Float.Array.sub buf 0 n)
     | _ -> invalid_arg "Compile.flush_pending"
   in
   fr.(i) <- v;
   v
+
+(* A packed run begins on the list in slot [i] with the number in
+   [regs.(0)]. *)
+let start_pending env fr i h k =
+  fr.(h) <- fr.(i);
+  let hint = env.hints.(k) in
+  let buf = Float.Array.create (if hint > 0 then hint else first_buffer) in
+  Float.Array.set buf 0 env.regs.(0);
+  fr.(h + 1) <- Value.Nums buf;
+  env.fnums.(h + 1) <- 1.;
+  fr.(i) <- pend_tag
+
+(* the number in [regs.(0)] goes at the end of the run *)
+let append_pending env fr h =
+  match fr.(h + 1) with
+  | Value.Nums buf ->
+      let n = int_of_float env.fnums.(h + 1) in
+      let buf =
+        if n < Float.Array.length buf then buf
+        else begin
+          let grown = Float.Array.create (2 * n) in
+          Float.Array.blit buf 0 grown 0 n;
+          fr.(h + 1) <- Value.Nums grown;
+          grown
+        end
+      in
+      Float.Array.set buf n env.regs.(0);
+      env.fnums.(h + 1) <- float_of_int (n + 1)
+  | _ -> invalid_arg "Compile.append_pending"
 
 (* the slot, first hidden slot and hint index of a pending frame
    variable *)
@@ -607,48 +601,6 @@ let pend_slot scope name =
       | Some (h, k) -> Some (Hashtbl.find lay.l_slots name, h, k)
       | None -> None)
   | None -> None
-
-(* Back to the empty entry, so a cache keeps no list alive between
-   events. *)
-let release_lists env =
-  let lists = env.lists in
-  for k = 0 to Array.length lists - 1 do
-    let c = lists.(k) in
-    if c.lc_list != [] then begin
-      c.lc_list <- [];
-      c.lc_len <- 0;
-      c.lc_idx <- 0;
-      c.lc_tail <- []
-    end
-  done
-
-let cached_size c (l : Value.t list) =
-  if c.lc_list == l then c.lc_len
-  else begin
-    let n = List.length l in
-    c.lc_list <- l;
-    c.lc_len <- n;
-    n
-  end
-
-(* the tail at index [i] of a list whose tail at index [j] is [t]; [[]]
-   past the end *)
-let rec tail_at i j (t : Value.t list) =
-  if j = i then t else match t with _ :: r -> tail_at i (j + 1) r | [] -> []
-
-let cached_nth c (l : Value.t list) i =
-  let t =
-    if c.lc_list == l && i >= c.lc_idx then tail_at i c.lc_idx c.lc_tail
-    else if i >= 0 then tail_at i 0 l
-    else []
-  in
-  match t with
-  | x :: _ ->
-      if c.lc_list != l then c.lc_list <- l;
-      c.lc_idx <- i;
-      c.lc_tail <- t;
-      x
-  | [] -> Builtins.nth_in l i
 
 (* ------------------------------------------------------------------ *)
 (* Variable access                                                     *)
@@ -989,13 +941,6 @@ let call_site ctx fname cal =
     :: ctx.cx_calls;
   idx
 
-(* A new [size] / [nth] site with a cache: its index in [env.lists]. *)
-let cache_site ctx =
-  let k = ctx.cx_n_caches in
-  ctx.cx_n_caches <- k + 1;
-  ctx.cx_list_sites <- ctx.cx_list_sites + 1;
-  k
-
 let rec compile_expr ctx scope (e : Ast.expr) : ecode =
   match e with
   | Ast.Bool b ->
@@ -1199,8 +1144,6 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
      for a host override and for the reference implementation *)
   let num a = compile_num ctx scope a and value a = compile_expr ctx scope a in
   let overridden env = env.calls.(idx) != static_call in
-  (* the built-in [name] at a site in a loop gets an inline cache *)
-  let cached name = scope.sc_loop && String.equal fname name in
   let host env values = env.calls.(idx) (eval_host_args values env) in
   let all_values () = Array.of_list (List.map value args) in
   match cal with
@@ -1258,35 +1201,6 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
                   let v0 = if ok0 then Value.Num x else v0 in
                   let v1 = if ok1 then Value.Num env.regs.(0) else env.other in
                   num_result env (e.call [ v0; v1 ]))
-      | Builtins.Num_of_value f, [ a ] when e.arity = 1 && cached "size" -> (
-          (* [size] in a loop: as below, through the site's cache *)
-          let k = cache_site ctx in
-          let c0 = value a in
-          let values = [| c0 |] in
-          let size env v =
-            match v with
-            | Value.List l ->
-                env.regs.(0) <- float_of_int (cached_size env.lists.(k) l)
-            | v -> f env.regs v
-          in
-          let general env =
-            if overridden env then num_result env (host env values)
-            else begin
-              size env (c0 env);
-              true
-            end
-          in
-          match bound_slot scope a with
-          | Some s ->
-              N
-                (fused ctx (fun env ->
-                     let v = env.frame.(s) in
-                     if v != num_tag && env.calls.(idx) == static_call then begin
-                       size env v;
-                       true
-                     end
-                     else general env))
-          | None -> N general)
       | Builtins.Num_of_value f, [ a ] when e.arity = 1 -> (
           let c0 = value a in
           let values = [| c0 |] in
@@ -1352,18 +1266,7 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
                 let v1 = c1 env in
                 f v0 v1)
       | Builtins.Elem f, [ a; b ] when e.arity = 2 ->
-          (* a packed list's element is read in place; [nth] in a loop
-             reads any other list through the site's cache *)
-          let elem =
-            if cached "nth" then
-              let k = cache_site ctx in
-              fun env v ->
-                match v with
-                | Value.List l ->
-                    cached_nth env.lists.(k) l (int_of_float env.regs.(0))
-                | v -> f env.regs v
-            else fun env v -> f env.regs v
-          in
+          (* a packed list's element is read in place *)
           let c0 = value a in
           let n1 = num b in
           let values = [| c0; value_of_num n1 |] in
@@ -1377,7 +1280,7 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
                   | Value.Nums a when in_range a env.regs.(0) ->
                       env.regs.(0) <- Float.Array.get a (int_of_float env.regs.(0));
                       true
-                  | v -> num_result env (elem env v)
+                  | v -> num_result env (f env.regs v)
                 else num_result env (e.call [ v0; env.other ])
             in
             (* [nth(bound, slot)]: the packed list's element, read in place *)
@@ -1404,7 +1307,7 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
                     match v0 with
                     | Value.Nums a when in_range a env.regs.(0) ->
                         Value.Num (Float.Array.get a (int_of_float env.regs.(0)))
-                    | v -> elem env v
+                    | v -> f env.regs v
                   else e.call [ v0; env.other ])
       | _ ->
           let values = all_values () in
@@ -1605,7 +1508,6 @@ let rec compile_stmt ctx scope (s : Ast.stmt) : scode =
       let cel = compile_stmts ctx scope el in
       fun env -> if cc env then cth env else cel env
   | Ast.While (c, body) ->
-      let scope = { scope with sc_loop = true } in
       let cc = compile_cond ctx scope c in
       let cbody = compile_stmts ctx scope body in
       fun env ->
@@ -1647,13 +1549,13 @@ and compile_stmts ctx scope stmts =
   seq (List.map (compile_stmt ctx scope) stmts)
 
 (* [v = append(v, x)] on a pending frame variable (see "List shapes").
-   While [v]'s slot holds a list or is pending, [x] goes into the run:
-   written to the float buffer or consed onto the tail.  If reading [x]
-   stored [v] back, the stored list starts the next run.  An unbound
-   slot, a value of another kind or a host override runs the general
-   code, which is what compiling the assignment as a plain call would
-   give.  [x] is compiled as a number, so a number reaches the buffer
-   unboxed. *)
+   While [v]'s slot holds a list or is pending, a number [x] goes into
+   the packed run when there is one or the list allows one; anything
+   else stores the run back and appends plainly.  If reading [x] stored
+   [v] back, the stored list starts the next run.  An unbound slot, a
+   value of another kind or a host override runs the general code, which
+   is what compiling the assignment as a plain call would give.  [x] is
+   compiled as a number, so a number reaches the buffer unboxed. *)
 and compile_pending_append ctx scope n x : scode =
   let i, h, k = Option.get (pend_slot scope n) in
   let cal = callee ctx "append" in
@@ -1686,54 +1588,15 @@ and compile_pending_append ctx scope n x : scode =
           || match cur with Value.List _ | Value.Nums _ -> true | _ -> false)
     then begin
       let is_num = nx env in
-      if fr.(i) == pend_tag then append_pending env fr h is_num
-      else start_pending env fr i h k is_num
+      if fr.(i) == pend_tag then
+        if is_num then append_pending env fr h
+        else fr.(i) <- append (flush_pending env fr i h k) env.other
+      else
+        match fr.(i) with
+        | Value.List [] | Value.Nums _ when is_num -> start_pending env fr i h k
+        | l -> fr.(i) <- append l (if is_num then Value.Num env.regs.(0) else env.other)
     end
     else general env
-
-(* The appended value: the number in [regs.(0)] if [is_num], else
-   [env.other]. *)
-and appended env is_num = if is_num then Value.Num env.regs.(0) else env.other
-
-(* A run begins on the list in slot [i]: packed if it and the value
-   allow, else consed. *)
-and start_pending env fr i h k is_num =
-  let prefix = fr.(i) in
-  fr.(h) <- prefix;
-  (match prefix with
-  | (Value.List [] | Value.Nums _) when is_num ->
-      let hint = env.hints.(k) in
-      let buf = Float.Array.create (if hint > 0 then hint else first_buffer) in
-      Float.Array.set buf 0 env.regs.(0);
-      fr.(h + 1) <- Value.Nums buf;
-      env.fnums.(h + 1) <- 1.
-  | _ -> fr.(h + 1) <- Value.List [ appended env is_num ]);
-  fr.(i) <- pend_tag
-
-and append_pending env fr h is_num =
-  match fr.(h + 1) with
-  | Value.Nums buf when is_num ->
-      let n = int_of_float env.fnums.(h + 1) in
-      let buf =
-        if n < Float.Array.length buf then buf
-        else begin
-          let grown = Float.Array.create (2 * n) in
-          Float.Array.blit buf 0 grown 0 n;
-          fr.(h + 1) <- Value.Nums grown;
-          grown
-        end
-      in
-      Float.Array.set buf n env.regs.(0);
-      env.fnums.(h + 1) <- float_of_int (n + 1)
-  | Value.Nums buf ->
-      (* not a number: the run goes on consed, newest first *)
-      let n = int_of_float env.fnums.(h + 1) in
-      let rec consed j acc =
-        if j >= n then acc else consed (j + 1) (Value.Num (Float.Array.get buf j) :: acc)
-      in
-      fr.(h + 1) <- Value.List (env.other :: consed 0 [])
-  | Value.List tail -> fr.(h + 1) <- Value.List (appended env is_num :: tail)
-  | _ -> invalid_arg "Compile.append_pending"
 
 (* ------------------------------------------------------------------ *)
 (* Events, states, functions                                           *)
@@ -1766,7 +1629,7 @@ let compile_event ctx (locals : locals_layout) (ev : Ast.event) : event_c * veve
   | None -> ());
   collect_decls lay ev.body;
   collect_appends lay ~append:ctx.cx_append ~hints:ctx.cx_hints ev.body;
-  let scope = { sc_frame = Some lay; sc_locals = Some locals; sc_loop = false } in
+  let scope = { sc_frame = Some lay; sc_locals = Some locals } in
   let body = compile_stmts ctx scope ev.body in
   let binding =
     match binding with
@@ -1813,7 +1676,7 @@ let compile_state ctx (m : Ast.machine) trig_names (st : Ast.state_decl) :
   let local_inits =
     List.map2
       (fun slot (v : Ast.var_decl) ->
-        let init_scope = { sc_frame = None; sc_locals = None; sc_loop = false } in
+        let init_scope = { sc_frame = None; sc_locals = None } in
         let code =
           match v.vinit with
           | Some e -> compile_expr ctx init_scope e
@@ -1887,7 +1750,7 @@ let compile_func ctx (fd : Ast.func_decl) : func_c * vfunc =
   let fi = Hashtbl.find ctx.cx_funcs fd.fname in
   (* function bodies resolve non-frame names dynamically: the state the
      machine occupies at call time is unknown *)
-  let scope = { sc_frame = Some fi.fi_layout; sc_locals = None; sc_loop = false } in
+  let scope = { sc_frame = Some fi.fi_layout; sc_locals = None } in
   let body = compile_stmts ctx scope fd.fbody in
   fi.fi_body := body;
   ( { fn_name = fd.fname;
@@ -1991,10 +1854,9 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
       cx_fused = 0;
       cx_append = append;
       cx_hints = hints;
-      cx_list_sites = 0;
-      cx_n_caches = 0 }
+      cx_list_sites = 0 }
   in
-  let init_scope = { sc_frame = None; sc_locals = None; sc_loop = false } in
+  let init_scope = { sc_frame = None; sc_locals = None } in
   let var_inits =
     List.map2
       (fun slot (v : Ast.var_decl) ->
@@ -2066,5 +1928,4 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
     c_plan = plan;
     c_fused = ctx.cx_fused;
     c_list_sites = ctx.cx_list_sites;
-    c_n_caches = ctx.cx_n_caches;
     c_n_hints = !hints }

@@ -8,11 +8,10 @@
     (numbers travel in float registers, conditions as [bool]); every call
     site is resolved here, so an instance only looks up host overrides;
     event dispatch tables are precomputed per (state, trigger) pair; and
-    in a loop, a frame list built by [v = append(v, e)] grows in O(1)
-    until another read of [v], a run of numbers unboxed into a packed
-    list ([Value.Nums]), and each [size] / [nth] site keeps a
-    per-instance cache of the last list it saw, so the stats helpers'
-    loops are linear; [size] and [nth] read a packed list in place.
+    in a loop, a run of numbers appended by [v = append(v, e)] to a
+    frame list grows unboxed in O(1) until another read of [v], which
+    then holds a packed list ([Value.Nums]) that [size] and [nth] read in
+    place, so the stats helpers' loops are linear.
     Observationally equivalent to {!Interp} on type-checked programs (see
     DESIGN.md, "Almanac execution pipeline").  Compile once per machine;
     instantiate many times with {!Exec.create_compiled}.  A {!t} is
@@ -26,12 +25,6 @@
     interpreter equivalent of a missing hashtable key).  Compared with
     physical equality; programs cannot forge it. *)
 val absent : Value.t
-
-(** The per-instance inline cache of one [size] or [nth] call site
-    (DESIGN.md, "Almanac execution pipeline"). *)
-type list_cache
-
-val new_list_cache : unit -> list_cache
 
 (** Mutable execution environment threaded through compiled closures.
     [locals_names] always describes the layout of [locals]; during a
@@ -58,19 +51,11 @@ type env = {
           plan's entry from {!t.c_call_sites} *)
   regs : float array;  (** numeric registers (length 2) *)
   mutable other : Value.t;  (** a numeric code's non-number result *)
-  lists : list_cache array;
-      (** one cache per [size] / [nth] site in a loop
-          ({!t.c_n_caches}); per instance, so instances sharing a {!t}
-          never share one *)
   hints : int array;
       (** per pending list variable ({!t.c_n_hints}): how many numbers
           its last packed run appended, the size of its next run's first
           buffer; it changes no value *)
 }
-
-(** Empty every list cache of an instance, so none keeps a list alive
-    once an event has run. *)
-val release_lists : env -> unit
 
 type ecode = env -> Value.t
 type scode = env -> unit
@@ -202,11 +187,8 @@ type t = {
           its typed frame slots and literals in place, with the general
           code as fallback (DESIGN.md, "Almanac execution pipeline") *)
   c_list_sites : int;
-      (** how many appends compiled to a pending append (which packs a
-          run of numbers), plus the [size] / [nth] sites with an inline
-          cache (which read a packed list in place); counted apart from
-          [c_fused] *)
-  c_n_caches : int;  (** how many caches an instance allocates *)
+      (** how many appends compiled to a pending append, which packs a
+          run of numbers; counted apart from [c_fused] *)
   c_n_hints : int;  (** how many pending list variables the machine has *)
 }
 

@@ -62,11 +62,9 @@ let run_event (env : Compile.env) (ec : Compile.event_c) binding =
   match ec.ev_body env with
   | () ->
       (* a handler's [return] ends it and its value goes nowhere *)
-      if env.ret != absent then env.ret <- absent;
-      Compile.release_lists env
+      if env.ret != absent then env.ret <- absent
   | exception e ->
       env.ret <- absent;
-      Compile.release_lists env;
       raise e
 
 let run_events env evs binding =
@@ -141,7 +139,6 @@ let create_compiled ?(externals = []) (c : Compile.t) (host : Host.host) =
       calls;
       regs = Array.make 2 0.;
       other = Value.Unit;
-      lists = Array.init c.c_n_caches (fun _ -> Compile.new_list_cache ());
       hints = Array.make c.c_n_hints 0 }
   in
   (* machine and trigger variables, progressively (earlier initializers

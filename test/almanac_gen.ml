@@ -25,10 +25,10 @@
      variable, which snapshots then see, [return v]), an alias taken
      before them, and a list variable that holds another kind; [x] is
      mostly a number (the compiled engine packs such a run unboxed) and
-     now and then another kind (the run turns into a plain list);
+     now and then another kind (the run is stored back and the append is
+     plain);
    - forward (each index once or twice), backward and two-lists-in-turn
-     [size] / [nth] scans, which the compiled engine's per-site caches
-     serve;
+     [size] / [nth] scans;
    - functions with parameters and [return], called from handlers and
      from later functions (never recursively, so runs terminate);
    - early returns inside [if] and [while] bodies: [return e] in

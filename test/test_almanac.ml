@@ -2043,9 +2043,8 @@ machine Override {
 }
 |}
 
-(* The compiled engine's [size] / [nth] caches live in the instance and
-   are emptied when an event ends, so the list a scan read is collected
-   once the machine drops it. *)
+(* No state of a compiled instance holds a list that a [size] / [nth]
+   scan read, so the list is collected once the machine drops it. *)
 let test_list_caches_release () =
   let program =
     Typecheck.check
@@ -2083,7 +2082,7 @@ machine Scan {
   Gc.full_major ();
   Alcotest.(check bool) "the scanned list is collected" true
     (Option.is_none (Weak.get weak 0));
-  (* ... while the instance, and its caches, are still alive *)
+  (* ... while the instance is still alive *)
   Alcotest.(check string) "instance alive" "s0" (Exec.current_state inst)
 
 (* A packed list ([Value.Nums], which the compiled engine builds from
