@@ -6,9 +6,9 @@
    demands per run.  The 1 s-budget MILP starts from a naive first-fit
    incumbent; the long-budget MILP is MIP-started from the heuristic
    solution (standard warm-start practice).  At these sizes the dense root
-   relaxation exceeds any reasonable budget — the same scalability wall
-   the paper attributes to the MILP approach — so each budget returns its
-   best incumbent. *)
+   relaxation trips [Milp_formulation.solve]'s size guard, which hands back
+   the warm start: both MILP columns are their incumbents, and FARM/long
+   is 1.00 by construction. *)
 
 open Farm
 module Model = Placement.Model

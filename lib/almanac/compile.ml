@@ -48,24 +48,27 @@
     (conditionally-executed declarations, progressive initializer
     visibility, transit initializers reading the *old* state's locals,
     values of another kind in a numeric variable) are reproduced with
-    [absent] / [num_tag] sentinels and per-slot checks — see DESIGN.md
+    the [absent] / [num_tag] markers and per-slot checks — see DESIGN.md
     "Almanac execution pipeline".  Compile once per machine; instantiate
     many times with {!Exec.create_compiled}. *)
 
 let fail = Host.fail
 
-(* Unique sentinel marking a slot whose variable has not been bound yet
-   (interpreter equivalent: the key is not in the hashtable).  Compared
-   with physical equality; programs cannot forge it. *)
-let absent : Value.t = Value.Str "\000almanac-absent"
+(* Slot markers, compared with [==].  [Value.t]'s only immediate is
+   [Unit] (0), so the immediates 1, 2 and 3 equal no value a program can
+   build, and unlike a forged heap block they keep their identity when an
+   instance is copied (a [Marshal]ed world runs on).  They never leave
+   this module and [Exec]: [get] and the slot readers test them first.
+   [absent]: a slot whose variable is not bound yet (the interpreter's
+   missing hashtable key).  [num_tag]: the slot's number lives unboxed at
+   the same index of the level's float array.  [pend_tag]: a frame slot
+   whose list is being built by appends, in the slot's two hidden slots
+   (see "List shapes"). *)
+let absent : Value.t = Obj.magic 1
 
-(* Sentinel in a [Value.t] slot whose number lives unboxed at the same
-   index of the level's float array. *)
-let num_tag : Value.t = Value.Str "\000almanac-num"
+let num_tag : Value.t = Obj.magic 2
 
-(* Sentinel in a frame slot whose list is being built by appends; the
-   list itself is in the slot's two hidden slots (see "List shapes"). *)
-let pend_tag : Value.t = Value.Str "\000almanac-pending"
+let pend_tag : Value.t = Obj.magic 3
 
 (* ------------------------------------------------------------------ *)
 (* Runtime environment                                                 *)
@@ -90,8 +93,9 @@ type env = {
   mutable fnums : float array;
   mutable pending : string option;  (* transit target (a state name) *)
   mutable ret : Value.t;  (* a pending [return]'s value, or [absent] *)
-  calls : (Value.t list -> Value.t) array;
-      (* per call site: a host closure, or [static_call] *)
+  calls : (Value.t list -> Value.t) option array;
+      (* per call site: the host's closure for the name, or [None]: the
+         compiled code resolved the site *)
   regs : float array;  (* numeric registers; results in [regs.(0)] *)
   mutable other : Value.t;  (* a numeric code's non-number result *)
   hints : int array;
@@ -111,9 +115,6 @@ type ncode = env -> bool
 type ccode = env -> bool
 
 type scode = env -> unit
-
-(* Marks a statically resolved call site in [env.calls]. *)
-let static_call : Value.t list -> Value.t = fun _ -> assert false
 
 let no_nums : float array = [||]
 
@@ -216,15 +217,6 @@ type state_c = {
   st_recv : recv_c array;  (* state events first, then machine events *)
 }
 
-type func_c = {
-  fn_name : string;
-  fn_nparams : int;
-  fn_param_slots : int array;
-  fn_frame : Value.t array;  (* fresh-frame template, see [fn_info] *)
-  fn_nums : bool;
-  fn_body : scode;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Verification plan                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -296,10 +288,8 @@ type t = {
   c_states : state_c array;
   c_state_ids : (string, int) Hashtbl.t;
   c_trig_ids : (string, int) Hashtbl.t;
-  c_n_trigs : int;
-  c_funcs : (string, func_c) Hashtbl.t;
-  c_call_sites : (string * (Value.t list -> Value.t)) array;
-      (* (function name, closure unless the host overrides the name) *)
+  c_call_sites : string array;
+      (* the function name of each call site, for the host's overrides *)
   c_plan : plan;
   c_fused : int;  (* nodes compiled to a fused shape *)
   c_list_sites : int;  (* appends compiled to a pending append *)
@@ -401,15 +391,15 @@ let collect_appends lay ~append ~hints stmts =
 
 (* An Almanac function as call sites see it: the layout is known before
    any body is compiled, the body is filled in afterwards (calls may
-   precede the callee and recurse).  [fi_frame] is the template a call
-   copies: [absent] everywhere except typed parameters, pre-tagged so an
-   argument that is a number only writes the float array. *)
+   precede the callee and recurse).  A call makes a frame of [fi_size]
+   unbound slots and tags the typed parameters' slots ([fi_tagged]), so
+   an argument that is a number only writes the float array. *)
 type fn_info = {
   fi_name : string;
   fi_layout : layout;
   fi_params : (string * int) array;
-  fi_frame : Value.t array;
-  fi_tagged : int array;  (* the slots [fi_frame] tags *)
+  fi_size : int;
+  fi_tagged : int array;  (* typed parameters' slots *)
   fi_nums : bool;
   fi_body : scode ref;
 }
@@ -420,8 +410,7 @@ type ctx = {
   cx_trig_hook : (string, Ast.trigger_type) Hashtbl.t;
       (* trigger-variable names: assignment notifies the host *)
   cx_funcs : (string, fn_info) Hashtbl.t;
-  mutable cx_calls : (string * (Value.t list -> Value.t)) list;
-      (* reversed call sites *)
+  mutable cx_calls : string list;  (* reversed call sites' names *)
   mutable cx_n_calls : int;
   mutable cx_fused : int;  (* nodes compiled to a fused shape *)
   cx_append : bool;  (* [append] is the built-in *)
@@ -930,33 +919,42 @@ let[@inline] in_range a (r : float) =
 type call_code = V of ecode | N of ncode
 
 (* A new call site of [fname]: its index in [env.calls]. *)
-let call_site ctx fname cal =
+let call_site ctx fname =
   let idx = ctx.cx_n_calls in
   ctx.cx_n_calls <- idx + 1;
-  ctx.cx_calls <-
-    ( fname,
-      match cal with
-      | Dynamic -> fun _ -> fail "unknown function %s" fname
-      | Fn _ | Pure _ | Now | Host_bound _ -> static_call )
-    :: ctx.cx_calls;
+  ctx.cx_calls <- fname :: ctx.cx_calls;
   idx
+
+(* The value of an expression built from literals alone, such as a
+   trigger's [Probe { .ival = 0.001, .what = port ANY }].  Values are
+   immutable, so it is built once per plan and shared by every
+   evaluation in every instance.  [None] for anything else, for a filter
+   atom that fails (it fails at run time, as in {!Interp}) and for a
+   non-empty list, which a plan would keep alive after the program
+   dropped it. *)
+let rec literal (e : Ast.expr) : Value.t option =
+  match e with
+  | Ast.Bool b -> Some (Value.of_bool b)
+  | Ast.Int i -> Some (Value.Num (float_of_int i))
+  | Ast.Float f -> Some (Value.Num f)
+  | Ast.String s -> Some (Value.Str s)
+  | Ast.AnyLit -> Some (Value.FilterV (Farm_net.Filter.atom Farm_net.Filter.Any))
+  | Ast.FilterAtom (head, arg) -> (
+      match Option.map (Analysis.filter_atom head) (literal arg) with
+      | Some (Ok f) -> Some (Value.FilterV f)
+      | Some (Error _) | None -> None)
+  | Ast.StructLit (name, fields) ->
+      let vs =
+        List.filter_map (fun (f, e) -> Option.map (fun v -> (f, v)) (literal e)) fields
+      in
+      if List.compare_lengths vs fields = 0 then Some (Value.Struct (name, vs)) else None
+  | Ast.ListLit [] -> Some (Value.List [])
+  | Ast.ListLit (_ :: _) | Ast.Var _ | Ast.Field _ | Ast.Call _ | Ast.Unop _ | Ast.Binop _ -> None
 
 let rec compile_expr ctx scope (e : Ast.expr) : ecode =
   match e with
-  | Ast.Bool b ->
-      let v = Value.of_bool b in
-      fun _ -> v
-  | Ast.Int i ->
-      let v = Value.Num (float_of_int i) in
-      fun _ -> v
-  | Ast.Float f ->
-      let v = Value.Num f in
-      fun _ -> v
-  | Ast.String s ->
-      let v = Value.Str s in
-      fun _ -> v
-  | Ast.AnyLit ->
-      let v = Value.FilterV (Farm_net.Filter.atom Farm_net.Filter.Any) in
+  | Ast.Bool _ | Ast.Int _ | Ast.Float _ | Ast.String _ | Ast.AnyLit ->
+      let v = Option.get (literal e) in
       fun _ -> v
   | Ast.Var name -> fst (var_read ctx scope name)
   | Ast.Field (b, f) ->
@@ -976,6 +974,9 @@ let rec compile_expr ctx scope (e : Ast.expr) : ecode =
   | Ast.Unop (Ast.Not, _) | Ast.Binop _ ->
       let c = compile_bool ctx scope e in
       fun env -> Value.of_bool (c env)
+  | (Ast.FilterAtom _ | Ast.StructLit _ | Ast.ListLit _) when Option.is_some (literal e) ->
+      let v = Option.get (literal e) in
+      fun _ -> v
   | Ast.FilterAtom (head, arg) ->
       let ca = compile_expr ctx scope arg in
       fun env -> Value.FilterV (Builtins.filter_atom_value head (ca env))
@@ -994,9 +995,6 @@ let rec compile_expr ctx scope (e : Ast.expr) : ecode =
             (f, v) :: go (i + 1)
         in
         Value.Struct (name, go 0)
-  | Ast.ListLit [] ->
-      let v = Value.List [] in
-      fun _ -> v
   | Ast.ListLit es ->
       let codes = Array.of_list (List.map (compile_expr ctx scope) es) in
       fun env -> Value.List (eval_args codes env)
@@ -1138,13 +1136,19 @@ and compile_cond ctx scope (e : Ast.expr) : ccode =
    a numeric code. *)
 and compile_call ctx scope ~num:want_num fname args : call_code =
   let cal = callee ctx fname in
-  let idx = call_site ctx fname cal in
+  let idx = call_site ctx fname in
   (* each argument is compiled once, as a number where the built-in
      takes one; [values] is the list-convention view of the arguments
      for a host override and for the reference implementation *)
   let num a = compile_num ctx scope a and value a = compile_expr ctx scope a in
-  let overridden env = env.calls.(idx) != static_call in
-  let host env values = env.calls.(idx) (eval_host_args values env) in
+  let overridden env = env.calls.(idx) != None in
+  (* a [Dynamic] site without an override names no function *)
+  let host env values =
+    let argv = eval_host_args values env in
+    match env.calls.(idx) with
+    | Some f -> f argv
+    | None -> fail "unknown function %s" fname
+  in
   let all_values () = Array.of_list (List.map value args) in
   match cal with
   | Dynamic ->
@@ -1216,7 +1220,7 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
               N
                 (fused ctx (fun env ->
                      let v = env.frame.(s) in
-                     if v != num_tag && env.calls.(idx) == static_call then begin
+                     if v != num_tag && env.calls.(idx) == None then begin
                        f env.regs v;
                        true
                      end
@@ -1242,7 +1246,7 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
                 (fused ctx (fun env ->
                      let v = env.frame.(s) in
                      if v != num_tag && env.frame.(i) == num_tag
-                        && env.calls.(idx) == static_call
+                        && env.calls.(idx) == None
                      then begin
                        env.regs.(0) <- env.fnums.(i);
                        f env.regs v;
@@ -1291,7 +1295,7 @@ and compile_call ctx scope ~num:want_num fname args : call_code =
                        match env.frame.(s) with
                        | Value.Nums a
                          when env.frame.(k) == num_tag
-                              && env.calls.(idx) == static_call
+                              && env.calls.(idx) == None
                               && in_range a env.fnums.(k) ->
                            env.regs.(0) <- Float.Array.get a (int_of_float env.fnums.(k));
                            true
@@ -1328,8 +1332,9 @@ and compile_fn_call ctx scope fi idx args : call_code =
     V
       (fun env ->
         let argv = eval_args values env in
-        if env.calls.(idx) != static_call then env.calls.(idx) (List.map Value.plain argv)
-        else fail "%s expects %d arguments, got %d" fi.fi_name nparams nargs)
+        match env.calls.(idx) with
+        | Some f -> f (List.map Value.plain argv)
+        | None -> fail "%s expects %d arguments, got %d" fi.fi_name nparams nargs)
   end
   else
     let writers, values =
@@ -1350,19 +1355,19 @@ and compile_fn_call ctx scope fi idx args : call_code =
     let writers = Array.of_list writers and values = Array.of_list values in
     V
       (fun env ->
-        if env.calls.(idx) != static_call then env.calls.(idx) (eval_host_args values env)
-        else begin
-          let fr = new_frame (Array.length fi.fi_frame) in
-          let tagged = fi.fi_tagged in
-          for k = 0 to Array.length tagged - 1 do
-            fr.(tagged.(k)) <- num_tag
-          done;
-          let fnums = if fi.fi_nums then new_nums (Array.length fr) else no_nums in
-          for k = 0 to Array.length writers - 1 do
-            writers.(k) env fr fnums
-          done;
-          run_frame env !(fi.fi_body) fr fnums
-        end)
+        match env.calls.(idx) with
+        | Some f -> f (eval_host_args values env)
+        | None ->
+            let fr = new_frame fi.fi_size in
+            let tagged = fi.fi_tagged in
+            for k = 0 to Array.length tagged - 1 do
+              fr.(tagged.(k)) <- num_tag
+            done;
+            let fnums = if fi.fi_nums then new_nums (Array.length fr) else no_nums in
+            for k = 0 to Array.length writers - 1 do
+              writers.(k) env fr fnums
+            done;
+            run_frame env !(fi.fi_body) fr fnums)
 
 (* Run a function body in frame [fr]; a [return] ends it with the value
    it left in [env.ret], which is cleared for the caller. *)
@@ -1564,7 +1569,7 @@ and compile_pending_append ctx scope n x : scode =
     | Pure { fast = Builtins.Value_of_values f; arity = 2; _ } -> f
     | _ -> invalid_arg "Compile.compile_pending_append"
   in
-  let idx = call_site ctx "append" cal in
+  let idx = call_site ctx "append" in
   let w = compile_assign_target ctx scope n in
   let cv = fst (var_read ctx scope n) in
   let nx = compile_num ctx scope x in
@@ -1572,18 +1577,18 @@ and compile_pending_append ctx scope n x : scode =
   let values = [| cv; cx |] in
   let general env =
     w.wv env
-      (if env.calls.(idx) != static_call then
-         env.calls.(idx) (eval_host_args values env)
-       else
-         let v0 = cv env in
-         let v1 = cx env in
-         append v0 v1)
+      (match env.calls.(idx) with
+      | Some f -> f (eval_host_args values env)
+      | None ->
+          let v0 = cv env in
+          let v1 = cx env in
+          append v0 v1)
   in
   ctx.cx_list_sites <- ctx.cx_list_sites + 1;
   fun env ->
     let fr = env.frame in
     let cur = fr.(i) in
-    if env.calls.(idx) == static_call
+    if env.calls.(idx) == None
        && (cur == pend_tag
           || match cur with Value.List _ | Value.Nums _ -> true | _ -> false)
     then begin
@@ -1735,33 +1740,24 @@ let declare_func ~append ~hints (fd : Ast.func_decl) : fn_info =
   in
   collect_decls lay fd.fbody;
   collect_appends lay ~append ~hints fd.fbody;
-  let frame = Array.make lay.l_size absent in
   let tagged =
     Array.of_list
       (List.filter_map
          (fun (n, slot) -> if slot_typed lay n then Some slot else None)
          (Array.to_list params))
   in
-  Array.iter (fun slot -> frame.(slot) <- num_tag) tagged;
-  { fi_name = fd.fname; fi_layout = lay; fi_params = params; fi_frame = frame;
+  { fi_name = fd.fname; fi_layout = lay; fi_params = params; fi_size = lay.l_size;
     fi_tagged = tagged; fi_nums = layout_nums lay; fi_body = ref nop_stmt }
 
-let compile_func ctx (fd : Ast.func_decl) : func_c * vfunc =
+let compile_func ctx (fd : Ast.func_decl) : vfunc =
   let fi = Hashtbl.find ctx.cx_funcs fd.fname in
   (* function bodies resolve non-frame names dynamically: the state the
      machine occupies at call time is unknown *)
   let scope = { sc_frame = Some fi.fi_layout; sc_locals = None } in
-  let body = compile_stmts ctx scope fd.fbody in
-  fi.fi_body := body;
-  ( { fn_name = fd.fname;
-      fn_nparams = Array.length fi.fi_params;
-      fn_param_slots = Array.map snd fi.fi_params;
-      fn_frame = fi.fi_frame;
-      fn_nums = fi.fi_nums;
-      fn_body = body },
-    { vfn_params = Array.to_list fi.fi_params;
-      vfn_frame = vframe_of_layout fi.fi_layout;
-      vfn_body = fd.fbody } )
+  fi.fi_body := compile_stmts ctx scope fd.fbody;
+  { vfn_params = Array.to_list fi.fi_params;
+    vfn_frame = vframe_of_layout fi.fi_layout;
+    vfn_body = fd.fbody }
 
 (* ------------------------------------------------------------------ *)
 (* Machine compilation                                                 *)
@@ -1888,14 +1884,8 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
   let trig_names = trigger_names m in
   let trig_ids = Hashtbl.create 8 in
   Array.iteri (fun i name -> Hashtbl.replace trig_ids name i) trig_names;
-  let funcs = Hashtbl.create 8 in
   let vfuncs =
-    List.map
-      (fun (fd : Ast.func_decl) ->
-        let fc, vf = compile_func ctx fd in
-        Hashtbl.replace funcs fd.fname fc;
-        (fd.fname, vf))
-      program.funcs
+    List.map (fun (fd : Ast.func_decl) -> (fd.fname, compile_func ctx fd)) program.funcs
   in
   let compiled_states = List.map (compile_state ctx m trig_names) m.states in
   let states = Array.of_list (List.map fst compiled_states) in
@@ -1922,8 +1912,6 @@ let compile ~(program : Ast.program) ~(machine : string) : t =
     c_states = states;
     c_state_ids = state_ids;
     c_trig_ids = trig_ids;
-    c_n_trigs = Array.length trig_names;
-    c_funcs = funcs;
     c_call_sites = Array.of_list (List.rev ctx.cx_calls);
     c_plan = plan;
     c_fused = ctx.cx_fused;

@@ -5,8 +5,11 @@
     per-state locals / per-event frame) and a slot declared
     int/long/float keeps its number unboxed in a parallel [float array];
     every expression and statement compiles once into an OCaml closure
-    (numbers travel in float registers, conditions as [bool]); every call
-    site is resolved here, so an instance only looks up host overrides;
+    (numbers travel in float registers, conditions as [bool]; a value
+    built from literals alone, such as a trigger declaration's struct,
+    is built here and shared by every instance); every call
+    site is resolved here, so an instance only looks up host overrides
+    (its call table holds [None] where none applies);
     event dispatch tables are precomputed per (state, trigger) pair; and
     in a loop, a run of numbers appended by [v = append(v, e)] to a
     frame list grows unboxed in O(1) until another read of [v], which
@@ -19,11 +22,16 @@
     {!env} (and [while] fuel is allocated per execution), so instances
     that share a [t] cannot observe each other.  The seeder relies on
     this: it compiles each task machine once ([Engine.prepare]) and every
-    seed, migration and recovery of that machine shares the result. *)
+    seed, migration and recovery of that machine shares the result.  An
+    instance's state is plain data: its slot markers are immediates and
+    its call table an option array, so a [Marshal] copy of a running
+    world runs on. *)
 
-(** Sentinel marking a slot whose variable is not bound yet (the
-    interpreter equivalent of a missing hashtable key).  Compared with
-    physical equality; programs cannot forge it. *)
+(** Marker of a slot whose variable is not bound yet (the interpreter
+    equivalent of a missing hashtable key).  Compared with physical
+    equality; an immediate that no [Value.t] equals, so programs cannot
+    forge it and a copied instance (e.g. through [Marshal]) still
+    recognises it. *)
 val absent : Value.t
 
 (** Mutable execution environment threaded through compiled closures.
@@ -45,10 +53,10 @@ type env = {
   mutable pending : string option;
   mutable ret : Value.t;
       (** the value of a [return] that is ending its body, else
-          {!absent}; {!run_frame} and [Exec]'s event runner clear it *)
-  calls : (Value.t list -> Value.t) array;
-      (** per call site: the host's closure for the name, else the
-          plan's entry from {!t.c_call_sites} *)
+          {!absent}; a function call and [Exec]'s event runner clear it *)
+  calls : (Value.t list -> Value.t) option array;
+      (** per call site ({!t.c_call_sites}): the host's closure for the
+          name, or [None] when the compiled code resolved the site *)
   regs : float array;  (** numeric registers (length 2) *)
   mutable other : Value.t;  (** a numeric code's non-number result *)
   hints : int array;
@@ -77,11 +85,6 @@ val get : Value.t array -> float array -> int -> Value.t
 
 val set : Value.t array -> float array -> int -> Value.t -> unit
 
-(** [run_frame env body frame nums] runs a function body in a fresh frame
-    and returns its [return] value ([Unit] without one), leaving
-    [env.ret] clear. *)
-val run_frame : env -> scode -> Value.t array -> float array -> Value.t
-
 type event_c = {
   ev_frame_size : int;
   ev_nums : bool;  (** the frame has a typed slot *)
@@ -101,15 +104,6 @@ type state_c = {
   st_realloc : event_c array;
   st_triggers : event_c array array;  (** indexed by trigger id *)
   st_recv : recv_c array;
-}
-
-type func_c = {
-  fn_name : string;
-  fn_nparams : int;
-  fn_param_slots : int array;
-  fn_frame : Value.t array;  (** template a call copies for its frame *)
-  fn_nums : bool;
-  fn_body : scode;
 }
 
 (** {2 Verification plan}
@@ -176,11 +170,9 @@ type t = {
   c_states : state_c array;
   c_state_ids : (string, int) Hashtbl.t;
   c_trig_ids : (string, int) Hashtbl.t;
-  c_n_trigs : int;
-  c_funcs : (string, func_c) Hashtbl.t;
-  c_call_sites : (string * (Value.t list -> Value.t)) array;
-      (** per call site: the function name and the closure an instance
-          uses unless its host provides the name *)
+  c_call_sites : string array;
+      (** per call site: the function name, which an instance asks its
+          host for ([Host.h_builtin]) to fill {!env.calls} *)
   c_plan : plan;
   c_fused : int;
       (** how many nodes compiled to a fused shape: a closure that reads

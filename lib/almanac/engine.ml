@@ -8,7 +8,9 @@
     Creation is split in two: {!prepare} does the per-machine work once
     (for [`Compiled], the whole compilation), and {!instantiate} builds
     one running instance from that plan.  A plan is immutable, so every
-    seed, migration and recovery of a task's machine can share one. *)
+    seed, migration and recovery of a task's machine can share one.
+    {!S} holds what [Seeder] and [Seed_exec] call and nothing more; tests
+    drive the engines through the same members. *)
 
 type engine = [ `Interp | `Compiled ]
 
@@ -19,7 +21,6 @@ module type S = sig
       every instance shares. *)
   type plan
 
-  val kind : engine
   val prepare : program:Ast.program -> machine:string -> plan
 
   val instantiate :
@@ -29,9 +30,8 @@ module type S = sig
   val current_state : t -> string
   val var : t -> string -> Value.t option
   val start : t -> unit
-  val fire_trigger : t -> string -> Value.t -> unit
 
-  (** Resolve a trigger name once; the returned closure is the hot-path
+  (** Resolve a trigger name once; the returned closure is the one
       firing entry point. *)
   val prepare_trigger : t -> string -> Value.t -> unit
 
@@ -39,7 +39,6 @@ module type S = sig
   val realloc : t -> unit
   val snapshot : t -> (string * Value.t) list * string
   val restore : t -> vars:(string * Value.t) list -> state:string -> unit
-  val call_function : t -> string -> Value.t list -> Value.t
 end
 
 (* The interpreter resolves everything per instance: its plan is the
@@ -50,7 +49,6 @@ module Interp_engine :
 
   type plan = Ast.program * string
 
-  let kind = `Interp
   let prepare ~program ~machine = (program, machine)
 
   let instantiate ?externals (program, machine) host =
@@ -63,7 +61,6 @@ module Compiled_engine :
 
   type plan = Compile.t
 
-  let kind = `Compiled
   let prepare = Compile.compile
   let instantiate = create_compiled
 end
@@ -90,17 +87,13 @@ let prepare ~engine ~program ~machine =
 let instantiate ?externals (Plan ((module E), p)) host =
   Inst ((module E), E.instantiate ?externals p host)
 
-let kind (Inst ((module E), _)) = E.kind
 let machine (Inst ((module E), t)) = E.machine t
 let current_state (Inst ((module E), t)) = E.current_state t
 let var (Inst ((module E), t)) name = E.var t name
 let start (Inst ((module E), t)) = E.start t
-let fire_trigger (Inst ((module E), t)) name value = E.fire_trigger t name value
 let prepare_trigger (Inst ((module E), t)) name = E.prepare_trigger t name
 let deliver (Inst ((module E), t)) ~from value = E.deliver t ~from value
 let realloc (Inst ((module E), t)) = E.realloc t
 let snapshot (Inst ((module E), t)) = E.snapshot t
 
 let restore (Inst ((module E), t)) ~vars ~state = E.restore t ~vars ~state
-
-let call_function (Inst ((module E), t)) name argv = E.call_function t name argv

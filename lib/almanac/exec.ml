@@ -25,23 +25,6 @@ let machine t = t.c.Compile.c_machine
 let current_state t = t.c.c_states.(t.env.Compile.state).st_name
 
 (* ------------------------------------------------------------------ *)
-(* Function invocation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* [call_function]: an argument list into a fresh frame (the compiled
-   call sites write their arguments directly). *)
-let invoke_func (env : Compile.env) (fc : Compile.func_c) argv =
-  if List.length argv <> fc.fn_nparams then
-    fail "%s expects %d arguments, got %d" fc.fn_name fc.fn_nparams
-      (List.length argv);
-  let fr = Array.copy fc.fn_frame in
-  let nums =
-    if fc.fn_nums then Array.create_float (Array.length fr) else Compile.no_nums
-  in
-  List.iteri (fun i v -> Compile.set fr nums fc.fn_param_slots.(i) v) argv;
-  Compile.run_frame env fc.fn_body fr nums
-
-(* ------------------------------------------------------------------ *)
 (* Event dispatch                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -118,12 +101,7 @@ let create_compiled ?(externals = []) (c : Compile.t) (host : Host.host) =
   let st0 = c.c_states.(0) in
   let locals, lnums = new_locals st0 in
   (* the only per-instance resolution: host builtins and overrides *)
-  let calls =
-    Array.map
-      (fun (fname, static) ->
-        match host.h_builtin fname with Some f -> f | None -> static)
-      c.c_call_sites
-  in
+  let calls = Array.map host.h_builtin c.c_call_sites in
   let env =
     { Compile.host;
       globals = Array.make c.c_n_globals absent;
@@ -194,13 +172,6 @@ let fire_id t id value =
 
 let trace_fire t name =
   t.host.Host.h_trace name t.c.c_states.(t.env.Compile.state).st_name
-
-let fire_trigger t name value =
-  match Hashtbl.find_opt t.c.c_trig_ids name with
-  | Some id ->
-      trace_fire t name;
-      fire_id t id value
-  | None -> apply_pending t
 
 let prepare_trigger t name =
   match Hashtbl.find_opt t.c.c_trig_ids name with
@@ -282,8 +253,3 @@ let restore t ~vars ~state =
           | None -> ()))
     vars;
   t.started <- true
-
-let call_function t name argv =
-  match Hashtbl.find_opt t.c.c_funcs name with
-  | Some fc -> Value.plain (invoke_func t.env fc argv)
-  | None -> fail "program has no function %s" name

@@ -1,6 +1,8 @@
 (** Execution engine for compiled Almanac machines — the fast path of a
-    seed.  API mirrors {!Interp}; semantics are the interpreter's (checked
-    by the differential suite in [test/test_almanac.ml]). *)
+    seed.  Besides the two constructors, the API is the instance half of
+    the {!Engine.S} contract (what the seeder calls); semantics are the
+    interpreter's (checked by the differential suite in
+    [test/test_almanac.ml]). *)
 
 type t
 
@@ -31,13 +33,11 @@ val var : t -> string -> Value.t option
 (** Enter the initial state (fires its [enter] events). *)
 val start : t -> unit
 
-(** A trigger variable fired, carrying polled stats / a probed packet /
-    the current time. *)
-val fire_trigger : t -> string -> Value.t -> unit
-
-(** [prepare_trigger t name] resolves trigger [name] to its dispatch-table
-    index once and returns the firing closure — the hot-path entry point
-    (an array index plus closure calls per event). *)
+(** [prepare_trigger t name] resolves trigger variable [name] to its
+    dispatch-table index once and returns the firing closure, the only
+    firing entry point: applying it fires the trigger with the polled
+    stats / probed packet / current time it carries (an array index plus
+    closure calls per event). *)
 val prepare_trigger : t -> string -> Value.t -> unit
 
 (** Deliver a message; [true] when some [recv] event consumed it. *)
@@ -51,6 +51,3 @@ val realloc : t -> unit
 val snapshot : t -> (string * Value.t) list * string
 
 val restore : t -> vars:(string * Value.t) list -> state:string -> unit
-
-(** Call an Almanac-defined auxiliary function directly (used by tests). *)
-val call_function : t -> string -> Value.t list -> Value.t

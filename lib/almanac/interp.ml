@@ -314,7 +314,7 @@ let start t =
     ignore (dispatch t Semantics.Enter [])
   end
 
-let fire_trigger t name value =
+let prepare_trigger t name value =
   t.host.h_trace name t.state;
   let evs = current_events t (Semantics.Var name) in
   List.iter
@@ -327,10 +327,6 @@ let fire_trigger t name value =
       run_event t ev bindings)
     evs;
   apply_pending_transit t
-
-(* The reference engine has no per-trigger precomputation; a prepared
-   trigger is just a partial application. *)
-let prepare_trigger t name = fun value -> fire_trigger t name value
 
 let deliver t ~from value =
   match
@@ -373,8 +369,3 @@ let restore t ~vars ~state =
       | _ -> Hashtbl.replace t.globals k v)
     vars;
   t.started <- true
-
-let call_function t name argv =
-  match Hashtbl.find_opt t.funcs name with
-  | Some fd -> call_almanac t fd argv
-  | None -> fail "program has no function %s" name

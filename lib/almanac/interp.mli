@@ -3,7 +3,8 @@
     The interpreter is host-agnostic: every effect (time, resources,
     messaging, TCAM access, polling-rate changes) goes through a {!Host.host}
     record.  The FARM runtime wires the host to a soil on a simulated
-    switch; tests can wire it to stubs. *)
+    switch; tests can wire it to stubs.  Besides {!create}, the API is
+    the instance half of the {!Engine.S} contract, as in {!Exec}. *)
 
 type t
 
@@ -27,13 +28,10 @@ val var : t -> string -> Value.t option
 (** Enter the initial state (fires its [enter] events). *)
 val start : t -> unit
 
-(** A trigger variable fired, carrying polled stats / a probed packet /
-    the current time. *)
-val fire_trigger : t -> string -> Value.t -> unit
-
-(** [prepare_trigger t name] resolves trigger [name] once and returns a
-    closure equivalent to [fire_trigger t name] (hot-path entry point of
-    the {!Engine.S} interface). *)
+(** [prepare_trigger t name] is the firing closure of trigger variable
+    [name]; applying it fires the trigger with the polled stats / probed
+    packet / current time it carries.  The interpreter resolves nothing
+    ahead: this is a partial application. *)
 val prepare_trigger : t -> string -> Value.t -> unit
 
 (** Deliver a message; [true] when some [recv] event consumed it. *)
@@ -47,6 +45,3 @@ val realloc : t -> unit
 val snapshot : t -> (string * Value.t) list * string
 
 val restore : t -> vars:(string * Value.t) list -> state:string -> unit
-
-(** Call an Almanac-defined auxiliary function directly (used by tests). *)
-val call_function : t -> string -> Value.t list -> Value.t

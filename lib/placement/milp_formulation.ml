@@ -66,6 +66,33 @@ let solve ?(timeout = 10.) ?(max_cells = 40_000_000) ?warm_start
         o.o_seed.polls)
     options;
   let nvars = !next_var in
+  (* ---------------- size guard ---------------- *)
+  (* Rows per constraint family, counted before any is built: C1 (one per
+     seed, one per task), per option (C2, C3, the utility pieces and cap,
+     one pollres bound per poll), and C4 per switch (every resource but
+     PCIe, plus the poll total where some pollres variable lives). *)
+  let poll_nodes = Hashtbl.create 64 in
+  Hashtbl.iter (fun (n, _) _ -> Hashtbl.replace poll_nodes n ()) pollres;
+  let option_rows o =
+    let b = List.nth o.o_seed.branches o.o_branch in
+    List.length b.constraints + nres + List.length b.utility + 1
+    + List.length o.o_seed.polls
+  in
+  let switch_rows (c : Model.switch_caps) =
+    nres - 1 + if Hashtbl.mem poll_nodes c.node then 1 else 0
+  in
+  let rows =
+    List.length inst.seeds + List.length task_ids
+    + List.fold_left (fun acc o -> acc + option_rows o) 0 options
+    + List.fold_left (fun acc c -> acc + switch_rows c) 0 inst.switches
+  in
+  if (rows + 2) * (nvars + (2 * rows)) > max_cells then (
+    (* the root relaxation alone would blow the deadline: return the warm
+       start, as a real solver with a tight timeout effectively does *)
+    match warm_start with
+    | Some p -> finish p Milp.Feasible 0
+    | None -> finish Model.empty_placement Milp.No_solution 0)
+  else
   let integer = Array.make nvars false in
   Hashtbl.iter (fun _ v -> integer.(v) <- true) tplc;
   List.iter (fun o -> integer.(o.v_plc) <- true) options;
@@ -227,6 +254,7 @@ let solve ?(timeout = 10.) ?(max_cells = 40_000_000) ?warm_start
         addc (Simplex.constr poll_total Simplex.Le c.avail.(pcie)))
     inst.switches;
   let constraints = !constraints in
+  assert (List.length constraints = rows);
   (* ---------------- objective ---------------- *)
   let objective =
     List.fold_left (fun acc o -> Lin.add acc (Lin.var o.v_t)) Lin.zero options
@@ -285,38 +313,26 @@ let solve ?(timeout = 10.) ?(max_cells = 40_000_000) ?warm_start
           pollres;
         Some v
   in
-  (* ---------------- size guard ---------------- *)
-  let m = List.length constraints in
-  let cells = (m + 2) * (nvars + (2 * m)) in
-  if cells > max_cells then begin
-    (* the root relaxation alone would blow the deadline: return the warm
-       start, as a real solver with a tight timeout effectively does *)
-    match (warm_start, warm_values) with
-    | Some p, Some _ -> finish p Milp.Feasible 0
-    | _ -> finish Model.empty_placement Milp.No_solution 0
-  end
-  else begin
-    let r =
-      Milp.solve ~timeout ?warm_start:warm_values ~nvars ~integer ~objective
-        constraints
-    in
-    match r.status with
-    | Milp.Optimal | Milp.Feasible ->
-        let assignments =
-          List.filter_map
-            (fun o ->
-              if r.values.(o.v_plc) > 0.5 then
-                Some
-                  { Model.a_seed = o.o_seed.seed_id; a_node = o.o_node;
-                    a_branch = o.o_branch;
-                    a_res =
-                      Array.init nres (fun i ->
-                          Float.max 0. r.values.(o.v_res + i)) }
-              else None)
-            options
-        in
-        let utility = Model.total_utility inst assignments in
-        finish { Model.assignments; utility } r.status r.nodes
-    | Milp.Infeasible | Milp.Unbounded | Milp.No_solution ->
-        finish Model.empty_placement r.status r.nodes
-  end
+  let r =
+    Milp.solve ~timeout ?warm_start:warm_values ~nvars ~integer ~objective
+      constraints
+  in
+  match r.status with
+  | Milp.Optimal | Milp.Feasible ->
+      let assignments =
+        List.filter_map
+          (fun o ->
+            if r.values.(o.v_plc) > 0.5 then
+              Some
+                { Model.a_seed = o.o_seed.seed_id; a_node = o.o_node;
+                  a_branch = o.o_branch;
+                  a_res =
+                    Array.init nres (fun i ->
+                        Float.max 0. r.values.(o.v_res + i)) }
+            else None)
+          options
+      in
+      let utility = Model.total_utility inst assignments in
+      finish { Model.assignments; utility } r.status r.nodes
+  | Milp.Infeasible | Milp.Unbounded | Milp.No_solution ->
+      finish Model.empty_placement r.status r.nodes

@@ -98,8 +98,10 @@ let seed t seed_id =
   match Int_map.find_opt seed_id t.seeds with
   | Some s -> s
   | None ->
+      (* [seen] starts small: every placed seed keeps one for as long as
+         it is deployed, and most detectors report rarely *)
       let s =
-        { fence = -1; seen = Hashtbl.create 64; admits = 0; admits_window = 0 }
+        { fence = -1; seen = Hashtbl.create 8; admits = 0; admits_window = 0 }
       in
       t.seeds <- Int_map.add seed_id s t.seeds;
       s

@@ -856,7 +856,7 @@ let test_interp_externals_override () =
 
 let test_interp_poll_no_hh () =
   let t, sent, _ = make_hh () in
-  Interp.fire_trigger t "pollStats" (Value.Stats [| 10.; 20.; 30. |]);
+  Interp.prepare_trigger t "pollStats" (Value.Stats [| 10.; 20.; 30. |]);
   Alcotest.(check string) "stays in observe" "observe"
     (Interp.current_state t);
   Alcotest.(check int) "nothing sent" 0 (List.length !(sent.to_harvester))
@@ -864,7 +864,7 @@ let test_interp_poll_no_hh () =
 let test_interp_poll_detects_hh () =
   let t, sent, rules = make_hh () in
   (* port 1 exceeds the threshold of 1000 *)
-  Interp.fire_trigger t "pollStats" (Value.Stats [| 10.; 5000.; 30. |]);
+  Interp.prepare_trigger t "pollStats" (Value.Stats [| 10.; 5000.; 30. |]);
   (* HHdetected's enter handler sends to harvester, installs rules and
      transits straight back to observe *)
   Alcotest.(check string) "back in observe" "observe"
@@ -887,7 +887,7 @@ let test_interp_recv_updates_threshold () =
   | Some (Value.Num n) -> Alcotest.(check (float 0.)) "updated" 9999. n
   | _ -> Alcotest.fail "threshold must be bound");
   (* below the new threshold: no detection *)
-  Interp.fire_trigger t "pollStats" (Value.Stats [| 5000. |]);
+  Interp.prepare_trigger t "pollStats" (Value.Stats [| 5000. |]);
   Alcotest.(check int) "no detection below threshold" 0
     (List.length !(sent.to_harvester));
   (* recv of an action value matches the second machine event *)
@@ -931,7 +931,13 @@ long tri(long n) {
   while (i <= n) { acc = acc + i; i = i + 1; }
   return acc;
 }
-machine M { long x; state s { when (enter) do { x = tri(4); } } }
+machine M {
+  long x;
+  state s {
+    when (enter) do { x = tri(4); }
+    when (recv long n from harvester) do { x = tri(n); }
+  }
+}
 |}
   in
   let p = Typecheck.check (Parser.program src) in
@@ -940,8 +946,10 @@ machine M { long x; state s { when (enter) do { x = tri(4); } } }
   (match Interp.var t "x" with
   | Some (Value.Num n) -> Alcotest.(check (float 0.)) "tri(4)=10" 10. n
   | _ -> Alcotest.fail "x must be set");
-  match Interp.call_function t "tri" [ Value.Num 5. ] with
-  | Value.Num n -> Alcotest.(check (float 0.)) "tri(5)=15" 15. n
+  Alcotest.(check bool) "recv consumed" true
+    (Interp.deliver t ~from:Host.From_harvester (Value.Num 5.));
+  match Interp.var t "x" with
+  | Some (Value.Num n) -> Alcotest.(check (float 0.)) "tri(5)=15" 15. n
   | _ -> Alcotest.fail "tri must return a number"
 
 let test_interp_state_locals_reset () =
@@ -1004,8 +1012,8 @@ let test_state_overrides_machine () =
         ignore (Engine.deliver t ~from:Host.From_harvester (Value.Num 1.))
       in
       deliver ();
-      Engine.fire_trigger t "clock" (Value.Num 0.);
-      Engine.fire_trigger t "clock" (Value.Num 0.);
+      Engine.prepare_trigger t "clock" (Value.Num 0.);
+      Engine.prepare_trigger t "clock" (Value.Num 0.);
       deliver ();
       let get v = Option.map Value.to_string (Engine.var t v) in
       Alcotest.(check (option string)) (name ^ ": s") (Some "11") (get "s");
@@ -1032,7 +1040,7 @@ let test_interp_trigger_reassign_notifies () =
   in
   let t = Interp.create ~program:prog ~machine:"M" host in
   Interp.start t;
-  Interp.fire_trigger t "p" (Value.Stats [| 1. |]);
+  Interp.prepare_trigger t "p" (Value.Stats [| 1. |]);
   match !notified with
   | [ ("p", Value.Struct ("Poll", _)) ] -> ()
   | _ -> Alcotest.fail "host must be notified of the polling-rate change"
@@ -1548,7 +1556,7 @@ let diff_apply d step =
         Engine.start d.dd_inst;
         Ok "()"
     | D_fire (name, v) ->
-        Engine.fire_trigger d.dd_inst name v;
+        Engine.prepare_trigger d.dd_inst name v;
         Ok "()"
     | D_deliver (from, v) ->
         Ok (string_of_bool (Engine.deliver d.dd_inst ~from v))
@@ -1973,6 +1981,69 @@ let prop_generated_roundtrip =
       in
       Ast.strip_pos p = Ast.strip_pos p')
 
+(* The deploy path ships a task as XML ([Seeder.deploy] loads
+   [Machine_xml.compile] of the checked program): every draw comes back
+   unchanged, not only the catalog. *)
+let prop_generated_machine_xml =
+  QCheck2.Test.make ~name:"generated programs: Machine_xml round-trip"
+    ~count:150 ~long_factor:25 ~print:print_draw Almanac_gen.program
+    (fun (p, _) ->
+      let p = gen_typecheck p in
+      Ast.strip_pos (Machine_xml.load (Machine_xml.compile p)) = Ast.strip_pos p)
+
+(* Reach is sound on generated machines: when its analysis is complete,
+   every state an interpreter run passes through or rests in under
+   random fires, deliveries and reallocs is in [reachable].  The run
+   stops at the first runtime error, and a step that fails adds none of
+   its states.  Incomplete analyses claim nothing and pass. *)
+let prop_generated_reach_sound =
+  QCheck2.Test.make ~name:"generated programs: Reach covers every visited state"
+    ~count:150 ~long_factor:25
+    ~print:(fun ((p, _), seed) ->
+      Printf.sprintf "seed=%d\n%s" seed (Pretty.program_to_string p))
+    QCheck2.Gen.(pair Almanac_gen.program (int_bound 1_000_000))
+    (fun ((p, externals), seed) ->
+      let program = gen_typecheck p in
+      let m = List.hd program.Ast.machines in
+      let r =
+        Reach.analyze ~host_builtins:("tick" :: Builtins.soil_effects)
+          ~funcs:program.funcs ~machine:m ()
+      in
+      (not r.complete)
+      ||
+      let d =
+        diff_driver
+          ~plan:(Engine.prepare ~engine:`Interp ~program ~machine:m.mname)
+          ~externals ~builtins:[]
+      in
+      let random_step = diff_random_step m (Farm_sim.Rng.create (0x4ea + seed)) in
+      let visited = ref [] in
+      let rec go step n =
+        d.dd_log := [];
+        match diff_apply d step with
+        | Error _ -> ()
+        | Ok _ -> (
+            visited := Engine.current_state d.dd_inst :: !visited;
+            List.iter
+              (fun e ->
+                match String.index_opt e '>' with
+                | Some i when String.starts_with ~prefix:"transit:" e ->
+                    visited := String.sub e (i + 1) (String.length e - i - 1) :: !visited
+                | _ -> ())
+              !(d.dd_log);
+            if n > 0 then
+              match random_step () with
+              | D_migrate -> go D_realloc (n - 1)
+              | step -> go step (n - 1))
+      in
+      go D_start 24;
+      match List.filter (fun s -> not (List.mem s r.reachable)) !visited with
+      | [] -> true
+      | missed ->
+          QCheck2.Test.fail_reportf "visited %s, not in reachable [%s]"
+            (String.concat ", " (List.sort_uniq compare missed))
+            (String.concat "; " r.reachable))
+
 (* Shrunk findings of the properties above, kept as regression programs:
    each runs the scripted catalog schedule and five random ones under
    both engines, and verifies without a V401. *)
@@ -2076,7 +2147,7 @@ machine Scan {
        | Some (Value.List l) -> Weak.set weak 0 (Some l)
        | _ -> Alcotest.fail "l is not a list"))
     ();
-  Exec.fire_trigger inst "clock" Value.Unit;
+  Exec.prepare_trigger inst "clock" Value.Unit;
   Alcotest.(check (option string)) "the scan ran" (Some "6")
     (Option.map Value.to_string (Exec.var inst "t"));
   Gc.full_major ();
@@ -2153,13 +2224,13 @@ machine Past {
   in
   Alcotest.(check string) "nth past the end"
     (run (fun ~program ~machine h -> Interp.create ~program ~machine h) Interp.start
-       Interp.fire_trigger)
+       Interp.prepare_trigger)
     (run (fun ~program ~machine h -> Exec.create ~program ~machine h) Exec.start
-       Exec.fire_trigger)
+       Exec.prepare_trigger)
 
 (* [stats_list] packs its list; the compiled engine hands the host a
    [Value.List] in [send], a host built-in's arguments and a trigger
-   variable, and [Exec.var] / [snapshot] / [call_function] return one. *)
+   variable, and [Exec.var] / [snapshot] return one. *)
 let test_packed_list_boundaries () =
   let program =
     Typecheck.check
@@ -2209,15 +2280,13 @@ machine Pack {
   in
   let inst = Exec.create ~program ~machine:"Pack" host in
   Exec.start inst;
-  Exec.fire_trigger inst "p" (Value.Stats [| 10.; 20.; 30. |]);
+  Exec.prepare_trigger inst "p" (Value.Stats [| 10.; 20.; 30. |]);
   Alcotest.(check (list string)) "host saw Lists" [ "equal"; "host built-in"; "send" ] !seen;
   (match Exec.var inst "last" with
   | Some v -> is_list "var" v
   | None -> Alcotest.fail "last unbound");
   List.iter (fun (_, v) -> if Value.plain v != v then Alcotest.fail "snapshot packed")
-    (fst (Exec.snapshot inst));
-  is_list "call_function"
-    (Exec.call_function inst "stats_list" [ Value.Stats [| 1.; 2. |] ])
+    (fst (Exec.snapshot inst))
 
 let test_host_overrides () =
   let program = Typecheck.check (Parser.program override_source) in
@@ -2263,6 +2332,7 @@ machine Walk {
   time clock = Time { .ival = 1 };
   list seen = [];
   long after = 0;
+  long walked = 0;
   state s0 {
     when (clock) do {
       long k = 0;
@@ -2273,6 +2343,7 @@ machine Walk {
       }
       after = after + 1;
     }
+    when (recv long n from harvester) do { walked = walk(n); }
   }
 }
 |}
@@ -2285,13 +2356,14 @@ let test_early_return () =
         Host.null_host
     in
     Engine.start inst;
-    Engine.fire_trigger inst "clock" (Value.Num 0.);
-    Engine.fire_trigger inst "clock" (Value.Num 1.);
+    Engine.prepare_trigger inst "clock" (Value.Num 0.);
+    Engine.prepare_trigger inst "clock" (Value.Num 1.);
     let get v = Option.map Value.to_string (Engine.var inst v) in
     let walks =
       List.map
         (fun n ->
-          Value.to_string (Engine.call_function inst "walk" [ Value.Num n ]))
+          ignore (Engine.deliver inst ~from:Host.From_harvester (Value.Num n));
+          Option.fold ~none:"unbound" ~some:Value.to_string (Engine.var inst "walked"))
         [ 0.; 1.; 2.; 9.; 10.; 50. ]
     in
     (get "seen", get "after", walks)
@@ -2304,6 +2376,8 @@ let test_early_return () =
   let seen', after', walks' = run `Compiled in
   Alcotest.(check (option string)) "compiled: seen" seen seen';
   Alcotest.(check (option string)) "compiled: after" after after';
+  Alcotest.(check (list string)) "interp: walk"
+    [ "0"; "1"; "3"; "16"; "20"; "34" ] walks;
   Alcotest.(check (list string)) "compiled: walk" walks walks';
   ignore
     (diff_run_machine ~what:"early return" ~program ~machine:"Walk"
@@ -2340,7 +2414,7 @@ let test_eq_operand_order () =
         Engine.instantiate (Engine.prepare ~engine ~program ~machine:"EqOrder") host
       in
       Engine.start inst;
-      Engine.fire_trigger inst "clock" (Value.Num 0.);
+      Engine.prepare_trigger inst "clock" (Value.Num 0.);
       let get v = Option.map Value.to_string (Engine.var inst v) in
       Alcotest.(check (option string)) (name ^ ": b") (Some "true") (get "b");
       Alcotest.(check (option string)) (name ^ ": c") (Some "false") (get "c");
@@ -2480,5 +2554,6 @@ let () =
         @ qsuite
             [ prop_differential_random; prop_shared_plan_no_interference;
               prop_generated_differential; prop_generated_equiv;
-              prop_generated_roundtrip ] )
+              prop_generated_roundtrip; prop_generated_machine_xml;
+              prop_generated_reach_sound ] )
     ]

@@ -3123,6 +3123,59 @@ let test_digest_coverage () =
       (w, seeder))
     protection_rows
 
+(* -- fork: a copied world runs on as the original (qcheck) ---------- *)
+
+(* A 2x4 world with four catalog tasks under background traffic; the
+   overload variant arms every protection layer and self-healing, and
+   crashes a switch at 0.5 s. *)
+let fork_world ~overload seed =
+  let seeder_config =
+    if overload then { Seeder.overload_defaults with Seeder.auto_heal = true }
+    else Seeder.default_config
+  in
+  let w =
+    Farm.World.create ~seed ~spines:2 ~leaves:4 ~hosts_per_leaf:1 ~seeder_config ()
+  in
+  List.iter
+    (fun name ->
+      match Farm.World.deploy_catalog_task w name with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "deploy %s: %s" name e)
+    [ "heavy-hitter"; "tcp-syn-flood"; "link-failure"; "flow-size-distribution" ];
+  Farm.World.background_traffic ~flows:40 w;
+  if overload then begin
+    let node = List.hd (List.rev (Topology.switch_ids w.Farm.World.topology)) in
+    Engine.schedule w.engine ~delay:0.5 (fun _ -> Seeder.crash_switch w.seeder node)
+  end;
+  w
+
+let fork_horizon = 2.
+
+(* Run to a drawn instant, copy the whole world with [Marshal], run both
+   to the horizon: each digest equals an unforked run's.  A marker or
+   counter kept by identity or outside the world makes the copy diverge
+   or fail. *)
+let prop_fork_any_instant =
+  QCheck2.Test.make ~name:"fork: a copied world runs to the unforked digest"
+    ~count:3 ~long_factor:5
+    ~print:QCheck2.Print.(pair int float)
+    QCheck2.Gen.(pair (int_range 1 10_000) (float_range 0.05 (fork_horizon -. 0.05)))
+    (fun (seed, at) ->
+      List.for_all
+        (fun overload ->
+          let unforked = fork_world ~overload seed in
+          Farm.World.run ~until:fork_horizon unforked;
+          let expect = Seeder.digest unforked.seeder in
+          let w = fork_world ~overload seed in
+          Farm.World.run ~until:at w;
+          let copy : Farm.World.t =
+            Marshal.from_string (Marshal.to_string w [ Marshal.Closures ]) 0
+          in
+          Farm.World.run ~until:fork_horizon w;
+          Farm.World.run ~until:fork_horizon copy;
+          Seeder.digest w.seeder = expect && Seeder.digest copy.seeder = expect)
+        [ false; true ])
+
 let () =
   Alcotest.run "farm_runtime"
     [ ( "models",
@@ -3155,7 +3208,8 @@ let () =
         @ qsuite [ prop_task_seed_lists ] );
       ( "digest",
         [ Alcotest.test_case "covers every component" `Quick
-            test_digest_coverage ] );
+            test_digest_coverage ]
+        @ qsuite [ prop_fork_any_instant ] );
       ( "migration",
         [ Alcotest.test_case "migration preserves state" `Quick
             test_seed_migration_preserves_state;

@@ -417,7 +417,7 @@ let test_verify_crashers () =
       let t = Interp.create ~program:p ~machine:"Crash" Host.null_host in
       Interp.start t;
       let expected =
-        match Interp.fire_trigger t "p" (Value.Stats [| 3.; 4. |]) with
+        match Interp.prepare_trigger t "p" (Value.Stats [| 3.; 4. |]) with
         | () -> Alcotest.failf "%s: the handler did not fail" body
         | exception (Host.Runtime_error m | Value.Type_error m) -> m
       in
@@ -544,7 +544,7 @@ let episode ~case ~round ~warmup =
   for i = 1 to warmup do
     List.iter
       (fun (td : Ast.trig_decl) ->
-        try Interp.fire_trigger t td.Ast.tname (trig_value td.ttyp ~round:i)
+        try Interp.prepare_trigger t td.Ast.tname (trig_value td.ttyp ~round:i)
         with Host.Runtime_error _ -> ())
       m.Ast.mtrigs
   done;
@@ -641,7 +641,7 @@ let episode ~case ~round ~warmup =
             log := [];
             let raised =
               try
-                Interp.fire_trigger t td.Ast.tname v;
+                Interp.prepare_trigger t td.Ast.tname v;
                 false
               with Host.Runtime_error _ -> true
             in
